@@ -1,46 +1,15 @@
-"""Accelerated inner loops with selectable backend.
-
-The hot Monte Carlo loops (coordinate-draw coverage scans behind the coupling
-simulator) carry a numba @njit kernel and a pure-numpy fallback.  The backend
-is picked by the MATCONC_BACKEND environment variable: "numba" (default when
-numba is importable) or "numpy".  Both paths consume the same pre-generated
-draw arrays, so they produce identical results; only speed differs.
-"""
+"""Bulk coverage scans behind the coupling-time simulator, in numpy."""
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - environment without numba
-    HAVE_NUMBA = False
-
-_VALID = ("numba", "numpy")
-_resolved = None
-
 
 def backend() -> str:
-    """Resolve the active backend once per process."""
-    global _resolved
-    if _resolved is None:
-        want = os.environ.get("MATCONC_BACKEND", "").strip().lower()
-        if want and want not in _VALID:
-            raise ValueError(
-                f"MATCONC_BACKEND must be one of {_VALID}, got {want!r}"
-            )
-        if want == "numba" and not HAVE_NUMBA:
-            raise RuntimeError("MATCONC_BACKEND=numba but numba is not importable")
-        if not want:
-            want = "numba" if HAVE_NUMBA else "numpy"
-        _resolved = want
-    return _resolved
+    """Name of the implementation of the inner loops; numpy is the only one."""
+    return "numpy"
 
 
-def _coverage_scan_np(draws, needed, seen, remaining, times, offset):
+def _coverage_scan(draws, needed, seen, remaining, times, offset):
     runs = draws.shape[0]
     rows = np.arange(runs)
     for c in range(draws.shape[1]):
@@ -51,27 +20,6 @@ def _coverage_scan_np(draws, needed, seen, remaining, times, offset):
         done = hit & (remaining == 0)
         times[done] = offset + c + 1
     return times
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _coverage_scan_nb(draws, needed, seen, remaining, times, offset):  # pragma: no cover - compiled
-        runs, chunk = draws.shape
-        for r in range(runs):
-            if times[r] >= 0:
-                continue
-            rem = remaining[r]
-            for c in range(chunk):
-                j = draws[r, c]
-                if needed[j] and not seen[r, j]:
-                    seen[r, j] = True
-                    rem -= 1
-                    if rem == 0:
-                        times[r] = offset + c + 1
-                        break
-            remaining[r] = rem
-        return times
 
 
 def coverage_times(n: int, needed: np.ndarray, runs: int, seed: int,
@@ -95,11 +43,10 @@ def coverage_times(n: int, needed: np.ndarray, runs: int, seed: int,
     rng = np.random.Generator(np.random.Philox(seed))
     seen = np.zeros((runs, n), dtype=np.bool_)
     remaining = np.full(runs, m, dtype=np.int64)
-    scan = _coverage_scan_nb if backend() == "numba" else _coverage_scan_np
     offset = 0
     while offset < max_steps and np.any(times < 0):
         step = min(chunk, max_steps - offset)
         draws = rng.integers(0, n, size=(runs, step), dtype=np.int64)
-        scan(draws, needed, seen, remaining, times, offset)
+        _coverage_scan(draws, needed, seen, remaining, times, offset)
         offset += step
     return times

@@ -43,7 +43,10 @@ def _parse_grid(text: str) -> list:
         start, stop, step = (float(p) for p in parts)
         if step <= 0 or stop < start:
             raise ParameterError(f"bad grid {text!r}")
-        count = int(round((stop - start) / step)) + 1
+        steps = (stop - start) / step
+        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+            raise ParameterError(f"grid step {step!r} does not divide [{start!r}, {stop!r}]")
+        count = int(round(steps)) + 1
         return [float(v) for v in np.linspace(start, stop, count)]
     return [float(p) for p in text.split(",") if p.strip()]
 

@@ -6,7 +6,6 @@ the semidefinite order, the Hermitian dilation, and superoperator
 """
 from __future__ import annotations
 
-import json
 import math
 from typing import Callable, Iterable
 
@@ -44,6 +43,11 @@ def _opnorm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def _opnorms(a: np.ndarray) -> np.ndarray:
+    """Operator norm of every matrix of a stack (the last two axes)."""
+    return np.linalg.norm(a, 2, axis=(-2, -1))
+
+
 class HermitianMatrix:
     """A dense Hermitian matrix.
 
@@ -60,7 +64,7 @@ class HermitianMatrix:
             raise ShapeError(f"expected a square matrix, got shape {m.shape}")
         if m.shape[0] == 0:
             raise ShapeError("empty matrix")
-        if not np.all(np.isfinite(m.view(np.float64))):
+        if not np.all(np.isfinite(m)):
             raise DomainError("matrix entries must be finite")
         anti = (m - m.conj().T) / 2
         resid = _opnorm(anti)
@@ -123,7 +127,7 @@ class RectMatrix:
         m = np.array(entries, dtype=np.complex128)
         if m.ndim != 2:
             raise ShapeError(f"expected a 2-d array, got ndim {m.ndim}")
-        if not np.all(np.isfinite(m.view(np.float64))):
+        if not np.all(np.isfinite(m)):
             raise DomainError("matrix entries must be finite")
         m.setflags(write=False)
         self.a = m
@@ -307,22 +311,6 @@ def psd_leq(A, B, tol: float = PSD_TOL) -> bool:
     return lam_min >= -tol * scale
 
 
-def real_part(M) -> HermitianMatrix:
-    """Re(M) = (M + M*)/2 for a square complex M."""
-    m = _as_array(M)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeError(f"expected square, got {m.shape}")
-    return HermitianMatrix((m + m.conj().T) / 2)
-
-
-def imag_part(M) -> HermitianMatrix:
-    """Im(M) = (M - M*)/(2i); Hermitian, and M = Re(M) + i Im(M)."""
-    m = _as_array(M)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeError(f"expected square, got {m.shape}")
-    return HermitianMatrix((m - m.conj().T) / 2j)
-
-
 def vec(M) -> np.ndarray:
     """Column-stacking vectorization."""
     return _as_array(M).reshape(-1, order="F")
@@ -402,6 +390,3 @@ def trace_inner(M, N) -> complex:
     """Trace inner product <M, N> = tr(M* N)."""
     return complex(np.trace(_as_array(M).conj().T @ _as_array(N)))
 
-
-def hermitian_from_json_str(s: str) -> HermitianMatrix:
-    return HermitianMatrix.from_json(json.loads(s))

@@ -2,7 +2,8 @@
 
 Models are product distributions Z = (Z_1, ..., Z_n) with a Hermitian-valued
 map H; the centered matrix of interest is X = H(Z) - E H(Z).  Everything is
-exact (full enumeration) on finite product spaces below a cardinality cutoff
+exact on finite product spaces below a cardinality cutoff, as sums over
+single-coordinate replacements of the outcome tensor (MatrixModel.H_tensor),
 and seeded Monte Carlo otherwise.
 """
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .matcore import (
     RectMatrix,
     ShapeError,
     _opnorm,
+    _opnorms,
     dilation,
 )
 
@@ -96,12 +98,32 @@ class ProductDistribution:
 
     @property
     def cardinality(self) -> int:
+        return math.prod(self.shape)
+
+    @property
+    def shape(self) -> tuple:
+        """Support sizes: the leading axes of every outcome tensor."""
         if not self.finite:
             raise PreconditionError("cardinality is defined for finite distributions only")
-        out = 1
+        return tuple(len(c) for c in self.coords)
+
+    def probabilities(self) -> np.ndarray:
+        """Outcome probabilities, shape ``shape``: the products outcomes() yields."""
+        if not self.finite:
+            raise PreconditionError("outcome probabilities need a finite distribution")
+        pr = np.ones(())
         for c in self.coords:
-            out *= len(c)
-        return out
+            pr = pr[..., None] * c.probs
+        return pr
+
+    def index(self, z) -> int:
+        """Position of the outcome z in outcomes() order."""
+        try:
+            pos = [int(np.flatnonzero(c.values == float(v))[0])
+                   for c, v in zip(self.coords, z, strict=True)]
+        except (IndexError, ValueError):
+            raise ParameterError(f"{tuple(z)!r} is not an outcome") from None
+        return int(np.ravel_multi_index(pos, self.shape))
 
     def sample(self, rng: np.random.Generator) -> tuple:
         return tuple(float(c.sample(rng)) for c in self.coords)
@@ -173,6 +195,7 @@ class MatrixModel:
         self._mean = None
         self.mean_provenance = None
         self._h_cache: dict = {}
+        self._tensor = None
 
     # -- evaluation
 
@@ -193,13 +216,32 @@ class MatrixModel:
     def exact(self) -> bool:
         return self.dist.finite and self.dist.cardinality <= self.enum_cutoff
 
+    def H_tensor(self) -> np.ndarray:
+        """The outcome tensor: H over the support, shape (|V_1|, ..., |V_n|, d, d).
+
+        Built through ``H`` on first use, in outcomes() order, and kept.
+        """
+        if self._tensor is None:
+            if not self.exact:
+                raise PreconditionError("outcome tensors need a finite model under the cutoff")
+            hs = np.stack([self.H(z) for z, _ in self.dist.outcomes()]).reshape(
+                self.dist.shape + (self.d, self.d))
+            hs.setflags(write=False)
+            self._tensor = hs
+        return self._tensor
+
+    def X_tensor(self) -> np.ndarray:
+        """X = H - E H over the support, as an outcome tensor."""
+        return self.H_tensor() - self.mean()
+
+    def expect(self, T: np.ndarray) -> np.ndarray:
+        """E T(Z) for an outcome tensor T (exact models only)."""
+        return np.tensordot(self.dist.probabilities(), T, axes=self.dist.n)
+
     def mean(self) -> np.ndarray:
         if self._mean is None:
             if self.exact:
-                acc = np.zeros((self.d, self.d), dtype=np.complex128)
-                for z, pr in self.dist.outcomes():
-                    acc += pr * self.H(z)
-                self._mean = acc
+                self._mean = self.expect(self.H_tensor())
                 self.mean_provenance = {"method": "exact"}
             else:
                 rng = _rng(self.mean_seed)
@@ -222,7 +264,7 @@ class MatrixModel:
         """max over the support of ||H(z)||; finite models only."""
         if not self.exact:
             raise PreconditionError("max_h_norm needs a finite model under the cutoff")
-        return max(_opnorm(self.H(z)) for z, _ in self.dist.outcomes())
+        return float(np.max(_opnorms(self.H_tensor())))
 
     def sample_X(self, count: int, seed: int) -> np.ndarray:
         """Draw ``count`` centered samples X = H(Z) - E H(Z), shape (count, d, d)."""
@@ -488,28 +530,71 @@ class ExchangeablePair:
         model = self.model
         if not model.exact:
             raise PreconditionError("joint pmf needs a finite model")
-        dist = model.dist
-        n = dist.n
+        coords = model.dist.coords
+        n = len(coords)
         pmf: dict = {}
-        for j, coord in enumerate(dist.coords):
-            others = [list(zip(c.values, c.probs)) for k, c in enumerate(dist.coords)
-                      if k != j]
-            for combo in itertools.product(*others):
+        for idx in itertools.product(*(range(len(c)) for c in coords)):
+            z = tuple(float(c.values[i]) for c, i in zip(coords, idx))
+            for j, coord in enumerate(coords):
                 base = 1.0
-                for _, p in combo:
-                    base *= p
-                rest = [v for v, _ in combo]
-                for a, pa in zip(coord.values, coord.probs):
-                    za = tuple(rest[:j]) + (float(a),) + tuple(rest[j:])
-                    for b, pb in zip(coord.values, coord.probs):
-                        zb = tuple(rest[:j]) + (float(b),) + tuple(rest[j:])
-                        key = (za, zb)
-                        pmf[key] = pmf.get(key, 0.0) + base * (pa * pb) / n
+                for k, (c, i) in enumerate(zip(coords, idx)):
+                    if k != j:
+                        base *= c.probs[i]
+                for b, pb in zip(coord.values, coord.probs):
+                    key = (z, z[:j] + (float(b),) + z[j + 1:])
+                    pmf[key] = pmf.get(key, 0.0) + base * (coord.probs[idx[j]] * pb) / n
         return pmf
 
 
 def make_exchangeable_pair(model: MatrixModel, seed: int) -> ExchangeablePair:
     return ExchangeablePair(model, seed)
+
+
+# ---------------------------------------------------------------------------
+# replacement neighbours
+
+
+def outcome_stack(T: np.ndarray) -> np.ndarray:
+    """An outcome tensor as a flat stack of shape (S, ...) in outcomes() order."""
+    return T.reshape((-1,) + T.shape[-2:])
+
+
+def neighbour(T: np.ndarray, j: int, v: int) -> np.ndarray:
+    """T at z_{j<-v} for every outcome z: axis j pinned at the v-th value, kept
+    with length 1 so that the result broadcasts against T."""
+    return T[(slice(None),) * j + (slice(v, v + 1),)]
+
+
+def _square(a: np.ndarray) -> np.ndarray:
+    return a @ a
+
+
+def replacement_sum(dist: ProductDistribution, term: Callable,
+                    pair_law: bool = False):
+    """Sum of w_{j,v} * term(j, v) over every replacement z -> z_{j<-v}.
+
+    Terms are added j first, then v in support order.  The weight is
+    p_{j,v}, the probability of the v-th value of coordinate j, or p_{j,v}/n
+    under the exchangeable-pair law (a uniform coordinate J is replaced).
+    """
+    n = dist.n
+    return sum((p / n if pair_law else p) * term(j, v)
+               for j, c in enumerate(dist.coords) for v, p in enumerate(c.probs))
+
+
+def on_neighbours(model: MatrixModel, fn: Callable, j: int, v: int) -> np.ndarray:
+    """fn(z, z_{j<-v}) for every outcome z, as a tensor in outcomes() order."""
+    value = float(model.dist.coords[j].values[v])
+    out = np.array([fn(z, model.replace(z, j, value)) for z, _ in model.dist.outcomes()])
+    return out.reshape(model.dist.shape + out.shape[1:])
+
+
+def kernel_on_neighbours(model: MatrixModel, kernel, j: int, v: int) -> np.ndarray:
+    """K(z, z_{j<-v}) for every outcome z: the exact kernel broadcasts its
+    Poisson solution g, any other kernel is queried pair by pair through ``at``."""
+    if isinstance(kernel, ExactKernel):
+        return kernel.g - neighbour(kernel.g, j, v)
+    return on_neighbours(model, kernel.at, j, v)
 
 
 # ---------------------------------------------------------------------------
@@ -527,34 +612,35 @@ class VarianceProxy:
         return self.values[tuple(z)]
 
 
-def _variance_proxy_array(model: MatrixModel, z, samples: int | None,
-                          seed: int | None) -> np.ndarray:
-    z = tuple(z)
-    hz = model.H(z)
-    acc = np.zeros_like(hz)
-    if model.dist.finite:
-        for j, coord in enumerate(model.dist.coords):
-            for v, pj in zip(coord.values, coord.probs):
-                diff = hz - model.H(model.replace(z, j, float(v)))
-                acc += pj * (diff @ diff)
-    else:
-        if samples is None or seed is None:
-            raise ParameterError("sampled coordinates need samples and seed")
-        rng = _rng(seed)
-        for j, coord in enumerate(model.dist.coords):
-            vs = np.atleast_1d(coord.sample(rng, samples))
-            sub = np.zeros_like(hz)
-            for v in vs:
-                diff = hz - model.H(model.replace(z, j, float(v)))
-                sub += diff @ diff
-            acc += sub / samples
-    return acc / 2.0
+def variance_proxy_tensor(model: MatrixModel) -> np.ndarray:
+    """V = (1/2) sum_j E_v (H - H_{j<-v})^2 at every outcome, as an outcome tensor."""
+    H = model.H_tensor()
+    return replacement_sum(model.dist, lambda j, v: _square(H - neighbour(H, j, v))) / 2.0
 
 
 def variance_proxy(model: MatrixModel, z, samples: int | None = None,
                    seed: int | None = None) -> HermitianMatrix:
-    """V(z) = (1/2) sum_j E[(H(z) - H(z with coord j resampled))^2]."""
-    return HermitianMatrix(_variance_proxy_array(model, z, samples, seed))
+    """V(z) = (1/2) sum_j E[(H(z) - H(z with coord j resampled))^2].
+
+    Exact on finite models under the cutoff.  Otherwise each coordinate's
+    expectation is a mean over ``samples`` draws seeded by ``seed``.
+    """
+    if model.exact:
+        return HermitianMatrix(outcome_stack(variance_proxy_tensor(model))[model.dist.index(z)])
+    if samples is None or seed is None:
+        raise ParameterError("models that cannot be enumerated need samples and seed")
+    z = tuple(z)
+    hz = model.H(z)
+    acc = np.zeros_like(hz)
+    rng = _rng(seed)
+    for j, coord in enumerate(model.dist.coords):
+        vs = np.atleast_1d(coord.sample(rng, samples))
+        sub = np.zeros_like(hz)
+        for v in vs:
+            diff = hz - model.H(model.replace(z, j, float(v)))
+            sub += diff @ diff
+        acc += sub / samples
+    return HermitianMatrix(acc / 2.0)
 
 
 def variance_proxy_map(model: MatrixModel, samples: int | None = None,
@@ -562,10 +648,8 @@ def variance_proxy_map(model: MatrixModel, samples: int | None = None,
     """The variance proxy over every outcome of a finite model."""
     if not model.exact:
         raise PreconditionError("variance_proxy_map enumerates finite models only")
-    values = {
-        z: HermitianMatrix(_variance_proxy_array(model, z, samples, seed))
-        for z, _ in model.dist.outcomes()
-    }
+    vs = outcome_stack(variance_proxy_tensor(model))
+    values = {z: HermitianMatrix(v) for (z, _), v in zip(model.dist.outcomes(), vs)}
     return VarianceProxy(values, {"method": "exact"})
 
 
@@ -573,64 +657,61 @@ def variance_proxy_map(model: MatrixModel, samples: int | None = None,
 # kernels
 
 
-class ExactKernel:
-    """The coupling kernel on a finite model, computed to machine precision.
+def _along(M: np.ndarray, T: np.ndarray, j: int) -> np.ndarray:
+    """Apply the matrix M along axis j of T."""
+    return np.moveaxis(np.tensordot(M, T, axes=(1, j)), 0, j)
 
-    Iterates the pair-chain averaging operator on the difference function
-    D_0(z, z') = H(z) - H(z'), accumulating K = sum_i T^i D_0.  The iteration
-    contracts geometrically at rate (1 - 1/n), so the residual after the loop
-    is at floating-point scale; the table is antisymmetric exactly.
+
+def _poisson_solution(dist: ProductDistribution, X: np.ndarray) -> np.ndarray:
+    """The mean-zero g with (I - P) g = X, P the random-scan replacement chain.
+
+    P = (1/n) sum_j E_j (E_j the mean over coordinate j) scales the order-k
+    Hoeffding component by 1 - k/n, so g = sum_{k >= 1} (n/k) X_k.  Along
+    each axis the basis [1, e_v - p_v 1 for v >= 1] splits constants from
+    mean-zero vectors (the Walsh-Hadamard transform on uniform {+-1} axes);
+    its inverse has rows p and e_v - e_0.  Each coefficient is scaled by n
+    over its number of non-constant axes; the constant one (E X) is dropped.
+    """
+    n = dist.n
+    order = np.zeros(dist.shape)
+    c = X
+    for j, coord in enumerate(dist.coords):
+        m = len(coord)
+        eye = np.eye(m)
+        c = _along(np.vstack([coord.probs, eye[1:] - eye[0]]), c, j)
+        order = order + (np.arange(m) > 0).reshape((m,) + (1,) * (n - 1 - j))
+    c = c * np.where(order > 0, n / np.maximum(order, 1), 0.0)[..., None, None]
+    for j, coord in enumerate(dist.coords):
+        m = len(coord)
+        c = _along(np.column_stack([np.ones(m), np.eye(m)[:, 1:] - coord.probs[1:]]), c, j)
+    return np.ascontiguousarray(c)
+
+
+class ExactKernel:
+    """The coupling kernel on a finite model, from the Poisson equation.
+
+    Each chain of the coupling is the random-scan replacement chain P, so
+    K(z, z') = sum_i (P^i X(z) - P^i X(z')) = g(z) - g(z') with
+    (I - P) g = X, solved directly (no iteration).  ``table`` is K over all
+    pairs, built on access as g(z) - g(z'), so it is antisymmetric exactly.
     """
 
-    def __init__(self, model: MatrixModel, tol: float = 1e-14, max_iter: int = 20_000):
+    def __init__(self, model: MatrixModel):
         if not model.exact:
             raise PreconditionError("ExactKernel needs a finite model under the cutoff")
         self.model = model
-        outs = [z for z, _ in model.dist.outcomes()]
-        self.outcomes = outs
-        self.index = {z: i for i, z in enumerate(outs)}
-        S = len(outs)
-        d = model.d
-        n = model.dist.n
+        self.g = _poisson_solution(model.dist, model.X_tensor())
+        # the direct solve takes no iterations; kept for reports and traces
+        self.iterations = 0
 
-        D0 = np.empty((S, S, d, d), dtype=np.complex128)
-        H = np.stack([model.H(z) for z in outs])
-        D0[:] = H[:, None] - H[None, :]
-
-        # replacement index tables: rep[j][v] maps outcome index to the index
-        # with coordinate j set to v
-        reps = []
-        for j, coord in enumerate(model.dist.coords):
-            per_v = []
-            for v in coord.values:
-                per_v.append(np.array(
-                    [self.index[model.replace(z, j, float(v))] for z in outs],
-                    dtype=np.intp,
-                ))
-            reps.append(per_v)
-
-        scale = max(1.0, float(np.max(np.abs(D0))))
-        K = np.zeros_like(D0)
-        M = D0
-        done = 0
-        for it in range(max_iter):
-            K += M
-            done = it + 1
-            if float(np.max(np.abs(M))) <= tol * scale:
-                break
-            nxt = np.zeros_like(M)
-            for j, coord in enumerate(model.dist.coords):
-                for v_idx, pj in enumerate(coord.probs):
-                    r = reps[j][v_idx]
-                    nxt += (pj / n) * M[np.ix_(r, r)]
-            M = nxt
-        else:
-            raise RuntimeError("kernel iteration did not converge")
-        self.table = K
-        self.iterations = done
+    @property
+    def table(self) -> np.ndarray:
+        g = outcome_stack(self.g)
+        return g[:, None] - g[None, :]
 
     def at(self, z, zp) -> np.ndarray:
-        return self.table[self.index[tuple(z)], self.index[tuple(zp)]]
+        g = outcome_stack(self.g)
+        return g[self.model.dist.index(z)] - g[self.model.dist.index(zp)]
 
 
 class DifferenceKernel:
@@ -793,8 +874,20 @@ class ConditionalVariances:
     v_k: HermitianMatrix
 
 
+def conditional_variance_tensors(model: MatrixModel, kernel) -> tuple:
+    """V_X and V^K at every outcome, as outcome tensors, under the pair law."""
+    if not model.exact:
+        raise PreconditionError("needs a finite model under the cutoff")
+    X = model.X_tensor()
+    return (replacement_sum(model.dist, lambda j, v: _square(X - neighbour(X, j, v)),
+                            pair_law=True) / 2,
+            replacement_sum(model.dist,
+                            lambda j, v: _square(kernel_on_neighbours(model, kernel, j, v)),
+                            pair_law=True) / 2)
+
+
 def conditional_variances(model: MatrixModel, pair, kernel, z) -> ConditionalVariances:
-    """Both conditional variances at z, by enumeration over (J, replacement).
+    """Both conditional variances at z, summed over (J, replacement) exactly.
 
     ``pair`` fixes the conditional law of Z' given Z; passing None uses the
     single-coordinate replacement law directly.
@@ -802,29 +895,18 @@ def conditional_variances(model: MatrixModel, pair, kernel, z) -> ConditionalVar
     if pair is not None and pair.model is not model:
         raise PreconditionError("pair was built for a different model")
     z = tuple(float(v) for v in z)
-    if not model.dist.finite:
-        raise PreconditionError("conditional variances need finite coordinates")
-    n = model.dist.n
-    xz = model.X(z)
-    vx = np.zeros_like(xz)
-    vk = np.zeros_like(xz)
-    for j, coord in enumerate(model.dist.coords):
-        for v, pj in zip(coord.values, coord.probs):
-            zp = model.replace(z, j, float(v))
-            w = pj / n
-            dx = xz - model.X(zp)
-            vx += w * (dx @ dx)
-            k = np.asarray(kernel.at(z, zp))
-            vk += w * (k @ k)
-    return ConditionalVariances(z, HermitianMatrix(vx / 2), HermitianMatrix(vk / 2))
+    vx, vk = conditional_variance_tensors(model, kernel)
+    i = model.dist.index(z)
+    return ConditionalVariances(z, HermitianMatrix(outcome_stack(vx)[i]),
+                                HermitianMatrix(outcome_stack(vk)[i]))
 
 
 def conditional_variance_map(model: MatrixModel, pair, kernel) -> dict:
     """ConditionalVariances at every outcome of a finite model."""
-    if not model.exact:
-        raise PreconditionError("needs a finite model under the cutoff")
-    return {z: conditional_variances(model, pair, kernel, z)
-            for z, _ in model.dist.outcomes()}
+    vx, vk = conditional_variance_tensors(model, kernel)
+    return {z: ConditionalVariances(z, HermitianMatrix(x), HermitianMatrix(k))
+            for (z, _), x, k in zip(model.dist.outcomes(), outcome_stack(vx),
+                                    outcome_stack(vk))}
 
 
 @dataclass(frozen=True)
@@ -843,20 +925,14 @@ def check_stein_identity(model: MatrixModel, kernel) -> SteinCheck:
     """
     if not model.exact:
         raise PreconditionError("identity check enumerates finite models")
-    n = model.dist.n
-    worst = 0.0
+    drift = replacement_sum(
+        model.dist, lambda j, v: kernel_on_neighbours(model, kernel, j, v), pair_law=True)
+    worst = float(np.max(_opnorms(drift - model.X_tensor())))
     radius = 0.0
-    for z, _ in model.dist.outcomes():
-        acc = np.zeros((model.d, model.d), dtype=np.complex128)
-        r_here = 0.0
-        for j, coord in enumerate(model.dist.coords):
-            for v, pj in zip(coord.values, coord.probs):
-                zp = model.replace(z, j, float(v))
-                acc += (pj / n) * np.asarray(kernel.at(z, zp))
-                if isinstance(kernel, EstimatedKernel):
-                    r_here += (pj / n) * kernel.radius(z, zp)
-        worst = max(worst, _opnorm(acc - model.X(z)))
-        radius = max(radius, r_here)
+    if isinstance(kernel, EstimatedKernel):
+        radius = float(np.max(replacement_sum(
+            model.dist, lambda j, v: on_neighbours(model, kernel.radius, j, v),
+            pair_law=True)))
     return SteinCheck(worst, radius)
 
 
@@ -864,33 +940,25 @@ def exchangeable_pairs_identity(model: MatrixModel, kernel, F: Callable) -> floa
     """|| E[X F(X)] - E[K(Z,Z')(F(X) - F(X'))]/2 || by full enumeration."""
     if not model.exact:
         raise PreconditionError("identity check enumerates finite models")
-    n = model.dist.n
-    lhs = np.zeros((model.d, model.d), dtype=np.complex128)
-    rhs = np.zeros_like(lhs)
-    fx = {z: np.asarray(F(model.X(z)), dtype=np.complex128)
-          for z, _ in model.dist.outcomes()}
-    for z, pr in model.dist.outcomes():
-        lhs += pr * (model.X(z) @ fx[z])
-        for j, coord in enumerate(model.dist.coords):
-            for v, pj in zip(coord.values, coord.probs):
-                zp = model.replace(z, j, float(v))
-                w = pr * pj / n
-                rhs += 0.5 * w * (np.asarray(kernel.at(z, zp)) @ (fx[z] - fx[zp]))
-    return _opnorm(lhs - rhs)
+    X = model.X_tensor()
+    fx = np.array([np.asarray(F(x), dtype=np.complex128)
+                   for x in outcome_stack(X)]).reshape(X.shape)
+
+    def term(j, v):
+        k = kernel_on_neighbours(model, kernel, j, v)
+        return model.expect(k @ (fx - neighbour(fx, j, v)))
+
+    rhs = 0.5 * replacement_sum(model.dist, term, pair_law=True)
+    return _opnorm(model.expect(X @ fx) - rhs)
 
 
 def kernel_mean_norm(model: MatrixModel, kernel) -> float:
     """|| E K(Z, Z') || over the joint exchangeable-pair law."""
     if not model.exact:
         raise PreconditionError("needs a finite model")
-    n = model.dist.n
-    acc = np.zeros((model.d, model.d), dtype=np.complex128)
-    for z, pr in model.dist.outcomes():
-        for j, coord in enumerate(model.dist.coords):
-            for v, pj in zip(coord.values, coord.probs):
-                zp = model.replace(z, j, float(v))
-                acc += (pr * pj / n) * np.asarray(kernel.at(z, zp))
-    return _opnorm(acc)
+    return _opnorm(replacement_sum(
+        model.dist, lambda j, v: model.expect(kernel_on_neighbours(model, kernel, j, v)),
+        pair_law=True))
 
 
 def r_psi(model: MatrixModel, cond_vars: dict, psi: float, s_grid) -> dict:
@@ -906,24 +974,19 @@ def r_psi(model: MatrixModel, cond_vars: dict, psi: float, s_grid) -> dict:
         raise ParameterError("s_grid must be nonempty and positive")
     if not model.exact:
         raise PreconditionError("r_psi enumerates finite models")
-    probs = {z: pr for z, pr in model.dist.outcomes()}
+    probs = dict(model.dist.outcomes())
+    pr = np.array([probs[z] for z in cond_vars])
+    vx = np.stack([cv.v_x.a for cv in cond_vars.values()])
+    vk = np.stack([cv.v_k.a for cv in cond_vars.values()])
     best = math.inf
     best_s = None
     skipped = []
     for s in s_grid:
-        acc = 0.0
-        ok = True
-        for z, cv in cond_vars.items():
-            m = (psi / 2.0) * (s * cv.v_x.a + cv.v_k.a / s)
-            w = np.linalg.eigvalsh(m)
-            if w[-1] > 700.0:
-                ok = False
-                break
-            acc += probs[z] * float(np.mean(np.exp(w)))
-        if not ok:
+        w = np.linalg.eigvalsh((psi / 2.0) * (s * vx + vk / s))
+        if np.max(w[:, -1]) > 700.0:
             skipped.append(s)
             continue
-        val = math.log(acc)
+        val = math.log(float(pr @ np.mean(np.exp(w), axis=1)))
         if val < best:
             best, best_s = val, s
     return {"r": best / psi if best < math.inf else math.inf,
@@ -999,7 +1062,7 @@ def sample_coupling_times(n: int, runs: int, seed: int,
 
     The chains meet exactly when the uniform draw stream has covered every
     initially-differing coordinate, so the bulk simulation reduces to
-    coverage scans over shared draw arrays (see _accel for the backends).
+    coverage scans over shared draw arrays (see _accel.coverage_times).
     """
     if diff_mask is None:
         diff_mask = np.ones(n, dtype=bool)

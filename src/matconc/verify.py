@@ -14,17 +14,18 @@ import numpy as np
 
 from . import bounds, stein
 from .matcore import (
+    DomainError,
     HermitianMatrix,
     ParameterError,
     RectMatrix,
     SuperOperator,
     _opnorm,
+    _opnorms,
     expm,
     left_mult_op,
     matrix_function,
     ntrace,
     right_mult_op,
-    schatten_norm,
     superop_abs,
     superop_function,
 )
@@ -73,15 +74,19 @@ def _pick_kind(rng) -> str:
     return _KINDS[-1]
 
 
+def _herm(a):
+    """(a + a*)/2: exactly Hermitian, so a stored case replays bit for bit."""
+    return (a + a.conj().T) / 2
+
+
 def _gauss_herm(rng, d):
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return (g + g.conj().T) / 2
+    return _herm(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
 
 
 def _rank1_herm(rng, d):
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     scale = rng.standard_normal()
-    return scale * np.outer(v, v.conj())
+    return _herm(scale * np.outer(v, v.conj()))
 
 
 def _haar_basis(rng, d):
@@ -95,7 +100,7 @@ def _gapped_herm(rng, d):
     lo = rng.standard_normal(d // 2) * 0.1 - 4.0
     hi = rng.standard_normal(d - d // 2) * 0.1 + 4.0
     w = np.concatenate([lo, hi])
-    return (u * w) @ u.conj().T
+    return _herm((u * w) @ u.conj().T)
 
 
 def _draw_triple(rng, d):
@@ -105,8 +110,8 @@ def _draw_triple(rng, d):
         return _gauss_herm(rng, d), _gauss_herm(rng, d), _gauss_herm(rng, d), kind
     if kind == "near_commuting":
         u = _haar_basis(rng, d)
-        a = (u * rng.standard_normal(d)) @ u.conj().T
-        b = (u * rng.standard_normal(d)) @ u.conj().T + 1e-3 * _gauss_herm(rng, d)
+        a = _herm((u * rng.standard_normal(d)) @ u.conj().T)
+        b = _herm((u * rng.standard_normal(d)) @ u.conj().T) + 1e-3 * _gauss_herm(rng, d)
         return a, b, _gauss_herm(rng, d), kind
     if kind == "rank1":
         return _rank1_herm(rng, d), _rank1_herm(rng, d), _rank1_herm(rng, d), kind
@@ -435,7 +440,7 @@ def fuzz_matrix_entropy_young(d_range, ensemble_size: int, trials: int,
         raws = []
         for _ in range(ensemble_size):
             g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            raws.append(g @ g.conj().T)
+            raws.append(_herm(g @ g.conj().T))
         # normalize so the ensemble mean of tr-bar W is exactly 1
         total = sum(ntrace(r).real for r in raws) / ensemble_size
         Ws = [r / total for r in raws]
@@ -610,15 +615,27 @@ def replay_case(case: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# exact theorem checks on finite models
+# exact theorem checks on finite models: one batched eigvalsh per outcome-tensor
+# stack, with every Schatten moment and trace mgf read off the eigenvalues
 
 
-def _exact_x_moment(model: stein.MatrixModel, order: int) -> float:
-    """E ||X||_order^order by product-space sweep."""
-    acc = 0.0
-    for z, pr in model.dist.outcomes():
-        acc += pr * schatten_norm(model.X(z), order) ** order
-    return acc
+def _spectra(T: np.ndarray) -> np.ndarray:
+    """Eigenvalues of every matrix of an outcome tensor, one row per outcome."""
+    return np.linalg.eigvalsh(stein.outcome_stack(T))
+
+
+def _moment(probs: np.ndarray, lam: np.ndarray, q: float) -> float:
+    """E ||M||_q^q for Hermitian M(z) with eigenvalue rows lam."""
+    return float(probs @ np.sum(np.abs(lam) ** q, axis=1))
+
+
+def _log_trace_mgf(probs: np.ndarray, lam: np.ndarray, scale: float) -> float:
+    """log E tr-bar e^{scale M} for Hermitian M(z) with eigenvalue rows lam."""
+    with np.errstate(over="ignore"):
+        mgf = float(probs @ np.mean(np.exp(scale * lam), axis=1))
+    if not math.isfinite(mgf):
+        raise DomainError(f"trace mgf overflows at scale {scale!r}")
+    return math.log(mgf)
 
 
 def verify_poly_efron_stein(model: stein.MatrixModel, p_list,
@@ -626,14 +643,14 @@ def verify_poly_efron_stein(model: stein.MatrixModel, p_list,
     """(E ||X||_{2p}^{2p})^{1/2p} vs sqrt(2(2p-1)) (E ||V||_p^p)^{1/2p}, exactly."""
     if not model.exact:
         raise ParameterError("model is too large to enumerate")
-    vmap = {z: stein.variance_proxy(model, z) for z, _ in model.dist.outcomes()}
+    probs = model.dist.probabilities().ravel()
+    lam_x = _spectra(model.X_tensor())
+    lam_v = _spectra(stein.variance_proxy_tensor(model))
     results = []
     for p in p_list:
         p = int(p)
-        lhs = _exact_x_moment(model, 2 * p) ** (1.0 / (2 * p))
-        v_mom = sum(pr * schatten_norm(vmap[z].a, p) ** p
-                    for z, pr in model.dist.outcomes())
-        rhs = bounds.efron_stein_poly_rhs(p, v_mom)
+        lhs = _moment(probs, lam_x, 2 * p) ** (1.0 / (2 * p))
+        rhs = bounds.efron_stein_poly_rhs(p, _moment(probs, lam_v, p))
         slack = rhs - lhs
         results.append({"p": p, "lhs": lhs, "rhs": rhs, "slack": slack,
                         "pass": bool(slack >= -tol)})
@@ -647,32 +664,25 @@ def verify_poly_efron_stein(model: stein.MatrixModel, p_list,
     }
 
 
-def _log_trace_mgf(model: stein.MatrixModel, matrices: dict, scale: float) -> float:
-    """log E tr-bar e^{scale * M(z)} over the finite model."""
-    acc = 0.0
-    for z, pr in model.dist.outcomes():
-        acc += pr * ntrace(expm(scale * matrices[z]))
-    return math.log(acc)
-
-
 def verify_exp_efron_stein(model: stein.MatrixModel, theta_grid, psi_grid,
                            tol: float = EXACT_TOL) -> dict:
     """Exponential moment domination on the admissible (theta, psi) pairs."""
     if not model.exact:
         raise ParameterError("model is too large to enumerate")
-    xs = {z: model.X(z) for z, _ in model.dist.outcomes()}
-    vs = {z: stein.variance_proxy(model, z).a for z, _ in model.dist.outcomes()}
+    probs = model.dist.probabilities().ravel()
+    lam_x = _spectra(model.X_tensor())
+    lam_v = _spectra(stein.variance_proxy_tensor(model))
     results = []
     skipped = []
     for psi in psi_grid:
         psi = float(psi)
-        log_mgf_v = _log_trace_mgf(model, vs, psi)
+        log_mgf_v = _log_trace_mgf(probs, lam_v, psi)
         for theta in theta_grid:
             theta = float(theta)
             if abs(theta) > math.sqrt(psi / 2.0):
                 skipped.append({"theta": theta, "psi": psi})
                 continue
-            lhs = _log_trace_mgf(model, xs, theta)
+            lhs = _log_trace_mgf(probs, lam_x, theta)
             rhs = bounds.efron_stein_exp_rhs(theta, psi, log_mgf_v)
             slack = rhs - lhs
             results.append({"theta": theta, "psi": psi, "lhs": lhs, "rhs": rhs,
@@ -698,33 +708,29 @@ def verify_kernel_poly_moments(model: stein.MatrixModel, kernel, p_list, s_grid,
     """
     if not model.exact:
         raise ParameterError("model is too large to enumerate")
-    pair = stein.make_exchangeable_pair(model, seed=0)
-    cv = stein.conditional_variance_map(model, pair, kernel)
+    vx, vk = stein.conditional_variance_tensors(model, kernel)
+
+    def inflation_term(j, v):  # E[(2 ||K|| r + r^2)/2 | Z=z], r the pair's error radius
+        r = stein.on_neighbours(model, kernel.radius, j, v)
+        knorm = _opnorms(stein.kernel_on_neighbours(model, kernel, j, v))
+        return (2.0 * knorm * r + r * r) / 2.0
+
     inflation = 0.0
     if isinstance(kernel, stein.EstimatedKernel):
-        n = model.dist.n
-        for z, _ in model.dist.outcomes():
-            acc = 0.0
-            for j, coord in enumerate(model.dist.coords):
-                for v, pj in zip(coord.values, coord.probs):
-                    zp = model.replace(z, j, float(v))
-                    r = kernel.radius(z, zp)
-                    knorm = _opnorm(np.asarray(kernel.at(z, zp)))
-                    acc += (pj / n) * (2.0 * knorm * r + r * r) / 2.0
-            inflation = max(inflation, acc)
-    eye = np.eye(model.d)
+        inflation = float(np.max(stein.replacement_sum(model.dist, inflation_term,
+                                                       pair_law=True)))
+    vk = vk + inflation * np.eye(model.d)
+    probs = model.dist.probabilities().ravel()
+    lam_x = _spectra(model.X_tensor())
+    s_grid = [float(s) for s in s_grid]
+    lam_s = [_spectra(0.5 * (s * vx + vk / s)) for s in s_grid]
     results = []
     for p in p_list:
         p = int(p)
-        lhs = _exact_x_moment(model, 2 * p) ** (1.0 / (2 * p))
+        lhs = _moment(probs, lam_x, 2 * p) ** (1.0 / (2 * p))
         per_s = []
-        for s in s_grid:
-            s = float(s)
-            v_mom = 0.0
-            for z, pr in model.dist.outcomes():
-                m = 0.5 * (s * cv[z].v_x.a + (cv[z].v_k.a + inflation * eye) / s)
-                v_mom += pr * schatten_norm(m, p) ** p
-            rhs = math.sqrt(2 * p - 1) * v_mom ** (1.0 / (2 * p))
+        for s, lam in zip(s_grid, lam_s):
+            rhs = math.sqrt(2 * p - 1) * _moment(probs, lam, p) ** (1.0 / (2 * p))
             per_s.append({"s": s, "rhs": rhs, "slack": rhs - lhs,
                           "pass": bool(rhs - lhs >= -tol)})
         best = min(per_s, key=lambda r: r["rhs"])
@@ -746,15 +752,9 @@ def variance_domination(model: stein.MatrixModel, kernel, tol: float = 1e-9) -> 
     """Var[X] vs (1/2) E[V_X + V^K] in the semidefinite order."""
     if not model.exact:
         raise ParameterError("model is too large to enumerate")
-    pair = stein.make_exchangeable_pair(model, seed=0)
-    cv = stein.conditional_variance_map(model, pair, kernel)
-    var = np.zeros((model.d, model.d), dtype=np.complex128)
-    half = np.zeros_like(var)
-    for z, pr in model.dist.outcomes():
-        x = model.X(z)
-        var += pr * (x @ x)
-        half += pr * 0.5 * (cv[z].v_x.a + cv[z].v_k.a)
-    gap = float(np.linalg.eigvalsh(half - var)[0])
+    vx, vk = stein.conditional_variance_tensors(model, kernel)
+    X = model.X_tensor()
+    gap = float(np.linalg.eigvalsh(model.expect(0.5 * (vx + vk)) - model.expect(X @ X))[0])
     return {"lambda_min_gap": gap, "pass": bool(gap >= -tol)}
 
 

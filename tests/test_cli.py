@@ -38,6 +38,17 @@ class TestBoundVerb:
         rows = target.read_text().strip().splitlines()
         assert len(rows) == 5  # comment, header, three grid points
 
+    def test_grid_step_must_divide_range(self, capsys):
+        code, out, err = run(["bound", "--name", "gaussexp", "--d", "2", "--v", "1",
+                              "--c", "0", "--t", "0:1:0.3"], capsys)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["type"] == "config"
+        code, out, _ = run(["bound", "--name", "gaussexp", "--d", "2", "--v", "1",
+                            "--c", "0", "--t", "0:0.3:0.1"], capsys)
+        assert code == 0
+        ts = [float(row.split(",")[0]) for row in out.strip().splitlines()[2:]]
+        assert ts == pytest.approx([0.0, 0.1, 0.2, 0.3], abs=1e-15)
+
     def test_missing_parameter(self, capsys):
         code, _, err = run(["bound", "--name", "gaussexp", "--d", "2"], capsys)
         assert code == 3

@@ -69,6 +69,26 @@ class TestWrappers:
         back = HermitianMatrix.from_json(m.to_json())
         assert np.array_equal(back.a, m.a)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.complex64, np.complex128])
+    def test_any_memory_layout(self, dtype):
+        base = _herm(_rng(5), 4)
+        if not np.issubdtype(dtype, np.complexfloating):
+            base = np.round(base.real * 10)
+        base = base.astype(dtype)
+        wide = np.zeros((8, 8), dtype=dtype)
+        wide[::2, ::2] = base
+        layouts = {"C": np.ascontiguousarray(base), "F": np.asfortranarray(base),
+                   "transposed": np.ascontiguousarray(base.T).T, "strided": wide[::2, ::2]}
+        want = HermitianMatrix(np.ascontiguousarray(base)).a
+        for name, a in layouts.items():
+            assert np.array_equal(HermitianMatrix(a).a, want), name
+            assert np.array_equal(RectMatrix(a).a, a.astype(np.complex128)), name
+            assert np.array_equal(RectMatrix(a.T).a, a.T.astype(np.complex128)), name
+        bad = np.asfortranarray(base.astype(np.complex128))
+        bad[0, 1] = np.inf
+        with pytest.raises(DomainError):
+            RectMatrix(bad)
+
     def test_rect_json_roundtrip(self):
         r = RectMatrix(_rng(4).standard_normal((2, 3)) + 1j)
         back = RectMatrix.from_json(r.to_json())

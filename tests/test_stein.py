@@ -56,6 +56,44 @@ def brute_variance_proxy(model, z):
     return acc / 2.0
 
 
+def iterative_kernel_table(model, tol=1e-14, max_iter=20_000):
+    """K = sum_i T^i D_0 with D_0(z, z') = H(z) - H(z') and T the pair-chain
+    averaging operator on (S, S, d, d) tables, iterated to convergence."""
+    outs = [z for z, _ in model.dist.outcomes()]
+    index = {z: i for i, z in enumerate(outs)}
+    n = model.dist.n
+    H = np.stack([model.H(z) for z in outs])
+    M = H[:, None] - H[None, :]
+    scale = max(1.0, float(np.max(np.abs(M))))
+    reps = [[np.array([index[model.replace(z, j, float(v))] for z in outs])
+             for v in coord.values] for j, coord in enumerate(model.dist.coords)]
+    K = np.zeros_like(M)
+    for _ in range(max_iter):
+        K += M
+        if float(np.max(np.abs(M))) <= tol * scale:
+            return K
+        nxt = np.zeros_like(M)
+        for j, coord in enumerate(model.dist.coords):
+            for r, p in zip(reps[j], coord.probs):
+                nxt += (p / n) * M[np.ix_(r, r)]
+        M = nxt
+    raise AssertionError("kernel iteration did not converge")
+
+
+def three_valued_model():
+    """Non-uniform coordinates with three values each, one of probability 0."""
+    coords = [FiniteCoord([(-1.0, 0.2), (0.0, 0.5), (2.0, 0.3)]),
+              FiniteCoord([(0.0, 0.25), (1.0, 0.75)]),
+              FiniteCoord([(-2.0, 0.0), (1.0, 0.4), (3.0, 0.6)])]
+    rng = _rng(41)
+    table = {}
+    for z, _ in ProductDistribution(coords).outcomes():
+        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        table[z] = (g + g.conj().T) / 2
+    return MatrixModel(ProductDistribution(coords), lambda z: table[tuple(z)], 2,
+                       name="three_valued")
+
+
 class TestDistributions:
     def test_finite_coord_rejects_bad_probs(self):
         with pytest.raises(ParameterError):
@@ -75,6 +113,15 @@ class TestDistributions:
         b = dist.sample_many(_rng(5), 64)
         assert np.array_equal(a, b)
         assert set(np.unique(a)) <= {-1.0, 1.0}
+
+    def test_tensor_layout_matches_outcomes(self):
+        dist = three_valued_model().dist
+        outs = list(dist.outcomes())
+        assert dist.shape == (3, 2, 3) and dist.cardinality == len(outs)
+        assert np.array_equal(dist.probabilities().ravel(), [p for _, p in outs])
+        assert [dist.index(z) for z, _ in outs] == list(range(len(outs)))
+        with pytest.raises(ParameterError):
+            dist.index((5.0, 0.0, 1.0))
 
     def test_roundtrip_json(self):
         dist = ProductDistribution.uniform_pm1(2)
@@ -140,11 +187,72 @@ class TestVarianceProxy:
             np.testing.assert_allclose(
                 variance_proxy(m, z).a, brute_variance_proxy(m, z), atol=1e-12)
 
+    def test_tensor_is_bit_identical_to_pointwise_sum(self):
+        models = [random_finite_model(4, 3, seed=0), random_finite_model(7, 2, seed=1),
+                  stein.bounded_diff_demo(3), stein.compound_covariance(2, 3),
+                  three_valued_model()]
+        for m in models:
+            brute = np.stack([brute_variance_proxy(m, z) for z, _ in m.dist.outcomes()])
+            tensor = stein.variance_proxy_tensor(m)
+            assert tensor.shape == m.dist.shape + (m.d, m.d)
+            assert np.array_equal(stein.outcome_stack(tensor), brute), m.name
+
     def test_map_covers_support(self):
         m = hypercube_sum(2)
         vm = variance_proxy_map(m)
         assert len(vm.values) == 4
         assert vm.provenance == {"method": "exact"}
+
+
+class TestMonteCarloBranches:
+    """Sampled coordinates: compound covariance with U[-1, 1] entries."""
+
+    Z = (0.3, -0.7, 0.9, 0.1, -0.4, 0.6)
+
+    def test_sampled_coordinates(self):
+        m = stein.compound_covariance(2, 3, entry_dist="uniform")
+        assert not m.dist.finite and not m.exact
+        assert all(isinstance(c, stein.SampledCoord) for c in m.dist.coords)
+        draws = m.dist.coords[0].sample(_rng(3), 1000)
+        assert draws.shape == (1000,) and np.all(np.abs(draws) <= 1.0)
+        assert np.array_equal(draws, m.dist.coords[0].sample(_rng(3), 1000))
+        with pytest.raises(PreconditionError):
+            m.dist.cardinality
+        with pytest.raises(PreconditionError):
+            m.H_tensor()
+
+    def test_mean_and_provenance(self):
+        # E Z Z* = n sigma2 I = I for 3 columns of U[-1, 1] entries (sigma2 = 1/3);
+        # 20000 samples give each entry a standard error near 0.004
+        m = stein.compound_covariance(2, 3, entry_dist="uniform")
+        mean = m.mean()
+        assert m.mean_provenance == {"method": "mc", "samples": 20_000, "seed": 0}
+        np.testing.assert_allclose(mean, np.eye(2), rtol=0, atol=0.02)
+        assert np.array_equal(stein.compound_covariance(2, 3, entry_dist="uniform").mean(),
+                              mean)
+        other = stein.compound_covariance(2, 3, entry_dist="uniform")
+        other.mean_seed = 1
+        assert not np.array_equal(other.mean(), mean)
+        assert other.mean_provenance["seed"] == 1
+
+    def test_variance_proxy_against_quadrature(self):
+        m = stein.compound_covariance(2, 3, entry_dist="uniform")
+        # each coordinate's expectation is of a degree-4 polynomial in the
+        # replaced entry, which 4-point Gauss-Legendre integrates exactly
+        nodes, weights = np.polynomial.legendre.leggauss(4)
+        hz = m.H(self.Z)
+        ref = np.zeros((2, 2), dtype=complex)
+        for j in range(m.dist.n):
+            for x, w in zip(nodes, weights):
+                diff = hz - m.H(m.replace(self.Z, j, x))
+                ref += (w / 2) * (diff @ diff)
+        ref /= 2
+        v = variance_proxy(m, self.Z, samples=4000, seed=5).a
+        # relative errors over seeds 0..4 were 0.005-0.013
+        assert np.linalg.norm(v - ref) <= 0.05 * np.linalg.norm(ref)
+        assert np.array_equal(variance_proxy(m, self.Z, samples=4000, seed=5).a, v)
+        with pytest.raises(ParameterError):
+            variance_proxy(m, self.Z)
 
 
 class TestExchangeablePair:
@@ -185,6 +293,22 @@ class TestExactKernel:
                 for zp, _ in m.dist.outcomes():
                     want = n * (m.H(z) - m.H(zp))
                     np.testing.assert_allclose(k.at(z, zp), want, atol=1e-9)
+
+    def test_matches_iterative_oracle(self):
+        models = [hypercube_sum(2), hypercube_sum(4), random_finite_model(3, 2, seed=23),
+                  random_finite_model(4, 3, seed=0), stein.bounded_diff_demo(3),
+                  stein.compound_covariance(2, 2), three_valued_model()]
+        for m in models:
+            k = ExactKernel(m)
+            S, d = m.dist.cardinality, m.d
+            assert k.table.shape == (S, S, d, d) and k.iterations == 0
+            np.testing.assert_allclose(k.table, iterative_kernel_table(m), rtol=0,
+                                       atol=1e-12, err_msg=m.name)
+
+    def test_poisson_solution_of_sum_model(self):
+        # X = sum_j z_j E_11 is a pure first-order Hoeffding component, so g = n X
+        m = hypercube_sum(10)
+        assert np.array_equal(ExactKernel(m).g, 10 * m.X_tensor())
 
     def test_antisymmetry_is_bitwise(self):
         m = random_finite_model(3, 2, seed=23)
@@ -342,13 +466,6 @@ class TestCoupling:
         times = sample_coupling_times(3, 2000, seed=22, diff_mask=mask)
         # a single differing coordinate couples at a geometric(1/3) time, mean 3
         assert abs(times.mean() - 3.0) <= 5 * times.std(ddof=1) / math.sqrt(2000)
-
-    def test_backend_parity(self, monkeypatch):
-        monkeypatch.setenv("MATCONC_BACKEND", "numba")
-        a = sample_coupling_times(4, 500, seed=8)
-        monkeypatch.setenv("MATCONC_BACKEND", "numpy")
-        b = sample_coupling_times(4, 500, seed=8)
-        assert np.array_equal(a, b)
 
     def test_premise_constant(self):
         m = hypercube_sum(3)

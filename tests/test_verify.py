@@ -301,6 +301,26 @@ class TestReplay:
         assert out["lhs"] > out["rhs"]
         assert out["slack"] == pytest.approx(-1.0 / 3.0, rel=1e-13)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_every_stored_case_replays_bit_exact(self, seed):
+        # each draw is exactly Hermitian, so the serialised case replays the
+        # very matrices the sweep evaluated, near misses included
+        dims, ss = range(1, 7), [0.25, 1.0, 4.0]
+        reports = [
+            fuzz_pmvti(dims, range(1, 8), ss, trials=60, seed=seed),
+            fuzz_emvti(dims, ss, trials=60, seed=seed),
+            fuzz_young_commuting(dims, 1.5, trials=60, seed=seed),
+            fuzz_young_commuting(dims, 3.0, trials=60, seed=seed),
+            fuzz_operator_cs(dims, trials=60, seed=seed),
+            fuzz_matrix_entropy_young(dims, 8, trials=60, seed=seed),
+            explore_conjecture(dims, [1, 2, 3], [1.0], trials=300, seed=seed),
+        ]
+        for rep in reports:
+            for case in [rep.worst_case] + rep.near_misses:
+                case = json.loads(json.dumps(case))
+                assert replay_case(case)["slack"] == case["slack"], (
+                    rep.inequality, case.get("kind"))
+
     def test_replay_rejects_unknown_inequality(self):
         with pytest.raises(ParameterError):
             replay_case({"ineq": "frobnicate"})
@@ -381,6 +401,22 @@ class TestKernelChecks:
         small_cutoff = MatrixModel(big.dist, big.H, big.d, enum_cutoff=2)
         with pytest.raises(ParameterError):
             variance_domination(small_cutoff, None)
+
+    def test_checks_never_build_the_pair_table(self, monkeypatch):
+        # every exact check is a sum over replacement neighbours, linear in S
+        def refuse(self):
+            raise AssertionError("S x S kernel table built")
+
+        monkeypatch.setattr(ExactKernel, "table", property(refuse))
+        m = hypercube_sum(12)
+        k = ExactKernel(m)
+        assert verify_poly_efron_stein(m, [1, 2])["pass"] is True
+        assert verify_exp_efron_stein(m, [-0.25, 0.25], [1.0])["pass"] is True
+        assert verify_kernel_poly_moments(m, k, [1, 2], [0.5, 1.0, 2.0])["pass"] is True
+        assert variance_domination(m, k)["pass"] is True
+        assert stein.check_stein_identity(m, k).residual <= 1e-10
+        assert stein.kernel_mean_norm(m, k) <= 1e-10
+        assert stein.exchangeable_pairs_identity(m, k, lambda x: x @ x @ x) <= 1e-10
 
 
 class TestDkwRadius:
