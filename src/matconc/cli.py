@@ -2,11 +2,11 @@
 
 Reports are JSON (checks) or CSV (curves) with stable key order and no
 timestamps, so a rerun with the same config and seed is byte-identical.
-Exit codes: 0 pass, 2 verification failure, 3 configuration error.
+Exit codes: 0 pass, 1 internal error, 2 verification failure, 3 configuration
+error.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import math
 import sys
@@ -33,6 +33,14 @@ class VerificationFailure(Exception):
 # parsing and plumbing
 
 
+def _as(kind, value, what: str | None = None):
+    """kind(value) for a value read from the config; failure is a config error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"cannot read {value!r} as {what or kind.__name__}") from exc
+
+
 def _parse_grid(text: str) -> list:
     """A t-grid: either 'start:stop:step' (inclusive) or comma-separated."""
     text = str(text)
@@ -40,7 +48,7 @@ def _parse_grid(text: str) -> list:
         parts = text.split(":")
         if len(parts) != 3:
             raise ParameterError(f"grid must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = (_as(float, p) for p in parts)
         if step <= 0 or stop < start:
             raise ParameterError(f"bad grid {text!r}")
         steps = (stop - start) / step
@@ -48,7 +56,7 @@ def _parse_grid(text: str) -> list:
             raise ParameterError(f"grid step {step!r} does not divide [{start!r}, {stop!r}]")
         count = int(round(steps)) + 1
         return [float(v) for v in np.linspace(start, stop, count)]
-    return [float(p) for p in text.split(",") if p.strip()]
+    return [_as(float, p) for p in text.split(",") if p.strip()]
 
 
 def _parse_ints(text) -> list:
@@ -56,22 +64,22 @@ def _parse_ints(text) -> list:
     if isinstance(text, int):
         return [text]
     if isinstance(text, (list, tuple)):
-        return [int(v) for v in text]
+        return [_as(int, v) for v in text]
     text = str(text)
     if ":" in text:
-        lo, hi = (int(p) for p in text.split(":", 1))
+        lo, hi = (_as(int, p) for p in text.split(":", 1))
         if hi < lo:
             raise ParameterError(f"empty range {text!r}")
         return list(range(lo, hi + 1))
-    return [int(p) for p in text.split(",") if p.strip()]
+    return [_as(int, p) for p in text.split(",") if p.strip()]
 
 
 def _parse_floats(text) -> list:
     if isinstance(text, (int, float)):
-        return [float(text)]
+        return [_as(float, text)]
     if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
-    return [float(p) for p in str(text).split(",") if p.strip()]
+        return [_as(float, v) for v in text]
+    return [_as(float, p) for p in str(text).split(",") if p.strip()]
 
 
 def _plain(obj):
@@ -126,7 +134,7 @@ def _require_seed(cfg: dict) -> int:
     seed = cfg.get("seed")
     if seed is None:
         raise ParameterError("seed is required for stochastic verbs")
-    return int(seed)
+    return _as(int, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +146,11 @@ _MODEL_KEYS = {"model", "model_file", "n", "d", "rows", "model_seed"}
 def _build_model(cfg: dict):
     if cfg.get("model_file"):
         with open(cfg["model_file"]) as fh:
-            return stein.MatrixModel.from_json(json.load(fh))
+            obj = json.load(fh)
+        try:
+            return stein.MatrixModel.from_json(obj)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParameterError(f"malformed model file: {exc!r}") from exc
     name = cfg.get("model")
     if name is None:
         raise ParameterError("a model name or a model file is required")
@@ -146,7 +158,7 @@ def _build_model(cfg: dict):
     d = cfg.get("d")
 
     def geti(v, fallback):
-        return int(v) if v is not None else fallback
+        return _as(int, v) if v is not None else fallback
 
     if name == "hypercube_sum":
         return stein.hypercube_sum(geti(n, 3), geti(d, 2))
@@ -182,27 +194,28 @@ def _build_curve(cfg: dict) -> bounds.BoundCurve:
 
     if name in ("gaussexp", "self_bounded"):
         d, v, c = need("d", "v", "c")
-        return bounds.make_curve(name, d=int(d), v=float(v), c=float(c))
+        return bounds.make_curve(name, d=_as(int, d), v=_as(float, v), c=_as(float, c))
     if name == "bounded_diff":
         d, s2 = need("d", "sigma2")
-        return bounds.make_curve(name, d=int(d), sigma2=float(s2))
+        return bounds.make_curve(name, d=_as(int, d), sigma2=_as(float, s2))
     if name == "dobrushin":
         d, s2, D = need("d", "sigma2", "D")
-        return bounds.make_curve(name, d=int(d), sigma2=float(s2),
-                                 D=np.array(D, dtype=float))
+        return bounds.make_curve(name, d=_as(int, d), sigma2=_as(float, s2),
+                                 D=_as(lambda v: np.array(v, dtype=float), D, "a real matrix"))
     if name == "compound_cov":
         p, n = need("p", "n")
-        p, n = int(p), int(n)
-        sigma2 = float(cfg.get("sigma2", 1.0))
-        L = float(cfg.get("L", 1.0))
+        p, n = _as(int, p), _as(int, n)
+        sigma2 = _as(float, cfg.get("sigma2", 1.0))
+        L = _as(float, cfg.get("L", 1.0))
         B = cfg.get("B")
-        Bm = np.eye(n) if B in (None, "I") else np.array(B, dtype=complex)
+        Bm = (np.eye(n) if B in (None, "I")
+              else _as(lambda v: np.array(v, dtype=complex), B, "a complex matrix"))
         spec = bounds.CompoundCovSpec(p, n, sigma2, L, bounds.HermitianMatrix(Bm))
         return bounds.make_curve(name, spec=spec)
     if name == "haar":
         R, S, tv, d = need("R", "S", "tv_seq", "d")
-        return bounds.make_curve(name, R=float(R), S=float(S),
-                                 tv_seq=_parse_floats(tv), d=int(d))
+        return bounds.make_curve(name, R=_as(float, R), S=_as(float, S),
+                                 tv_seq=_parse_floats(tv), d=_as(int, d))
     raise ParameterError(f"unknown bound name {name!r}")
 
 
@@ -340,9 +353,9 @@ def verify_cmd(config_path, check_name, model, model_file, n, d, rows,
         elif kind == "estimated":
             kern = stein.EstimatedKernel(
                 mdl,
-                horizon=int(cfg.get("horizon") or
+                horizon=_as(int, cfg.get("horizon") or
                             stein.default_horizon(mdl.dist.n, mdl.max_h_norm())),
-                samples=int(cfg.get("samples") or 200),
+                samples=_as(int, cfg.get("samples") or 200),
                 seed=_require_seed(cfg),
             )
         else:
@@ -367,8 +380,8 @@ _FUZZ_KEYS = {"ineq", "trials", "seed", "d", "q", "s", "p", "ensemble_size",
 def _run_fuzz(ineq: str, dims, cfg: dict, trials: int, seed: int, jobs: int):
     qs = _parse_ints(cfg.get("q") or "1:7")
     ss = _parse_floats(cfg.get("s") or "0.25,1,4")
-    p = float(cfg.get("p") or 2.0)
-    size = int(cfg.get("ensemble_size") or 8)
+    p = _as(float, cfg.get("p") or 2.0)
+    size = _as(int, cfg.get("ensemble_size") or 8)
 
     def one(count, chunk_seed):
         if ineq == "pmvti":
@@ -389,9 +402,9 @@ def _run_fuzz(ineq: str, dims, cfg: dict, trials: int, seed: int, jobs: int):
         raise ParameterError(f"trials must be >= 1, got {trials}")
     if len(tasks) == 1:
         return one(*tasks[0])
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        reports = list(pool.map(lambda t: one(*t), tasks))
-    return verify.merge_fuzz_reports(reports)
+    # the chunks run one after another: a batched sweep keeps its core busy,
+    # so threads would only contend for it
+    return verify.merge_fuzz_reports([one(*t) for t in tasks])
 
 
 @cli.command()
@@ -419,11 +432,11 @@ def fuzz(config_path, ineq, trials, seed, d_spec, q_spec, s_spec, p_val,
     name = cfg.get("ineq")
     if name is None:
         raise ParameterError("--ineq is required")
-    trials = int(cfg.get("trials") or 0)
+    trials = _as(int, cfg.get("trials") or 0)
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     seed = _require_seed(cfg)
-    jobs = int(cfg.get("jobs") or 1)
+    jobs = _as(int, cfg.get("jobs") or 1)
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
     dims = _parse_ints(cfg.get("d") or "1:6")
@@ -452,7 +465,7 @@ def conjecture(config_path, trials, seed, d_spec, q_spec, s_spec, out):
          "s": s_spec, "out": out},
         _CONJ_KEYS,
     )
-    trials = int(cfg.get("trials") or 0)
+    trials = _as(int, cfg.get("trials") or 0)
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     seed = _require_seed(cfg)
@@ -485,14 +498,14 @@ def couple(config_path, n, runs, seed, max_steps, pathwise_runs, out):
          "pathwise_runs": pathwise_runs, "out": out},
         _COUPLE_KEYS,
     )
-    n = int(cfg.get("n") or 0)
+    n = _as(int, cfg.get("n") or 0)
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    runs = int(cfg.get("runs") or 0)
+    runs = _as(int, cfg.get("runs") or 0)
     if runs < 2:
         raise ParameterError(f"runs must be >= 2, got {runs}")
     seed = _require_seed(cfg)
-    max_steps = int(cfg.get("max_steps") or 1_000_000)
+    max_steps = _as(int, cfg.get("max_steps") or 1_000_000)
     times = stein.sample_coupling_times(n, runs, seed, max_steps=max_steps)
     if np.any(times < 0):
         raise VerificationFailure("some runs exhausted max_steps before coupling")
@@ -501,7 +514,7 @@ def couple(config_path, n, runs, seed, max_steps, pathwise_runs, out):
     expected = n * sum(1.0 / k for k in range(1, n + 1))
     dev = abs(mean - expected) / se if se > 0 else math.inf
 
-    pw_runs = int(cfg.get("pathwise_runs") or 100)
+    pw_runs = _as(int, cfg.get("pathwise_runs") or 100)
     model = stein.hypercube_sum(n)
     z = tuple(1.0 for _ in range(n))
     zp = tuple(-1.0 for _ in range(n))
@@ -569,7 +582,7 @@ def tail(config_path, model, model_file, n, d, rows, model_seed, bound_name,
     )
     mdl = _build_model(cfg)
     curve = _build_curve(cfg) if cfg.get("name") else None
-    samples = int(cfg.get("samples") or 0)
+    samples = _as(int, cfg.get("samples") or 0)
     seed = _require_seed(cfg)
     comparison = verify.empirical_tail(
         mdl,
@@ -577,7 +590,7 @@ def tail(config_path, model, model_file, n, d, rows, model_seed, bound_name,
         _parse_grid(cfg.get("t") or "0:8:0.25"),
         seed,
         curve=curve,
-        alpha=float(cfg.get("alpha") or 0.01),
+        alpha=_as(float, cfg.get("alpha") or 0.01),
         statistic=cfg.get("statistic") or "lmax",
     )
     report = comparison.to_json()
@@ -628,7 +641,6 @@ _CONFIG_ERRORS = (
     DomainError,
     OSError,
     json.JSONDecodeError,
-    ValueError,
 )
 
 
@@ -654,6 +666,14 @@ def main(argv=None) -> int:
             {"error": {"type": "config", "message": str(exc)}},
             sort_keys=True) + "\n")
         return 3
+    except Exception as exc:
+        import traceback  # only on this path: it is not loaded otherwise
+
+        sys.stderr.write(json.dumps(
+            {"error": {"type": "internal", "message": f"{type(exc).__name__}: {exc}",
+                       "traceback": traceback.format_exc()}},
+            sort_keys=True) + "\n")
+        return 1
     return 0
 
 

@@ -67,12 +67,14 @@ class HermitianMatrix:
         if not np.all(np.isfinite(m)):
             raise DomainError("matrix entries must be finite")
         anti = (m - m.conj().T) / 2
-        resid = _opnorm(anti)
-        if resid > reject_rtol * _opnorm(m):
-            raise ShapeError(
-                f"input is not Hermitian: anti-Hermitian residual {resid:.3e} "
-                f"exceeds {reject_rtol:.1e} * ||M||"
-            )
+        # an exactly Hermitian input has residual 0 and needs no norms
+        if anti.any():
+            resid = _opnorm(anti)
+            if resid > reject_rtol * _opnorm(m):
+                raise ShapeError(
+                    f"input is not Hermitian: anti-Hermitian residual {resid:.3e} "
+                    f"exceeds {reject_rtol:.1e} * ||M||"
+                )
         h = (m + m.conj().T) / 2
         h.setflags(write=False)
         self.a = h
@@ -209,6 +211,16 @@ def eigh_canonical(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def spectral_apply(u: np.ndarray, fw: np.ndarray) -> np.ndarray:
+    """U diag(f(w)) U* from an eigenbasis U and the values f(w).
+
+    Works on the last two axes of ``u`` and the last axis of ``fw``, so one
+    call serves a single d x d matrix and a stack of them alike; every matrix
+    of a stack is formed by the same operations as on its own.
+    """
+    return (u * fw[..., None, :]) @ np.conj(np.swapaxes(u, -1, -2))
+
+
 def matrix_function(A, f: Callable) -> HermitianMatrix:
     """Standard matrix function: apply a scalar f to the spectrum of A.
 
@@ -236,7 +248,7 @@ def matrix_function(A, f: Callable) -> HermitianMatrix:
     if np.any(bad):
         lam = w[np.argmax(bad)]
         raise DomainError(f"f is not real-valued and finite at eigenvalue {lam!r}")
-    out = (v * fw.real) @ v.conj().T
+    out = spectral_apply(v, fw.real)
     return HermitianMatrix((out + out.conj().T) / 2)
 
 
@@ -339,8 +351,9 @@ class SuperOperator:
         m.setflags(write=False)
         self.mat = m
         self.dim = d
-        scale = _opnorm(m)
-        self.self_adjoint = _opnorm(m - m.conj().T) <= 1e-12 * max(1.0, scale)
+        skew = m - m.conj().T
+        self.self_adjoint = (not skew.any()
+                             or _opnorm(skew) <= 1e-12 * max(1.0, _opnorm(m)))
 
     def apply(self, M) -> np.ndarray:
         """Evaluate the map on a d x d matrix."""

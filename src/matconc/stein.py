@@ -27,6 +27,7 @@ from .matcore import (
     _opnorm,
     _opnorms,
     dilation,
+    spectral_apply,
 )
 
 # Above this product-space cardinality, enumeration gives way to Monte Carlo.
@@ -417,7 +418,7 @@ def bounded_diff_demo(n: int = 3, d: int = 2) -> MatrixModel:
     abs_mats = []
     for m in mats:
         w, v = np.linalg.eigh(m)
-        abs_mats.append(HermitianMatrix((v * (2 * np.abs(w))) @ v.conj().T))
+        abs_mats.append(HermitianMatrix(spectral_apply(v, 2 * np.abs(w))))
     model.difference_bounds = abs_mats
     return model
 

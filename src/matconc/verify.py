@@ -18,16 +18,13 @@ from .matcore import (
     HermitianMatrix,
     ParameterError,
     RectMatrix,
+    ShapeError,
     SuperOperator,
-    _opnorm,
+    _as_array,
+    _as_herm_array,
     _opnorms,
-    expm,
-    left_mult_op,
-    matrix_function,
     ntrace,
-    right_mult_op,
-    superop_abs,
-    superop_function,
+    spectral_apply,
 )
 
 FUZZ_TOL = 1e-9
@@ -202,52 +199,222 @@ class _WorstTracker:
 
 
 # ---------------------------------------------------------------------------
-# single-case evaluators (shared by the fuzz loops and replay)
+# stacked evaluators
+#
+# Each takes stacks of equally sized matrices along axis 0 and returns arrays
+# with one entry per stack entry.  Every matrix is eigendecomposed once by
+# np.linalg.eigh, and each scalar function acts on its eigenvalues and is
+# recombined by matcore.spectral_apply.  Every step acts on one matrix or one
+# entry at a time (LAPACK and BLAS per matrix, ufuncs with scalar exponents,
+# sums in index order, integer powers by multiplication), so an entry's result
+# does not depend on its place in the stack: the single-case eval_* functions,
+# and replay_case through them, are the same code on stacks of one.
+
+BLOCK_TRIALS = 256
+
+
+def _sum_last(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, in index order."""
+    total = x[..., 0]
+    for k in range(1, x.shape[-1]):
+        total = total + x[..., k]
+    return total
+
+
+def _re_trace(m: np.ndarray) -> np.ndarray:
+    """Real part of the trace of each matrix of a stack."""
+    return _sum_last(np.diagonal(m, axis1=-2, axis2=-1).real)
+
+
+def _transpose(m: np.ndarray) -> np.ndarray:
+    return np.swapaxes(m, -1, -2)
+
+
+def _int_power(w: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """w ** q for one integer q >= 0 per row of w, by repeated multiplication.
+
+    np.power with an exponent array rounds the last bit of a row differently
+    depending on where the row sits in the array; products do not.
+    """
+    out = np.ones_like(w)
+    for k in range(int(np.max(q))):
+        out = np.where((q > k)[..., None], out * w, out)
+    return out
+
+
+def _powers(w: np.ndarray, u: np.ndarray, q: np.ndarray) -> tuple:
+    """M^q and |M|^{q-1} from the eigenpairs of M, for one integer q >= 1 per M."""
+    if np.any(q < 1):
+        raise ParameterError("q must be a positive integer")
+    return (spectral_apply(u, _int_power(w, q)),
+            spectral_apply(u, _int_power(np.abs(w), q - 1)))
+
+
+def _split_s(coef, t_d: np.ndarray, t_c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """coef tr[(s D + C/s) P] from t_d = tr[D P] and t_c = tr[C P], one column per s."""
+    return np.asarray(coef)[..., None] * (s * t_d[:, None] + t_c[:, None] / s)
+
+
+def _pmvti_stack(A, B, C, q, s) -> tuple:
+    """|tr[C(A^q - B^q)]|, and per s (q/4) tr[(s(A-B)^2 + C^2/s)(|A|^{q-1} + |B|^{q-1})]."""
+    Aq, absA = _powers(*np.linalg.eigh(A), q)
+    Bq, absB = _powers(*np.linalg.eigh(B), q)
+    D, P = A - B, absA + absB
+    return (np.abs(_re_trace(C @ (Aq - Bq))),
+            _split_s(q / 4.0, _re_trace(D @ D @ P), _re_trace(C @ C @ P), s))
+
+
+def _emvti_stack(A, B, C, s) -> tuple:
+    """|tr-bar[C(e^A - e^B)]|, and per s (1/4) tr-bar[(s(A-B)^2 + C^2/s)(e^A + e^B)]."""
+    (wA, uA), (wB, uB) = np.linalg.eigh(A), np.linalg.eigh(B)
+    eA, eB = spectral_apply(uA, np.exp(wA)), spectral_apply(uB, np.exp(wB))
+    D, E, d = A - B, eA + eB, A.shape[-1]
+    return (np.abs(_re_trace(C @ (eA - eB))) / d,
+            _split_s(0.25, _re_trace(D @ D @ E) / d, _re_trace(C @ C @ E) / d, s))
+
+
+def _young_stack(A, B, p: float) -> tuple:
+    """lambda_min of (1/p)|L_A|^p + (1/q)|R_B|^q - L_A R_B, and its scale.
+
+    On column-stacked d x d matrices L_A = I (x) A and R_B = B^T (x) I, so
+    |L_A|^p = I (x) |A|^p and |R_B|^q = (|B|^q)^T (x) I come from the d x d
+    spectra; only the operator-order check itself is a d^2 x d^2 eigvalsh.
+    """
+    if not 1.0 < p < math.inf:
+        raise ParameterError(f"p must lie in (1, inf), got {p}")
+    q = p / (p - 1.0)
+    d = A.shape[-1]
+    (wA, uA), (wB, uB) = np.linalg.eigh(A), np.linalg.eigh(B)
+    pa, qb = np.abs(wA) ** p, np.abs(wB) ** q
+    left = spectral_apply(uA, pa / p)
+    right = _transpose(spectral_apply(uB, qb / q))
+    # -L_A R_B = (-B^T) (x) A, indexed [..., i, k, j, l]; the two Kronecker
+    # terms of rhs go in place, so that this is the only large array
+    diff = -_transpose(B)[..., :, None, :, None] * A[..., None, :, None, :]
+    for i in range(d):
+        diff[..., i, :, i, :] += left
+    for k in range(d):
+        diff[..., :, k, :, k] += right
+    gap = np.linalg.eigvalsh(diff.reshape(diff.shape[:-4] + (d * d, d * d)))[..., 0]
+    # ||L_A R_B|| = ||A|| ||B||; the two commuting PSD terms of rhs peak together
+    top = np.max(np.abs(wA), axis=-1) * np.max(np.abs(wB), axis=-1)
+    return gap, np.maximum(1.0, top + np.max(pa, axis=-1) / p + np.max(qb, axis=-1) / q)
+
+
+def _operator_cs_stack(S, M, N) -> tuple:
+    """|<M, S(N)>| and sqrt(<M,|S|M> <N,|S|N>) for self-adjoint S on d x d matrices.
+
+    <M,|S|M> = sum_k |w_k| |<u_k, vec M>|^2 over the eigenpairs of S, so |S|
+    itself, a d^2 x d^2 matrix, is never formed.
+    """
+    w, u = np.linalg.eigh(S)
+
+    def vec(m):  # column-stacking vectorization, as a column
+        return _transpose(m).reshape(m.shape[:-2] + (-1, 1))
+
+    def quad(vh):  # <v, |S| v> from the coordinates v* u of v in the eigenbasis
+        c = (vh @ u)[..., 0, :]
+        return _sum_last(np.abs(w) * (c.real * c.real + c.imag * c.imag))
+
+    mh, nh = np.conj(_transpose(vec(M))), np.conj(_transpose(vec(N)))
+    lhs = np.abs((mh @ (S @ vec(N)))[..., 0, 0])
+    return lhs, np.sqrt(np.maximum(quad(mh), 0.0) * np.maximum(quad(nh), 0.0))
+
+
+def _xlogx(w):
+    pos = w > 0
+    return np.where(pos, w * np.log(np.where(pos, w, 1.0)), 0.0)
+
+
+def _entropy_young_stack(U, W) -> tuple:
+    """E tr-bar(UW) and log E tr-bar e^U + E tr-bar[W log W], atoms on axis -3."""
+    d, k = U.shape[-1], U.shape[-3]
+    lhs = _sum_last(_re_trace(U @ W) / d) / k
+    mgf = _sum_last(_sum_last(np.exp(np.linalg.eigvalsh(U))) / d) / k
+    ent = _sum_last(_sum_last(_xlogx(np.linalg.eigvalsh(W))) / d) / k
+    return lhs, np.log(mgf) + ent
+
+
+def _conjecture_stack(A, B, C, q, s) -> tuple:
+    """Signed exponential and degree-q forms: (lhs_e, rhs_e, lhs_p, rhs_p), rhs per s."""
+    (wA, uA), (wB, uB) = np.linalg.eigh(A), np.linalg.eigh(B)
+
+    def squared_parts(M):  # (M_+)^2 and (M_-)^2
+        w, u = np.linalg.eigh(M)
+        return [spectral_apply(u, np.square(np.maximum(x, 0.0))) for x in (w, -w)]
+
+    Dp, Dm = squared_parts(A - B)
+    Cp, Cm = squared_parts(C)
+
+    def rhs(coef, fA, fB):  # coef tr[(s D_+^2 + C_+^2/s) f(A) + (s D_-^2 + C_-^2/s) f(B)]
+        return _split_s(coef, _re_trace(Dp @ fA + Dm @ fB), _re_trace(Cp @ fA + Cm @ fB), s)
+
+    eA, eB = spectral_apply(uA, np.exp(wA)), spectral_apply(uB, np.exp(wB))
+    (Aq, absA), (Bq, absB) = _powers(wA, uA, q), _powers(wB, uB, q)
+    return (_re_trace(C @ (eA - eB)), rhs(0.5, eA, eB),
+            _re_trace(C @ (Aq - Bq)), rhs(q / 2.0, absA, absB))
+
+
+def _sweep(trials: int, draw, evaluate, offer) -> None:
+    """Draw all trials, evaluate them in blocks by dimension, offer them in order.
+
+    ``draw()`` returns ``(d, inputs, kind)`` for one trial and is called in
+    trial order, so the generator stream is that of a one-by-one loop.
+    ``evaluate(*stacks)`` takes the inputs of one dimension stacked along
+    axis 0 and returns arrays with one entry per trial.  ``offer(trial, row)``
+    then gets every trial with its entries, in trial order.  Blocks of
+    BLOCK_TRIALS keep the stacks, and so the peak memory, small.
+    """
+    for start in range(0, trials, BLOCK_TRIALS):
+        block = [draw() for _ in range(min(BLOCK_TRIALS, trials - start))]
+        groups: dict = {}
+        for i, (d, _, _) in enumerate(block):
+            groups.setdefault(d, []).append(i)
+        rows = [None] * len(block)
+        for idx in groups.values():
+            outs = evaluate(*(np.stack(col) for col in zip(*(block[i][1] for i in idx))))
+            for j, i in enumerate(idx):
+                rows[i] = [out[j] for out in outs]
+        for trial, row in zip(block, rows):
+            offer(trial, row)
+
+
+# ---------------------------------------------------------------------------
+# single-case evaluators (replay runs these): the stacked ones on stacks of one
+
+
+def _one(x) -> np.ndarray:
+    """A Hermitian argument as a stack of one."""
+    return _as_herm_array(x)[None]
+
+
+def _s_array(s_values) -> np.ndarray:
+    return np.array([float(s) for s in s_values])
+
+
+def _first(*outs) -> tuple:
+    """The one entry of each stacked output, as Python floats."""
+    return tuple(float(out.flat[0]) for out in outs)
 
 
 def eval_pmvti(A, B, C, q: int, s: float) -> tuple:
     """|tr[C (A^q - B^q)]| vs (q/4) tr[(s(A-B)^2 + C^2/s)(|A|^{q-1} + |B|^{q-1})]."""
-    Aq = matrix_function(A, lambda w: w ** q).a
-    Bq = matrix_function(B, lambda w: w ** q).a
-    absA = matrix_function(A, lambda w: np.abs(w) ** (q - 1)).a
-    absB = matrix_function(B, lambda w: np.abs(w) ** (q - 1)).a
-    D = np.asarray(A, dtype=np.complex128) - np.asarray(B)
-    C = np.asarray(C, dtype=np.complex128)
-    lhs = abs(np.trace(C @ (Aq - Bq)).real)
-    inner = s * (D @ D) + (C @ C) / s
-    rhs = (q / 4.0) * np.trace(inner @ (absA + absB)).real
-    return lhs, rhs
+    return _first(*_pmvti_stack(_one(A), _one(B), _one(C), np.array([int(q)]), _s_array([s])))
 
 
 def eval_emvti(A, B, C, s: float) -> tuple:
     """|tr-bar[C (e^A - e^B)]| vs (1/4) tr-bar[(s(A-B)^2 + C^2/s)(e^A + e^B)]."""
-    eA = expm(A).a
-    eB = expm(B).a
-    D = np.asarray(A, dtype=np.complex128) - np.asarray(B)
-    C = np.asarray(C, dtype=np.complex128)
-    lhs = abs(ntrace(C @ (eA - eB)))
-    inner = s * (D @ D) + (C @ C) / s
-    rhs = 0.25 * ntrace(inner @ (eA + eB))
-    return lhs, rhs
+    return _first(*_emvti_stack(_one(A), _one(B), _one(C), _s_array([s])))
 
 
 def eval_young_commuting(A, B, p: float) -> tuple:
     """Normalized lambda_min slack of (1/p)|LA|^p + (1/q)|RB|^q - LA RB >= 0.
 
     LA, RB are the commuting left/right multiplication operators on d x d
-    matrices, handled as d^2 x d^2 Hermitian matrices.
+    matrices, handled as d^2 x d^2 Hermitian matrices.  Returns the gap and
+    the scale it is divided by.
     """
-    if not 1.0 < p < math.inf:
-        raise ParameterError(f"p must lie in (1, inf), got {p}")
-    q = p / (p - 1.0)
-    la = left_mult_op(A)
-    rb = right_mult_op(np.asarray(B, dtype=np.complex128))
-    prod = la.compose(rb).mat
-    rhs = (superop_function(la, lambda w: np.abs(w) ** p).mat / p
-           + superop_function(rb, lambda w: np.abs(w) ** q).mat / q)
-    gap = float(np.linalg.eigvalsh(rhs - prod)[0])
-    scale = max(1.0, _opnorm(prod) + _opnorm(rhs))
-    return gap, scale
+    return _first(*_young_stack(_one(A), _one(B), p))
 
 
 def eval_operator_cs(S, M, N) -> tuple:
@@ -255,21 +422,10 @@ def eval_operator_cs(S, M, N) -> tuple:
     op = S if isinstance(S, SuperOperator) else SuperOperator(S)
     if not op.self_adjoint:
         raise ParameterError("operator must be self-adjoint")
-    ab = superop_abs(op)
-    m = np.asarray(M, dtype=np.complex128)
-    n = np.asarray(N, dtype=np.complex128)
-    lhs = abs(np.trace(m.conj().T @ op.apply(n)))
-    qm = np.trace(m.conj().T @ ab.apply(m)).real
-    qn = np.trace(n.conj().T @ ab.apply(n)).real
-    rhs = math.sqrt(max(qm, 0.0) * max(qn, 0.0))
-    return lhs, rhs
-
-
-def _xlogx(w):
-    out = np.zeros_like(w, dtype=float)
-    mask = w > 0
-    out[mask] = w[mask] * np.log(w[mask])
-    return out
+    m, n = _as_array(M), _as_array(N)
+    if m.shape != (op.dim, op.dim) or n.shape != (op.dim, op.dim):
+        raise ShapeError(f"expected {op.dim}x{op.dim}, got {m.shape} and {n.shape}")
+    return _first(*_operator_cs_stack(op.mat[None], m[None], n[None]))
 
 
 def eval_matrix_entropy_young(Us, Ws) -> tuple:
@@ -279,135 +435,113 @@ def eval_matrix_entropy_young(Us, Ws) -> tuple:
     """
     if len(Us) != len(Ws) or not Us:
         raise ParameterError("need equally many U and W atoms")
-    lhs = 0.0
-    mgf = 0.0
-    ent = 0.0
-    for U, W in zip(Us, Ws):
-        U = np.asarray(U, dtype=np.complex128)
-        W = np.asarray(W, dtype=np.complex128)
-        lhs += ntrace(U @ W)
-        mgf += ntrace(expm(U))
-        ent += ntrace(matrix_function(W, _xlogx))
-    k = len(Us)
-    return lhs / k, math.log(mgf / k) + ent / k
+    return _first(*_entropy_young_stack(np.stack([_as_herm_array(u) for u in Us])[None],
+                                        np.stack([_as_herm_array(w) for w in Ws])[None]))
 
 
 def eval_conjecture(A, B, C, q: int, s: float) -> dict:
-    """Signed one-sided forms: exponential and degree-q polynomial slacks.
-
-    One eigendecomposition per matrix; the sweep calls this in a tight loop.
-    """
-    A = np.asarray(A, dtype=np.complex128)
-    B = np.asarray(B, dtype=np.complex128)
-    C = np.asarray(C, dtype=np.complex128)
-    wA, uA = np.linalg.eigh(A)
-    wB, uB = np.linalg.eigh(B)
-    wD, uD = np.linalg.eigh(A - B)
-    wC, uC = np.linalg.eigh(C)
-
-    def apply(w, u, vals):
-        return (u * vals) @ u.conj().T
-
-    plus = (s * apply(wD, uD, np.maximum(wD, 0.0) ** 2)
-            + apply(wC, uC, np.maximum(wC, 0.0) ** 2) / s)
-    minus = (s * apply(wD, uD, np.maximum(-wD, 0.0) ** 2)
-             + apply(wC, uC, np.maximum(-wC, 0.0) ** 2) / s)
-
-    eA = apply(wA, uA, np.exp(wA))
-    eB = apply(wB, uB, np.exp(wB))
-    lhs_e = np.trace(C @ (eA - eB)).real
-    rhs_e = 0.5 * np.trace(plus @ eA + minus @ eB).real
-
-    Aq = apply(wA, uA, wA ** q)
-    Bq = apply(wB, uB, wB ** q)
-    absA = apply(wA, uA, np.abs(wA) ** (q - 1))
-    absB = apply(wB, uB, np.abs(wB) ** (q - 1))
-    lhs_p = np.trace(C @ (Aq - Bq)).real
-    rhs_p = (q / 2.0) * np.trace(plus @ absA + minus @ absB).real
-    return {
-        "exp": (lhs_e, rhs_e),
-        "poly": (lhs_p, rhs_p),
-    }
+    """Signed one-sided forms: exponential and degree-q polynomial slacks."""
+    lhs_e, rhs_e, lhs_p, rhs_p = _first(*_conjecture_stack(
+        _one(A), _one(B), _one(C), np.array([int(q)]), _s_array([s])))
+    return {"exp": (lhs_e, rhs_e), "poly": (lhs_p, rhs_p)}
 
 
 # ---------------------------------------------------------------------------
 # fuzz suites
 
 
-def fuzz_pmvti(d_range, q_range, s_values, trials: int, seed: int) -> FuzzReport:
-    """Degree-q polynomial mean value trace inequality over random triples."""
-    dims = _as_dims(d_range)
+def _as_qs(q_range) -> list:
     qs = [int(q) for q in (q_range if not isinstance(q_range, int) else [q_range])]
     if any(q < 1 for q in qs):
         raise ParameterError("q must be a positive integer")
+    return qs
+
+
+def _check_trials(trials: int) -> None:
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    rng = _rng(seed)
-    tracker = _WorstTracker()
-    for _ in range(trials):
+
+
+def _triple_draws(rng, dims: list, qs: list | None = None):
+    """The draw of one triple trial: d, then q if qs is given, then (A, B, C)."""
+    def draw():
         d = dims[int(rng.integers(0, len(dims)))]
-        q = qs[int(rng.integers(0, len(qs)))]
+        q = () if qs is None else (qs[int(rng.integers(0, len(qs)))],)
         A, B, C, kind = _draw_triple(rng, d)
-        for s in s_values:
-            lhs, rhs = eval_pmvti(A, B, C, q, float(s))
-            slack = _norm_slack(lhs, rhs)
-            tracker.offer(slack, d, lambda A=A, B=B, C=C, q=q, s=s, kind=kind: {
-                "ineq": "pmvti", "kind": kind, "q": q, "s": float(s),
-                "A": _herm_json(A), "B": _herm_json(B), "C": _herm_json(C),
-            })
+        return d, (A, B, C) + q, kind
+    return draw
+
+
+def _triple_case(ineq: str, kind: str, mats, **params) -> dict:
+    case = {"ineq": ineq, "kind": kind, **params}
+    case.update(zip("ABC", map(_herm_json, mats)))
+    return case
+
+
+def fuzz_pmvti(d_range, q_range, s_values, trials: int, seed: int) -> FuzzReport:
+    """Degree-q polynomial mean value trace inequality over random triples."""
+    dims = _as_dims(d_range)
+    qs = _as_qs(q_range)
+    _check_trials(trials)
+    ss = _s_array(s_values)
+    tracker = _WorstTracker()
+
+    def offer(trial, row):
+        d, (A, B, C, q), kind = trial
+        for s, rhs in zip(ss, row[1]):
+            tracker.offer(_norm_slack(float(row[0]), float(rhs)), d, lambda: _triple_case(
+                "pmvti", kind, (A, B, C), q=q, s=float(s)))
+
+    _sweep(trials, _triple_draws(_rng(seed), dims, qs),
+           lambda A, B, C, q: _pmvti_stack(A, B, C, q, ss), offer)
     return tracker.report("pmvti", trials, dims)
 
 
 def fuzz_emvti(d_range, s_values, trials: int, seed: int) -> FuzzReport:
     """Exponential mean value trace inequality over random triples."""
     dims = _as_dims(d_range)
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
-    rng = _rng(seed)
+    _check_trials(trials)
+    ss = _s_array(s_values)
     tracker = _WorstTracker()
-    for _ in range(trials):
-        d = dims[int(rng.integers(0, len(dims)))]
-        A, B, C, kind = _draw_triple(rng, d)
-        for s in s_values:
-            lhs, rhs = eval_emvti(A, B, C, float(s))
-            slack = _norm_slack(lhs, rhs)
-            tracker.offer(slack, d, lambda A=A, B=B, C=C, s=s, kind=kind: {
-                "ineq": "emvti", "kind": kind, "s": float(s),
-                "A": _herm_json(A), "B": _herm_json(B), "C": _herm_json(C),
-            })
+
+    def offer(trial, row):
+        d, (A, B, C), kind = trial
+        for s, rhs in zip(ss, row[1]):
+            tracker.offer(_norm_slack(float(row[0]), float(rhs)), d, lambda: _triple_case(
+                "emvti", kind, (A, B, C), s=float(s)))
+
+    _sweep(trials, _triple_draws(_rng(seed), dims),
+           lambda A, B, C: _emvti_stack(A, B, C, ss), offer)
     return tracker.report("emvti", trials, dims)
 
 
 def fuzz_young_commuting(d_range, p: float, trials: int, seed: int) -> FuzzReport:
     """Operator Young inequality for commuting left/right multiplications."""
     dims = _as_dims(d_range)
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
-    rng = _rng(seed)
+    _check_trials(trials)
     tracker = _WorstTracker()
-    for _ in range(trials):
-        d = dims[int(rng.integers(0, len(dims)))]
-        A, B, _, kind = _draw_triple(rng, d)
-        gap, scale = eval_young_commuting(A, B, p)
-        slack = gap / scale
-        tracker.offer(slack, d, lambda A=A, B=B, kind=kind: {
-            "ineq": "young_commuting", "kind": kind, "p": float(p),
-            "A": _herm_json(A), "B": _herm_json(B),
-        })
+
+    def offer(trial, row):
+        d, (A, B, _), kind = trial
+        tracker.offer(float(row[0]) / float(row[1]), d, lambda: _triple_case(
+            "young_commuting", kind, (A, B), p=float(p)))
+
+    _sweep(trials, _triple_draws(_rng(seed), dims),
+           lambda A, B, C: _young_stack(A, B, p), offer)
     return tracker.report(f"young_commuting(p={p})", trials, dims)
 
 
 def fuzz_operator_cs(d_range, trials: int, seed: int) -> FuzzReport:
     """Cauchy-Schwarz for a self-adjoint operator on matrices."""
     dims = _as_dims(d_range)
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
+    _check_trials(trials)
     rng = _rng(seed)
     tracker = _WorstTracker()
-    for _ in range(trials):
+
+    def draw():
         d = dims[int(rng.integers(0, len(dims)))]
         raw = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
-        S = SuperOperator((raw + raw.conj().T) / 2)
+        S = (raw + raw.conj().T) / 2
         if rng.random() < 0.1:
             # rank-1 arguments probe the equality direction
             M = _rank1_herm(rng, d)
@@ -415,12 +549,16 @@ def fuzz_operator_cs(d_range, trials: int, seed: int) -> FuzzReport:
         else:
             M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             N = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        lhs, rhs = eval_operator_cs(S, M, N)
-        slack = _norm_slack(lhs, rhs)
-        tracker.offer(slack, d, lambda S=S, M=M, N=N: {
+        return d, (S, M, N), None
+
+    def offer(trial, row):
+        d, (S, M, N), _ = trial
+        tracker.offer(_norm_slack(float(row[0]), float(row[1])), d, lambda: {
             "ineq": "operator_cs",
-            "S": _rect_json(S.mat), "M": _rect_json(M), "N": _rect_json(N),
+            "S": _rect_json(S), "M": _rect_json(M), "N": _rect_json(N),
         })
+
+    _sweep(trials, draw, _operator_cs_stack, offer)
     return tracker.report("operator_cs", trials, dims)
 
 
@@ -430,11 +568,11 @@ def fuzz_matrix_entropy_young(d_range, ensemble_size: int, trials: int,
     dims = _as_dims(d_range)
     if ensemble_size < 1:
         raise ParameterError(f"ensemble_size must be >= 1, got {ensemble_size}")
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
+    _check_trials(trials)
     rng = _rng(seed)
     tracker = _WorstTracker()
-    for _ in range(trials):
+
+    def draw():
         d = dims[int(rng.integers(0, len(dims)))]
         Us = [_gauss_herm(rng, d) for _ in range(ensemble_size)]
         raws = []
@@ -444,13 +582,17 @@ def fuzz_matrix_entropy_young(d_range, ensemble_size: int, trials: int,
         # normalize so the ensemble mean of tr-bar W is exactly 1
         total = sum(ntrace(r).real for r in raws) / ensemble_size
         Ws = [r / total for r in raws]
-        lhs, rhs = eval_matrix_entropy_young(Us, Ws)
-        slack = _norm_slack(lhs, rhs)
-        tracker.offer(slack, d, lambda Us=Us, Ws=Ws: {
+        return d, (np.stack(Us), np.stack(Ws)), None
+
+    def offer(trial, row):
+        d, (Us, Ws), _ = trial
+        tracker.offer(_norm_slack(float(row[0]), float(row[1])), d, lambda: {
             "ineq": "matrix_entropy_young",
             "U": [_herm_json(u) for u in Us],
             "W": [_herm_json(w) for w in Ws],
         })
+
+    _sweep(trials, draw, _entropy_young_stack, offer)
     return tracker.report("matrix_entropy_young", trials, dims)
 
 
@@ -467,25 +609,21 @@ def explore_conjecture(d_range, q_range, s_values, trials: int, seed: int) -> Fu
     is advisory only.
     """
     dims = _as_dims(d_range)
-    qs = [int(q) for q in (q_range if not isinstance(q_range, int) else [q_range])]
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
-    rng = _rng(seed)
+    qs = _as_qs(q_range)
+    _check_trials(trials)
+    ss = _s_array(s_values)
     trackers = {form: _WorstTracker(keep=4) for form in ("exp", "poly")}
-    for _ in range(trials):
-        d = dims[int(rng.integers(0, len(dims)))]
-        q = qs[int(rng.integers(0, len(qs)))]
-        A, B, C, kind = _draw_triple(rng, d)
-        for s in s_values:
-            both = eval_conjecture(A, B, C, q, float(s))
-            for form, (lhs, rhs) in both.items():
-                slack = _norm_slack(lhs, rhs)
-                trackers[form].offer(slack, d, lambda A=A, B=B, C=C, q=q, s=s,
-                                     kind=kind, form=form: {
-                    "ineq": f"conjecture_{form}", "kind": kind, "q": q,
-                    "s": float(s),
-                    "A": _herm_json(A), "B": _herm_json(B), "C": _herm_json(C),
-                })
+
+    def offer(trial, row):
+        d, (A, B, C, q), kind = trial
+        lhs_e, rhs_e, lhs_p, rhs_p = row
+        for j, s in enumerate(ss):
+            for form, lhs, rhs in (("exp", lhs_e, rhs_e[j]), ("poly", lhs_p, rhs_p[j])):
+                trackers[form].offer(_norm_slack(float(lhs), float(rhs)), d, lambda: _triple_case(
+                    f"conjecture_{form}", kind, (A, B, C), q=q, s=float(s)))
+
+    _sweep(trials, _triple_draws(_rng(seed), dims, qs),
+           lambda A, B, C, q: _conjecture_stack(A, B, C, q, ss), offer)
     per_form = {form: t.report(f"conjecture_{form}", trials, dims)
                 for form, t in trackers.items()}
     return _pool_conjecture(per_form, trials, dims)
@@ -578,37 +716,26 @@ def merge_fuzz_reports(reports) -> FuzzReport:
 def replay_case(case: dict) -> dict:
     """Re-evaluate one serialized worst case; returns lhs/rhs/slack."""
     ineq = case.get("ineq")
+
+    def herms(keys):
+        return [HermitianMatrix.from_json(case[k]) for k in keys]
+
     if ineq == "pmvti":
-        A = HermitianMatrix.from_json(case["A"]).a
-        B = HermitianMatrix.from_json(case["B"]).a
-        C = HermitianMatrix.from_json(case["C"]).a
-        lhs, rhs = eval_pmvti(A, B, C, int(case["q"]), float(case["s"]))
+        lhs, rhs = eval_pmvti(*herms("ABC"), int(case["q"]), float(case["s"]))
     elif ineq == "emvti":
-        A = HermitianMatrix.from_json(case["A"]).a
-        B = HermitianMatrix.from_json(case["B"]).a
-        C = HermitianMatrix.from_json(case["C"]).a
-        lhs, rhs = eval_emvti(A, B, C, float(case["s"]))
+        lhs, rhs = eval_emvti(*herms("ABC"), float(case["s"]))
     elif ineq == "young_commuting":
-        A = HermitianMatrix.from_json(case["A"]).a
-        B = HermitianMatrix.from_json(case["B"]).a
-        lhs, rhs = eval_young_commuting(A, B, float(case["p"]))
+        lhs, rhs = eval_young_commuting(*herms("AB"), float(case["p"]))
         return {"ineq": ineq, "lambda_min_gap": lhs, "scale": rhs,
                 "slack": lhs / rhs}
     elif ineq == "operator_cs":
-        S = RectMatrix.from_json(case["S"]).a
-        M = RectMatrix.from_json(case["M"]).a
-        N = RectMatrix.from_json(case["N"]).a
-        lhs, rhs = eval_operator_cs(S, M, N)
+        lhs, rhs = eval_operator_cs(*(RectMatrix.from_json(case[k]).a for k in "SMN"))
     elif ineq == "matrix_entropy_young":
-        Us = [HermitianMatrix.from_json(u).a for u in case["U"]]
-        Ws = [HermitianMatrix.from_json(w).a for w in case["W"]]
-        lhs, rhs = eval_matrix_entropy_young(Us, Ws)
+        lhs, rhs = eval_matrix_entropy_young(
+            *([HermitianMatrix.from_json(m) for m in case[k]] for k in "UW"))
     elif ineq in ("conjecture_exp", "conjecture_poly"):
-        A = HermitianMatrix.from_json(case["A"]).a
-        B = HermitianMatrix.from_json(case["B"]).a
-        C = HermitianMatrix.from_json(case["C"]).a
-        both = eval_conjecture(A, B, C, int(case["q"]), float(case["s"]))
-        lhs, rhs = both["exp"] if ineq.endswith("exp") else both["poly"]
+        both = eval_conjecture(*herms("ABC"), int(case["q"]), float(case["s"]))
+        lhs, rhs = both[ineq[len("conjecture_"):]]
     else:
         raise ParameterError(f"unknown inequality {ineq!r}")
     return {"ineq": ineq, "lhs": lhs, "rhs": rhs, "slack": _norm_slack(lhs, rhs)}
@@ -809,23 +936,27 @@ class TailComparison:
 
 
 def sample_statistics(model, samples: int, seed: int, statistic: str) -> np.ndarray:
-    """Per-sample lambda_max or operator norm of the centered matrix."""
+    """Per-sample lambda_max or operator norm of the centered matrix.
+
+    For a rectangular model both are the largest singular value, which is
+    lambda_max of the Hermitian dilation.
+    """
+    if statistic not in ("lmax", "opnorm"):
+        raise ParameterError(f"unknown statistic {statistic!r}")
     if isinstance(model, stein.RectangularModel):
         rng = _rng(seed)
         zs = model.dist.sample_many(rng, samples)
         mean = model.mean()
-        vals = np.empty(samples)
-        for i in range(samples):
-            x = model.H(tuple(zs[i])) - mean
-            vals[i] = np.linalg.svd(x, compute_uv=False)[0]
-        return vals
+        # rectangular models are enumerable, so samples repeat: one SVD per
+        # distinct outcome, gathered back in sample order
+        outcomes, inverse = np.unique(zs, axis=0, return_inverse=True)
+        xs = np.stack([model.H(tuple(z)) for z in outcomes]) - mean
+        return np.linalg.svd(xs, compute_uv=False)[:, 0][inverse.reshape(-1)]
     xs = model.sample_X(samples, seed)
     eigs = np.linalg.eigvalsh(xs)
     if statistic == "lmax":
         return eigs[:, -1]
-    if statistic == "opnorm":
-        return np.maximum(eigs[:, -1], -eigs[:, 0])
-    raise ParameterError(f"unknown statistic {statistic!r}")
+    return np.maximum(eigs[:, -1], -eigs[:, 0])
 
 
 def empirical_tail(model, samples: int, t_grid, seed: int, curve=None,

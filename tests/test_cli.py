@@ -5,11 +5,12 @@ can be asserted without spawning interpreters.
 """
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
-from matconc import cli
+from matconc import cli, verify
 from matconc.matcore import HermitianMatrix
 
 
@@ -121,6 +122,38 @@ class TestFuzzVerb:
         assert a.read_bytes() == b.read_bytes()
         assert json.loads(a.read_text())["trials"] == 30
 
+    def test_jobs_merge_in_process_chunks(self, capsys, tmp_path, monkeypatch):
+        # --jobs 2 is the merge of the two chunk sweeps, byte for byte, and
+        # starts no thread
+        def refuse(self):
+            raise AssertionError("fuzz --jobs started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        out, ref = tmp_path / "jobs2.json", tmp_path / "merged.json"
+        argv = ["fuzz", "--ineq", "emvti", "--trials", "41", "--seed", "5",
+                "--d", "1:3", "--jobs", "2", "--out", str(out)]
+        assert run(argv, capsys)[0] == 0
+        ss = [0.25, 1.0, 4.0]
+        merged = verify.merge_fuzz_reports([
+            verify.fuzz_emvti([1, 2, 3], ss, 21, 5),
+            verify.fuzz_emvti([1, 2, 3], ss, 20, 5 + 7919),
+        ])
+        cli._emit_json(merged.to_json(), str(ref))
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_internal_error_is_not_a_config_error(self, capsys, monkeypatch):
+        # a ValueError raised inside an evaluator is a defect: exit 1
+        def broken(*args, **kwargs):
+            raise ValueError("evaluator defect")
+
+        monkeypatch.setattr(verify, "_pmvti_stack", broken)
+        code, out, err = run(["fuzz", "--ineq", "pmvti", "--trials", "5",
+                              "--seed", "1", "--d", "2"], capsys)
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "internal"
+        assert "evaluator defect" in error["message"]
+
     def test_zero_trials_is_config_error(self, capsys):
         code, _, err = run(["fuzz", "--ineq", "pmvti", "--trials", "0",
                             "--seed", "1"], capsys)
@@ -170,6 +203,22 @@ class TestConfigPlumbing:
         assert run(["fuzz", "--config", str(cfg)], capsys)[0] == 3
         cfg.write_text("{not json")
         assert run(["fuzz", "--config", str(cfg)], capsys)[0] == 3
+
+    def test_unreadable_number_is_config_error(self, capsys, tmp_path):
+        cfg = tmp_path / "fuzz.json"
+        cfg.write_text(json.dumps({"ineq": "pmvti", "trials": "x", "seed": 1}))
+        code, _, err = run(["fuzz", "--config", str(cfg)], capsys)
+        assert code == 3
+        error = json.loads(err)["error"]
+        assert error["type"] == "config" and "'x'" in error["message"]
+
+    def test_malformed_model_file_is_config_error(self, capsys, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"name": "m", "d": 2}))
+        code, _, err = run(["verify", "--check", "poly_efron_stein",
+                            "--model-file", str(model)], capsys)
+        assert code == 3
+        assert json.loads(err)["error"]["type"] == "config"
 
     def test_unknown_flag(self, capsys):
         code, _, err = run(["fuzz", "--ineq", "pmvti", "--trails", "5"], capsys)

@@ -11,7 +11,18 @@ import numpy as np
 import pytest
 
 from matconc import bounds, stein, verify
-from matconc.matcore import HermitianMatrix, ParameterError, SuperOperator
+from matconc.matcore import (
+    HermitianMatrix,
+    ParameterError,
+    SuperOperator,
+    expm,
+    left_mult_op,
+    matrix_function,
+    ntrace,
+    right_mult_op,
+    superop_abs,
+    superop_function,
+)
 from matconc.stein import (
     EstimatedKernel,
     ExactKernel,
@@ -140,6 +151,219 @@ class TestConjectureEvaluator:
             lhs, rhs = eval_conjecture(scalar(a), scalar(b), scalar(c),
                                        q=2, s=s)["exp"]
             assert rhs - lhs >= -1e-9 * max(1.0, abs(lhs) + abs(rhs))
+
+
+# ---------------------------------------------------------------------------
+# oracles: each inequality evaluated one matrix function at a time through
+# matcore's matrix_function and superoperators, independent of the stacked
+# spectral evaluators in verify
+
+
+def oracle_pmvti(A, B, C, q, s):
+    Aq = matrix_function(A, lambda w: w ** q).a
+    Bq = matrix_function(B, lambda w: w ** q).a
+    absA = matrix_function(A, lambda w: np.abs(w) ** (q - 1)).a
+    absB = matrix_function(B, lambda w: np.abs(w) ** (q - 1)).a
+    D = A - B
+    lhs = abs(np.trace(C @ (Aq - Bq)).real)
+    inner = s * (D @ D) + (C @ C) / s
+    return lhs, (q / 4.0) * np.trace(inner @ (absA + absB)).real
+
+
+def oracle_emvti(A, B, C, s):
+    eA, eB = expm(A).a, expm(B).a
+    D = A - B
+    inner = s * (D @ D) + (C @ C) / s
+    return abs(ntrace(C @ (eA - eB))), 0.25 * ntrace(inner @ (eA + eB))
+
+
+def oracle_young_slack(A, B, p):
+    q = p / (p - 1.0)
+    la, rb = left_mult_op(A), right_mult_op(B)
+    prod = la.compose(rb).mat
+    rhs = (superop_function(la, lambda w: np.abs(w) ** p).mat / p
+           + superop_function(rb, lambda w: np.abs(w) ** q).mat / q)
+    gap = np.linalg.eigvalsh(rhs - prod)[0]
+    return gap / max(1.0, np.linalg.norm(prod, 2) + np.linalg.norm(rhs, 2))
+
+
+def oracle_operator_cs(S, M, N):
+    op = SuperOperator(S)
+    ab = superop_abs(op)
+    lhs = abs(np.trace(M.conj().T @ op.apply(N)))
+    qm = np.trace(M.conj().T @ ab.apply(M)).real
+    qn = np.trace(N.conj().T @ ab.apply(N)).real
+    return lhs, math.sqrt(max(qm, 0.0) * max(qn, 0.0))
+
+
+def oracle_entropy_young(Us, Ws):
+    def xlogx(w):
+        return np.where(w > 0, w * np.log(np.where(w > 0, w, 1.0)), 0.0)
+
+    k = len(Us)
+    lhs = sum(ntrace(U @ W) for U, W in zip(Us, Ws)) / k
+    mgf = sum(ntrace(expm(U)) for U in Us) / k
+    ent = sum(ntrace(matrix_function(W, xlogx)) for W in Ws) / k
+    return lhs, math.log(mgf) + ent
+
+
+def oracle_conjecture(A, B, C, q, s):
+    def f(M, g):
+        return matrix_function(M, g).a
+
+    D = A - B
+    plus = (s * f(D, lambda w: np.maximum(w, 0.0) ** 2)
+            + f(C, lambda w: np.maximum(w, 0.0) ** 2) / s)
+    minus = (s * f(D, lambda w: np.maximum(-w, 0.0) ** 2)
+             + f(C, lambda w: np.maximum(-w, 0.0) ** 2) / s)
+    eA, eB = f(A, np.exp), f(B, np.exp)
+    Aq, Bq = f(A, lambda w: w ** q), f(B, lambda w: w ** q)
+    absA = f(A, lambda w: np.abs(w) ** (q - 1))
+    absB = f(B, lambda w: np.abs(w) ** (q - 1))
+    return {
+        "exp": (np.trace(C @ (eA - eB)).real,
+                0.5 * np.trace(plus @ eA + minus @ eB).real),
+        "poly": (np.trace(C @ (Aq - Bq)).real,
+                 (q / 2.0) * np.trace(plus @ absA + minus @ absB).real),
+    }
+
+
+SS = (0.25, 1.0, 4.0)
+
+
+def draw_triples(rng):
+    return verify._triple_draws(rng, list(range(1, 7)), list(range(1, 8)))
+
+
+def draw_operator_cs(rng):
+    def draw():
+        d = int(rng.integers(1, 7))
+        raw = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+        if rng.random() < 0.2:
+            M, N = verify._rank1_herm(rng, d), verify._rank1_herm(rng, d)
+        else:
+            M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            N = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        return d, ((raw + raw.conj().T) / 2, M, N), None
+    return draw
+
+
+def draw_ensembles(rng):
+    def draw():
+        d = int(rng.integers(1, 7))
+        Us = np.stack([verify._gauss_herm(rng, d) for _ in range(4)])
+        g = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
+        raws = np.stack([verify._herm(x @ x.conj().T) for x in g])
+        total = sum(ntrace(r) for r in raws) / 4
+        return d, (Us, raws / total), None
+    return draw
+
+
+def cases(draw, count=240):
+    """count draws, covering d = 1..6 and, for triples, every draw kind."""
+    out = [draw() for _ in range(count)]
+    assert {c[0] for c in out} == set(range(1, 7))
+    assert {c[2] for c in out} in ({None}, set(verify._KINDS))
+    return out
+
+
+def triple_cases(seed):
+    return cases(draw_triples(np.random.default_rng(seed)))
+
+
+class TestEvaluatorsAgainstOracles:
+    # >= 200 cases per suite, d = 1..6 and every draw kind; the stacked
+    # evaluators differ from the oracles only by roundoff
+    TOL = 1e-12
+
+    def test_pmvti(self):
+        for _, (A, B, C, q), _ in triple_cases(31):
+            for s in SS:
+                new = verify._norm_slack(*eval_pmvti(A, B, C, q, s))
+                assert abs(new - verify._norm_slack(*oracle_pmvti(A, B, C, q, s))) <= self.TOL
+
+    def test_emvti(self):
+        for _, (A, B, C, _q), _ in triple_cases(32):
+            for s in SS:
+                new = verify._norm_slack(*eval_emvti(A, B, C, s))
+                assert abs(new - verify._norm_slack(*oracle_emvti(A, B, C, s))) <= self.TOL
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_young_commuting(self, p):
+        for _, (A, B, _C, _q), _ in triple_cases(33):
+            gap, scale = eval_young_commuting(A, B, p)
+            assert abs(gap / scale - oracle_young_slack(A, B, p)) <= self.TOL
+
+    def test_operator_cs(self):
+        for _, (S, M, N), _ in cases(draw_operator_cs(np.random.default_rng(34))):
+            new = verify._norm_slack(*eval_operator_cs(S, M, N))
+            assert abs(new - verify._norm_slack(*oracle_operator_cs(S, M, N))) <= self.TOL
+
+    def test_matrix_entropy_young(self):
+        for _, (Us, Ws), _ in cases(draw_ensembles(np.random.default_rng(35))):
+            new = verify._norm_slack(*eval_matrix_entropy_young(list(Us), list(Ws)))
+            ref = verify._norm_slack(*oracle_entropy_young(list(Us), list(Ws)))
+            assert abs(new - ref) <= self.TOL
+
+    def test_conjecture(self):
+        for _, (A, B, C, q), _ in triple_cases(36):
+            q = 1 + q % 3
+            for s in SS:
+                new, ref = eval_conjecture(A, B, C, q, s), oracle_conjecture(A, B, C, q, s)
+                for form in ("exp", "poly"):
+                    assert abs(verify._norm_slack(*new[form])
+                               - verify._norm_slack(*ref[form])) <= self.TOL
+
+
+class TestBlockPositionInvariance:
+    # every trial of a full block, evaluated among trials of its dimension,
+    # gives the very floats of its stack-of-one evaluation, which replay uses
+
+    def block(self, draw, evaluate):
+        rows = []
+        verify._sweep(verify.BLOCK_TRIALS, draw, evaluate,
+                      lambda trial, row: rows.append((trial[1], row)))
+        assert len(rows) == verify.BLOCK_TRIALS
+        return rows
+
+    def test_pmvti_and_emvti(self):
+        ss = np.array(SS)
+        draw = draw_triples(np.random.default_rng(41))
+        for (A, B, C, q), (lhs, rhs) in self.block(
+                draw, lambda A, B, C, q: verify._pmvti_stack(A, B, C, q, ss)):
+            for j, s in enumerate(SS):
+                assert eval_pmvti(A, B, C, q, s) == (float(lhs), float(rhs[j]))
+        for (A, B, C, q), (lhs, rhs) in self.block(
+                draw, lambda A, B, C, q: verify._emvti_stack(A, B, C, ss)):
+            for j, s in enumerate(SS):
+                assert eval_emvti(A, B, C, s) == (float(lhs), float(rhs[j]))
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_young_commuting(self, p):
+        draw = draw_triples(np.random.default_rng(42))
+        for (A, B, _C, _q), (gap, scale) in self.block(
+                draw, lambda A, B, C, q: verify._young_stack(A, B, p)):
+            assert eval_young_commuting(A, B, p) == (float(gap), float(scale))
+
+    def test_operator_cs(self):
+        draw = draw_operator_cs(np.random.default_rng(43))
+        for (S, M, N), (lhs, rhs) in self.block(draw, verify._operator_cs_stack):
+            assert eval_operator_cs(S, M, N) == (float(lhs), float(rhs))
+
+    def test_matrix_entropy_young(self):
+        draw = draw_ensembles(np.random.default_rng(44))
+        for (Us, Ws), (lhs, rhs) in self.block(draw, verify._entropy_young_stack):
+            assert eval_matrix_entropy_young(list(Us), list(Ws)) == (float(lhs), float(rhs))
+
+    def test_conjecture(self):
+        ss = np.array(SS)
+        draw = draw_triples(np.random.default_rng(45))
+        for (A, B, C, q), row in self.block(
+                draw, lambda A, B, C, q: verify._conjecture_stack(A, B, C, q, ss)):
+            for j, s in enumerate(SS):
+                both = eval_conjecture(A, B, C, q, s)
+                assert both["exp"] == (float(row[0]), float(row[1][j]))
+                assert both["poly"] == (float(row[2]), float(row[3][j]))
 
 
 class TestFuzzSuites:
@@ -483,6 +707,18 @@ class TestEmpiricalTail:
         lo = sample_statistics(m, 50, 3, "lmax")
         hi = sample_statistics(m, 50, 3, "opnorm")
         assert np.all(hi >= lo - 1e-12)
+
+    def test_unknown_statistic_rectangular(self):
+        with pytest.raises(ParameterError):
+            sample_statistics(rect_demo(3), 10, 0, "trace")
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_rectangular_matches_per_sample_svd(self, seed):
+        model = rect_demo(3)
+        zs = model.dist.sample_many(verify._rng(seed), 3000)
+        expect = [np.linalg.svd(model.H(tuple(z)) - model.mean(), compute_uv=False)[0]
+                  for z in zs]
+        assert np.array_equal(sample_statistics(model, 3000, seed, "lmax"), expect)
 
     def test_rectangular_model_uses_singular_values(self):
         vals = sample_statistics(rect_demo(3), 120, 4, "lmax")
