@@ -9,19 +9,6 @@ def backend() -> str:
     return "numpy"
 
 
-def _coverage_scan(draws, needed, seen, remaining, times, offset):
-    runs = draws.shape[0]
-    rows = np.arange(runs)
-    for c in range(draws.shape[1]):
-        j = draws[:, c]
-        hit = (times < 0) & needed[j] & ~seen[rows, j]
-        seen[rows[hit], j[hit]] = True
-        remaining[hit] -= 1
-        done = hit & (remaining == 0)
-        times[done] = offset + c + 1
-    return times
-
-
 def coverage_times(n: int, needed: np.ndarray, runs: int, seed: int,
                    max_steps: int = 1_000_000, chunk: int = 64) -> np.ndarray:
     """First time a uniform draw stream covers every coordinate in ``needed``.
@@ -31,22 +18,45 @@ def coverage_times(n: int, needed: np.ndarray, runs: int, seed: int,
     first step at which every index with needed[j] True has been drawn,
     or -1 if that does not happen within ``max_steps``.  An empty needed
     set gives 0.
+
+    Draws come in (runs, chunk) blocks, drawn for every run so that the
+    stream does not depend on which runs are done.  Coordinates are bits of
+    uint64 words, 64 per word; for the runs still open, a cumulative OR
+    along each row gives the set drawn so far after every step, and a run's
+    time is the first step whose set holds every needed bit.
     """
     needed = np.asarray(needed, dtype=np.bool_)
     if needed.shape != (n,):
         raise ValueError(f"needed must have shape ({n},)")
-    m = int(needed.sum())
     times = np.full(runs, -1, dtype=np.int64)
-    if m == 0:
+    if not needed.any():
         times[:] = 0
         return times
+    words = -(-n // 64)
+    flags = np.zeros(64 * words, dtype=np.uint64)
+    flags[:n] = needed
+    need = np.bitwise_or.reduce(flags.reshape(words, 64) << np.arange(64, dtype=np.uint64),
+                                axis=1)
     rng = np.random.Generator(np.random.Philox(seed))
-    seen = np.zeros((runs, n), dtype=np.bool_)
-    remaining = np.full(runs, m, dtype=np.int64)
+    seen = np.zeros((runs, words), dtype=np.uint64)
+    active = np.arange(runs)
     offset = 0
-    while offset < max_steps and np.any(times < 0):
+    while offset < max_steps and active.size:
         step = min(chunk, max_steps - offset)
         draws = rng.integers(0, n, size=(runs, step), dtype=np.int64)
-        _coverage_scan(draws, needed, seen, remaining, times, offset)
+        if active.size < runs:
+            draws = draws[active]
+        covered = True
+        for w in np.flatnonzero(need):
+            # a shift outside 0..63 (a draw in another word) gives 0
+            bits = np.left_shift(np.uint64(1), draws - 64 * w if w else draws,
+                                 dtype=np.uint64, casting="unsafe")
+            bits[:, 0] |= seen[active, w]
+            np.bitwise_or.accumulate(bits, axis=1, out=bits)
+            seen[active, w] = bits[:, -1]
+            covered = covered & ((bits & need[w]) == need[w])
+        hit = covered[:, -1]
+        times[active[hit]] = offset + 1 + np.argmax(covered[hit], axis=1)
+        active = active[~hit]
         offset += step
     return times

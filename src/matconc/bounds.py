@@ -49,34 +49,6 @@ class GaussExpParams:
 
 
 @dataclass(frozen=True, eq=False)
-class BoundedDiffSpec:
-    """Per-coordinate difference bounds A_1..A_n with sigma^2 = ||sum A_j^2||."""
-
-    difference_bounds: tuple
-
-    def __post_init__(self):
-        mats = tuple(
-            a if isinstance(a, HermitianMatrix) else HermitianMatrix(a)
-            for a in self.difference_bounds
-        )
-        if not mats:
-            raise ParameterError("need at least one difference bound")
-        d = mats[0].dim
-        for a in mats:
-            if a.dim != d:
-                raise ShapeError(f"dimension mismatch: {a.dim} vs {d}")
-        object.__setattr__(self, "difference_bounds", mats)
-
-    @property
-    def sigma2(self) -> float:
-        return bounded_diff_sigma(self.difference_bounds)
-
-    @property
-    def dim(self) -> int:
-        return self.difference_bounds[0].dim
-
-
-@dataclass(frozen=True, eq=False)
 class DobrushinSpec:
     """Interdependence matrix D (nonnegative, zero diagonal) plus sigma^2.
 

@@ -61,11 +61,13 @@ class FiniteCoord:
         self.probs = p
         self._cum = np.cumsum(p)
 
+    def sample_index(self, rng: np.random.Generator, size=None):
+        """Positions in ``values`` of draws from the coordinate's law."""
+        idx = np.searchsorted(self._cum, rng.random(size), side="right")
+        return np.minimum(idx, len(self.values) - 1)
+
     def sample(self, rng: np.random.Generator, size=None):
-        u = rng.random(size)
-        idx = np.searchsorted(self._cum, u, side="right")
-        idx = np.minimum(idx, len(self.values) - 1)
-        return self.values[idx]
+        return self.values[self.sample_index(rng, size)]
 
     def __len__(self):
         return len(self.values)
@@ -92,6 +94,8 @@ class ProductDistribution:
             raise ParameterError("need at least one coordinate")
         self.coords = tuple(coords)
         self.finite = all(isinstance(c, FiniteCoord) for c in self.coords)
+        # read on every H cache miss, through MatrixModel.exact
+        self._shape = tuple(len(c) for c in self.coords) if self.finite else None
 
     @property
     def n(self) -> int:
@@ -106,7 +110,7 @@ class ProductDistribution:
         """Support sizes: the leading axes of every outcome tensor."""
         if not self.finite:
             raise PreconditionError("cardinality is defined for finite distributions only")
-        return tuple(len(c) for c in self.coords)
+        return self._shape
 
     def probabilities(self) -> np.ndarray:
         """Outcome probabilities, shape ``shape``: the products outcomes() yields."""
@@ -209,7 +213,9 @@ class MatrixModel:
             if a.shape != (self.d, self.d):
                 raise ShapeError(f"H returned shape {a.shape}, expected ({self.d},{self.d})")
             got = (a + a.conj().T) / 2
-            if len(self._h_cache) < 4 * ENUM_CUTOFF:
+            # only an enumerable support repeats; sampled outcomes of a
+            # continuous model would fill the memo without reuse
+            if self.exact and len(self._h_cache) < 4 * ENUM_CUTOFF:
                 self._h_cache[key] = got
         return got
 
@@ -245,12 +251,14 @@ class MatrixModel:
                 self._mean = self.expect(self.H_tensor())
                 self.mean_provenance = {"method": "exact"}
             else:
-                rng = _rng(self.mean_seed)
-                zs = self.dist.sample_many(rng, self.mean_samples)
-                acc = np.zeros((self.d, self.d), dtype=np.complex128)
-                for row in zs:
-                    acc += self.H(tuple(row))
-                self._mean = acc / self.mean_samples
+                zs = self.dist.sample_many(_rng(self.mean_seed), self.mean_samples)
+                if self._H_batch is not None:
+                    hs = np.asarray(self._H_batch(zs), dtype=np.complex128)
+                    hs = (hs + hs.conj().swapaxes(-1, -2)) / 2
+                else:
+                    hs = np.stack([self.H(tuple(z)) for z in zs])
+                # the sum along axis 0 adds the samples one after another
+                self._mean = hs.sum(axis=0) / self.mean_samples
                 self.mean_provenance = {
                     "method": "mc",
                     "samples": self.mean_samples,
@@ -270,15 +278,15 @@ class MatrixModel:
     def sample_X(self, count: int, seed: int) -> np.ndarray:
         """Draw ``count`` centered samples X = H(Z) - E H(Z), shape (count, d, d)."""
         rng = _rng(seed)
-        zs = self.dist.sample_many(rng, count)
-        mean = self.mean()
-        if self._H_batch is not None:
-            hs = np.asarray(self._H_batch(zs), dtype=np.complex128)
+        if self._H_batch is None and self.exact:
+            # the same draws as sample_many, kept as positions in each support
+            idx = [c.sample_index(rng, count) for c in self.dist.coords]
+            hs = outcome_stack(self.H_tensor())[np.ravel_multi_index(idx, self.dist.shape)]
         else:
-            hs = np.empty((count, self.d, self.d), dtype=np.complex128)
-            for i in range(count):
-                hs[i] = self.H(tuple(zs[i]))
-        return hs - mean
+            zs = self.dist.sample_many(rng, count)
+            hs = (np.stack([self.H(tuple(z)) for z in zs]) if self._H_batch is None
+                  else np.asarray(self._H_batch(zs), dtype=np.complex128))
+        return hs - self.mean()
 
     # -- coordinate surgery
 
@@ -313,6 +321,10 @@ class MatrixModel:
             + 1j * np.array(v["imag"], dtype=float).reshape(d, d)
             for key, v in obj["H"].items()
         }
+        # a table smaller than the support fails before the support is enumerated
+        if len(table) < dist.cardinality or any(_zkey(z) not in table
+                                                for z, _ in dist.outcomes()):
+            raise ParameterError("the H table does not cover every outcome of dist")
 
         def H(z):
             return table[_zkey(z)]

@@ -220,6 +220,22 @@ class TestConfigPlumbing:
         assert code == 3
         assert json.loads(err)["error"]["type"] == "config"
 
+    def test_model_file_must_cover_its_support(self, capsys, tmp_path):
+        model = tmp_path / "model.json"
+        one = {"real": [1.0], "imag": [0.0]}
+        # one outcome of four; then four entries, one of them off the support
+        for keys in (["[1.0, 1.0]"],
+                     ["[1.0, 1.0]", "[1.0, -1.0]", "[-1.0, 1.0]", "[-1.0, 2.0]"]):
+            model.write_text(json.dumps({
+                "name": "m", "d": 1,
+                "dist": {"n": 2, "coords": [[[-1.0, 0.5], [1.0, 0.5]]] * 2},
+                "H": {k: one for k in keys}}))
+            code, _, err = run(["verify", "--check", "poly_efron_stein",
+                                "--model-file", str(model)], capsys)
+            assert code == 3
+            error = json.loads(err)["error"]
+            assert error["type"] == "config" and "cover" in error["message"]
+
     def test_unknown_flag(self, capsys):
         code, _, err = run(["fuzz", "--ineq", "pmvti", "--trails", "5"], capsys)
         assert code == 3

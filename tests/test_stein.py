@@ -80,6 +80,50 @@ def iterative_kernel_table(model, tol=1e-14, max_iter=20_000):
     raise AssertionError("kernel iteration did not converge")
 
 
+def oracle_coverage_times(n, needed, runs, seed, max_steps=1_000_000, chunk=64):
+    """The coverage scan one draw column at a time, over the same Philox stream."""
+    needed = np.asarray(needed, dtype=np.bool_)
+    times = np.full(runs, -1, dtype=np.int64)
+    if not needed.any():
+        times[:] = 0
+        return times
+    rng = _rng(seed)
+    seen = np.zeros((runs, n), dtype=np.bool_)
+    remaining = np.full(runs, int(needed.sum()), dtype=np.int64)
+    rows = np.arange(runs)
+    offset = 0
+    while offset < max_steps and np.any(times < 0):
+        step = min(chunk, max_steps - offset)
+        draws = rng.integers(0, n, size=(runs, step), dtype=np.int64)
+        for c in range(step):
+            j = draws[:, c]
+            hit = (times < 0) & needed[j] & ~seen[rows, j]
+            seen[rows[hit], j[hit]] = True
+            remaining[hit] -= 1
+            times[hit & (remaining == 0)] = offset + c + 1
+        offset += step
+    return times
+
+
+def oracle_finite_draws(coord, rng, count):
+    """Inverse-CDF draws from a finite coordinate, as the sampler has always made them."""
+    idx = np.searchsorted(np.cumsum(coord.probs), rng.random(count), side="right")
+    return coord.values[np.minimum(idx, len(coord.values) - 1)]
+
+
+def unsorted_three_valued_model():
+    """A non-uniform three-valued coordinate whose support is not in sorted order."""
+    coords = [FiniteCoord([(2.0, 0.3), (-1.0, 0.2), (0.5, 0.5)]),
+              FiniteCoord([(1.0, 0.5), (-1.0, 0.5)])]
+    rng = _rng(43)
+    table = {}
+    for z, _ in ProductDistribution(coords).outcomes():
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        table[z] = g + g.conj().T
+    return MatrixModel(ProductDistribution(coords), lambda z: table[tuple(z)], 3,
+                       name="unsorted_three_valued")
+
+
 def three_valued_model():
     """Non-uniform coordinates with three values each, one of probability 0."""
     coords = [FiniteCoord([(-1.0, 0.2), (0.0, 0.5), (2.0, 0.3)]),
@@ -113,6 +157,13 @@ class TestDistributions:
         b = dist.sample_many(_rng(5), 64)
         assert np.array_equal(a, b)
         assert set(np.unique(a)) <= {-1.0, 1.0}
+
+    def test_sample_many_matches_inverse_cdf_oracle(self):
+        for dist in (ProductDistribution.uniform_pm1(4), three_valued_model().dist,
+                     unsorted_three_valued_model().dist):
+            rng = _rng(6)
+            want = np.column_stack([oracle_finite_draws(c, rng, 500) for c in dist.coords])
+            assert np.array_equal(dist.sample_many(_rng(6), 500), want)
 
     def test_tensor_layout_matches_outcomes(self):
         dist = three_valued_model().dist
@@ -150,6 +201,29 @@ class TestModels:
         zs = m.dist.sample_many(_rng(2), 16)
         for x, z in zip(xs, zs):
             np.testing.assert_allclose(x, m.H(tuple(z)) - m.mean(), atol=1e-14)
+
+    @pytest.mark.parametrize("build", [
+        lambda: dilate_model(rect_demo(3)),
+        lambda: random_finite_model(4, 2, seed=0),
+        lambda: random_finite_model(4, 2, seed=1),
+        unsorted_three_valued_model,
+    ])
+    def test_sample_X_is_H_minus_mean_bitwise(self, build):
+        # sample_X reads the outcome tensor; the reference calls H per sample
+        xs = build().sample_X(600, seed=8)
+        ref = build()
+        zs = ref.dist.sample_many(_rng(8), 600)
+        assert np.array_equal(xs, np.stack([ref.H(tuple(z)) - ref.mean() for z in zs]))
+
+    def test_only_exact_models_cache_H(self):
+        exact = hypercube_sum(3)
+        exact.H((1.0, -1.0, 1.0))
+        assert len(exact._h_cache) == 1
+        m = stein.compound_covariance(2, 3, entry_dist="uniform")
+        m.mean()
+        m.sample_X(50, seed=1)
+        variance_proxy(m, TestMonteCarloBranches.Z, samples=200, seed=2)
+        assert m._h_cache == {}
 
     def test_model_json_roundtrip(self):
         m = random_finite_model(2, 2, seed=3)
@@ -234,6 +308,33 @@ class TestMonteCarloBranches:
         other.mean_seed = 1
         assert not np.array_equal(other.mean(), mean)
         assert other.mean_provenance["seed"] == 1
+
+    @staticmethod
+    def per_sample_mean(m):
+        acc = np.zeros((m.d, m.d), dtype=complex)
+        for z in m.dist.sample_many(_rng(m.mean_seed), m.mean_samples):
+            acc += m.H(tuple(z))
+        return acc / m.mean_samples
+
+    def test_batched_mean_is_the_per_sample_sum(self):
+        # a batch that is not Hermitian, computed entry for entry as H is:
+        # the batched mean symmetrises it and adds the samples in draw order
+        def H(z):
+            return np.array([[z[0], z[1]], [0.0, z[2] * z[1]]], dtype=complex)
+
+        def H_batch(zs):
+            out = np.zeros((len(zs), 2, 2), dtype=complex)
+            out[:, 0, 0], out[:, 0, 1], out[:, 1, 1] = zs[:, 0], zs[:, 1], zs[:, 2] * zs[:, 1]
+            return out
+
+        dist = stein.compound_covariance(1, 3, entry_dist="uniform").dist
+        m = MatrixModel(dist, H, 2, H_batch=H_batch)
+        assert np.array_equal(m.mean(), self.per_sample_mean(m))
+        # compound covariance batches by einsum and H by matmul: roundoff apart
+        cc = stein.compound_covariance(2, 3, entry_dist="uniform")
+        np.testing.assert_allclose(cc.mean(), self.per_sample_mean(cc), rtol=0, atol=1e-15)
+        unbatched = MatrixModel(cc.dist, cc._H, 2)
+        assert np.array_equal(unbatched.mean(), self.per_sample_mean(cc))
 
     def test_variance_proxy_against_quadrature(self):
         m = stein.compound_covariance(2, 3, entry_dist="uniform")
@@ -466,6 +567,48 @@ class TestCoupling:
         times = sample_coupling_times(3, 2000, seed=22, diff_mask=mask)
         # a single differing coordinate couples at a geometric(1/3) time, mean 3
         assert abs(times.mean() - 3.0) <= 5 * times.std(ddof=1) / math.sqrt(2000)
+
+    @pytest.mark.parametrize("n,mask,runs,chunk,max_steps", [
+        (1, "all", 1, 64, 1_000_000),
+        (1, "empty", 5, 64, 10),
+        (2, "all", 2000, 64, 1_000_000),
+        (5, "single", 300, 7, 1_000_000),
+        (8, "all", 2000, 3, 20),
+        (63, "random", 500, 33, 1_000_000),
+        (64, "all", 200, 64, 150),
+        (65, "single", 100, 64, 1_000),
+        (65, "all", 300, 17, 1_000_000),
+        (128, "random", 1000, 129, 1_000_000),
+        (130, "all", 50, 31, 700),
+        (130, "empty", 3, 64, 5),
+    ])
+    def test_coverage_scan_matches_column_oracle(self, n, mask, runs, chunk, max_steps):
+        needed = {"all": np.ones(n, bool), "empty": np.zeros(n, bool),
+                  "single": np.arange(n) == n - 1,
+                  "random": _rng(n).random(n) < 0.4}[mask]
+        got = stein._accel.coverage_times(n, needed, runs, 17, max_steps=max_steps,
+                                          chunk=chunk)
+        assert np.array_equal(got, oracle_coverage_times(n, needed, runs, 17,
+                                                         max_steps, chunk))
+        if max_steps < 1_000:
+            assert np.any(got == -1) or mask == "empty"
+
+    def test_coverage_scan_random_cases(self):
+        r = np.random.default_rng(3)
+        for case in range(40):
+            n = int(r.integers(1, 131))
+            needed = r.random(n) < r.random()
+            runs = int(r.integers(1, 400))
+            chunk = 2 * int(r.integers(0, 50)) + 1
+            max_steps = int(r.integers(1, 600))
+            assert np.array_equal(
+                stein._accel.coverage_times(n, needed, runs, case, max_steps, chunk),
+                oracle_coverage_times(n, needed, runs, case, max_steps, chunk)), case
+
+    def test_sample_coupling_times_matches_oracle(self):
+        for n in (2, 3, 5, 8):
+            assert np.array_equal(sample_coupling_times(n, 2000, seed=n),
+                                  oracle_coverage_times(n, np.ones(n, bool), 2000, n))
 
     def test_premise_constant(self):
         m = hypercube_sum(3)
