@@ -118,9 +118,13 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _merge_config(cfg: dict, flags: dict, allowed: set) -> dict:
-    """Config-file values overridden by explicitly passed flags."""
-    unknown = set(cfg) - allowed
+def _merge_config(cfg: dict, flags: dict, extra: frozenset = frozenset()) -> dict:
+    """Config-file values overridden by explicitly passed flags.
+
+    A config key is a flag's parameter name (the flag with ``-`` as ``_``);
+    ``extra`` names the keys a verb reads from the config only.
+    """
+    unknown = set(cfg) - set(flags) - extra
     if unknown:
         raise ParameterError(f"unknown config keys: {sorted(unknown)}")
     merged = dict(cfg)
@@ -139,8 +143,6 @@ def _require_seed(cfg: dict) -> int:
 
 # ---------------------------------------------------------------------------
 # model registry
-
-_MODEL_KEYS = {"model", "model_file", "n", "d", "rows", "model_seed"}
 
 
 def _build_model(cfg: dict):
@@ -177,8 +179,8 @@ def _build_model(cfg: dict):
 # ---------------------------------------------------------------------------
 # bound curves from config
 
-_CURVE_KEYS = {"name", "d", "v", "c", "sigma2", "D", "p", "n", "L", "B",
-               "R", "S", "tv_seq"}
+# curve parameters that no flag sets: bound and tail read them from the config
+_CURVE_KEYS = frozenset({"D", "B", "L", "R", "S", "p", "n", "tv_seq"})
 
 
 def _build_curve(cfg: dict) -> bounds.BoundCurve:
@@ -235,16 +237,11 @@ def cli():
 @click.option("--v", default=None, type=float)
 @click.option("--c", default=None, type=float)
 @click.option("--sigma2", default=None, type=float)
-@click.option("--t", "t_spec", default=None, type=str)
+@click.option("--t", default=None, type=str)
 @click.option("--out", default=None, type=str)
-def bound(config_path, name, d, v, c, sigma2, t_spec, out):
+def bound(config_path, **flags):
     """Evaluate a closed-form tail bound over a t-grid, as CSV."""
-    cfg = _merge_config(
-        _load_config(config_path),
-        {"name": name, "d": d, "v": v, "c": c, "sigma2": sigma2,
-         "t": t_spec, "out": out},
-        _CURVE_KEYS | {"t", "out"},
-    )
+    cfg = _merge_config(_load_config(config_path), flags, _CURVE_KEYS)
     curve = _build_curve(cfg)
     grid = _parse_grid(cfg.get("t") or "0:4:0.1")
     target = cfg.get("out")
@@ -255,19 +252,10 @@ def bound(config_path, name, d, v, c, sigma2, t_spec, out):
         curve.write_csv(sys.stdout, grid)
 
 
-_VERIFY_KEYS = _MODEL_KEYS | {
-    "check", "p", "theta", "psi", "s", "kernel", "horizon", "samples",
-    "seed", "out", "tolerance",
-}
-
-
 def _kernel_identities_report(model) -> dict:
     kern = stein.ExactKernel(model)
-    anti = float(np.max(np.abs(kern.table + kern.table.transpose(1, 0, 2, 3))))
     ident = stein.check_stein_identity(model, kern)
-    pair = stein.make_exchangeable_pair(model, seed=0)
-    pmf = pair.joint_pmf()
-    asym = max(abs(pr - pmf.get((b, a), 0.0)) for (a, b), pr in pmf.items())
+    anti, asym = stein.pair_asymmetries(model, kern)
 
     def f_ident(x):
         return np.eye(model.d)
@@ -305,35 +293,25 @@ def _kernel_identities_report(model) -> dict:
 
 @cli.command("verify")
 @click.option("--config", "config_path", default=None, type=str)
-@click.option("--check", "check_name", default=None, type=str)
+@click.option("--check", default=None, type=str)
 @click.option("--model", default=None, type=str)
 @click.option("--model-file", default=None, type=str)
 @click.option("--n", default=None, type=int)
 @click.option("--d", default=None, type=int)
 @click.option("--rows", default=None, type=int)
 @click.option("--model-seed", default=None, type=int)
-@click.option("--p", "p_spec", default=None, type=str)
+@click.option("--p", default=None, type=str)
 @click.option("--theta", default=None, type=str)
 @click.option("--psi", default=None, type=str)
-@click.option("--s", "s_spec", default=None, type=str)
-@click.option("--kernel", "kernel_kind", default=None, type=str)
+@click.option("--s", default=None, type=str)
+@click.option("--kernel", default=None, type=str)
 @click.option("--horizon", default=None, type=int)
 @click.option("--samples", default=None, type=int)
 @click.option("--seed", default=None, type=int)
 @click.option("--out", default=None, type=str)
-def verify_cmd(config_path, check_name, model, model_file, n, d, rows,
-               model_seed, p_spec, theta, psi, s_spec, kernel_kind, horizon,
-               samples, seed, out):
+def verify_cmd(config_path, **flags):
     """Run an exact verification check; exit 0 iff it passes."""
-    cfg = _merge_config(
-        _load_config(config_path),
-        {"check": check_name, "model": model, "model_file": model_file,
-         "n": n, "d": d, "rows": rows, "model_seed": model_seed,
-         "p": p_spec, "theta": theta, "psi": psi, "s": s_spec,
-         "kernel": kernel_kind, "horizon": horizon, "samples": samples,
-         "seed": seed, "out": out},
-        _VERIFY_KEYS,
-    )
+    cfg = _merge_config(_load_config(config_path), flags)
     check = cfg.get("check")
     if check is None:
         raise ParameterError("--check is required")
@@ -373,10 +351,6 @@ def verify_cmd(config_path, check_name, model, model_file, n, d, rows,
         raise VerificationFailure(f"{check} failed")
 
 
-_FUZZ_KEYS = {"ineq", "trials", "seed", "d", "q", "s", "p", "ensemble_size",
-              "jobs", "out"}
-
-
 def _run_fuzz(ineq: str, dims, cfg: dict, trials: int, seed: int, jobs: int):
     qs = _parse_ints(cfg.get("q") or "1:7")
     ss = _parse_floats(cfg.get("s") or "0.25,1,4")
@@ -412,23 +386,16 @@ def _run_fuzz(ineq: str, dims, cfg: dict, trials: int, seed: int, jobs: int):
 @click.option("--ineq", default=None, type=str)
 @click.option("--trials", default=None, type=int)
 @click.option("--seed", default=None, type=int)
-@click.option("--d", "d_spec", default=None, type=str)
-@click.option("--q", "q_spec", default=None, type=str)
-@click.option("--s", "s_spec", default=None, type=str)
-@click.option("--p", "p_val", default=None, type=float)
+@click.option("--d", default=None, type=str)
+@click.option("--q", default=None, type=str)
+@click.option("--s", default=None, type=str)
+@click.option("--p", default=None, type=float)
 @click.option("--ensemble-size", default=None, type=int)
 @click.option("--jobs", default=None, type=int)
 @click.option("--out", default=None, type=str)
-def fuzz(config_path, ineq, trials, seed, d_spec, q_spec, s_spec, p_val,
-         ensemble_size, jobs, out):
+def fuzz(config_path, **flags):
     """Fuzz one trace inequality; exit 0 iff min slack clears the threshold."""
-    cfg = _merge_config(
-        _load_config(config_path),
-        {"ineq": ineq, "trials": trials, "seed": seed, "d": d_spec,
-         "q": q_spec, "s": s_spec, "p": p_val, "ensemble_size": ensemble_size,
-         "jobs": jobs, "out": out},
-        _FUZZ_KEYS,
-    )
+    cfg = _merge_config(_load_config(config_path), flags)
     name = cfg.get("ineq")
     if name is None:
         raise ParameterError("--ineq is required")
@@ -446,25 +413,17 @@ def fuzz(config_path, ineq, trials, seed, d_spec, q_spec, s_spec, p_val,
         raise VerificationFailure(f"fuzz {name} min_slack {report.min_slack}")
 
 
-_CONJ_KEYS = {"trials", "seed", "d", "q", "s", "out"}
-
-
 @cli.command()
 @click.option("--config", "config_path", default=None, type=str)
 @click.option("--trials", default=None, type=int)
 @click.option("--seed", default=None, type=int)
-@click.option("--d", "d_spec", default=None, type=str)
-@click.option("--q", "q_spec", default=None, type=str)
-@click.option("--s", "s_spec", default=None, type=str)
+@click.option("--d", default=None, type=str)
+@click.option("--q", default=None, type=str)
+@click.option("--s", default=None, type=str)
 @click.option("--out", default=None, type=str)
-def conjecture(config_path, trials, seed, d_spec, q_spec, s_spec, out):
+def conjecture(config_path, **flags):
     """Sweep the signed trace-inequality forms; always exits 0 on completion."""
-    cfg = _merge_config(
-        _load_config(config_path),
-        {"trials": trials, "seed": seed, "d": d_spec, "q": q_spec,
-         "s": s_spec, "out": out},
-        _CONJ_KEYS,
-    )
+    cfg = _merge_config(_load_config(config_path), flags)
     trials = _as(int, cfg.get("trials") or 0)
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
@@ -479,9 +438,6 @@ def conjecture(config_path, trials, seed, d_spec, q_spec, s_spec, out):
     _emit_json(report.to_json(), cfg.get("out"))
 
 
-_COUPLE_KEYS = {"n", "runs", "seed", "max_steps", "pathwise_runs", "out"}
-
-
 @cli.command()
 @click.option("--config", "config_path", default=None, type=str)
 @click.option("--n", default=None, type=int)
@@ -490,14 +446,9 @@ _COUPLE_KEYS = {"n", "runs", "seed", "max_steps", "pathwise_runs", "out"}
 @click.option("--max-steps", default=None, type=int)
 @click.option("--pathwise-runs", default=None, type=int)
 @click.option("--out", default=None, type=str)
-def couple(config_path, n, runs, seed, max_steps, pathwise_runs, out):
+def couple(config_path, **flags):
     """Coupling-time statistics for antipodal starts on the hypercube."""
-    cfg = _merge_config(
-        _load_config(config_path),
-        {"n": n, "runs": runs, "seed": seed, "max_steps": max_steps,
-         "pathwise_runs": pathwise_runs, "out": out},
-        _COUPLE_KEYS,
-    )
+    cfg = _merge_config(_load_config(config_path), flags)
     n = _as(int, cfg.get("n") or 0)
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
@@ -546,11 +497,6 @@ def couple(config_path, n, runs, seed, max_steps, pathwise_runs, out):
         raise VerificationFailure(f"coupling statistics off by {dev:.2f} sigma")
 
 
-_TAIL_KEYS = _MODEL_KEYS | _CURVE_KEYS | {
-    "samples", "seed", "t", "alpha", "statistic", "out",
-}
-
-
 @cli.command()
 @click.option("--config", "config_path", default=None, type=str)
 @click.option("--model", default=None, type=str)
@@ -559,27 +505,19 @@ _TAIL_KEYS = _MODEL_KEYS | _CURVE_KEYS | {
 @click.option("--d", default=None, type=int)
 @click.option("--rows", default=None, type=int)
 @click.option("--model-seed", default=None, type=int)
-@click.option("--bound", "bound_name", default=None, type=str)
+@click.option("--bound", "name", default=None, type=str)
 @click.option("--v", default=None, type=float)
 @click.option("--c", default=None, type=float)
 @click.option("--sigma2", default=None, type=float)
 @click.option("--samples", default=None, type=int)
 @click.option("--seed", default=None, type=int)
-@click.option("--t", "t_spec", default=None, type=str)
+@click.option("--t", default=None, type=str)
 @click.option("--alpha", default=None, type=float)
 @click.option("--statistic", default=None, type=str)
 @click.option("--out", default=None, type=str)
-def tail(config_path, model, model_file, n, d, rows, model_seed, bound_name,
-         v, c, sigma2, samples, seed, t_spec, alpha, statistic, out):
+def tail(config_path, **flags):
     """Empirical survival vs a bound curve; exit 0 iff dominated everywhere."""
-    cfg = _merge_config(
-        _load_config(config_path),
-        {"model": model, "model_file": model_file, "n": n, "d": d,
-         "rows": rows, "model_seed": model_seed, "name": bound_name,
-         "v": v, "c": c, "sigma2": sigma2, "samples": samples, "seed": seed,
-         "t": t_spec, "alpha": alpha, "statistic": statistic, "out": out},
-        _TAIL_KEYS,
-    )
+    cfg = _merge_config(_load_config(config_path), flags, _CURVE_KEYS)
     mdl = _build_model(cfg)
     curve = _build_curve(cfg) if cfg.get("name") else None
     samples = _as(int, cfg.get("samples") or 0)
@@ -601,20 +539,13 @@ def tail(config_path, model, model_file, n, d, rows, model_seed, bound_name,
             f"bound violated at t = {comparison.violations}")
 
 
-_REPLAY_KEYS = {"case", "out"}
-
-
 @cli.command()
 @click.option("--config", "config_path", default=None, type=str)
-@click.option("--case", "case_path", default=None, type=str)
+@click.option("--case", default=None, type=str)
 @click.option("--out", default=None, type=str)
-def replay(config_path, case_path, out):
+def replay(config_path, **flags):
     """Re-evaluate a serialized fuzz worst case bit-exactly."""
-    cfg = _merge_config(
-        _load_config(config_path),
-        {"case": case_path, "out": out},
-        _REPLAY_KEYS,
-    )
+    cfg = _merge_config(_load_config(config_path), flags)
     path = cfg.get("case")
     if path is None:
         raise ParameterError("--case is required")

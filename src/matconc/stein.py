@@ -137,6 +137,11 @@ class ProductDistribution:
         cols = [np.asarray(c.sample(rng, count), dtype=float) for c in self.coords]
         return np.column_stack(cols)
 
+    def sample_outcomes(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """The draws of sample_many as positions in outcomes() order."""
+        idx = [c.sample_index(rng, count) for c in self.coords]
+        return np.ravel_multi_index(idx, self.shape)
+
     def outcomes(self):
         """Iterate (z, probability) over the whole product space."""
         if not self.finite:
@@ -279,9 +284,7 @@ class MatrixModel:
         """Draw ``count`` centered samples X = H(Z) - E H(Z), shape (count, d, d)."""
         rng = _rng(seed)
         if self._H_batch is None and self.exact:
-            # the same draws as sample_many, kept as positions in each support
-            idx = [c.sample_index(rng, count) for c in self.dist.coords]
-            hs = outcome_stack(self.H_tensor())[np.ravel_multi_index(idx, self.dist.shape)]
+            hs = outcome_stack(self.H_tensor())[self.dist.sample_outcomes(rng, count)]
         else:
             zs = self.dist.sample_many(rng, count)
             hs = (np.stack([self.H(tuple(z)) for z in zs]) if self._H_batch is None
@@ -505,14 +508,6 @@ def random_finite_model(n: int, d: int, seed: int) -> MatrixModel:
     return MatrixModel(dist, H, d, name=f"random_finite(n={n},d={d},seed={seed})")
 
 
-BUILTIN_MODELS = {
-    "hypercube_sum": hypercube_sum,
-    "bounded_diff": bounded_diff_demo,
-    "compound_covariance": compound_covariance,
-    "random_finite": random_finite_model,
-}
-
-
 # ---------------------------------------------------------------------------
 # exchangeable pairs
 
@@ -557,10 +552,6 @@ class ExchangeablePair:
                     key = (z, z[:j] + (float(b),) + z[j + 1:])
                     pmf[key] = pmf.get(key, 0.0) + base * (coord.probs[idx[j]] * pb) / n
         return pmf
-
-
-def make_exchangeable_pair(model: MatrixModel, seed: int) -> ExchangeablePair:
-    return ExchangeablePair(model, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -972,6 +963,30 @@ def kernel_mean_norm(model: MatrixModel, kernel) -> float:
     return _opnorm(replacement_sum(
         model.dist, lambda j, v: model.expect(kernel_on_neighbours(model, kernel, j, v)),
         pair_law=True))
+
+
+def pair_asymmetries(model: MatrixModel, kernel: ExactKernel) -> tuple:
+    """max |K(z, z') + K(z', z)| and max |P(z, z') - P(z', z)| over the
+    replacement pairs z' = z_{j<-v}, the support of the exchangeable pair.
+
+    Both sweep outcome tensors, never the S x S table.  P(z, z_{j<-b}) is
+    formed as ExchangeablePair.joint_pmf forms it, base * (p_a * p_b) / n,
+    so on a correct model both maxima are 0 bitwise.
+    """
+    g, n = kernel.g, model.dist.n
+    anti = asym = 0.0
+    for j, coord in enumerate(model.dist.coords):
+        for v in range(len(coord)):
+            nb = neighbour(g, j, v)
+            anti = max(anti, float(np.max(np.abs((g - nb) + (nb - g)))))
+        base = np.ones(())
+        for k, c in enumerate(model.dist.coords):
+            base = base[..., None] * (np.ones(len(c)) if k == j else c.probs)
+        # cell[z, b] = P(z, z_{j<-b}); axes j and b swapped give P(z_{j<-b}, z)
+        pa = coord.probs.reshape((-1,) + (1,) * (n - j))
+        cell = base[..., None] * (pa * coord.probs) / n
+        asym = max(asym, float(np.max(np.abs(cell - cell.swapaxes(j, -1)))))
+    return anti, asym
 
 
 def r_psi(model: MatrixModel, cond_vars: dict, psi: float, s_grid) -> dict:

@@ -939,21 +939,21 @@ def sample_statistics(model, samples: int, seed: int, statistic: str) -> np.ndar
     """Per-sample lambda_max or operator norm of the centered matrix.
 
     For a rectangular model both are the largest singular value, which is
-    lambda_max of the Hermitian dilation.
+    lambda_max of the Hermitian dilation.  An enumerable model decomposes
+    each of its S outcomes once and gathers by the samples' outcome indices;
+    LAPACK runs per matrix, so each value is the per-sample one bit for bit.
     """
     if statistic not in ("lmax", "opnorm"):
         raise ParameterError(f"unknown statistic {statistic!r}")
     if isinstance(model, stein.RectangularModel):
-        rng = _rng(seed)
-        zs = model.dist.sample_many(rng, samples)
-        mean = model.mean()
-        # rectangular models are enumerable, so samples repeat: one SVD per
-        # distinct outcome, gathered back in sample order
-        outcomes, inverse = np.unique(zs, axis=0, return_inverse=True)
-        xs = np.stack([model.H(tuple(z)) for z in outcomes]) - mean
-        return np.linalg.svd(xs, compute_uv=False)[:, 0][inverse.reshape(-1)]
-    xs = model.sample_X(samples, seed)
-    eigs = np.linalg.eigvalsh(xs)
+        xs = np.stack([model.X(z) for z, _ in model.dist.outcomes()])
+        return np.linalg.svd(xs, compute_uv=False)[:, 0][
+            model.dist.sample_outcomes(_rng(seed), samples)]
+    if model.exact:
+        eigs = np.linalg.eigvalsh(stein.outcome_stack(model.X_tensor()))[
+            model.dist.sample_outcomes(_rng(seed), samples)]
+    else:
+        eigs = np.linalg.eigvalsh(model.sample_X(samples, seed))
     if statistic == "lmax":
         return eigs[:, -1]
     return np.maximum(eigs[:, -1], -eigs[:, 0])

@@ -14,10 +14,46 @@ from matconc import cli, verify
 from matconc.matcore import HermitianMatrix
 
 
+# every verb's config keys: its flags with "-" as "_", and tail's --bound as name
+CONFIG_KEYS = {
+    "bound": ["name", "d", "v", "c", "sigma2", "t", "out"],
+    "verify": ["check", "model", "model_file", "n", "d", "rows", "model_seed", "p",
+               "theta", "psi", "s", "kernel", "horizon", "samples", "seed", "out"],
+    "fuzz": ["ineq", "trials", "seed", "d", "q", "s", "p", "ensemble_size", "jobs",
+             "out"],
+    "conjecture": ["trials", "seed", "d", "q", "s", "out"],
+    "couple": ["n", "runs", "seed", "max_steps", "pathwise_runs", "out"],
+    "tail": ["model", "model_file", "n", "d", "rows", "model_seed", "name", "v", "c",
+             "sigma2", "samples", "seed", "t", "alpha", "statistic", "out"],
+    "replay": ["case", "out"],
+}
+
+
 def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class _Merged(Exception):
+    pass
+
+
+def merged_config(monkeypatch, argv):
+    """The config a verb merges from its --config file and flags; the verb
+    stops right after the merge."""
+    seen = {}
+    merge = cli._merge_config
+
+    def spy(*args):
+        seen.update(merge(*args))
+        raise _Merged
+
+    monkeypatch.setattr(cli, "_merge_config", spy)
+    with pytest.raises(_Merged):
+        cli.cli.main(args=argv, standalone_mode=False)
+    monkeypatch.setattr(cli, "_merge_config", merge)
+    return seen
 
 
 class TestBoundVerb:
@@ -190,12 +226,39 @@ class TestConfigPlumbing:
         assert json.loads(out)["trials"] == 10
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
-        cfg = tmp_path / "fuzz.json"
-        cfg.write_text(json.dumps({"ineq": "pmvti", "trials": 5, "seed": 1,
-                                   "tirals": 5}))
-        code, _, err = run(["fuzz", "--config", str(cfg)], capsys)
-        assert code == 3
-        assert "tirals" in json.loads(err)["error"]["message"]
+        cfg = tmp_path / "cfg.json"
+        for verb, keys in CONFIG_KEYS.items():
+            cfg.write_text(json.dumps({keys[0]: "x", "tirals": 5}))
+            code, _, err = run([verb, "--config", str(cfg)], capsys)
+            assert code == 3, verb
+            assert "tirals" in json.loads(err)["error"]["message"], verb
+
+    def test_config_keys_are_the_flag_names(self, monkeypatch, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        for verb, keys in CONFIG_KEYS.items():
+            params = cli.cli.commands[verb].params
+            assert {p.name for p in params} == set(keys) | {"config_path"}, verb
+            config_only = cli._CURVE_KEYS if verb in ("bound", "tail") else ()
+            for key in (*keys, *config_only):
+                cfg.write_text(json.dumps({key: "from-config"}))
+                argv = [verb, "--config", str(cfg)]
+                assert merged_config(monkeypatch, argv)[key] == "from-config"
+                if key in keys:
+                    flag = "--bound" if (verb, key) == ("tail", "name") else (
+                        "--" + key.replace("_", "-"))
+                    # int, float and str flags read "7" as 7, 7.0 and "7"
+                    got = merged_config(monkeypatch, argv + [flag, "7"])[key]
+                    assert got in (7, "7"), (verb, key, got)
+
+    def test_verify_has_no_tolerance_key(self, capsys, tmp_path):
+        # the exact tolerance is fixed; a config that sets it must not run
+        cfg = tmp_path / "verify.json"
+        cfg.write_text(json.dumps({"check": "poly_efron_stein",
+                                   "model": "hypercube_sum", "tolerance": 1e-3}))
+        code, out, err = run(["verify", "--config", str(cfg)], capsys)
+        assert code == 3 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "config" and "tolerance" in error["message"]
 
     def test_malformed_config(self, capsys, tmp_path):
         cfg = tmp_path / "broken.json"

@@ -16,6 +16,7 @@ from matconc.stein import (
     DifferenceKernel,
     EstimatedKernel,
     ExactKernel,
+    ExchangeablePair,
     FiniteCoord,
     MatrixModel,
     ProductDistribution,
@@ -28,7 +29,7 @@ from matconc.stein import (
     exchangeable_pairs_identity,
     hypercube_sum,
     kernel_mean_norm,
-    make_exchangeable_pair,
+    pair_asymmetries,
     r_psi,
     random_finite_model,
     rect_demo,
@@ -359,7 +360,7 @@ class TestMonteCarloBranches:
 class TestExchangeablePair:
     def test_joint_pmf_total_and_swap_symmetry(self):
         m = random_finite_model(2, 2, seed=7)
-        pair = make_exchangeable_pair(m, seed=1)
+        pair = ExchangeablePair(m, seed=1)
         pmf = pair.joint_pmf()
         assert abs(sum(pmf.values()) - 1.0) < 1e-12
         for (za, zb), p in pmf.items():
@@ -367,17 +368,32 @@ class TestExchangeablePair:
 
     def test_joint_pmf_marginal(self):
         m = hypercube_sum(2)
-        pmf = make_exchangeable_pair(m, seed=1).joint_pmf()
+        pmf = ExchangeablePair(m, seed=1).joint_pmf()
         marg: dict = {}
         for (za, _), p in pmf.items():
             marg[za] = marg.get(za, 0.0) + p
         for _, p in marg.items():
             assert abs(p - 0.25) < 1e-14
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pair_asymmetries_vanish_bitwise(self, seed):
+        # random probabilities, so a product taken in another order than
+        # joint_pmf's would round differently in the two cells of a pair
+        rng = _rng(seed)
+        coords = []
+        for m in (3, 2, 4, 3):
+            p = rng.random(m)
+            p /= p.sum()
+            coords.append(FiniteCoord(zip(rng.standard_normal(m), p)))
+        dist = ProductDistribution(coords)
+        table = {z: np.diag(rng.standard_normal(2)) for z, _ in dist.outcomes()}
+        model = MatrixModel(dist, lambda z: table[tuple(z)], 2)
+        assert pair_asymmetries(model, ExactKernel(model)) == (0.0, 0.0)
+
     def test_sample_reproducible(self):
         m = hypercube_sum(3)
-        a = [make_exchangeable_pair(m, seed=9).sample() for _ in range(1)][0]
-        b = [make_exchangeable_pair(m, seed=9).sample() for _ in range(1)][0]
+        a = [ExchangeablePair(m, seed=9).sample() for _ in range(1)][0]
+        b = [ExchangeablePair(m, seed=9).sample() for _ in range(1)][0]
         assert a == b
         z, zp = a
         assert sum(x != y for x, y in zip(z, zp)) <= 1
@@ -482,7 +498,7 @@ class TestEstimatedKernel:
 class TestConditionalVariances:
     def test_vx_matches_joint_pmf_brute_force(self):
         m = random_finite_model(2, 2, seed=31)
-        pair = make_exchangeable_pair(m, seed=1)
+        pair = ExchangeablePair(m, seed=1)
         pmf = pair.joint_pmf()
         k = ExactKernel(m)
         for z, pz in m.dist.outcomes():
@@ -502,7 +518,7 @@ class TestConditionalVariances:
 
     def test_pair_model_mismatch_rejected(self):
         m1, m2 = hypercube_sum(2), hypercube_sum(2)
-        pair = make_exchangeable_pair(m1, seed=1)
+        pair = ExchangeablePair(m1, seed=1)
         with pytest.raises(PreconditionError):
             conditional_variances(m2, pair, ExactKernel(m2), (1.0, 1.0))
 

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from matconc import bounds, stein, verify
+from matconc import bounds, cli, stein, verify
 from matconc.matcore import (
     HermitianMatrix,
     ParameterError,
@@ -626,12 +626,13 @@ class TestKernelChecks:
         with pytest.raises(ParameterError):
             variance_domination(small_cutoff, None)
 
-    def test_checks_never_build_the_pair_table(self, monkeypatch):
+    def test_checks_never_build_the_pair_table(self, monkeypatch, capsys):
         # every exact check is a sum over replacement neighbours, linear in S
         def refuse(self):
-            raise AssertionError("S x S kernel table built")
+            raise AssertionError("S x S kernel table or pair pmf built")
 
         monkeypatch.setattr(ExactKernel, "table", property(refuse))
+        monkeypatch.setattr(stein.ExchangeablePair, "joint_pmf", refuse)
         m = hypercube_sum(12)
         k = ExactKernel(m)
         assert verify_poly_efron_stein(m, [1, 2])["pass"] is True
@@ -641,6 +642,10 @@ class TestKernelChecks:
         assert stein.check_stein_identity(m, k).residual <= 1e-10
         assert stein.kernel_mean_norm(m, k) <= 1e-10
         assert stein.exchangeable_pairs_identity(m, k, lambda x: x @ x @ x) <= 1e-10
+        assert cli.main(["verify", "--check", "kernel_identities",
+                         "--model", "hypercube_sum", "--n", "12"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["antisymmetry_max"] == 0.0 and report["pmf_asymmetry"] == 0.0
 
 
 class TestDkwRadius:
@@ -719,6 +724,24 @@ class TestEmpiricalTail:
         expect = [np.linalg.svd(model.H(tuple(z)) - model.mean(), compute_uv=False)[0]
                   for z in zs]
         assert np.array_equal(sample_statistics(model, 3000, seed, "lmax"), expect)
+
+    @pytest.mark.parametrize("make", [
+        lambda: hypercube_sum(4),
+        lambda: stein.bounded_diff_demo(5, 3),
+        lambda: stein.compound_covariance(2, 3),
+        lambda: stein.compound_covariance(2, 3, B=np.diag([1.0, 2.0, 0.5]) + 0.3),
+        lambda: random_finite_model(4, 3, 1),
+        lambda: stein.dilate_model(rect_demo(3)),
+    ])
+    @pytest.mark.parametrize("statistic", ["lmax", "opnorm"])
+    def test_enumerable_matches_per_sample_eigvalsh(self, make, statistic):
+        # oracle: one eigvalsh per sample of H(z) - E H
+        model = make()
+        zs = model.dist.sample_many(verify._rng(8), 2000)
+        eigs = np.array([np.linalg.eigvalsh(model.H(tuple(z)) - model.mean()) for z in zs])
+        expect = (eigs[:, -1] if statistic == "lmax"
+                  else np.maximum(eigs[:, -1], -eigs[:, 0]))
+        assert np.array_equal(sample_statistics(model, 2000, 8, statistic), expect)
 
     def test_rectangular_model_uses_singular_values(self):
         vals = sample_statistics(rect_demo(3), 120, 4, "lmax")
