@@ -224,6 +224,14 @@ class MatrixModel:
                 self._h_cache[key] = got
         return got
 
+    def H_rows(self, zs) -> np.ndarray:
+        """H at each row of ``zs``, shape (len(zs), d, d): one call of the
+        batched H when the model has one, symmetrised as ``H`` symmetrises."""
+        if self._H_batch is None:
+            return np.stack([self.H(tuple(z)) for z in zs])
+        hs = np.asarray(self._H_batch(zs), dtype=np.complex128)
+        return (hs + hs.conj().swapaxes(-1, -2)) / 2
+
     @property
     def exact(self) -> bool:
         return self.dist.finite and self.dist.cardinality <= self.enum_cutoff
@@ -257,13 +265,8 @@ class MatrixModel:
                 self.mean_provenance = {"method": "exact"}
             else:
                 zs = self.dist.sample_many(_rng(self.mean_seed), self.mean_samples)
-                if self._H_batch is not None:
-                    hs = np.asarray(self._H_batch(zs), dtype=np.complex128)
-                    hs = (hs + hs.conj().swapaxes(-1, -2)) / 2
-                else:
-                    hs = np.stack([self.H(tuple(z)) for z in zs])
                 # the sum along axis 0 adds the samples one after another
-                self._mean = hs.sum(axis=0) / self.mean_samples
+                self._mean = self.H_rows(zs).sum(axis=0) / self.mean_samples
                 self.mean_provenance = {
                     "method": "mc",
                     "samples": self.mean_samples,
@@ -627,23 +630,23 @@ def variance_proxy(model: MatrixModel, z, samples: int | None = None,
     """V(z) = (1/2) sum_j E[(H(z) - H(z with coord j resampled))^2].
 
     Exact on finite models under the cutoff.  Otherwise each coordinate's
-    expectation is a mean over ``samples`` draws seeded by ``seed``.
+    expectation is a mean over ``samples`` draws seeded by ``seed``: the
+    replaced states of one coordinate go through ``H_rows`` as one batch, and
+    their squared differences are added in draw order.
     """
     if model.exact:
         return HermitianMatrix(outcome_stack(variance_proxy_tensor(model))[model.dist.index(z)])
     if samples is None or seed is None:
         raise ParameterError("models that cannot be enumerated need samples and seed")
-    z = tuple(z)
+    z = tuple(float(v) for v in z)
     hz = model.H(z)
     acc = np.zeros_like(hz)
     rng = _rng(seed)
     for j, coord in enumerate(model.dist.coords):
-        vs = np.atleast_1d(coord.sample(rng, samples))
-        sub = np.zeros_like(hz)
-        for v in vs:
-            diff = hz - model.H(model.replace(z, j, float(v)))
-            sub += diff @ diff
-        acc += sub / samples
+        zs = np.tile(z, (samples, 1))
+        zs[:, j] = coord.sample(rng, samples)
+        diff = hz - model.H_rows(zs)
+        acc += (diff @ diff).sum(axis=0) / samples
     return HermitianMatrix(acc / 2.0)
 
 
@@ -772,45 +775,74 @@ def default_horizon(n: int, h_max: float, tol: float = 1e-10) -> int:
     return max(1, int(math.ceil(need)))
 
 
+# Samples stepped together by estimate_kernel: bounds its memory whatever ``samples``.
+_KERNEL_BLOCK = 4096
+
+
 def estimate_kernel(model: MatrixModel, z, zp, horizon: int, samples: int,
                     seed: int, h_max: float | None = None) -> KernelEstimate:
     """Monte Carlo estimate of the coupling kernel at one pair of states.
 
-    Runs ``samples`` coupled chain pairs for ``horizon`` steps with shared
-    randomness and averages the summed differences.  The shared draws depend
-    only on (seed, sample index), never on the argument order, so swapping
-    (z, z') negates the estimate exactly.
+    Averages sum_{t <= horizon} H(a_t) - H(b_t) over ``samples`` coupled chain
+    pairs from (z, z'); its mean is g_h(z) - g_h(z'), g_h = sum_{i <= h} P^i X.
+    The samples step in lockstep, _KERNEL_BLOCK at a time, as arrays of
+    support positions that gather H from the outcome tensor (of values that
+    go through ``H``, on a model that cannot be enumerated).  Every sample of
+    block k draws J and one replacement per coordinate at every step, met or
+    not, from the seed's Philox stream jumped k times, so the draws depend
+    only on (seed, step) and swapping (z, z') negates the estimate bitwise.
+    Stream version 2: version 1 seeded one generator per sample.
     """
     if horizon < 1:
         raise ParameterError(f"horizon must be >= 1, got {horizon}")
     if samples < 1:
         raise ParameterError(f"samples must be >= 1, got {samples}")
+    dist = model.dist
+    n = dist.n
+    d = model.d
     z = tuple(float(v) for v in z)
     zp = tuple(float(v) for v in zp)
-    n = model.dist.n
-    d = model.d
+    if len(z) != n or len(zp) != n:
+        raise ParameterError(f"states need {n} coordinates, got {len(z)} and {len(zp)}")
     if h_max is None:
         h_max = model.max_h_norm() if model.exact else None
     if h_max is None:
         raise ParameterError("h_max is required for models that cannot be enumerated")
 
+    if model.exact:
+        hs = outcome_stack(model.H_tensor())
+        starts = [np.unravel_index(dist.index(s), dist.shape) for s in (z, zp)]
+        draws = [c.sample_index for c in dist.coords]
+
+        def at(rows):
+            return hs[np.ravel_multi_index(tuple(rows.T), dist.shape)]
+    else:
+        starts = [z, zp]
+        draws = [c.sample for c in dist.coords]
+
+        def at(rows):
+            return np.array([model.H(tuple(r)) for r in rows]).reshape(len(rows), d, d)
+
+    bitgen = np.random.Philox(int(seed))
     acc = np.zeros((d, d), dtype=np.complex128)
     acc_sq = 0.0
-    for s in range(samples):
-        rng = _rng((seed << 20) + s)
-        a, b = z, zp
-        total = model.H(a) - model.H(b) if a != b else np.zeros((d, d), np.complex128)
+    for k, lo in enumerate(range(0, samples, _KERNEL_BLOCK)):
+        rng = np.random.Generator(bitgen.jumped(k))
+        m = min(_KERNEL_BLOCK, samples - lo)
+        a, b = (np.tile(s, (m, 1)) for s in starts)
+        total = np.repeat(at(a[:1]) - at(b[:1]), m, axis=0)
+        live = np.flatnonzero((a != b).any(axis=1))
         for _ in range(horizon):
-            if a == b:
+            if live.size == 0:
                 break
-            j = int(rng.integers(0, n))
-            v = float(model.dist.coords[j].sample(rng))
-            a = model.replace(a, j, v)
-            b = model.replace(b, j, v)
-            if a != b:
-                total = total + (model.H(a) - model.H(b))
-        acc += total
-        acc_sq += float(np.linalg.norm(total)) ** 2
+            j = rng.integers(0, n, m)
+            v = np.column_stack([draw(rng, m) for draw in draws])[np.arange(m), j]
+            a[live, j[live]] = b[live, j[live]] = v[live]
+            live = live[(a[live] != b[live]).any(axis=1)]
+            total[live] += at(a[live]) - at(b[live])
+        # the sum along axis 0 adds the samples one after another
+        acc += total.sum(axis=0)
+        acc_sq += float(np.vdot(total, total).real)
     est = acc / samples
     if samples > 1:
         var = max(0.0, acc_sq / samples - float(np.linalg.norm(est)) ** 2)
@@ -825,9 +857,10 @@ def estimate_kernel(model: MatrixModel, z, zp, horizon: int, samples: int,
 class EstimatedKernel:
     """Kernel served by on-demand truncated estimation, one pair at a time.
 
-    The per-pair seed is a digest of the unordered pair, so querying (z, z')
-    and (z', z) replays the same coupled chains and the answers negate
-    bitwise.  Estimates are cached.
+    The per-pair seed is a digest of the unordered pair, and the draws of
+    ``estimate_kernel`` depend only on (seed, step), so querying (z, z') and
+    (z', z) replays the same coupled chains and the answers negate bitwise.
+    Estimates are cached.
     """
 
     def __init__(self, model: MatrixModel, horizon: int, samples: int, seed: int,

@@ -5,6 +5,7 @@ independent of the library's own enumeration helpers.
 """
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +80,22 @@ def iterative_kernel_table(model, tol=1e-14, max_iter=20_000):
                 nxt += (p / n) * M[np.ix_(r, r)]
         M = nxt
     raise AssertionError("kernel iteration did not converge")
+
+
+def truncated_kernel(model, h):
+    """g_h = sum_{i<=h} P^i X by h applications of P = (1/n) sum_j E_j, each
+    E_j the probability-weighted mean along axis j (kept, so it broadcasts)."""
+    n = model.dist.n
+    term = model.X_tensor()
+    g = term.copy()
+    for _ in range(h):
+        nxt = np.zeros_like(term)
+        for j, coord in enumerate(model.dist.coords):
+            p = coord.probs.reshape((1,) * j + (-1,) + (1,) * (term.ndim - j - 1))
+            nxt = nxt + (p * term).sum(axis=j, keepdims=True) / n
+        term = nxt
+        g = g + term
+    return stein.outcome_stack(g)
 
 
 def oracle_coverage_times(n, needed, runs, seed, max_steps=1_000_000, chunk=64):
@@ -337,6 +354,36 @@ class TestMonteCarloBranches:
         unbatched = MatrixModel(cc.dist, cc._H, 2)
         assert np.array_equal(unbatched.mean(), self.per_sample_mean(cc))
 
+    @staticmethod
+    def per_draw_variance_proxy(m, z, samples, seed):
+        """The sampled variance proxy with one H call per draw, in draw order."""
+        hz = m.H(z)
+        acc = np.zeros_like(hz)
+        rng = _rng(seed)
+        for j, coord in enumerate(m.dist.coords):
+            sub = np.zeros_like(hz)
+            for v in np.atleast_1d(coord.sample(rng, samples)):
+                diff = hz - m.H(m.replace(z, j, float(v)))
+                sub += diff @ diff
+            acc += sub / samples
+        return acc / 2.0
+
+    def test_batched_variance_proxy_is_the_per_draw_sum(self):
+        # compound covariance batches by einsum and H by matmul: roundoff apart
+        cc = stein.compound_covariance(2, 3, entry_dist="uniform")
+        got = variance_proxy(cc, self.Z, samples=4000, seed=5).a
+        ref = self.per_draw_variance_proxy(cc, self.Z, 4000, 5)
+        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+        unbatched = MatrixModel(cc.dist, cc._H, 2)
+        assert np.array_equal(variance_proxy(unbatched, self.Z, samples=4000, seed=5).a,
+                              ref)
+        # hypercube_sum batches in exact arithmetic
+        hc = hypercube_sum(3)
+        hc.enum_cutoff = 2
+        z = (1.0, -1.0, 1.0)
+        assert np.array_equal(variance_proxy(hc, z, samples=300, seed=2).a,
+                              self.per_draw_variance_proxy(hc, z, 300, 2))
+
     def test_variance_proxy_against_quadrature(self):
         m = stein.compound_covariance(2, 3, entry_dist="uniform")
         # each coordinate's expectation is of a degree-4 polynomial in the
@@ -493,6 +540,114 @@ class TestEstimatedKernel:
         chk = check_stein_identity(m, ek)
         assert chk.radius > 0
         assert math.isfinite(chk.residual)
+        assert chk.residual <= 5 * chk.radius
+
+    def test_swap_negates_estimate_kernel_bitwise(self):
+        m = random_finite_model(3, 2, seed=4)
+        z, zp = (1.0, -1.0, 1.0), (-1.0, -1.0, -1.0)
+        fwd = estimate_kernel(m, z, zp, horizon=30, samples=700, seed=12)
+        back = estimate_kernel(m, zp, z, horizon=30, samples=700, seed=12)
+        assert np.array_equal(fwd.estimate.a, -back.estimate.a)
+        assert fwd.se_norm == back.se_norm
+        same = estimate_kernel(m, z, z, horizon=30, samples=700, seed=12)
+        assert np.array_equal(same.estimate.a, np.zeros((2, 2))) and same.se_norm == 0.0
+
+    @pytest.mark.parametrize("block", [7, stein._KERNEL_BLOCK])
+    def test_draws_are_shared_by_every_pair(self, block, monkeypatch):
+        # all three pairs replay one (J, replacement) stream, so per sample the
+        # summed differences telescope: K(z, z'') = K(z, z') + K(z', z'')
+        monkeypatch.setattr(stein, "_KERNEL_BLOCK", block)
+        m = three_valued_model()
+        zs = [z for z, _ in m.dist.outcomes()]
+        z, zp, zpp = zs[0], zs[7], zs[-1]
+
+        def est(a, b):
+            return estimate_kernel(m, a, b, horizon=25, samples=40, seed=3).estimate.a
+
+        np.testing.assert_allclose(est(z, zpp), est(z, zp) + est(zp, zpp),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("block", [5, stein._KERNEL_BLOCK])
+    @pytest.mark.parametrize("build", [
+        lambda: hypercube_sum(3),
+        lambda: random_finite_model(3, 2, seed=4),
+        unsorted_three_valued_model,
+    ])
+    def test_sampled_branch_matches_exact_branch_bitwise(self, build, block, monkeypatch):
+        # a model above its cutoff steps values through H, not positions
+        # through the outcome tensor, on the same draws
+        monkeypatch.setattr(stein, "_KERNEL_BLOCK", block)
+        exact, sampled = build(), build()
+        sampled.enum_cutoff = 2
+        assert exact.exact and not sampled.exact
+        zs = [z for z, _ in exact.dist.outcomes()]
+        h_max = exact.max_h_norm()
+        for zp in (zs[1], zs[-1]):
+            want = estimate_kernel(exact, zs[0], zp, horizon=12, samples=23, seed=9)
+            got = estimate_kernel(sampled, zs[0], zp, horizon=12, samples=23, seed=9,
+                                  h_max=h_max)
+            assert np.array_equal(got.estimate.a, want.estimate.a)
+            assert (got.se_norm, got.truncation_error_bound) == (
+                want.se_norm, want.truncation_error_bound)
+        with pytest.raises(ParameterError):
+            estimate_kernel(sampled, zs[0], zs[1], horizon=12, samples=23, seed=9)
+
+    def test_memory_is_one_block(self, monkeypatch):
+        monkeypatch.setattr(stein, "_KERNEL_BLOCK", 256)
+        m = hypercube_sum(3, d=4)
+
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                estimate_kernel(m, (1.0, 1.0, 1.0), (-1.0, -1.0, -1.0), horizon=60,
+                                samples=samples, seed=3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # builds the outcome tensor and H's memo outside the measurement
+        assert peak(40 * 256) <= 1.5 * peak(256)
+
+    def test_states_off_the_support_are_rejected(self):
+        m = hypercube_sum(3)
+        for z in [(1.0, 1.0, 0.5), (1.0, 1.0), (1.0, 1.0, 1.0, 1.0)]:
+            with pytest.raises(ParameterError):
+                estimate_kernel(m, z, (1.0, 1.0, 1.0), horizon=5, samples=10, seed=1)
+            with pytest.raises(ParameterError):
+                EstimatedKernel(m, horizon=5, samples=10, seed=1).at((1.0, 1.0, 1.0), z)
+
+
+class TestKernelAgainstTruth:
+    """The estimator's mean is the truncated kernel g_h(z) - g_h(z')."""
+
+    MODELS = {
+        "hypercube": lambda: hypercube_sum(3),
+        "random": lambda: random_finite_model(3, 2, seed=8),
+        "bounded_diff": lambda: stein.bounded_diff_demo(3),
+        "three_valued": three_valued_model,
+        "unsorted": unsorted_three_valued_model,
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_truncated_kernel_reaches_the_poisson_solution(self, name):
+        m = self.MODELS[name]()
+        g = stein.outcome_stack(ExactKernel(m).g)
+        assert np.max(np.abs(truncated_kernel(m, 400) - g)) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_estimates_lie_near_the_truncated_kernel(self, name):
+        m = self.MODELS[name]()
+        zs = [z for z, _ in m.dist.outcomes()]
+        pairs = [(0, 1), (0, len(zs) // 2), (1, len(zs) - 1)]
+        exact = stein.outcome_stack(ExactKernel(m).g)
+        for h in (2, 5, 40):
+            g = truncated_kernel(m, h)
+            for i, k in pairs:
+                est = estimate_kernel(m, zs[i], zs[k], horizon=h, samples=4000,
+                                      seed=100 * h + k)
+                assert np.linalg.norm(est.estimate.a - (g[i] - g[k])) <= 5 * est.se_norm
+                tail = (exact[i] - exact[k]) - (g[i] - g[k])
+                assert _opnorm(tail) <= est.truncation_error_bound, (h, i, k)
 
 
 class TestConditionalVariances:

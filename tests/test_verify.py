@@ -614,6 +614,16 @@ class TestKernelChecks:
         assert rep["kernel_inflation"] > 0.0
         assert rep["pass"] is True
 
+    def test_estimated_kernel_moments_pass_on_every_seed(self):
+        # hypercube_sum(3) at 500 samples per pair, the estimated-kernel
+        # configuration of the README and the benchmark
+        m = hypercube_sum(3)
+        horizon = stein.default_horizon(3, m.max_h_norm())
+        for seed in range(20):
+            ek = EstimatedKernel(m, horizon=horizon, samples=500, seed=seed)
+            rep = verify_kernel_poly_moments(m, ek, [1, 2], verify.DEFAULT_S_GRID)
+            assert rep["pass"] is True, seed
+
     def test_variance_domination(self):
         m = hypercube_sum(3)
         out = variance_domination(m, ExactKernel(m))
