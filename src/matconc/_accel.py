@@ -19,11 +19,17 @@ def coverage_times(n: int, needed: np.ndarray, runs: int, seed: int,
     or -1 if that does not happen within ``max_steps``.  An empty needed
     set gives 0.
 
-    Draws come in (runs, chunk) blocks, drawn for every run so that the
-    stream does not depend on which runs are done.  Coordinates are bits of
-    uint64 words, 64 per word; for the runs still open, a cumulative OR
-    along each row gives the set drawn so far after every step, and a run's
-    time is the first step whose set holds every needed bit.
+    Draws come in (runs, chunk) blocks of int32, drawn for every run so that
+    the stream does not depend on which runs are done; for n <= 2**31 numpy
+    draws int32 and int64 by the same 32-bit method, so the values are those
+    of int64 draws (a larger n is rejected by the draw).  Coordinates are
+    bits of the narrowest unsigned word that holds min(n, 64) of them (uint8
+    up to n = 8, then uint16, uint32, and uint64 words, 64 coordinates a
+    word, above n = 32), masked to the needed bits.  Each block is transposed to (step, open runs), so the
+    prefix OR along the steps is one vectorised OR per step over all open
+    runs.  Coverage only grows within a block, so a run covered by the
+    block's last step was covered at step offset + 1 + (the number of its
+    steps that were not yet covered).
     """
     needed = np.asarray(needed, dtype=np.bool_)
     if needed.shape != (n,):
@@ -32,31 +38,39 @@ def coverage_times(n: int, needed: np.ndarray, runs: int, seed: int,
     if not needed.any():
         times[:] = 0
         return times
-    words = -(-n // 64)
-    flags = np.zeros(64 * words, dtype=np.uint64)
+    width = next(w for w in (8, 16, 32, 64) if w >= min(n, 64))
+    word = np.dtype(f"uint{width}")
+    words = -(-n // width)
+    flags = np.zeros(width * words, dtype=word)
     flags[:n] = needed
-    need = np.bitwise_or.reduce(flags.reshape(words, 64) << np.arange(64, dtype=np.uint64),
+    need = np.bitwise_or.reduce(flags.reshape(words, width) << np.arange(width, dtype=word),
                                 axis=1)
+    live = np.flatnonzero(need)
     rng = np.random.Generator(np.random.Philox(seed))
-    seen = np.zeros((runs, words), dtype=np.uint64)
+    seen = np.zeros((live.size, runs), dtype=word)
     active = np.arange(runs)
     offset = 0
     while offset < max_steps and active.size:
         step = min(chunk, max_steps - offset)
-        draws = rng.integers(0, n, size=(runs, step), dtype=np.int64)
+        draws = rng.integers(0, n, size=(runs, step), dtype=np.int32)
         if active.size < runs:
             draws = draws[active]
-        covered = True
-        for w in np.flatnonzero(need):
-            # a shift outside 0..63 (a draw in another word) gives 0
-            bits = np.left_shift(np.uint64(1), draws - 64 * w if w else draws,
-                                 dtype=np.uint64, casting="unsafe")
-            bits[:, 0] |= seen[active, w]
-            np.bitwise_or.accumulate(bits, axis=1, out=bits)
-            seen[active, w] = bits[:, -1]
-            covered = covered & ((bits & need[w]) == need[w])
-        hit = covered[:, -1]
-        times[active[hit]] = offset + 1 + np.argmax(covered[hit], axis=1)
+        short = None
+        for i, w in enumerate(live):
+            # more than one word only for n > 64, in uint64 words, where a
+            # shift outside 0..63 (a draw in another word) gives 0
+            bits = np.left_shift(word.type(1), draws - width * int(w) if w else draws,
+                                 dtype=word, casting="unsafe").T.copy()
+            bits &= need[w]
+            bits[0] |= seen[i]
+            for c in range(1, step):
+                np.bitwise_or(bits[c], bits[c - 1], out=bits[c])
+            seen[i] = bits[-1]
+            gap = bits != need[w]
+            short = gap if short is None else short | gap
+        hit = ~short[-1]
+        times[active[hit]] = offset + 1 + np.count_nonzero(short, axis=0)[hit]
         active = active[~hit]
+        seen = seen[:, ~hit]
         offset += step
     return times

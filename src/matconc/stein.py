@@ -146,13 +146,8 @@ class ProductDistribution:
         """Iterate (z, probability) over the whole product space."""
         if not self.finite:
             raise PreconditionError("outcomes() needs a finite distribution")
-        supports = [list(zip(c.values, c.probs)) for c in self.coords]
-        for combo in itertools.product(*supports):
-            z = tuple(v for v, _ in combo)
-            pr = 1.0
-            for _, p in combo:
-                pr *= p
-            yield z, pr
+        yield from zip(itertools.product(*(c.values for c in self.coords)),
+                       self.probabilities().ravel())
 
     @classmethod
     def uniform_pm1(cls, n: int) -> "ProductDistribution":
@@ -225,11 +220,12 @@ class MatrixModel:
         return got
 
     def H_rows(self, zs) -> np.ndarray:
-        """H at each row of ``zs``, shape (len(zs), d, d): one call of the
-        batched H when the model has one, symmetrised as ``H`` symmetrises."""
+        """H at each row of ``zs`` (an array, or outcome tuples), shape
+        (len(zs), d, d): one call of the batched H when the model has one,
+        symmetrised as ``H`` symmetrises."""
         if self._H_batch is None:
             return np.stack([self.H(tuple(z)) for z in zs])
-        hs = np.asarray(self._H_batch(zs), dtype=np.complex128)
+        hs = np.asarray(self._H_batch(np.asarray(zs, dtype=float)), dtype=np.complex128)
         return (hs + hs.conj().swapaxes(-1, -2)) / 2
 
     @property
@@ -239,13 +235,13 @@ class MatrixModel:
     def H_tensor(self) -> np.ndarray:
         """The outcome tensor: H over the support, shape (|V_1|, ..., |V_n|, d, d).
 
-        Built through ``H`` on first use, in outcomes() order, and kept.
+        Built through ``H_rows`` over outcomes() on first use, and kept.
         """
         if self._tensor is None:
             if not self.exact:
                 raise PreconditionError("outcome tensors need a finite model under the cutoff")
-            hs = np.stack([self.H(z) for z, _ in self.dist.outcomes()]).reshape(
-                self.dist.shape + (self.d, self.d))
+            zs = [z for z, _ in self.dist.outcomes()]
+            hs = self.H_rows(zs).reshape(self.dist.shape + (self.d, self.d))
             hs.setflags(write=False)
             self._tensor = hs
         return self._tensor
@@ -289,9 +285,7 @@ class MatrixModel:
         if self._H_batch is None and self.exact:
             hs = outcome_stack(self.H_tensor())[self.dist.sample_outcomes(rng, count)]
         else:
-            zs = self.dist.sample_many(rng, count)
-            hs = (np.stack([self.H(tuple(z)) for z in zs]) if self._H_batch is None
-                  else np.asarray(self._H_batch(zs), dtype=np.complex128))
+            hs = self.H_rows(self.dist.sample_many(rng, count))
         return hs - self.mean()
 
     # -- coordinate surgery
@@ -469,8 +463,11 @@ def compound_covariance(p: int, n: int, B=None, entry_dist: str = "pm1",
         return Z @ Ba @ Z.conj().T
 
     def H_batch(zs):
+        # matmul runs per matrix, so each row is bit for bit H of that row;
+        # Z is conjugated in place once Z B is formed, to hold one copy fewer
         Z = zs.reshape(-1, p, n).astype(np.complex128)
-        return np.einsum("kpn,nm,kqm->kpq", Z, Ba, Z.conj())
+        ZB = Z @ Ba
+        return ZB @ np.conjugate(Z, out=Z).swapaxes(-1, -2)
 
     return MatrixModel(ProductDistribution(coords), H, p,
                        name=f"compound_covariance(p={p},n={n},{entry_dist})",

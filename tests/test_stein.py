@@ -233,6 +233,18 @@ class TestModels:
         zs = ref.dist.sample_many(_rng(8), 600)
         assert np.array_equal(xs, np.stack([ref.H(tuple(z)) - ref.mean() for z in zs]))
 
+    @pytest.mark.parametrize("build", [
+        lambda: hypercube_sum(3), lambda: hypercube_sum(8), lambda: hypercube_sum(16),
+        lambda: hypercube_sum(3, d=3), lambda: stein.bounded_diff_demo(3),
+        lambda: stein.bounded_diff_demo(5, d=3), lambda: stein.compound_covariance(2, 3),
+        lambda: stein.compound_covariance(3, 2), lambda: stein.compound_covariance(2, 4),
+        lambda: stein.compound_covariance(2, 3, B=np.diag([1.0, 2.0, 0.5]) + 0.3),
+    ])
+    def test_batched_tensor_is_the_per_outcome_stack(self, build):
+        m = build()
+        oracle = np.stack([m.H(z) for z, _ in m.dist.outcomes()])
+        assert np.array_equal(m.H_tensor(), oracle.reshape(m.dist.shape + (m.d, m.d)))
+
     def test_only_exact_models_cache_H(self):
         exact = hypercube_sum(3)
         exact.H((1.0, -1.0, 1.0))
@@ -334,9 +346,9 @@ class TestMonteCarloBranches:
             acc += m.H(tuple(z))
         return acc / m.mean_samples
 
-    def test_batched_mean_is_the_per_sample_sum(self):
-        # a batch that is not Hermitian, computed entry for entry as H is:
-        # the batched mean symmetrises it and adds the samples in draw order
+    @staticmethod
+    def non_hermitian_batch_model():
+        """A batched H that is not Hermitian, computed entry for entry as H is."""
         def H(z):
             return np.array([[z[0], z[1]], [0.0, z[2] * z[1]]], dtype=complex)
 
@@ -346,13 +358,24 @@ class TestMonteCarloBranches:
             return out
 
         dist = stein.compound_covariance(1, 3, entry_dist="uniform").dist
-        m = MatrixModel(dist, H, 2, H_batch=H_batch)
+        return MatrixModel(dist, H, 2, H_batch=H_batch)
+
+    def test_batched_mean_is_the_per_sample_sum(self):
+        # the batched mean symmetrises the batch and adds the samples in draw order
+        m = self.non_hermitian_batch_model()
         assert np.array_equal(m.mean(), self.per_sample_mean(m))
-        # compound covariance batches by einsum and H by matmul: roundoff apart
+        # compound covariance batches by the matmul H makes per sample
         cc = stein.compound_covariance(2, 3, entry_dist="uniform")
-        np.testing.assert_allclose(cc.mean(), self.per_sample_mean(cc), rtol=0, atol=1e-15)
+        assert np.array_equal(cc.mean(), self.per_sample_mean(cc))
         unbatched = MatrixModel(cc.dist, cc._H, 2)
         assert np.array_equal(unbatched.mean(), self.per_sample_mean(cc))
+
+    def test_sample_X_symmetrises_a_batched_H(self):
+        m = self.non_hermitian_batch_model()
+        xs = m.sample_X(300, seed=1)
+        assert np.array_equal(xs, xs.conj().swapaxes(-1, -2))
+        zs = m.dist.sample_many(_rng(1), 300)
+        assert np.array_equal(xs, np.stack([m.H(tuple(z)) for z in zs]) - m.mean())
 
     @staticmethod
     def per_draw_variance_proxy(m, z, samples, seed):
@@ -369,11 +392,11 @@ class TestMonteCarloBranches:
         return acc / 2.0
 
     def test_batched_variance_proxy_is_the_per_draw_sum(self):
-        # compound covariance batches by einsum and H by matmul: roundoff apart
+        # compound covariance batches by the matmul H makes per draw
         cc = stein.compound_covariance(2, 3, entry_dist="uniform")
         got = variance_proxy(cc, self.Z, samples=4000, seed=5).a
         ref = self.per_draw_variance_proxy(cc, self.Z, 4000, 5)
-        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+        assert np.array_equal(got, ref)
         unbatched = MatrixModel(cc.dist, cc._H, 2)
         assert np.array_equal(variance_proxy(unbatched, self.Z, samples=4000, seed=5).a,
                               ref)
@@ -752,6 +775,19 @@ class TestCoupling:
         (128, "random", 1000, 129, 1_000_000),
         (130, "all", 50, 31, 700),
         (130, "empty", 3, 64, 5),
+        # each side of the 8-, 16- and 32-bit word limits, whole chunks only
+        (8, "all", 500, 16, 64),
+        (8, "random", 500, 64, 1024),
+        (9, "all", 400, 32, 1024),
+        (9, "random", 400, 5, 20),
+        (16, "all", 300, 64, 1024),
+        (16, "random", 300, 8, 40),
+        (17, "all", 300, 64, 128),
+        (17, "random", 300, 17, 1020),
+        (32, "all", 200, 64, 1024),
+        (32, "random", 200, 10, 100),
+        (33, "all", 200, 33, 99),
+        (33, "random", 200, 64, 1024),
     ])
     def test_coverage_scan_matches_column_oracle(self, n, mask, runs, chunk, max_steps):
         needed = {"all": np.ones(n, bool), "empty": np.zeros(n, bool),
@@ -775,6 +811,12 @@ class TestCoupling:
             assert np.array_equal(
                 stein._accel.coverage_times(n, needed, runs, case, max_steps, chunk),
                 oracle_coverage_times(n, needed, runs, case, max_steps, chunk)), case
+
+    @pytest.mark.parametrize("n,total,longest", [
+        (2, 75_063, 15), (3, 138_214, 26), (5, 286_631, 57), (8, 542_609, 97)])
+    def test_coupling_stream_is_pinned(self, n, total, longest):
+        times = sample_coupling_times(n, 25_000, seed=n)
+        assert (int(times.sum()), int(times.max())) == (total, longest)
 
     def test_sample_coupling_times_matches_oracle(self):
         for n in (2, 3, 5, 8):
