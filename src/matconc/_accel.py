@@ -10,7 +10,7 @@ def backend() -> str:
 
 
 def coverage_times(n: int, needed: np.ndarray, runs: int, seed: int,
-                   max_steps: int = 1_000_000, chunk: int = 64) -> np.ndarray:
+                   max_steps: int = 1_000_000, chunk: int = 16) -> np.ndarray:
     """First time a uniform draw stream covers every coordinate in ``needed``.
 
     Simulates ``runs`` independent streams of uniform draws on {0..n-1}
@@ -19,13 +19,13 @@ def coverage_times(n: int, needed: np.ndarray, runs: int, seed: int,
     or -1 if that does not happen within ``max_steps``.  An empty needed
     set gives 0.
 
-    Draws come in (runs, chunk) blocks of int32, drawn for every run so that
-    the stream does not depend on which runs are done; for n <= 2**31 numpy
-    draws int32 and int64 by the same 32-bit method, so the values are those
-    of int64 draws (a larger n is rejected by the draw).  Coordinates are
-    bits of the narrowest unsigned word that holds min(n, 64) of them (uint8
-    up to n = 8, then uint16, uint32, and uint64 words, 64 coordinates a
-    word, above n = 32), masked to the needed bits.  Each block is transposed to (step, open runs), so the
+    Stream version 2: each block of up to ``chunk`` steps draws (step, open
+    runs) int32 values for the runs not yet covered only (version 1 drew
+    (runs, 64) blocks for every run; all times differ).  For n <= 2**31 numpy
+    draws int32 and int64 alike (a larger n is rejected by the draw).
+    Coordinates are bits of the narrowest unsigned word that holds min(n,
+    64) of them (uint8 up to n = 8, then uint16, uint32, and uint64 words,
+    64 coordinates a word, above n = 32), masked to the needed bits; the
     prefix OR along the steps is one vectorised OR per step over all open
     runs.  Coverage only grows within a block, so a run covered by the
     block's last step was covered at step offset + 1 + (the number of its
@@ -52,15 +52,13 @@ def coverage_times(n: int, needed: np.ndarray, runs: int, seed: int,
     offset = 0
     while offset < max_steps and active.size:
         step = min(chunk, max_steps - offset)
-        draws = rng.integers(0, n, size=(runs, step), dtype=np.int32)
-        if active.size < runs:
-            draws = draws[active]
+        draws = rng.integers(0, n, size=(step, active.size), dtype=np.int32)
         short = None
         for i, w in enumerate(live):
             # more than one word only for n > 64, in uint64 words, where a
             # shift outside 0..63 (a draw in another word) gives 0
             bits = np.left_shift(word.type(1), draws - width * int(w) if w else draws,
-                                 dtype=word, casting="unsafe").T.copy()
+                                 dtype=word, casting="unsafe")
             bits &= need[w]
             bits[0] |= seen[i]
             for c in range(1, step):

@@ -1092,7 +1092,7 @@ def simulate_kernel_coupling(model: MatrixModel, z, zp, max_steps: int,
     a, b = z, zp
     traj = [(a, b)]
     draws = []
-    diffs = [_opnorm(model.H(a) - model.H(b))]
+    diffs = [model.H(a) - model.H(b)]
     coupling_time = 0 if a == b else -1
     drawn = set()
     first_all = -1
@@ -1103,7 +1103,7 @@ def simulate_kernel_coupling(model: MatrixModel, z, zp, max_steps: int,
         b = model.replace(b, j, v)
         draws.append((j, v))
         traj.append((a, b))
-        diffs.append(_opnorm(model.H(a) - model.H(b)))
+        diffs.append(model.H(a) - model.H(b))
         drawn.add(j)
         if first_all < 0 and len(drawn) == n:
             first_all = step
@@ -1111,7 +1111,8 @@ def simulate_kernel_coupling(model: MatrixModel, z, zp, max_steps: int,
             coupling_time = step
         if coupling_time >= 0 and first_all >= 0:
             break
-    return CouplingRun(traj, draws, coupling_time, first_all, int(seed), diffs)
+    return CouplingRun(traj, draws, coupling_time, first_all, int(seed),
+                       _opnorms(np.stack(diffs)).tolist())
 
 
 def sample_coupling_times(n: int, runs: int, seed: int,

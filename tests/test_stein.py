@@ -22,6 +22,7 @@ from matconc.stein import (
     MatrixModel,
     ProductDistribution,
     check_stein_identity,
+    compound_covariance,
     conditional_variances,
     coupling_premise_bound,
     default_horizon,
@@ -98,8 +99,12 @@ def truncated_kernel(model, h):
     return stein.outcome_stack(g)
 
 
-def oracle_coverage_times(n, needed, runs, seed, max_steps=1_000_000, chunk=64):
-    """The coverage scan one draw column at a time, over the same Philox stream."""
+def oracle_coverage_times(n, needed, runs, seed, max_steps=1_000_000, chunk=16):
+    """The coverage scan one draw column at a time, over the same Philox stream.
+
+    Stream version 2: each block draws (step, open runs) for the runs open at
+    its start, in int64, so the scan's int32 draws are checked as well.
+    """
     needed = np.asarray(needed, dtype=np.bool_)
     times = np.full(runs, -1, dtype=np.int64)
     if not needed.any():
@@ -108,19 +113,34 @@ def oracle_coverage_times(n, needed, runs, seed, max_steps=1_000_000, chunk=64):
     rng = _rng(seed)
     seen = np.zeros((runs, n), dtype=np.bool_)
     remaining = np.full(runs, int(needed.sum()), dtype=np.int64)
-    rows = np.arange(runs)
     offset = 0
     while offset < max_steps and np.any(times < 0):
         step = min(chunk, max_steps - offset)
-        draws = rng.integers(0, n, size=(runs, step), dtype=np.int64)
+        rows = np.flatnonzero(times < 0)
+        draws = rng.integers(0, n, size=(step, rows.size), dtype=np.int64)
         for c in range(step):
-            j = draws[:, c]
-            hit = (times < 0) & needed[j] & ~seen[rows, j]
+            j = draws[c]
+            hit = (times[rows] < 0) & needed[j] & ~seen[rows, j]
             seen[rows[hit], j[hit]] = True
-            remaining[hit] -= 1
-            times[hit & (remaining == 0)] = offset + c + 1
+            remaining[rows[hit]] -= 1
+            times[rows[hit & (remaining[rows] == 0)]] = offset + c + 1
         offset += step
     return times
+
+
+def coverage_cdf(n, m, tmax):
+    """P(T <= t) for t = 0..tmax, T the first time m given coordinates of n are drawn.
+
+    Inclusion-exclusion, sum_k (-1)^k C(m, k) (1 - k/n)^t, summed in exact
+    integers and divided once, so no cancellation.
+    """
+    powers = [1] * (m + 1)  # (n - k)^t
+    cdf = []
+    for t in range(tmax + 1):
+        total = sum((-1) ** k * math.comb(m, k) * p for k, p in enumerate(powers))
+        cdf.append(total / n ** t)
+        powers = [p * (n - k) for k, p in enumerate(powers)]
+    return np.array(cdf)
 
 
 def oracle_finite_draws(coord, rng, count):
@@ -776,7 +796,7 @@ class TestCoupling:
         (130, "all", 50, 31, 700),
         (130, "empty", 3, 64, 5),
         # each side of the 8-, 16- and 32-bit word limits, whole chunks only
-        (8, "all", 500, 16, 64),
+        (8, "all", 500, 16, 48),
         (8, "random", 500, 64, 1024),
         (9, "all", 400, 32, 1024),
         (9, "random", 400, 5, 20),
@@ -813,10 +833,43 @@ class TestCoupling:
                 oracle_coverage_times(n, needed, runs, case, max_steps, chunk)), case
 
     @pytest.mark.parametrize("n,total,longest", [
-        (2, 75_063, 15), (3, 138_214, 26), (5, 286_631, 57), (8, 542_609, 97)])
+        (2, 75_009, 17), (3, 138_313, 27), (5, 284_315, 57), (8, 543_366, 94)])
     def test_coupling_stream_is_pinned(self, n, total, longest):
         times = sample_coupling_times(n, 25_000, seed=n)
         assert (int(times.sum()), int(times.max())) == (total, longest)
+
+    @pytest.mark.parametrize("n,needed", [
+        (2, None), (5, None), (8, None), (3, [True, False, True]), (70, None)])
+    def test_coverage_times_follow_the_exact_law(self, n, needed):
+        # holds for any stream version; the DKW band is exceeded with
+        # probability at most 1e-6
+        runs = 100_000
+        needed = np.ones(n, bool) if needed is None else np.array(needed)
+        times = stein._accel.coverage_times(n, needed, runs, seed=n)
+        assert times.min() >= 0
+        cdf = coverage_cdf(n, int(needed.sum()), int(times.max()))
+        empirical = np.cumsum(np.bincount(times)) / runs
+        assert np.max(np.abs(empirical - cdf)) <= math.sqrt(math.log(2 / 1e-6) / (2 * runs))
+
+    def test_coverage_memory_is_below_a_full_block(self):
+        # a (runs, 64) int32 block for every run, as stream version 1 drew
+        tracemalloc.start()
+        try:
+            stein._accel.coverage_times(8, np.ones(8, bool), 200_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200_000 * 64 * 4
+
+    @pytest.mark.parametrize("build,z,zp", [
+        (lambda: hypercube_sum(5), (1.0,) * 5, (-1.0,) * 5),
+        (lambda: compound_covariance(2, 3), (1.0,) * 6, (-1.0,) * 6)])
+    def test_difference_norms_are_the_per_step_norms(self, build, z, zp):
+        m = build()
+        for seed in range(30):
+            run = simulate_kernel_coupling(m, z, zp, 1000, seed)
+            assert run.difference_norms == [_opnorm(m.H(a) - m.H(b))
+                                            for a, b in run.trajectory]
 
     def test_sample_coupling_times_matches_oracle(self):
         for n in (2, 3, 5, 8):
