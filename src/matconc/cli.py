@@ -169,7 +169,7 @@ def _build_model(cfg: dict):
     if name == "compound_covariance":
         return stein.compound_covariance(geti(cfg.get("rows"), 2), geti(n, 3))
     if name == "rect_demo":
-        return bounds.rectangularize(stein.rect_demo(geti(n, 3)))
+        return stein.dilate_model(stein.rect_demo(geti(n, 3)))
     if name == "random_finite":
         return stein.random_finite_model(geti(n, 3), geti(d, 2),
                                          geti(cfg.get("model_seed"), 0))
@@ -463,7 +463,8 @@ def couple(config_path, **flags):
     mean = float(times.mean())
     se = float(times.std(ddof=1)) / math.sqrt(runs)
     expected = n * sum(1.0 / k for k in range(1, n + 1))
-    dev = abs(mean - expected) / se if se > 0 else math.inf
+    # se = 0 when every run couples at the same step (n = 1)
+    dev = abs(mean - expected) / se if se > 0 else (0.0 if mean == expected else math.inf)
 
     pw_runs = _as(int, cfg.get("pathwise_runs") or 100)
     model = stein.hypercube_sum(n)

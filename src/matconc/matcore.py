@@ -7,7 +7,7 @@ the semidefinite order, the Hermitian dilation, and superoperator
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -252,20 +252,6 @@ def matrix_function(A, f: Callable) -> HermitianMatrix:
     return HermitianMatrix((out + out.conj().T) / 2)
 
 
-def expm(A) -> HermitianMatrix:
-    return matrix_function(A, np.exp)
-
-
-def pos_part(A) -> HermitianMatrix:
-    """Positive part (A)_+ = sum over nonnegative eigenvalues."""
-    return matrix_function(A, lambda x: np.maximum(x, 0.0))
-
-
-def neg_part(A) -> HermitianMatrix:
-    """Negative part (A)_- with (A)_+ - (A)_- = A and both PSD."""
-    return matrix_function(A, lambda x: np.maximum(-x, 0.0))
-
-
 def ntrace(M) -> float:
     """Normalized trace tr(M)/d."""
     a = _as_array(M)
@@ -323,15 +309,6 @@ def psd_leq(A, B, tol: float = PSD_TOL) -> bool:
     return lam_min >= -tol * scale
 
 
-def vec(M) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return _as_array(M).reshape(-1, order="F")
-
-
-def unvec(x: np.ndarray, d: int) -> np.ndarray:
-    return np.asarray(x).reshape((d, d), order="F")
-
-
 class SuperOperator:
     """A linear map on d x d matrices in its vectorized d^2 x d^2 form.
 
@@ -360,7 +337,8 @@ class SuperOperator:
         m = _as_array(M)
         if m.shape != (self.dim, self.dim):
             raise ShapeError(f"expected {self.dim}x{self.dim}, got {m.shape}")
-        return unvec(self.mat @ vec(m), self.dim)
+        # column-stacking vectorization, and back
+        return (self.mat @ m.reshape(-1, order="F")).reshape(m.shape, order="F")
 
     def compose(self, other: "SuperOperator") -> "SuperOperator":
         if self.dim != other.dim:
@@ -397,9 +375,3 @@ def superop_function(S: SuperOperator, f: Callable) -> SuperOperator:
 def superop_abs(S: SuperOperator) -> SuperOperator:
     """|S| from the Jordan decomposition S_+ + S_- of a self-adjoint S."""
     return superop_function(S, np.abs)
-
-
-def trace_inner(M, N) -> complex:
-    """Trace inner product <M, N> = tr(M* N)."""
-    return complex(np.trace(_as_array(M).conj().T @ _as_array(N)))
-

@@ -586,37 +586,19 @@ def replacement_sum(dist: ProductDistribution, term: Callable,
                for j, c in enumerate(dist.coords) for v, p in enumerate(c.probs))
 
 
-def on_neighbours(model: MatrixModel, fn: Callable, j: int, v: int) -> np.ndarray:
-    """fn(z, z_{j<-v}) for every outcome z, as a tensor in outcomes() order."""
-    value = float(model.dist.coords[j].values[v])
-    out = np.array([fn(z, model.replace(z, j, value)) for z, _ in model.dist.outcomes()])
-    return out.reshape(model.dist.shape + out.shape[1:])
-
-
-def kernel_on_neighbours(model: MatrixModel, kernel, j: int, v: int) -> np.ndarray:
-    """K(z, z_{j<-v}) for every outcome z: the exact kernel broadcasts its
-    Poisson solution g, any other kernel is queried pair by pair through ``at``."""
-    if isinstance(kernel, ExactKernel):
-        return kernel.g - neighbour(kernel.g, j, v)
-    return on_neighbours(model, kernel.at, j, v)
+def _require_kernel(model: MatrixModel, kernel) -> None:
+    """The exact kernel checks need an enumerable model and a kernel built for it."""
+    if not model.exact:
+        raise PreconditionError("kernel checks enumerate finite models under the cutoff")
+    if kernel.model is not model:
+        raise PreconditionError("kernel was built for a different model")
 
 
 # ---------------------------------------------------------------------------
 # variance proxy
 
 
-@dataclass(eq=False)
-class VarianceProxy:
-    """Map z -> V(z) with provenance (exact enumeration or Monte Carlo)."""
-
-    values: dict
-    provenance: dict
-
-    def at(self, z) -> HermitianMatrix:
-        return self.values[tuple(z)]
-
-
-def variance_proxy_tensor(model: MatrixModel) -> np.ndarray:
+def variance_proxy_map(model: MatrixModel) -> np.ndarray:
     """V = (1/2) sum_j E_v (H - H_{j<-v})^2 at every outcome, as an outcome tensor."""
     H = model.H_tensor()
     return replacement_sum(model.dist, lambda j, v: _square(H - neighbour(H, j, v))) / 2.0
@@ -632,7 +614,7 @@ def variance_proxy(model: MatrixModel, z, samples: int | None = None,
     their squared differences are added in draw order.
     """
     if model.exact:
-        return HermitianMatrix(outcome_stack(variance_proxy_tensor(model))[model.dist.index(z)])
+        return HermitianMatrix(outcome_stack(variance_proxy_map(model))[model.dist.index(z)])
     if samples is None or seed is None:
         raise ParameterError("models that cannot be enumerated need samples and seed")
     z = tuple(float(v) for v in z)
@@ -645,16 +627,6 @@ def variance_proxy(model: MatrixModel, z, samples: int | None = None,
         diff = hz - model.H_rows(zs)
         acc += (diff @ diff).sum(axis=0) / samples
     return HermitianMatrix(acc / 2.0)
-
-
-def variance_proxy_map(model: MatrixModel, samples: int | None = None,
-                       seed: int | None = None) -> VarianceProxy:
-    """The variance proxy over every outcome of a finite model."""
-    if not model.exact:
-        raise PreconditionError("variance_proxy_map enumerates finite models only")
-    vs = outcome_stack(variance_proxy_tensor(model))
-    values = {z: HermitianMatrix(v) for (z, _), v in zip(model.dist.outcomes(), vs)}
-    return VarianceProxy(values, {"method": "exact"})
 
 
 # ---------------------------------------------------------------------------
@@ -717,18 +689,9 @@ class ExactKernel:
         g = outcome_stack(self.g)
         return g[self.model.dist.index(z)] - g[self.model.dist.index(zp)]
 
-
-class DifferenceKernel:
-    """The matrix Stein pair kernel K = (X - X') / alpha."""
-
-    def __init__(self, model: MatrixModel, alpha: float):
-        if alpha == 0:
-            raise ParameterError("alpha must be nonzero")
-        self.model = model
-        self.alpha = float(alpha)
-
-    def at(self, z, zp) -> np.ndarray:
-        return (self.model.X(z) - self.model.X(zp)) / self.alpha
+    def on_neighbours(self, j: int, v: int) -> np.ndarray:
+        """K(z, z_{j<-v}) for every outcome z, as an outcome tensor."""
+        return self.g - neighbour(self.g, j, v)
 
 
 @dataclass(eq=False)
@@ -894,53 +857,41 @@ class EstimatedKernel:
         est = self.details(z, zp)
         return est.se_norm + est.truncation_error_bound
 
+    def on_neighbours(self, j: int, v: int) -> np.ndarray:
+        """K(z, z_{j<-v}) for every outcome z, estimated pair by pair."""
+        return self._on_neighbours(self.at, j, v)
+
+    def radius_on_neighbours(self, j: int, v: int) -> np.ndarray:
+        """The error radius of every pair (z, z_{j<-v}), as an outcome tensor."""
+        return self._on_neighbours(self.radius, j, v)
+
+    def _on_neighbours(self, fn: Callable, j: int, v: int) -> np.ndarray:
+        dist = self.model.dist
+        value = float(dist.coords[j].values[v])
+        out = np.array([fn(z, self.model.replace(z, j, value)) for z, _ in dist.outcomes()])
+        return out.reshape(dist.shape + out.shape[1:])
+
 
 # ---------------------------------------------------------------------------
 # conditional variances and identities
 
 
-@dataclass(eq=False)
-class ConditionalVariances:
-    """V_X(z) = E[(X-X')^2|Z=z]/2 and V^K(z) = E[K(Z,Z')^2|Z=z]/2."""
-
-    z: tuple
-    v_x: HermitianMatrix
-    v_k: HermitianMatrix
-
-
-def conditional_variance_tensors(model: MatrixModel, kernel) -> tuple:
-    """V_X and V^K at every outcome, as outcome tensors, under the pair law."""
-    if not model.exact:
-        raise PreconditionError("needs a finite model under the cutoff")
+def conditional_variance_map(model: MatrixModel, kernel) -> tuple:
+    """V_X = E[(X-X')^2|Z=z]/2 and V^K = E[K(Z,Z')^2|Z=z]/2 at every outcome,
+    as outcome tensors, summed over (J, replacement) exactly."""
+    _require_kernel(model, kernel)
     X = model.X_tensor()
     return (replacement_sum(model.dist, lambda j, v: _square(X - neighbour(X, j, v)),
                             pair_law=True) / 2,
-            replacement_sum(model.dist,
-                            lambda j, v: _square(kernel_on_neighbours(model, kernel, j, v)),
+            replacement_sum(model.dist, lambda j, v: _square(kernel.on_neighbours(j, v)),
                             pair_law=True) / 2)
 
 
-def conditional_variances(model: MatrixModel, pair, kernel, z) -> ConditionalVariances:
-    """Both conditional variances at z, summed over (J, replacement) exactly.
-
-    ``pair`` fixes the conditional law of Z' given Z; passing None uses the
-    single-coordinate replacement law directly.
-    """
-    if pair is not None and pair.model is not model:
-        raise PreconditionError("pair was built for a different model")
-    z = tuple(float(v) for v in z)
-    vx, vk = conditional_variance_tensors(model, kernel)
+def conditional_variances(model: MatrixModel, kernel, z) -> tuple:
+    """(V_X(z), V^K(z)) as HermitianMatrix."""
     i = model.dist.index(z)
-    return ConditionalVariances(z, HermitianMatrix(outcome_stack(vx)[i]),
-                                HermitianMatrix(outcome_stack(vk)[i]))
-
-
-def conditional_variance_map(model: MatrixModel, pair, kernel) -> dict:
-    """ConditionalVariances at every outcome of a finite model."""
-    vx, vk = conditional_variance_tensors(model, kernel)
-    return {z: ConditionalVariances(z, HermitianMatrix(x), HermitianMatrix(k))
-            for (z, _), x, k in zip(model.dist.outcomes(), outcome_stack(vx),
-                                    outcome_stack(vk))}
+    return tuple(HermitianMatrix(outcome_stack(t)[i])
+                 for t in conditional_variance_map(model, kernel))
 
 
 @dataclass(frozen=True)
@@ -957,30 +908,25 @@ def check_stein_identity(model: MatrixModel, kernel) -> SteinCheck:
     an EstimatedKernel the radius is the largest accumulated standard-error
     plus truncation budget over z; exact kernels report radius 0.
     """
-    if not model.exact:
-        raise PreconditionError("identity check enumerates finite models")
-    drift = replacement_sum(
-        model.dist, lambda j, v: kernel_on_neighbours(model, kernel, j, v), pair_law=True)
+    _require_kernel(model, kernel)
+    drift = replacement_sum(model.dist, kernel.on_neighbours, pair_law=True)
     worst = float(np.max(_opnorms(drift - model.X_tensor())))
     radius = 0.0
     if isinstance(kernel, EstimatedKernel):
-        radius = float(np.max(replacement_sum(
-            model.dist, lambda j, v: on_neighbours(model, kernel.radius, j, v),
-            pair_law=True)))
+        radius = float(np.max(replacement_sum(model.dist, kernel.radius_on_neighbours,
+                                              pair_law=True)))
     return SteinCheck(worst, radius)
 
 
 def exchangeable_pairs_identity(model: MatrixModel, kernel, F: Callable) -> float:
     """|| E[X F(X)] - E[K(Z,Z')(F(X) - F(X'))]/2 || by full enumeration."""
-    if not model.exact:
-        raise PreconditionError("identity check enumerates finite models")
+    _require_kernel(model, kernel)
     X = model.X_tensor()
     fx = np.array([np.asarray(F(x), dtype=np.complex128)
                    for x in outcome_stack(X)]).reshape(X.shape)
 
     def term(j, v):
-        k = kernel_on_neighbours(model, kernel, j, v)
-        return model.expect(k @ (fx - neighbour(fx, j, v)))
+        return model.expect(kernel.on_neighbours(j, v) @ (fx - neighbour(fx, j, v)))
 
     rhs = 0.5 * replacement_sum(model.dist, term, pair_law=True)
     return _opnorm(model.expect(X @ fx) - rhs)
@@ -988,11 +934,9 @@ def exchangeable_pairs_identity(model: MatrixModel, kernel, F: Callable) -> floa
 
 def kernel_mean_norm(model: MatrixModel, kernel) -> float:
     """|| E K(Z, Z') || over the joint exchangeable-pair law."""
-    if not model.exact:
-        raise PreconditionError("needs a finite model")
+    _require_kernel(model, kernel)
     return _opnorm(replacement_sum(
-        model.dist, lambda j, v: model.expect(kernel_on_neighbours(model, kernel, j, v)),
-        pair_law=True))
+        model.dist, lambda j, v: model.expect(kernel.on_neighbours(j, v)), pair_law=True))
 
 
 def pair_asymmetries(model: MatrixModel, kernel: ExactKernel) -> tuple:
@@ -1003,6 +947,7 @@ def pair_asymmetries(model: MatrixModel, kernel: ExactKernel) -> tuple:
     formed as ExchangeablePair.joint_pmf forms it, base * (p_a * p_b) / n,
     so on a correct model both maxima are 0 bitwise.
     """
+    _require_kernel(model, kernel)
     g, n = kernel.g, model.dist.n
     anti = asym = 0.0
     for j, coord in enumerate(model.dist.coords):
@@ -1019,7 +964,7 @@ def pair_asymmetries(model: MatrixModel, kernel: ExactKernel) -> tuple:
     return anti, asym
 
 
-def r_psi(model: MatrixModel, cond_vars: dict, psi: float, s_grid) -> dict:
+def r_psi(model: MatrixModel, kernel, psi: float, s_grid) -> dict:
     """r(psi) = (1/psi) min over s of log E tr-bar exp((psi/2)(s V_X + V^K / s)).
 
     Expectation is exact on finite models.  s values whose exponent would
@@ -1030,12 +975,8 @@ def r_psi(model: MatrixModel, cond_vars: dict, psi: float, s_grid) -> dict:
     s_grid = [float(s) for s in s_grid]
     if not s_grid or any(s <= 0 for s in s_grid):
         raise ParameterError("s_grid must be nonempty and positive")
-    if not model.exact:
-        raise PreconditionError("r_psi enumerates finite models")
-    probs = dict(model.dist.outcomes())
-    pr = np.array([probs[z] for z in cond_vars])
-    vx = np.stack([cv.v_x.a for cv in cond_vars.values()])
-    vk = np.stack([cv.v_k.a for cv in cond_vars.values()])
+    vx, vk = (outcome_stack(t) for t in conditional_variance_map(model, kernel))
+    pr = model.dist.probabilities().ravel()
     best = math.inf
     best_s = None
     skipped = []

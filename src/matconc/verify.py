@@ -624,37 +624,40 @@ def explore_conjecture(d_range, q_range, s_values, trials: int, seed: int) -> Fu
 
     _sweep(trials, _triple_draws(_rng(seed), dims, qs),
            lambda A, B, C, q: _conjecture_stack(A, B, C, q, ss), offer)
-    per_form = {form: t.report(f"conjecture_{form}", trials, dims)
-                for form, t in trackers.items()}
-    return _pool_conjecture(per_form, trials, dims)
+    per_form = {form: trackers[form].report(f"conjecture_{form}", trials, dims)
+                for form in sorted(trackers)}
+    sections = {form: {
+        "min_slack": r.min_slack,
+        "min_slack_by_dim": {str(k): v for k, v in r.min_slack_by_dim.items()},
+        "worst_case": r.worst_case,
+        "pass": r.passed,
+    } for form, r in per_form.items()}
+    return _pool(per_form.values(), 8, "signed_mvti_conjecture", trials, dims, sections)
 
 
-def _pool_conjecture(per_form: dict, trials: int, dims: list) -> FuzzReport:
+def _pool(reports, keep: int, inequality: str, trials: int, dims: list,
+          sections: dict, tolerance: float = FUZZ_TOL) -> FuzzReport:
+    """One report from the worst cases and near misses of ``reports``: the
+    ``keep`` smallest slacks (ties in list order) and the minimum per dimension."""
     cases = []
     by_dim: dict = {}
-    sections = {}
-    for form, r in sorted(per_form.items()):
+    for r in reports:
         if r.worst_case:
             cases.append((r.worst_case["slack"], r.worst_case))
         cases.extend((c["slack"], c) for c in r.near_misses)
         for d, s in r.min_slack_by_dim.items():
-            by_dim[d] = min(by_dim.get(d, math.inf), s)
-        sections[form] = {
-            "min_slack": r.min_slack,
-            "min_slack_by_dim": {str(k): v for k, v in r.min_slack_by_dim.items()},
-            "worst_case": r.worst_case,
-            "pass": r.passed,
-        }
+            by_dim[int(d)] = min(by_dim.get(int(d), math.inf), s)
     cases.sort(key=lambda t: t[0])
-    del cases[8:]
+    del cases[keep:]
     min_slack = cases[0][0] if cases else math.inf
     return FuzzReport(
-        inequality="signed_mvti_conjecture",
+        inequality=inequality,
         trials=trials,
         dims=dims,
         min_slack=min_slack,
         worst_case=cases[0][1] if cases else {},
-        passed=bool(min_slack >= -FUZZ_TOL),
+        passed=bool(min_slack >= -tolerance),
+        tolerance=tolerance,
         min_slack_by_dim=dict(sorted(by_dim.items())),
         near_misses=[c for _, c in cases[1:]],
         sections=sections,
@@ -670,17 +673,8 @@ def merge_fuzz_reports(reports) -> FuzzReport:
     tol = reports[0].tolerance
     if any(r.inequality != name or r.tolerance != tol for r in reports):
         raise ParameterError("cannot merge reports of different suites")
-    cases = []
-    by_dim: dict = {}
     sections: dict = {}
     for r in reports:
-        if r.worst_case:
-            cases.append((r.worst_case["slack"], r.worst_case))
-        for c in r.near_misses:
-            cases.append((c["slack"], c))
-        for d, s in r.min_slack_by_dim.items():
-            d = int(d)
-            by_dim[d] = min(by_dim.get(d, math.inf), s)
         for form, sec in r.sections.items():
             cur = sections.get(form)
             if cur is None:
@@ -695,22 +689,8 @@ def merge_fuzz_reports(reports) -> FuzzReport:
                 cur["min_slack"] = sec["min_slack"]
                 cur["worst_case"] = sec["worst_case"]
             cur["pass"] = bool(cur["pass"] and sec["pass"])
-    cases.sort(key=lambda t: t[0])
-    del cases[5:]
-    min_slack = cases[0][0] if cases else math.inf
     dims = sorted({int(d) for r in reports for d in r.dims})
-    return FuzzReport(
-        inequality=name,
-        trials=sum(r.trials for r in reports),
-        dims=dims,
-        min_slack=min_slack,
-        worst_case=cases[0][1] if cases else {},
-        passed=bool(min_slack >= -tol),
-        tolerance=tol,
-        min_slack_by_dim=dict(sorted(by_dim.items())),
-        near_misses=[c for _, c in cases[1:]],
-        sections=sections,
-    )
+    return _pool(reports, 5, name, sum(r.trials for r in reports), dims, sections, tol)
 
 
 def replay_case(case: dict) -> dict:
@@ -772,7 +752,7 @@ def verify_poly_efron_stein(model: stein.MatrixModel, p_list,
         raise ParameterError("model is too large to enumerate")
     probs = model.dist.probabilities().ravel()
     lam_x = _spectra(model.X_tensor())
-    lam_v = _spectra(stein.variance_proxy_tensor(model))
+    lam_v = _spectra(stein.variance_proxy_map(model))
     results = []
     for p in p_list:
         p = int(p)
@@ -798,7 +778,7 @@ def verify_exp_efron_stein(model: stein.MatrixModel, theta_grid, psi_grid,
         raise ParameterError("model is too large to enumerate")
     probs = model.dist.probabilities().ravel()
     lam_x = _spectra(model.X_tensor())
-    lam_v = _spectra(stein.variance_proxy_tensor(model))
+    lam_v = _spectra(stein.variance_proxy_map(model))
     results = []
     skipped = []
     for psi in psi_grid:
@@ -835,11 +815,11 @@ def verify_kernel_poly_moments(model: stein.MatrixModel, kernel, p_list, s_grid,
     """
     if not model.exact:
         raise ParameterError("model is too large to enumerate")
-    vx, vk = stein.conditional_variance_tensors(model, kernel)
+    vx, vk = stein.conditional_variance_map(model, kernel)
 
     def inflation_term(j, v):  # E[(2 ||K|| r + r^2)/2 | Z=z], r the pair's error radius
-        r = stein.on_neighbours(model, kernel.radius, j, v)
-        knorm = _opnorms(stein.kernel_on_neighbours(model, kernel, j, v))
+        r = kernel.radius_on_neighbours(j, v)
+        knorm = _opnorms(kernel.on_neighbours(j, v))
         return (2.0 * knorm * r + r * r) / 2.0
 
     inflation = 0.0
@@ -879,7 +859,7 @@ def variance_domination(model: stein.MatrixModel, kernel, tol: float = 1e-9) -> 
     """Var[X] vs (1/2) E[V_X + V^K] in the semidefinite order."""
     if not model.exact:
         raise ParameterError("model is too large to enumerate")
-    vx, vk = stein.conditional_variance_tensors(model, kernel)
+    vx, vk = stein.conditional_variance_map(model, kernel)
     X = model.X_tensor()
     gap = float(np.linalg.eigvalsh(model.expect(0.5 * (vx + vk)) - model.expect(X @ X))[0])
     return {"lambda_min_gap": gap, "pass": bool(gap >= -tol)}

@@ -3,9 +3,11 @@
 Each verb runs in-process through cli.main so exit codes and emitted bytes
 can be asserted without spawning interpreters.
 """
+import importlib.util
 import json
 import math
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -341,6 +343,15 @@ class TestCoupleVerb:
         assert run(["couple", "--n", "2", "--runs", "1", "--seed", "0"],
                    capsys)[0] == 3
 
+    def test_single_coordinate_couples_at_once(self, capsys):
+        # n = 1: every run couples at step 1, so se = 0 and the mean is exact
+        code, out, _ = run(["couple", "--n", "1", "--runs", "50", "--seed", "3",
+                            "--pathwise-runs", "5"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert (report["mean"], report["expected"], report["std_error"]) == (1.0, 1.0, 0.0)
+        assert report["deviation_sigmas"] == 0.0 and report["pass"] is True
+
     def test_deterministic(self, capsys, tmp_path):
         argv = ["couple", "--n", "3", "--runs", "300", "--seed", "5",
                 "--pathwise-runs", "10"]
@@ -413,3 +424,20 @@ class TestReplayVerb:
         path = tmp_path / "empty.json"
         path.write_text("{}")
         assert run(["replay", "--case", str(path)], capsys)[0] == 3
+
+
+def test_perfbench_tracer_binds_every_name():
+    # the traced benchmark wraps package names found by getattr, so deleting or
+    # renaming one of them fails here, not only in a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    originals = (cli.main, verify.variance_domination, verify.stein.variance_proxy_map)
+    t = tracer.Tracer()
+    try:
+        tracer.install(t)
+        assert verify.stein.variance_proxy_map is not originals[2]
+    finally:
+        t.uninstall()
+    assert (cli.main, verify.variance_domination, verify.stein.variance_proxy_map) == originals

@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matconc import stein
+from matconc import stein, verify
 from matconc.matcore import ParameterError, PreconditionError, _opnorm
 from matconc.stein import (
-    DifferenceKernel,
     EstimatedKernel,
     ExactKernel,
     ExchangeablePair,
@@ -317,15 +316,18 @@ class TestVarianceProxy:
                   three_valued_model()]
         for m in models:
             brute = np.stack([brute_variance_proxy(m, z) for z, _ in m.dist.outcomes()])
-            tensor = stein.variance_proxy_tensor(m)
+            tensor = variance_proxy_map(m)
             assert tensor.shape == m.dist.shape + (m.d, m.d)
             assert np.array_equal(stein.outcome_stack(tensor), brute), m.name
 
     def test_map_covers_support(self):
-        m = hypercube_sum(2)
+        m = random_finite_model(3, 2, seed=9)
         vm = variance_proxy_map(m)
-        assert len(vm.values) == 4
-        assert vm.provenance == {"method": "exact"}
+        assert vm.shape == (2, 2, 2, 2, 2)
+        for z, _ in m.dist.outcomes():
+            # variance_proxy is the tensor entry, symmetrised by HermitianMatrix
+            v = vm[tuple(int(x > 0) for x in z)]
+            assert np.array_equal((v + v.conj().T) / 2, variance_proxy(m, z).a)
 
 
 class TestMonteCarloBranches:
@@ -534,13 +536,12 @@ class TestExactKernel:
         assert kernel_mean_norm(m, ExactKernel(m)) <= EXACT
 
     def test_difference_kernel_scaling(self):
-        # K = (X - X')/alpha; alpha = 1/n reproduces the exact kernel of the sum model
+        # the sum model is a Stein pair with alpha = 1/n, so K = (X - X')/alpha = 3 (X - X')
         m = hypercube_sum(3)
-        dk = DifferenceKernel(m, alpha=1.0 / 3.0)
         ek = ExactKernel(m)
         for z, _ in m.dist.outcomes():
             for zp, _ in m.dist.outcomes():
-                np.testing.assert_allclose(dk.at(z, zp), ek.at(z, zp), atol=1e-9)
+                assert np.array_equal(ek.at(z, zp), 3 * (m.X(z) - m.X(zp)))
 
     @settings(max_examples=12, deadline=None)
     @given(n=st.integers(2, 3), d=st.integers(1, 2), seed=st.integers(0, 10**5))
@@ -700,25 +701,39 @@ class TestConditionalVariances:
         pmf = pair.joint_pmf()
         k = ExactKernel(m)
         for z, pz in m.dist.outcomes():
-            cv = conditional_variances(m, pair, k, z)
+            v_x, _ = conditional_variances(m, k, z)
             acc = np.zeros((2, 2), dtype=np.complex128)
             for (za, zb), p in pmf.items():
                 if za == z:
                     d = m.X(za) - m.X(zb)
                     acc += (p / pz) * (d @ d)
-            np.testing.assert_allclose(cv.v_x.a, acc / 2.0, atol=1e-12)
+            np.testing.assert_allclose(v_x.a, acc / 2.0, atol=1e-12)
 
     def test_vk_psd(self):
         m = hypercube_sum(3)
         k = ExactKernel(m)
-        cv = conditional_variances(m, None, k, (1.0, 1.0, 1.0))
-        assert np.linalg.eigvalsh(cv.v_k.a)[0] >= -1e-12
+        _, v_k = conditional_variances(m, k, (1.0, 1.0, 1.0))
+        assert np.linalg.eigvalsh(v_k.a)[0] >= -1e-12
 
     def test_pair_model_mismatch_rejected(self):
-        m1, m2 = hypercube_sum(2), hypercube_sum(2)
-        pair = ExchangeablePair(m1, seed=1)
-        with pytest.raises(PreconditionError):
-            conditional_variances(m2, pair, ExactKernel(m2), (1.0, 1.0))
+        # same support, other H: a kernel of m1 would give m2 a spurious residual
+        m1, m2 = random_finite_model(3, 2, 1), random_finite_model(3, 2, 2)
+        z = (1.0, 1.0, 1.0)
+        for kernel in (ExactKernel(m1), EstimatedKernel(m1, horizon=4, samples=5, seed=1)):
+            calls = [
+                lambda: stein.conditional_variance_map(m2, kernel),
+                lambda: conditional_variances(m2, kernel, z),
+                lambda: check_stein_identity(m2, kernel),
+                lambda: exchangeable_pairs_identity(m2, kernel, lambda x: x),
+                lambda: kernel_mean_norm(m2, kernel),
+                lambda: pair_asymmetries(m2, kernel),
+                lambda: r_psi(m2, kernel, psi=1.0, s_grid=[1.0]),
+                lambda: verify.verify_kernel_poly_moments(m2, kernel, [1], [1.0]),
+                lambda: verify.variance_domination(m2, kernel),
+            ]
+            for call in calls:
+                with pytest.raises(PreconditionError, match="different model"):
+                    call()
 
 
 class TestExchangeablePairsIdentity:
@@ -733,16 +748,14 @@ class TestRPsi:
     def test_finite_and_grid_argmin(self):
         m = hypercube_sum(2)
         k = ExactKernel(m)
-        cv = {z: conditional_variances(m, None, k, z) for z, _ in m.dist.outcomes()}
-        out = r_psi(m, cv, psi=1.0, s_grid=[0.5, 1.0, 2.0])
+        out = r_psi(m, k, psi=1.0, s_grid=[0.5, 1.0, 2.0])
         assert math.isfinite(out["r"])
         assert out["argmin_s"] in (0.5, 1.0, 2.0)
 
     def test_overflow_values_skipped(self):
         m = hypercube_sum(2)
         k = ExactKernel(m)
-        cv = {z: conditional_variances(m, None, k, z) for z, _ in m.dist.outcomes()}
-        out = r_psi(m, cv, psi=1.0, s_grid=[1.0, 1e300])
+        out = r_psi(m, k, psi=1.0, s_grid=[1.0, 1e300])
         assert 1e300 in out["skipped_s"]
 
 

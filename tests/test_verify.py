@@ -15,7 +15,6 @@ from matconc.matcore import (
     HermitianMatrix,
     ParameterError,
     SuperOperator,
-    expm,
     left_mult_op,
     matrix_function,
     ntrace,
@@ -171,7 +170,7 @@ def oracle_pmvti(A, B, C, q, s):
 
 
 def oracle_emvti(A, B, C, s):
-    eA, eB = expm(A).a, expm(B).a
+    eA, eB = matrix_function(A, np.exp).a, matrix_function(B, np.exp).a
     D = A - B
     inner = s * (D @ D) + (C @ C) / s
     return abs(ntrace(C @ (eA - eB))), 0.25 * ntrace(inner @ (eA + eB))
@@ -202,7 +201,7 @@ def oracle_entropy_young(Us, Ws):
 
     k = len(Us)
     lhs = sum(ntrace(U @ W) for U, W in zip(Us, Ws)) / k
-    mgf = sum(ntrace(expm(U)) for U in Us) / k
+    mgf = sum(ntrace(matrix_function(U, np.exp)) for U in Us) / k
     ent = sum(ntrace(matrix_function(W, xlogx)) for W in Ws) / k
     return lhs, math.log(mgf) + ent
 
