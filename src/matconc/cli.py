@@ -134,6 +134,12 @@ def _merge_config(cfg: dict, flags: dict, extra: frozenset = frozenset()) -> dic
     return merged
 
 
+def _get(cfg: dict, key: str, kind, default):
+    """cfg[key] read as kind, or ``default`` where the key is unset: an explicit 0 stays 0."""
+    value = cfg.get(key)
+    return default if value is None else _as(kind, value)
+
+
 def _require_seed(cfg: dict) -> int:
     seed = cfg.get("seed")
     if seed is None:
@@ -329,13 +335,12 @@ def verify_cmd(config_path, **flags):
         if kind == "exact":
             kern = stein.ExactKernel(mdl)
         elif kind == "estimated":
-            kern = stein.EstimatedKernel(
-                mdl,
-                horizon=_as(int, cfg.get("horizon") or
-                            stein.default_horizon(mdl.dist.n, mdl.max_h_norm())),
-                samples=_as(int, cfg.get("samples") or 200),
-                seed=_require_seed(cfg),
-            )
+            horizon = _get(cfg, "horizon", int, None)
+            if horizon is None:
+                horizon = stein.default_horizon(mdl.dist.n, mdl.max_h_norm())
+            kern = stein.EstimatedKernel(mdl, horizon=horizon,
+                                         samples=_get(cfg, "samples", int, 200),
+                                         seed=_require_seed(cfg))
         else:
             raise ParameterError(f"unknown kernel kind {kind!r}")
         s_grid = (_parse_floats(cfg["s"]) if cfg.get("s")
@@ -354,8 +359,8 @@ def verify_cmd(config_path, **flags):
 def _run_fuzz(ineq: str, dims, cfg: dict, trials: int, seed: int, jobs: int):
     qs = _parse_ints(cfg.get("q") or "1:7")
     ss = _parse_floats(cfg.get("s") or "0.25,1,4")
-    p = _as(float, cfg.get("p") or 2.0)
-    size = _as(int, cfg.get("ensemble_size") or 8)
+    p = _get(cfg, "p", float, 2.0)
+    size = _get(cfg, "ensemble_size", int, 8)
 
     def one(count, chunk_seed):
         if ineq == "pmvti":
@@ -399,11 +404,11 @@ def fuzz(config_path, **flags):
     name = cfg.get("ineq")
     if name is None:
         raise ParameterError("--ineq is required")
-    trials = _as(int, cfg.get("trials") or 0)
+    trials = _get(cfg, "trials", int, 0)
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     seed = _require_seed(cfg)
-    jobs = _as(int, cfg.get("jobs") or 1)
+    jobs = _get(cfg, "jobs", int, 1)
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
     dims = _parse_ints(cfg.get("d") or "1:6")
@@ -424,7 +429,7 @@ def fuzz(config_path, **flags):
 def conjecture(config_path, **flags):
     """Sweep the signed trace-inequality forms; always exits 0 on completion."""
     cfg = _merge_config(_load_config(config_path), flags)
-    trials = _as(int, cfg.get("trials") or 0)
+    trials = _get(cfg, "trials", int, 0)
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     seed = _require_seed(cfg)
@@ -449,14 +454,18 @@ def conjecture(config_path, **flags):
 def couple(config_path, **flags):
     """Coupling-time statistics for antipodal starts on the hypercube."""
     cfg = _merge_config(_load_config(config_path), flags)
-    n = _as(int, cfg.get("n") or 0)
+    n = _get(cfg, "n", int, 0)
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    runs = _as(int, cfg.get("runs") or 0)
+    runs = _get(cfg, "runs", int, 0)
     if runs < 2:
         raise ParameterError(f"runs must be >= 2, got {runs}")
     seed = _require_seed(cfg)
-    max_steps = _as(int, cfg.get("max_steps") or 1_000_000)
+    max_steps = _get(cfg, "max_steps", int, 1_000_000)
+    pw_runs = _get(cfg, "pathwise_runs", int, 100)
+    if max_steps < 1 or pw_runs < 1:
+        raise ParameterError(f"max_steps and pathwise_runs must be >= 1, "
+                             f"got {max_steps} and {pw_runs}")
     times = stein.sample_coupling_times(n, runs, seed, max_steps=max_steps)
     if np.any(times < 0):
         raise VerificationFailure("some runs exhausted max_steps before coupling")
@@ -466,7 +475,6 @@ def couple(config_path, **flags):
     # se = 0 when every run couples at the same step (n = 1)
     dev = abs(mean - expected) / se if se > 0 else (0.0 if mean == expected else math.inf)
 
-    pw_runs = _as(int, cfg.get("pathwise_runs") or 100)
     model = stein.hypercube_sum(n)
     z = tuple(1.0 for _ in range(n))
     zp = tuple(-1.0 for _ in range(n))
@@ -521,7 +529,7 @@ def tail(config_path, **flags):
     cfg = _merge_config(_load_config(config_path), flags, _CURVE_KEYS)
     mdl = _build_model(cfg)
     curve = _build_curve(cfg) if cfg.get("name") else None
-    samples = _as(int, cfg.get("samples") or 0)
+    samples = _get(cfg, "samples", int, 0)
     seed = _require_seed(cfg)
     comparison = verify.empirical_tail(
         mdl,
@@ -529,7 +537,7 @@ def tail(config_path, **flags):
         _parse_grid(cfg.get("t") or "0:8:0.25"),
         seed,
         curve=curve,
-        alpha=_as(float, cfg.get("alpha") or 0.01),
+        alpha=_get(cfg, "alpha", float, 0.01),
         statistic=cfg.get("statistic") or "lmax",
     )
     report = comparison.to_json()

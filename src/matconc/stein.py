@@ -746,8 +746,9 @@ def estimate_kernel(model: MatrixModel, z, zp, horizon: int, samples: int,
     Averages sum_{t <= horizon} H(a_t) - H(b_t) over ``samples`` coupled chain
     pairs from (z, z'); its mean is g_h(z) - g_h(z'), g_h = sum_{i <= h} P^i X.
     The samples step in lockstep, _KERNEL_BLOCK at a time, as arrays of
-    support positions that gather H from the outcome tensor (of values that
-    go through ``H``, on a model that cannot be enumerated).  Every sample of
+    support positions that gather H from the outcome tensor, so a model
+    above its cutoff raises PreconditionError.  ``h_max`` (max ||H||,
+    computed when not given) sets the truncation bound.  Every sample of
     block k draws J and one replacement per coordinate at every step, met or
     not, from the seed's Philox stream jumped k times, so the draws depend
     only on (seed, step) and swapping (z, z') negates the estimate bitwise.
@@ -764,24 +765,13 @@ def estimate_kernel(model: MatrixModel, z, zp, horizon: int, samples: int,
     zp = tuple(float(v) for v in zp)
     if len(z) != n or len(zp) != n:
         raise ParameterError(f"states need {n} coordinates, got {len(z)} and {len(zp)}")
+    hs = outcome_stack(model.H_tensor())
     if h_max is None:
-        h_max = model.max_h_norm() if model.exact else None
-    if h_max is None:
-        raise ParameterError("h_max is required for models that cannot be enumerated")
+        h_max = model.max_h_norm()
+    starts = [np.unravel_index(dist.index(s), dist.shape) for s in (z, zp)]
 
-    if model.exact:
-        hs = outcome_stack(model.H_tensor())
-        starts = [np.unravel_index(dist.index(s), dist.shape) for s in (z, zp)]
-        draws = [c.sample_index for c in dist.coords]
-
-        def at(rows):
-            return hs[np.ravel_multi_index(tuple(rows.T), dist.shape)]
-    else:
-        starts = [z, zp]
-        draws = [c.sample for c in dist.coords]
-
-        def at(rows):
-            return np.array([model.H(tuple(r)) for r in rows]).reshape(len(rows), d, d)
+    def at(rows):
+        return hs[np.ravel_multi_index(tuple(rows.T), dist.shape)]
 
     bitgen = np.random.Philox(int(seed))
     acc = np.zeros((d, d), dtype=np.complex128)
@@ -796,7 +786,7 @@ def estimate_kernel(model: MatrixModel, z, zp, horizon: int, samples: int,
             if live.size == 0:
                 break
             j = rng.integers(0, n, m)
-            v = np.column_stack([draw(rng, m) for draw in draws])[np.arange(m), j]
+            v = np.column_stack([c.sample_index(rng, m) for c in dist.coords])[np.arange(m), j]
             a[live, j[live]] = b[live, j[live]] = v[live]
             live = live[(a[live] != b[live]).any(axis=1)]
             total[live] += at(a[live]) - at(b[live])
@@ -823,13 +813,12 @@ class EstimatedKernel:
     Estimates are cached.
     """
 
-    def __init__(self, model: MatrixModel, horizon: int, samples: int, seed: int,
-                 h_max: float | None = None):
+    def __init__(self, model: MatrixModel, horizon: int, samples: int, seed: int):
         self.model = model
         self.horizon = int(horizon)
         self.samples = int(samples)
         self.seed = int(seed)
-        self.h_max = model.max_h_norm() if h_max is None else float(h_max)
+        self.h_max = model.max_h_norm()
         self._cache: dict = {}
 
     def details(self, z, zp) -> KernelEstimate:

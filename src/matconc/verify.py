@@ -8,6 +8,7 @@ and compare both sides of the target inequality at tolerance 1e-10.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,17 +40,24 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(int(seed)))
 
 
-def _as_dims(d_range) -> list:
-    if isinstance(d_range, (int, np.integer)):
-        return [int(d_range)]
-    out = [int(d) for d in d_range]
+def _grid(values, kind, what: str) -> list:
+    """A scalar or an iterable of values, each read as kind; an empty grid checks nothing."""
+    out = [kind(values)] if isinstance(values, numbers.Real) else [kind(v) for v in values]
     if not out:
-        raise ParameterError("empty dimension range")
+        raise ParameterError(f"empty {what} grid")
     return out
 
 
-def _norm_slack(lhs: float, rhs: float) -> float:
-    return (rhs - lhs) / max(1.0, abs(rhs) + abs(lhs))
+def _positive_ints(values, what: str) -> list:
+    out = _grid(values, int, what)
+    if any(v < 1 for v in out):
+        raise ParameterError(f"{what} must be a positive integer, got {out}")
+    return out
+
+
+def _norm_slacks(lhs, rhs):
+    """(rhs - lhs) / max(1, |rhs| + |lhs|), entrywise."""
+    return (rhs - lhs) / np.maximum(1.0, np.abs(rhs) + np.abs(lhs))
 
 
 # ---------------------------------------------------------------------------
@@ -160,42 +168,67 @@ def _rect_json(a) -> dict:
     return RectMatrix(a).to_json()
 
 
-class _WorstTracker:
-    """Keeps the global minimum slack and the few worst serialized cases."""
+class _Worst:
+    """The ``keep`` smallest slacks offered, with their serialized cases, and
+    the smallest slack per dimension.  Of equal slacks the earlier offer ranks
+    first, so a sweep keeps the cases that a one-trial-at-a-time loop keeps."""
 
-    def __init__(self, keep: int = 5):
-        self.min_slack = math.inf
-        self.by_dim: dict = {}
-        self.cases: list = []
+    def __init__(self, keep: int):
         self.keep = keep
+        self.cases: list = []
+        self.by_dim: dict = {}
 
-    def offer(self, slack: float, d: int, case_fn) -> None:
-        prev = self.by_dim.get(d, math.inf)
-        if slack < prev:
+    def add(self, slacks: np.ndarray, case, dims=None) -> None:
+        """Offer slacks[m, j] in row-major order; row m is of dimension dims[m].
+
+        ``case(m, j)`` serializes one offer, and runs only for the block's
+        ``keep`` smallest slacks that make it into the kept cases.
+        """
+        flat = slacks.ravel()
+        top = [(float(flat[k]), divmod(int(k), slacks.shape[1]))
+               for k in np.argsort(flat, kind="stable")[:self.keep]]
+        kept = sorted(self.cases + top, key=lambda t: t[0])[:self.keep]
+        self.cases = [(s, c if isinstance(c, dict) else {**case(*c), "slack": s})
+                      for s, c in kept]
+        if dims is not None:
+            for d in dict.fromkeys(dims.tolist()):
+                rows = slacks[dims == d]
+                # argmin keeps the earlier of -0.0 and 0.0, as one offer at a time does
+                self.low(d, float(rows.flat[np.argmin(rows)]))
+
+    def take(self, cases: list, by_dim: dict) -> None:
+        """Offer stored cases in list order, skipping empty ones, and stored
+        minima per dimension."""
+        cases = [c for c in cases if c]
+        self.add(np.array([[c["slack"] for c in cases]], dtype=float), lambda _, j: cases[j])
+        for d, s in by_dim.items():
+            self.low(int(d), s)
+
+    def low(self, d: int, slack: float) -> None:
+        if slack < self.by_dim.get(d, math.inf):
             self.by_dim[d] = slack
-        if slack < self.min_slack:
-            self.min_slack = slack
-        if len(self.cases) < self.keep or slack < self.cases[-1][0]:
-            case = case_fn()
-            case["slack"] = slack
-            self.cases.append((slack, case))
-            self.cases.sort(key=lambda t: t[0])
-            del self.cases[self.keep:]
 
     def report(self, inequality: str, trials: int, dims: list,
-               tolerance: float = FUZZ_TOL) -> FuzzReport:
-        worst = self.cases[0][1] if self.cases else {}
+               tolerance: float = FUZZ_TOL, sections: dict | None = None) -> FuzzReport:
+        min_slack = self.cases[0][0] if self.cases else math.inf
         return FuzzReport(
             inequality=inequality,
             trials=trials,
             dims=dims,
-            min_slack=self.min_slack if self.cases else math.inf,
-            worst_case=worst,
-            passed=bool(self.min_slack >= -tolerance),
+            min_slack=min_slack,
+            worst_case=self.cases[0][1] if self.cases else {},
+            passed=bool(min_slack >= -tolerance),
             tolerance=tolerance,
             min_slack_by_dim=dict(sorted(self.by_dim.items())),
             near_misses=[c for _, c in self.cases[1:]],
+            sections=sections or {},
         )
+
+
+def _section(report: FuzzReport) -> dict:
+    """The summary of one form inside a pooled report."""
+    out = report.to_json()
+    return {k: out[k] for k in ("min_slack", "min_slack_by_dim", "worst_case", "pass")}
 
 
 # ---------------------------------------------------------------------------
@@ -355,28 +388,29 @@ def _conjecture_stack(A, B, C, q, s) -> tuple:
             _re_trace(C @ (Aq - Bq)), rhs(q / 2.0, absA, absB))
 
 
-def _sweep(trials: int, draw, evaluate, offer) -> None:
-    """Draw all trials, evaluate them in blocks by dimension, offer them in order.
+def _sweep(trials: int, draw, evaluate, take) -> None:
+    """Draw all trials, evaluate them in blocks by dimension, take each block whole.
 
     ``draw()`` returns ``(d, inputs, kind)`` for one trial and is called in
     trial order, so the generator stream is that of a one-by-one loop.
     ``evaluate(*stacks)`` takes the inputs of one dimension stacked along
-    axis 0 and returns arrays with one entry per trial.  ``offer(trial, row)``
-    then gets every trial with its entries, in trial order.  Blocks of
-    BLOCK_TRIALS keep the stacks, and so the peak memory, small.
+    axis 0 and returns arrays with one entry per trial.  ``take(block, dims,
+    outs)`` then gets the block's trials, their dimensions as an array, and
+    every output with its entries scattered back into trial order.  Blocks
+    of BLOCK_TRIALS keep the stacks, and so the peak memory, small.
     """
     for start in range(0, trials, BLOCK_TRIALS):
         block = [draw() for _ in range(min(BLOCK_TRIALS, trials - start))]
-        groups: dict = {}
-        for i, (d, _, _) in enumerate(block):
-            groups.setdefault(d, []).append(i)
-        rows = [None] * len(block)
-        for idx in groups.values():
-            outs = evaluate(*(np.stack(col) for col in zip(*(block[i][1] for i in idx))))
-            for j, i in enumerate(idx):
-                rows[i] = [out[j] for out in outs]
-        for trial, row in zip(block, rows):
-            offer(trial, row)
+        dims = np.array([d for d, _, _ in block])
+        outs = None
+        for d in dict.fromkeys(dims.tolist()):
+            idx = np.flatnonzero(dims == d)
+            got = evaluate(*(np.stack(col) for col in zip(*(block[i][1] for i in idx))))
+            if outs is None:
+                outs = [np.empty((len(block),) + g.shape[1:], g.dtype) for g in got]
+            for out, g in zip(outs, got):
+                out[idx] = g
+        take(block, dims, outs)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +423,7 @@ def _one(x) -> np.ndarray:
 
 
 def _s_array(s_values) -> np.ndarray:
-    return np.array([float(s) for s in s_values])
+    return np.array(_grid(s_values, float, "s"))
 
 
 def _first(*outs) -> tuple:
@@ -450,16 +484,28 @@ def eval_conjecture(A, B, C, q: int, s: float) -> dict:
 # fuzz suites
 
 
-def _as_qs(q_range) -> list:
-    qs = [int(q) for q in (q_range if not isinstance(q_range, int) else [q_range])]
-    if any(q < 1 for q in qs):
-        raise ParameterError("q must be a positive integer")
-    return qs
+def _fuzz(trials: int, dims: list, draw, evaluate, *forms, keep: int = 5) -> list:
+    """One FuzzReport per form ``(inequality, slacks, case)`` over ``trials`` draws.
 
-
-def _check_trials(trials: int) -> None:
+    ``slacks(*outs)`` turns the outputs of a block into its slack matrix, one
+    row per trial and one column per grid point; ``case(trial, j)``
+    serializes the trial at grid point j.
+    """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
+    worst = [_Worst(keep) for _ in forms]
+
+    def take(block, block_dims, outs):
+        for w, (_, slacks, case) in zip(worst, forms):
+            w.add(slacks(*outs), lambda i, j: case(block[i], j), block_dims)
+
+    _sweep(trials, draw, evaluate, take)
+    return [w.report(name, trials, dims) for w, (name, _, _) in zip(worst, forms)]
+
+
+def _slack_matrix(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Normalized slacks of one lhs per trial against its rhs (one per grid point)."""
+    return _norm_slacks(lhs[:, None], rhs.reshape(len(rhs), -1))
 
 
 def _triple_draws(rng, dims: list, qs: list | None = None):
@@ -472,71 +518,44 @@ def _triple_draws(rng, dims: list, qs: list | None = None):
     return draw
 
 
-def _triple_case(ineq: str, kind: str, mats, **params) -> dict:
+def _triple_case(ineq: str, trial, keys: str = "ABC", **params) -> dict:
+    _, mats, kind = trial
     case = {"ineq": ineq, "kind": kind, **params}
-    case.update(zip("ABC", map(_herm_json, mats)))
+    case.update(zip(keys, map(_herm_json, mats)))
     return case
 
 
 def fuzz_pmvti(d_range, q_range, s_values, trials: int, seed: int) -> FuzzReport:
     """Degree-q polynomial mean value trace inequality over random triples."""
-    dims = _as_dims(d_range)
-    qs = _as_qs(q_range)
-    _check_trials(trials)
-    ss = _s_array(s_values)
-    tracker = _WorstTracker()
-
-    def offer(trial, row):
-        d, (A, B, C, q), kind = trial
-        for s, rhs in zip(ss, row[1]):
-            tracker.offer(_norm_slack(float(row[0]), float(rhs)), d, lambda: _triple_case(
-                "pmvti", kind, (A, B, C), q=q, s=float(s)))
-
-    _sweep(trials, _triple_draws(_rng(seed), dims, qs),
-           lambda A, B, C, q: _pmvti_stack(A, B, C, q, ss), offer)
-    return tracker.report("pmvti", trials, dims)
+    dims, qs, ss = _positive_ints(d_range, "d"), _positive_ints(q_range, "q"), _s_array(s_values)
+    return _fuzz(trials, dims, _triple_draws(_rng(seed), dims, qs),
+                 lambda A, B, C, q: _pmvti_stack(A, B, C, q, ss),
+                 ("pmvti", _slack_matrix, lambda t, j: _triple_case(
+                     "pmvti", t, q=t[1][3], s=float(ss[j]))))[0]
 
 
 def fuzz_emvti(d_range, s_values, trials: int, seed: int) -> FuzzReport:
     """Exponential mean value trace inequality over random triples."""
-    dims = _as_dims(d_range)
-    _check_trials(trials)
-    ss = _s_array(s_values)
-    tracker = _WorstTracker()
-
-    def offer(trial, row):
-        d, (A, B, C), kind = trial
-        for s, rhs in zip(ss, row[1]):
-            tracker.offer(_norm_slack(float(row[0]), float(rhs)), d, lambda: _triple_case(
-                "emvti", kind, (A, B, C), s=float(s)))
-
-    _sweep(trials, _triple_draws(_rng(seed), dims),
-           lambda A, B, C: _emvti_stack(A, B, C, ss), offer)
-    return tracker.report("emvti", trials, dims)
+    dims, ss = _positive_ints(d_range, "d"), _s_array(s_values)
+    return _fuzz(trials, dims, _triple_draws(_rng(seed), dims),
+                 lambda A, B, C: _emvti_stack(A, B, C, ss),
+                 ("emvti", _slack_matrix, lambda t, j: _triple_case(
+                     "emvti", t, s=float(ss[j]))))[0]
 
 
 def fuzz_young_commuting(d_range, p: float, trials: int, seed: int) -> FuzzReport:
     """Operator Young inequality for commuting left/right multiplications."""
-    dims = _as_dims(d_range)
-    _check_trials(trials)
-    tracker = _WorstTracker()
-
-    def offer(trial, row):
-        d, (A, B, _), kind = trial
-        tracker.offer(float(row[0]) / float(row[1]), d, lambda: _triple_case(
-            "young_commuting", kind, (A, B), p=float(p)))
-
-    _sweep(trials, _triple_draws(_rng(seed), dims),
-           lambda A, B, C: _young_stack(A, B, p), offer)
-    return tracker.report(f"young_commuting(p={p})", trials, dims)
+    dims = _positive_ints(d_range, "d")
+    return _fuzz(trials, dims, _triple_draws(_rng(seed), dims),
+                 lambda A, B, C: _young_stack(A, B, p),
+                 (f"young_commuting(p={p})", lambda gap, scale: (gap / scale)[:, None],
+                  lambda t, _: _triple_case("young_commuting", t, "AB", p=float(p))))[0]
 
 
 def fuzz_operator_cs(d_range, trials: int, seed: int) -> FuzzReport:
     """Cauchy-Schwarz for a self-adjoint operator on matrices."""
-    dims = _as_dims(d_range)
-    _check_trials(trials)
+    dims = _positive_ints(d_range, "d")
     rng = _rng(seed)
-    tracker = _WorstTracker()
 
     def draw():
         d = dims[int(rng.integers(0, len(dims)))]
@@ -551,26 +570,18 @@ def fuzz_operator_cs(d_range, trials: int, seed: int) -> FuzzReport:
             N = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         return d, (S, M, N), None
 
-    def offer(trial, row):
-        d, (S, M, N), _ = trial
-        tracker.offer(_norm_slack(float(row[0]), float(row[1])), d, lambda: {
-            "ineq": "operator_cs",
-            "S": _rect_json(S), "M": _rect_json(M), "N": _rect_json(N),
-        })
-
-    _sweep(trials, draw, _operator_cs_stack, offer)
-    return tracker.report("operator_cs", trials, dims)
+    return _fuzz(trials, dims, draw, _operator_cs_stack,
+                 ("operator_cs", _slack_matrix, lambda t, _: {
+                     "ineq": "operator_cs", **dict(zip("SMN", map(_rect_json, t[1])))}))[0]
 
 
 def fuzz_matrix_entropy_young(d_range, ensemble_size: int, trials: int,
                               seed: int) -> FuzzReport:
     """Duality bound for matrix entropy on finite equally-weighted ensembles."""
-    dims = _as_dims(d_range)
+    dims = _positive_ints(d_range, "d")
     if ensemble_size < 1:
         raise ParameterError(f"ensemble_size must be >= 1, got {ensemble_size}")
-    _check_trials(trials)
     rng = _rng(seed)
-    tracker = _WorstTracker()
 
     def draw():
         d = dims[int(rng.integers(0, len(dims)))]
@@ -584,16 +595,11 @@ def fuzz_matrix_entropy_young(d_range, ensemble_size: int, trials: int,
         Ws = [r / total for r in raws]
         return d, (np.stack(Us), np.stack(Ws)), None
 
-    def offer(trial, row):
-        d, (Us, Ws), _ = trial
-        tracker.offer(_norm_slack(float(row[0]), float(row[1])), d, lambda: {
-            "ineq": "matrix_entropy_young",
-            "U": [_herm_json(u) for u in Us],
-            "W": [_herm_json(w) for w in Ws],
-        })
-
-    _sweep(trials, draw, _entropy_young_stack, offer)
-    return tracker.report("matrix_entropy_young", trials, dims)
+    return _fuzz(trials, dims, draw, _entropy_young_stack,
+                 ("matrix_entropy_young", _slack_matrix, lambda t, _: {
+                     "ineq": "matrix_entropy_young",
+                     "U": [_herm_json(u) for u in t[1][0]],
+                     "W": [_herm_json(w) for w in t[1][1]]}))[0]
 
 
 def explore_conjecture(d_range, q_range, s_values, trials: int, seed: int) -> FuzzReport:
@@ -608,60 +614,27 @@ def explore_conjecture(d_range, q_range, s_values, trials: int, seed: int) -> Fu
     per-form section next to the pooled summary, and the pooled pass flag
     is advisory only.
     """
-    dims = _as_dims(d_range)
-    qs = _as_qs(q_range)
-    _check_trials(trials)
-    ss = _s_array(s_values)
-    trackers = {form: _WorstTracker(keep=4) for form in ("exp", "poly")}
+    dims, qs, ss = _positive_ints(d_range, "d"), _positive_ints(q_range, "q"), _s_array(s_values)
 
-    def offer(trial, row):
-        d, (A, B, C, q), kind = trial
-        lhs_e, rhs_e, lhs_p, rhs_p = row
-        for j, s in enumerate(ss):
-            for form, lhs, rhs in (("exp", lhs_e, rhs_e[j]), ("poly", lhs_p, rhs_p[j])):
-                trackers[form].offer(_norm_slack(float(lhs), float(rhs)), d, lambda: _triple_case(
-                    f"conjecture_{form}", kind, (A, B, C), q=q, s=float(s)))
+    def form(k, ineq):  # outputs 2k and 2k + 1 of _conjecture_stack are its lhs and rhs
+        return (ineq, lambda *outs: _slack_matrix(*outs[2 * k:2 * k + 2]),
+                lambda t, j: _triple_case(ineq, t, q=t[1][3], s=float(ss[j])))
 
-    _sweep(trials, _triple_draws(_rng(seed), dims, qs),
-           lambda A, B, C, q: _conjecture_stack(A, B, C, q, ss), offer)
-    per_form = {form: trackers[form].report(f"conjecture_{form}", trials, dims)
-                for form in sorted(trackers)}
-    sections = {form: {
-        "min_slack": r.min_slack,
-        "min_slack_by_dim": {str(k): v for k, v in r.min_slack_by_dim.items()},
-        "worst_case": r.worst_case,
-        "pass": r.passed,
-    } for form, r in per_form.items()}
-    return _pool(per_form.values(), 8, "signed_mvti_conjecture", trials, dims, sections)
+    per_form = _fuzz(trials, dims, _triple_draws(_rng(seed), dims, qs),
+                     lambda A, B, C, q: _conjecture_stack(A, B, C, q, ss),
+                     form(0, "conjecture_exp"), form(1, "conjecture_poly"), keep=4)
+    sections = {"exp": _section(per_form[0]), "poly": _section(per_form[1])}
+    return _pool(per_form, 8, "signed_mvti_conjecture", trials, dims, sections)
 
 
 def _pool(reports, keep: int, inequality: str, trials: int, dims: list,
           sections: dict, tolerance: float = FUZZ_TOL) -> FuzzReport:
-    """One report from the worst cases and near misses of ``reports``: the
-    ``keep`` smallest slacks (ties in list order) and the minimum per dimension."""
-    cases = []
-    by_dim: dict = {}
+    """One report from the stored cases of ``reports``, in list order, through
+    the selector, with the minimum per dimension."""
+    worst = _Worst(keep)
     for r in reports:
-        if r.worst_case:
-            cases.append((r.worst_case["slack"], r.worst_case))
-        cases.extend((c["slack"], c) for c in r.near_misses)
-        for d, s in r.min_slack_by_dim.items():
-            by_dim[int(d)] = min(by_dim.get(int(d), math.inf), s)
-    cases.sort(key=lambda t: t[0])
-    del cases[keep:]
-    min_slack = cases[0][0] if cases else math.inf
-    return FuzzReport(
-        inequality=inequality,
-        trials=trials,
-        dims=dims,
-        min_slack=min_slack,
-        worst_case=cases[0][1] if cases else {},
-        passed=bool(min_slack >= -tolerance),
-        tolerance=tolerance,
-        min_slack_by_dim=dict(sorted(by_dim.items())),
-        near_misses=[c for _, c in cases[1:]],
-        sections=sections,
-    )
+        worst.take([r.worst_case, *r.near_misses], r.min_slack_by_dim)
+    return worst.report(inequality, trials, dims, tolerance, sections)
 
 
 def merge_fuzz_reports(reports) -> FuzzReport:
@@ -673,24 +646,15 @@ def merge_fuzz_reports(reports) -> FuzzReport:
     tol = reports[0].tolerance
     if any(r.inequality != name or r.tolerance != tol for r in reports):
         raise ParameterError("cannot merge reports of different suites")
-    sections: dict = {}
+    trials = sum(r.trials for r in reports)
+    dims = sorted({int(d) for r in reports for d in r.dims})
+    forms: dict = {}
     for r in reports:
         for form, sec in r.sections.items():
-            cur = sections.get(form)
-            if cur is None:
-                sections[form] = dict(sec)
-                continue
-            merged = {int(k): v for k, v in cur["min_slack_by_dim"].items()}
-            for k, v in sec["min_slack_by_dim"].items():
-                k = int(k)
-                merged[k] = min(merged.get(k, math.inf), v)
-            cur["min_slack_by_dim"] = {str(k): v for k, v in sorted(merged.items())}
-            if sec["min_slack"] < cur["min_slack"]:
-                cur["min_slack"] = sec["min_slack"]
-                cur["worst_case"] = sec["worst_case"]
-            cur["pass"] = bool(cur["pass"] and sec["pass"])
-    dims = sorted({int(d) for r in reports for d in r.dims})
-    return _pool(reports, 5, name, sum(r.trials for r in reports), dims, sections, tol)
+            forms.setdefault(form, _Worst(keep=1)).take([sec["worst_case"]],
+                                                         sec["min_slack_by_dim"])
+    sections = {form: _section(w.report(form, trials, dims, tol)) for form, w in forms.items()}
+    return _pool(reports, 5, name, trials, dims, sections, tol)
 
 
 def replay_case(case: dict) -> dict:
@@ -718,7 +682,7 @@ def replay_case(case: dict) -> dict:
         lhs, rhs = both[ineq[len("conjecture_"):]]
     else:
         raise ParameterError(f"unknown inequality {ineq!r}")
-    return {"ineq": ineq, "lhs": lhs, "rhs": rhs, "slack": _norm_slack(lhs, rhs)}
+    return {"ineq": ineq, "lhs": lhs, "rhs": rhs, "slack": float(_norm_slacks(lhs, rhs))}
 
 
 # ---------------------------------------------------------------------------

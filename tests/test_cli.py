@@ -6,6 +6,7 @@ can be asserted without spawning interpreters.
 import importlib.util
 import json
 import math
+import re
 import threading
 from pathlib import Path
 
@@ -198,6 +199,21 @@ class TestFuzzVerb:
         assert code == 3
         assert json.loads(err)["error"]["type"] == "config"
 
+    @pytest.mark.parametrize("argv", [
+        ["fuzz", "--ineq", "emvti", "--s", ","],
+        ["fuzz", "--ineq", "pmvti", "--q", ","],
+        ["fuzz", "--ineq", "pmvti", "--s", ","],
+        ["conjecture", "--s", ","],
+        ["conjecture", "--q", ","],
+        ["fuzz", "--ineq", "pmvti", "--d", "0"],
+        ["conjecture", "--d", "-1"],
+    ])
+    def test_grid_that_checks_nothing_is_config_error(self, capsys, argv):
+        # an empty grid, or a dimension below 1: neither a vacuous pass nor a crash
+        code, out, err = run(argv + ["--trials", "5", "--seed", "1"], capsys)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["type"] == "config"
+
     def test_unknown_inequality(self, capsys):
         code, _, _ = run(["fuzz", "--ineq", "bogus", "--trials", "5",
                           "--seed", "1"], capsys)
@@ -300,6 +316,32 @@ class TestConfigPlumbing:
             assert code == 3
             error = json.loads(err)["error"]
             assert error["type"] == "config" and "cover" in error["message"]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("key, argv", [
+        ("ensemble_size", ["fuzz", "--ineq", "matrix_entropy_young", "--trials", "3"]),
+        ("jobs", ["fuzz", "--ineq", "pmvti", "--trials", "3"]),
+        ("p", ["fuzz", "--ineq", "young_commuting", "--trials", "3"]),
+        ("alpha", ["tail", "--model", "hypercube_sum", "--n", "2", "--samples", "200"]),
+        ("max_steps", ["couple", "--n", "2", "--runs", "4"]),
+        ("pathwise_runs", ["couple", "--n", "2", "--runs", "4"]),
+        ("samples", ["verify", "--check", "kernel_poly_moments", "--kernel", "estimated",
+                     "--model", "hypercube_sum", "--n", "2"]),
+        ("horizon", ["verify", "--check", "kernel_poly_moments", "--kernel", "estimated",
+                     "--model", "hypercube_sum", "--n", "2"]),
+    ])
+    def test_explicit_zero_is_not_the_default(self, capsys, tmp_path, key, argv, source):
+        # 0 reaches the verb's validation, from a flag or a config file alike
+        if source == "flag":
+            extra = ["--" + key.replace("_", "-"), "0"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: 0}))
+            extra = ["--config", str(cfg)]
+        code, out, err = run(argv + ["--seed", "1"] + extra, capsys)
+        assert code == 3 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "config" and re.search(rf"\b{key}\b.* must ", error["message"])
 
     def test_unknown_flag(self, capsys):
         code, _, err = run(["fuzz", "--ineq", "pmvti", "--trails", "5"], capsys)

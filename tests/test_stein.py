@@ -611,30 +611,24 @@ class TestEstimatedKernel:
         np.testing.assert_allclose(est(z, zpp), est(z, zp) + est(zp, zpp),
                                    rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("block", [5, stein._KERNEL_BLOCK])
     @pytest.mark.parametrize("build", [
         lambda: hypercube_sum(3),
         lambda: random_finite_model(3, 2, seed=4),
         unsorted_three_valued_model,
     ])
-    def test_sampled_branch_matches_exact_branch_bitwise(self, build, block, monkeypatch):
-        # a model above its cutoff steps values through H, not positions
-        # through the outcome tensor, on the same draws
-        monkeypatch.setattr(stein, "_KERNEL_BLOCK", block)
+    def test_model_above_its_cutoff_is_rejected(self, build):
+        # the estimator gathers H from the outcome tensor, which only an
+        # enumerable model has
         exact, sampled = build(), build()
         sampled.enum_cutoff = 2
         assert exact.exact and not sampled.exact
         zs = [z for z, _ in exact.dist.outcomes()]
-        h_max = exact.max_h_norm()
-        for zp in (zs[1], zs[-1]):
-            want = estimate_kernel(exact, zs[0], zp, horizon=12, samples=23, seed=9)
-            got = estimate_kernel(sampled, zs[0], zp, horizon=12, samples=23, seed=9,
-                                  h_max=h_max)
-            assert np.array_equal(got.estimate.a, want.estimate.a)
-            assert (got.se_norm, got.truncation_error_bound) == (
-                want.se_norm, want.truncation_error_bound)
-        with pytest.raises(ParameterError):
-            estimate_kernel(sampled, zs[0], zs[1], horizon=12, samples=23, seed=9)
+        for h_max in (None, exact.max_h_norm()):
+            with pytest.raises(PreconditionError):
+                estimate_kernel(sampled, zs[0], zs[1], horizon=12, samples=23, seed=9,
+                                h_max=h_max)
+        with pytest.raises(PreconditionError):
+            EstimatedKernel(sampled, horizon=12, samples=23, seed=9)
 
     def test_memory_is_one_block(self, monkeypatch):
         monkeypatch.setattr(stein, "_KERNEL_BLOCK", 256)

@@ -278,14 +278,14 @@ class TestEvaluatorsAgainstOracles:
     def test_pmvti(self):
         for _, (A, B, C, q), _ in triple_cases(31):
             for s in SS:
-                new = verify._norm_slack(*eval_pmvti(A, B, C, q, s))
-                assert abs(new - verify._norm_slack(*oracle_pmvti(A, B, C, q, s))) <= self.TOL
+                new = verify._norm_slacks(*eval_pmvti(A, B, C, q, s))
+                assert abs(new - verify._norm_slacks(*oracle_pmvti(A, B, C, q, s))) <= self.TOL
 
     def test_emvti(self):
         for _, (A, B, C, _q), _ in triple_cases(32):
             for s in SS:
-                new = verify._norm_slack(*eval_emvti(A, B, C, s))
-                assert abs(new - verify._norm_slack(*oracle_emvti(A, B, C, s))) <= self.TOL
+                new = verify._norm_slacks(*eval_emvti(A, B, C, s))
+                assert abs(new - verify._norm_slacks(*oracle_emvti(A, B, C, s))) <= self.TOL
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_young_commuting(self, p):
@@ -295,13 +295,13 @@ class TestEvaluatorsAgainstOracles:
 
     def test_operator_cs(self):
         for _, (S, M, N), _ in cases(draw_operator_cs(np.random.default_rng(34))):
-            new = verify._norm_slack(*eval_operator_cs(S, M, N))
-            assert abs(new - verify._norm_slack(*oracle_operator_cs(S, M, N))) <= self.TOL
+            new = verify._norm_slacks(*eval_operator_cs(S, M, N))
+            assert abs(new - verify._norm_slacks(*oracle_operator_cs(S, M, N))) <= self.TOL
 
     def test_matrix_entropy_young(self):
         for _, (Us, Ws), _ in cases(draw_ensembles(np.random.default_rng(35))):
-            new = verify._norm_slack(*eval_matrix_entropy_young(list(Us), list(Ws)))
-            ref = verify._norm_slack(*oracle_entropy_young(list(Us), list(Ws)))
+            new = verify._norm_slacks(*eval_matrix_entropy_young(list(Us), list(Ws)))
+            ref = verify._norm_slacks(*oracle_entropy_young(list(Us), list(Ws)))
             assert abs(new - ref) <= self.TOL
 
     def test_conjecture(self):
@@ -310,8 +310,8 @@ class TestEvaluatorsAgainstOracles:
             for s in SS:
                 new, ref = eval_conjecture(A, B, C, q, s), oracle_conjecture(A, B, C, q, s)
                 for form in ("exp", "poly"):
-                    assert abs(verify._norm_slack(*new[form])
-                               - verify._norm_slack(*ref[form])) <= self.TOL
+                    assert abs(verify._norm_slacks(*new[form])
+                               - verify._norm_slacks(*ref[form])) <= self.TOL
 
 
 class TestBlockPositionInvariance:
@@ -320,8 +320,12 @@ class TestBlockPositionInvariance:
 
     def block(self, draw, evaluate):
         rows = []
-        verify._sweep(verify.BLOCK_TRIALS, draw, evaluate,
-                      lambda trial, row: rows.append((trial[1], row)))
+
+        def take(block, dims, outs):
+            assert dims.tolist() == [d for d, _, _ in block]
+            rows.extend((trial[1], [out[i] for out in outs]) for i, trial in enumerate(block))
+
+        verify._sweep(verify.BLOCK_TRIALS, draw, evaluate, take)
         assert len(rows) == verify.BLOCK_TRIALS
         return rows
 
@@ -363,6 +367,305 @@ class TestBlockPositionInvariance:
                 both = eval_conjecture(A, B, C, q, s)
                 assert both["exp"] == (float(row[0]), float(row[1][j]))
                 assert both["poly"] == (float(row[2]), float(row[3][j]))
+
+
+# ---------------------------------------------------------------------------
+# oracle for the block selector: the sweeps as they were before they scored
+# whole blocks, with a tracker offered one case at a time in trial order
+
+
+class WorstTracker:
+    """Keeps the global minimum slack and the few worst serialized cases."""
+
+    def __init__(self, keep: int = 5):
+        self.min_slack = math.inf
+        self.by_dim: dict = {}
+        self.cases: list = []
+        self.keep = keep
+
+    def offer(self, slack: float, d: int, case_fn) -> None:
+        prev = self.by_dim.get(d, math.inf)
+        if slack < prev:
+            self.by_dim[d] = slack
+        if slack < self.min_slack:
+            self.min_slack = slack
+        if len(self.cases) < self.keep or slack < self.cases[-1][0]:
+            case = case_fn()
+            case["slack"] = slack
+            self.cases.append((slack, case))
+            self.cases.sort(key=lambda t: t[0])
+            del self.cases[self.keep:]
+
+    def report(self, inequality: str, trials: int, dims: list,
+               tolerance: float = verify.FUZZ_TOL) -> FuzzReport:
+        worst = self.cases[0][1] if self.cases else {}
+        return FuzzReport(
+            inequality=inequality,
+            trials=trials,
+            dims=dims,
+            min_slack=self.min_slack if self.cases else math.inf,
+            worst_case=worst,
+            passed=bool(self.min_slack >= -tolerance),
+            tolerance=tolerance,
+            min_slack_by_dim=dict(sorted(self.by_dim.items())),
+            near_misses=[c for _, c in self.cases[1:]],
+        )
+
+
+def norm_slack(lhs: float, rhs: float) -> float:
+    return (rhs - lhs) / max(1.0, abs(rhs) + abs(lhs))
+
+
+def sweep_one_by_one(trials, draw, evaluate, offer):
+    """Evaluate blocks by dimension, then offer every trial with its row, in order."""
+    for start in range(0, trials, verify.BLOCK_TRIALS):
+        block = [draw() for _ in range(min(verify.BLOCK_TRIALS, trials - start))]
+        groups: dict = {}
+        for i, (d, _, _) in enumerate(block):
+            groups.setdefault(d, []).append(i)
+        rows = [None] * len(block)
+        for idx in groups.values():
+            outs = evaluate(*(np.stack(col) for col in zip(*(block[i][1] for i in idx))))
+            for j, i in enumerate(idx):
+                rows[i] = [out[j] for out in outs]
+        for trial, row in zip(block, rows):
+            offer(trial, row)
+
+
+def oracle_triple_case(ineq, kind, mats, **params):
+    case = {"ineq": ineq, "kind": kind, **params}
+    case.update(zip("ABC", map(verify._herm_json, mats)))
+    return case
+
+
+def oracle_fuzz_pmvti(dims, qs, s_values, trials, seed):
+    ss = np.array([float(s) for s in s_values])
+    tracker = WorstTracker()
+
+    def offer(trial, row):
+        d, (A, B, C, q), kind = trial
+        for s, rhs in zip(ss, row[1]):
+            tracker.offer(norm_slack(float(row[0]), float(rhs)), d, lambda: oracle_triple_case(
+                "pmvti", kind, (A, B, C), q=q, s=float(s)))
+
+    sweep_one_by_one(trials, verify._triple_draws(verify._rng(seed), dims, qs),
+                     lambda A, B, C, q: verify._pmvti_stack(A, B, C, q, ss), offer)
+    return tracker.report("pmvti", trials, dims)
+
+
+def oracle_fuzz_emvti(dims, s_values, trials, seed):
+    ss = np.array([float(s) for s in s_values])
+    tracker = WorstTracker()
+
+    def offer(trial, row):
+        d, (A, B, C), kind = trial
+        for s, rhs in zip(ss, row[1]):
+            tracker.offer(norm_slack(float(row[0]), float(rhs)), d, lambda: oracle_triple_case(
+                "emvti", kind, (A, B, C), s=float(s)))
+
+    sweep_one_by_one(trials, verify._triple_draws(verify._rng(seed), dims),
+                     lambda A, B, C: verify._emvti_stack(A, B, C, ss), offer)
+    return tracker.report("emvti", trials, dims)
+
+
+def oracle_fuzz_young(dims, p, trials, seed):
+    tracker = WorstTracker()
+
+    def offer(trial, row):
+        d, (A, B, _), kind = trial
+        tracker.offer(float(row[0]) / float(row[1]), d, lambda: oracle_triple_case(
+            "young_commuting", kind, (A, B), p=float(p)))
+
+    sweep_one_by_one(trials, verify._triple_draws(verify._rng(seed), dims),
+                     lambda A, B, C: verify._young_stack(A, B, p), offer)
+    return tracker.report(f"young_commuting(p={p})", trials, dims)
+
+
+def oracle_fuzz_operator_cs(dims, trials, seed):
+    rng = verify._rng(seed)
+    tracker = WorstTracker()
+
+    def draw():
+        d = dims[int(rng.integers(0, len(dims)))]
+        raw = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+        S = (raw + raw.conj().T) / 2
+        if rng.random() < 0.1:
+            M = verify._rank1_herm(rng, d)
+            N = verify._rank1_herm(rng, d)
+        else:
+            M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            N = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        return d, (S, M, N), None
+
+    def offer(trial, row):
+        d, (S, M, N), _ = trial
+        tracker.offer(norm_slack(float(row[0]), float(row[1])), d, lambda: {
+            "ineq": "operator_cs",
+            "S": verify._rect_json(S), "M": verify._rect_json(M), "N": verify._rect_json(N),
+        })
+
+    sweep_one_by_one(trials, draw, verify._operator_cs_stack, offer)
+    return tracker.report("operator_cs", trials, dims)
+
+
+def oracle_fuzz_entropy_young(dims, ensemble_size, trials, seed):
+    rng = verify._rng(seed)
+    tracker = WorstTracker()
+
+    def draw():
+        d = dims[int(rng.integers(0, len(dims)))]
+        Us = [verify._gauss_herm(rng, d) for _ in range(ensemble_size)]
+        raws = []
+        for _ in range(ensemble_size):
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            raws.append(verify._herm(g @ g.conj().T))
+        total = sum(ntrace(r).real for r in raws) / ensemble_size
+        Ws = [r / total for r in raws]
+        return d, (np.stack(Us), np.stack(Ws)), None
+
+    def offer(trial, row):
+        d, (Us, Ws), _ = trial
+        tracker.offer(norm_slack(float(row[0]), float(row[1])), d, lambda: {
+            "ineq": "matrix_entropy_young",
+            "U": [verify._herm_json(u) for u in Us],
+            "W": [verify._herm_json(w) for w in Ws],
+        })
+
+    sweep_one_by_one(trials, draw, verify._entropy_young_stack, offer)
+    return tracker.report("matrix_entropy_young", trials, dims)
+
+
+def oracle_pool(reports, keep, inequality, trials, dims, sections,
+                tolerance=verify.FUZZ_TOL):
+    cases = []
+    by_dim: dict = {}
+    for r in reports:
+        if r.worst_case:
+            cases.append((r.worst_case["slack"], r.worst_case))
+        cases.extend((c["slack"], c) for c in r.near_misses)
+        for d, s in r.min_slack_by_dim.items():
+            by_dim[int(d)] = min(by_dim.get(int(d), math.inf), s)
+    cases.sort(key=lambda t: t[0])
+    del cases[keep:]
+    min_slack = cases[0][0] if cases else math.inf
+    return FuzzReport(
+        inequality=inequality, trials=trials, dims=dims, min_slack=min_slack,
+        worst_case=cases[0][1] if cases else {}, passed=bool(min_slack >= -tolerance),
+        tolerance=tolerance, min_slack_by_dim=dict(sorted(by_dim.items())),
+        near_misses=[c for _, c in cases[1:]], sections=sections,
+    )
+
+
+def oracle_explore_conjecture(dims, qs, s_values, trials, seed):
+    ss = np.array([float(s) for s in s_values])
+    trackers = {form: WorstTracker(keep=4) for form in ("exp", "poly")}
+
+    def offer(trial, row):
+        d, (A, B, C, q), kind = trial
+        lhs_e, rhs_e, lhs_p, rhs_p = row
+        for j, s in enumerate(ss):
+            for form, lhs, rhs in (("exp", lhs_e, rhs_e[j]), ("poly", lhs_p, rhs_p[j])):
+                trackers[form].offer(norm_slack(float(lhs), float(rhs)), d,
+                                     lambda: oracle_triple_case(
+                                         f"conjecture_{form}", kind, (A, B, C), q=q, s=float(s)))
+
+    sweep_one_by_one(trials, verify._triple_draws(verify._rng(seed), dims, qs),
+                     lambda A, B, C, q: verify._conjecture_stack(A, B, C, q, ss), offer)
+    per_form = {form: trackers[form].report(f"conjecture_{form}", trials, dims)
+                for form in sorted(trackers)}
+    sections = {form: {
+        "min_slack": r.min_slack,
+        "min_slack_by_dim": {str(k): v for k, v in r.min_slack_by_dim.items()},
+        "worst_case": r.worst_case,
+        "pass": r.passed,
+    } for form, r in per_form.items()}
+    return oracle_pool(per_form.values(), 8, "signed_mvti_conjecture", trials, dims, sections)
+
+
+def oracle_merge(reports):
+    name, tol = reports[0].inequality, reports[0].tolerance
+    sections: dict = {}
+    for r in reports:
+        for form, sec in r.sections.items():
+            cur = sections.get(form)
+            if cur is None:
+                sections[form] = dict(sec)
+                continue
+            merged = {int(k): v for k, v in cur["min_slack_by_dim"].items()}
+            for k, v in sec["min_slack_by_dim"].items():
+                merged[int(k)] = min(merged.get(int(k), math.inf), v)
+            cur["min_slack_by_dim"] = {str(k): v for k, v in sorted(merged.items())}
+            if sec["min_slack"] < cur["min_slack"]:
+                cur["min_slack"] = sec["min_slack"]
+                cur["worst_case"] = sec["worst_case"]
+            cur["pass"] = bool(cur["pass"] and sec["pass"])
+    dims = sorted({int(d) for r in reports for d in r.dims})
+    return oracle_pool(reports, 5, name, sum(r.trials for r in reports), dims, sections, tol)
+
+
+ORACLE_DIMS = [1, 2, 3]
+ORACLE_SUITES = {
+    "pmvti": (fuzz_pmvti, oracle_fuzz_pmvti, (ORACLE_DIMS, [1, 2, 3], SS)),
+    "emvti": (fuzz_emvti, oracle_fuzz_emvti, (ORACLE_DIMS, SS)),
+    "young_commuting": (fuzz_young_commuting, oracle_fuzz_young, (ORACLE_DIMS, 1.5)),
+    "operator_cs": (fuzz_operator_cs, oracle_fuzz_operator_cs, (ORACLE_DIMS,)),
+    "matrix_entropy_young": (fuzz_matrix_entropy_young, oracle_fuzz_entropy_young,
+                             (ORACLE_DIMS, 3)),
+    "conjecture": (explore_conjecture, oracle_explore_conjecture,
+                   (ORACLE_DIMS, [1, 2, 3], SS)),
+}
+
+
+def report_bytes(report: FuzzReport) -> str:
+    return json.dumps(report.to_json())
+
+
+class TestSelectorAgainstOracle:
+    # the block selector keeps the very cases, slacks and per-dimension
+    # minima of the one-at-a-time tracker, byte for byte
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("trials", [1, 255, 256, 257, 700])
+    @pytest.mark.parametrize("suite", sorted(ORACLE_SUITES))
+    def test_sweep(self, suite, trials, seed):
+        new, oracle, args = ORACLE_SUITES[suite]
+        assert report_bytes(new(*args, trials, seed)) == report_bytes(
+            oracle(*args, trials, seed))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("suite", ["pmvti", "conjecture"])
+    def test_merge_of_chunks(self, suite, seed):
+        new, oracle, args = ORACLE_SUITES[suite]
+        chunks = [(130, seed), (257, seed + 7919), (40, seed + 2 * 7919)]
+        assert report_bytes(merge_fuzz_reports([new(*args, *c) for c in chunks])) == \
+            report_bytes(oracle_merge([oracle(*args, *c) for c in chunks]))
+
+    def test_ties_across_a_block_boundary(self):
+        # slack 0 where 7i + j = 0 mod 5 from trial 250 on, among slacks 1..4:
+        # three zeros end block 0 and many more are scattered over block 1,
+        # and the earliest five are kept, as one trial at a time keeps them
+        trials = verify.BLOCK_TRIALS + 300
+        count = iter(range(trials))
+
+        def draw():
+            i = next(count)
+            return 1 + i % 2, (i,), "t"
+
+        def slacks(x):
+            i, j = x[:, None], np.arange(2)[None, :]
+            return np.where((i >= 250) & ((7 * i + j) % 5 == 0), 0.0, 1.0 + (3 * i + j) % 4)
+
+        (report,) = verify._fuzz(trials, [1, 2], draw, lambda x: (x,),
+                                 ("tie", slacks, lambda t, j: {"trial": t[1][0], "j": j}))
+        kept = [(c["trial"], c["j"]) for c in [report.worst_case] + report.near_misses]
+        assert kept == [(250, 0), (252, 1), (255, 0), (257, 1), (260, 0)]
+        assert report.min_slack_by_dim == {1: 0.0, 2: 0.0}
+        tracker = WorstTracker()
+        for i in range(trials):
+            row = slacks(np.array([i]))[0]
+            for j in range(2):
+                tracker.offer(float(row[j]), 1 + i % 2, lambda i=i, j=j: {"trial": i, "j": j})
+        assert report_bytes(report) == report_bytes(tracker.report("tie", trials, [1, 2]))
 
 
 class TestFuzzSuites:
@@ -411,9 +714,34 @@ class TestFuzzSuites:
         with pytest.raises(ParameterError):
             fuzz_matrix_entropy_young([1], ensemble_size=2, trials=0, seed=0)
 
+    def test_scalar_grids(self):
+        # a scalar d, q or s is a grid of one, numpy scalars included
+        want = fuzz_pmvti([2], [3], [1.0], trials=20, seed=4).to_json()
+        for q, s in [(3, 1.0), (np.int64(3), np.float64(1.0)), (np.int32(3), 1)]:
+            assert fuzz_pmvti(np.int64(2), q, s, trials=20, seed=4).to_json() == want
+        assert explore_conjecture(2, 3, 1.0, trials=20, seed=4).to_json() == \
+            explore_conjecture([2], [3], [1.0], trials=20, seed=4).to_json()
+        assert fuzz_emvti(2, np.float64(4.0), trials=20, seed=4).to_json() == \
+            fuzz_emvti([2], [4.0], trials=20, seed=4).to_json()
+
+    @pytest.mark.parametrize("run", [
+        lambda: fuzz_pmvti([1], [], [1.0], trials=5, seed=0),
+        lambda: fuzz_pmvti([1], [2], [], trials=5, seed=0),
+        lambda: fuzz_emvti([1], [], trials=5, seed=0),
+        lambda: explore_conjecture([1], [2], [], trials=5, seed=0),
+        lambda: explore_conjecture([1], [], [1.0], trials=5, seed=0),
+    ])
+    def test_empty_grid_is_rejected(self, run):
+        with pytest.raises(ParameterError):
+            run()
+
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
             fuzz_pmvti([1], [0], [1.0], trials=5, seed=0)
+        with pytest.raises(ParameterError):
+            fuzz_emvti([0, 2], [1.0], trials=5, seed=0)
+        with pytest.raises(ParameterError):
+            explore_conjecture(-1, [2], [1.0], trials=5, seed=0)
         with pytest.raises(ParameterError):
             fuzz_matrix_entropy_young([1], ensemble_size=0, trials=5, seed=0)
         with pytest.raises(ParameterError):
