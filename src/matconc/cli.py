@@ -7,6 +7,7 @@ error.
 """
 from __future__ import annotations
 
+import io
 import json
 import math
 import sys
@@ -100,7 +101,10 @@ def _plain(obj):
 
 
 def _emit_json(report: dict, out: str | None) -> None:
-    text = json.dumps(_plain(report), sort_keys=True, indent=2) + "\n"
+    _emit(json.dumps(_plain(report), sort_keys=True, indent=2) + "\n", out)
+
+
+def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -138,6 +142,13 @@ def _get(cfg: dict, key: str, kind, default):
     """cfg[key] read as kind, or ``default`` where the key is unset: an explicit 0 stays 0."""
     value = cfg.get(key)
     return default if value is None else _as(kind, value)
+
+
+def _reject_unread(cfg: dict, keys, read, what: str) -> None:
+    """A key of ``keys`` that is set but not in ``read`` is a config error."""
+    unread = [k for k in keys if k not in read and cfg.get(k) is not None]
+    if unread:
+        raise ParameterError(f"{what} does not read {unread}")
 
 
 def _require_seed(cfg: dict) -> int:
@@ -250,33 +261,22 @@ def bound(config_path, **flags):
     cfg = _merge_config(_load_config(config_path), flags, _CURVE_KEYS)
     curve = _build_curve(cfg)
     grid = _parse_grid(cfg.get("t") or "0:4:0.1")
-    target = cfg.get("out")
-    if target:
-        with open(target, "w") as fh:
-            curve.write_csv(fh, grid)
-    else:
-        curve.write_csv(sys.stdout, grid)
+    # a point that fails leaves no partial report behind, nor an emptied --out
+    text = io.StringIO()
+    curve.write_csv(text, grid)
+    _emit(text.getvalue(), cfg.get("out"))
 
 
 def _kernel_identities_report(model) -> dict:
     kern = stein.ExactKernel(model)
     ident = stein.check_stein_identity(model, kern)
     anti, asym = stein.pair_asymmetries(model, kern)
-
-    def f_ident(x):
-        return np.eye(model.d)
-
-    def f_linear(x):
-        return x
-
-    def f_cube(x):
-        return x @ x @ x
-
-    pairs = {
-        "I": stein.exchangeable_pairs_identity(model, kern, f_ident),
-        "X": stein.exchangeable_pairs_identity(model, kern, f_linear),
-        "X3": stein.exchangeable_pairs_identity(model, kern, f_cube),
+    forms = {
+        "I": lambda x: np.eye(model.d),
+        "X": lambda x: x,
+        "X3": lambda x: x @ x @ x,
     }
+    pairs = {k: stein.exchangeable_pairs_identity(model, kern, f) for k, f in forms.items()}
     centering = stein.kernel_mean_norm(model, kern)
     tol = verify.EXACT_TOL
     ok = (ident.residual <= tol and centering <= tol and anti == 0.0
@@ -295,6 +295,17 @@ def _kernel_identities_report(model) -> dict:
         "tolerance": tol,
         "pass": bool(ok),
     }
+
+
+# the keys each check reads of those below; an estimated kernel reads three more
+_CHECK_KEYS = {
+    "poly_efron_stein": ("p",),
+    "exp_efron_stein": ("theta", "psi"),
+    "kernel_poly_moments": ("p", "s", "kernel"),
+    "kernel_identities": (),
+}
+_ESTIMATE_KEYS = ("horizon", "samples", "seed")
+_VERIFY_KEYS = ("p", "theta", "psi", "s", "kernel") + _ESTIMATE_KEYS
 
 
 @cli.command("verify")
@@ -321,6 +332,13 @@ def verify_cmd(config_path, **flags):
     check = cfg.get("check")
     if check is None:
         raise ParameterError("--check is required")
+    if check not in _CHECK_KEYS:
+        raise ParameterError(f"unknown check {check!r}")
+    kind = cfg.get("kernel") or "exact"
+    read = _CHECK_KEYS[check]
+    if "kernel" in read and kind == "estimated":
+        read += _ESTIMATE_KEYS
+    _reject_unread(cfg, _VERIFY_KEYS, read, f"check {check!r}")
     mdl = _build_model(cfg)
     if check == "poly_efron_stein":
         report = verify.verify_poly_efron_stein(mdl, _parse_ints(cfg.get("p") or "1,2,3"))
@@ -331,7 +349,6 @@ def verify_cmd(config_path, **flags):
             _parse_floats(cfg.get("psi") or "1,4"),
         )
     elif check == "kernel_poly_moments":
-        kind = cfg.get("kernel") or "exact"
         if kind == "exact":
             kern = stein.ExactKernel(mdl)
         elif kind == "estimated":
@@ -343,20 +360,31 @@ def verify_cmd(config_path, **flags):
                                          seed=_require_seed(cfg))
         else:
             raise ParameterError(f"unknown kernel kind {kind!r}")
-        s_grid = (_parse_floats(cfg["s"]) if cfg.get("s")
-                  else list(verify.DEFAULT_S_GRID))
         report = verify.verify_kernel_poly_moments(
-            mdl, kern, _parse_ints(cfg.get("p") or "1,2"), s_grid)
-    elif check == "kernel_identities":
-        report = _kernel_identities_report(mdl)
+            mdl, kern, _parse_ints(cfg.get("p") or "1,2"),
+            _parse_floats(cfg.get("s") or verify.DEFAULT_S_GRID))
     else:
-        raise ParameterError(f"unknown check {check!r}")
+        report = _kernel_identities_report(mdl)
     _emit_json(report, cfg.get("out"))
     if not report["pass"]:
         raise VerificationFailure(f"{check} failed")
 
 
+# the keys each fuzz suite reads of q, s, p and ensemble_size
+_SUITE_KEYS = {
+    "pmvti": ("q", "s"),
+    "emvti": ("s",),
+    "young_commuting": ("p",),
+    "operator_cs": (),
+    "matrix_entropy_young": ("ensemble_size",),
+}
+
+
 def _run_fuzz(ineq: str, dims, cfg: dict, trials: int, seed: int, jobs: int):
+    if ineq not in _SUITE_KEYS:
+        raise ParameterError(f"unknown inequality {ineq!r}")
+    _reject_unread(cfg, ("q", "s", "p", "ensemble_size"), _SUITE_KEYS[ineq],
+                   f"fuzz suite {ineq!r}")
     qs = _parse_ints(cfg.get("q") or "1:7")
     ss = _parse_floats(cfg.get("s") or "0.25,1,4")
     p = _get(cfg, "p", float, 2.0)
@@ -371,14 +399,10 @@ def _run_fuzz(ineq: str, dims, cfg: dict, trials: int, seed: int, jobs: int):
             return verify.fuzz_young_commuting(dims, p, count, chunk_seed)
         if ineq == "operator_cs":
             return verify.fuzz_operator_cs(dims, count, chunk_seed)
-        if ineq == "matrix_entropy_young":
-            return verify.fuzz_matrix_entropy_young(dims, size, count, chunk_seed)
-        raise ParameterError(f"unknown inequality {ineq!r}")
+        return verify.fuzz_matrix_entropy_young(dims, size, count, chunk_seed)
 
     counts = [trials // jobs + (1 if i < trials % jobs else 0) for i in range(jobs)]
     tasks = [(c, seed + 7919 * i) for i, c in enumerate(counts) if c > 0]
-    if not tasks:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
     if len(tasks) == 1:
         return one(*tasks[0])
     # the chunks run one after another: a batched sweep keeps its core busy,
@@ -430,8 +454,6 @@ def conjecture(config_path, **flags):
     """Sweep the signed trace-inequality forms; always exits 0 on completion."""
     cfg = _merge_config(_load_config(config_path), flags)
     trials = _get(cfg, "trials", int, 0)
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
     seed = _require_seed(cfg)
     report = verify.explore_conjecture(
         _parse_ints(cfg.get("d") or "1:6"),

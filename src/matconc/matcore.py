@@ -58,7 +58,7 @@ class HermitianMatrix:
 
     __slots__ = ("a", "_eig")
 
-    def __init__(self, entries, reject_rtol: float = HERMITIAN_REJECT_RTOL):
+    def __init__(self, entries):
         m = np.array(entries, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ShapeError(f"expected a square matrix, got shape {m.shape}")
@@ -70,10 +70,10 @@ class HermitianMatrix:
         # an exactly Hermitian input has residual 0 and needs no norms
         if anti.any():
             resid = _opnorm(anti)
-            if resid > reject_rtol * _opnorm(m):
+            if resid > HERMITIAN_REJECT_RTOL * _opnorm(m):
                 raise ShapeError(
                     f"input is not Hermitian: anti-Hermitian residual {resid:.3e} "
-                    f"exceeds {reject_rtol:.1e} * ||M||"
+                    f"exceeds {HERMITIAN_REJECT_RTOL:.1e} * ||M||"
                 )
         h = (m + m.conj().T) / 2
         h.setflags(write=False)

@@ -8,7 +8,6 @@ and seeded Monte Carlo otherwise.
 """
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
@@ -27,7 +26,6 @@ from .matcore import (
     _opnorm,
     _opnorms,
     dilation,
-    spectral_apply,
 )
 
 # Above this product-space cardinality, enumeration gives way to Monte Carlo.
@@ -187,15 +185,14 @@ class MatrixModel:
 
     def __init__(self, dist: ProductDistribution, H: Callable, d: int,
                  name: str = "", enum_cutoff: int = ENUM_CUTOFF,
-                 mean_samples: int = _MEAN_MC_SAMPLES, mean_seed: int = 0,
                  H_batch: Callable | None = None):
         self.dist = dist
         self._H = H
         self.d = int(d)
         self.name = name or "model"
         self.enum_cutoff = int(enum_cutoff)
-        self.mean_samples = int(mean_samples)
-        self.mean_seed = int(mean_seed)
+        self.mean_samples = _MEAN_MC_SAMPLES
+        self.mean_seed = 0
         self._H_batch = H_batch
         self._mean = None
         self.mean_provenance = None
@@ -336,13 +333,13 @@ class RectangularModel:
     """Like MatrixModel but H takes rectangular values."""
 
     def __init__(self, dist: ProductDistribution, H: Callable, rows: int, cols: int,
-                 name: str = "", enum_cutoff: int = ENUM_CUTOFF):
+                 name: str = ""):
         self.dist = dist
         self._H = H
         self.rows = int(rows)
         self.cols = int(cols)
         self.name = name or "rect_model"
-        self.enum_cutoff = int(enum_cutoff)
+        self.enum_cutoff = ENUM_CUTOFF
         self._mean = None
 
     def H(self, z) -> np.ndarray:
@@ -404,11 +401,7 @@ def hypercube_sum(n: int, d: int = 2) -> MatrixModel:
 
 
 def bounded_diff_demo(n: int = 3, d: int = 2) -> MatrixModel:
-    """H(z) = sum_j z_j M_j with fixed Hermitian M_j and z uniform on {+-1}^n.
-
-    The model records per-coordinate difference bounds A_j = 2|M_j| (since
-    (H - H^(j))^2 = (z_j - z'_j)^2 M_j^2 <= 4 M_j^2).
-    """
+    """H(z) = sum_j z_j M_j with fixed Hermitian M_j and z uniform on {+-1}^n."""
     rng = _rng(20_240_501)
     mats = []
     for _ in range(n):
@@ -425,14 +418,8 @@ def bounded_diff_demo(n: int = 3, d: int = 2) -> MatrixModel:
         stack = np.stack(mats)
         return np.einsum("kj,jab->kab", zs, stack)
 
-    model = MatrixModel(ProductDistribution.uniform_pm1(n), H, d,
-                        name=f"bounded_diff_demo(n={n},d={d})", H_batch=H_batch)
-    abs_mats = []
-    for m in mats:
-        w, v = np.linalg.eigh(m)
-        abs_mats.append(HermitianMatrix(spectral_apply(v, 2 * np.abs(w))))
-    model.difference_bounds = abs_mats
-    return model
+    return MatrixModel(ProductDistribution.uniform_pm1(n), H, d,
+                       name=f"bounded_diff_demo(n={n},d={d})", H_batch=H_batch)
 
 
 def compound_covariance(p: int, n: int, B=None, entry_dist: str = "pm1",
@@ -663,25 +650,12 @@ def _poisson_solution(dist: ProductDistribution, X: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(c)
 
 
-class ExactKernel:
-    """The coupling kernel on a finite model, from the Poisson equation.
-
-    Each chain of the coupling is the random-scan replacement chain P, so
-    K(z, z') = sum_i (P^i X(z) - P^i X(z')) = g(z) - g(z') with
-    (I - P) g = X, solved directly (no iteration).  ``table`` is K over all
-    pairs, built on access as g(z) - g(z'), so it is antisymmetric exactly.
-    """
-
-    def __init__(self, model: MatrixModel):
-        if not model.exact:
-            raise PreconditionError("ExactKernel needs a finite model under the cutoff")
-        self.model = model
-        self.g = _poisson_solution(model.dist, model.X_tensor())
-        # the direct solve takes no iterations; kept for reports and traces
-        self.iterations = 0
+class _OutcomeKernel:
+    """K(z, z') = g(z) - g(z') for an outcome tensor g of the model."""
 
     @property
     def table(self) -> np.ndarray:
+        """K over all pairs, built on access, so it is antisymmetric exactly."""
         g = outcome_stack(self.g)
         return g[:, None] - g[None, :]
 
@@ -692,6 +666,23 @@ class ExactKernel:
     def on_neighbours(self, j: int, v: int) -> np.ndarray:
         """K(z, z_{j<-v}) for every outcome z, as an outcome tensor."""
         return self.g - neighbour(self.g, j, v)
+
+
+class ExactKernel(_OutcomeKernel):
+    """The coupling kernel on a finite model, from the Poisson equation.
+
+    Each chain of the coupling is the random-scan replacement chain P, so
+    K(z, z') = sum_i (P^i X(z) - P^i X(z')) = g(z) - g(z') with
+    (I - P) g = X, solved directly (no iteration).
+    """
+
+    def __init__(self, model: MatrixModel):
+        if not model.exact:
+            raise PreconditionError("ExactKernel needs a finite model under the cutoff")
+        self.model = model
+        self.g = _poisson_solution(model.dist, model.X_tensor())
+        # the direct solve takes no iterations; kept for reports and traces
+        self.iterations = 0
 
 
 @dataclass(eq=False)
@@ -707,20 +698,6 @@ class KernelEstimate:
     truncation_error_bound: float
     se_norm: float
 
-    def at(self, z, zp) -> np.ndarray:
-        if tuple(z) == self.z and tuple(zp) == self.zp:
-            return self.estimate.a
-        if tuple(z) == self.zp and tuple(zp) == self.z:
-            return -self.estimate.a
-        raise ParameterError("estimate only covers its own (z, z') pair")
-
-
-def _pair_seed(base: int, z: tuple, zp: tuple) -> int:
-    """Seed derived from the unordered pair, stable across processes."""
-    key = json.dumps(sorted([list(z), list(zp)])).encode()
-    digest = hashlib.blake2s(key, digest_size=8).digest()
-    return (int(base) << 24) ^ int.from_bytes(digest, "little")
-
 
 def default_horizon(n: int, h_max: float, tol: float = 1e-10) -> int:
     """Smallest I with n (1 - 1/n)^(I/2) * 2 h_max < tol."""
@@ -735,130 +712,128 @@ def default_horizon(n: int, h_max: float, tol: float = 1e-10) -> int:
     return max(1, int(math.ceil(need)))
 
 
-# Samples stepped together by estimate_kernel: bounds its memory whatever ``samples``.
+def _truncation_bound(model: MatrixModel, horizon: int) -> float:
+    n = model.dist.n
+    return 2.0 * model.max_h_norm() * n * n * (1.0 - 1.0 / n) ** (horizon + 1)
+
+
+def _standard_error(sq_sum, est, samples: int):
+    """Standard error of ``est``, the mean of ``samples`` d x d draws whose
+    squared Frobenius norms add up to ``sq_sum``."""
+    if samples == 1:
+        return np.full(np.shape(sq_sum), math.inf)
+    var = sq_sum / samples - np.sum(np.abs(est) ** 2, axis=(-2, -1))
+    return np.sqrt(np.maximum(0.0, var) / (samples - 1))
+
+
+# Samples per block of estimate_kernel's two chains.  A block of _chain_sums
+# holds at most max(len(starts), 2 * _KERNEL_BLOCK) chains, so its memory does
+# not grow with ``samples``.
 _KERNEL_BLOCK = 4096
 
 
-def estimate_kernel(model: MatrixModel, z, zp, horizon: int, samples: int,
-                    seed: int, h_max: float | None = None) -> KernelEstimate:
-    """Monte Carlo estimate of the coupling kernel at one pair of states.
+def _chain_sums(model: MatrixModel, starts: np.ndarray, horizon: int, samples: int,
+                seed: int):
+    """Coupled replacement chains from every start, one set per sample.
 
-    Averages sum_{t <= horizon} H(a_t) - H(b_t) over ``samples`` coupled chain
-    pairs from (z, z'); its mean is g_h(z) - g_h(z'), g_h = sum_{i <= h} P^i X.
-    The samples step in lockstep, _KERNEL_BLOCK at a time, as arrays of
-    support positions that gather H from the outcome tensor, so a model
-    above its cutoff raises PreconditionError.  ``h_max`` (max ||H||,
-    computed when not given) sets the truncation bound.  Every sample of
+    ``starts`` are positions in outcomes() order.  The chains of a sample
+    take common draws and step in lockstep with those of the other samples
+    of their block, as positions that gather H from the outcome tensor, so
+    a model above its cutoff raises PreconditionError.  Every sample of
     block k draws J and one replacement per coordinate at every step, met or
     not, from the seed's Philox stream jumped k times, so the draws depend
-    only on (seed, step) and swapping (z, z') negates the estimate bitwise.
-    Stream version 2: version 1 seeded one generator per sample.
+    only on (seed, step).  Yields, per block, the sum of H(a_t) over t <= h
+    for each chain, shape (samples in the block, len(starts), d, d); a
+    sample stops adding once all its chains agree.
     """
     if horizon < 1:
         raise ParameterError(f"horizon must be >= 1, got {horizon}")
     if samples < 1:
         raise ParameterError(f"samples must be >= 1, got {samples}")
     dist = model.dist
-    n = dist.n
-    d = model.d
-    z = tuple(float(v) for v in z)
-    zp = tuple(float(v) for v in zp)
-    if len(z) != n or len(zp) != n:
-        raise ParameterError(f"states need {n} coordinates, got {len(z)} and {len(zp)}")
     hs = outcome_stack(model.H_tensor())
-    if h_max is None:
-        h_max = model.max_h_norm()
-    starts = [np.unravel_index(dist.index(s), dist.shape) for s in (z, zp)]
-
-    def at(rows):
-        return hs[np.ravel_multi_index(tuple(rows.T), dist.shape)]
-
+    size = np.array(dist.shape)
+    stride = np.array([math.prod(dist.shape[j + 1:]) for j in range(dist.n)])
+    per = max(starts.size, 2 * _KERNEL_BLOCK) // starts.size
     bitgen = np.random.Philox(int(seed))
-    acc = np.zeros((d, d), dtype=np.complex128)
-    acc_sq = 0.0
-    for k, lo in enumerate(range(0, samples, _KERNEL_BLOCK)):
+    for k, lo in enumerate(range(0, samples, per)):
         rng = np.random.Generator(bitgen.jumped(k))
-        m = min(_KERNEL_BLOCK, samples - lo)
-        a, b = (np.tile(s, (m, 1)) for s in starts)
-        total = np.repeat(at(a[:1]) - at(b[:1]), m, axis=0)
-        live = np.flatnonzero((a != b).any(axis=1))
+        m = min(per, samples - lo)
+        at = np.tile(starts, (m, 1))
+        sums = np.repeat(hs[starts][None], m, axis=0)
+        live = np.flatnonzero((at != at[:, :1]).any(axis=1))
         for _ in range(horizon):
             if live.size == 0:
                 break
-            j = rng.integers(0, n, m)
+            j = rng.integers(0, dist.n, m)
             v = np.column_stack([c.sample_index(rng, m) for c in dist.coords])[np.arange(m), j]
-            a[live, j[live]] = b[live, j[live]] = v[live]
-            live = live[(a[live] != b[live]).any(axis=1)]
-            total[live] += at(a[live]) - at(b[live])
+            step = stride[j[live], None]
+            at[live] += (v[live, None] - at[live] // step % size[j[live], None]) * step
+            live = live[(at[live] != at[live, :1]).any(axis=1)]
+            sums[live] += hs[at[live]]
+        yield sums
+
+
+def estimate_kernel(model: MatrixModel, z, zp, horizon: int, samples: int,
+                    seed: int) -> KernelEstimate:
+    """Monte Carlo estimate of the coupling kernel at one pair of states.
+
+    Averages sum_{t <= horizon} H(a_t) - H(b_t) over ``samples`` coupled chain
+    pairs from (z, z') stepped by _chain_sums, _KERNEL_BLOCK samples a block;
+    its mean is g_h(z) - g_h(z'), g_h = sum_{i <= h} P^i X.  Swapping
+    (z, z') negates the estimate bitwise.  The draws are those of stream
+    version 2, so its estimates differ from version 2's by rounding only.
+    """
+    z = tuple(float(v) for v in z)
+    zp = tuple(float(v) for v in zp)
+    # index() rejects a state off the support, of any length
+    starts = np.array([model.dist.index(z), model.dist.index(zp)])
+    acc = 0.0
+    acc_sq = 0.0
+    for sums in _chain_sums(model, starts, horizon, samples, seed):
+        diff = sums[:, 0] - sums[:, 1]
         # the sum along axis 0 adds the samples one after another
-        acc += total.sum(axis=0)
-        acc_sq += float(np.vdot(total, total).real)
+        acc = acc + diff.sum(axis=0)
+        acc_sq += float(np.vdot(diff, diff).real)
     est = acc / samples
-    if samples > 1:
-        var = max(0.0, acc_sq / samples - float(np.linalg.norm(est)) ** 2)
-        se = math.sqrt(var / (samples - 1))
-    else:
-        se = math.inf
-    trunc = 2.0 * h_max * n * n * (1.0 - 1.0 / n) ** (horizon + 1)
-    return KernelEstimate(z, zp, horizon, samples, int(seed),
-                          HermitianMatrix(est), trunc, se)
+    return KernelEstimate(z, zp, horizon, samples, int(seed), HermitianMatrix(est),
+                          _truncation_bound(model, horizon),
+                          float(_standard_error(acc_sq, est, samples)))
 
 
-class EstimatedKernel:
-    """Kernel served by on-demand truncated estimation, one pair at a time.
+class EstimatedKernel(_OutcomeKernel):
+    """The truncated kernel g_h(z) - g_h(z'), estimated on every pair at once.
 
-    The per-pair seed is a digest of the unordered pair, and the draws of
-    ``estimate_kernel`` depend only on (seed, step), so querying (z, z') and
-    (z', z) replays the same coupled chains and the answers negate bitwise.
-    Estimates are cached.
+    One run of _chain_sums from all S outcomes: ``g`` is the mean chain sum,
+    and the error radius of each replacement pair (z, z_{j<-v}) is its
+    standard error, from the per-sample second moments of
+    G - neighbour(G, j, v), plus the truncation bound (0 where z_j = v).
+    Stream version 3: every pair shares the seed's one stream.
     """
 
     def __init__(self, model: MatrixModel, horizon: int, samples: int, seed: int):
         self.model = model
-        self.horizon = int(horizon)
-        self.samples = int(samples)
-        self.seed = int(seed)
-        self.h_max = model.max_h_norm()
-        self._cache: dict = {}
-
-    def details(self, z, zp) -> KernelEstimate:
-        z = tuple(float(v) for v in z)
-        zp = tuple(float(v) for v in zp)
-        key = (min(z, zp), max(z, zp))
-        got = self._cache.get(key)
-        if got is None:
-            got = estimate_kernel(self.model, key[0], key[1], self.horizon,
-                                  self.samples, _pair_seed(self.seed, *key),
-                                  h_max=self.h_max)
-            self._cache[key] = got
-        return got
-
-    def at(self, z, zp) -> np.ndarray:
-        z = tuple(float(v) for v in z)
-        zp = tuple(float(v) for v in zp)
-        if z == zp:
-            return np.zeros((self.model.d, self.model.d), dtype=np.complex128)
-        return self.details(z, zp).at(z, zp)
-
-    def radius(self, z, zp) -> float:
-        if tuple(z) == tuple(zp):
-            return 0.0
-        est = self.details(z, zp)
-        return est.se_norm + est.truncation_error_bound
-
-    def on_neighbours(self, j: int, v: int) -> np.ndarray:
-        """K(z, z_{j<-v}) for every outcome z, estimated pair by pair."""
-        return self._on_neighbours(self.at, j, v)
+        dist = model.dist
+        pairs = [(j, v) for j, c in enumerate(dist.coords) for v in range(len(c))]
+        total = 0.0
+        sq = dict.fromkeys(pairs, 0.0)
+        for sums in _chain_sums(model, np.arange(dist.cardinality), horizon, samples, seed):
+            G = sums.reshape((len(sums),) + dist.shape + sums.shape[-2:])
+            total = total + G.sum(axis=0)
+            for j, v in pairs:
+                diff = G - neighbour(G, j + 1, v)
+                sq[j, v] = sq[j, v] + np.sum(np.abs(diff) ** 2, axis=(0, -2, -1))
+        self.g = total / samples
+        trunc = _truncation_bound(model, horizon)
+        self._radius = {}
+        for j, v in pairs:
+            moved = np.arange(len(dist.coords[j])).reshape((-1,) + (1,) * (dist.n - 1 - j))
+            se = _standard_error(sq[j, v], self.on_neighbours(j, v), samples)
+            self._radius[j, v] = np.where(moved != v, se + trunc, 0.0)
 
     def radius_on_neighbours(self, j: int, v: int) -> np.ndarray:
         """The error radius of every pair (z, z_{j<-v}), as an outcome tensor."""
-        return self._on_neighbours(self.radius, j, v)
-
-    def _on_neighbours(self, fn: Callable, j: int, v: int) -> np.ndarray:
-        dist = self.model.dist
-        value = float(dist.coords[j].values[v])
-        out = np.array([fn(z, self.model.replace(z, j, value)) for z, _ in dist.outcomes()])
-        return out.reshape(dist.shape + out.shape[1:])
+        return self._radius[j, v]
 
 
 # ---------------------------------------------------------------------------

@@ -40,19 +40,19 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(int(seed)))
 
 
-def _grid(values, kind, what: str) -> list:
-    """A scalar or an iterable of values, each read as kind; an empty grid checks nothing."""
+def _grid(values, kind, what: str, positive: bool = False) -> list:
+    """A scalar or an iterable of values, each read as kind; an empty grid checks
+    nothing.  ``positive`` asks every value to exceed 0, which NaN does not."""
     out = [kind(values)] if isinstance(values, numbers.Real) else [kind(v) for v in values]
     if not out:
         raise ParameterError(f"empty {what} grid")
+    if positive and not all(v > 0 for v in out):
+        raise ParameterError(f"{what} must be positive, got {out}")
     return out
 
 
 def _positive_ints(values, what: str) -> list:
-    out = _grid(values, int, what)
-    if any(v < 1 for v in out):
-        raise ParameterError(f"{what} must be a positive integer, got {out}")
-    return out
+    return _grid(values, int, what, positive=True)
 
 
 def _norm_slacks(lhs, rhs):
@@ -423,7 +423,7 @@ def _one(x) -> np.ndarray:
 
 
 def _s_array(s_values) -> np.ndarray:
-    return np.array(_grid(s_values, float, "s"))
+    return np.array(_grid(s_values, float, "s", positive=True))
 
 
 def _first(*outs) -> tuple:
@@ -709,9 +709,9 @@ def _log_trace_mgf(probs: np.ndarray, lam: np.ndarray, scale: float) -> float:
     return math.log(mgf)
 
 
-def verify_poly_efron_stein(model: stein.MatrixModel, p_list,
-                            tol: float = EXACT_TOL) -> dict:
+def verify_poly_efron_stein(model: stein.MatrixModel, p_list) -> dict:
     """(E ||X||_{2p}^{2p})^{1/2p} vs sqrt(2(2p-1)) (E ||V||_p^p)^{1/2p}, exactly."""
+    p_list = _positive_ints(p_list, "p")
     if not model.exact:
         raise ParameterError("model is too large to enumerate")
     probs = model.dist.probabilities().ravel()
@@ -719,25 +719,27 @@ def verify_poly_efron_stein(model: stein.MatrixModel, p_list,
     lam_v = _spectra(stein.variance_proxy_map(model))
     results = []
     for p in p_list:
-        p = int(p)
         lhs = _moment(probs, lam_x, 2 * p) ** (1.0 / (2 * p))
         rhs = bounds.efron_stein_poly_rhs(p, _moment(probs, lam_v, p))
         slack = rhs - lhs
         results.append({"p": p, "lhs": lhs, "rhs": rhs, "slack": slack,
-                        "pass": bool(slack >= -tol)})
+                        "pass": bool(slack >= -EXACT_TOL)})
     return {
         "schema_version": SCHEMA_VERSION,
         "check": "poly_efron_stein",
         "model": model.name,
-        "tolerance": tol,
+        "tolerance": EXACT_TOL,
         "results": results,
         "pass": all(r["pass"] for r in results),
     }
 
 
-def verify_exp_efron_stein(model: stein.MatrixModel, theta_grid, psi_grid,
-                           tol: float = EXACT_TOL) -> dict:
+def verify_exp_efron_stein(model: stein.MatrixModel, theta_grid, psi_grid) -> dict:
     """Exponential moment domination on the admissible (theta, psi) pairs."""
+    theta_grid = _grid(theta_grid, float, "theta")
+    psi_grid = _grid(psi_grid, float, "psi", positive=True)
+    if min(map(abs, theta_grid)) > math.sqrt(max(psi_grid) / 2.0):
+        raise ParameterError("no admissible (theta, psi) pair: one needs |theta| <= sqrt(psi/2)")
     if not model.exact:
         raise ParameterError("model is too large to enumerate")
     probs = model.dist.probabilities().ravel()
@@ -746,10 +748,8 @@ def verify_exp_efron_stein(model: stein.MatrixModel, theta_grid, psi_grid,
     results = []
     skipped = []
     for psi in psi_grid:
-        psi = float(psi)
         log_mgf_v = _log_trace_mgf(probs, lam_v, psi)
         for theta in theta_grid:
-            theta = float(theta)
             if abs(theta) > math.sqrt(psi / 2.0):
                 skipped.append({"theta": theta, "psi": psi})
                 continue
@@ -757,26 +757,27 @@ def verify_exp_efron_stein(model: stein.MatrixModel, theta_grid, psi_grid,
             rhs = bounds.efron_stein_exp_rhs(theta, psi, log_mgf_v)
             slack = rhs - lhs
             results.append({"theta": theta, "psi": psi, "lhs": lhs, "rhs": rhs,
-                            "slack": slack, "pass": bool(slack >= -tol)})
+                            "slack": slack, "pass": bool(slack >= -EXACT_TOL)})
     return {
         "schema_version": SCHEMA_VERSION,
         "check": "exp_efron_stein",
         "model": model.name,
-        "tolerance": tol,
+        "tolerance": EXACT_TOL,
         "results": results,
         "skipped": skipped,
         "pass": all(r["pass"] for r in results),
     }
 
 
-def verify_kernel_poly_moments(model: stein.MatrixModel, kernel, p_list, s_grid,
-                               tol: float = EXACT_TOL) -> dict:
+def verify_kernel_poly_moments(model: stein.MatrixModel, kernel, p_list, s_grid) -> dict:
     """Moment bound through the kernel conditional variances, for each (p, s).
 
     With an estimated kernel the true V^K is only known up to the per-pair
     standard-error plus truncation budget; the check inflates V^K by that
     radius times the identity, which weakens the bound but keeps it valid.
     """
+    p_list = _positive_ints(p_list, "p")
+    s_grid = _grid(s_grid, float, "s", positive=True)
     if not model.exact:
         raise ParameterError("model is too large to enumerate")
     vx, vk = stein.conditional_variance_map(model, kernel)
@@ -793,17 +794,15 @@ def verify_kernel_poly_moments(model: stein.MatrixModel, kernel, p_list, s_grid,
     vk = vk + inflation * np.eye(model.d)
     probs = model.dist.probabilities().ravel()
     lam_x = _spectra(model.X_tensor())
-    s_grid = [float(s) for s in s_grid]
     lam_s = [_spectra(0.5 * (s * vx + vk / s)) for s in s_grid]
     results = []
     for p in p_list:
-        p = int(p)
         lhs = _moment(probs, lam_x, 2 * p) ** (1.0 / (2 * p))
         per_s = []
         for s, lam in zip(s_grid, lam_s):
             rhs = math.sqrt(2 * p - 1) * _moment(probs, lam, p) ** (1.0 / (2 * p))
             per_s.append({"s": s, "rhs": rhs, "slack": rhs - lhs,
-                          "pass": bool(rhs - lhs >= -tol)})
+                          "pass": bool(rhs - lhs >= -EXACT_TOL)})
         best = min(per_s, key=lambda r: r["rhs"])
         results.append({"p": p, "lhs": lhs, "best_rhs": best["rhs"],
                         "best_s": best["s"], "grid": per_s,
@@ -812,7 +811,7 @@ def verify_kernel_poly_moments(model: stein.MatrixModel, kernel, p_list, s_grid,
         "schema_version": SCHEMA_VERSION,
         "check": "kernel_poly_moments",
         "model": model.name,
-        "tolerance": tol,
+        "tolerance": EXACT_TOL,
         "kernel_inflation": inflation,
         "results": results,
         "pass": all(r["pass"] for r in results),

@@ -94,6 +94,23 @@ class TestBoundVerb:
         assert code == 3
         assert json.loads(err)["error"]["type"] == "config"
 
+    BAD_POINT = [["--name", "self_bounded", "--d", "0", "--v", "1", "--c", "1", "--t", "0:1:1"],
+                 ["--name", "gaussexp", "--d", "2", "--v", "1", "--c", "1", "--t", "-1:1:1"]]
+
+    @pytest.mark.parametrize("argv", BAD_POINT)
+    def test_failed_point_prints_nothing(self, capsys, argv):
+        code, out, err = run(["bound"] + argv, capsys)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["type"] == "config"
+
+    @pytest.mark.parametrize("argv", BAD_POINT)
+    def test_failed_point_keeps_the_old_report(self, capsys, tmp_path, argv):
+        target = tmp_path / "curve.csv"
+        target.write_text("an older report\n")
+        code, _, _ = run(["bound"] + argv + ["--out", str(target)], capsys)
+        assert code == 3
+        assert target.read_text() == "an older report\n"
+
 
 class TestVerifyVerb:
     def test_poly_efron_stein_passes(self, capsys):
@@ -132,6 +149,42 @@ class TestVerifyVerb:
         code, _, _ = run(["verify", "--check", "poly_efron_stein",
                           "--model", "mystery"], capsys)
         assert code == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["--check", "poly_efron_stein", "--p", ","],
+        ["--check", "poly_efron_stein", "--p", "0"],
+        ["--check", "exp_efron_stein", "--theta", ","],
+        ["--check", "exp_efron_stein", "--theta", "5"],
+        ["--check", "exp_efron_stein", "--psi", "0"],
+        ["--check", "exp_efron_stein", "--psi", "-1"],
+        ["--check", "kernel_poly_moments", "--p", ","],
+        ["--check", "kernel_poly_moments", "--p", "0"],
+        ["--check", "kernel_poly_moments", "--s", "0"],
+        ["--check", "kernel_poly_moments", "--s", "-1"],
+        ["--check", "kernel_poly_moments", "--s", ","],
+        ["--check", "kernel_poly_moments", "--s", "nan"],
+    ])
+    def test_grid_that_checks_nothing_is_config_error(self, capsys, argv):
+        # an empty grid, no admissible (theta, psi) pair, or a value outside the
+        # theorem's range: neither a vacuous pass nor a crash
+        code, out, err = run(["verify"] + argv + ["--model", "hypercube_sum", "--n", "2"],
+                             capsys)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["type"] == "config"
+
+    @pytest.mark.parametrize("argv, unread", [
+        (["--check", "poly_efron_stein", "--theta", "0.1", "--kernel", "bogus",
+          "--samples", "0"], ["theta", "kernel", "samples"]),
+        (["--check", "exp_efron_stein", "--p", "2"], ["p"]),
+        (["--check", "kernel_poly_moments", "--seed", "1"], ["seed"]),
+        (["--check", "kernel_identities", "--s", "1", "--horizon", "3"], ["s", "horizon"]),
+    ])
+    def test_key_the_check_does_not_read_is_config_error(self, capsys, argv, unread):
+        code, out, err = run(["verify"] + argv + ["--model", "hypercube_sum", "--n", "2"],
+                             capsys)
+        assert code == 3 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "config" and str(unread) in error["message"]
 
     def test_estimated_kernel_requires_seed(self, capsys):
         code, _, err = run(["verify", "--check", "kernel_poly_moments",
@@ -207,12 +260,29 @@ class TestFuzzVerb:
         ["conjecture", "--q", ","],
         ["fuzz", "--ineq", "pmvti", "--d", "0"],
         ["conjecture", "--d", "-1"],
+        ["fuzz", "--ineq", "emvti", "--s", "0"],
+        ["conjecture", "--s", "-1"],
     ])
     def test_grid_that_checks_nothing_is_config_error(self, capsys, argv):
-        # an empty grid, or a dimension below 1: neither a vacuous pass nor a crash
+        # an empty grid, a dimension below 1 or an s outside (0, inf): neither a
+        # vacuous pass, a false failure nor a crash
         code, out, err = run(argv + ["--trials", "5", "--seed", "1"], capsys)
         assert code == 3 and out == ""
         assert json.loads(err)["error"]["type"] == "config"
+
+    @pytest.mark.parametrize("ineq, argv, unread", [
+        ("pmvti", ["--ensemble-size", "0", "--p", "0"], ["p", "ensemble_size"]),
+        ("emvti", ["--q", "2"], ["q"]),
+        ("young_commuting", ["--s", "1"], ["s"]),
+        ("operator_cs", ["--p", "2"], ["p"]),
+        ("matrix_entropy_young", ["--q", "1", "--s", "1"], ["q", "s"]),
+    ])
+    def test_key_the_suite_does_not_read_is_config_error(self, capsys, ineq, argv, unread):
+        code, out, err = run(["fuzz", "--ineq", ineq, "--trials", "5", "--seed", "1"] + argv,
+                             capsys)
+        assert code == 3 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "config" and str(unread) in error["message"]
 
     def test_unknown_inequality(self, capsys):
         code, _, _ = run(["fuzz", "--ineq", "bogus", "--trials", "5",

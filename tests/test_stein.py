@@ -98,6 +98,44 @@ def truncated_kernel(model, h):
     return stein.outcome_stack(g)
 
 
+def oracle_kernel_estimate(model, z, zp, horizon, samples, seed):
+    """(mean, standard error) of sum_t H(a_t) - H(b_t) over coupled chain pairs
+    from (z, z'), stepping the pair alone as arrays of support positions: block
+    k of stein._KERNEL_BLOCK samples draws J and one replacement per
+    coordinate for every sample at every step, from the seed's Philox stream
+    jumped k times, and a sample stops adding once its chains have met."""
+    dist = model.dist
+    n, d = dist.n, model.d
+    hs = stein.outcome_stack(model.H_tensor())
+    starts = [np.unravel_index(dist.index(s), dist.shape) for s in (z, zp)]
+
+    def at(rows):
+        return hs[np.ravel_multi_index(tuple(rows.T), dist.shape)]
+
+    bitgen = np.random.Philox(int(seed))
+    acc = np.zeros((d, d), dtype=np.complex128)
+    acc_sq = 0.0
+    for k, lo in enumerate(range(0, samples, stein._KERNEL_BLOCK)):
+        rng = np.random.Generator(bitgen.jumped(k))
+        m = min(stein._KERNEL_BLOCK, samples - lo)
+        a, b = (np.tile(s, (m, 1)) for s in starts)
+        total = np.repeat(at(a[:1]) - at(b[:1]), m, axis=0)
+        live = np.flatnonzero((a != b).any(axis=1))
+        for _ in range(horizon):
+            if live.size == 0:
+                break
+            j = rng.integers(0, n, m)
+            v = np.column_stack([c.sample_index(rng, m) for c in dist.coords])[np.arange(m), j]
+            a[live, j[live]] = b[live, j[live]] = v[live]
+            live = live[(a[live] != b[live]).any(axis=1)]
+            total[live] += at(a[live]) - at(b[live])
+        acc += total.sum(axis=0)
+        acc_sq += float(np.vdot(total, total).real)
+    est = acc / samples
+    var = max(0.0, acc_sq / samples - float(np.linalg.norm(est)) ** 2)
+    return est, math.sqrt(var / (samples - 1))
+
+
 def oracle_coverage_times(n, needed, runs, seed, max_steps=1_000_000, chunk=16):
     """The coverage scan one draw column at a time, over the same Philox stream.
 
@@ -623,10 +661,8 @@ class TestEstimatedKernel:
         sampled.enum_cutoff = 2
         assert exact.exact and not sampled.exact
         zs = [z for z, _ in exact.dist.outcomes()]
-        for h_max in (None, exact.max_h_norm()):
-            with pytest.raises(PreconditionError):
-                estimate_kernel(sampled, zs[0], zs[1], horizon=12, samples=23, seed=9,
-                                h_max=h_max)
+        with pytest.raises(PreconditionError):
+            estimate_kernel(sampled, zs[0], zs[1], horizon=12, samples=23, seed=9)
         with pytest.raises(PreconditionError):
             EstimatedKernel(sampled, horizon=12, samples=23, seed=9)
 
@@ -645,6 +681,61 @@ class TestEstimatedKernel:
 
         peak(10)  # builds the outcome tensor and H's memo outside the measurement
         assert peak(40 * 256) <= 1.5 * peak(256)
+
+    def test_estimated_kernel_memory_is_one_block(self, monkeypatch):
+        # S = 8 chains a sample: a block holds 2 * 256 / 8 = 64 samples
+        monkeypatch.setattr(stein, "_KERNEL_BLOCK", 256)
+        m = hypercube_sum(3, d=4)
+
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                EstimatedKernel(m, horizon=60, samples=samples, seed=3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)
+        assert peak(40 * 64) <= 1.5 * peak(64)
+
+    MODELS = [lambda: random_finite_model(3, 2, seed=4), three_valued_model,
+              unsorted_three_valued_model]
+
+    @pytest.mark.parametrize("block", [7, stein._KERNEL_BLOCK])
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("build", MODELS)
+    def test_estimates_match_the_pair_oracle(self, build, seed, block, monkeypatch):
+        monkeypatch.setattr(stein, "_KERNEL_BLOCK", block)
+        m = build()
+        zs = [z for z, _ in m.dist.outcomes()]
+        for z, zp in [(zs[0], zs[-1]), (zs[1], zs[len(zs) // 2]), (zs[2], zs[2])]:
+            est, se = oracle_kernel_estimate(m, z, zp, horizon=30, samples=40, seed=seed)
+            got = estimate_kernel(m, z, zp, horizon=30, samples=40, seed=seed)
+            scale = max(float(np.max(np.abs(est))), 1e-300)
+            assert np.max(np.abs(got.estimate.a - est)) <= 1e-12 * scale
+            assert abs(got.se_norm - se) <= 1e-12 * max(se, 1e-300)
+
+    @pytest.mark.parametrize("build", MODELS)
+    def test_estimated_kernel_matches_estimate_kernel(self, build):
+        # at most 2 * _KERNEL_BLOCK / S samples fit one block of both, so the
+        # pairs replay estimate_kernel's draws at the same seed
+        m = build()
+        ek = EstimatedKernel(m, horizon=20, samples=300, seed=5)
+        zs = [z for z, _ in m.dist.outcomes()]
+        for j, coord in enumerate(m.dist.coords):
+            for v, value in enumerate(coord.values):
+                on = stein.outcome_stack(ek.on_neighbours(j, v))
+                radius = ek.radius_on_neighbours(j, v).ravel()
+                for i, z in enumerate(zs):
+                    zp = m.replace(z, j, value)
+                    if z == zp:
+                        assert np.array_equal(on[i], np.zeros((m.d, m.d))) and radius[i] == 0
+                        continue
+                    est = estimate_kernel(m, z, zp, horizon=20, samples=300, seed=5)
+                    scale = float(np.max(np.abs(est.estimate.a)))
+                    assert np.max(np.abs(on[i] - est.estimate.a)) <= 1e-12 * scale
+                    want = est.se_norm + est.truncation_error_bound
+                    assert abs(radius[i] - want) <= 1e-12 * want
 
     def test_states_off_the_support_are_rejected(self):
         m = hypercube_sum(3)
