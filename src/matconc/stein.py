@@ -812,6 +812,8 @@ class EstimatedKernel(_OutcomeKernel):
     """
 
     def __init__(self, model: MatrixModel, horizon: int, samples: int, seed: int):
+        if samples < 2:  # one sample has no standard error, so no error radius
+            raise ParameterError(f"samples must be >= 2 for an estimated kernel, got {samples}")
         self.model = model
         dist = model.dist
         pairs = [(j, v) for j, c in enumerate(dist.coords) for v in range(len(c))]

@@ -7,6 +7,7 @@ and compare both sides of the target inequality at tolerance 1e-10.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -24,7 +25,6 @@ from .matcore import (
     _as_array,
     _as_herm_array,
     _opnorms,
-    ntrace,
     spectral_apply,
 )
 
@@ -42,12 +42,13 @@ def _rng(seed: int) -> np.random.Generator:
 
 def _grid(values, kind, what: str, positive: bool = False) -> list:
     """A scalar or an iterable of values, each read as kind; an empty grid checks
-    nothing.  ``positive`` asks every value to exceed 0, which NaN does not."""
+    nothing.  Every value must be finite, which NaN is not, and with
+    ``positive`` exceed 0."""
     out = [kind(values)] if isinstance(values, numbers.Real) else [kind(v) for v in values]
     if not out:
         raise ParameterError(f"empty {what} grid")
-    if positive and not all(v > 0 for v in out):
-        raise ParameterError(f"{what} must be positive, got {out}")
+    if not all(math.isfinite(v) and (v > 0 or not positive) for v in out):
+        raise ParameterError(f"{what} must be finite{' and > 0' if positive else ''}, got {out}")
     return out
 
 
@@ -69,58 +70,95 @@ _KINDS = ("gaussian", "near_commuting", "rank1", "gapped")
 _SPLIT = (0.7, 0.1, 0.1, 0.1)
 
 
-def _pick_kind(rng) -> str:
-    u = rng.random()
-    acc = 0.0
-    for kind, w in zip(_KINDS, _SPLIT):
-        acc += w
-        if u < acc:
-            return kind
-    return _KINDS[-1]
-
-
 def _herm(a):
-    """(a + a*)/2: exactly Hermitian, so a stored case replays bit for bit."""
-    return (a + a.conj().T) / 2
+    """(a + a*)/2 on the last two axes in two buffers; exactly Hermitian, so replays are exact."""
+    h = np.conj(_transpose(a), order="C")
+    h += a
+    h /= 2
+    return h
 
 
-def _gauss_herm(rng, d):
-    return _herm(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+def _gauss(rng, *shape):
+    """Complex standard Gaussian entries of the given shape, in one call."""
+    return rng.standard_normal(shape + (2,)).view(np.complex128)[..., 0]
 
 
-def _rank1_herm(rng, d):
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    scale = rng.standard_normal()
-    return _herm(scale * np.outer(v, v.conj()))
-
-
-def _haar_basis(rng, d):
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+def _haar(g):
+    """Haar unitaries from complex Gaussian matrices, by one batched qr."""
     q, r = np.linalg.qr(g)
-    return q * np.sign(np.diagonal(r))
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
 
 
-def _gapped_herm(rng, d):
-    u = _haar_basis(rng, d)
-    lo = rng.standard_normal(d // 2) * 0.1 - 4.0
-    hi = rng.standard_normal(d - d // 2) * 0.1 + 4.0
-    w = np.concatenate([lo, hi])
-    return _herm((u * w) @ u.conj().T)
+def _rank1(rng, k, n, d):
+    """k stacks of n Hermitian c v v* with complex Gaussian v and real c."""
+    v, c = _gauss(rng, k, n, d), rng.standard_normal((k, n, 1, 1))
+    return _herm(c * v[..., :, None] * np.conj(v[..., None, :]))
 
 
-def _draw_triple(rng, d):
-    """(A, B, C, kind) from the mixed ensemble."""
-    kind = _pick_kind(rng)
-    if kind == "gaussian":
-        return _gauss_herm(rng, d), _gauss_herm(rng, d), _gauss_herm(rng, d), kind
-    if kind == "near_commuting":
-        u = _haar_basis(rng, d)
-        a = _herm((u * rng.standard_normal(d)) @ u.conj().T)
-        b = _herm((u * rng.standard_normal(d)) @ u.conj().T) + 1e-3 * _gauss_herm(rng, d)
-        return a, b, _gauss_herm(rng, d), kind
-    if kind == "rank1":
-        return _rank1_herm(rng, d), _rank1_herm(rng, d), _rank1_herm(rng, d), kind
-    return _gapped_herm(rng, d), _gapped_herm(rng, d), _gauss_herm(rng, d), kind
+def _triple_group(rng, kind: int, n: int, d: int) -> tuple:
+    """The (A, B, C) stacks of n trials of one kind and dimension."""
+    name = _KINDS[kind]
+    if name == "rank1":
+        return tuple(_rank1(rng, 3, n, d))
+    z = _gauss(rng, 3, n, d, d)
+    if name == "gaussian":
+        return tuple(_herm(z))
+    w = rng.standard_normal((2, n, d))
+    if name == "near_commuting":  # one Haar eigenbasis, B perturbed by 1e-3
+        (a, b), (p, c) = _herm(spectral_apply(_haar(z[0]), w)), _herm(z[1:])
+        return a, b + 1e-3 * p, c
+    # gapped: spectra near -4 and +4, each in its own Haar basis
+    w = 0.1 * w + np.where(np.arange(d) < d // 2, -4.0, 4.0)
+    return (*_herm(spectral_apply(_haar(z[:2]), w)), _herm(z[2]))
+
+
+def _operator_cs_group(rng, _, n: int, d: int) -> tuple:
+    """(S, M, N) stacks; rank-1 M and N, in one trial of ten, probe equality."""
+    S, (M, N) = _herm(_gauss(rng, n, d * d, d * d)), _gauss(rng, 2, n, d, d)
+    rank1 = rng.random(n) < 0.1
+    M[rank1], N[rank1] = _rank1(rng, 2, int(np.sum(rank1)), d)
+    return S, M, N
+
+
+def _ensemble_group(size: int, rng, _, n: int, d: int) -> tuple:
+    """(U, W) stacks of n ensembles of ``size`` atoms; each ensemble's mean tr-bar W is 1."""
+    U, G = _gauss(rng, 2, n, size, d, d)
+    raw = _herm(G @ np.conj(_transpose(G)))
+    return _herm(U), raw / (np.sum(_re_trace(raw), axis=-1) / (d * size))[:, None, None, None]
+
+
+def _block_draws(rng, dims: list, group, qs: list | None = None, kinds: bool = False):
+    """``draw(m)`` for _sweep, in fuzz stream version 2.
+
+    A block draws its trials' dimensions, q (if ``qs`` is given) and kinds
+    (if ``kinds``, by _SPLIT) as length-m arrays.  Then, by ascending
+    dimension and kind, ``group(rng, kind, n, d)`` draws the inputs of the n
+    trials of each (dimension, kind) group at once.
+    """
+    dims, cuts = np.array(dims), np.cumsum(_SPLIT)[:-1]
+
+    def draw(m):
+        d_of = dims[rng.integers(0, len(dims), m)]
+        q_of = None if qs is None else np.array(qs)[rng.integers(0, len(qs), m)]
+        k_of = np.searchsorted(cuts, rng.random(m) if kinds else np.zeros(m), side="right")
+        groups = []
+        for d in sorted(set(d_of.tolist())):
+            rows = np.flatnonzero(d_of == d)
+            parts = [(k_of[rows] == k, group(rng, k, int(np.sum(k_of[rows] == k)), d))
+                     for k in sorted(set(k_of[rows].tolist()))]
+            stacks = parts[0][1] if len(parts) == 1 else _scatter(rows.size, parts)
+            groups.append((rows, tuple(stacks) + (() if q_of is None else (q_of[rows],))))
+        return d_of, groups, [_KINDS[k] for k in k_of.tolist()] if kinds else None
+    return draw
+
+
+def _scatter(m: int, parts: list) -> list:
+    """Arrays of m rows from parts ``(rows, arrays)``, each part at its rows."""
+    outs = [np.empty((m,) + a.shape[1:], a.dtype) for a in parts[0][1]]
+    for rows, arrays in parts:
+        for out, a in zip(outs, arrays):
+            out[rows] = a
+    return outs
 
 
 # ---------------------------------------------------------------------------
@@ -389,28 +427,26 @@ def _conjecture_stack(A, B, C, q, s) -> tuple:
 
 
 def _sweep(trials: int, draw, evaluate, take) -> None:
-    """Draw all trials, evaluate them in blocks by dimension, take each block whole.
+    """Draw and evaluate trials in blocks by dimension, take each block whole.
 
-    ``draw()`` returns ``(d, inputs, kind)`` for one trial and is called in
-    trial order, so the generator stream is that of a one-by-one loop.
-    ``evaluate(*stacks)`` takes the inputs of one dimension stacked along
-    axis 0 and returns arrays with one entry per trial.  ``take(block, dims,
-    outs)`` then gets the block's trials, their dimensions as an array, and
-    every output with its entries scattered back into trial order.  Blocks
-    of BLOCK_TRIALS keep the stacks, and so the peak memory, small.
+    ``draw(m)`` returns m trials as ``(dims, groups, kinds)``: their dimensions
+    as an array, one ``(rows, stacks)`` per dimension (trial indices, and the
+    inputs of those trials stacked along axis 0), and their kind names or None.
+    ``evaluate(*stacks)`` returns arrays with one entry per stacked trial.
+    ``take(trial, dims, outs)`` gets ``trial(i)``, trial i as ``(d, inputs,
+    kind)``, the dimensions, and every output scattered into trial order.
+    Blocks of BLOCK_TRIALS keep the stacks, and so the peak memory, small.
     """
     for start in range(0, trials, BLOCK_TRIALS):
-        block = [draw() for _ in range(min(BLOCK_TRIALS, trials - start))]
-        dims = np.array([d for d, _, _ in block])
-        outs = None
-        for d in dict.fromkeys(dims.tolist()):
-            idx = np.flatnonzero(dims == d)
-            got = evaluate(*(np.stack(col) for col in zip(*(block[i][1] for i in idx))))
-            if outs is None:
-                outs = [np.empty((len(block),) + g.shape[1:], g.dtype) for g in got]
-            for out, g in zip(outs, got):
-                out[idx] = g
-        take(block, dims, outs)
+        m = min(BLOCK_TRIALS, trials - start)
+        dims, groups, kinds = draw(m)
+        outs = _scatter(m, [(rows, evaluate(*stacks)) for rows, stacks in groups])
+
+        def trial(i):  # called by take only, before the next block is drawn
+            rows, stacks = next(g for g in groups if i in g[0])
+            p = int(np.searchsorted(rows, i))
+            return int(dims[i]), tuple(s[p] for s in stacks), kinds and kinds[i]
+        take(trial, dims, outs)
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +531,9 @@ def _fuzz(trials: int, dims: list, draw, evaluate, *forms, keep: int = 5) -> lis
         raise ParameterError(f"trials must be >= 1, got {trials}")
     worst = [_Worst(keep) for _ in forms]
 
-    def take(block, block_dims, outs):
+    def take(trial, block_dims, outs):
         for w, (_, slacks, case) in zip(worst, forms):
-            w.add(slacks(*outs), lambda i, j: case(block[i], j), block_dims)
+            w.add(slacks(*outs), lambda i, j: case(trial(i), j), block_dims)
 
     _sweep(trials, draw, evaluate, take)
     return [w.report(name, trials, dims) for w, (name, _, _) in zip(worst, forms)]
@@ -506,16 +542,6 @@ def _fuzz(trials: int, dims: list, draw, evaluate, *forms, keep: int = 5) -> lis
 def _slack_matrix(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Normalized slacks of one lhs per trial against its rhs (one per grid point)."""
     return _norm_slacks(lhs[:, None], rhs.reshape(len(rhs), -1))
-
-
-def _triple_draws(rng, dims: list, qs: list | None = None):
-    """The draw of one triple trial: d, then q if qs is given, then (A, B, C)."""
-    def draw():
-        d = dims[int(rng.integers(0, len(dims)))]
-        q = () if qs is None else (qs[int(rng.integers(0, len(qs)))],)
-        A, B, C, kind = _draw_triple(rng, d)
-        return d, (A, B, C) + q, kind
-    return draw
 
 
 def _triple_case(ineq: str, trial, keys: str = "ABC", **params) -> dict:
@@ -528,16 +554,16 @@ def _triple_case(ineq: str, trial, keys: str = "ABC", **params) -> dict:
 def fuzz_pmvti(d_range, q_range, s_values, trials: int, seed: int) -> FuzzReport:
     """Degree-q polynomial mean value trace inequality over random triples."""
     dims, qs, ss = _positive_ints(d_range, "d"), _positive_ints(q_range, "q"), _s_array(s_values)
-    return _fuzz(trials, dims, _triple_draws(_rng(seed), dims, qs),
+    return _fuzz(trials, dims, _block_draws(_rng(seed), dims, _triple_group, qs, kinds=True),
                  lambda A, B, C, q: _pmvti_stack(A, B, C, q, ss),
                  ("pmvti", _slack_matrix, lambda t, j: _triple_case(
-                     "pmvti", t, q=t[1][3], s=float(ss[j]))))[0]
+                     "pmvti", t, q=int(t[1][3]), s=float(ss[j]))))[0]
 
 
 def fuzz_emvti(d_range, s_values, trials: int, seed: int) -> FuzzReport:
     """Exponential mean value trace inequality over random triples."""
     dims, ss = _positive_ints(d_range, "d"), _s_array(s_values)
-    return _fuzz(trials, dims, _triple_draws(_rng(seed), dims),
+    return _fuzz(trials, dims, _block_draws(_rng(seed), dims, _triple_group, kinds=True),
                  lambda A, B, C: _emvti_stack(A, B, C, ss),
                  ("emvti", _slack_matrix, lambda t, j: _triple_case(
                      "emvti", t, s=float(ss[j]))))[0]
@@ -546,7 +572,7 @@ def fuzz_emvti(d_range, s_values, trials: int, seed: int) -> FuzzReport:
 def fuzz_young_commuting(d_range, p: float, trials: int, seed: int) -> FuzzReport:
     """Operator Young inequality for commuting left/right multiplications."""
     dims = _positive_ints(d_range, "d")
-    return _fuzz(trials, dims, _triple_draws(_rng(seed), dims),
+    return _fuzz(trials, dims, _block_draws(_rng(seed), dims, _triple_group, kinds=True),
                  lambda A, B, C: _young_stack(A, B, p),
                  (f"young_commuting(p={p})", lambda gap, scale: (gap / scale)[:, None],
                   lambda t, _: _triple_case("young_commuting", t, "AB", p=float(p))))[0]
@@ -555,22 +581,8 @@ def fuzz_young_commuting(d_range, p: float, trials: int, seed: int) -> FuzzRepor
 def fuzz_operator_cs(d_range, trials: int, seed: int) -> FuzzReport:
     """Cauchy-Schwarz for a self-adjoint operator on matrices."""
     dims = _positive_ints(d_range, "d")
-    rng = _rng(seed)
-
-    def draw():
-        d = dims[int(rng.integers(0, len(dims)))]
-        raw = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
-        S = (raw + raw.conj().T) / 2
-        if rng.random() < 0.1:
-            # rank-1 arguments probe the equality direction
-            M = _rank1_herm(rng, d)
-            N = _rank1_herm(rng, d)
-        else:
-            M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            N = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        return d, (S, M, N), None
-
-    return _fuzz(trials, dims, draw, _operator_cs_stack,
+    return _fuzz(trials, dims, _block_draws(_rng(seed), dims, _operator_cs_group),
+                 _operator_cs_stack,
                  ("operator_cs", _slack_matrix, lambda t, _: {
                      "ineq": "operator_cs", **dict(zip("SMN", map(_rect_json, t[1])))}))[0]
 
@@ -581,21 +593,9 @@ def fuzz_matrix_entropy_young(d_range, ensemble_size: int, trials: int,
     dims = _positive_ints(d_range, "d")
     if ensemble_size < 1:
         raise ParameterError(f"ensemble_size must be >= 1, got {ensemble_size}")
-    rng = _rng(seed)
-
-    def draw():
-        d = dims[int(rng.integers(0, len(dims)))]
-        Us = [_gauss_herm(rng, d) for _ in range(ensemble_size)]
-        raws = []
-        for _ in range(ensemble_size):
-            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            raws.append(_herm(g @ g.conj().T))
-        # normalize so the ensemble mean of tr-bar W is exactly 1
-        total = sum(ntrace(r).real for r in raws) / ensemble_size
-        Ws = [r / total for r in raws]
-        return d, (np.stack(Us), np.stack(Ws)), None
-
-    return _fuzz(trials, dims, draw, _entropy_young_stack,
+    return _fuzz(trials, dims, _block_draws(
+                     _rng(seed), dims, functools.partial(_ensemble_group, ensemble_size)),
+                 _entropy_young_stack,
                  ("matrix_entropy_young", _slack_matrix, lambda t, _: {
                      "ineq": "matrix_entropy_young",
                      "U": [_herm_json(u) for u in t[1][0]],
@@ -618,9 +618,9 @@ def explore_conjecture(d_range, q_range, s_values, trials: int, seed: int) -> Fu
 
     def form(k, ineq):  # outputs 2k and 2k + 1 of _conjecture_stack are its lhs and rhs
         return (ineq, lambda *outs: _slack_matrix(*outs[2 * k:2 * k + 2]),
-                lambda t, j: _triple_case(ineq, t, q=t[1][3], s=float(ss[j])))
+                lambda t, j: _triple_case(ineq, t, q=int(t[1][3]), s=float(ss[j])))
 
-    per_form = _fuzz(trials, dims, _triple_draws(_rng(seed), dims, qs),
+    per_form = _fuzz(trials, dims, _block_draws(_rng(seed), dims, _triple_group, qs, kinds=True),
                      lambda A, B, C, q: _conjecture_stack(A, B, C, q, ss),
                      form(0, "conjecture_exp"), form(1, "conjecture_poly"), keep=4)
     sections = {"exp": _section(per_form[0]), "poly": _section(per_form[1])}

@@ -163,6 +163,8 @@ class TestVerifyVerb:
         ["--check", "kernel_poly_moments", "--s", "-1"],
         ["--check", "kernel_poly_moments", "--s", ","],
         ["--check", "kernel_poly_moments", "--s", "nan"],
+        ["--check", "kernel_poly_moments", "--s", "inf"],
+        ["--check", "exp_efron_stein", "--psi", "inf"],
     ])
     def test_grid_that_checks_nothing_is_config_error(self, capsys, argv):
         # an empty grid, no admissible (theta, psi) pair, or a value outside the
@@ -192,6 +194,27 @@ class TestVerifyVerb:
                             "--kernel", "estimated"], capsys)
         assert code == 3
         assert "seed" in json.loads(err)["error"]["message"]
+
+    def test_estimated_kernel_of_one_sample_is_config_error(self, capsys):
+        # one sample has no standard error: no bound, not a theorem failure
+        base = ["verify", "--check", "kernel_poly_moments", "--model", "hypercube_sum",
+                "--n", "2", "--kernel", "estimated", "--seed", "1", "--samples"]
+        code, out, err = run(base + ["1"], capsys)
+        assert code == 3 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "config" and "samples" in error["message"]
+        code, out, _ = run(base + ["2"], capsys)
+        assert code == 0 and json.loads(out)["pass"] is True
+
+    @pytest.mark.parametrize("theta", ["nan", "0.25,nan", "inf", "-inf"])
+    def test_non_finite_theta_is_rejected_by_name(self, capsys, theta):
+        code, out, err = run(["verify", "--check", "exp_efron_stein", "--model",
+                              "hypercube_sum", "--n", "2", "--theta", theta], capsys)
+        assert code == 3 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "config"
+        assert "theta must be finite" in error["message"]
+        assert "overflow" not in error["message"]
 
 
 class TestFuzzVerb:
@@ -262,6 +285,8 @@ class TestFuzzVerb:
         ["conjecture", "--d", "-1"],
         ["fuzz", "--ineq", "emvti", "--s", "0"],
         ["conjecture", "--s", "-1"],
+        ["fuzz", "--ineq", "emvti", "--s", "inf"],
+        ["conjecture", "--s", "inf"],
     ])
     def test_grid_that_checks_nothing_is_config_error(self, capsys, argv):
         # an empty grid, a dimension below 1 or an s outside (0, inf): neither a

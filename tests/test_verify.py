@@ -4,6 +4,7 @@ Scalar cases are pinned against closed forms evaluated inline.  The sweep
 tests freeze seeds and check report structure and determinism; the
 mathematics behind each inequality is exercised by the evaluator tests.
 """
+import functools
 import json
 import math
 
@@ -230,37 +231,33 @@ def oracle_conjecture(A, B, C, q, s):
 SS = (0.25, 1.0, 4.0)
 
 
-def draw_triples(rng):
-    return verify._triple_draws(rng, list(range(1, 7)), list(range(1, 8)))
+def draw_triples(rng, dims=tuple(range(1, 7)), qs=tuple(range(1, 8))):
+    return verify._block_draws(rng, list(dims), verify._triple_group, qs and list(qs),
+                               kinds=True)
 
 
-def draw_operator_cs(rng):
-    def draw():
-        d = int(rng.integers(1, 7))
-        raw = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
-        if rng.random() < 0.2:
-            M, N = verify._rank1_herm(rng, d), verify._rank1_herm(rng, d)
-        else:
-            M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            N = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        return d, ((raw + raw.conj().T) / 2, M, N), None
-    return draw
+def draw_operator_cs(rng, dims=tuple(range(1, 7))):
+    return verify._block_draws(rng, list(dims), verify._operator_cs_group)
 
 
-def draw_ensembles(rng):
-    def draw():
-        d = int(rng.integers(1, 7))
-        Us = np.stack([verify._gauss_herm(rng, d) for _ in range(4)])
-        g = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
-        raws = np.stack([verify._herm(x @ x.conj().T) for x in g])
-        total = sum(ntrace(r) for r in raws) / 4
-        return d, (Us, raws / total), None
-    return draw
+def draw_ensembles(rng, dims=tuple(range(1, 7)), size=4):
+    return verify._block_draws(rng, list(dims), functools.partial(verify._ensemble_group, size))
+
+
+def block_trials(draw, m):
+    """One block of m trials of a suite's draw, as (d, inputs, kind) in trial order."""
+    dims, groups, kinds = draw(m)
+    out = [None] * m
+    for rows, stacks in groups:
+        for p, i in enumerate(rows.tolist()):
+            inputs = tuple(x[p] if x.ndim > 1 else x[p].item() for x in stacks)
+            out[i] = (int(dims[i]), inputs, None if kinds is None else kinds[i])
+    return out
 
 
 def cases(draw, count=240):
     """count draws, covering d = 1..6 and, for triples, every draw kind."""
-    out = [draw() for _ in range(count)]
+    out = block_trials(draw, count)
     assert {c[0] for c in out} == set(range(1, 7))
     assert {c[2] for c in out} in ({None}, set(verify._KINDS))
     return out
@@ -314,6 +311,91 @@ class TestEvaluatorsAgainstOracles:
                                - verify._norm_slacks(*ref[form])) <= self.TOL
 
 
+@functools.lru_cache(maxsize=None)
+def triple_block():
+    """2000 triple trials over d = 1..6, from one block draw."""
+    return block_trials(draw_triples(verify._rng(3)), 2000)
+
+
+def of_kind(kind, min_d=1):
+    return [(d, mats) for d, mats, k in triple_block() if k == kind and d >= min_d]
+
+
+def opnorm(a):
+    return np.linalg.norm(a, 2)
+
+
+def commutator_bound(A, d):
+    # ||[A, B]|| = 1e-3 ||[A, P]|| <= 2e-3 ||A|| ||P|| for the perturbation P,
+    # and ||P|| <= ||P||_F <= 6 d but with negligible probability
+    return 2e-3 * opnorm(A) * 6 * d
+
+
+class TestBlockDrawLaw:
+    # each draw family of fuzz stream version 2 has its defining property
+
+    def test_kind_frequencies(self):
+        # 1e5 d = 1 trials: every count within 4 binomial sigma of _SPLIT
+        m = 100_000
+        _, _, kinds = verify._block_draws(verify._rng(1), [1], verify._triple_group,
+                                          kinds=True)(m)
+        for name, w in zip(verify._KINDS, verify._SPLIT):
+            assert abs(kinds.count(name) - m * w) <= 4 * math.sqrt(m * w * (1 - w)), name
+
+    def test_every_dimension_and_kind_group_is_reached(self):
+        assert {(d, k) for d, _, k in triple_block()} == {
+            (d, k) for d in range(1, 7) for k in verify._KINDS}
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_haar_bases_are_unitary(self, d):
+        u = verify._haar(verify._gauss(verify._rng(d), 2, 50, d, d))
+        assert u.shape == (2, 50, d, d)
+        err = np.conj(np.swapaxes(u, -1, -2)) @ u - np.eye(d)
+        assert np.max(np.abs(err)) <= 1e-12
+
+    def test_near_commuting_pairs_commute_up_to_the_perturbation(self):
+        for d, (A, B, _C, _q) in of_kind("near_commuting"):
+            assert opnorm(A @ B - B @ A) <= commutator_bound(A, d)
+        # not vacuous: Gaussian pairs break the same bound
+        broken = [opnorm(A @ B - B @ A) > commutator_bound(A, d)
+                  for d, (A, B, _C, _q) in of_kind("gaussian", min_d=2)]
+        assert np.mean(broken) > 0.9
+
+    def test_gapped_spectra_sit_near_plus_and_minus_four(self):
+        for d, (A, B, _C, _q) in of_kind("gapped"):
+            for w in np.linalg.eigvalsh(np.stack([A, B])):
+                assert np.all(np.abs(w[:d // 2] + 4.0) < 1.0)
+                assert np.all(np.abs(w[d // 2:] - 4.0) < 1.0)
+
+    def test_rank1_matrices_have_rank_at_most_one(self):
+        for _, (A, B, C, _q) in of_kind("rank1"):
+            sv = np.linalg.svd(np.stack([A, B, C]), compute_uv=False)
+            assert np.all(sv[:, 1:] <= 1e-12 * sv[:, :1])
+
+    @pytest.mark.parametrize("size", [1, 4, 8])
+    def test_entropy_ensembles(self, size):
+        # every W is PSD, and the ensemble mean of tr-bar W is 1
+        trials = block_trials(draw_ensembles(verify._rng(4), size=size), 600)
+        assert {d for d, _, _ in trials} == set(range(1, 7))
+        for d, (Us, Ws), _ in trials:
+            assert Us.shape == Ws.shape == (size, d, d)
+            assert np.all(np.linalg.eigvalsh(Ws) >= -1e-12 * opnorm(Ws.reshape(-1, d)))
+            tr_bar = np.trace(Ws, axis1=-2, axis2=-1).real / d
+            assert abs(np.mean(tr_bar) - 1.0) <= 1e-15
+
+    def test_operator_cs_picks_rank1_arguments_at_rate_one_tenth(self):
+        m = 20_000
+        trials = block_trials(draw_operator_cs(verify._rng(6), dims=[2, 3]), m)
+        rank1 = []
+        for d, (S, M, N), _ in trials:
+            assert S.shape == (d * d, d * d) and np.array_equal(S, S.conj().T)
+            sv = np.linalg.svd(np.stack([M, N]), compute_uv=False)
+            low = sv[:, 1] <= 1e-12 * sv[:, 0]
+            assert low[0] == low[1]  # M and N are rank-1 together or not at all
+            rank1.append(bool(low[0]))
+        assert abs(sum(rank1) - 0.1 * m) <= 4 * math.sqrt(m * 0.1 * 0.9)
+
+
 class TestBlockPositionInvariance:
     # every trial of a full block, evaluated among trials of its dimension,
     # gives the very floats of its stack-of-one evaluation, which replay uses
@@ -321,7 +403,8 @@ class TestBlockPositionInvariance:
     def block(self, draw, evaluate):
         rows = []
 
-        def take(block, dims, outs):
+        def take(trial, dims, outs):
+            block = [trial(i) for i in range(len(dims))]
             assert dims.tolist() == [d for d, _, _ in block]
             rows.extend((trial[1], [out[i] for out in outs]) for i, trial in enumerate(block))
 
@@ -419,7 +502,7 @@ def norm_slack(lhs: float, rhs: float) -> float:
 def sweep_one_by_one(trials, draw, evaluate, offer):
     """Evaluate blocks by dimension, then offer every trial with its row, in order."""
     for start in range(0, trials, verify.BLOCK_TRIALS):
-        block = [draw() for _ in range(min(verify.BLOCK_TRIALS, trials - start))]
+        block = block_trials(draw, min(verify.BLOCK_TRIALS, trials - start))
         groups: dict = {}
         for i, (d, _, _) in enumerate(block):
             groups.setdefault(d, []).append(i)
@@ -448,7 +531,7 @@ def oracle_fuzz_pmvti(dims, qs, s_values, trials, seed):
             tracker.offer(norm_slack(float(row[0]), float(rhs)), d, lambda: oracle_triple_case(
                 "pmvti", kind, (A, B, C), q=q, s=float(s)))
 
-    sweep_one_by_one(trials, verify._triple_draws(verify._rng(seed), dims, qs),
+    sweep_one_by_one(trials, draw_triples(verify._rng(seed), dims, qs),
                      lambda A, B, C, q: verify._pmvti_stack(A, B, C, q, ss), offer)
     return tracker.report("pmvti", trials, dims)
 
@@ -463,7 +546,7 @@ def oracle_fuzz_emvti(dims, s_values, trials, seed):
             tracker.offer(norm_slack(float(row[0]), float(rhs)), d, lambda: oracle_triple_case(
                 "emvti", kind, (A, B, C), s=float(s)))
 
-    sweep_one_by_one(trials, verify._triple_draws(verify._rng(seed), dims),
+    sweep_one_by_one(trials, draw_triples(verify._rng(seed), dims, None),
                      lambda A, B, C: verify._emvti_stack(A, B, C, ss), offer)
     return tracker.report("emvti", trials, dims)
 
@@ -476,26 +559,13 @@ def oracle_fuzz_young(dims, p, trials, seed):
         tracker.offer(float(row[0]) / float(row[1]), d, lambda: oracle_triple_case(
             "young_commuting", kind, (A, B), p=float(p)))
 
-    sweep_one_by_one(trials, verify._triple_draws(verify._rng(seed), dims),
+    sweep_one_by_one(trials, draw_triples(verify._rng(seed), dims, None),
                      lambda A, B, C: verify._young_stack(A, B, p), offer)
     return tracker.report(f"young_commuting(p={p})", trials, dims)
 
 
 def oracle_fuzz_operator_cs(dims, trials, seed):
-    rng = verify._rng(seed)
     tracker = WorstTracker()
-
-    def draw():
-        d = dims[int(rng.integers(0, len(dims)))]
-        raw = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
-        S = (raw + raw.conj().T) / 2
-        if rng.random() < 0.1:
-            M = verify._rank1_herm(rng, d)
-            N = verify._rank1_herm(rng, d)
-        else:
-            M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            N = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        return d, (S, M, N), None
 
     def offer(trial, row):
         d, (S, M, N), _ = trial
@@ -504,24 +574,13 @@ def oracle_fuzz_operator_cs(dims, trials, seed):
             "S": verify._rect_json(S), "M": verify._rect_json(M), "N": verify._rect_json(N),
         })
 
-    sweep_one_by_one(trials, draw, verify._operator_cs_stack, offer)
+    sweep_one_by_one(trials, draw_operator_cs(verify._rng(seed), dims),
+                     verify._operator_cs_stack, offer)
     return tracker.report("operator_cs", trials, dims)
 
 
 def oracle_fuzz_entropy_young(dims, ensemble_size, trials, seed):
-    rng = verify._rng(seed)
     tracker = WorstTracker()
-
-    def draw():
-        d = dims[int(rng.integers(0, len(dims)))]
-        Us = [verify._gauss_herm(rng, d) for _ in range(ensemble_size)]
-        raws = []
-        for _ in range(ensemble_size):
-            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            raws.append(verify._herm(g @ g.conj().T))
-        total = sum(ntrace(r).real for r in raws) / ensemble_size
-        Ws = [r / total for r in raws]
-        return d, (np.stack(Us), np.stack(Ws)), None
 
     def offer(trial, row):
         d, (Us, Ws), _ = trial
@@ -531,7 +590,8 @@ def oracle_fuzz_entropy_young(dims, ensemble_size, trials, seed):
             "W": [verify._herm_json(w) for w in Ws],
         })
 
-    sweep_one_by_one(trials, draw, verify._entropy_young_stack, offer)
+    sweep_one_by_one(trials, draw_ensembles(verify._rng(seed), dims, ensemble_size),
+                     verify._entropy_young_stack, offer)
     return tracker.report("matrix_entropy_young", trials, dims)
 
 
@@ -569,7 +629,7 @@ def oracle_explore_conjecture(dims, qs, s_values, trials, seed):
                                      lambda: oracle_triple_case(
                                          f"conjecture_{form}", kind, (A, B, C), q=q, s=float(s)))
 
-    sweep_one_by_one(trials, verify._triple_draws(verify._rng(seed), dims, qs),
+    sweep_one_by_one(trials, draw_triples(verify._rng(seed), dims, qs),
                      lambda A, B, C, q: verify._conjecture_stack(A, B, C, q, ss), offer)
     per_form = {form: trackers[form].report(f"conjecture_{form}", trials, dims)
                 for form in sorted(trackers)}
@@ -645,18 +705,19 @@ class TestSelectorAgainstOracle:
         # three zeros end block 0 and many more are scattered over block 1,
         # and the earliest five are kept, as one trial at a time keeps them
         trials = verify.BLOCK_TRIALS + 300
-        count = iter(range(trials))
+        starts = iter(range(0, trials, verify.BLOCK_TRIALS))
 
-        def draw():
-            i = next(count)
-            return 1 + i % 2, (i,), "t"
+        def draw(m):
+            i = next(starts) + np.arange(m)
+            dims = 1 + i % 2
+            return dims, [(np.flatnonzero(dims == d), (i[dims == d],)) for d in (1, 2)], ["t"] * m
 
         def slacks(x):
             i, j = x[:, None], np.arange(2)[None, :]
             return np.where((i >= 250) & ((7 * i + j) % 5 == 0), 0.0, 1.0 + (3 * i + j) % 4)
 
         (report,) = verify._fuzz(trials, [1, 2], draw, lambda x: (x,),
-                                 ("tie", slacks, lambda t, j: {"trial": t[1][0], "j": j}))
+                                 ("tie", slacks, lambda t, j: {"trial": int(t[1][0]), "j": j}))
         kept = [(c["trial"], c["j"]) for c in [report.worst_case] + report.near_misses]
         assert kept == [(250, 0), (252, 1), (255, 0), (257, 1), (260, 0)]
         assert report.min_slack_by_dim == {1: 0.0, 2: 0.0}
@@ -852,10 +913,11 @@ class TestReplay:
         assert out["lhs"] > out["rhs"]
         assert out["slack"] == pytest.approx(-1.0 / 3.0, rel=1e-13)
 
-    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", range(1, 9))
     def test_every_stored_case_replays_bit_exact(self, seed):
         # each draw is exactly Hermitian, so the serialised case replays the
-        # very matrices the sweep evaluated, near misses included
+        # very matrices the sweep evaluated, near misses included: 38 cases
+        # over the six sweeps per seed, 304 over the eight seeds
         dims, ss = range(1, 7), [0.25, 1.0, 4.0]
         reports = [
             fuzz_pmvti(dims, range(1, 8), ss, trials=60, seed=seed),
@@ -866,11 +928,14 @@ class TestReplay:
             fuzz_matrix_entropy_young(dims, 8, trials=60, seed=seed),
             explore_conjecture(dims, [1, 2, 3], [1.0], trials=300, seed=seed),
         ]
+        replayed = 0
         for rep in reports:
             for case in [rep.worst_case] + rep.near_misses:
                 case = json.loads(json.dumps(case))
                 assert replay_case(case)["slack"] == case["slack"], (
                     rep.inequality, case.get("kind"))
+                replayed += 1
+        assert replayed == 6 * 5 + 8
 
     def test_replay_rejects_unknown_inequality(self):
         with pytest.raises(ParameterError):
