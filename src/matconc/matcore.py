@@ -48,6 +48,14 @@ def _opnorms(a: np.ndarray) -> np.ndarray:
     return np.linalg.norm(a, 2, axis=(-2, -1))
 
 
+def _complex_array(entries) -> np.ndarray:
+    """A fresh complex array of ``entries``, which must be numbers (ParameterError)."""
+    try:
+        return np.array(entries, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"matrix entries must be numbers: {exc}") from None
+
+
 class HermitianMatrix:
     """A dense Hermitian matrix.
 
@@ -59,7 +67,7 @@ class HermitianMatrix:
     __slots__ = ("a", "_eig")
 
     def __init__(self, entries):
-        m = np.array(entries, dtype=np.complex128)
+        m = _complex_array(entries)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ShapeError(f"expected a square matrix, got shape {m.shape}")
         if m.shape[0] == 0:
@@ -126,7 +134,7 @@ class RectMatrix:
     __slots__ = ("a",)
 
     def __init__(self, entries):
-        m = np.array(entries, dtype=np.complex128)
+        m = _complex_array(entries)
         if m.ndim != 2:
             raise ShapeError(f"expected a 2-d array, got ndim {m.ndim}")
         if not np.all(np.isfinite(m)):
@@ -287,12 +295,16 @@ def induced_norm(B, p) -> float:
 
 def dilation(B) -> HermitianMatrix:
     """Hermitian dilation [[0, B], [B*, 0]]; spectrum is +-singular values."""
-    b = _as_array(B)
-    d1, d2 = b.shape
-    out = np.zeros((d1 + d2, d1 + d2), dtype=np.complex128)
-    out[:d1, d1:] = b
-    out[d1:, :d1] = b.conj().T
-    return HermitianMatrix(out)
+    return HermitianMatrix(_dilations(_as_array(B)))
+
+
+def _dilations(b: np.ndarray) -> np.ndarray:
+    """The dilation of every matrix of a stack (the last two axes)."""
+    d1, d2 = b.shape[-2:]
+    out = np.zeros(b.shape[:-2] + (d1 + d2, d1 + d2), dtype=np.complex128)
+    out[..., :d1, d1:] = b
+    out[..., d1:, :d1] = b.conj().swapaxes(-1, -2)
+    return out
 
 
 def psd_leq(A, B, tol: float = PSD_TOL) -> bool:

@@ -21,11 +21,10 @@ from .matcore import (
     HermitianMatrix,
     ParameterError,
     PreconditionError,
-    RectMatrix,
     ShapeError,
+    _dilations,
     _opnorm,
     _opnorms,
-    dilation,
 )
 
 # Above this product-space cardinality, enumeration gives way to Monte Carlo.
@@ -84,6 +83,13 @@ class SampledCoord:
         return self.sampler(rng, size)
 
 
+def _coord_keys(j, v) -> np.ndarray:
+    """j + iv, elementwise, keeping infinite v (1j * inf is nan + inf j)."""
+    keys = np.empty(np.broadcast_shapes(np.shape(j), np.shape(v)), dtype=np.complex128)
+    keys.real, keys.imag = j, v
+    return keys
+
+
 class ProductDistribution:
     """Mutually independent coordinates, each finite or sampler-backed."""
 
@@ -94,6 +100,14 @@ class ProductDistribution:
         self.finite = all(isinstance(c, FiniteCoord) for c in self.coords)
         # read on every H cache miss, through MatrixModel.exact
         self._shape = tuple(len(c) for c in self.coords) if self.finite else None
+        if self.finite:
+            # key j + iv per value v of coordinate j: numpy orders complex numbers by
+            # real, then imaginary part, so one sorted array holds every support in turn
+            keys = _coord_keys(np.repeat(np.arange(self.n), self._shape),
+                               np.concatenate([c.values for c in self.coords]))
+            order = np.argsort(keys, kind="stable")  # equal values: the first one
+            self._keys = keys[order]
+            self._digits = np.concatenate([np.arange(k) for k in self._shape])[order]
 
     @property
     def n(self) -> int:
@@ -119,14 +133,25 @@ class ProductDistribution:
             pr = pr[..., None] * c.probs
         return pr
 
+    def locate(self, zs) -> np.ndarray:
+        """Positions in outcomes() order of the rows of ``zs``, an (m, n) array."""
+        shape = self.shape
+        try:
+            zs = np.array(zs, dtype=float, ndmin=2)
+        except (TypeError, ValueError):
+            zs = None
+        if zs is None or zs.shape[1:] != (self.n,):
+            raise ParameterError(f"outcome rows must be rows of {self.n} numbers")
+        q = _coord_keys(np.arange(self.n), zs)
+        pos = np.minimum(np.searchsorted(self._keys, q), len(self._keys) - 1)
+        found = (self._keys[pos] == q).all(axis=1)
+        if not found.all():
+            raise ParameterError(f"{tuple(zs[np.argmin(found)].tolist())!r} is not an outcome")
+        return np.ravel_multi_index(self._digits[pos].T, shape)
+
     def index(self, z) -> int:
         """Position of the outcome z in outcomes() order."""
-        try:
-            pos = [int(np.flatnonzero(c.values == float(v))[0])
-                   for c, v in zip(self.coords, z, strict=True)]
-        except (IndexError, ValueError):
-            raise ParameterError(f"{tuple(z)!r} is not an outcome") from None
-        return int(np.ravel_multi_index(pos, self.shape))
+        return int(self.locate([z])[0])
 
     def sample(self, rng: np.random.Generator) -> tuple:
         return tuple(float(c.sample(rng)) for c in self.coords)
@@ -175,17 +200,26 @@ def _zkey(z) -> str:
     return json.dumps([float(v) for v in z])
 
 
+def _rows(H: Callable, zs, shape: tuple) -> np.ndarray:
+    """H at the outcome rows ``zs`` as a complex stack of matrices of ``shape``."""
+    zs = np.asarray(zs, dtype=float)
+    hs = np.asarray(H(zs), dtype=np.complex128)
+    if hs.shape != (len(zs),) + shape:
+        raise ShapeError(f"H returned shape {hs.shape}, expected {(len(zs),) + shape}")
+    return hs
+
+
 class MatrixModel:
     """A product distribution with a Hermitian-valued map H.
 
-    H may return a HermitianMatrix or a plain complex array.  The mean E H(Z)
-    is exact (full enumeration) for finite models under the cardinality
-    cutoff, else a seeded Monte Carlo estimate whose provenance is recorded.
+    H maps an (m, n) float array of outcome rows to an (m, d, d) stack, row by
+    row.  The mean E H(Z) is exact (full enumeration) for finite models under
+    the cardinality cutoff, else a seeded Monte Carlo estimate whose
+    provenance is recorded.
     """
 
     def __init__(self, dist: ProductDistribution, H: Callable, d: int,
-                 name: str = "", enum_cutoff: int = ENUM_CUTOFF,
-                 H_batch: Callable | None = None):
+                 name: str = "", enum_cutoff: int = ENUM_CUTOFF):
         self.dist = dist
         self._H = H
         self.d = int(d)
@@ -193,7 +227,6 @@ class MatrixModel:
         self.enum_cutoff = int(enum_cutoff)
         self.mean_samples = _MEAN_MC_SAMPLES
         self.mean_seed = 0
-        self._H_batch = H_batch
         self._mean = None
         self.mean_provenance = None
         self._h_cache: dict = {}
@@ -202,27 +235,20 @@ class MatrixModel:
     # -- evaluation
 
     def H(self, z) -> np.ndarray:
+        """H at one outcome, one row of ``H_rows``; memoised on exact models only,
+        since sampled outcomes of a continuous model do not repeat."""
         key = tuple(z)
         got = self._h_cache.get(key)
         if got is None:
-            raw = self._H(key)
-            a = raw.a if isinstance(raw, HermitianMatrix) else np.asarray(raw, dtype=np.complex128)
-            if a.shape != (self.d, self.d):
-                raise ShapeError(f"H returned shape {a.shape}, expected ({self.d},{self.d})")
-            got = (a + a.conj().T) / 2
-            # only an enumerable support repeats; sampled outcomes of a
-            # continuous model would fill the memo without reuse
+            got = self.H_rows([key])[0]
             if self.exact and len(self._h_cache) < 4 * ENUM_CUTOFF:
                 self._h_cache[key] = got
         return got
 
     def H_rows(self, zs) -> np.ndarray:
         """H at each row of ``zs`` (an array, or outcome tuples), shape
-        (len(zs), d, d): one call of the batched H when the model has one,
-        symmetrised as ``H`` symmetrises."""
-        if self._H_batch is None:
-            return np.stack([self.H(tuple(z)) for z in zs])
-        hs = np.asarray(self._H_batch(np.asarray(zs, dtype=float)), dtype=np.complex128)
+        (len(zs), d, d): one call of H, symmetrised."""
+        hs = _rows(self._H, zs, (self.d, self.d))
         return (hs + hs.conj().swapaxes(-1, -2)) / 2
 
     @property
@@ -278,12 +304,7 @@ class MatrixModel:
 
     def sample_X(self, count: int, seed: int) -> np.ndarray:
         """Draw ``count`` centered samples X = H(Z) - E H(Z), shape (count, d, d)."""
-        rng = _rng(seed)
-        if self._H_batch is None and self.exact:
-            hs = outcome_stack(self.H_tensor())[self.dist.sample_outcomes(rng, count)]
-        else:
-            hs = self.H_rows(self.dist.sample_many(rng, count))
-        return hs - self.mean()
+        return self.H_rows(self.dist.sample_many(_rng(seed), count)) - self.mean()
 
     # -- coordinate surgery
 
@@ -295,13 +316,9 @@ class MatrixModel:
     def to_json(self) -> dict:
         if not self.dist.finite:
             raise PreconditionError("only finite models serialize")
-        table = {}
-        for z, _ in self.dist.outcomes():
-            h = self.H(z)
-            table[_zkey(z)] = {
-                "real": h.real.ravel().tolist(),
-                "imag": h.imag.ravel().tolist(),
-            }
+        zs = [z for z, _ in self.dist.outcomes()]
+        table = {_zkey(z): {"real": h.real.ravel().tolist(), "imag": h.imag.ravel().tolist()}
+                 for z, h in zip(zs, self.H_rows(zs))}
         return {
             "name": self.name,
             "d": self.d,
@@ -313,24 +330,27 @@ class MatrixModel:
     def from_json(cls, obj: dict) -> "MatrixModel":
         dist = ProductDistribution.from_json(obj["dist"])
         d = int(obj["d"])
-        table = {
-            key: np.array(v["real"], dtype=float).reshape(d, d)
-            + 1j * np.array(v["imag"], dtype=float).reshape(d, d)
-            for key, v in obj["H"].items()
-        }
+        table = obj["H"]
         # a table smaller than the support fails before the support is enumerated
         if len(table) < dist.cardinality or any(_zkey(z) not in table
                                                 for z, _ in dist.outcomes()):
             raise ParameterError("the H table does not cover every outcome of dist")
+        parts = [[table[_zkey(z)][k] for k in ("real", "imag")] for z, _ in dist.outcomes()]
+        return _table_model(dist, np.array(parts, dtype=float), d, obj.get("name", "model"))
 
-        def H(z):
-            return table[_zkey(z)]
 
-        return cls(dist, H, d, name=obj.get("name", "model"))
+def _table_model(dist: ProductDistribution, parts: np.ndarray, d: int,
+                 name: str) -> MatrixModel:
+    """A model whose H looks each row up in a table of one matrix per outcome
+    in outcomes() order, given by its real and imaginary parts ``parts[:, 0]``
+    and ``parts[:, 1]``; H_rows symmetrises what it reads."""
+    parts = parts.reshape(dist.cardinality, 2, d, d)
+    table = parts[:, 0] + 1j * parts[:, 1]
+    return MatrixModel(dist, lambda zs: table[dist.locate(zs)], d, name=name)
 
 
 class RectangularModel:
-    """Like MatrixModel but H takes rectangular values."""
+    """Like MatrixModel but H maps outcome rows to (m, rows, cols) stacks."""
 
     def __init__(self, dist: ProductDistribution, H: Callable, rows: int, cols: int,
                  name: str = ""):
@@ -342,25 +362,21 @@ class RectangularModel:
         self.enum_cutoff = ENUM_CUTOFF
         self._mean = None
 
-    def H(self, z) -> np.ndarray:
-        raw = self._H(tuple(z))
-        a = raw.a if isinstance(raw, RectMatrix) else np.asarray(raw, dtype=np.complex128)
-        if a.shape != (self.rows, self.cols):
-            raise ShapeError(f"H returned {a.shape}, expected ({self.rows},{self.cols})")
-        return a
+    def H_rows(self, zs) -> np.ndarray:
+        return _rows(self._H, zs, (self.rows, self.cols))
 
-    @property
-    def exact(self) -> bool:
-        return self.dist.finite and self.dist.cardinality <= self.enum_cutoff
+    def H(self, z) -> np.ndarray:
+        return self.H_rows([tuple(z)])[0]
+
+    exact = MatrixModel.exact
 
     def mean(self) -> np.ndarray:
         if self._mean is None:
             if not self.exact:
                 raise PreconditionError("rectangular models are enumerated exactly only")
-            acc = np.zeros((self.rows, self.cols), dtype=np.complex128)
-            for z, pr in self.dist.outcomes():
-                acc += pr * self.H(z)
-            self._mean = acc
+            hs = self.H_rows([z for z, _ in self.dist.outcomes()])
+            # the sum along axis 0 adds the outcomes one after another
+            self._mean = (self.dist.probabilities().reshape(-1, 1, 1) * hs).sum(axis=0)
         return self._mean
 
     def X(self, z) -> np.ndarray:
@@ -369,12 +385,9 @@ class RectangularModel:
 
 def dilate_model(model: RectangularModel) -> MatrixModel:
     """Hermitian model whose H is the dilation of the rectangular H."""
-
-    def H(z):
-        return dilation(model.H(z)).a
-
-    return MatrixModel(model.dist, H, model.rows + model.cols,
-                       name=f"dilated({model.name})", enum_cutoff=model.enum_cutoff)
+    return MatrixModel(model.dist, lambda zs: _dilations(model.H_rows(zs)),
+                       model.rows + model.cols, name=f"dilated({model.name})",
+                       enum_cutoff=model.enum_cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -386,40 +399,24 @@ def hypercube_sum(n: int, d: int = 2) -> MatrixModel:
     if n < 1 or d < 1:
         raise ParameterError(f"need n >= 1 and d >= 1, got n={n} d={d}")
 
-    def H(z):
-        out = np.zeros((d, d), dtype=np.complex128)
-        out[0, 0] = sum(z)
-        return out
-
-    def H_batch(zs):
+    def H(zs):
         out = np.zeros((zs.shape[0], d, d), dtype=np.complex128)
         out[:, 0, 0] = zs.sum(axis=1)
         return out
 
     return MatrixModel(ProductDistribution.uniform_pm1(n), H, d,
-                       name=f"hypercube_sum(n={n},d={d})", H_batch=H_batch)
+                       name=f"hypercube_sum(n={n},d={d})")
 
 
 def bounded_diff_demo(n: int = 3, d: int = 2) -> MatrixModel:
     """H(z) = sum_j z_j M_j with fixed Hermitian M_j and z uniform on {+-1}^n."""
-    rng = _rng(20_240_501)
-    mats = []
-    for _ in range(n):
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        mats.append((g + g.conj().T) / 2)
-
-    def H(z):
-        acc = np.zeros((d, d), dtype=np.complex128)
-        for zj, m in zip(z, mats):
-            acc += zj * m
-        return acc
-
-    def H_batch(zs):
-        stack = np.stack(mats)
-        return np.einsum("kj,jab->kab", zs, stack)
-
-    return MatrixModel(ProductDistribution.uniform_pm1(n), H, d,
-                       name=f"bounded_diff_demo(n={n},d={d})", H_batch=H_batch)
+    # coordinate by coordinate, the real then the imaginary part of a d x d draw
+    parts = _rng(20_240_501).standard_normal((n, 2, d, d))
+    g = parts[:, 0] + 1j * parts[:, 1]
+    stack = (g + g.conj().swapaxes(-1, -2)) / 2
+    return MatrixModel(ProductDistribution.uniform_pm1(n),
+                       lambda zs: np.einsum("kj,jab->kab", zs, stack), d,
+                       name=f"bounded_diff_demo(n={n},d={d})")
 
 
 def compound_covariance(p: int, n: int, B=None, entry_dist: str = "pm1",
@@ -445,34 +442,23 @@ def compound_covariance(p: int, n: int, B=None, entry_dist: str = "pm1",
 
     Ba = Bh.a
 
-    def H(z):
-        Z = np.asarray(z, dtype=np.complex128).reshape(p, n)
-        return Z @ Ba @ Z.conj().T
-
-    def H_batch(zs):
-        # matmul runs per matrix, so each row is bit for bit H of that row;
-        # Z is conjugated in place once Z B is formed, to hold one copy fewer
+    def H(zs):
+        # matmul runs per matrix, so each row is bit for bit Z B Z* of that row
+        # alone; Z is conjugated in place once Z B is formed, to hold one copy fewer
         Z = zs.reshape(-1, p, n).astype(np.complex128)
         ZB = Z @ Ba
         return ZB @ np.conjugate(Z, out=Z).swapaxes(-1, -2)
 
     return MatrixModel(ProductDistribution(coords), H, p,
-                       name=f"compound_covariance(p={p},n={n},{entry_dist})",
-                       H_batch=H_batch)
+                       name=f"compound_covariance(p={p},n={n},{entry_dist})")
 
 
 def rect_demo(n: int = 3) -> RectangularModel:
     """A small rectangular-valued model on {+-1}^n with 2 x 3 values."""
 
-    def H(z):
-        z = list(z) + [1.0] * max(0, 3 - len(z))
-        return np.array(
-            [
-                [z[0], z[1], z[2]],
-                [z[2] * z[0], z[0] * z[1], z[1] * z[2]],
-            ],
-            dtype=np.complex128,
-        )
+    def H(zs):
+        z0, z1, z2 = np.hstack([zs, np.ones((len(zs), 2))])[:, :3].T  # missing ones read 1
+        return np.stack([[z0, z1, z2], [z2 * z0, z0 * z1, z1 * z2]]).transpose(2, 0, 1)
 
     return RectangularModel(ProductDistribution.uniform_pm1(n), H, 2, 3,
                             name=f"rect_demo(n={n})")
@@ -482,17 +468,10 @@ def random_finite_model(n: int, d: int, seed: int) -> MatrixModel:
     """Binary-coordinate model with an independent random Hermitian per outcome."""
     if n < 1 or d < 1:
         raise ParameterError(f"need n >= 1 and d >= 1, got n={n} d={d}")
-    rng = _rng(seed)
     dist = ProductDistribution.uniform_pm1(n)
-    table = {}
-    for z, _ in dist.outcomes():
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        table[z] = (g + g.conj().T) / 2
-
-    def H(z):
-        return table[tuple(z)]
-
-    return MatrixModel(dist, H, d, name=f"random_finite(n={n},d={d},seed={seed})")
+    # outcome by outcome, the real then the imaginary part of a d x d draw
+    return _table_model(dist, _rng(seed).standard_normal((dist.cardinality, 2, d, d)), d,
+                        f"random_finite(n={n},d={d},seed={seed})")
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +552,12 @@ def replacement_sum(dist: ProductDistribution, term: Callable,
                for j, c in enumerate(dist.coords) for v, p in enumerate(c.probs))
 
 
+def _replacement_squares(dist: ProductDistribution, T: np.ndarray,
+                         pair_law: bool = False) -> np.ndarray:
+    """replacement_sum of (T - neighbour(T, j, v))^2, an outcome tensor."""
+    return replacement_sum(dist, lambda j, v: _square(T - neighbour(T, j, v)), pair_law)
+
+
 def _require_kernel(model: MatrixModel, kernel) -> None:
     """The exact kernel checks need an enumerable model and a kernel built for it."""
     if not model.exact:
@@ -587,8 +572,7 @@ def _require_kernel(model: MatrixModel, kernel) -> None:
 
 def variance_proxy_map(model: MatrixModel) -> np.ndarray:
     """V = (1/2) sum_j E_v (H - H_{j<-v})^2 at every outcome, as an outcome tensor."""
-    H = model.H_tensor()
-    return replacement_sum(model.dist, lambda j, v: _square(H - neighbour(H, j, v))) / 2.0
+    return _replacement_squares(model.dist, model.H_tensor()) / 2.0
 
 
 def variance_proxy(model: MatrixModel, z, samples: int | None = None,
@@ -846,11 +830,9 @@ def conditional_variance_map(model: MatrixModel, kernel) -> tuple:
     """V_X = E[(X-X')^2|Z=z]/2 and V^K = E[K(Z,Z')^2|Z=z]/2 at every outcome,
     as outcome tensors, summed over (J, replacement) exactly."""
     _require_kernel(model, kernel)
-    X = model.X_tensor()
-    return (replacement_sum(model.dist, lambda j, v: _square(X - neighbour(X, j, v)),
-                            pair_law=True) / 2,
-            replacement_sum(model.dist, lambda j, v: _square(kernel.on_neighbours(j, v)),
-                            pair_law=True) / 2)
+    # K(z, z_{j<-v}) = g(z) - g(z_{j<-v}), the kernel's on_neighbours
+    return tuple(_replacement_squares(model.dist, T, pair_law=True) / 2
+                 for T in (model.X_tensor(), kernel.g))
 
 
 def conditional_variances(model: MatrixModel, kernel, z) -> tuple:

@@ -697,7 +697,11 @@ def _spectra(T: np.ndarray) -> np.ndarray:
 
 def _moment(probs: np.ndarray, lam: np.ndarray, q: float) -> float:
     """E ||M||_q^q for Hermitian M(z) with eigenvalue rows lam."""
-    return float(probs @ np.sum(np.abs(lam) ** q, axis=1))
+    with np.errstate(over="ignore"):
+        moment = float(probs @ np.sum(np.abs(lam) ** q, axis=1))
+    if not math.isfinite(moment):
+        raise DomainError(f"Schatten moment overflows at order {q!r}")
+    return moment
 
 
 def _log_trace_mgf(probs: np.ndarray, lam: np.ndarray, scale: float) -> float:
@@ -889,7 +893,7 @@ def sample_statistics(model, samples: int, seed: int, statistic: str) -> np.ndar
     if statistic not in ("lmax", "opnorm"):
         raise ParameterError(f"unknown statistic {statistic!r}")
     if isinstance(model, stein.RectangularModel):
-        xs = np.stack([model.X(z) for z, _ in model.dist.outcomes()])
+        xs = model.H_rows([z for z, _ in model.dist.outcomes()]) - model.mean()
         return np.linalg.svd(xs, compute_uv=False)[:, 0][
             model.dist.sample_outcomes(_rng(seed), samples)]
     if model.exact:

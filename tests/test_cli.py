@@ -216,6 +216,16 @@ class TestVerifyVerb:
         assert "theta must be finite" in error["message"]
         assert "overflow" not in error["message"]
 
+    @pytest.mark.parametrize("check", ["poly_efron_stein", "kernel_poly_moments"])
+    def test_overflowing_moment_is_config_error(self, capsys, check):
+        # E ||X||_{2p}^{2p} is inf at p = 1e5: no Infinity or NaN in a report,
+        # and no false theorem failure
+        code, out, err = run(["verify", "--check", check, "--model", "hypercube_sum",
+                              "--n", "2", "--p", "100000"], capsys)
+        assert code == 3 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "config" and "overflows" in error["message"]
+
 
 class TestFuzzVerb:
     def test_pass_and_determinism(self, capsys, tmp_path):
@@ -390,11 +400,18 @@ class TestConfigPlumbing:
 
     def test_malformed_model_file_is_config_error(self, capsys, tmp_path):
         model = tmp_path / "model.json"
-        model.write_text(json.dumps({"name": "m", "d": 2}))
-        code, _, err = run(["verify", "--check", "poly_efron_stein",
-                            "--model-file", str(model)], capsys)
-        assert code == 3
-        assert json.loads(err)["error"]["type"] == "config"
+        for obj in (
+            {"name": "m", "d": 2},
+            # d = 1 with 2 x 2 entries: the table must not be read as four 1 x 1 matrices
+            {"name": "m", "d": 1, "dist": {"n": 1, "coords": [[[-1.0, 0.5], [1.0, 0.5]]]},
+             "H": {k: {"real": [1.0, 2.0, 2.0, 3.0], "imag": [0.0] * 4}
+                   for k in ("[-1.0]", "[1.0]")}},
+        ):
+            model.write_text(json.dumps(obj))
+            code, _, err = run(["verify", "--check", "poly_efron_stein",
+                                "--model-file", str(model)], capsys)
+            assert code == 3
+            assert json.loads(err)["error"]["type"] == "config"
 
     def test_model_file_must_cover_its_support(self, capsys, tmp_path):
         model = tmp_path / "model.json"

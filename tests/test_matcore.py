@@ -11,6 +11,7 @@ from matconc.matcore import (
     RectMatrix,
     ShapeError,
     SuperOperator,
+    _dilations,
     dilation,
     eigh_canonical,
     induced_norm,
@@ -57,6 +58,13 @@ class TestWrappers:
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
             HermitianMatrix([[np.nan, 0.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("entries", ["uniform", [[1.0, 2.0], [3.0]], {"a": 1}])
+    def test_rejects_non_numeric(self, entries):
+        # numpy's own conversion errors become the package's typed error
+        for wrapper in (HermitianMatrix, RectMatrix):
+            with pytest.raises(ParameterError, match="must be numbers"):
+                wrapper(entries)
 
     def test_json_roundtrip_exact(self):
         m = HermitianMatrix(_herm(_rng(3), 4))
@@ -167,6 +175,10 @@ class TestDilation:
         lam = np.sort(dilation(b).eigvals())
         want = np.sort(np.concatenate([sv, -sv, np.zeros(rows + cols - 2 * len(sv))]))
         np.testing.assert_allclose(lam, want, atol=1e-10)
+
+    def test_stack_is_the_per_matrix_dilation(self):
+        b = _rng(9).standard_normal((5, 2, 3)) + 1j * _rng(10).standard_normal((5, 2, 3))
+        assert np.array_equal(_dilations(b), np.stack([dilation(m).a for m in b]))
 
 
 class TestOrderAndInner:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matconc import stein, verify
-from matconc.matcore import ParameterError, PreconditionError, _opnorm
+from matconc.matcore import HermitianMatrix, ParameterError, PreconditionError, _opnorm
 from matconc.stein import (
     EstimatedKernel,
     ExactKernel,
@@ -48,12 +48,13 @@ def _rng(seed=0):
 
 
 def brute_variance_proxy(model, z):
-    """(1/2) sum_j E_v (H(z) - H(z_{j<-v}))^2 straight from the definition."""
+    """(1/2) sum_j E_v (H(z) - H(z_{j<-v}))^2 straight from the definition,
+    with H evaluated one row at a time, not read off the outcome tensor."""
     z = tuple(z)
     acc = np.zeros((model.d, model.d), dtype=np.complex128)
     for j, coord in enumerate(model.dist.coords):
         for v, p in zip(coord.values, coord.probs):
-            d = model.H(z) - model.H(model.replace(z, j, float(v)))
+            d = model.H_rows([z])[0] - model.H_rows([model.replace(z, j, float(v))])[0]
             acc += p * (d @ d)
     return acc / 2.0
 
@@ -180,6 +181,11 @@ def coverage_cdf(n, m, tmax):
     return np.array(cdf)
 
 
+def table_H(table):
+    """A batched H that looks each outcome row up in a dict keyed by outcome tuples."""
+    return lambda zs: np.stack([table[tuple(z)] for z in zs.tolist()])
+
+
 def oracle_finite_draws(coord, rng, count):
     """Inverse-CDF draws from a finite coordinate, as the sampler has always made them."""
     idx = np.searchsorted(np.cumsum(coord.probs), rng.random(count), side="right")
@@ -195,7 +201,7 @@ def unsorted_three_valued_model():
     for z, _ in ProductDistribution(coords).outcomes():
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         table[z] = g + g.conj().T
-    return MatrixModel(ProductDistribution(coords), lambda z: table[tuple(z)], 3,
+    return MatrixModel(ProductDistribution(coords), table_H(table), 3,
                        name="unsorted_three_valued")
 
 
@@ -209,8 +215,16 @@ def three_valued_model():
     for z, _ in ProductDistribution(coords).outcomes():
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         table[z] = (g + g.conj().T) / 2
-    return MatrixModel(ProductDistribution(coords), lambda z: table[tuple(z)], 2,
+    return MatrixModel(ProductDistribution(coords), table_H(table), 2,
                        name="three_valued")
+
+
+# models whose pointwise variance proxies are checked against their maps
+POINT_MODELS = [
+    lambda: random_finite_model(3, 2, seed=9), lambda: hypercube_sum(4),
+    lambda: stein.compound_covariance(2, 3), three_valued_model,
+    unsorted_three_valued_model, lambda: dilate_model(rect_demo(3)),
+]
 
 
 class TestDistributions:
@@ -249,6 +263,37 @@ class TestDistributions:
         with pytest.raises(ParameterError):
             dist.index((5.0, 0.0, 1.0))
 
+    @pytest.mark.parametrize("build", [three_valued_model, unsorted_three_valued_model])
+    def test_locate_is_the_outcome_position(self, build):
+        dist = build().dist
+        position = {z: i for i, (z, _) in enumerate(dist.outcomes())}
+        zs = dist.sample_many(_rng(7), 200)
+        assert np.array_equal(dist.locate(zs), [position[tuple(z)] for z in zs.tolist()])
+
+    def test_locate_on_a_large_support(self):
+        # one coordinate of 10^4 values, shuffled, with an infinity among them
+        values = _rng(8).permutation(10_000).astype(float)
+        values[17] = np.inf
+        dist = ProductDistribution([FiniteCoord([(v, 1e-4) for v in values])])
+        order = _rng(9).permutation(10_000)
+        assert np.array_equal(dist.locate(values[order, None]), order)
+        with pytest.raises(ParameterError):
+            dist.locate([[0.5]])
+
+    @pytest.mark.parametrize("rows", [
+        [(-1.0, 0.0, 1.0), (5.0, 0.0, 1.0)],  # the second row is off the support
+        [(-1.0, 0.0)],                        # too short
+        [(-1.0, 0.0, 1.0, 1.0)],              # too long
+        [(-1.0, 0.0, 1.0), (-1.0, 0.0)],      # ragged
+        [("a", 0.0, 1.0)],                    # not a number
+    ])
+    def test_locate_and_index_reject_non_outcome_rows(self, rows):
+        dist = three_valued_model().dist
+        with pytest.raises(ParameterError):
+            dist.locate(rows)
+        with pytest.raises(ParameterError):
+            dist.index(rows[-1])
+
     def test_roundtrip_json(self):
         dist = ProductDistribution.uniform_pm1(2)
         back = ProductDistribution.from_json(dist.to_json())
@@ -284,11 +329,12 @@ class TestModels:
         unsorted_three_valued_model,
     ])
     def test_sample_X_is_H_minus_mean_bitwise(self, build):
-        # sample_X reads the outcome tensor; the reference calls H per sample
+        # sample_X maps every draw in one H_rows call; the reference maps one
+        # draw a call
         xs = build().sample_X(600, seed=8)
         ref = build()
         zs = ref.dist.sample_many(_rng(8), 600)
-        assert np.array_equal(xs, np.stack([ref.H(tuple(z)) - ref.mean() for z in zs]))
+        assert np.array_equal(xs, np.stack([ref.H_rows([z])[0] - ref.mean() for z in zs]))
 
     @pytest.mark.parametrize("build", [
         lambda: hypercube_sum(3), lambda: hypercube_sum(8), lambda: hypercube_sum(16),
@@ -299,8 +345,66 @@ class TestModels:
     ])
     def test_batched_tensor_is_the_per_outcome_stack(self, build):
         m = build()
-        oracle = np.stack([m.H(z) for z, _ in m.dist.outcomes()])
+        oracle = np.stack([m.H_rows([z])[0] for z, _ in m.dist.outcomes()])
         assert np.array_equal(m.H_tensor(), oracle.reshape(m.dist.shape + (m.d, m.d)))
+
+    @pytest.mark.parametrize("cutoff", [stein.ENUM_CUTOFF, 1])
+    def test_batched_H_of_the_wrong_shape_is_a_shape_error(self, cutoff):
+        # exact models meet it building the tensor, the others on the rows drawn
+        m = MatrixModel(ProductDistribution.uniform_pm1(2),
+                        lambda zs: np.zeros((len(zs), 3, 2)), 2, enum_cutoff=cutoff)
+        calls = [lambda: m.H((1.0, -1.0)), m.mean, lambda: m.sample_X(5, seed=1)]
+        if cutoff > 1:
+            calls.append(m.H_tensor)
+        for call in calls:
+            with pytest.raises(stein.ShapeError, match="expected"):
+                call()
+
+    def test_table_H_rejects_a_non_outcome(self):
+        m = random_finite_model(3, 2, seed=4)
+        z = (1.0, -1.0, 1.0)
+        assert np.array_equal(m.H(z), stein.outcome_stack(m.H_tensor())[m.dist.index(z)])
+        assert m.H(z) is m.H(z)
+        with pytest.raises(ParameterError):
+            m.H((0.5, -1.0, 1.0))
+
+    @pytest.mark.parametrize("n, d, seed", [(1, 1, 0), (3, 2, 7), (5, 3, 12)])
+    def test_random_finite_tensor_is_the_per_outcome_draw(self, n, d, seed):
+        # the stream one d x d real then imaginary part per outcome has always drawn
+        rng = _rng(seed)
+        want = []
+        for _ in range(2 ** n):
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            want.append((g + g.conj().T) / 2)
+        m = random_finite_model(n, d, seed)
+        assert np.array_equal(stein.outcome_stack(m.H_tensor()), np.stack(want))
+        back = MatrixModel.from_json(json.loads(json.dumps(m.to_json())))
+        assert np.array_equal(back.H_tensor(), m.H_tensor())
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (3, 2), (5, 3)])
+    def test_bounded_diff_matrices_are_the_per_coordinate_draw(self, n, d):
+        rng = _rng(20_240_501)
+        want = []
+        for _ in range(n):
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            want.append((g + g.conj().T) / 2)
+        # H is linear in z, so the unit rows read off M_1, ..., M_n
+        assert np.array_equal(stein.bounded_diff_demo(n, d).H_rows(np.eye(n)), np.stack(want))
+
+    def test_rectangular_mean_is_the_outcome_sum(self):
+        rm = rect_demo(4)
+        acc = np.zeros((2, 3), dtype=complex)
+        for z, p in rm.dist.outcomes():
+            acc += p * rm.H_rows([z])[0]
+        assert np.array_equal(rm.mean(), acc)
+        bad = stein.RectangularModel(rm.dist, lambda zs: np.zeros((len(zs), 3, 2)), 2, 3)
+        with pytest.raises(stein.ShapeError):
+            bad.mean()
+
+    def test_non_numeric_B_is_a_parameter_error(self):
+        # B taken positionally: a typed error, not numpy's bare ValueError
+        with pytest.raises(ParameterError, match="must be numbers"):
+            compound_covariance(2, 3, "uniform")
 
     def test_only_exact_models_cache_H(self):
         exact = hypercube_sum(3)
@@ -358,6 +462,13 @@ class TestVarianceProxy:
             assert tensor.shape == m.dist.shape + (m.d, m.d)
             assert np.array_equal(stein.outcome_stack(tensor), brute), m.name
 
+    @pytest.mark.parametrize("build", POINT_MODELS)
+    def test_point_is_the_map_entry_bitwise(self, build):
+        m = build()
+        vm = stein.outcome_stack(variance_proxy_map(m))
+        for i, (z, _) in enumerate(m.dist.outcomes()):
+            assert np.array_equal(variance_proxy(m, z).a, HermitianMatrix(vm[i]).a), z
+
     def test_map_covers_support(self):
         m = random_finite_model(3, 2, seed=9)
         vm = variance_proxy_map(m)
@@ -408,17 +519,14 @@ class TestMonteCarloBranches:
 
     @staticmethod
     def non_hermitian_batch_model():
-        """A batched H that is not Hermitian, computed entry for entry as H is."""
-        def H(z):
-            return np.array([[z[0], z[1]], [0.0, z[2] * z[1]]], dtype=complex)
-
-        def H_batch(zs):
+        """A batched H that is not Hermitian."""
+        def H(zs):
             out = np.zeros((len(zs), 2, 2), dtype=complex)
             out[:, 0, 0], out[:, 0, 1], out[:, 1, 1] = zs[:, 0], zs[:, 1], zs[:, 2] * zs[:, 1]
             return out
 
         dist = stein.compound_covariance(1, 3, entry_dist="uniform").dist
-        return MatrixModel(dist, H, 2, H_batch=H_batch)
+        return MatrixModel(dist, H, 2)
 
     def test_batched_mean_is_the_per_sample_sum(self):
         # the batched mean symmetrises the batch and adds the samples in draw order
@@ -427,8 +535,6 @@ class TestMonteCarloBranches:
         # compound covariance batches by the matmul H makes per sample
         cc = stein.compound_covariance(2, 3, entry_dist="uniform")
         assert np.array_equal(cc.mean(), self.per_sample_mean(cc))
-        unbatched = MatrixModel(cc.dist, cc._H, 2)
-        assert np.array_equal(unbatched.mean(), self.per_sample_mean(cc))
 
     def test_sample_X_symmetrises_a_batched_H(self):
         m = self.non_hermitian_batch_model()
@@ -457,9 +563,6 @@ class TestMonteCarloBranches:
         got = variance_proxy(cc, self.Z, samples=4000, seed=5).a
         ref = self.per_draw_variance_proxy(cc, self.Z, 4000, 5)
         assert np.array_equal(got, ref)
-        unbatched = MatrixModel(cc.dist, cc._H, 2)
-        assert np.array_equal(variance_proxy(unbatched, self.Z, samples=4000, seed=5).a,
-                              ref)
         # hypercube_sum batches in exact arithmetic
         hc = hypercube_sum(3)
         hc.enum_cutoff = 2
@@ -517,7 +620,7 @@ class TestExchangeablePair:
             coords.append(FiniteCoord(zip(rng.standard_normal(m), p)))
         dist = ProductDistribution(coords)
         table = {z: np.diag(rng.standard_normal(2)) for z, _ in dist.outcomes()}
-        model = MatrixModel(dist, lambda z: table[tuple(z)], 2)
+        model = MatrixModel(dist, table_H(table), 2)
         assert pair_asymmetries(model, ExactKernel(model)) == (0.0, 0.0)
 
     def test_sample_reproducible(self):
@@ -793,6 +896,15 @@ class TestConditionalVariances:
                     d = m.X(za) - m.X(zb)
                     acc += (p / pz) * (d @ d)
             np.testing.assert_allclose(v_x.a, acc / 2.0, atol=1e-12)
+
+    @pytest.mark.parametrize("build", POINT_MODELS)
+    def test_point_is_the_map_entry_bitwise(self, build):
+        m = build()
+        for k in (ExactKernel(m), EstimatedKernel(m, horizon=6, samples=4, seed=2)):
+            maps = [stein.outcome_stack(t) for t in stein.conditional_variance_map(m, k)]
+            for i, (z, _) in enumerate(m.dist.outcomes()):
+                for got, want in zip(conditional_variances(m, k, z), maps):
+                    assert np.array_equal(got.a, HermitianMatrix(want[i]).a), z
 
     def test_vk_psd(self):
         m = hypercube_sum(3)

@@ -962,7 +962,7 @@ class TestPolyEfronStein:
 
     def test_rejects_non_enumerable_model(self):
         big = hypercube_sum(3)
-        small_cutoff = MatrixModel(big.dist, big.H, big.d, enum_cutoff=2)
+        small_cutoff = MatrixModel(big.dist, big._H, big.d, enum_cutoff=2)
         with pytest.raises(ParameterError):
             verify_poly_efron_stein(small_cutoff, [1])
 
@@ -1024,7 +1024,7 @@ class TestKernelChecks:
 
     def test_rejects_non_enumerable_model(self):
         big = hypercube_sum(3)
-        small_cutoff = MatrixModel(big.dist, big.H, big.d, enum_cutoff=2)
+        small_cutoff = MatrixModel(big.dist, big._H, big.d, enum_cutoff=2)
         with pytest.raises(ParameterError):
             variance_domination(small_cutoff, None)
 
