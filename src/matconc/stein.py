@@ -420,13 +420,12 @@ def bounded_diff_demo(n: int = 3, d: int = 2) -> MatrixModel:
 
 
 def compound_covariance(p: int, n: int, B=None, entry_dist: str = "pm1",
-                        sigma2: float = 1.0, L: float = 1.0) -> MatrixModel:
-    """H(z) = Z B Z* with Z the p x n matrix of the iid coordinates.
-
-    entry_dist "pm1" is the finite uniform {+-1} case (sigma2 = L = 1);
-    "uniform" draws entries uniformly from [-L, L] (sigma2 = L^2/3) and the
-    model falls back to Monte Carlo means.
-    """
+                        L: float = 1.0) -> MatrixModel:
+    """H(z) = Z B Z* with Z the p x n matrix of the iid coordinates, uniform on
+    {-L, L} for entry_dist "pm1" (sigma2 = L^2) or on [-L, L] for "uniform"
+    (sigma2 = L^2/3, and the model falls back to Monte Carlo means)."""
+    if not (np.isfinite(L) and L > 0):
+        raise ParameterError(f"need a finite L > 0, got {L}")
     if B is None:
         B = np.eye(n)
     Bh = B if isinstance(B, HermitianMatrix) else HermitianMatrix(B)
@@ -440,14 +439,12 @@ def compound_covariance(p: int, n: int, B=None, entry_dist: str = "pm1",
     else:
         raise ParameterError(f"unknown entry_dist {entry_dist!r}")
 
-    Ba = Bh.a
+    Ba = Bh.a if Bh.a.imag.any() else Bh.a.real  # Z is real: a real B keeps Z B Z^T real
 
     def H(zs):
-        # matmul runs per matrix, so each row is bit for bit Z B Z* of that row
-        # alone; Z is conjugated in place once Z B is formed, to hold one copy fewer
-        Z = zs.reshape(-1, p, n).astype(np.complex128)
-        ZB = Z @ Ba
-        return ZB @ np.conjugate(Z, out=Z).swapaxes(-1, -2)
+        # matmul runs per matrix, so each row is Z B Z^T of that row alone
+        Z = zs.reshape(-1, p, n)
+        return (Z @ Ba) @ Z.swapaxes(-1, -2)
 
     return MatrixModel(ProductDistribution(coords), H, p,
                        name=f"compound_covariance(p={p},n={n},{entry_dist})")

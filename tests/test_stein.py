@@ -59,6 +59,17 @@ def brute_variance_proxy(model, z):
     return acc / 2.0
 
 
+def oracle_compound_covariance_H(p, n, B):
+    """Compound covariance's H as the complex product Z B Z*, Z upcast to complex."""
+    Ba = HermitianMatrix(B).a
+
+    def H(zs):
+        Z = zs.reshape(-1, p, n).astype(np.complex128)
+        return Z @ Ba @ np.conj(Z).swapaxes(-1, -2)
+
+    return H
+
+
 def iterative_kernel_table(model, tol=1e-14, max_iter=20_000):
     """K = sum_i T^i D_0 with D_0(z, z') = H(z) - H(z') and T the pair-chain
     averaging operator on (S, S, d, d) tables, iterated to convergence."""
@@ -588,6 +599,69 @@ class TestMonteCarloBranches:
         assert np.array_equal(variance_proxy(m, self.Z, samples=4000, seed=5).a, v)
         with pytest.raises(ParameterError):
             variance_proxy(m, self.Z)
+
+
+def _cc_B(kind, n, seed):
+    """B = I, a real symmetric, a PSD or a complex Hermitian n x n matrix."""
+    if kind == "I":
+        return np.eye(n)
+    g = _rng(seed).standard_normal((2, n, n))
+    return {"sym": (g[0] + g[0].T) / 2, "psd": g[0] @ g[0].T,
+            "herm": (g[0] + 1j * g[1] + (g[0] - 1j * g[1]).T) / 2}[kind]
+
+
+CC_SHAPES = [(1, 1), (2, 3), (3, 2), (2, 4), (4, 4), (3, 5)]
+CC_BS = ["I", "sym", "psd", "herm"]
+
+
+class TestCompoundCovariance:
+    """Z B Z* in real arithmetic for a real B, bit for bit the complex product."""
+
+    @staticmethod
+    def with_oracle(m, p, n, B):
+        return MatrixModel(m.dist, oracle_compound_covariance_H(p, n, B), p)
+
+    @pytest.mark.parametrize("kind", CC_BS)
+    @pytest.mark.parametrize("p,n", CC_SHAPES)
+    def test_H_rows_is_the_complex_product_bitwise(self, p, n, kind):
+        for seed in range(8):
+            B = _cc_B(kind, n, seed)
+            for entry_dist in ("pm1", "uniform"):
+                m = compound_covariance(p, n, B=B, entry_dist=entry_dist)
+                ref = self.with_oracle(m, p, n, B)
+                for count in (1, 7, 20_000):
+                    # rows drawn in one call: sampling each +-1 coordinate
+                    # apart costs more than the products compared
+                    zs = _rng(seed).uniform(-1.0, 1.0, (count, p * n))
+                    if entry_dist == "pm1":
+                        zs = np.where(zs < 0, -1.0, 1.0)
+                    assert np.array_equal(m.H_rows(zs), ref.H_rows(zs))
+
+    def test_monte_carlo_mean_is_the_complex_product_bitwise(self):
+        for mean_seed in range(4):
+            m = compound_covariance(2, 3, entry_dist="uniform")
+            ref = self.with_oracle(m, 2, 3, np.eye(3))
+            m.mean_seed = ref.mean_seed = mean_seed
+            assert np.array_equal(m.mean(), ref.mean())
+
+    @pytest.mark.parametrize("kind", CC_BS)
+    @pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (2, 4)])
+    def test_pm1_tensor_is_the_complex_product_bitwise(self, p, n, kind):
+        B = _cc_B(kind, n, 3)
+        m = compound_covariance(p, n, B=B)
+        assert np.array_equal(m.H_tensor(), self.with_oracle(m, p, n, B).H_tensor())
+
+    @pytest.mark.parametrize("kind", CC_BS)
+    def test_real_B_keeps_H_real(self, kind):
+        m = compound_covariance(2, 3, B=_cc_B(kind, 3, 0), entry_dist="uniform")
+        hs = m._H(m.dist.sample_many(_rng(1), 5))
+        assert np.iscomplexobj(hs) == (kind == "herm")
+
+    @pytest.mark.parametrize("entry_dist", ["pm1", "uniform"])
+    @pytest.mark.parametrize("L", [math.nan, math.inf, 0.0, -1.0])
+    def test_L_must_be_finite_and_positive(self, L, entry_dist):
+        with pytest.raises(ParameterError, match="finite L > 0"):
+            compound_covariance(2, 3, entry_dist=entry_dist, L=L)
 
 
 class TestExchangeablePair:
