@@ -97,8 +97,10 @@ class CompoundCovSpec:
     def __post_init__(self):
         if self.p < 1 or self.n < 1:
             raise ParameterError(f"p and n must be positive, got p={self.p} n={self.n}")
-        if self.L <= 0:
-            raise ParameterError(f"L must be positive, got {self.L}")
+        if not (math.isfinite(self.L) and self.L > 0):
+            raise ParameterError(f"need a finite L > 0, got L={self.L}")
+        if not math.isfinite(self.sigma2):
+            raise ParameterError(f"need a finite sigma2, got sigma2={self.sigma2}")
         if not 0 <= self.sigma2 <= self.L**2 * (1 + 1e-12):
             raise ParameterError(
                 f"need 0 <= sigma2 <= L^2, got sigma2={self.sigma2} L={self.L}"

@@ -299,9 +299,9 @@ def dilation(B) -> HermitianMatrix:
 
 
 def _dilations(b: np.ndarray) -> np.ndarray:
-    """The dilation of every matrix of a stack (the last two axes)."""
+    """The dilation of every matrix of a stack (the last two axes), in its dtype."""
     d1, d2 = b.shape[-2:]
-    out = np.zeros(b.shape[:-2] + (d1 + d2, d1 + d2), dtype=np.complex128)
+    out = np.zeros(b.shape[:-2] + (d1 + d2, d1 + d2), dtype=b.dtype)
     out[..., :d1, d1:] = b
     out[..., d1:, :d1] = b.conj().swapaxes(-1, -2)
     return out

@@ -100,6 +100,7 @@ class ProductDistribution:
         self.finite = all(isinstance(c, FiniteCoord) for c in self.coords)
         # read on every H cache miss, through MatrixModel.exact
         self._shape = tuple(len(c) for c in self.coords) if self.finite else None
+        self._probs = None
         if self.finite:
             # key j + iv per value v of coordinate j: numpy orders complex numbers by
             # real, then imaginary part, so one sorted array holds every support in turn
@@ -125,13 +126,15 @@ class ProductDistribution:
         return self._shape
 
     def probabilities(self) -> np.ndarray:
-        """Outcome probabilities, shape ``shape``: the products outcomes() yields."""
+        """Outcome probabilities, shape ``shape``: the products outcomes() yields, kept."""
         if not self.finite:
             raise PreconditionError("outcome probabilities need a finite distribution")
-        pr = np.ones(())
-        for c in self.coords:
-            pr = pr[..., None] * c.probs
-        return pr
+        if self._probs is None:
+            self._probs = np.ones(())
+            for c in self.coords:
+                self._probs = self._probs[..., None] * c.probs
+            self._probs.setflags(write=False)
+        return self._probs
 
     def locate(self, zs) -> np.ndarray:
         """Positions in outcomes() order of the rows of ``zs``, an (m, n) array."""
@@ -201,9 +204,10 @@ def _zkey(z) -> str:
 
 
 def _rows(H: Callable, zs, shape: tuple) -> np.ndarray:
-    """H at the outcome rows ``zs`` as a complex stack of matrices of ``shape``."""
+    """H at the outcome rows ``zs``: a float64 stack of ``shape``, complex128 if H is."""
     zs = np.asarray(zs, dtype=float)
-    hs = np.asarray(H(zs), dtype=np.complex128)
+    hs = np.asarray(H(zs))
+    hs = hs.astype(np.complex128 if np.iscomplexobj(hs) else np.float64, copy=False)
     if hs.shape != (len(zs),) + shape:
         raise ShapeError(f"H returned shape {hs.shape}, expected {(len(zs),) + shape}")
     return hs
@@ -284,8 +288,8 @@ class MatrixModel:
                 self.mean_provenance = {"method": "exact"}
             else:
                 zs = self.dist.sample_many(_rng(self.mean_seed), self.mean_samples)
-                # the sum along axis 0 adds the samples one after another
-                self._mean = self.H_rows(zs).sum(axis=0) / self.mean_samples
+                # adds the samples in draw order; times 1/N, as numpy divides complex sums
+                self._mean = self.H_rows(zs).sum(axis=0) * (1.0 / self.mean_samples)
                 self.mean_provenance = {
                     "method": "mc",
                     "samples": self.mean_samples,
@@ -343,9 +347,9 @@ def _table_model(dist: ProductDistribution, parts: np.ndarray, d: int,
                  name: str) -> MatrixModel:
     """A model whose H looks each row up in a table of one matrix per outcome
     in outcomes() order, given by its real and imaginary parts ``parts[:, 0]``
-    and ``parts[:, 1]``; H_rows symmetrises what it reads."""
+    and ``parts[:, 1]`` (held real if the latter are 0); H_rows symmetrises it."""
     parts = parts.reshape(dist.cardinality, 2, d, d)
-    table = parts[:, 0] + 1j * parts[:, 1]
+    table = parts[:, 0] + 1j * parts[:, 1] if parts[:, 1].any() else parts[:, 0]
     return MatrixModel(dist, lambda zs: table[dist.locate(zs)], d, name=name)
 
 
@@ -400,7 +404,7 @@ def hypercube_sum(n: int, d: int = 2) -> MatrixModel:
         raise ParameterError(f"need n >= 1 and d >= 1, got n={n} d={d}")
 
     def H(zs):
-        out = np.zeros((zs.shape[0], d, d), dtype=np.complex128)
+        out = np.zeros((zs.shape[0], d, d))
         out[:, 0, 0] = zs.sum(axis=1)
         return out
 
@@ -555,6 +559,20 @@ def _replacement_squares(dist: ProductDistribution, T: np.ndarray,
     return replacement_sum(dist, lambda j, v: _square(T - neighbour(T, j, v)), pair_law)
 
 
+def _point_squares(dist: ProductDistribution, rows: Callable, z,
+                   pair_law: bool = False) -> np.ndarray:
+    """_replacement_squares at the one outcome z, read off its n * |V| replacement
+    neighbours: ``rows(idx)`` is the outcome tensor at the flat positions idx.
+    Each term is formed and added as _replacement_squares forms and adds it."""
+    i = dist.index(z)
+    digits = np.unravel_index(i, dist.shape)
+    stride = [math.prod(dist.shape[j + 1:]) for j in range(dist.n)]
+    T = rows(np.array([i] + [i + (v - digits[j]) * stride[j]
+                             for j, c in enumerate(dist.coords) for v in range(len(c))]))
+    weights = [p / dist.n if pair_law else p for c in dist.coords for p in c.probs]
+    return sum(w * sq for w, sq in zip(weights, _square(T[0] - T[1:])))
+
+
 def _require_kernel(model: MatrixModel, kernel) -> None:
     """The exact kernel checks need an enumerable model and a kernel built for it."""
     if not model.exact:
@@ -582,7 +600,8 @@ def variance_proxy(model: MatrixModel, z, samples: int | None = None,
     their squared differences are added in draw order.
     """
     if model.exact:
-        return HermitianMatrix(outcome_stack(variance_proxy_map(model))[model.dist.index(z)])
+        hs = outcome_stack(model.H_tensor())
+        return HermitianMatrix(_point_squares(model.dist, hs.__getitem__, z) / 2.0)
     if samples is None or seed is None:
         raise ParameterError("models that cannot be enumerated need samples and seed")
     z = tuple(float(v) for v in z)
@@ -593,7 +612,7 @@ def variance_proxy(model: MatrixModel, z, samples: int | None = None,
         zs = np.tile(z, (samples, 1))
         zs[:, j] = coord.sample(rng, samples)
         diff = hz - model.H_rows(zs)
-        acc += (diff @ diff).sum(axis=0) / samples
+        acc += (diff @ diff).sum(axis=0) * (1.0 / samples)
     return HermitianMatrix(acc / 2.0)
 
 
@@ -776,7 +795,7 @@ def estimate_kernel(model: MatrixModel, z, zp, horizon: int, samples: int,
         # the sum along axis 0 adds the samples one after another
         acc = acc + diff.sum(axis=0)
         acc_sq += float(np.vdot(diff, diff).real)
-    est = acc / samples
+    est = acc * (1.0 / samples)
     return KernelEstimate(z, zp, horizon, samples, int(seed), HermitianMatrix(est),
                           _truncation_bound(model, horizon),
                           float(_standard_error(acc_sq, est, samples)))
@@ -806,7 +825,7 @@ class EstimatedKernel(_OutcomeKernel):
             for j, v in pairs:
                 diff = G - neighbour(G, j + 1, v)
                 sq[j, v] = sq[j, v] + np.sum(np.abs(diff) ** 2, axis=(0, -2, -1))
-        self.g = total / samples
+        self.g = total * (1.0 / samples)  # as numpy divides a complex total
         trunc = _truncation_bound(model, horizon)
         self._radius = {}
         for j, v in pairs:
@@ -833,10 +852,12 @@ def conditional_variance_map(model: MatrixModel, kernel) -> tuple:
 
 
 def conditional_variances(model: MatrixModel, kernel, z) -> tuple:
-    """(V_X(z), V^K(z)) as HermitianMatrix."""
-    i = model.dist.index(z)
-    return tuple(HermitianMatrix(outcome_stack(t)[i])
-                 for t in conditional_variance_map(model, kernel))
+    """(V_X(z), V^K(z)) as HermitianMatrix, the entries of conditional_variance_map
+    at z, from z's replacement neighbours alone."""
+    _require_kernel(model, kernel)
+    hs, g = outcome_stack(model.H_tensor()), outcome_stack(kernel.g)
+    return tuple(HermitianMatrix(_point_squares(model.dist, rows, z, pair_law=True) / 2)
+                 for rows in (lambda idx: hs[idx] - model.mean(), g.__getitem__))
 
 
 @dataclass(frozen=True)
@@ -864,16 +885,13 @@ def check_stein_identity(model: MatrixModel, kernel) -> SteinCheck:
 
 
 def exchangeable_pairs_identity(model: MatrixModel, kernel, F: Callable) -> float:
-    """|| E[X F(X)] - E[K(Z,Z')(F(X) - F(X'))]/2 || by full enumeration."""
+    """|| E[X F(X)] - E[K(Z,Z')(F(X) - F(X'))]/2 || by full enumeration.  F takes
+    the outcome tensor of X and returns F of each matrix, or one d x d matrix."""
     _require_kernel(model, kernel)
     X = model.X_tensor()
-    fx = np.array([np.asarray(F(x), dtype=np.complex128)
-                   for x in outcome_stack(X)]).reshape(X.shape)
-
-    def term(j, v):
-        return model.expect(kernel.on_neighbours(j, v) @ (fx - neighbour(fx, j, v)))
-
-    rhs = 0.5 * replacement_sum(model.dist, term, pair_law=True)
+    fx = np.broadcast_to(F(X), X.shape)
+    rhs = 0.5 * replacement_sum(model.dist, lambda j, v: model.expect(
+        kernel.on_neighbours(j, v) @ (fx - neighbour(fx, j, v))), pair_law=True)
     return _opnorm(model.expect(X @ fx) - rhs)
 
 
@@ -926,7 +944,7 @@ def r_psi(model: MatrixModel, kernel, psi: float, s_grid) -> dict:
     best_s = None
     skipped = []
     for s in s_grid:
-        w = np.linalg.eigvalsh((psi / 2.0) * (s * vx + vk / s))
+        w = np.linalg.eigvalsh((psi / 2.0) * (s * vx + vk * (1.0 / s)))
         if np.max(w[:, -1]) > 700.0:
             skipped.append(s)
             continue

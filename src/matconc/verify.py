@@ -798,7 +798,8 @@ def verify_kernel_poly_moments(model: stein.MatrixModel, kernel, p_list, s_grid)
     vk = vk + inflation * np.eye(model.d)
     probs = model.dist.probabilities().ravel()
     lam_x = _spectra(model.X_tensor())
-    lam_s = [_spectra(0.5 * (s * vx + vk / s)) for s in s_grid]
+    # times 1/s is how numpy divides a complex V^K by s, so both dtypes agree
+    lam_s = [_spectra(0.5 * (s * vx + vk * (1.0 / s))) for s in s_grid]
     results = []
     for p in p_list:
         lhs = _moment(probs, lam_x, 2 * p) ** (1.0 / (2 * p))

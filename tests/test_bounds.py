@@ -163,6 +163,15 @@ def test_compound_rejects_sigma_above_entry_bound():
         CompoundCovSpec(p=2, n=2, sigma2=2.0, L=1.0, B=np.eye(2))
 
 
+@pytest.mark.parametrize("field, L, sigma2", [
+    ("L", math.inf, 1.0), ("L", math.nan, 1.0), ("L", 0.0, 0.0), ("L", -1.0, 1.0),
+    ("sigma2", 1.0, math.nan),
+])
+def test_compound_spec_needs_finite_L_and_sigma2(field, L, sigma2):
+    with pytest.raises(ParameterError, match=f"need a finite {field}"):
+        CompoundCovSpec(p=2, n=2, sigma2=sigma2, L=L, B=np.eye(2))
+
+
 def test_compound_psd_mgf_golden():
     assert close(compound_psd_mgf(np.eye(2), 2, 1.0, 0.01), PSD_MGF)
 

@@ -111,6 +111,18 @@ class TestBoundVerb:
         assert code == 3
         assert target.read_text() == "an older report\n"
 
+    @pytest.mark.parametrize("entry", ['"L": Infinity', '"L": NaN', '"L": 0', '"sigma2": NaN'])
+    def test_compound_cov_needs_finite_L_and_sigma2(self, capsys, tmp_path, entry):
+        # json reads Infinity and NaN; the curve names the field instead of
+        # printing nan at t = 0
+        config = tmp_path / "bound.json"
+        config.write_text('{"name": "compound_cov", "p": 2, "n": 3, %s, "t": "0:2:1"}' % entry)
+        code, out, err = run(["bound", "--config", str(config)], capsys)
+        assert code == 3 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "config"
+        assert "need a finite " + entry.split('"')[1] in error["message"]
+
 
 class TestVerifyVerb:
     def test_poly_efron_stein_passes(self, capsys):

@@ -3,6 +3,7 @@
 The oracles here are brute-force loops written against the definitions, kept
 independent of the library's own enumeration helpers.
 """
+import itertools
 import json
 import math
 import tracemalloc
@@ -238,6 +239,53 @@ POINT_MODELS = [
 ]
 
 
+def refuse_whole_map(*args, **kwargs):
+    raise AssertionError("a whole map built for one outcome")
+
+
+def real_random_model(n, d, seed):
+    """random_finite_model's draw with every imaginary part set to 0: a real table."""
+    dist = ProductDistribution.uniform_pm1(n)
+    parts = _rng(seed).standard_normal((dist.cardinality, 2, d, d))
+    parts[:, 1] = 0.0
+    return stein._table_model(dist, parts, d, f"real_random(n={n},d={d},seed={seed})")
+
+
+def complex_twin(model):
+    """The model with H upcast to complex: the reference for a real model's stacks."""
+    return MatrixModel(model.dist, lambda zs: np.asarray(model._H(zs), dtype=np.complex128),
+                       model.d, name=model.name, enum_cutoff=model.enum_cutoff)
+
+
+# models whose H is real, under both entry laws of compound covariance
+REAL_MODELS = [
+    lambda: hypercube_sum(6), lambda: hypercube_sum(4, d=4),
+    lambda: stein.compound_covariance(2, 3), lambda: stein.compound_covariance(3, 2),
+    lambda: stein.compound_covariance(2, 3, B=np.diag([1.0, 2.0, 0.5]) + 0.3),
+    lambda: stein.compound_covariance(2, 3, entry_dist="uniform"),
+    lambda: stein.compound_covariance(3, 2, entry_dist="uniform"),
+    lambda: dilate_model(rect_demo(3)), lambda: real_random_model(3, 2, seed=4),
+]
+COMPLEX_MODELS = [
+    lambda: stein.bounded_diff_demo(3), lambda: random_finite_model(3, 2, seed=0),
+    lambda: stein.compound_covariance(2, 2, B=np.array([[1.0, 0.5j], [-0.5j, 2.0]])),
+]
+
+
+def oracle_pairs_identity(model, kernel, F):
+    """exchangeable_pairs_identity with F called one outcome at a time, each
+    value cast to complex, as the per-outcome form called it."""
+    X = model.X_tensor()
+    fx = np.array([np.asarray(F(x), dtype=np.complex128)
+                   for x in stein.outcome_stack(X)]).reshape(X.shape)
+
+    def term(j, v):
+        return model.expect(kernel.on_neighbours(j, v) @ (fx - stein.neighbour(fx, j, v)))
+
+    rhs = 0.5 * stein.replacement_sum(model.dist, term, pair_law=True)
+    return _opnorm(model.expect(X @ fx) - rhs)
+
+
 class TestDistributions:
     def test_finite_coord_rejects_bad_probs(self):
         with pytest.raises(ParameterError):
@@ -448,6 +496,63 @@ class TestModels:
         np.testing.assert_allclose(h[:rm.rows, rm.rows:], rm.H(z), atol=1e-14)
 
 
+class TestModelDtype:
+    """Stacks keep the dtype of H, from H_rows to the kernels."""
+
+    Z = (0.3, -0.7, 0.9, 0.1, -0.4, 0.6)
+
+    @staticmethod
+    def stacks(m):
+        """The sampled stacks of a model and, on an exact model, its outcome
+        tensors, V, (V_X, V^K) and the g of both kernels."""
+        out = {"H_rows": m.H_rows(m.dist.sample_many(_rng(3), 50)), "mean": m.mean(),
+               "sample_X": m.sample_X(50, seed=4)}
+        if m.exact:
+            k = ExactKernel(m)
+            out.update(H_tensor=m.H_tensor(), X_tensor=m.X_tensor(), V=variance_proxy_map(m),
+                       g=k.g, g_estimated=EstimatedKernel(m, horizon=6, samples=20, seed=5).g)
+            out["V_X"], out["V_K"] = stein.conditional_variance_map(m, k)
+        return out
+
+    @pytest.mark.parametrize("build", REAL_MODELS)
+    def test_real_models_keep_real_stacks(self, build):
+        for name, t in self.stacks(build()).items():
+            assert t.dtype == np.float64, name
+
+    @pytest.mark.parametrize("build", COMPLEX_MODELS)
+    def test_complex_models_stay_complex(self, build):
+        for name, t in self.stacks(build()).items():
+            assert t.dtype == np.complex128, name
+
+    @pytest.mark.parametrize("build", REAL_MODELS)
+    def test_real_stacks_equal_the_complex_twin_bitwise(self, build):
+        m = build()
+        twin = complex_twin(m)
+        ref = self.stacks(twin)
+        for name, t in self.stacks(m).items():
+            assert np.array_equal(t, ref[name]), name
+        if m.exact:
+            for z in itertools.islice((z for z, _ in m.dist.outcomes()), 0, None, 5):
+                assert np.array_equal(variance_proxy(m, z).a, variance_proxy(twin, z).a)
+        else:
+            assert np.array_equal(variance_proxy(m, self.Z[:m.dist.n], samples=300, seed=2).a,
+                                  variance_proxy(twin, self.Z[:m.dist.n], samples=300, seed=2).a)
+
+    def test_a_table_with_no_imaginary_part_is_held_real(self):
+        real = MatrixModel.from_json(hypercube_sum(3).to_json())
+        assert real.H_tensor().dtype == np.float64
+        assert np.array_equal(real.H_tensor(), hypercube_sum(3).H_tensor())
+        assert random_finite_model(3, 2, seed=1).H_tensor().dtype == np.complex128
+
+    def test_dilation_of_a_real_block_is_real(self):
+        rm = rect_demo(3)
+        zs = rm.dist.sample_many(_rng(6), 20)
+        assert rm.H_rows(zs).dtype == np.float64
+        assert dilate_model(rm).H_rows(zs).dtype == np.float64
+        complex_block = stein.RectangularModel(rm.dist, lambda zs: 1j * rm.H_rows(zs), 2, 3)
+        assert dilate_model(complex_block).H_rows(zs).dtype == np.complex128
+
+
 class TestVarianceProxy:
     def test_hypercube_closed_form(self):
         # every coordinate flip moves H by (z_j - v) E11, so V = (n/2) * E[(z_j-v)^2] E11 summed
@@ -474,9 +579,11 @@ class TestVarianceProxy:
             assert np.array_equal(stein.outcome_stack(tensor), brute), m.name
 
     @pytest.mark.parametrize("build", POINT_MODELS)
-    def test_point_is_the_map_entry_bitwise(self, build):
+    def test_point_is_the_map_entry_bitwise(self, build, monkeypatch):
         m = build()
         vm = stein.outcome_stack(variance_proxy_map(m))
+        # a point is read off its n * |V| replacement neighbours, never the whole map
+        monkeypatch.setattr(stein, "_replacement_squares", refuse_whole_map)
         for i, (z, _) in enumerate(m.dist.outcomes()):
             assert np.array_equal(variance_proxy(m, z).a, HermitianMatrix(vm[i]).a), z
 
@@ -972,13 +1079,17 @@ class TestConditionalVariances:
             np.testing.assert_allclose(v_x.a, acc / 2.0, atol=1e-12)
 
     @pytest.mark.parametrize("build", POINT_MODELS)
-    def test_point_is_the_map_entry_bitwise(self, build):
+    def test_point_is_the_map_entry_bitwise(self, build, monkeypatch):
         m = build()
         for k in (ExactKernel(m), EstimatedKernel(m, horizon=6, samples=4, seed=2)):
             maps = [stein.outcome_stack(t) for t in stein.conditional_variance_map(m, k)]
-            for i, (z, _) in enumerate(m.dist.outcomes()):
-                for got, want in zip(conditional_variances(m, k, z), maps):
-                    assert np.array_equal(got.a, HermitianMatrix(want[i]).a), z
+            # a point is read off its n * |V| replacement neighbours, never the whole maps
+            with monkeypatch.context() as patch:
+                patch.setattr(stein, "_replacement_squares", refuse_whole_map)
+                points = [conditional_variances(m, k, z) for z, _ in m.dist.outcomes()]
+            for i, got_pair in enumerate(points):
+                for got, want in zip(got_pair, maps):
+                    assert np.array_equal(got.a, HermitianMatrix(want[i]).a), i
 
     def test_vk_psd(self):
         m = hypercube_sum(3)
@@ -1013,6 +1124,19 @@ class TestExchangeablePairsIdentity:
         k = ExactKernel(m)
         for F in (lambda x: np.eye(2), lambda x: x, lambda x: x @ x @ x):
             assert exchangeable_pairs_identity(m, k, F) <= EXACT
+
+    @pytest.mark.parametrize("build", [
+        lambda: real_random_model(3, 2, seed=1), lambda: random_finite_model(3, 2, seed=1),
+        lambda: stein.bounded_diff_demo(3),
+    ])
+    def test_one_call_of_F_equals_the_per_outcome_oracle(self, build):
+        # models with a nonzero roundoff residual, so that the comparison has bits to compare
+        m = build()
+        k = ExactKernel(m)
+        for F in (lambda x: np.eye(m.d), lambda x: x, lambda x: x @ x @ x):
+            got = exchangeable_pairs_identity(m, k, F)
+            assert got == oracle_pairs_identity(m, k, F)
+            assert 0.0 < got <= EXACT
 
 
 class TestRPsi:

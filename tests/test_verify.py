@@ -7,6 +7,7 @@ mathematics behind each inequality is exercised by the evaluator tests.
 import functools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1050,6 +1051,64 @@ class TestKernelChecks:
         assert report["antisymmetry_max"] == 0.0 and report["pmf_asymmetry"] == 0.0
 
 
+def complex_twin(model):
+    """The model with H upcast to complex: the reference for a real model's reports."""
+    return MatrixModel(model.dist, lambda zs: np.asarray(model._H(zs), dtype=np.complex128),
+                       model.d, name=model.name)
+
+
+def exact_reports(m) -> list:
+    """The reports of the four exact checks, kernel_poly_moments with each kernel."""
+    k = ExactKernel(m)
+    est = EstimatedKernel(m, horizon=8, samples=100, seed=3)
+    return [verify_poly_efron_stein(m, [1, 2, 3]),
+            verify_exp_efron_stein(m, [-0.3, -0.1, 0.1, 0.3], [1.0, 4.0]),
+            verify_kernel_poly_moments(m, k, [1, 2], verify.DEFAULT_S_GRID),
+            verify_kernel_poly_moments(m, est, [1, 2], verify.DEFAULT_S_GRID),
+            cli._kernel_identities_report(m)]
+
+
+def relative_deviations(a, b) -> list:
+    """|x - y| / max(|x|, |y|) over the float fields of two reports that
+    agree in every other field."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys()
+        return [r for k in a for r in relative_deviations(a[k], b[k])]
+    if isinstance(a, list):
+        assert len(a) == len(b)
+        return [r for x, y in zip(a, b) for r in relative_deviations(x, y)]
+    if isinstance(a, float):
+        return [abs(a - b) / max(abs(a), abs(b))] if a != b else []
+    assert a == b
+    return []
+
+
+class TestRealModelReports:
+    """A real model reports what its complex twin reports: bit for bit at d = 2,
+    where real and complex eigvalsh agree, and to roundoff above."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: hypercube_sum(6), lambda: stein.compound_covariance(2, 3),
+        lambda: stein.compound_covariance(2, 4),
+        lambda: stein.compound_covariance(2, 3, B=np.diag([1.0, 2.0, 0.5]) + 0.3),
+    ])
+    def test_d2_reports_equal_the_complex_twin_bitwise(self, build):
+        m = build()
+        assert m.H_tensor().dtype == np.float64
+        assert (json.dumps(exact_reports(m), sort_keys=True)
+                == json.dumps(exact_reports(complex_twin(m)), sort_keys=True))
+
+    @pytest.mark.parametrize("build", [
+        lambda: hypercube_sum(4, d=4), lambda: stein.compound_covariance(3, 2),
+        lambda: stein.dilate_model(rect_demo(3)), lambda: stein.dilate_model(rect_demo(4)),
+    ])
+    def test_reports_above_d2_match_the_complex_twin(self, build):
+        m = build()
+        assert m.H_tensor().dtype == np.float64
+        devs = relative_deviations(exact_reports(m), exact_reports(complex_twin(m)))
+        assert max(devs, default=0.0) <= 1e-15
+
+
 class TestDkwRadius:
     def test_frozen_values(self):
         assert dkw_radius(100_000, 0.01) == pytest.approx(
@@ -1144,6 +1203,18 @@ class TestEmpiricalTail:
         expect = (eigs[:, -1] if statistic == "lmax"
                   else np.maximum(eigs[:, -1], -eigs[:, 0]))
         assert np.array_equal(sample_statistics(model, 2000, 8, statistic), expect)
+
+    def test_sampled_real_model_memory(self):
+        # 1e5 draws of six real entries are 4.8 MB and their 2 x 2 real stack
+        # 3.2 MB; complex copies of the stacks took the peak to 23.7 MB
+        m = stein.compound_covariance(2, 3, entry_dist="uniform")
+        tracemalloc.start()
+        try:
+            empirical_tail(m, 100_000, np.arange(0.0, 8.0, 0.5), seed=11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_rectangular_model_uses_singular_values(self):
         vals = sample_statistics(rect_demo(3), 120, 4, "lmax")
