@@ -235,6 +235,7 @@ class MatrixModel:
         self.mean_provenance = None
         self._h_cache: dict = {}
         self._tensor = None
+        self._x_tensor = None
 
     # -- evaluation
 
@@ -274,8 +275,12 @@ class MatrixModel:
         return self._tensor
 
     def X_tensor(self) -> np.ndarray:
-        """X = H - E H over the support, as an outcome tensor."""
-        return self.H_tensor() - self.mean()
+        """X = H - E H over the support, as an outcome tensor: built on first
+        use, and kept read-only, as H_tensor is."""
+        if self._x_tensor is None:
+            self._x_tensor = self.H_tensor() - self.mean()
+            self._x_tensor.setflags(write=False)
+        return self._x_tensor
 
     def expect(self, T: np.ndarray) -> np.ndarray:
         """E T(Z) for an outcome tensor T (exact models only)."""
@@ -536,6 +541,11 @@ def neighbour(T: np.ndarray, j: int, v: int) -> np.ndarray:
     return T[(slice(None),) * j + (slice(v, v + 1),)]
 
 
+def _slices(T: np.ndarray, j: int) -> list:
+    """T at z_j = u for each value u of coordinate j: views with axis j dropped."""
+    return [T[(slice(None),) * j + (u,)] for u in range(T.shape[j])]
+
+
 def _square(a: np.ndarray) -> np.ndarray:
     return a @ a
 
@@ -553,17 +563,45 @@ def replacement_sum(dist: ProductDistribution, term: Callable,
                for j, c in enumerate(dist.coords) for v, p in enumerate(c.probs))
 
 
+def _pairwise(m: int, form: Callable) -> dict:
+    """form(u, v) for each pair u < v of m values, kept under (u, v) and (v, u).
+
+    Every form here multiplies two differences T_u - T_v; IEEE subtraction is
+    exactly antisymmetric and (-A)(-B) = AB bit for bit, so form(v, u) would
+    be form(u, v) to the last bit, and each unordered pair is formed once.
+    """
+    out = {}
+    for u, v in itertools.combinations(range(m), 2):
+        out[u, v] = out[v, u] = form(u, v)
+    return out
+
+
 def _replacement_squares(dist: ProductDistribution, T: np.ndarray,
                          pair_law: bool = False) -> np.ndarray:
-    """replacement_sum of (T - neighbour(T, j, v))^2, an outcome tensor."""
-    return replacement_sum(dist, lambda j, v: _square(T - neighbour(T, j, v)), pair_law)
+    """replacement_sum of (T - neighbour(T, j, v))^2, an outcome tensor, bit for bit.
+
+    Each pair u < v of coordinate j is squared once, on the slices z_j = u
+    and z_j = v, and added into both, j first, then v in support order, as
+    replacement_sum adds.  Its terms at z_j = v are exact zeros, and are
+    skipped: the accumulator never holds -0.0, so adding +0.0 is a no-op.
+    """
+    acc = np.zeros_like(T)
+    for j, c in enumerate(dist.coords):
+        ts, out = _slices(T, j), _slices(acc, j)
+        sq = _pairwise(len(c), lambda u, v: _square(ts[u] - ts[v]))
+        for v, p in enumerate(c.probs):
+            w = p / dist.n if pair_law else p
+            for u in range(len(c)):
+                if u != v:
+                    out[u] += w * sq[u, v]
+    return acc
 
 
 def _point_squares(dist: ProductDistribution, rows: Callable, z,
                    pair_law: bool = False) -> np.ndarray:
     """_replacement_squares at the one outcome z, read off its n * |V| replacement
     neighbours: ``rows(idx)`` is the outcome tensor at the flat positions idx.
-    Each term is formed and added as _replacement_squares forms and adds it."""
+    Each term is bit for bit the one _replacement_squares adds, in its order."""
     i = dist.index(z)
     digits = np.unravel_index(i, dist.shape)
     stride = [math.prod(dist.shape[j + 1:]) for j in range(dist.n)]
@@ -816,22 +854,31 @@ class EstimatedKernel(_OutcomeKernel):
             raise ParameterError(f"samples must be >= 2 for an estimated kernel, got {samples}")
         self.model = model
         dist = model.dist
-        pairs = [(j, v) for j, c in enumerate(dist.coords) for v in range(len(c))]
         total = 0.0
-        sq = dict.fromkeys(pairs, 0.0)
+        # per coordinate, the squared norms of G_u - G_v summed over the samples,
+        # once per pair u < v of its values, on the slices z_j = u and z_j = v
+        sq = [dict.fromkeys(itertools.combinations(range(len(c)), 2), 0.0)
+              for c in dist.coords]
         for sums in _chain_sums(model, np.arange(dist.cardinality), horizon, samples, seed):
             G = sums.reshape((len(sums),) + dist.shape + sums.shape[-2:])
             total = total + G.sum(axis=0)
-            for j, v in pairs:
-                diff = G - neighbour(G, j + 1, v)
-                sq[j, v] = sq[j, v] + np.sum(np.abs(diff) ** 2, axis=(0, -2, -1))
+            for j, pairs in enumerate(sq):
+                gs = _slices(G, j + 1)
+                for u, v in pairs:
+                    pairs[u, v] = pairs[u, v] + np.sum(np.abs(gs[u] - gs[v]) ** 2,
+                                                       axis=(0, -2, -1))
         self.g = total * (1.0 / samples)  # as numpy divides a complex total
         trunc = _truncation_bound(model, horizon)
         self._radius = {}
-        for j, v in pairs:
-            moved = np.arange(len(dist.coords[j])).reshape((-1,) + (1,) * (dist.n - 1 - j))
-            se = _standard_error(sq[j, v], self.on_neighbours(j, v), samples)
-            self._radius[j, v] = np.where(moved != v, se + trunc, 0.0)
+        for j, pairs in enumerate(sq):
+            m = dist.shape[j]
+            moved = np.arange(m).reshape((-1,) + (1,) * (dist.n - 1 - j))
+            zero = np.zeros(dist.shape[:j] + dist.shape[j + 1:])
+            for v in range(m):
+                # the sums of G - neighbour(G, j + 1, v), 0 where z_j = v
+                cells = [pairs[min(u, v), max(u, v)] if u != v else zero for u in range(m)]
+                se = _standard_error(np.stack(cells, axis=j), self.on_neighbours(j, v), samples)
+                self._radius[j, v] = np.where(moved != v, se + trunc, 0.0)
 
     def radius_on_neighbours(self, j: int, v: int) -> np.ndarray:
         """The error radius of every pair (z, z_{j<-v}), as an outcome tensor."""
@@ -890,9 +937,18 @@ def exchangeable_pairs_identity(model: MatrixModel, kernel, F: Callable) -> floa
     _require_kernel(model, kernel)
     X = model.X_tensor()
     fx = np.broadcast_to(F(X), X.shape)
-    rhs = 0.5 * replacement_sum(model.dist, lambda j, v: model.expect(
-        kernel.on_neighbours(j, v) @ (fx - neighbour(fx, j, v))), pair_law=True)
-    return _opnorm(model.expect(X @ fx) - rhs)
+    n = model.dist.n
+    rhs = 0
+    # replacement_sum's order and weights, each pair's K (F(X) - F(X')) formed
+    # once and stacked into the outcome tensor of every (j, v), 0 at z_j = v
+    for j, c in enumerate(model.dist.coords):
+        gs, fs = _slices(kernel.g, j), _slices(fx, j)
+        cells = _pairwise(len(c), lambda u, v: (gs[u] - gs[v]) @ (fs[u] - fs[v]))
+        zero = np.zeros(gs[0].shape, np.result_type(gs[0], fs[0]))
+        for v, p in enumerate(c.probs):
+            term = np.stack([cells[u, v] if u != v else zero for u in range(len(c))], axis=j)
+            rhs = rhs + (p / n) * model.expect(term)
+    return _opnorm(model.expect(X @ fx) - 0.5 * rhs)
 
 
 def kernel_mean_norm(model: MatrixModel, kernel) -> float:

@@ -286,6 +286,67 @@ def oracle_pairs_identity(model, kernel, F):
     return _opnorm(model.expect(X @ fx) - rhs)
 
 
+def oracle_replacement_squares(dist, T, pair_law=False):
+    """The per-replacement form of the squares behind V, V_X and V^K:
+    (T - neighbour(T, j, v))^2 over the whole outcome tensor for every (j, v),
+    the exact zeros at z_j = v included, added by replacement_sum."""
+    def term(j, v):
+        diff = T - stein.neighbour(T, j, v)
+        return diff @ diff
+
+    return stein.replacement_sum(dist, term, pair_law)
+
+
+def oracle_replacement_pairs_identity(model, kernel, F):
+    """exchangeable_pairs_identity with the outcome tensor K (F(X) - F(X')) of
+    every (j, v) formed over the whole support, zeros at z_j = v included."""
+    X = model.X_tensor()
+    fx = np.broadcast_to(F(X), X.shape)
+
+    def term(j, v):
+        return model.expect(kernel.on_neighbours(j, v) @ (fx - stein.neighbour(fx, j, v)))
+
+    rhs = 0.5 * stein.replacement_sum(model.dist, term, pair_law=True)
+    return _opnorm(model.expect(X @ fx) - rhs)
+
+
+def oracle_estimated_radii(model, horizon, samples, seed):
+    """EstimatedKernel's error radii with the squared norms of G - neighbour(G, j, v)
+    summed over the whole outcome tensor for every (j, v), one after another."""
+    dist = model.dist
+    pairs = [(j, v) for j, c in enumerate(dist.coords) for v in range(len(c))]
+    total = 0.0
+    sq = dict.fromkeys(pairs, 0.0)
+    for sums in stein._chain_sums(model, np.arange(dist.cardinality), horizon, samples, seed):
+        G = sums.reshape((len(sums),) + dist.shape + sums.shape[-2:])
+        total = total + G.sum(axis=0)
+        for j, v in pairs:
+            diff = G - stein.neighbour(G, j + 1, v)
+            sq[j, v] = sq[j, v] + np.sum(np.abs(diff) ** 2, axis=(0, -2, -1))
+    g = total * (1.0 / samples)
+    trunc = stein._truncation_bound(model, horizon)
+    radius = {}
+    for j, v in pairs:
+        moved = np.arange(len(dist.coords[j])).reshape((-1,) + (1,) * (dist.n - 1 - j))
+        se = stein._standard_error(sq[j, v], g - stein.neighbour(g, j, v), samples)
+        radius[j, v] = np.where(moved != v, se + trunc, 0.0)
+    return radius
+
+
+def mixed_support_model(seed, d=2, complex_table=True):
+    """A seeded random table on coordinates of 1, 2, 3 and 4 values with
+    unequal probabilities, complex or real."""
+    coords = [FiniteCoord([(0.5, 1.0)]),
+              FiniteCoord([(-1.0, 0.3), (2.0, 0.7)]),
+              FiniteCoord([(0.0, 0.2), (1.0, 0.5), (-3.0, 0.3)]),
+              FiniteCoord([(-1.0, 0.1), (0.0, 0.4), (1.0, 0.3), (4.0, 0.2)])]
+    dist = ProductDistribution(coords)
+    parts = _rng(seed).standard_normal((dist.cardinality, 2, d, d))
+    if not complex_table:
+        parts[:, 1] = 0.0
+    return stein._table_model(dist, parts, d, f"mixed_support(seed={seed})")
+
+
 class TestDistributions:
     def test_finite_coord_rejects_bad_probs(self):
         with pytest.raises(ParameterError):
@@ -464,6 +525,13 @@ class TestModels:
         # B taken positionally: a typed error, not numpy's bare ValueError
         with pytest.raises(ParameterError, match="must be numbers"):
             compound_covariance(2, 3, "uniform")
+
+    def test_X_tensor_is_built_once_and_kept_read_only(self):
+        m = random_finite_model(3, 2, seed=2)
+        X = m.X_tensor()
+        assert m.X_tensor() is X
+        assert not X.flags.writeable
+        assert np.array_equal(X, m.H_tensor() - m.mean())
 
     def test_only_exact_models_cache_H(self):
         exact = hypercube_sum(3)
@@ -1137,6 +1205,86 @@ class TestExchangeablePairsIdentity:
             got = exchangeable_pairs_identity(m, k, F)
             assert got == oracle_pairs_identity(m, k, F)
             assert 0.0 < got <= EXACT
+
+
+# real and complex models on coordinates of 1 to 4 values, uniform or not
+PAIR_MODELS = [
+    lambda: mixed_support_model(3), lambda: mixed_support_model(4, d=3, complex_table=False),
+    lambda: random_finite_model(4, 3, seed=2), lambda: real_random_model(3, 2, seed=5),
+    lambda: hypercube_sum(4), lambda: stein.bounded_diff_demo(3),
+    lambda: stein.compound_covariance(3, 2), lambda: dilate_model(rect_demo(3)),
+    three_valued_model, unsorted_three_valued_model,
+]
+
+
+class TestReplacementPairs:
+    """Each unordered replacement pair's product is formed once, and every
+    map equals the per-replacement full-tensor form bit for bit (tobytes
+    also tells -0.0 from 0.0)."""
+
+    @pytest.mark.parametrize("pair_law", [False, True])
+    @pytest.mark.parametrize("build", PAIR_MODELS)
+    def test_squares_are_the_per_replacement_form_bitwise(self, build, pair_law):
+        m = build()
+        for T in (m.H_tensor(), m.X_tensor(), ExactKernel(m).g):
+            got = stein._replacement_squares(m.dist, T, pair_law)
+            assert got.tobytes() == oracle_replacement_squares(m.dist, T, pair_law).tobytes()
+
+    @pytest.mark.parametrize("build", PAIR_MODELS)
+    def test_maps_are_the_per_replacement_form_bitwise(self, build):
+        m = build()
+        k = ExactKernel(m)
+        want = oracle_replacement_squares(m.dist, m.H_tensor()) / 2.0
+        assert variance_proxy_map(m).tobytes() == want.tobytes()
+        for got, T in zip(stein.conditional_variance_map(m, k), (m.X_tensor(), k.g)):
+            assert got.tobytes() == (oracle_replacement_squares(m.dist, T, True) / 2).tobytes()
+
+    @pytest.mark.parametrize("build", PAIR_MODELS)
+    def test_pairs_identity_is_the_per_replacement_form(self, build):
+        m = build()
+        k = ExactKernel(m)
+        for F in (lambda x: np.eye(m.d), lambda x: x, lambda x: x @ x @ x):
+            got = exchangeable_pairs_identity(m, k, F)
+            assert got == oracle_replacement_pairs_identity(m, k, F)
+            # the per-outcome oracle casts F to complex, which rounds a real
+            # model's products differently; a complex model has no cast to differ by
+            if m.H_tensor().dtype == np.complex128:
+                assert got == oracle_pairs_identity(m, k, F)
+            else:
+                assert got == pytest.approx(oracle_pairs_identity(m, k, F), abs=EXACT)
+
+    @pytest.mark.parametrize("build", PAIR_MODELS)
+    def test_each_unordered_pair_is_squared_once(self, build, monkeypatch):
+        m = build()
+        squared = []
+
+        def counting_square(a):
+            squared.append(math.prod(a.shape[:-2]))
+            return a @ a
+
+        monkeypatch.setattr(stein, "_square", counting_square)
+        S = m.dist.cardinality
+        per_map = sum((size - 1) * S // 2 for size in m.dist.shape)
+        variance_proxy_map(m)
+        assert sum(squared) == per_map
+        squared.clear()
+        stein.conditional_variance_map(m, ExactKernel(m))
+        assert sum(squared) == 2 * per_map
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("build", [
+        lambda: hypercube_sum(3), lambda: random_finite_model(3, 2, seed=0),
+        lambda: mixed_support_model(5),
+    ])
+    def test_estimated_radii_are_the_per_replacement_form_bitwise(self, build, seed,
+                                                                  monkeypatch):
+        monkeypatch.setattr(stein, "_KERNEL_BLOCK", 16)  # sums over several blocks
+        m = build()
+        k = EstimatedKernel(m, horizon=8, samples=40, seed=seed)
+        want = oracle_estimated_radii(m, 8, 40, seed)
+        assert k._radius.keys() == want.keys()
+        for key, r in want.items():
+            assert k.radius_on_neighbours(*key).tobytes() == r.tobytes(), key
 
 
 class TestRPsi:
