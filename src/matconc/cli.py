@@ -83,25 +83,17 @@ def _parse_floats(text) -> list:
     return [_as(float, p) for p in str(text).split(",") if p.strip()]
 
 
-def _plain(obj):
-    """Recursively coerce numpy scalars/arrays so json.dumps stays happy."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, np.integer):
-        return int(obj)
+def _json_default(obj):
+    """numpy arrays and scalars for json.dumps; np.float64 is a float already."""
+    if isinstance(obj, (np.ndarray, np.integer, np.bool_)):
+        return obj.tolist()  # Python ints, bools and floats, nested as lists
     if isinstance(obj, np.floating):
         return float(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit_json(report: dict, out: str | None) -> None:
-    _emit(json.dumps(_plain(report), sort_keys=True, indent=2) + "\n", out)
+    _emit(json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n", out)
 
 
 def _emit(text: str, out: str | None) -> None:

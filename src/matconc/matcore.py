@@ -56,6 +56,27 @@ def _complex_array(entries) -> np.ndarray:
         raise ParameterError(f"matrix entries must be numbers: {exc}") from None
 
 
+def _finite(a: np.ndarray) -> np.ndarray:
+    if not np.isfinite(a).all():
+        raise DomainError("matrix entries must be finite")
+    return a
+
+
+def hermitian_json(a: np.ndarray) -> dict:
+    """The JSON layout of a d x d array equal to (a + a*)/2 bit for bit, as
+    HermitianMatrix stores it and every fuzz stack row is: d, then its real
+    and imaginary parts in row-major order.  DomainError if not finite."""
+    return {"dim": a.shape[0], "real": _finite(a).real.ravel().tolist(),
+            "imag": a.imag.ravel().tolist()}
+
+
+def rect_json(a: np.ndarray) -> dict:
+    """The JSON layout of a 2-d array: its shape, then its real and imaginary
+    parts in row-major order.  DomainError if not finite."""
+    return {"rows": a.shape[0], "cols": a.shape[1], "real": _finite(a).real.ravel().tolist(),
+            "imag": a.imag.ravel().tolist()}
+
+
 class HermitianMatrix:
     """A dense Hermitian matrix.
 
@@ -72,8 +93,7 @@ class HermitianMatrix:
             raise ShapeError(f"expected a square matrix, got shape {m.shape}")
         if m.shape[0] == 0:
             raise ShapeError("empty matrix")
-        if not np.all(np.isfinite(m)):
-            raise DomainError("matrix entries must be finite")
+        _finite(m)
         anti = (m - m.conj().T) / 2
         # an exactly Hermitian input has residual 0 and needs no norms
         if anti.any():
@@ -110,11 +130,7 @@ class HermitianMatrix:
         return float(np.max(np.abs(w))) if w.size else 0.0
 
     def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "real": self.a.real.ravel().tolist(),
-            "imag": self.a.imag.ravel().tolist(),
-        }
+        return hermitian_json(self.a)
 
     @classmethod
     def from_json(cls, obj: dict) -> "HermitianMatrix":
@@ -137,8 +153,7 @@ class RectMatrix:
         m = _complex_array(entries)
         if m.ndim != 2:
             raise ShapeError(f"expected a 2-d array, got ndim {m.ndim}")
-        if not np.all(np.isfinite(m)):
-            raise DomainError("matrix entries must be finite")
+        _finite(m)
         m.setflags(write=False)
         self.a = m
 
@@ -151,12 +166,7 @@ class RectMatrix:
         return self.a.shape[1]
 
     def to_json(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "real": self.a.real.ravel().tolist(),
-            "imag": self.a.imag.ravel().tolist(),
-        }
+        return rect_json(self.a)
 
     @classmethod
     def from_json(cls, obj: dict) -> "RectMatrix":

@@ -25,6 +25,8 @@ from .matcore import (
     _as_array,
     _as_herm_array,
     _opnorms,
+    hermitian_json,
+    rect_json,
     spectral_apply,
 )
 
@@ -196,14 +198,6 @@ class FuzzReport:
         if self.sections:
             out["sections"] = self.sections
         return out
-
-
-def _herm_json(a) -> dict:
-    return HermitianMatrix(a).to_json()
-
-
-def _rect_json(a) -> dict:
-    return RectMatrix(a).to_json()
 
 
 class _Worst:
@@ -547,7 +541,7 @@ def _slack_matrix(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _triple_case(ineq: str, trial, keys: str = "ABC", **params) -> dict:
     _, mats, kind = trial
     case = {"ineq": ineq, "kind": kind, **params}
-    case.update(zip(keys, map(_herm_json, mats)))
+    case.update(zip(keys, map(hermitian_json, mats)))
     return case
 
 
@@ -584,7 +578,7 @@ def fuzz_operator_cs(d_range, trials: int, seed: int) -> FuzzReport:
     return _fuzz(trials, dims, _block_draws(_rng(seed), dims, _operator_cs_group),
                  _operator_cs_stack,
                  ("operator_cs", _slack_matrix, lambda t, _: {
-                     "ineq": "operator_cs", **dict(zip("SMN", map(_rect_json, t[1])))}))[0]
+                     "ineq": "operator_cs", **dict(zip("SMN", map(rect_json, t[1])))}))[0]
 
 
 def fuzz_matrix_entropy_young(d_range, ensemble_size: int, trials: int,
@@ -598,8 +592,8 @@ def fuzz_matrix_entropy_young(d_range, ensemble_size: int, trials: int,
                  _entropy_young_stack,
                  ("matrix_entropy_young", _slack_matrix, lambda t, _: {
                      "ineq": "matrix_entropy_young",
-                     "U": [_herm_json(u) for u in t[1][0]],
-                     "W": [_herm_json(w) for w in t[1][1]]}))[0]
+                     "U": [hermitian_json(u) for u in t[1][0]],
+                     "W": [hermitian_json(w) for w in t[1][1]]}))[0]
 
 
 def explore_conjecture(d_range, q_range, s_values, trials: int, seed: int) -> FuzzReport:

@@ -607,3 +607,53 @@ def test_perfbench_tracer_binds_every_name():
     finally:
         t.uninstall()
     assert (cli.main, verify.variance_domination, verify.stein.variance_proxy_map) == originals
+
+
+def test_perfbench_checks_catch_wrong_outputs():
+    # every benchmark output check accepts a right answer and rejects a wrong one
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    assert checks.selftest() == []
+
+
+def plain(obj):
+    """Recursive coercion of numpy values to Python ones: the oracle of the
+    json default hook that reports are emitted through."""
+    if isinstance(obj, dict):
+        return {str(k): plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [plain(v) for v in obj.tolist()]
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    return obj
+
+
+def test_emitted_json_equals_the_recursive_coercion(tmp_path):
+    report = {
+        "f64": np.float64(0.1), "f32": np.float32(0.1), "i64": np.int64(-7),
+        "i32": np.int32(3), "yes": np.bool_(True), "no": np.bool_(False),
+        "grid": np.arange(6.0).reshape(2, 3) / 7, "ints": np.arange(3),
+        "flags": np.array([True, False]),
+        "nested": [np.array([[math.nan, math.inf], [-math.inf, -0.0]]),
+                   (np.float64(math.nan), np.float32(-math.inf), (np.bool_(True),))],
+        "plain": (1, 2.5, None, "s", True, [math.nan, math.inf, -math.inf]),
+        "sub": {"z": np.float64(1e300), "a": np.float32(math.inf), "m": np.float64(-0.0)},
+        "fuzz": verify.fuzz_pmvti([1, 2], [1, 2], [0.5, 2.0], 20, 3).to_json(),
+    }
+    out = tmp_path / "report.json"
+    cli._emit_json(report, str(out))
+    assert out.read_text() == json.dumps(plain(report), sort_keys=True, indent=2) + "\n"
+
+
+def test_emitted_json_rejects_what_json_cannot_hold(capsys):
+    with pytest.raises(TypeError, match="Object of type complex128 is not JSON serializable"):
+        cli._emit_json({"z": np.complex128(1j)}, None)
+    assert capsys.readouterr().out == ""

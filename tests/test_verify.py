@@ -14,12 +14,16 @@ import pytest
 
 from matconc import bounds, cli, stein, verify
 from matconc.matcore import (
+    DomainError,
     HermitianMatrix,
     ParameterError,
+    RectMatrix,
     SuperOperator,
+    hermitian_json,
     left_mult_op,
     matrix_function,
     ntrace,
+    rect_json,
     right_mult_op,
     superop_abs,
     superop_function,
@@ -518,7 +522,7 @@ def sweep_one_by_one(trials, draw, evaluate, offer):
 
 def oracle_triple_case(ineq, kind, mats, **params):
     case = {"ineq": ineq, "kind": kind, **params}
-    case.update(zip("ABC", map(verify._herm_json, mats)))
+    case.update(zip("ABC", (HermitianMatrix(a).to_json() for a in mats)))
     return case
 
 
@@ -572,7 +576,8 @@ def oracle_fuzz_operator_cs(dims, trials, seed):
         d, (S, M, N), _ = trial
         tracker.offer(norm_slack(float(row[0]), float(row[1])), d, lambda: {
             "ineq": "operator_cs",
-            "S": verify._rect_json(S), "M": verify._rect_json(M), "N": verify._rect_json(N),
+            "S": RectMatrix(S).to_json(), "M": RectMatrix(M).to_json(),
+            "N": RectMatrix(N).to_json(),
         })
 
     sweep_one_by_one(trials, draw_operator_cs(verify._rng(seed), dims),
@@ -587,8 +592,8 @@ def oracle_fuzz_entropy_young(dims, ensemble_size, trials, seed):
         d, (Us, Ws), _ = trial
         tracker.offer(norm_slack(float(row[0]), float(row[1])), d, lambda: {
             "ineq": "matrix_entropy_young",
-            "U": [verify._herm_json(u) for u in Us],
-            "W": [verify._herm_json(w) for w in Ws],
+            "U": [HermitianMatrix(u).to_json() for u in Us],
+            "W": [HermitianMatrix(w).to_json() for w in Ws],
         })
 
     sweep_one_by_one(trials, draw_ensembles(verify._rng(seed), dims, ensemble_size),
@@ -728,6 +733,86 @@ class TestSelectorAgainstOracle:
             for j in range(2):
                 tracker.offer(float(row[j]), 1 + i % 2, lambda i=i, j=j: {"trial": i, "j": j})
         assert report_bytes(report) == report_bytes(tracker.report("tie", trials, [1, 2]))
+
+
+def assert_exactly_hermitian(stack):
+    """Every matrix of the stack is (M + M*)/2 bit for bit, which is what
+    HermitianMatrix stores, with a +0.0 imaginary diagonal."""
+    stack = np.ascontiguousarray(stack)
+    assert stack.dtype == np.complex128
+    sym = (stack + np.conj(np.swapaxes(stack, -1, -2))) / 2
+    assert sym.tobytes() == stack.tobytes()
+    diag = np.diagonal(stack.imag, axis1=-2, axis2=-1)
+    assert not diag.any() and not np.signbit(diag).any()
+
+
+class TestCaseWriter:
+    # kept cases are written straight from their stack rows; the oracles of
+    # TestSelectorAgainstOracle write them through the wrappers instead
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_every_triple_kind_draws_exactly_hermitian_rows(self, d):
+        rng = verify._rng(100 + d)
+        for kind in range(len(verify._KINDS)):
+            for stack in verify._triple_group(rng, kind, 60, d):
+                assert_exactly_hermitian(stack)
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_operator_cs_draws_exactly_hermitian_S_and_rank1_rows(self, d):
+        S, M, N = verify._operator_cs_group(verify._rng(200 + d), 0, 400, d)
+        assert_exactly_hermitian(S)
+        # a Gaussian M or N is far from Hermitian; the rank-1 ones are Hermitian
+        near = [np.all(np.abs(x - np.conj(np.swapaxes(x, -1, -2))) <= 1e-9, axis=(-2, -1))
+                for x in (M, N)]
+        assert np.array_equal(near[0], near[1]) and 10 <= np.sum(near[0]) <= 80
+        assert_exactly_hermitian(M[near[0]])
+        assert_exactly_hermitian(N[near[1]])
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_ensembles_draw_exactly_hermitian_rows(self, d):
+        U, W = verify._ensemble_group(4, verify._rng(300 + d), 0, 60, d)
+        assert_exactly_hermitian(U)
+        assert_exactly_hermitian(W)
+
+    def test_writers_give_the_wrapper_bytes(self):
+        S, M, N = verify._operator_cs_group(verify._rng(7), 0, 20, 3)
+        for a in S:
+            assert json.dumps(hermitian_json(a)) == json.dumps(HermitianMatrix(a).to_json())
+        for a in [*S[:, :3, :5], *M, *N]:
+            assert json.dumps(rect_json(a)) == json.dumps(RectMatrix(a).to_json())
+        real = np.array([[1.0, -0.5], [-0.5, 2.0]])
+        assert json.dumps(hermitian_json(real)) == json.dumps(HermitianMatrix(real).to_json())
+        # the writer does not symmetrise: (a + a*)/2 turns a real -0.0 beside
+        # an imaginary +0.0 into +0.0, so it takes rows that are fixed points
+        zero = np.array([[complex(-0.0, 0.0)]])
+        assert json.dumps(hermitian_json(zero)["real"]) == "[-0.0]"
+        assert json.dumps(HermitianMatrix(zero).to_json()["real"]) == "[0.0]"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.inf)])
+    def test_a_non_finite_case_raises(self, bad):
+        a = np.eye(2, dtype=np.complex128)
+        a[0, 1] = bad
+        with pytest.raises(DomainError):
+            verify._triple_case("pmvti", (2, (np.eye(2), a, np.eye(2), 1), "gaussian"),
+                                q=1, s=1.0)
+        with pytest.raises(DomainError):
+            rect_json(a)
+
+    def test_sweeps_build_no_wrapper(self, monkeypatch, capsys):
+        built = []
+        for cls in (HermitianMatrix, RectMatrix):
+            def counted(self, entries, init=cls.__init__):
+                built.append(type(self).__name__)
+                init(self, entries)
+            monkeypatch.setattr(cls, "__init__", counted)
+        for new, _, args in ORACLE_SUITES.values():
+            report = new(*args, 300, 5)
+        assert cli.main(["fuzz", "--ineq", "operator_cs", "--trials", "300", "--seed", "5",
+                         "--d", "1:3", "--jobs", "2"]) == 0
+        capsys.readouterr()
+        assert built == []
+        replay_case(report.worst_case)  # the counter is live: replay builds wrappers
+        assert built
 
 
 class TestFuzzSuites:
