@@ -283,8 +283,10 @@ class MatrixModel:
         return self._x_tensor
 
     def expect(self, T: np.ndarray) -> np.ndarray:
-        """E T(Z) for an outcome tensor T (exact models only)."""
-        return np.tensordot(self.dist.probabilities(), T, axes=self.dist.n)
+        """E T(Z) for an outcome tensor T (exact models only), as np.tensordot runs it."""
+        probs = self.dist.probabilities()
+        return np.dot(probs.reshape(1, -1), T.reshape(probs.size, -1)).reshape(
+            T.shape[self.dist.n:])
 
     def mean(self) -> np.ndarray:
         if self._mean is None:
@@ -983,6 +985,20 @@ def pair_asymmetries(model: MatrixModel, kernel: ExactKernel) -> tuple:
     return anti, asym
 
 
+_S_BLOCK = 8192  # matrices per stack of s_grid_spectra; a block holds at least one s
+
+
+def s_grid_spectra(vx, vk, s_grid: list, scale: float):
+    """Each block of s_grid, as an array, with the (block, S, d) eigenvalues of
+    scale * (s * vx + vk * (1.0 / s)) by one eigvalsh, the per-s form bit for bit."""
+    vx, vk = outcome_stack(vx), outcome_stack(vk)
+    per = max(1, _S_BLOCK // len(vx))
+    for lo in range(0, len(s_grid), per):
+        s = np.array(s_grid[lo:lo + per], dtype=float)
+        sa = s.reshape(-1, 1, 1, 1)
+        yield s, np.linalg.eigvalsh(scale * (sa * vx + vk * (1.0 / sa)))
+
+
 def r_psi(model: MatrixModel, kernel, psi: float, s_grid) -> dict:
     """r(psi) = (1/psi) min over s of log E tr-bar exp((psi/2)(s V_X + V^K / s)).
 
@@ -994,19 +1010,18 @@ def r_psi(model: MatrixModel, kernel, psi: float, s_grid) -> dict:
     s_grid = [float(s) for s in s_grid]
     if not s_grid or any(s <= 0 for s in s_grid):
         raise ParameterError("s_grid must be nonempty and positive")
-    vx, vk = (outcome_stack(t) for t in conditional_variance_map(model, kernel))
+    vx, vk = conditional_variance_map(model, kernel)
     pr = model.dist.probabilities().ravel()
     best = math.inf
     best_s = None
     skipped = []
-    for s in s_grid:
-        w = np.linalg.eigvalsh((psi / 2.0) * (s * vx + vk * (1.0 / s)))
-        if np.max(w[:, -1]) > 700.0:
-            skipped.append(s)
-            continue
-        val = math.log(float(pr @ np.mean(np.exp(w), axis=1)))
-        if val < best:
-            best, best_s = val, s
+    for s, w in s_grid_spectra(vx, vk, s_grid, psi / 2.0):
+        skip = np.max(w[:, :, -1], axis=1) > 700.0
+        skipped += s[skip].tolist()
+        for s_kept, row in zip(s[~skip].tolist(), np.mean(np.exp(w[~skip]), axis=-1)):
+            val = math.log(float(pr @ row))
+            if val < best:
+                best, best_s = val, s_kept
     return {"r": best / psi if best < math.inf else math.inf,
             "argmin_s": best_s, "skipped_s": skipped}
 

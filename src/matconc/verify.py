@@ -689,13 +689,23 @@ def _spectra(T: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(stein.outcome_stack(T))
 
 
-def _moment(probs: np.ndarray, lam: np.ndarray, q: float) -> float:
-    """E ||M||_q^q for Hermitian M(z) with eigenvalue rows lam."""
+def _moments(probs: np.ndarray, lam: np.ndarray, q: float) -> list:
+    """E ||M||_q^q for each stack (..., S, d) of eigenvalue rows lam of
+    Hermitian M(z), one dot per stack; inf where it overflows."""
     with np.errstate(over="ignore"):
-        moment = float(probs @ np.sum(np.abs(lam) ** q, axis=1))
+        sums = np.sum(np.abs(lam) ** q, axis=-1)
+        return [float(probs @ row) for row in sums.reshape(-1, probs.size)]
+
+
+def _finite_moment(moment: float, q: float) -> float:
     if not math.isfinite(moment):
         raise DomainError(f"Schatten moment overflows at order {q!r}")
     return moment
+
+
+def _moment(probs: np.ndarray, lam: np.ndarray, q: float) -> float:
+    """E ||M||_q^q for Hermitian M(z) with eigenvalue rows lam."""
+    return _finite_moment(_moments(probs, lam, q)[0], q)
 
 
 def _log_trace_mgf(probs: np.ndarray, lam: np.ndarray, scale: float) -> float:
@@ -705,6 +715,12 @@ def _log_trace_mgf(probs: np.ndarray, lam: np.ndarray, scale: float) -> float:
     if not math.isfinite(mgf):
         raise DomainError(f"trace mgf overflows at scale {scale!r}")
     return math.log(mgf)
+
+
+def _exact_report(check: str, model: stein.MatrixModel, **fields) -> dict:
+    return {"schema_version": SCHEMA_VERSION, "check": check, "model": model.name,
+            "tolerance": EXACT_TOL, **fields,
+            "pass": all(r["pass"] for r in fields["results"])}
 
 
 def verify_poly_efron_stein(model: stein.MatrixModel, p_list) -> dict:
@@ -722,14 +738,7 @@ def verify_poly_efron_stein(model: stein.MatrixModel, p_list) -> dict:
         slack = rhs - lhs
         results.append({"p": p, "lhs": lhs, "rhs": rhs, "slack": slack,
                         "pass": bool(slack >= -EXACT_TOL)})
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "check": "poly_efron_stein",
-        "model": model.name,
-        "tolerance": EXACT_TOL,
-        "results": results,
-        "pass": all(r["pass"] for r in results),
-    }
+    return _exact_report("poly_efron_stein", model, results=results)
 
 
 def verify_exp_efron_stein(model: stein.MatrixModel, theta_grid, psi_grid) -> dict:
@@ -756,15 +765,7 @@ def verify_exp_efron_stein(model: stein.MatrixModel, theta_grid, psi_grid) -> di
             slack = rhs - lhs
             results.append({"theta": theta, "psi": psi, "lhs": lhs, "rhs": rhs,
                             "slack": slack, "pass": bool(slack >= -EXACT_TOL)})
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "check": "exp_efron_stein",
-        "model": model.name,
-        "tolerance": EXACT_TOL,
-        "results": results,
-        "skipped": skipped,
-        "pass": all(r["pass"] for r in results),
-    }
+    return _exact_report("exp_efron_stein", model, results=results, skipped=skipped)
 
 
 def verify_kernel_poly_moments(model: stein.MatrixModel, kernel, p_list, s_grid) -> dict:
@@ -792,29 +793,26 @@ def verify_kernel_poly_moments(model: stein.MatrixModel, kernel, p_list, s_grid)
     vk = vk + inflation * np.eye(model.d)
     probs = model.dist.probabilities().ravel()
     lam_x = _spectra(model.X_tensor())
-    # times 1/s is how numpy divides a complex V^K by s, so both dtypes agree
-    lam_s = [_spectra(0.5 * (s * vx + vk * (1.0 / s))) for s in s_grid]
+    # every p's moment at every s, off the grid's spectra; an overflow raises
+    # below, so the first one in the order of the report's rows names its order
+    moments = {p: [] for p in p_list}
+    for _, lam in stein.s_grid_spectra(vx, vk, s_grid, 0.5):
+        for p, acc in moments.items():
+            acc += _moments(probs, lam, p)
     results = []
     for p in p_list:
         lhs = _moment(probs, lam_x, 2 * p) ** (1.0 / (2 * p))
         per_s = []
-        for s, lam in zip(s_grid, lam_s):
-            rhs = math.sqrt(2 * p - 1) * _moment(probs, lam, p) ** (1.0 / (2 * p))
+        for s, moment in zip(s_grid, moments[p]):
+            rhs = math.sqrt(2 * p - 1) * _finite_moment(moment, p) ** (1.0 / (2 * p))
             per_s.append({"s": s, "rhs": rhs, "slack": rhs - lhs,
                           "pass": bool(rhs - lhs >= -EXACT_TOL)})
         best = min(per_s, key=lambda r: r["rhs"])
         results.append({"p": p, "lhs": lhs, "best_rhs": best["rhs"],
                         "best_s": best["s"], "grid": per_s,
                         "pass": all(r["pass"] for r in per_s)})
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "check": "kernel_poly_moments",
-        "model": model.name,
-        "tolerance": EXACT_TOL,
-        "kernel_inflation": inflation,
-        "results": results,
-        "pass": all(r["pass"] for r in results),
-    }
+    return _exact_report("kernel_poly_moments", model, kernel_inflation=inflation,
+                         results=results)
 
 
 def variance_domination(model: stein.MatrixModel, kernel, tol: float = 1e-9) -> dict:

@@ -238,6 +238,16 @@ class TestVerifyVerb:
         error = json.loads(err)["error"]
         assert error["type"] == "config" and "overflows" in error["message"]
 
+    def test_overflowing_kernel_bound_is_config_error(self, capsys):
+        # the left-hand side is finite at p = 2; E ||(s V_X + V^K/s)/2||_2^2 is
+        # inf at s = 1e300
+        code, out, err = run(["verify", "--check", "kernel_poly_moments", "--model",
+                              "hypercube_sum", "--n", "2", "--p", "2", "--s", "1,1e300"],
+                             capsys)
+        assert code == 3 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "config" and "overflows at order 2" in error["message"]
+
 
 class TestFuzzVerb:
     def test_pass_and_determinism(self, capsys, tmp_path):

@@ -621,6 +621,35 @@ class TestModelDtype:
         assert dilate_model(complex_block).H_rows(zs).dtype == np.complex128
 
 
+class TestExpect:
+    """expect is the (1, S) x (S, ...) product np.tensordot runs, bit for bit."""
+
+    @staticmethod
+    def tensors(m):
+        rng = _rng(17)
+        X = m.X_tensor()
+        a = rng.standard_normal((m.d, m.d))
+        return {"H": m.H_tensor(), "X": X, "complex": X * (1.0 + 0.5j),
+                "X@X": X @ X, "broadcast": np.broadcast_to(a, X.shape),
+                "broadcast_complex": np.broadcast_to(a + 1j * a.T, X.shape),
+                "swapped": X.swapaxes(-1, -2), "scalar": rng.standard_normal(m.dist.shape),
+                "scalar_complex": rng.standard_normal(m.dist.shape) * 1j}
+
+    @pytest.mark.parametrize("build", [
+        lambda: hypercube_sum(1), lambda: hypercube_sum(5), lambda: hypercube_sum(4, d=4),
+        lambda: stein.bounded_diff_demo(3), lambda: random_finite_model(3, 3, seed=2),
+        lambda: stein.compound_covariance(2, 3), three_valued_model,
+        unsorted_three_valued_model,
+    ])
+    def test_equals_tensordot_bitwise(self, build):
+        m = build()
+        probs = m.dist.probabilities()
+        for name, T in self.tensors(m).items():
+            got, want = m.expect(T), np.tensordot(probs, T, axes=m.dist.n)
+            assert (got.shape, got.dtype) == (want.shape, want.dtype), name
+            assert got.tobytes() == want.tobytes(), name
+
+
 class TestVarianceProxy:
     def test_hypercube_closed_form(self):
         # every coordinate flip moves H by (z_j - v) E11, so V = (n/2) * E[(z_j-v)^2] E11 summed
@@ -1287,6 +1316,23 @@ class TestReplacementPairs:
             assert k.radius_on_neighbours(*key).tobytes() == r.tobytes(), key
 
 
+def oracle_r_psi(model, kernel, psi, s_grid):
+    """r_psi with one eigvalsh per s: the reference for the blocked s-grid."""
+    vx, vk = (stein.outcome_stack(t) for t in stein.conditional_variance_map(model, kernel))
+    pr = model.dist.probabilities().ravel()
+    best, best_s, skipped = math.inf, None, []
+    for s in map(float, s_grid):
+        w = np.linalg.eigvalsh((psi / 2.0) * (s * vx + vk * (1.0 / s)))
+        if np.max(w[:, -1]) > 700.0:
+            skipped.append(s)
+            continue
+        val = math.log(float(pr @ np.mean(np.exp(w), axis=1)))
+        if val < best:
+            best, best_s = val, s
+    return {"r": best / psi if best < math.inf else math.inf,
+            "argmin_s": best_s, "skipped_s": skipped}
+
+
 class TestRPsi:
     def test_finite_and_grid_argmin(self):
         m = hypercube_sum(2)
@@ -1300,6 +1346,24 @@ class TestRPsi:
         k = ExactKernel(m)
         out = r_psi(m, k, psi=1.0, s_grid=[1.0, 1e300])
         assert 1e300 in out["skipped_s"]
+
+    @pytest.mark.parametrize("build", [
+        lambda: hypercube_sum(3), lambda: stein.compound_covariance(2, 3),
+        lambda: random_finite_model(3, 2, seed=5), lambda: stein.bounded_diff_demo(3),
+    ])
+    @pytest.mark.parametrize("psi", [1.0, 4.0])
+    @pytest.mark.parametrize("s_grid", [
+        verify.DEFAULT_S_GRID, (0.5, 1.0, 2.0), (1e300, 1.0, 2.0, 1e300, 0.5),
+    ])
+    @pytest.mark.parametrize("per_block", [None, 2])
+    def test_equals_the_per_s_oracle(self, build, psi, s_grid, per_block, monkeypatch):
+        m = build()
+        if per_block is not None:  # several blocks, the last one shorter
+            monkeypatch.setattr(stein, "_S_BLOCK", per_block * m.dist.cardinality)
+        k = ExactKernel(m)
+        got, want = r_psi(m, k, psi, s_grid), oracle_r_psi(m, k, psi, s_grid)
+        assert json.dumps(got) == json.dumps(want)
+        assert got["skipped_s"].count(1e300) == s_grid.count(1e300)
 
 
 class TestCoupling:

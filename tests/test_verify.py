@@ -1177,6 +1177,125 @@ class TestKernelChecks:
         assert report["antisymmetry_max"] == 0.0 and report["pmf_asymmetry"] == 0.0
 
 
+def oracle_kernel_poly_moments(model, kernel, p_list, s_grid):
+    """verify_kernel_poly_moments with one eigvalsh and one checked moment per
+    s, in report order: the reference for the blocked s-grid."""
+    vx, vk = stein.conditional_variance_map(model, kernel)
+
+    def inflation_term(j, v):
+        r = kernel.radius_on_neighbours(j, v)
+        knorm = verify._opnorms(kernel.on_neighbours(j, v))
+        return (2.0 * knorm * r + r * r) / 2.0
+
+    def moment(lam, q):
+        with np.errstate(over="ignore"):
+            out = float(probs @ np.sum(np.abs(lam) ** q, axis=1))
+        if not math.isfinite(out):
+            raise DomainError(f"Schatten moment overflows at order {q!r}")
+        return out
+
+    def spectra(T):
+        return np.linalg.eigvalsh(stein.outcome_stack(T))
+
+    inflation = 0.0
+    if isinstance(kernel, EstimatedKernel):
+        inflation = float(np.max(stein.replacement_sum(model.dist, inflation_term,
+                                                       pair_law=True)))
+    vk = vk + inflation * np.eye(model.d)
+    probs = model.dist.probabilities().ravel()
+    lam_x = spectra(model.X_tensor())
+    lam_s = [spectra(0.5 * (s * vx + vk * (1.0 / s))) for s in s_grid]
+    results = []
+    for p in p_list:
+        lhs = moment(lam_x, 2 * p) ** (1.0 / (2 * p))
+        per_s = []
+        for s, lam in zip(s_grid, lam_s):
+            rhs = math.sqrt(2 * p - 1) * moment(lam, p) ** (1.0 / (2 * p))
+            per_s.append({"s": s, "rhs": rhs, "slack": rhs - lhs,
+                          "pass": bool(rhs - lhs >= -verify.EXACT_TOL)})
+        best = min(per_s, key=lambda r: r["rhs"])
+        results.append({"p": p, "lhs": lhs, "best_rhs": best["rhs"],
+                        "best_s": best["s"], "grid": per_s,
+                        "pass": all(r["pass"] for r in per_s)})
+    return {"schema_version": verify.SCHEMA_VERSION, "check": "kernel_poly_moments",
+            "model": model.name, "tolerance": verify.EXACT_TOL,
+            "kernel_inflation": inflation, "results": results,
+            "pass": all(r["pass"] for r in results)}
+
+
+class TestKernelMomentGrid:
+    """The s-grid of kernel_poly_moments is decomposed in blocks of s values,
+    one batched eigvalsh each, with the per-s report bit for bit."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: hypercube_sum(3), lambda: stein.compound_covariance(2, 3),
+        lambda: random_finite_model(3, 2, seed=5), lambda: stein.bounded_diff_demo(3),
+    ])
+    @pytest.mark.parametrize("estimated", [False, True])
+    @pytest.mark.parametrize("s_grid", [verify.DEFAULT_S_GRID, (0.25, 1.0, 3.0)])
+    @pytest.mark.parametrize("per_block", [None, 2])
+    def test_report_equals_the_per_s_oracle(self, build, estimated, s_grid, per_block,
+                                            monkeypatch):
+        m = build()
+        if per_block is not None:  # several blocks, the last one shorter
+            monkeypatch.setattr(stein, "_S_BLOCK", per_block * m.dist.cardinality)
+        k = (EstimatedKernel(m, horizon=8, samples=100, seed=3) if estimated
+             else ExactKernel(m))
+        got = verify_kernel_poly_moments(m, k, [1, 2, 3], s_grid)
+        assert (json.dumps(got, sort_keys=True)
+                == json.dumps(oracle_kernel_poly_moments(m, k, [1, 2, 3], s_grid),
+                              sort_keys=True))
+
+    def test_the_grid_takes_one_eigvalsh(self, monkeypatch):
+        # one for X and one for the 41 s values; one per s was 42 in all
+        m = hypercube_sum(3)
+        k = ExactKernel(m)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        verify_kernel_poly_moments(m, k, [1, 2], verify.DEFAULT_S_GRID)
+        assert len(calls) <= 2
+
+    def test_memory_at_S_16384(self):
+        # one stack of every s at once took the peak to 42.3 MB; the per-s
+        # spectra kept for the whole grid, to 12.3 MB
+        m = hypercube_sum(14)
+        k = ExactKernel(m)
+        stein.conditional_variance_map(m, k)
+        tracemalloc.start()
+        try:
+            rep = verify_kernel_poly_moments(m, k, [1, 2], verify.DEFAULT_S_GRID)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep["pass"] is True
+        assert peak < 16 * 2**20
+
+    def test_right_hand_side_overflow_is_a_domain_error(self):
+        m = hypercube_sum(2)
+        with pytest.raises(DomainError, match="overflows at order 2"):
+            verify_kernel_poly_moments(m, ExactKernel(m), [2], [1.0, 1e300])
+
+    @pytest.mark.parametrize("p_list,s_grid", [
+        ([100000], verify.DEFAULT_S_GRID), ([1, 100000], [1.0, 1e300]),
+        ([1, 2], [1e300, 1.0]), ([3, 2], [1.0, 1e300]),
+    ])
+    def test_the_first_overflow_in_row_order_is_raised(self, p_list, s_grid):
+        # each p's left-hand side, then its s in grid order, as the per-s loop
+        m = hypercube_sum(2)
+        k = ExactKernel(m)
+        with pytest.raises(DomainError) as want:
+            oracle_kernel_poly_moments(m, k, p_list, s_grid)
+        with pytest.raises(DomainError) as got:
+            verify_kernel_poly_moments(m, k, p_list, s_grid)
+        assert str(got.value) == str(want.value)
+
+
 def complex_twin(model):
     """The model with H upcast to complex: the reference for a real model's reports."""
     return MatrixModel(model.dist, lambda zs: np.asarray(model._H(zs), dtype=np.complex128),
