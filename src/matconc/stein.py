@@ -30,11 +30,19 @@ from .matcore import (
 # Above this product-space cardinality, enumeration gives way to Monte Carlo.
 ENUM_CUTOFF = 100_000
 
+# the samples and the seed of the Monte Carlo mean of a model above the cutoff
 _MEAN_MC_SAMPLES = 20_000
+_MEAN_SEED = 0
 
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(int(seed)))
+
+
+def _read_only(T: np.ndarray) -> np.ndarray:
+    """T, with writes refused: how every kept outcome tensor is held."""
+    T.setflags(write=False)
+    return T
 
 
 # ---------------------------------------------------------------------------
@@ -218,24 +226,21 @@ class MatrixModel:
 
     H maps an (m, n) float array of outcome rows to an (m, d, d) stack, row by
     row.  The mean E H(Z) is exact (full enumeration) for finite models under
-    the cardinality cutoff, else a seeded Monte Carlo estimate whose
-    provenance is recorded.
+    the cardinality cutoff ENUM_CUTOFF, else a Monte Carlo estimate of
+    _MEAN_MC_SAMPLES draws at _MEAN_SEED whose provenance is recorded.
     """
 
-    def __init__(self, dist: ProductDistribution, H: Callable, d: int,
-                 name: str = "", enum_cutoff: int = ENUM_CUTOFF):
+    def __init__(self, dist: ProductDistribution, H: Callable, d: int, name: str = ""):
         self.dist = dist
         self._H = H
         self.d = int(d)
         self.name = name or "model"
-        self.enum_cutoff = int(enum_cutoff)
-        self.mean_samples = _MEAN_MC_SAMPLES
-        self.mean_seed = 0
         self._mean = None
         self.mean_provenance = None
         self._h_cache: dict = {}
         self._tensor = None
         self._x_tensor = None
+        self._v_map = None
 
     # -- evaluation
 
@@ -258,7 +263,7 @@ class MatrixModel:
 
     @property
     def exact(self) -> bool:
-        return self.dist.finite and self.dist.cardinality <= self.enum_cutoff
+        return self.dist.finite and self.dist.cardinality <= ENUM_CUTOFF
 
     def H_tensor(self) -> np.ndarray:
         """The outcome tensor: H over the support, shape (|V_1|, ..., |V_n|, d, d).
@@ -269,17 +274,14 @@ class MatrixModel:
             if not self.exact:
                 raise PreconditionError("outcome tensors need a finite model under the cutoff")
             zs = [z for z, _ in self.dist.outcomes()]
-            hs = self.H_rows(zs).reshape(self.dist.shape + (self.d, self.d))
-            hs.setflags(write=False)
-            self._tensor = hs
+            self._tensor = _read_only(self.H_rows(zs).reshape(self.dist.shape + (self.d, self.d)))
         return self._tensor
 
     def X_tensor(self) -> np.ndarray:
         """X = H - E H over the support, as an outcome tensor: built on first
         use, and kept read-only, as H_tensor is."""
         if self._x_tensor is None:
-            self._x_tensor = self.H_tensor() - self.mean()
-            self._x_tensor.setflags(write=False)
+            self._x_tensor = _read_only(self.H_tensor() - self.mean())
         return self._x_tensor
 
     def expect(self, T: np.ndarray) -> np.ndarray:
@@ -294,13 +296,13 @@ class MatrixModel:
                 self._mean = self.expect(self.H_tensor())
                 self.mean_provenance = {"method": "exact"}
             else:
-                zs = self.dist.sample_many(_rng(self.mean_seed), self.mean_samples)
+                zs = self.dist.sample_many(_rng(_MEAN_SEED), _MEAN_MC_SAMPLES)
                 # adds the samples in draw order; times 1/N, as numpy divides complex sums
-                self._mean = self.H_rows(zs).sum(axis=0) * (1.0 / self.mean_samples)
+                self._mean = self.H_rows(zs).sum(axis=0) * (1.0 / _MEAN_MC_SAMPLES)
                 self.mean_provenance = {
                     "method": "mc",
-                    "samples": self.mean_samples,
-                    "seed": self.mean_seed,
+                    "samples": _MEAN_MC_SAMPLES,
+                    "seed": _MEAN_SEED,
                 }
         return self._mean
 
@@ -370,7 +372,6 @@ class RectangularModel:
         self.rows = int(rows)
         self.cols = int(cols)
         self.name = name or "rect_model"
-        self.enum_cutoff = ENUM_CUTOFF
         self._mean = None
 
     def H_rows(self, zs) -> np.ndarray:
@@ -397,8 +398,7 @@ class RectangularModel:
 def dilate_model(model: RectangularModel) -> MatrixModel:
     """Hermitian model whose H is the dilation of the rectangular H."""
     return MatrixModel(model.dist, lambda zs: _dilations(model.H_rows(zs)),
-                       model.rows + model.cols, name=f"dilated({model.name})",
-                       enum_cutoff=model.enum_cutoff)
+                       model.rows + model.cols, name=f"dilated({model.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -599,20 +599,6 @@ def _replacement_squares(dist: ProductDistribution, T: np.ndarray,
     return acc
 
 
-def _point_squares(dist: ProductDistribution, rows: Callable, z,
-                   pair_law: bool = False) -> np.ndarray:
-    """_replacement_squares at the one outcome z, read off its n * |V| replacement
-    neighbours: ``rows(idx)`` is the outcome tensor at the flat positions idx.
-    Each term is bit for bit the one _replacement_squares adds, in its order."""
-    i = dist.index(z)
-    digits = np.unravel_index(i, dist.shape)
-    stride = [math.prod(dist.shape[j + 1:]) for j in range(dist.n)]
-    T = rows(np.array([i] + [i + (v - digits[j]) * stride[j]
-                             for j, c in enumerate(dist.coords) for v in range(len(c))]))
-    weights = [p / dist.n if pair_law else p for c in dist.coords for p in c.probs]
-    return sum(w * sq for w, sq in zip(weights, _square(T[0] - T[1:])))
-
-
 def _require_kernel(model: MatrixModel, kernel) -> None:
     """The exact kernel checks need an enumerable model and a kernel built for it."""
     if not model.exact:
@@ -625,23 +611,31 @@ def _require_kernel(model: MatrixModel, kernel) -> None:
 # variance proxy
 
 
+def _entry(model: MatrixModel, T: np.ndarray, z) -> HermitianMatrix:
+    """The outcome tensor T at the outcome z."""
+    return HermitianMatrix(outcome_stack(T)[model.dist.index(z)])
+
+
 def variance_proxy_map(model: MatrixModel) -> np.ndarray:
-    """V = (1/2) sum_j E_v (H - H_{j<-v})^2 at every outcome, as an outcome tensor."""
-    return _replacement_squares(model.dist, model.H_tensor()) / 2.0
+    """V = (1/2) sum_j E_v (H - H_{j<-v})^2 at every outcome, as an outcome
+    tensor: built on first use, and kept read-only on the model."""
+    if model._v_map is None:
+        model._v_map = _read_only(_replacement_squares(model.dist, model.H_tensor()) / 2.0)
+    return model._v_map
 
 
 def variance_proxy(model: MatrixModel, z, samples: int | None = None,
                    seed: int | None = None) -> HermitianMatrix:
     """V(z) = (1/2) sum_j E[(H(z) - H(z with coord j resampled))^2].
 
-    Exact on finite models under the cutoff.  Otherwise each coordinate's
-    expectation is a mean over ``samples`` draws seeded by ``seed``: the
-    replaced states of one coordinate go through ``H_rows`` as one batch, and
-    their squared differences are added in draw order.
+    Exact on finite models under the cutoff, as the entry of variance_proxy_map
+    at z.  Otherwise each coordinate's expectation is a mean over ``samples``
+    draws seeded by ``seed``: the replaced states of one coordinate go through
+    ``H_rows`` as one batch, and their squared differences are added in draw
+    order.
     """
     if model.exact:
-        hs = outcome_stack(model.H_tensor())
-        return HermitianMatrix(_point_squares(model.dist, hs.__getitem__, z) / 2.0)
+        return _entry(model, variance_proxy_map(model), z)
     if samples is None or seed is None:
         raise ParameterError("models that cannot be enumerated need samples and seed")
     z = tuple(float(v) for v in z)
@@ -691,7 +685,14 @@ def _poisson_solution(dist: ProductDistribution, X: np.ndarray) -> np.ndarray:
 
 
 class _OutcomeKernel:
-    """K(z, z') = g(z) - g(z') for an outcome tensor g of the model."""
+    """K(z, z') = g(z) - g(z') for an outcome tensor g of the model.
+
+    ``stein_radius`` and ``inflation`` are the kernel's error budget, the
+    largest E[r | Z = z] and E[(2 ||K|| r + r^2)/2 | Z = z] over the outcomes,
+    with r the error radius of the replacement pair (z, Z').
+    """
+
+    _variances = None  # (V_X, V^K), kept by conditional_variance_map
 
     @property
     def table(self) -> np.ndarray:
@@ -713,8 +714,10 @@ class ExactKernel(_OutcomeKernel):
 
     Each chain of the coupling is the random-scan replacement chain P, so
     K(z, z') = sum_i (P^i X(z) - P^i X(z')) = g(z) - g(z') with
-    (I - P) g = X, solved directly (no iteration).
+    (I - P) g = X, solved directly (no iteration), so its error budget is 0.
     """
+
+    stein_radius = inflation = 0.0
 
     def __init__(self, model: MatrixModel):
         if not model.exact:
@@ -848,7 +851,9 @@ class EstimatedKernel(_OutcomeKernel):
     and the error radius of each replacement pair (z, z_{j<-v}) is its
     standard error, from the per-sample second moments of
     G - neighbour(G, j, v), plus the truncation bound (0 where z_j = v).
-    Stream version 3: every pair shares the seed's one stream.
+    The radii are reduced to the error budget as they are formed, added in
+    replacement_sum's order.  Stream version 3: every pair shares the seed's
+    one stream.
     """
 
     def __init__(self, model: MatrixModel, horizon: int, samples: int, seed: int):
@@ -871,20 +876,23 @@ class EstimatedKernel(_OutcomeKernel):
                                                        axis=(0, -2, -1))
         self.g = total * (1.0 / samples)  # as numpy divides a complex total
         trunc = _truncation_bound(model, horizon)
-        self._radius = {}
-        for j, pairs in enumerate(sq):
-            m = dist.shape[j]
+        radius = inflation = 0
+        for j, (pairs, c) in enumerate(zip(sq, dist.coords)):
+            m = len(c)
             moved = np.arange(m).reshape((-1,) + (1,) * (dist.n - 1 - j))
             zero = np.zeros(dist.shape[:j] + dist.shape[j + 1:])
-            for v in range(m):
+            for v, p in enumerate(c.probs):
                 # the sums of G - neighbour(G, j + 1, v), 0 where z_j = v
                 cells = [pairs[min(u, v), max(u, v)] if u != v else zero for u in range(m)]
-                se = _standard_error(np.stack(cells, axis=j), self.on_neighbours(j, v), samples)
-                self._radius[j, v] = np.where(moved != v, se + trunc, 0.0)
-
-    def radius_on_neighbours(self, j: int, v: int) -> np.ndarray:
-        """The error radius of every pair (z, z_{j<-v}), as an outcome tensor."""
-        return self._radius[j, v]
+                k = self.on_neighbours(j, v)
+                r = np.where(moved != v, _standard_error(np.stack(cells, axis=j), k, samples)
+                             + trunc, 0.0)
+                # the pair's terms of E[r | Z=z] and E[(2 ||K|| r + r^2)/2 | Z=z]
+                w = p / dist.n
+                radius = radius + w * r
+                inflation = inflation + w * ((2.0 * _opnorms(k) * r + r * r) / 2.0)
+        self.stein_radius = float(np.max(radius))
+        self.inflation = float(np.max(inflation))
 
 
 # ---------------------------------------------------------------------------
@@ -893,20 +901,20 @@ class EstimatedKernel(_OutcomeKernel):
 
 def conditional_variance_map(model: MatrixModel, kernel) -> tuple:
     """V_X = E[(X-X')^2|Z=z]/2 and V^K = E[K(Z,Z')^2|Z=z]/2 at every outcome,
-    as outcome tensors, summed over (J, replacement) exactly."""
+    as outcome tensors, summed over (J, replacement) exactly: built on first
+    use, and kept read-only on the kernel."""
     _require_kernel(model, kernel)
-    # K(z, z_{j<-v}) = g(z) - g(z_{j<-v}), the kernel's on_neighbours
-    return tuple(_replacement_squares(model.dist, T, pair_law=True) / 2
-                 for T in (model.X_tensor(), kernel.g))
+    if kernel._variances is None:
+        # K(z, z_{j<-v}) = g(z) - g(z_{j<-v}), the kernel's on_neighbours
+        kernel._variances = tuple(
+            _read_only(_replacement_squares(model.dist, T, pair_law=True) / 2)
+            for T in (model.X_tensor(), kernel.g))
+    return kernel._variances
 
 
 def conditional_variances(model: MatrixModel, kernel, z) -> tuple:
-    """(V_X(z), V^K(z)) as HermitianMatrix, the entries of conditional_variance_map
-    at z, from z's replacement neighbours alone."""
-    _require_kernel(model, kernel)
-    hs, g = outcome_stack(model.H_tensor()), outcome_stack(kernel.g)
-    return tuple(HermitianMatrix(_point_squares(model.dist, rows, z, pair_law=True) / 2)
-                 for rows in (lambda idx: hs[idx] - model.mean(), g.__getitem__))
+    """(V_X(z), V^K(z)) as HermitianMatrix, the entries of conditional_variance_map at z."""
+    return tuple(_entry(model, T, z) for T in conditional_variance_map(model, kernel))
 
 
 @dataclass(frozen=True)
@@ -919,18 +927,14 @@ def check_stein_identity(model: MatrixModel, kernel) -> SteinCheck:
     """max_z || E[K(z, Z')|Z=z] - X(z) ||, with an MC radius for estimates.
 
     The conditional law of Z' given Z=z replaces a uniform coordinate J by an
-    independent copy; on finite models the expectation is an exact sum.  For
-    an EstimatedKernel the radius is the largest accumulated standard-error
-    plus truncation budget over z; exact kernels report radius 0.
+    independent copy; on finite models the expectation is an exact sum.  The
+    radius is the kernel's stein_radius: the largest accumulated standard-error
+    plus truncation budget over z for an EstimatedKernel, 0 for an exact one.
     """
     _require_kernel(model, kernel)
     drift = replacement_sum(model.dist, kernel.on_neighbours, pair_law=True)
     worst = float(np.max(_opnorms(drift - model.X_tensor())))
-    radius = 0.0
-    if isinstance(kernel, EstimatedKernel):
-        radius = float(np.max(replacement_sum(model.dist, kernel.radius_on_neighbours,
-                                              pair_law=True)))
-    return SteinCheck(worst, radius)
+    return SteinCheck(worst, kernel.stein_radius)
 
 
 def exchangeable_pairs_identity(model: MatrixModel, kernel, F: Callable) -> float:
@@ -1008,8 +1012,8 @@ def r_psi(model: MatrixModel, kernel, psi: float, s_grid) -> dict:
     if psi <= 0:
         raise ParameterError(f"psi must be positive, got {psi}")
     s_grid = [float(s) for s in s_grid]
-    if not s_grid or any(s <= 0 for s in s_grid):
-        raise ParameterError("s_grid must be nonempty and positive")
+    if not s_grid or not all(math.isfinite(s) and s > 0 for s in s_grid):
+        raise ParameterError(f"s_grid must be nonempty, finite and positive, got {s_grid}")
     vx, vk = conditional_variance_map(model, kernel)
     pr = model.dist.probabilities().ravel()
     best = math.inf
@@ -1040,16 +1044,6 @@ class CouplingRun:
     first_all_drawn: int
     seed: int
     difference_norms: list = field(default_factory=list)
-
-    def to_jsonl(self) -> str:
-        return json.dumps({
-            "seed": self.seed,
-            "coupling_time": self.coupling_time,
-            "first_all_drawn": self.first_all_drawn,
-            "draws": [[int(j), float(v)] for j, v in self.draws],
-            "trajectory": [[list(a), list(b)] for a, b in self.trajectory],
-            "difference_norms": self.difference_norms,
-        }, sort_keys=True)
 
 
 def simulate_kernel_coupling(model: MatrixModel, z, zp, max_steps: int,

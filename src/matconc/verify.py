@@ -24,7 +24,6 @@ from .matcore import (
     SuperOperator,
     _as_array,
     _as_herm_array,
-    _opnorms,
     hermitian_json,
     rect_json,
     spectral_apply,
@@ -772,25 +771,16 @@ def verify_kernel_poly_moments(model: stein.MatrixModel, kernel, p_list, s_grid)
     """Moment bound through the kernel conditional variances, for each (p, s).
 
     With an estimated kernel the true V^K is only known up to the per-pair
-    standard-error plus truncation budget; the check inflates V^K by that
-    radius times the identity, which weakens the bound but keeps it valid.
+    standard-error plus truncation budget; the check inflates V^K by the
+    kernel's ``inflation`` times the identity, which weakens the bound but
+    keeps it valid.  An exact kernel's inflation is 0.
     """
     p_list = _positive_ints(p_list, "p")
     s_grid = _grid(s_grid, float, "s", positive=True)
     if not model.exact:
         raise ParameterError("model is too large to enumerate")
     vx, vk = stein.conditional_variance_map(model, kernel)
-
-    def inflation_term(j, v):  # E[(2 ||K|| r + r^2)/2 | Z=z], r the pair's error radius
-        r = kernel.radius_on_neighbours(j, v)
-        knorm = _opnorms(kernel.on_neighbours(j, v))
-        return (2.0 * knorm * r + r * r) / 2.0
-
-    inflation = 0.0
-    if isinstance(kernel, stein.EstimatedKernel):
-        inflation = float(np.max(stein.replacement_sum(model.dist, inflation_term,
-                                                       pair_law=True)))
-    vk = vk + inflation * np.eye(model.d)
+    vk = vk + kernel.inflation * np.eye(model.d)
     probs = model.dist.probabilities().ravel()
     lam_x = _spectra(model.X_tensor())
     # every p's moment at every s, off the grid's spectra; an overflow raises
@@ -811,7 +801,7 @@ def verify_kernel_poly_moments(model: stein.MatrixModel, kernel, p_list, s_grid)
         results.append({"p": p, "lhs": lhs, "best_rhs": best["rhs"],
                         "best_s": best["s"], "grid": per_s,
                         "pass": all(r["pass"] for r in per_s)})
-    return _exact_report("kernel_poly_moments", model, kernel_inflation=inflation,
+    return _exact_report("kernel_poly_moments", model, kernel_inflation=kernel.inflation,
                          results=results)
 
 

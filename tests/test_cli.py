@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matconc import cli, verify
+from matconc import cli, stein, verify
 from matconc.matcore import HermitianMatrix
 
 
@@ -602,13 +602,19 @@ class TestReplayVerb:
         assert run(["replay", "--case", str(path)], capsys)[0] == 3
 
 
+def perfbench_module(name: str):
+    """perfbench/<name>.py, loaded by path: the benchmark is not a package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_perfbench_tracer_binds_every_name():
     # the traced benchmark wraps package names found by getattr, so deleting or
     # renaming one of them fails here, not only in a traced benchmark run
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = perfbench_module("tracer")
     originals = (cli.main, verify.variance_domination, verify.stein.variance_proxy_map)
     t = tracer.Tracer()
     try:
@@ -619,13 +625,50 @@ def test_perfbench_tracer_binds_every_name():
     assert (cli.main, verify.variance_domination, verify.stein.variance_proxy_map) == originals
 
 
+def exact_layer_outputs() -> str:
+    """The exact kernel's identities and checks on hypercube_sum(3), and the
+    moment check of an estimated kernel, as one JSON string."""
+    m = stein.hypercube_sum(3)
+    k = stein.ExactKernel(m)
+    ident = stein.check_stein_identity(m, k)
+    est = stein.EstimatedKernel(m, horizon=8, samples=100, seed=3)
+    return json.dumps({
+        "stein": [ident.residual, ident.radius],
+        "centering": stein.kernel_mean_norm(m, k),
+        "pairs": [stein.exchangeable_pairs_identity(m, k, f)
+                  for f in (lambda x: np.eye(m.d), lambda x: x, lambda x: x @ x @ x)],
+        "kernel_poly": verify.verify_kernel_poly_moments(m, k, [1, 2], verify.DEFAULT_S_GRID),
+        "var_dom": verify.variance_domination(m, k),
+        "estimated": verify.verify_kernel_poly_moments(m, est, [1, 2], verify.DEFAULT_S_GRID),
+    }, sort_keys=True)
+
+
+def test_perfbench_traced_pass_keeps_every_output():
+    # a traced job records spans through every exact layer and changes no output
+    tracer = perfbench_module("tracer")
+    want = exact_layer_outputs()
+    originals = (stein.ExactKernel.__init__, verify.verify_kernel_poly_moments,
+                 np.linalg.eigvalsh)
+    t = tracer.Tracer()
+    try:
+        tracer.install(t)
+        with t.job_span("exact_layer"):
+            got = exact_layer_outputs()
+    finally:
+        t.uninstall()
+    assert got == want
+    assert (stein.ExactKernel.__init__, verify.verify_kernel_poly_moments,
+            np.linalg.eigvalsh) == originals
+    names = {rec[0] for rec in t.spans}
+    assert {"bench.job", "stein.exact_kernel", "stein.estimated_kernel", "stein.identities",
+            "stein.conditional_variances", "verify.exact.kernel_poly",
+            "verify.exact.var_dom", "lapack.eig"} <= names
+    assert all(rec[4] == "exact_layer" and rec[1] <= rec[2] for rec in t.spans)
+
+
 def test_perfbench_checks_catch_wrong_outputs():
     # every benchmark output check accepts a right answer and rejects a wrong one
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
-    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
-    checks = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(checks)
-    assert checks.selftest() == []
+    assert perfbench_module("checks").selftest() == []
 
 
 def plain(obj):

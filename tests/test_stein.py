@@ -13,7 +13,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matconc import stein, verify
-from matconc.matcore import HermitianMatrix, ParameterError, PreconditionError, _opnorm
+from matconc.matcore import (
+    HermitianMatrix,
+    ParameterError,
+    PreconditionError,
+    _opnorm,
+    _opnorms,
+)
 from matconc.stein import (
     EstimatedKernel,
     ExactKernel,
@@ -254,7 +260,7 @@ def real_random_model(n, d, seed):
 def complex_twin(model):
     """The model with H upcast to complex: the reference for a real model's stacks."""
     return MatrixModel(model.dist, lambda zs: np.asarray(model._H(zs), dtype=np.complex128),
-                       model.d, name=model.name, enum_cutoff=model.enum_cutoff)
+                       model.d, name=model.name)
 
 
 # models whose H is real, under both entry laws of compound covariance
@@ -311,7 +317,8 @@ def oracle_replacement_pairs_identity(model, kernel, F):
 
 
 def oracle_estimated_radii(model, horizon, samples, seed):
-    """EstimatedKernel's error radii with the squared norms of G - neighbour(G, j, v)
+    """EstimatedKernel's g and the error radius of every replacement pair, as an
+    outcome tensor per (j, v), with the squared norms of G - neighbour(G, j, v)
     summed over the whole outcome tensor for every (j, v), one after another."""
     dist = model.dist
     pairs = [(j, v) for j, c in enumerate(dist.coords) for v in range(len(c))]
@@ -330,7 +337,22 @@ def oracle_estimated_radii(model, horizon, samples, seed):
         moved = np.arange(len(dist.coords[j])).reshape((-1,) + (1,) * (dist.n - 1 - j))
         se = stein._standard_error(sq[j, v], g - stein.neighbour(g, j, v), samples)
         radius[j, v] = np.where(moved != v, se + trunc, 0.0)
-    return radius
+    return g, radius
+
+
+def oracle_error_budget(model, horizon, samples, seed):
+    """EstimatedKernel's (stein_radius, inflation) from oracle_estimated_radii,
+    each per-pair tensor added over the whole outcome tensor by replacement_sum."""
+    g, radius = oracle_estimated_radii(model, horizon, samples, seed)
+
+    def inflation_term(j, v):  # E[(2 ||K|| r + r^2)/2 | Z=z], r the pair's error radius
+        r = radius[j, v]
+        knorm = _opnorms(g - stein.neighbour(g, j, v))
+        return (2.0 * knorm * r + r * r) / 2.0
+
+    budget = (stein.replacement_sum(model.dist, lambda j, v: radius[j, v], pair_law=True),
+              stein.replacement_sum(model.dist, inflation_term, pair_law=True))
+    return tuple(float(np.max(b)) for b in budget)
 
 
 def mixed_support_model(seed, d=2, complex_table=True):
@@ -469,10 +491,11 @@ class TestModels:
         assert np.array_equal(m.H_tensor(), oracle.reshape(m.dist.shape + (m.d, m.d)))
 
     @pytest.mark.parametrize("cutoff", [stein.ENUM_CUTOFF, 1])
-    def test_batched_H_of_the_wrong_shape_is_a_shape_error(self, cutoff):
+    def test_batched_H_of_the_wrong_shape_is_a_shape_error(self, cutoff, monkeypatch):
         # exact models meet it building the tensor, the others on the rows drawn
+        monkeypatch.setattr(stein, "ENUM_CUTOFF", cutoff)
         m = MatrixModel(ProductDistribution.uniform_pm1(2),
-                        lambda zs: np.zeros((len(zs), 3, 2)), 2, enum_cutoff=cutoff)
+                        lambda zs: np.zeros((len(zs), 3, 2)), 2)
         calls = [lambda: m.H((1.0, -1.0)), m.mean, lambda: m.sample_X(5, seed=1)]
         if cutoff > 1:
             calls.append(m.H_tensor)
@@ -549,9 +572,9 @@ class TestModels:
         for z, _ in m.dist.outcomes():
             np.testing.assert_allclose(back.H(z), m.H(z), atol=1e-15)
 
-    def test_max_h_norm_needs_enumeration(self):
+    def test_max_h_norm_needs_enumeration(self, monkeypatch):
         m = hypercube_sum(3)
-        m.enum_cutoff = 2  # force the large-model path
+        monkeypatch.setattr(stein, "ENUM_CUTOFF", 2)  # force the large-model path
         with pytest.raises(PreconditionError):
             m.max_h_norm()
 
@@ -679,7 +702,7 @@ class TestVarianceProxy:
     def test_point_is_the_map_entry_bitwise(self, build, monkeypatch):
         m = build()
         vm = stein.outcome_stack(variance_proxy_map(m))
-        # a point is read off its n * |V| replacement neighbours, never the whole map
+        # a point reads the kept map, never builds it again
         monkeypatch.setattr(stein, "_replacement_squares", refuse_whole_map)
         for i, (z, _) in enumerate(m.dist.outcomes()):
             assert np.array_equal(variance_proxy(m, z).a, HermitianMatrix(vm[i]).a), z
@@ -711,7 +734,7 @@ class TestMonteCarloBranches:
         with pytest.raises(PreconditionError):
             m.H_tensor()
 
-    def test_mean_and_provenance(self):
+    def test_mean_and_provenance(self, monkeypatch):
         # E Z Z* = n sigma2 I = I for 3 columns of U[-1, 1] entries (sigma2 = 1/3);
         # 20000 samples give each entry a standard error near 0.004
         m = stein.compound_covariance(2, 3, entry_dist="uniform")
@@ -720,17 +743,17 @@ class TestMonteCarloBranches:
         np.testing.assert_allclose(mean, np.eye(2), rtol=0, atol=0.02)
         assert np.array_equal(stein.compound_covariance(2, 3, entry_dist="uniform").mean(),
                               mean)
+        monkeypatch.setattr(stein, "_MEAN_SEED", 1)
         other = stein.compound_covariance(2, 3, entry_dist="uniform")
-        other.mean_seed = 1
         assert not np.array_equal(other.mean(), mean)
         assert other.mean_provenance["seed"] == 1
 
     @staticmethod
     def per_sample_mean(m):
         acc = np.zeros((m.d, m.d), dtype=complex)
-        for z in m.dist.sample_many(_rng(m.mean_seed), m.mean_samples):
+        for z in m.dist.sample_many(_rng(stein._MEAN_SEED), stein._MEAN_MC_SAMPLES):
             acc += m.H(tuple(z))
-        return acc / m.mean_samples
+        return acc / stein._MEAN_MC_SAMPLES
 
     @staticmethod
     def non_hermitian_batch_model():
@@ -772,7 +795,7 @@ class TestMonteCarloBranches:
             acc += sub / samples
         return acc / 2.0
 
-    def test_batched_variance_proxy_is_the_per_draw_sum(self):
+    def test_batched_variance_proxy_is_the_per_draw_sum(self, monkeypatch):
         # compound covariance batches by the matmul H makes per draw
         cc = stein.compound_covariance(2, 3, entry_dist="uniform")
         got = variance_proxy(cc, self.Z, samples=4000, seed=5).a
@@ -780,7 +803,7 @@ class TestMonteCarloBranches:
         assert np.array_equal(got, ref)
         # hypercube_sum batches in exact arithmetic
         hc = hypercube_sum(3)
-        hc.enum_cutoff = 2
+        monkeypatch.setattr(stein, "ENUM_CUTOFF", 2)
         z = (1.0, -1.0, 1.0)
         assert np.array_equal(variance_proxy(hc, z, samples=300, seed=2).a,
                               self.per_draw_variance_proxy(hc, z, 300, 2))
@@ -841,11 +864,11 @@ class TestCompoundCovariance:
                         zs = np.where(zs < 0, -1.0, 1.0)
                     assert np.array_equal(m.H_rows(zs), ref.H_rows(zs))
 
-    def test_monte_carlo_mean_is_the_complex_product_bitwise(self):
+    def test_monte_carlo_mean_is_the_complex_product_bitwise(self, monkeypatch):
         for mean_seed in range(4):
+            monkeypatch.setattr(stein, "_MEAN_SEED", mean_seed)
             m = compound_covariance(2, 3, entry_dist="uniform")
             ref = self.with_oracle(m, 2, 3, np.eye(3))
-            m.mean_seed = ref.mean_seed = mean_seed
             assert np.array_equal(m.mean(), ref.mean())
 
     @pytest.mark.parametrize("kind", CC_BS)
@@ -1035,17 +1058,18 @@ class TestEstimatedKernel:
         lambda: random_finite_model(3, 2, seed=4),
         unsorted_three_valued_model,
     ])
-    def test_model_above_its_cutoff_is_rejected(self, build):
+    def test_model_above_its_cutoff_is_rejected(self, build, monkeypatch):
         # the estimator gathers H from the outcome tensor, which only an
         # enumerable model has
-        exact, sampled = build(), build()
-        sampled.enum_cutoff = 2
-        assert exact.exact and not sampled.exact
-        zs = [z for z, _ in exact.dist.outcomes()]
+        m = build()
+        assert m.exact
+        zs = [z for z, _ in m.dist.outcomes()]
+        monkeypatch.setattr(stein, "ENUM_CUTOFF", 2)
+        assert not m.exact
         with pytest.raises(PreconditionError):
-            estimate_kernel(sampled, zs[0], zs[1], horizon=12, samples=23, seed=9)
+            estimate_kernel(m, zs[0], zs[1], horizon=12, samples=23, seed=9)
         with pytest.raises(PreconditionError):
-            EstimatedKernel(sampled, horizon=12, samples=23, seed=9)
+            EstimatedKernel(m, horizon=12, samples=23, seed=9)
 
     def test_memory_is_one_block(self, monkeypatch):
         monkeypatch.setattr(stein, "_KERNEL_BLOCK", 256)
@@ -1099,14 +1123,16 @@ class TestEstimatedKernel:
     @pytest.mark.parametrize("build", MODELS)
     def test_estimated_kernel_matches_estimate_kernel(self, build):
         # at most 2 * _KERNEL_BLOCK / S samples fit one block of both, so the
-        # pairs replay estimate_kernel's draws at the same seed
+        # pairs replay estimate_kernel's draws at the same seed; the radii are
+        # those of the oracle that the kernel's error budget is checked against
         m = build()
         ek = EstimatedKernel(m, horizon=20, samples=300, seed=5)
+        _, radii = oracle_estimated_radii(m, 20, 300, 5)
         zs = [z for z, _ in m.dist.outcomes()]
         for j, coord in enumerate(m.dist.coords):
             for v, value in enumerate(coord.values):
                 on = stein.outcome_stack(ek.on_neighbours(j, v))
-                radius = ek.radius_on_neighbours(j, v).ravel()
+                radius = radii[j, v].ravel()
                 for i, z in enumerate(zs):
                     zp = m.replace(z, j, value)
                     if z == zp:
@@ -1180,7 +1206,7 @@ class TestConditionalVariances:
         m = build()
         for k in (ExactKernel(m), EstimatedKernel(m, horizon=6, samples=4, seed=2)):
             maps = [stein.outcome_stack(t) for t in stein.conditional_variance_map(m, k)]
-            # a point is read off its n * |V| replacement neighbours, never the whole maps
+            # a point reads the kept maps, never builds them again
             with monkeypatch.context() as patch:
                 patch.setattr(stein, "_replacement_squares", refuse_whole_map)
                 points = [conditional_variances(m, k, z) for z, _ in m.dist.outcomes()]
@@ -1195,7 +1221,8 @@ class TestConditionalVariances:
         assert np.linalg.eigvalsh(v_k.a)[0] >= -1e-12
 
     def test_pair_model_mismatch_rejected(self):
-        # same support, other H: a kernel of m1 would give m2 a spurious residual
+        # same support, other H: a kernel of m1 would give m2 a spurious residual;
+        # it is refused before, and after, the kernel keeps its maps
         m1, m2 = random_finite_model(3, 2, 1), random_finite_model(3, 2, 2)
         z = (1.0, 1.0, 1.0)
         for kernel in (ExactKernel(m1), EstimatedKernel(m1, horizon=4, samples=5, seed=1)):
@@ -1210,9 +1237,60 @@ class TestConditionalVariances:
                 lambda: verify.verify_kernel_poly_moments(m2, kernel, [1], [1.0]),
                 lambda: verify.variance_domination(m2, kernel),
             ]
-            for call in calls:
-                with pytest.raises(PreconditionError, match="different model"):
-                    call()
+            for kept in (False, True):
+                if kept:
+                    stein.conditional_variance_map(m1, kernel)
+                for call in calls:
+                    with pytest.raises(PreconditionError, match="different model"):
+                        call()
+
+
+class TestKeptMaps:
+    """V is built once per model and (V_X, V^K) once per kernel, then kept
+    read-only and read by every check and point."""
+
+    @staticmethod
+    def count_builds(monkeypatch) -> list:
+        built = []
+        squares = stein._replacement_squares
+
+        def counted(*args, **kwargs):
+            built.append(args[1].shape)
+            return squares(*args, **kwargs)
+
+        monkeypatch.setattr(stein, "_replacement_squares", counted)
+        return built
+
+    @pytest.mark.parametrize("build", [lambda: hypercube_sum(3), lambda: mixed_support_model(3)])
+    def test_each_map_is_built_once(self, build, monkeypatch):
+        built = self.count_builds(monkeypatch)
+        m = build()
+        verify.verify_poly_efron_stein(m, [1, 2])
+        verify.verify_exp_efron_stein(m, [-0.1, 0.1], [1.0])
+        for z, _ in m.dist.outcomes():
+            variance_proxy(m, z)
+        assert len(built) == 1
+        for k in (ExactKernel(m), EstimatedKernel(m, horizon=6, samples=20, seed=1)):
+            built.clear()
+            verify.verify_kernel_poly_moments(m, k, [1, 2], verify.DEFAULT_S_GRID)
+            verify.variance_domination(m, k)
+            r_psi(m, k, 1.0, verify.DEFAULT_S_GRID)
+            for z, _ in m.dist.outcomes():
+                conditional_variances(m, k, z)
+            assert len(built) == 2  # V_X and V^K
+
+    def test_maps_are_kept_read_only(self):
+        m = mixed_support_model(3)
+        k = ExactKernel(m)
+        v, pair = variance_proxy_map(m), stein.conditional_variance_map(m, k)
+        assert variance_proxy_map(m) is v
+        assert stein.conditional_variance_map(m, k) is pair
+        # a second kernel of the model keeps its own pair
+        assert stein.conditional_variance_map(m, ExactKernel(m)) is not pair
+        for T in (v,) + pair:
+            assert not T.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                T[...] = 0.0
 
 
 class TestExchangeablePairsIdentity:
@@ -1300,20 +1378,18 @@ class TestReplacementPairs:
         stein.conditional_variance_map(m, ExactKernel(m))
         assert sum(squared) == 2 * per_map
 
+    @pytest.mark.parametrize("samples,block", [(40, 16), (3000, stein._KERNEL_BLOCK)])
     @pytest.mark.parametrize("seed", [1, 2])
-    @pytest.mark.parametrize("build", [
-        lambda: hypercube_sum(3), lambda: random_finite_model(3, 2, seed=0),
-        lambda: mixed_support_model(5),
-    ])
-    def test_estimated_radii_are_the_per_replacement_form_bitwise(self, build, seed,
-                                                                  monkeypatch):
-        monkeypatch.setattr(stein, "_KERNEL_BLOCK", 16)  # sums over several blocks
+    @pytest.mark.parametrize("build", PAIR_MODELS)
+    def test_error_budget_is_the_per_replacement_form_bitwise(self, build, seed, samples,
+                                                              block, monkeypatch):
+        monkeypatch.setattr(stein, "_KERNEL_BLOCK", block)  # sums over several blocks
         m = build()
-        k = EstimatedKernel(m, horizon=8, samples=40, seed=seed)
-        want = oracle_estimated_radii(m, 8, 40, seed)
-        assert k._radius.keys() == want.keys()
-        for key, r in want.items():
-            assert k.radius_on_neighbours(*key).tobytes() == r.tobytes(), key
+        k = EstimatedKernel(m, horizon=8, samples=samples, seed=seed)
+        want = oracle_error_budget(m, 8, samples, seed)
+        assert (k.stein_radius, k.inflation) == want
+        assert min(want) > 0.0
+        assert check_stein_identity(m, k).radius == k.stein_radius
 
 
 def oracle_r_psi(model, kernel, psi, s_grid):
@@ -1346,6 +1422,14 @@ class TestRPsi:
         k = ExactKernel(m)
         out = r_psi(m, k, psi=1.0, s_grid=[1.0, 1e300])
         assert 1e300 in out["skipped_s"]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_s_is_rejected(self, bad):
+        m = hypercube_sum(2)
+        k = ExactKernel(m)
+        for s_grid in ([bad], [1.0, bad], [bad, 1.0]):
+            with pytest.raises(ParameterError, match="finite"):
+                r_psi(m, k, psi=1.0, s_grid=s_grid)
 
     @pytest.mark.parametrize("build", [
         lambda: hypercube_sum(3), lambda: stein.compound_covariance(2, 3),
@@ -1382,13 +1466,6 @@ class TestCoupling:
         m = hypercube_sum(2)
         run = simulate_kernel_coupling(m, (1.0, 1.0), (1.0, 1.0), 100, 0)
         assert run.coupling_time == 0
-
-    def test_jsonl_roundtrip(self):
-        m = hypercube_sum(2)
-        run = simulate_kernel_coupling(m, (1.0, 1.0), (-1.0, -1.0), 100, 4)
-        rec = json.loads(run.to_jsonl())
-        assert rec["coupling_time"] == run.coupling_time
-        assert len(rec["trajectory"]) == len(run.trajectory)
 
     def test_mean_against_coupon_collector(self):
         # E T = n H_n for antipodal starts; 5 sigma guard at 3000 runs

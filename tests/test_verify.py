@@ -19,6 +19,7 @@ from matconc.matcore import (
     ParameterError,
     RectMatrix,
     SuperOperator,
+    _opnorms,
     hermitian_json,
     left_mult_op,
     matrix_function,
@@ -60,6 +61,7 @@ from matconc.verify import (
     verify_kernel_poly_moments,
     verify_poly_efron_stein,
 )
+from test_stein import oracle_estimated_radii
 
 E_MINUS_2 = 0.1353352832366127
 COSH1 = 1.5430806348152437
@@ -1046,11 +1048,10 @@ class TestPolyEfronStein:
         assert rep["pass"] is True
         assert all(row["slack"] >= -1e-10 for row in rep["results"])
 
-    def test_rejects_non_enumerable_model(self):
-        big = hypercube_sum(3)
-        small_cutoff = MatrixModel(big.dist, big._H, big.d, enum_cutoff=2)
+    def test_rejects_non_enumerable_model(self, monkeypatch):
+        monkeypatch.setattr(stein, "ENUM_CUTOFF", 2)
         with pytest.raises(ParameterError):
-            verify_poly_efron_stein(small_cutoff, [1])
+            verify_poly_efron_stein(hypercube_sum(3), [1])
 
 
 def random_additive_model(seed, d=2):
@@ -1149,11 +1150,10 @@ class TestKernelChecks:
         assert out["pass"] is True
         assert out["lambda_min_gap"] >= -1e-9
 
-    def test_rejects_non_enumerable_model(self):
-        big = hypercube_sum(3)
-        small_cutoff = MatrixModel(big.dist, big._H, big.d, enum_cutoff=2)
+    def test_rejects_non_enumerable_model(self, monkeypatch):
+        monkeypatch.setattr(stein, "ENUM_CUTOFF", 2)
         with pytest.raises(ParameterError):
-            variance_domination(small_cutoff, None)
+            variance_domination(hypercube_sum(3), None)
 
     def test_checks_never_build_the_pair_table(self, monkeypatch, capsys):
         # every exact check is a sum over replacement neighbours, linear in S
@@ -1177,14 +1177,16 @@ class TestKernelChecks:
         assert report["antisymmetry_max"] == 0.0 and report["pmf_asymmetry"] == 0.0
 
 
-def oracle_kernel_poly_moments(model, kernel, p_list, s_grid):
+def oracle_kernel_poly_moments(model, kernel, p_list, s_grid, estimate=None):
     """verify_kernel_poly_moments with one eigvalsh and one checked moment per
-    s, in report order: the reference for the blocked s-grid."""
+    s, in report order: the reference for the blocked s-grid.  ``estimate`` is
+    the (horizon, samples, seed) of an estimated kernel, whose per-pair error
+    radii come from oracle_estimated_radii."""
     vx, vk = stein.conditional_variance_map(model, kernel)
 
     def inflation_term(j, v):
-        r = kernel.radius_on_neighbours(j, v)
-        knorm = verify._opnorms(kernel.on_neighbours(j, v))
+        r = radii[j, v]
+        knorm = _opnorms(kernel.on_neighbours(j, v))
         return (2.0 * knorm * r + r * r) / 2.0
 
     def moment(lam, q):
@@ -1198,7 +1200,8 @@ def oracle_kernel_poly_moments(model, kernel, p_list, s_grid):
         return np.linalg.eigvalsh(stein.outcome_stack(T))
 
     inflation = 0.0
-    if isinstance(kernel, EstimatedKernel):
+    if estimate is not None:
+        _, radii = oracle_estimated_radii(model, *estimate)
         inflation = float(np.max(stein.replacement_sum(model.dist, inflation_term,
                                                        pair_law=True)))
     vk = vk + inflation * np.eye(model.d)
@@ -1239,12 +1242,12 @@ class TestKernelMomentGrid:
         m = build()
         if per_block is not None:  # several blocks, the last one shorter
             monkeypatch.setattr(stein, "_S_BLOCK", per_block * m.dist.cardinality)
-        k = (EstimatedKernel(m, horizon=8, samples=100, seed=3) if estimated
-             else ExactKernel(m))
+        estimate = (8, 100, 3) if estimated else None
+        k = EstimatedKernel(m, *estimate) if estimated else ExactKernel(m)
         got = verify_kernel_poly_moments(m, k, [1, 2, 3], s_grid)
-        assert (json.dumps(got, sort_keys=True)
-                == json.dumps(oracle_kernel_poly_moments(m, k, [1, 2, 3], s_grid),
-                              sort_keys=True))
+        want = oracle_kernel_poly_moments(m, k, [1, 2, 3], s_grid, estimate)
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+        assert (got["kernel_inflation"] > 0.0) == estimated
 
     def test_the_grid_takes_one_eigvalsh(self, monkeypatch):
         # one for X and one for the 41 s values; one per s was 42 in all
