@@ -543,11 +543,6 @@ def neighbour(T: np.ndarray, j: int, v: int) -> np.ndarray:
     return T[(slice(None),) * j + (slice(v, v + 1),)]
 
 
-def _slices(T: np.ndarray, j: int) -> list:
-    """T at z_j = u for each value u of coordinate j: views with axis j dropped."""
-    return [T[(slice(None),) * j + (u,)] for u in range(T.shape[j])]
-
-
 def _square(a: np.ndarray) -> np.ndarray:
     return a @ a
 
@@ -565,37 +560,41 @@ def replacement_sum(dist: ProductDistribution, term: Callable,
                for j, c in enumerate(dist.coords) for v, p in enumerate(c.probs))
 
 
-def _pairwise(m: int, form: Callable) -> dict:
-    """form(u, v) for each pair u < v of m values, kept under (u, v) and (v, u).
+def _pair_cells(dist: ProductDistribution, form: Callable, *Ts):
+    """(j, cells) for each coordinate j of two or more values: cells[u, v] =
+    form(*Ts at z_j = u, *Ts at z_j = v) for each pair u < v, axis j counted
+    back from the trailing (d, d).  Every form here is symmetric in u, v bit
+    for bit, as IEEE subtraction is antisymmetric and (-A)(-B) = AB."""
+    for j, c in enumerate(dist.coords):
+        if len(c) > 1:
+            after = (slice(None),) * (dist.n + 1 - j)  # the axes after j
+            at = [tuple(T[(..., u) + after] for T in Ts) for u in range(len(c))]
+            yield j, {(u, v): form(*at[u], *at[v])
+                      for u, v in itertools.combinations(range(len(c)), 2)}
 
-    Every form here multiplies two differences T_u - T_v; IEEE subtraction is
-    exactly antisymmetric and (-A)(-B) = AB bit for bit, so form(v, u) would
-    be form(u, v) to the last bit, and each unordered pair is formed once.
-    """
-    out = {}
-    for u, v in itertools.combinations(range(m), 2):
-        out[u, v] = out[v, u] = form(u, v)
-    return out
+
+def _stacked(cells: dict, j: int, v: int, m: int) -> np.ndarray:
+    """One (j, v) term: the cells (u, v) of a coordinate of m values stacked
+    along axis j at z_j = u, an exact zero at z_j = v."""
+    zero = np.zeros(cells[0, 1].shape, cells[0, 1].dtype)
+    return np.stack([cells[min(u, v), max(u, v)] if u != v else zero
+                     for u in range(m)], axis=j)
 
 
-def _replacement_squares(dist: ProductDistribution, T: np.ndarray,
-                         pair_law: bool = False) -> np.ndarray:
+def _replacement_squares(dist: ProductDistribution, T: np.ndarray) -> np.ndarray:
     """replacement_sum of (T - neighbour(T, j, v))^2, an outcome tensor, bit for bit.
 
-    Each pair u < v of coordinate j is squared once, on the slices z_j = u
-    and z_j = v, and added into both, j first, then v in support order, as
-    replacement_sum adds.  Its terms at z_j = v are exact zeros, and are
-    skipped: the accumulator never holds -0.0, so adding +0.0 is a no-op.
-    """
+    Each pair's square is added into its two slices in pair order, so into
+    each slice v by v, as replacement_sum adds; the exact zeros at z_j = v are
+    skipped, as the accumulator never holds -0.0."""
     acc = np.zeros_like(T)
-    for j, c in enumerate(dist.coords):
-        ts, out = _slices(T, j), _slices(acc, j)
-        sq = _pairwise(len(c), lambda u, v: _square(ts[u] - ts[v]))
-        for v, p in enumerate(c.probs):
-            w = p / dist.n if pair_law else p
-            for u in range(len(c)):
-                if u != v:
-                    out[u] += w * sq[u, v]
+    # each pair's cell: its two slices of the accumulator, and its square
+    for j, cells in _pair_cells(dist, lambda t_u, a_u, t_v, a_v: (a_u, a_v, _square(t_u - t_v)),
+                                T, acc):
+        p = dist.coords[j].probs
+        for (u, v), (acc_u, acc_v, sq) in cells.items():
+            acc_u += p[v] * sq
+            acc_v += p[u] * sq
     return acc
 
 
@@ -692,7 +691,7 @@ class _OutcomeKernel:
     with r the error radius of the replacement pair (z, Z').
     """
 
-    _variances = None  # (V_X, V^K), kept by conditional_variance_map
+    _vk = None  # V^K, kept by _vk_map
 
     @property
     def table(self) -> np.ndarray:
@@ -862,31 +861,24 @@ class EstimatedKernel(_OutcomeKernel):
         self.model = model
         dist = model.dist
         total = 0.0
-        # per coordinate, the squared norms of G_u - G_v summed over the samples,
-        # once per pair u < v of its values, on the slices z_j = u and z_j = v
-        sq = [dict.fromkeys(itertools.combinations(range(len(c)), 2), 0.0)
-              for c in dist.coords]
+        sq = {}  # per coordinate, the squared norms of G_u - G_v summed over the samples
         for sums in _chain_sums(model, np.arange(dist.cardinality), horizon, samples, seed):
             G = sums.reshape((len(sums),) + dist.shape + sums.shape[-2:])
             total = total + G.sum(axis=0)
-            for j, pairs in enumerate(sq):
-                gs = _slices(G, j + 1)
-                for u, v in pairs:
-                    pairs[u, v] = pairs[u, v] + np.sum(np.abs(gs[u] - gs[v]) ** 2,
-                                                       axis=(0, -2, -1))
+            for j, cells in _pair_cells(
+                    dist, lambda a, b: np.sum(np.abs(a - b) ** 2, axis=(0, -2, -1)), G):
+                kept = sq.setdefault(j, dict.fromkeys(cells, 0.0))
+                sq[j] = {uv: kept[uv] + cell for uv, cell in cells.items()}
         self.g = total * (1.0 / samples)  # as numpy divides a complex total
         trunc = _truncation_bound(model, horizon)
         radius = inflation = 0
-        for j, (pairs, c) in enumerate(zip(sq, dist.coords)):
-            m = len(c)
-            moved = np.arange(m).reshape((-1,) + (1,) * (dist.n - 1 - j))
-            zero = np.zeros(dist.shape[:j] + dist.shape[j + 1:])
+        for j, cells in sq.items():
+            c = dist.coords[j]
+            moved = np.arange(len(c)).reshape((-1,) + (1,) * (dist.n - 1 - j))
             for v, p in enumerate(c.probs):
-                # the sums of G - neighbour(G, j + 1, v), 0 where z_j = v
-                cells = [pairs[min(u, v), max(u, v)] if u != v else zero for u in range(m)]
                 k = self.on_neighbours(j, v)
-                r = np.where(moved != v, _standard_error(np.stack(cells, axis=j), k, samples)
-                             + trunc, 0.0)
+                se = _standard_error(_stacked(cells, j, v, len(c)), k, samples)
+                r = np.where(moved != v, se + trunc, 0.0)
                 # the pair's terms of E[r | Z=z] and E[(2 ||K|| r + r^2)/2 | Z=z]
                 w = p / dist.n
                 radius = radius + w * r
@@ -899,22 +891,28 @@ class EstimatedKernel(_OutcomeKernel):
 # conditional variances and identities
 
 
+def _vk_map(model: MatrixModel, kernel) -> np.ndarray:
+    """V^K, the sum behind V over g times 1/n, kept read-only on the kernel."""
+    _require_kernel(model, kernel)
+    if kernel._vk is None:
+        kernel._vk = _read_only(
+            _replacement_squares(model.dist, kernel.g) / 2.0 * (1.0 / model.dist.n))
+    return kernel._vk
+
+
 def conditional_variance_map(model: MatrixModel, kernel) -> tuple:
     """V_X = E[(X-X')^2|Z=z]/2 and V^K = E[K(Z,Z')^2|Z=z]/2 at every outcome,
-    as outcome tensors, summed over (J, replacement) exactly: built on first
-    use, and kept read-only on the kernel."""
-    _require_kernel(model, kernel)
-    if kernel._variances is None:
-        # K(z, z_{j<-v}) = g(z) - g(z_{j<-v}), the kernel's on_neighbours
-        kernel._variances = tuple(
-            _read_only(_replacement_squares(model.dist, T, pair_law=True) / 2)
-            for T in (model.X_tensor(), kernel.g))
-    return kernel._variances
+    as outcome tensors.  The pair replaces one uniform coordinate of n, so V_X
+    is the model's V times 1/n, the product numpy forms for a complex V / n."""
+    vk = _vk_map(model, kernel)
+    return variance_proxy_map(model) * (1.0 / model.dist.n), vk
 
 
 def conditional_variances(model: MatrixModel, kernel, z) -> tuple:
     """(V_X(z), V^K(z)) as HermitianMatrix, the entries of conditional_variance_map at z."""
-    return tuple(_entry(model, T, z) for T in conditional_variance_map(model, kernel))
+    vk = _vk_map(model, kernel)
+    v = outcome_stack(variance_proxy_map(model))[model.dist.index(z)]
+    return HermitianMatrix(v * (1.0 / model.dist.n)), _entry(model, vk, z)
 
 
 @dataclass(frozen=True)
@@ -942,18 +940,18 @@ def exchangeable_pairs_identity(model: MatrixModel, kernel, F: Callable) -> floa
     the outcome tensor of X and returns F of each matrix, or one d x d matrix."""
     _require_kernel(model, kernel)
     X = model.X_tensor()
-    fx = np.broadcast_to(F(X), X.shape)
-    n = model.dist.n
+    fx = F(X)
+    if np.shape(fx) not in (X.shape, X.shape[-2:]):
+        raise ShapeError(f"F returned shape {np.shape(fx)}, expected {X.shape} or {X.shape[-2:]}")
+    fx = np.broadcast_to(fx, X.shape)
+    dist, n = model.dist, model.dist.n
     rhs = 0
-    # replacement_sum's order and weights, each pair's K (F(X) - F(X')) formed
-    # once and stacked into the outcome tensor of every (j, v), 0 at z_j = v
-    for j, c in enumerate(model.dist.coords):
-        gs, fs = _slices(kernel.g, j), _slices(fx, j)
-        cells = _pairwise(len(c), lambda u, v: (gs[u] - gs[v]) @ (fs[u] - fs[v]))
-        zero = np.zeros(gs[0].shape, np.result_type(gs[0], fs[0]))
+    # replacement_sum's order and weights, each pair's K (F(X) - F(X')) formed once
+    for j, cells in _pair_cells(dist, lambda g_u, f_u, g_v, f_v: (g_u - g_v) @ (f_u - f_v),
+                                kernel.g, fx):
+        c = dist.coords[j]
         for v, p in enumerate(c.probs):
-            term = np.stack([cells[u, v] if u != v else zero for u in range(len(c))], axis=j)
-            rhs = rhs + (p / n) * model.expect(term)
+            rhs = rhs + (p / n) * model.expect(_stacked(cells, j, v, len(c)))
     return _opnorm(model.expect(X @ fx) - 0.5 * rhs)
 
 
@@ -973,12 +971,12 @@ def pair_asymmetries(model: MatrixModel, kernel: ExactKernel) -> tuple:
     so on a correct model both maxima are 0 bitwise.
     """
     _require_kernel(model, kernel)
-    g, n = kernel.g, model.dist.n
-    anti = asym = 0.0
+    n = model.dist.n
+    sums = _pair_cells(model.dist, lambda a, b: float(np.max(np.abs((a - b) + (b - a)))),
+                       kernel.g)
+    anti = max([0.0] + [m for _, cells in sums for m in cells.values()])
+    asym = 0.0
     for j, coord in enumerate(model.dist.coords):
-        for v in range(len(coord)):
-            nb = neighbour(g, j, v)
-            anti = max(anti, float(np.max(np.abs((g - nb) + (nb - g)))))
         base = np.ones(())
         for k, c in enumerate(model.dist.coords):
             base = base[..., None] * (np.ones(len(c)) if k == j else c.probs)

@@ -1255,7 +1255,7 @@ class TestKeptMaps:
         squares = stein._replacement_squares
 
         def counted(*args, **kwargs):
-            built.append(args[1].shape)
+            built.append(args[1])
             return squares(*args, **kwargs)
 
         monkeypatch.setattr(stein, "_replacement_squares", counted)
@@ -1269,7 +1269,7 @@ class TestKeptMaps:
         verify.verify_exp_efron_stein(m, [-0.1, 0.1], [1.0])
         for z, _ in m.dist.outcomes():
             variance_proxy(m, z)
-        assert len(built) == 1
+        assert len(built) == 1 and built[0] is m.H_tensor()  # V
         for k in (ExactKernel(m), EstimatedKernel(m, horizon=6, samples=20, seed=1)):
             built.clear()
             verify.verify_kernel_poly_moments(m, k, [1, 2], verify.DEFAULT_S_GRID)
@@ -1277,20 +1277,25 @@ class TestKeptMaps:
             r_psi(m, k, 1.0, verify.DEFAULT_S_GRID)
             for z, _ in m.dist.outcomes():
                 conditional_variances(m, k, z)
-            assert len(built) == 2  # V_X and V^K
+            assert len(built) == 1 and built[0] is k.g  # V^K; V_X is read off V
 
     def test_maps_are_kept_read_only(self):
         m = mixed_support_model(3)
         k = ExactKernel(m)
-        v, pair = variance_proxy_map(m), stein.conditional_variance_map(m, k)
-        assert variance_proxy_map(m) is v
-        assert stein.conditional_variance_map(m, k) is pair
-        # a second kernel of the model keeps its own pair
-        assert stein.conditional_variance_map(m, ExactKernel(m)) is not pair
-        for T in (v,) + pair:
+        v = variance_proxy_map(m)
+        vx, vk = stein.conditional_variance_map(m, k)
+        assert variance_proxy_map(m) is v  # V, on the model
+        assert stein.conditional_variance_map(m, k)[1] is vk  # V^K, on the kernel
+        # a second kernel of the model keeps its own V^K
+        assert stein.conditional_variance_map(m, ExactKernel(m))[1] is not vk
+        for T in (v, vk):
             assert not T.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 T[...] = 0.0
+        # V_X is not kept: each call reads a fresh product off V
+        want = vx.tobytes()
+        vx[...] = 0.0
+        assert stein.conditional_variance_map(m, k)[0].tobytes() == want
 
 
 class TestExchangeablePairsIdentity:
@@ -1313,6 +1318,15 @@ class TestExchangeablePairsIdentity:
             assert got == oracle_pairs_identity(m, k, F)
             assert 0.0 < got <= EXACT
 
+    def test_value_of_another_shape_is_a_shape_error(self):
+        m = hypercube_sum(3)
+        k = ExactKernel(m)
+        # one matrix row per outcome would broadcast along a matrix axis, and a
+        # flat (S, d, d) stack does not broadcast at all
+        for F in (lambda x: x[..., :1, :], stein.outcome_stack):
+            with pytest.raises(stein.ShapeError, match="F returned shape"):
+                exchangeable_pairs_identity(m, k, F)
+
 
 # real and complex models on coordinates of 1 to 4 values, uniform or not
 PAIR_MODELS = [
@@ -1329,22 +1343,32 @@ class TestReplacementPairs:
     map equals the per-replacement full-tensor form bit for bit (tobytes
     also tells -0.0 from 0.0)."""
 
-    @pytest.mark.parametrize("pair_law", [False, True])
     @pytest.mark.parametrize("build", PAIR_MODELS)
-    def test_squares_are_the_per_replacement_form_bitwise(self, build, pair_law):
+    def test_squares_are_the_per_replacement_form_bitwise(self, build):
         m = build()
         for T in (m.H_tensor(), m.X_tensor(), ExactKernel(m).g):
-            got = stein._replacement_squares(m.dist, T, pair_law)
-            assert got.tobytes() == oracle_replacement_squares(m.dist, T, pair_law).tobytes()
+            got = stein._replacement_squares(m.dist, T)
+            assert got.tobytes() == oracle_replacement_squares(m.dist, T).tobytes()
 
     @pytest.mark.parametrize("build", PAIR_MODELS)
     def test_maps_are_the_per_replacement_form_bitwise(self, build):
         m = build()
         k = ExactKernel(m)
-        want = oracle_replacement_squares(m.dist, m.H_tensor()) / 2.0
-        assert variance_proxy_map(m).tobytes() == want.tobytes()
-        for got, T in zip(stein.conditional_variance_map(m, k), (m.X_tensor(), k.g)):
-            assert got.tobytes() == (oracle_replacement_squares(m.dist, T, True) / 2).tobytes()
+        v = variance_proxy_map(m)
+        assert v.tobytes() == (oracle_replacement_squares(m.dist, m.H_tensor()) / 2.0).tobytes()
+        vx, vk = stein.conditional_variance_map(m, k)
+        assert vx.tobytes() == (v * (1.0 / m.dist.n)).tobytes()
+        want = oracle_replacement_squares(m.dist, k.g) / 2.0 * (1.0 / m.dist.n)
+        assert vk.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("build", PAIR_MODELS)
+    def test_vx_is_v_over_n(self, build):
+        # the pair replaces one uniform coordinate of n, so E[(X - X')^2 | Z]/2 is V/n;
+        # the X-based sum differs from V * (1/n) in rounding only
+        m = build()
+        vx, _ = stein.conditional_variance_map(m, ExactKernel(m))
+        want = oracle_replacement_squares(m.dist, m.X_tensor(), pair_law=True) / 2
+        assert np.max(np.abs(vx - want)) <= 1e-15 * np.max(np.abs(variance_proxy_map(m)))
 
     @pytest.mark.parametrize("build", PAIR_MODELS)
     def test_pairs_identity_is_the_per_replacement_form(self, build):
@@ -1376,7 +1400,7 @@ class TestReplacementPairs:
         assert sum(squared) == per_map
         squared.clear()
         stein.conditional_variance_map(m, ExactKernel(m))
-        assert sum(squared) == 2 * per_map
+        assert sum(squared) == per_map  # V^K alone: V_X is read off V
 
     @pytest.mark.parametrize("samples,block", [(40, 16), (3000, stein._KERNEL_BLOCK)])
     @pytest.mark.parametrize("seed", [1, 2])
