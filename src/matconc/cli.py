@@ -43,21 +43,24 @@ def _as(kind, value, what: str | None = None):
 
 
 def _parse_grid(text: str) -> list:
-    """A t-grid: either 'start:stop:step' (inclusive) or comma-separated."""
+    """A t-grid of finite values: either 'start:stop:step' (inclusive) or comma-separated."""
     text = str(text)
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ParameterError(f"grid must be start:stop:step, got {text!r}")
         start, stop, step = (_as(float, p) for p in parts)
-        if step <= 0 or stop < start:
+        if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
             raise ParameterError(f"bad grid {text!r}")
         steps = (stop - start) / step
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+        if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ParameterError(f"grid step {step!r} does not divide [{start!r}, {stop!r}]")
         count = int(round(steps)) + 1
         return [float(v) for v in np.linspace(start, stop, count)]
-    return [_as(float, p) for p in text.split(",") if p.strip()]
+    values = [_as(float, p) for p in text.split(",") if p.strip()]
+    if not all(map(math.isfinite, values)):
+        raise ParameterError(f"grid values must be finite, got {text!r}")
+    return values
 
 
 def _parse_ints(text) -> list:

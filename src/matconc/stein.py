@@ -8,6 +8,8 @@ and seeded Monte Carlo otherwise.
 """
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import json
 import math
@@ -34,15 +36,20 @@ ENUM_CUTOFF = 100_000
 _MEAN_MC_SAMPLES = 20_000
 _MEAN_SEED = 0
 
+_COMPARE_MAX = 64  # above this many values, a coordinate's array of draws is binary-searched
+
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(int(seed)))
 
 
-def _read_only(T: np.ndarray) -> np.ndarray:
-    """T, with writes refused: how every kept outcome tensor is held."""
-    T.setflags(write=False)
-    return T
+def _kept(owner, attr: str, build: Callable) -> np.ndarray:
+    """owner.<attr>, built by build() on first use and kept with writes
+    refused: how every outcome tensor, exact map and spectrum is held."""
+    if getattr(owner, attr) is None:
+        setattr(owner, attr, build())
+        getattr(owner, attr).setflags(write=False)
+    return getattr(owner, attr)
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +59,7 @@ def _read_only(T: np.ndarray) -> np.ndarray:
 class FiniteCoord:
     """A finite coordinate support: values with probabilities summing to 1."""
 
-    __slots__ = ("values", "probs", "_cum")
+    __slots__ = ("values", "probs", "_cuts", "_cut_list")
 
     def __init__(self, pairs):
         vals, probs = [], []
@@ -60,16 +67,23 @@ class FiniteCoord:
             vals.append(float(v))
             probs.append(float(p))
         p = np.array(probs, dtype=float)
-        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
+        if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-12):  # NaN fails both
             raise ParameterError(f"probabilities must be nonnegative and sum to 1, got {probs}")
         self.values = np.array(vals, dtype=float)
         self.probs = p
-        self._cum = np.cumsum(p)
+        self._cuts = np.cumsum(p)[:-1]  # the thresholds; the last sum, near 1, is none
+        self._cut_list = self._cuts.tolist()
 
     def sample_index(self, rng: np.random.Generator, size=None):
-        """Positions in ``values`` of draws from the coordinate's law."""
-        idx = np.searchsorted(self._cum, rng.random(size), side="right")
-        return np.minimum(idx, len(self.values) - 1)
+        """Positions in ``values`` of draws from the coordinate's law: for each
+        u = rng.random(size), the number of thresholds at or below u, which is
+        min(searchsorted(cumsum(probs), u, "right"), len(values) - 1)."""
+        u = rng.random(size)
+        if size is None:
+            return bisect.bisect_right(self._cut_list, u)
+        if len(self.values) > _COMPARE_MAX:
+            return np.searchsorted(self._cuts, u, side="right")
+        return (u >= self._cuts.reshape((-1,) + (1,) * u.ndim)).sum(axis=0)
 
     def sample(self, rng: np.random.Generator, size=None):
         return self.values[self.sample_index(rng, size)]
@@ -108,7 +122,7 @@ class ProductDistribution:
         self.finite = all(isinstance(c, FiniteCoord) for c in self.coords)
         # read on every H cache miss, through MatrixModel.exact
         self._shape = tuple(len(c) for c in self.coords) if self.finite else None
-        self._probs = None
+        self._probs = None  # kept by probabilities()
         if self.finite:
             # key j + iv per value v of coordinate j: numpy orders complex numbers by
             # real, then imaginary part, so one sorted array holds every support in turn
@@ -137,12 +151,8 @@ class ProductDistribution:
         """Outcome probabilities, shape ``shape``: the products outcomes() yields, kept."""
         if not self.finite:
             raise PreconditionError("outcome probabilities need a finite distribution")
-        if self._probs is None:
-            self._probs = np.ones(())
-            for c in self.coords:
-                self._probs = self._probs[..., None] * c.probs
-            self._probs.setflags(write=False)
-        return self._probs
+        return _kept(self, "_probs", lambda: functools.reduce(
+            np.multiply.outer, [c.probs for c in self.coords], np.ones(())))
 
     def locate(self, zs) -> np.ndarray:
         """Positions in outcomes() order of the rows of ``zs``, an (m, n) array."""
@@ -238,9 +248,7 @@ class MatrixModel:
         self._mean = None
         self.mean_provenance = None
         self._h_cache: dict = {}
-        self._tensor = None
-        self._x_tensor = None
-        self._v_map = None
+        self._tensor = self._x_tensor = self._v_map = self._x_spectra = self._v_spectra = None
 
     # -- evaluation
 
@@ -270,19 +278,21 @@ class MatrixModel:
 
         Built through ``H_rows`` over outcomes() on first use, and kept.
         """
-        if self._tensor is None:
-            if not self.exact:
-                raise PreconditionError("outcome tensors need a finite model under the cutoff")
-            zs = [z for z, _ in self.dist.outcomes()]
-            self._tensor = _read_only(self.H_rows(zs).reshape(self.dist.shape + (self.d, self.d)))
-        return self._tensor
+        if self._tensor is None and not self.exact:
+            raise PreconditionError("outcome tensors need a finite model under the cutoff")
+        return _kept(self, "_tensor", lambda: self.H_rows(
+            [z for z, _ in self.dist.outcomes()]).reshape(self.dist.shape + (self.d, self.d)))
 
     def X_tensor(self) -> np.ndarray:
         """X = H - E H over the support, as an outcome tensor: built on first
         use, and kept read-only, as H_tensor is."""
-        if self._x_tensor is None:
-            self._x_tensor = _read_only(self.H_tensor() - self.mean())
-        return self._x_tensor
+        return _kept(self, "_x_tensor", lambda: self.H_tensor() - self.mean())
+
+    def X_spectra(self) -> np.ndarray:
+        """The ascending eigenvalues of X, one row per outcome in outcomes()
+        order: one batched eigvalsh of X_tensor on first use, kept read-only."""
+        return _kept(self, "_x_spectra",
+                     lambda: np.linalg.eigvalsh(outcome_stack(self.X_tensor())))
 
     def expect(self, T: np.ndarray) -> np.ndarray:
         """E T(Z) for an outcome tensor T (exact models only), as np.tensordot runs it."""
@@ -618,9 +628,14 @@ def _entry(model: MatrixModel, T: np.ndarray, z) -> HermitianMatrix:
 def variance_proxy_map(model: MatrixModel) -> np.ndarray:
     """V = (1/2) sum_j E_v (H - H_{j<-v})^2 at every outcome, as an outcome
     tensor: built on first use, and kept read-only on the model."""
-    if model._v_map is None:
-        model._v_map = _read_only(_replacement_squares(model.dist, model.H_tensor()) / 2.0)
-    return model._v_map
+    return _kept(model, "_v_map",
+                 lambda: _replacement_squares(model.dist, model.H_tensor()) / 2.0)
+
+
+def variance_proxy_spectra(model: MatrixModel) -> np.ndarray:
+    """The eigenvalues of V, one row per outcome, kept beside V as X_spectra is."""
+    return _kept(model, "_v_spectra",
+                 lambda: np.linalg.eigvalsh(outcome_stack(variance_proxy_map(model))))
 
 
 def variance_proxy(model: MatrixModel, z, samples: int | None = None,
@@ -894,10 +909,8 @@ class EstimatedKernel(_OutcomeKernel):
 def _vk_map(model: MatrixModel, kernel) -> np.ndarray:
     """V^K, the sum behind V over g times 1/n, kept read-only on the kernel."""
     _require_kernel(model, kernel)
-    if kernel._vk is None:
-        kernel._vk = _read_only(
-            _replacement_squares(model.dist, kernel.g) / 2.0 * (1.0 / model.dist.n))
-    return kernel._vk
+    return _kept(kernel, "_vk", lambda: _replacement_squares(
+        model.dist, kernel.g) / 2.0 * (1.0 / model.dist.n))
 
 
 def conditional_variance_map(model: MatrixModel, kernel) -> tuple:

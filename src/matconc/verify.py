@@ -679,13 +679,8 @@ def replay_case(case: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# exact theorem checks on finite models: one batched eigvalsh per outcome-tensor
-# stack, with every Schatten moment and trace mgf read off the eigenvalues
-
-
-def _spectra(T: np.ndarray) -> np.ndarray:
-    """Eigenvalues of every matrix of an outcome tensor, one row per outcome."""
-    return np.linalg.eigvalsh(stein.outcome_stack(T))
+# exact theorem checks on finite models: every Schatten moment and trace mgf is
+# read off the kept spectra of X and V, or of each block of the kernel's s-grid
 
 
 def _moments(probs: np.ndarray, lam: np.ndarray, q: float) -> list:
@@ -728,8 +723,7 @@ def verify_poly_efron_stein(model: stein.MatrixModel, p_list) -> dict:
     if not model.exact:
         raise ParameterError("model is too large to enumerate")
     probs = model.dist.probabilities().ravel()
-    lam_x = _spectra(model.X_tensor())
-    lam_v = _spectra(stein.variance_proxy_map(model))
+    lam_x, lam_v = model.X_spectra(), stein.variance_proxy_spectra(model)
     results = []
     for p in p_list:
         lhs = _moment(probs, lam_x, 2 * p) ** (1.0 / (2 * p))
@@ -749,8 +743,7 @@ def verify_exp_efron_stein(model: stein.MatrixModel, theta_grid, psi_grid) -> di
     if not model.exact:
         raise ParameterError("model is too large to enumerate")
     probs = model.dist.probabilities().ravel()
-    lam_x = _spectra(model.X_tensor())
-    lam_v = _spectra(stein.variance_proxy_map(model))
+    lam_x, lam_v = model.X_spectra(), stein.variance_proxy_spectra(model)
     results = []
     skipped = []
     for psi in psi_grid:
@@ -782,7 +775,7 @@ def verify_kernel_poly_moments(model: stein.MatrixModel, kernel, p_list, s_grid)
     vx, vk = stein.conditional_variance_map(model, kernel)
     vk = vk + kernel.inflation * np.eye(model.d)
     probs = model.dist.probabilities().ravel()
-    lam_x = _spectra(model.X_tensor())
+    lam_x = model.X_spectra()
     # every p's moment at every s, off the grid's spectra; an overflow raises
     # below, so the first one in the order of the report's rows names its order
     moments = {p: [] for p in p_list}
@@ -865,42 +858,53 @@ class TailComparison:
         return out
 
 
-def sample_statistics(model, samples: int, seed: int, statistic: str) -> np.ndarray:
-    """Per-sample lambda_max or operator norm of the centered matrix.
-
-    For a rectangular model both are the largest singular value, which is
-    lambda_max of the Hermitian dilation.  An enumerable model decomposes
-    each of its S outcomes once and gathers by the samples' outcome indices;
-    LAPACK runs per matrix, so each value is the per-sample one bit for bit.
-    """
+def _statistics(model, samples: int, seed: int, statistic: str) -> tuple:
+    """(values, draws): the statistic at each outcome of an enumerable model,
+    in outcomes() order, with the outcome index of each sample (the draws of
+    sample_many); above the cutoff, the statistic of each sample, draws None."""
     if statistic not in ("lmax", "opnorm"):
         raise ParameterError(f"unknown statistic {statistic!r}")
     if isinstance(model, stein.RectangularModel):
         xs = model.H_rows([z for z, _ in model.dist.outcomes()]) - model.mean()
-        return np.linalg.svd(xs, compute_uv=False)[:, 0][
-            model.dist.sample_outcomes(_rng(seed), samples)]
-    if model.exact:
-        eigs = np.linalg.eigvalsh(stein.outcome_stack(model.X_tensor()))[
-            model.dist.sample_outcomes(_rng(seed), samples)]
-    else:
-        eigs = np.linalg.eigvalsh(model.sample_X(samples, seed))
-    if statistic == "lmax":
-        return eigs[:, -1]
-    return np.maximum(eigs[:, -1], -eigs[:, 0])
+        values = np.linalg.svd(xs, compute_uv=False)[:, 0]
+        return values, model.dist.sample_outcomes(_rng(seed), samples)
+    sampled = not model.exact
+    eigs = np.linalg.eigvalsh(model.sample_X(samples, seed)) if sampled else model.X_spectra()
+    values = eigs[:, -1] if statistic == "lmax" else np.maximum(eigs[:, -1], -eigs[:, 0])
+    return values, None if sampled else model.dist.sample_outcomes(_rng(seed), samples)
+
+
+def sample_statistics(model, samples: int, seed: int, statistic: str) -> np.ndarray:
+    """Per-sample lambda_max or operator norm of the centered matrix.
+
+    For a rectangular model both are the largest singular value, which is
+    lambda_max of the Hermitian dilation.  An enumerable model takes the
+    statistic of each outcome once and gathers it by the samples' outcome
+    indices; LAPACK runs per matrix, so each value is the per-sample one.
+    """
+    values, draws = _statistics(model, samples, seed, statistic)
+    return values if draws is None else values[draws]
 
 
 def empirical_tail(model, samples: int, t_grid, seed: int, curve=None,
                    alpha: float = 0.01, statistic: str = "lmax") -> TailComparison:
     """Empirical survival of the chosen statistic, with a DKW band.
 
+    An enumerable model counts the samples below t as draws per outcome.
     When a BoundCurve is supplied, flags every grid point where the raw bound
     plus the band half-width fails to dominate the empirical survival.
     """
     if samples < 100:
         raise ParameterError(f"need at least 100 samples, got {samples}")
     t_grid = np.asarray(t_grid, dtype=float)
-    vals = np.sort(sample_statistics(model, samples, seed, statistic))
-    surv = (samples - np.searchsorted(vals, t_grid, side="left")) / samples
+    values, draws = _statistics(model, samples, seed, statistic)
+    if draws is None:
+        below = np.searchsorted(np.sort(values), t_grid)
+    else:
+        order = np.argsort(values)  # of the S outcomes, so each t is one search
+        counts = np.bincount(draws, minlength=values.size)[order]
+        below = np.concatenate([[0], np.cumsum(counts)])[np.searchsorted(values[order], t_grid)]
+    surv = (samples - below) / samples
     radius = dkw_radius(samples, alpha)
     out = TailComparison(statistic, t_grid, surv, radius, alpha, samples, int(seed))
     if curve is not None:

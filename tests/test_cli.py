@@ -124,6 +124,22 @@ class TestBoundVerb:
         assert "need a finite " + entry.split('"')[1] in error["message"]
 
 
+# non-finite values in either grid form, and a range whose point count overflows
+NON_FINITE_GRIDS = ["0:nan:1", "0:inf:1", "0:4:nan", "-inf:0:1", "nan", "inf", "0,nan",
+                    "1,-inf", "0:1e308:1e-300"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--name", "gaussexp", "--d", "2", "--v", "1", "--c", "0"],
+    ["tail", "--model", "hypercube_sum", "--n", "2", "--samples", "200", "--seed", "1"],
+])
+@pytest.mark.parametrize("grid", NON_FINITE_GRIDS)
+def test_non_finite_t_grid_is_config_error(capsys, argv, grid):
+    code, out, err = run(argv + ["--t", grid], capsys)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["type"] == "config"
+
+
 class TestVerifyVerb:
     def test_poly_efron_stein_passes(self, capsys):
         code, out, _ = run(["verify", "--check", "poly_efron_stein",

@@ -204,10 +204,37 @@ def table_H(table):
     return lambda zs: np.stack([table[tuple(z)] for z in zs.tolist()])
 
 
+def oracle_sample_index(probs, u):
+    """Positions for the uniforms u, as the sampler's search of the CDF has always found them."""
+    return np.minimum(np.searchsorted(np.cumsum(probs), u, side="right"), len(probs) - 1)
+
+
 def oracle_finite_draws(coord, rng, count):
     """Inverse-CDF draws from a finite coordinate, as the sampler has always made them."""
-    idx = np.searchsorted(np.cumsum(coord.probs), rng.random(count), side="right")
-    return coord.values[np.minimum(idx, len(coord.values) - 1)]
+    return coord.values[oracle_sample_index(coord.probs, rng.random(count))]
+
+
+class FixedUniforms:
+    """A stand-in generator whose random() hands out given uniforms in turn."""
+
+    def __init__(self, u):
+        self.u = list(u)
+
+    def random(self, size=None):
+        if size is None:
+            return self.u.pop(0)
+        out, self.u = np.array(self.u[:size]), self.u[size:]
+        return out
+
+
+# supports of 1 to 1000 values: zero probabilities first, inside and last, a
+# cumulative sum that ends below 1, and sizes either side of _COMPARE_MAX
+SAMPLE_INDEX_PROBS = [
+    [1.0], [0.5, 0.5], [0.3, 0.7], [0.0, 1.0], [1.0, 0.0],
+    [0.2, 0.0, 0.8], [0.0, 0.5, 0.5], [0.5, 0.5, 0.0], [1 / 3] * 3, [0.1] * 10,
+    (lambda w: (w / w.sum()).tolist())(_rng(1).random(8)),
+    [1 / 64] * 64, [0.0] * 32 + [1 / 33] * 33, [1 / 1000] * 1000,
+]
 
 
 def unsorted_three_valued_model():
@@ -375,6 +402,38 @@ class TestDistributions:
             FiniteCoord([(1.0, 0.6), (-1.0, 0.5)])
         with pytest.raises(ParameterError):
             FiniteCoord([(1.0, 1.2), (-1.0, -0.2)])
+        with pytest.raises(ParameterError):  # a NaN sum is not within 1e-12 of 1
+            FiniteCoord([(1.0, math.nan), (-1.0, 1.0)])
+
+    @pytest.mark.parametrize("probs", SAMPLE_INDEX_PROBS, ids=lambda p: f"k{len(p)}")
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_sample_index_is_the_cdf_search(self, probs, seed):
+        coord, rng, ref = FiniteCoord(zip(range(len(probs)), probs)), _rng(seed), _rng(seed)
+        got = coord.sample_index(rng, 4000)
+        want = oracle_sample_index(probs, ref.random(4000))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        scalars = [coord.sample_index(rng) for _ in range(300)]
+        assert all(type(i) is int for i in scalars)
+        assert scalars == oracle_sample_index(probs, [ref.random() for _ in range(300)]).tolist()
+        assert rng.random() == ref.random()  # one uniform per draw, as before
+
+    @pytest.mark.parametrize("probs", SAMPLE_INDEX_PROBS, ids=lambda p: f"k{len(p)}")
+    def test_sample_index_at_the_thresholds(self, probs):
+        # u at each partial sum, one ulp either side, and the ends of [0, 1)
+        cum = np.cumsum(probs)
+        u = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0),
+                            [0.0, 5e-324, 1.0 - 2.0 ** -53]])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        want = oracle_sample_index(probs, u)
+        coord = FiniteCoord(zip(range(len(probs)), probs))
+        assert np.array_equal(coord.sample_index(FixedUniforms(u), len(u)), want)
+        scalar = FixedUniforms(u)
+        assert [coord.sample_index(scalar) for _ in u] == want.tolist()
+
+    def test_sample_index_probs_cover_a_sum_below_one(self):
+        assert np.cumsum([0.1] * 10)[-1] < 1.0
+        assert min(map(len, SAMPLE_INDEX_PROBS)) == 1
+        assert [len(p) for p in SAMPLE_INDEX_PROBS if len(p) > stein._COMPARE_MAX] == [65, 1000]
 
     def test_outcome_probabilities_sum_to_one(self):
         dist = ProductDistribution.uniform_pm1(3)

@@ -1468,3 +1468,86 @@ class TestEmpiricalTail:
         vals = sample_statistics(rect_demo(3), 120, 4, "lmax")
         assert vals.shape == (120,)
         assert np.all(vals >= 0)
+
+    @staticmethod
+    def sorted_sample_report(model, samples, t_grid, seed, curve, statistic):
+        """The report of one sort of the per-sample statistics, searched per t."""
+        t_grid = np.asarray(t_grid, dtype=float)
+        vals = np.sort(sample_statistics(model, samples, seed, statistic))
+        surv = (samples - np.searchsorted(vals, t_grid, side="left")) / samples
+        radius = dkw_radius(samples, 0.01)
+        out = verify.TailComparison(statistic, t_grid, surv, radius, 0.01, samples, seed)
+        if curve is not None:
+            out.bound_name = curve.name
+            out.bound_values = np.array([curve.raw(float(t)) for t in t_grid])
+            out.violations = [float(t) for t, b, s in zip(t_grid, out.bound_values, surv)
+                              if b + radius < s]
+        return json.dumps(out.to_json())
+
+    @pytest.mark.parametrize("make, t_grid, curve", [
+        # integer t at the atoms of sum z_j, and half-integers between them
+        (lambda: hypercube_sum(4), np.arange(0.0, 6.5, 0.5),
+         lambda: bounds.make_curve("bounded_diff", d=2, sigma2=16.0)),
+        (lambda: hypercube_sum(4), np.arange(-5.0, 5.5, 0.5), lambda: None),
+        (lambda: stein.compound_covariance(2, 3), np.arange(0.0, 6.25, 0.25),
+         lambda: bounds.make_curve("compound_cov", spec=bounds.CompoundCovSpec(
+             p=2, n=3, sigma2=1.0, L=1.0, B=np.eye(3)))),
+        (lambda: rect_demo(3), np.arange(0.0, 6.5, 0.5), lambda: None),
+        # lambda_max is 2 at six of eight outcomes, rounded a last bit either side
+        (lambda: stein.dilate_model(rect_demo(3)), np.arange(0.0, 6.5, 0.5), lambda: None),
+        (lambda: random_finite_model(5, 3, 2), np.arange(-4.0, 4.25, 0.25), lambda: None),
+        # the ends and NaN count as one sort counts them
+        (lambda: random_finite_model(3, 2, 9), [-np.inf, np.nan, 0.0, np.inf], lambda: None),
+    ])
+    @pytest.mark.parametrize("statistic", ["lmax", "opnorm"])
+    @pytest.mark.parametrize("seed", [1, 7, 2026])
+    def test_per_outcome_counts_are_the_sorted_samples(self, make, t_grid, curve, statistic,
+                                                       seed):
+        got = empirical_tail(make(), 20_000, t_grid, seed, curve=curve(), statistic=statistic)
+        want = self.sorted_sample_report(make(), 20_000, t_grid, seed, curve(), statistic)
+        assert json.dumps(got.to_json()) == want
+
+    def test_sampled_model_keeps_the_per_sample_sort(self):
+        m = stein.compound_covariance(2, 3, entry_dist="uniform")
+        got = empirical_tail(m, 2000, np.arange(0.0, 4.5, 0.5), 3, statistic="opnorm")
+        want = self.sorted_sample_report(m, 2000, np.arange(0.0, 4.5, 0.5), 3, None, "opnorm")
+        assert json.dumps(got.to_json()) == want
+
+
+class TestKeptSpectra:
+    CHECKS = [
+        lambda m: verify_poly_efron_stein(m, [1, 2, 3]),
+        lambda m: verify_exp_efron_stein(m, [-0.25, 0.25], [1.0]),
+        lambda m: verify_kernel_poly_moments(m, ExactKernel(m), [1, 2], verify.DEFAULT_S_GRID),
+        lambda m: empirical_tail(m, 1000, [0.0, 1.0, 2.0], 3).to_json(),
+        lambda m: empirical_tail(m, 1000, [0.0, 1.0, 2.0], 3, statistic="opnorm").to_json(),
+        lambda m: verify_exp_efron_stein(m, [0.5], [1.0, 2.0]),
+    ]
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_finite_model(4, 3, 5),
+        lambda: hypercube_sum(4),
+        lambda: stein.compound_covariance(2, 3),
+        lambda: stein.dilate_model(rect_demo(3)),
+    ])
+    def test_X_and_V_are_each_decomposed_once(self, make, monkeypatch):
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            seen.append(np.array(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        m = make()
+        reports = [check(m) for check in self.CHECKS]
+        monkeypatch.undo()
+        for T, spectra in ((m.X_tensor(), m.X_spectra),
+                           (stein.variance_proxy_map(m), lambda: stein.variance_proxy_spectra(m))):
+            stack = stein.outcome_stack(T)
+            assert sum(a.shape == stack.shape and np.array_equal(a, stack) for a in seen) == 1
+            lam = spectra()
+            assert spectra() is lam and not lam.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                lam[...] = 0.0
+        assert reports == [check(make()) for check in self.CHECKS]  # each on a fresh model
