@@ -42,6 +42,9 @@ def _as(kind, value, what: str | None = None):
         raise ParameterError(f"cannot read {value!r} as {what or kind.__name__}") from exc
 
 
+_GRID_POINTS_MAX = 1_000_000  # the most points a start:stop:step t-grid may have
+
+
 def _parse_grid(text: str) -> list:
     """A t-grid of finite values: either 'start:stop:step' (inclusive) or comma-separated."""
     text = str(text)
@@ -56,6 +59,8 @@ def _parse_grid(text: str) -> list:
         if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ParameterError(f"grid step {step!r} does not divide [{start!r}, {stop!r}]")
         count = int(round(steps)) + 1
+        if count > _GRID_POINTS_MAX:
+            raise ParameterError(f"grid {text!r} has {count} points, more than {_GRID_POINTS_MAX}")
         return [float(v) for v in np.linspace(start, stop, count)]
     values = [_as(float, p) for p in text.split(",") if p.strip()]
     if not all(map(math.isfinite, values)):

@@ -539,7 +539,7 @@ class ExchangeablePair:
 
 
 # ---------------------------------------------------------------------------
-# replacement neighbours
+# replacement pairs
 
 
 def outcome_stack(T: np.ndarray) -> np.ndarray:
@@ -547,64 +547,49 @@ def outcome_stack(T: np.ndarray) -> np.ndarray:
     return T.reshape((-1,) + T.shape[-2:])
 
 
-def neighbour(T: np.ndarray, j: int, v: int) -> np.ndarray:
-    """T at z_{j<-v} for every outcome z: axis j pinned at the v-th value, kept
-    with length 1 so that the result broadcasts against T."""
-    return T[(slice(None),) * j + (slice(v, v + 1),)]
-
-
 def _square(a: np.ndarray) -> np.ndarray:
     return a @ a
 
 
-def replacement_sum(dist: ProductDistribution, term: Callable,
-                    pair_law: bool = False):
-    """Sum of w_{j,v} * term(j, v) over every replacement z -> z_{j<-v}.
+def _pairs(dist: ProductDistribution, *Ts):
+    """Each pair of values u < v of each coordinate j, j first, as (p_u, p_v,
+    the slices z_j = u of the outcome tensors Ts, their slices z_j = v).
 
-    Terms are added j first, then v in support order.  The weight is
-    p_{j,v}, the probability of the v-th value of coordinate j, or p_{j,v}/n
-    under the exchangeable-pair law (a uniform coordinate J is replaced).
+    The pairs are the transitions z -> z_{j<-v} of the exchangeable pair and
+    their reverses.  A consumer forms its term once per pair and adds it into
+    slice u with weight p_v and into slice v with weight p_u, so each slice
+    takes its terms v by v with the exact zero at z_j = v skipped: bit for
+    bit the per-replacement sum, as an accumulator started at +0.0 never
+    holds -0.0.  A term odd in the pair, such as g_u - g_v, is subtracted at
+    v, since IEEE subtraction and scaling are exactly odd.
     """
-    n = dist.n
-    return sum((p / n if pair_law else p) * term(j, v)
-               for j, c in enumerate(dist.coords) for v, p in enumerate(c.probs))
-
-
-def _pair_cells(dist: ProductDistribution, form: Callable, *Ts):
-    """(j, cells) for each coordinate j of two or more values: cells[u, v] =
-    form(*Ts at z_j = u, *Ts at z_j = v) for each pair u < v, axis j counted
-    back from the trailing (d, d).  Every form here is symmetric in u, v bit
-    for bit, as IEEE subtraction is antisymmetric and (-A)(-B) = AB."""
     for j, c in enumerate(dist.coords):
-        if len(c) > 1:
-            after = (slice(None),) * (dist.n + 1 - j)  # the axes after j
-            at = [tuple(T[(..., u) + after] for T in Ts) for u in range(len(c))]
-            yield j, {(u, v): form(*at[u], *at[v])
-                      for u, v in itertools.combinations(range(len(c)), 2)}
-
-
-def _stacked(cells: dict, j: int, v: int, m: int) -> np.ndarray:
-    """One (j, v) term: the cells (u, v) of a coordinate of m values stacked
-    along axis j at z_j = u, an exact zero at z_j = v."""
-    zero = np.zeros(cells[0, 1].shape, cells[0, 1].dtype)
-    return np.stack([cells[min(u, v), max(u, v)] if u != v else zero
-                     for u in range(m)], axis=j)
+        before = (slice(None),) * j
+        for u, v in itertools.combinations(range(len(c)), 2):
+            yield (c.probs[u], c.probs[v], [T[before + (u,)] for T in Ts],
+                   [T[before + (v,)] for T in Ts])
 
 
 def _replacement_squares(dist: ProductDistribution, T: np.ndarray) -> np.ndarray:
-    """replacement_sum of (T - neighbour(T, j, v))^2, an outcome tensor, bit for bit.
-
-    Each pair's square is added into its two slices in pair order, so into
-    each slice v by v, as replacement_sum adds; the exact zeros at z_j = v are
-    skipped, as the accumulator never holds -0.0."""
+    """The sum over every replacement z -> z_{j<-v} of p_{j,v} (T - T_{j<-v})^2,
+    an outcome tensor: each pair's square formed once, as _pairs adds."""
     acc = np.zeros_like(T)
-    # each pair's cell: its two slices of the accumulator, and its square
-    for j, cells in _pair_cells(dist, lambda t_u, a_u, t_v, a_v: (a_u, a_v, _square(t_u - t_v)),
-                                T, acc):
-        p = dist.coords[j].probs
-        for (u, v), (acc_u, acc_v, sq) in cells.items():
-            acc_u += p[v] * sq
-            acc_v += p[u] * sq
+    for p_u, p_v, (t_u, a_u), (t_v, a_v) in _pairs(dist, T, acc):
+        sq = _square(t_u - t_v)
+        a_u += p_v * sq
+        a_v += p_u * sq
+    return acc
+
+
+def _drift(dist: ProductDistribution, g: np.ndarray) -> np.ndarray:
+    """E[K(Z, Z') | Z = z] = E[g(z) - g(Z') | Z = z] at every outcome, K the
+    kernel of the outcome tensor g, under the pair law p_{j,v}/n."""
+    n = dist.n
+    acc = np.zeros_like(g)
+    for p_u, p_v, (g_u, a_u), (g_v, a_v) in _pairs(dist, g, acc):
+        k = g_u - g_v
+        a_u += (p_v / n) * k
+        a_v -= (p_u / n) * k
     return acc
 
 
@@ -717,10 +702,6 @@ class _OutcomeKernel:
     def at(self, z, zp) -> np.ndarray:
         g = outcome_stack(self.g)
         return g[self.model.dist.index(z)] - g[self.model.dist.index(zp)]
-
-    def on_neighbours(self, j: int, v: int) -> np.ndarray:
-        """K(z, z_{j<-v}) for every outcome z, as an outcome tensor."""
-        return self.g - neighbour(self.g, j, v)
 
 
 class ExactKernel(_OutcomeKernel):
@@ -863,11 +844,10 @@ class EstimatedKernel(_OutcomeKernel):
 
     One run of _chain_sums from all S outcomes: ``g`` is the mean chain sum,
     and the error radius of each replacement pair (z, z_{j<-v}) is its
-    standard error, from the per-sample second moments of
-    G - neighbour(G, j, v), plus the truncation bound (0 where z_j = v).
-    The radii are reduced to the error budget as they are formed, added in
-    replacement_sum's order.  Stream version 3: every pair shares the seed's
-    one stream.
+    standard error, from the per-sample second moments of G(z) - G(z_{j<-v}),
+    plus the truncation bound (0 where z_j = v).  Each unordered pair's
+    radius and operator norm are formed once and added into the error budget
+    as _pairs adds.  Stream version 3: every pair shares the seed's one stream.
     """
 
     def __init__(self, model: MatrixModel, horizon: int, samples: int, seed: int):
@@ -876,28 +856,27 @@ class EstimatedKernel(_OutcomeKernel):
         self.model = model
         dist = model.dist
         total = 0.0
-        sq = {}  # per coordinate, the squared norms of G_u - G_v summed over the samples
+        sq = itertools.repeat(0.0)  # per pair, the squared norms of G_u - G_v over the samples
         for sums in _chain_sums(model, np.arange(dist.cardinality), horizon, samples, seed):
             G = sums.reshape((len(sums),) + dist.shape + sums.shape[-2:])
             total = total + G.sum(axis=0)
-            for j, cells in _pair_cells(
-                    dist, lambda a, b: np.sum(np.abs(a - b) ** 2, axis=(0, -2, -1)), G):
-                kept = sq.setdefault(j, dict.fromkeys(cells, 0.0))
-                sq[j] = {uv: kept[uv] + cell for uv, cell in cells.items()}
+            # the samples' axis moved behind the outcome axes, which _pairs slices
+            sq = [s + np.sum(np.abs(a - b) ** 2, axis=(-3, -2, -1))
+                  for s, (_, _, (a,), (b,)) in zip(sq, _pairs(dist, np.moveaxis(G, 0, dist.n)))]
         self.g = total * (1.0 / samples)  # as numpy divides a complex total
         trunc = _truncation_bound(model, horizon)
-        radius = inflation = 0
-        for j, cells in sq.items():
-            c = dist.coords[j]
-            moved = np.arange(len(c)).reshape((-1,) + (1,) * (dist.n - 1 - j))
-            for v, p in enumerate(c.probs):
-                k = self.on_neighbours(j, v)
-                se = _standard_error(_stacked(cells, j, v, len(c)), k, samples)
-                r = np.where(moved != v, se + trunc, 0.0)
-                # the pair's terms of E[r | Z=z] and E[(2 ||K|| r + r^2)/2 | Z=z]
-                w = p / dist.n
-                radius = radius + w * r
-                inflation = inflation + w * ((2.0 * _opnorms(k) * r + r * r) / 2.0)
+        n = dist.n
+        radius, inflation = np.zeros(dist.shape), np.zeros(dist.shape)
+        pairs = _pairs(dist, self.g, radius, inflation)
+        for (p_u, p_v, (g_u, r_u, i_u), (g_v, r_v, i_v)), s in zip(pairs, sq):
+            k = g_u - g_v
+            r = _standard_error(s, k, samples) + trunc
+            # the pair's terms of E[r | Z=z] and E[(2 ||K|| r + r^2)/2 | Z=z]
+            term = (2.0 * _opnorms(k) * r + r * r) / 2.0
+            r_u += (p_v / n) * r
+            r_v += (p_u / n) * r
+            i_u += (p_v / n) * term
+            i_v += (p_u / n) * term
         self.stein_radius = float(np.max(radius))
         self.inflation = float(np.max(inflation))
 
@@ -943,8 +922,7 @@ def check_stein_identity(model: MatrixModel, kernel) -> SteinCheck:
     plus truncation budget over z for an EstimatedKernel, 0 for an exact one.
     """
     _require_kernel(model, kernel)
-    drift = replacement_sum(model.dist, kernel.on_neighbours, pair_law=True)
-    worst = float(np.max(_opnorms(drift - model.X_tensor())))
+    worst = float(np.max(_opnorms(_drift(model.dist, kernel.g) - model.X_tensor())))
     return SteinCheck(worst, kernel.stein_radius)
 
 
@@ -957,22 +935,22 @@ def exchangeable_pairs_identity(model: MatrixModel, kernel, F: Callable) -> floa
     if np.shape(fx) not in (X.shape, X.shape[-2:]):
         raise ShapeError(f"F returned shape {np.shape(fx)}, expected {X.shape} or {X.shape[-2:]}")
     fx = np.broadcast_to(fx, X.shape)
-    dist, n = model.dist, model.dist.n
-    rhs = 0
-    # replacement_sum's order and weights, each pair's K (F(X) - F(X')) formed once
-    for j, cells in _pair_cells(dist, lambda g_u, f_u, g_v, f_v: (g_u - g_v) @ (f_u - f_v),
-                                kernel.g, fx):
-        c = dist.coords[j]
-        for v, p in enumerate(c.probs):
-            rhs = rhs + (p / n) * model.expect(_stacked(cells, j, v, len(c)))
-    return _opnorm(model.expect(X @ fx) - 0.5 * rhs)
+    n = model.dist.n
+    # E[K(Z,Z')(F(X) - F(X')) | Z = z], each pair's product formed once: it is
+    # symmetric in the pair, as (-A)(-B) = AB bit for bit
+    acc = np.zeros(X.shape, np.result_type(kernel.g, fx))
+    for p_u, p_v, (g_u, f_u, a_u), (g_v, f_v, a_v) in _pairs(model.dist, kernel.g, fx, acc):
+        kf = (g_u - g_v) @ (f_u - f_v)
+        a_u += (p_v / n) * kf
+        a_v += (p_u / n) * kf
+    return _opnorm(model.expect(X @ fx) - 0.5 * model.expect(acc))
 
 
 def kernel_mean_norm(model: MatrixModel, kernel) -> float:
-    """|| E K(Z, Z') || over the joint exchangeable-pair law."""
+    """|| E K(Z, Z') || over the joint exchangeable-pair law: the mean of the
+    Stein drift E[K(Z, Z') | Z], by the tower property."""
     _require_kernel(model, kernel)
-    return _opnorm(replacement_sum(
-        model.dist, lambda j, v: model.expect(kernel.on_neighbours(j, v)), pair_law=True))
+    return _opnorm(model.expect(_drift(model.dist, kernel.g)))
 
 
 def pair_asymmetries(model: MatrixModel, kernel: ExactKernel) -> tuple:
@@ -985,9 +963,8 @@ def pair_asymmetries(model: MatrixModel, kernel: ExactKernel) -> tuple:
     """
     _require_kernel(model, kernel)
     n = model.dist.n
-    sums = _pair_cells(model.dist, lambda a, b: float(np.max(np.abs((a - b) + (b - a)))),
-                       kernel.g)
-    anti = max([0.0] + [m for _, cells in sums for m in cells.values()])
+    anti = max([0.0] + [float(np.max(np.abs((a - b) + (b - a))))
+                        for _, _, (a,), (b,) in _pairs(model.dist, kernel.g)])
     asym = 0.0
     for j, coord in enumerate(model.dist.coords):
         base = np.ones(())

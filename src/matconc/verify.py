@@ -746,13 +746,16 @@ def verify_exp_efron_stein(model: stein.MatrixModel, theta_grid, psi_grid) -> di
     lam_x, lam_v = model.X_spectra(), stein.variance_proxy_spectra(model)
     results = []
     skipped = []
+    lhs_at = {}  # log E tr-bar e^{theta X}, one pass over X's spectra per theta
     for psi in psi_grid:
         log_mgf_v = _log_trace_mgf(probs, lam_v, psi)
         for theta in theta_grid:
             if abs(theta) > math.sqrt(psi / 2.0):
                 skipped.append({"theta": theta, "psi": psi})
                 continue
-            lhs = _log_trace_mgf(probs, lam_x, theta)
+            if theta not in lhs_at:
+                lhs_at[theta] = _log_trace_mgf(probs, lam_x, theta)
+            lhs = lhs_at[theta]
             rhs = bounds.efron_stein_exp_rhs(theta, psi, log_mgf_v)
             slack = rhs - lhs
             results.append({"theta": theta, "psi": psi, "lhs": lhs, "rhs": rhs,

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matconc import cli, stein, verify
+from matconc import bounds, cli, matcore, stein, verify
 from matconc.matcore import HermitianMatrix
 
 
@@ -124,9 +124,10 @@ class TestBoundVerb:
         assert "need a finite " + entry.split('"')[1] in error["message"]
 
 
-# non-finite values in either grid form, and a range whose point count overflows
+# non-finite values in either grid form, a range whose point count overflows,
+# and ranges of more points than a grid may have (rejected before any is made)
 NON_FINITE_GRIDS = ["0:nan:1", "0:inf:1", "0:4:nan", "-inf:0:1", "nan", "inf", "0,nan",
-                    "1,-inf", "0:1e308:1e-300"]
+                    "1,-inf", "0:1e308:1e-300", "0:1e15:1", "0:1000000:1"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -657,6 +658,26 @@ def exact_layer_outputs() -> str:
         "var_dom": verify.variance_domination(m, k),
         "estimated": verify.verify_kernel_poly_moments(m, est, [1, 2], verify.DEFAULT_S_GRID),
     }, sort_keys=True)
+
+
+def test_readme_names_resolve():
+    # every module-qualified name the README cites is still in its module, so
+    # deleting or renaming one fails here, not only for a reader of the README
+    modules = {"stein": stein, "verify": verify, "matcore": matcore, "bounds": bounds,
+               "cli": cli}
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cited = set(re.findall(r"\b(stein|verify|matcore|bounds|cli)((?:\.[A-Za-z_]\w*)+)", text))
+    assert len(cited) >= 20
+
+    def resolves(module, path):
+        obj = modules[module]
+        for name in path.split(".")[1:]:
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+
+    assert sorted(m + p for m, p in cited if not resolves(m, p)) == []
 
 
 def test_perfbench_traced_pass_keeps_every_output():

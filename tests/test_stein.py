@@ -305,6 +305,26 @@ COMPLEX_MODELS = [
 ]
 
 
+def neighbour(T, j, v):
+    """T at z_{j<-v} for every outcome z: axis j pinned at the v-th value, kept
+    with length 1 so that the result broadcasts against T."""
+    return T[(slice(None),) * j + (slice(v, v + 1),)]
+
+
+def replacement_sum(dist, term, pair_law=False):
+    """Sum of w_{j,v} * term(j, v) over every replacement z -> z_{j<-v}, j
+    first, then v in support order; w_{j,v} is p_{j,v}, or p_{j,v}/n under
+    the exchangeable-pair law (a uniform coordinate J is replaced)."""
+    n = dist.n
+    return sum((p / n if pair_law else p) * term(j, v)
+               for j, c in enumerate(dist.coords) for v, p in enumerate(c.probs))
+
+
+def on_neighbours(kernel, j, v):
+    """K(z, z_{j<-v}) = g(z) - g(z_{j<-v}) for every outcome z, an outcome tensor."""
+    return kernel.g - neighbour(kernel.g, j, v)
+
+
 def oracle_pairs_identity(model, kernel, F):
     """exchangeable_pairs_identity with F called one outcome at a time, each
     value cast to complex, as the per-outcome form called it."""
@@ -313,9 +333,9 @@ def oracle_pairs_identity(model, kernel, F):
                    for x in stein.outcome_stack(X)]).reshape(X.shape)
 
     def term(j, v):
-        return model.expect(kernel.on_neighbours(j, v) @ (fx - stein.neighbour(fx, j, v)))
+        return on_neighbours(kernel, j, v) @ (fx - neighbour(fx, j, v))
 
-    rhs = 0.5 * stein.replacement_sum(model.dist, term, pair_law=True)
+    rhs = 0.5 * model.expect(replacement_sum(model.dist, term, pair_law=True))
     return _opnorm(model.expect(X @ fx) - rhs)
 
 
@@ -324,10 +344,10 @@ def oracle_replacement_squares(dist, T, pair_law=False):
     (T - neighbour(T, j, v))^2 over the whole outcome tensor for every (j, v),
     the exact zeros at z_j = v included, added by replacement_sum."""
     def term(j, v):
-        diff = T - stein.neighbour(T, j, v)
+        diff = T - neighbour(T, j, v)
         return diff @ diff
 
-    return stein.replacement_sum(dist, term, pair_law)
+    return replacement_sum(dist, term, pair_law)
 
 
 def oracle_replacement_pairs_identity(model, kernel, F):
@@ -337,9 +357,9 @@ def oracle_replacement_pairs_identity(model, kernel, F):
     fx = np.broadcast_to(F(X), X.shape)
 
     def term(j, v):
-        return model.expect(kernel.on_neighbours(j, v) @ (fx - stein.neighbour(fx, j, v)))
+        return on_neighbours(kernel, j, v) @ (fx - neighbour(fx, j, v))
 
-    rhs = 0.5 * stein.replacement_sum(model.dist, term, pair_law=True)
+    rhs = 0.5 * model.expect(replacement_sum(model.dist, term, pair_law=True))
     return _opnorm(model.expect(X @ fx) - rhs)
 
 
@@ -355,14 +375,14 @@ def oracle_estimated_radii(model, horizon, samples, seed):
         G = sums.reshape((len(sums),) + dist.shape + sums.shape[-2:])
         total = total + G.sum(axis=0)
         for j, v in pairs:
-            diff = G - stein.neighbour(G, j + 1, v)
+            diff = G - neighbour(G, j + 1, v)
             sq[j, v] = sq[j, v] + np.sum(np.abs(diff) ** 2, axis=(0, -2, -1))
     g = total * (1.0 / samples)
     trunc = stein._truncation_bound(model, horizon)
     radius = {}
     for j, v in pairs:
         moved = np.arange(len(dist.coords[j])).reshape((-1,) + (1,) * (dist.n - 1 - j))
-        se = stein._standard_error(sq[j, v], g - stein.neighbour(g, j, v), samples)
+        se = stein._standard_error(sq[j, v], g - neighbour(g, j, v), samples)
         radius[j, v] = np.where(moved != v, se + trunc, 0.0)
     return g, radius
 
@@ -374,11 +394,11 @@ def oracle_error_budget(model, horizon, samples, seed):
 
     def inflation_term(j, v):  # E[(2 ||K|| r + r^2)/2 | Z=z], r the pair's error radius
         r = radius[j, v]
-        knorm = _opnorms(g - stein.neighbour(g, j, v))
+        knorm = _opnorms(g - neighbour(g, j, v))
         return (2.0 * knorm * r + r * r) / 2.0
 
-    budget = (stein.replacement_sum(model.dist, lambda j, v: radius[j, v], pair_law=True),
-              stein.replacement_sum(model.dist, inflation_term, pair_law=True))
+    budget = (replacement_sum(model.dist, lambda j, v: radius[j, v], pair_law=True),
+              replacement_sum(model.dist, inflation_term, pair_law=True))
     return tuple(float(np.max(b)) for b in budget)
 
 
@@ -1190,7 +1210,7 @@ class TestEstimatedKernel:
         zs = [z for z, _ in m.dist.outcomes()]
         for j, coord in enumerate(m.dist.coords):
             for v, value in enumerate(coord.values):
-                on = stein.outcome_stack(ek.on_neighbours(j, v))
+                on = stein.outcome_stack(on_neighbours(ek, j, v))
                 radius = radii[j, v].ravel()
                 for i, z in enumerate(zs):
                     zp = m.replace(z, j, value)
@@ -1428,6 +1448,17 @@ class TestReplacementPairs:
         vx, _ = stein.conditional_variance_map(m, ExactKernel(m))
         want = oracle_replacement_squares(m.dist, m.X_tensor(), pair_law=True) / 2
         assert np.max(np.abs(vx - want)) <= 1e-15 * np.max(np.abs(variance_proxy_map(m)))
+
+    @pytest.mark.parametrize("build", PAIR_MODELS)
+    def test_drift_is_the_per_replacement_form_bitwise(self, build):
+        # the Stein drift E[K(Z, Z') | Z] subtracts each pair's K at z_j = v,
+        # bit for bit the sum of K(z, z_{j<-v}) over the whole outcome tensor
+        m = build()
+        for k in (ExactKernel(m), EstimatedKernel(m, horizon=8, samples=40, seed=1)):
+            want = replacement_sum(m.dist, lambda j, v: on_neighbours(k, j, v), pair_law=True)
+            assert stein._drift(m.dist, k.g).tobytes() == want.tobytes()
+            residual = float(np.max(_opnorms(want - m.X_tensor())))
+            assert check_stein_identity(m, k).residual == residual
 
     @pytest.mark.parametrize("build", PAIR_MODELS)
     def test_pairs_identity_is_the_per_replacement_form(self, build):

@@ -61,7 +61,7 @@ from matconc.verify import (
     verify_kernel_poly_moments,
     verify_poly_efron_stein,
 )
-from test_stein import oracle_estimated_radii
+from test_stein import on_neighbours, oracle_estimated_radii, replacement_sum
 
 E_MINUS_2 = 0.1353352832366127
 COSH1 = 1.5430806348152437
@@ -1115,6 +1115,24 @@ class TestExpEfronStein:
                                      [-0.25, 0.25], [0.5])
         assert rep["pass"] is True
 
+    def test_left_side_is_one_pass_per_theta(self, monkeypatch):
+        # log E tr-bar e^{theta X} does not depend on psi: one exp pass over
+        # X's spectra per theta, however many psi share it
+        m = random_finite_model(4, 3, seed=0)
+        scales = []
+        mgf = verify._log_trace_mgf
+
+        def counted(probs, lam, scale):
+            if lam is m.X_spectra():
+                scales.append(scale)
+            return mgf(probs, lam, scale)
+
+        monkeypatch.setattr(verify, "_log_trace_mgf", counted)
+        rep = verify_exp_efron_stein(m, [-0.25, 0.25], [1.0, 2.0, 4.0])
+        assert scales == [-0.25, 0.25]
+        assert [(r["psi"], r["theta"]) for r in rep["results"]] == [
+            (psi, theta) for psi in (1.0, 2.0, 4.0) for theta in (-0.25, 0.25)]
+
 
 class TestKernelChecks:
     def test_exact_kernel_moments(self):
@@ -1186,7 +1204,7 @@ def oracle_kernel_poly_moments(model, kernel, p_list, s_grid, estimate=None):
 
     def inflation_term(j, v):
         r = radii[j, v]
-        knorm = _opnorms(kernel.on_neighbours(j, v))
+        knorm = _opnorms(on_neighbours(kernel, j, v))
         return (2.0 * knorm * r + r * r) / 2.0
 
     def moment(lam, q):
@@ -1202,8 +1220,7 @@ def oracle_kernel_poly_moments(model, kernel, p_list, s_grid, estimate=None):
     inflation = 0.0
     if estimate is not None:
         _, radii = oracle_estimated_radii(model, *estimate)
-        inflation = float(np.max(stein.replacement_sum(model.dist, inflation_term,
-                                                       pair_law=True)))
+        inflation = float(np.max(replacement_sum(model.dist, inflation_term, pair_law=True)))
     vk = vk + inflation * np.eye(model.d)
     probs = model.dist.probabilities().ravel()
     lam_x = spectra(model.X_tensor())
