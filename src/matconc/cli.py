@@ -7,6 +7,7 @@ error.
 """
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -21,6 +22,7 @@ from .matcore import (
     ParameterError,
     PreconditionError,
     ShapeError,
+    _integer,
 )
 
 SCHEMA_VERSION = verify.SCHEMA_VERSION
@@ -35,9 +37,10 @@ class VerificationFailure(Exception):
 
 
 def _as(kind, value, what: str | None = None):
-    """kind(value) for a value read from the config; failure is a config error."""
+    """kind(value) for a value read from the config; failure is a config error,
+    and an int is never truncated from a bool or a fractional number."""
     try:
-        return kind(value)
+        return (_integer if kind is int else kind)(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"cannot read {value!r} as {what or kind.__name__}") from exc
 
@@ -70,11 +73,10 @@ def _parse_grid(text: str) -> list:
 
 def _parse_ints(text) -> list:
     """Integer list: '1:6' (inclusive range), '3', or '1,2,5'."""
-    if isinstance(text, int):
-        return [text]
     if isinstance(text, (list, tuple)):
         return [_as(int, v) for v in text]
-    text = str(text)
+    if not isinstance(text, str):
+        return [_as(int, text)]
     if ":" in text:
         lo, hi = (_as(int, p) for p in text.split(":", 1))
         if hi < lo:
@@ -122,7 +124,19 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _merge_config(cfg: dict, flags: dict, extra: frozenset = frozenset()) -> dict:
+class _Config(dict):
+    """A verb's merged config, which records each key read through get."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = {"out"}
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def _merge_config(cfg: dict, flags: dict, extra: frozenset = frozenset()) -> _Config:
     """Config-file values overridden by explicitly passed flags.
 
     A config key is a flag's parameter name (the flag with ``-`` as ``_``);
@@ -131,11 +145,7 @@ def _merge_config(cfg: dict, flags: dict, extra: frozenset = frozenset()) -> dic
     unknown = set(cfg) - set(flags) - extra
     if unknown:
         raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-    merged = dict(cfg)
-    for k, v in flags.items():
-        if v is not None:
-            merged[k] = v
-    return merged
+    return _Config({**cfg, **{k: v for k, v in flags.items() if v is not None}})
 
 
 def _get(cfg: dict, key: str, kind, default):
@@ -144,9 +154,14 @@ def _get(cfg: dict, key: str, kind, default):
     return default if value is None else _as(kind, value)
 
 
-def _reject_unread(cfg: dict, keys, read, what: str) -> None:
-    """A key of ``keys`` that is set but not in ``read`` is a config error."""
-    unread = [k for k in keys if k not in read and cfg.get(k) is not None]
+def _reject_unread(cfg: _Config, what: str) -> None:
+    """The one key rule of every verb, called once its inputs are parsed and
+    before any kernel, sample, sweep or report: a set key it did not read is a
+    config error.  The keys are named in the verb's flag order, config-only
+    keys last."""
+    flags = [p.name for p in click.get_current_context().command.params]
+    unread = [k for k in dict.fromkeys([*flags, *cfg])
+              if k in cfg and k not in cfg.read and cfg[k] is not None]
     if unread:
         raise ParameterError(f"{what} does not read {unread}")
 
@@ -163,8 +178,10 @@ def _require_seed(cfg: dict) -> int:
 
 
 def _build_model(cfg: dict):
-    if cfg.get("model_file"):
-        with open(cfg["model_file"]) as fh:
+    """The model a model file holds, or the named builtin, from the keys it reads."""
+    path = cfg.get("model_file")
+    if path:
+        with open(path) as fh:
             obj = json.load(fh)
         try:
             return stein.MatrixModel.from_json(obj)
@@ -173,23 +190,17 @@ def _build_model(cfg: dict):
     name = cfg.get("model")
     if name is None:
         raise ParameterError("a model name or a model file is required")
-    n = cfg.get("n")
-    d = cfg.get("d")
-
-    def geti(v, fallback):
-        return _as(int, v) if v is not None else fallback
-
     if name == "hypercube_sum":
-        return stein.hypercube_sum(geti(n, 3), geti(d, 2))
+        return stein.hypercube_sum(_get(cfg, "n", int, 3), _get(cfg, "d", int, 2))
     if name == "bounded_diff":
-        return stein.bounded_diff_demo(geti(n, 3), geti(d, 2))
+        return stein.bounded_diff_demo(_get(cfg, "n", int, 3), _get(cfg, "d", int, 2))
     if name == "compound_covariance":
-        return stein.compound_covariance(geti(cfg.get("rows"), 2), geti(n, 3))
+        return stein.compound_covariance(_get(cfg, "rows", int, 2), _get(cfg, "n", int, 3))
     if name == "rect_demo":
-        return stein.dilate_model(stein.rect_demo(geti(n, 3)))
+        return stein.dilate_model(stein.rect_demo(_get(cfg, "n", int, 3)))
     if name == "random_finite":
-        return stein.random_finite_model(geti(n, 3), geti(d, 2),
-                                         geti(cfg.get("model_seed"), 0))
+        return stein.random_finite_model(_get(cfg, "n", int, 3), _get(cfg, "d", int, 2),
+                                         _get(cfg, "model_seed", int, 0))
     raise ParameterError(f"unknown model {name!r}")
 
 
@@ -261,6 +272,7 @@ def bound(config_path, **flags):
     cfg = _merge_config(_load_config(config_path), flags, _CURVE_KEYS)
     curve = _build_curve(cfg)
     grid = _parse_grid(cfg.get("t") or "0:4:0.1")
+    _reject_unread(cfg, f"bound {curve.name!r}")
     # a point that fails leaves no partial report behind, nor an emptied --out
     text = io.StringIO()
     curve.write_csv(text, grid)
@@ -297,15 +309,22 @@ def _kernel_identities_report(model) -> dict:
     }
 
 
-# the keys each check reads of those below; an estimated kernel reads three more
-_CHECK_KEYS = {
-    "poly_efron_stein": ("p",),
-    "exp_efron_stein": ("theta", "psi"),
-    "kernel_poly_moments": ("p", "s", "kernel"),
-    "kernel_identities": (),
-}
-_ESTIMATE_KEYS = ("horizon", "samples", "seed")
-_VERIFY_KEYS = ("p", "theta", "psi", "s", "kernel") + _ESTIMATE_KEYS
+def _kernel(cfg: dict):
+    """The kernel maker --kernel names: model -> ExactKernel or EstimatedKernel."""
+    kind = cfg.get("kernel") or "exact"
+    if kind == "exact":
+        return stein.ExactKernel
+    if kind != "estimated":
+        raise ParameterError(f"unknown kernel kind {kind!r}")
+    horizon = _get(cfg, "horizon", int, None)
+    samples = _get(cfg, "samples", int, 200)
+    seed = _require_seed(cfg)
+
+    def estimated(mdl):
+        h = stein.default_horizon(mdl.dist.n, mdl.max_h_norm()) if horizon is None else horizon
+        return stein.EstimatedKernel(mdl, horizon=h, samples=samples, seed=seed)
+
+    return estimated
 
 
 @cli.command("verify")
@@ -332,82 +351,45 @@ def verify_cmd(config_path, **flags):
     check = cfg.get("check")
     if check is None:
         raise ParameterError("--check is required")
-    if check not in _CHECK_KEYS:
-        raise ParameterError(f"unknown check {check!r}")
-    kind = cfg.get("kernel") or "exact"
-    read = _CHECK_KEYS[check]
-    if "kernel" in read and kind == "estimated":
-        read += _ESTIMATE_KEYS
-    _reject_unread(cfg, _VERIFY_KEYS, read, f"check {check!r}")
-    mdl = _build_model(cfg)
     if check == "poly_efron_stein":
-        report = verify.verify_poly_efron_stein(mdl, _parse_ints(cfg.get("p") or "1,2,3"))
+        ps = _parse_ints(cfg.get("p") or "1,2,3")
+        run = lambda mdl: verify.verify_poly_efron_stein(mdl, ps)
     elif check == "exp_efron_stein":
-        report = verify.verify_exp_efron_stein(
-            mdl,
-            _parse_floats(cfg.get("theta") or "-0.3,-0.1,0.1,0.3"),
-            _parse_floats(cfg.get("psi") or "1,4"),
-        )
+        thetas = _parse_floats(cfg.get("theta") or "-0.3,-0.1,0.1,0.3")
+        psis = _parse_floats(cfg.get("psi") or "1,4")
+        run = lambda mdl: verify.verify_exp_efron_stein(mdl, thetas, psis)
     elif check == "kernel_poly_moments":
-        if kind == "exact":
-            kern = stein.ExactKernel(mdl)
-        elif kind == "estimated":
-            horizon = _get(cfg, "horizon", int, None)
-            if horizon is None:
-                horizon = stein.default_horizon(mdl.dist.n, mdl.max_h_norm())
-            kern = stein.EstimatedKernel(mdl, horizon=horizon,
-                                         samples=_get(cfg, "samples", int, 200),
-                                         seed=_require_seed(cfg))
-        else:
-            raise ParameterError(f"unknown kernel kind {kind!r}")
-        report = verify.verify_kernel_poly_moments(
-            mdl, kern, _parse_ints(cfg.get("p") or "1,2"),
-            _parse_floats(cfg.get("s") or verify.DEFAULT_S_GRID))
+        kernel = _kernel(cfg)
+        ps = _parse_ints(cfg.get("p") or "1,2")
+        ss = _parse_floats(cfg.get("s") or verify.DEFAULT_S_GRID)
+        run = lambda mdl: verify.verify_kernel_poly_moments(mdl, kernel(mdl), ps, ss)
+    elif check == "kernel_identities":
+        run = _kernel_identities_report
     else:
-        report = _kernel_identities_report(mdl)
+        raise ParameterError(f"unknown check {check!r}")
+    mdl = _build_model(cfg)
+    _reject_unread(cfg, f"check {check!r} on model {mdl.name!r}")
+    report = run(mdl)
     _emit_json(report, cfg.get("out"))
     if not report["pass"]:
         raise VerificationFailure(f"{check} failed")
 
 
-# the keys each fuzz suite reads of q, s, p and ensemble_size
-_SUITE_KEYS = {
-    "pmvti": ("q", "s"),
-    "emvti": ("s",),
-    "young_commuting": ("p",),
-    "operator_cs": (),
-    "matrix_entropy_young": ("ensemble_size",),
-}
-
-
-def _run_fuzz(ineq: str, dims, cfg: dict, trials: int, seed: int, jobs: int):
-    if ineq not in _SUITE_KEYS:
+def _fuzz_suite(ineq: str, dims, cfg: dict):
+    """verify.fuzz_<ineq> as (trials, seed) -> report, with the grids the suite reads."""
+    if ineq == "pmvti":
+        args = (_parse_ints(cfg.get("q") or "1:7"), _parse_floats(cfg.get("s") or "0.25,1,4"))
+    elif ineq == "emvti":
+        args = (_parse_floats(cfg.get("s") or "0.25,1,4"),)
+    elif ineq == "young_commuting":
+        args = (_get(cfg, "p", float, 2.0),)
+    elif ineq == "operator_cs":
+        args = ()
+    elif ineq == "matrix_entropy_young":
+        args = (_get(cfg, "ensemble_size", int, 8),)
+    else:
         raise ParameterError(f"unknown inequality {ineq!r}")
-    _reject_unread(cfg, ("q", "s", "p", "ensemble_size"), _SUITE_KEYS[ineq],
-                   f"fuzz suite {ineq!r}")
-    qs = _parse_ints(cfg.get("q") or "1:7")
-    ss = _parse_floats(cfg.get("s") or "0.25,1,4")
-    p = _get(cfg, "p", float, 2.0)
-    size = _get(cfg, "ensemble_size", int, 8)
-
-    def one(count, chunk_seed):
-        if ineq == "pmvti":
-            return verify.fuzz_pmvti(dims, qs, ss, count, chunk_seed)
-        if ineq == "emvti":
-            return verify.fuzz_emvti(dims, ss, count, chunk_seed)
-        if ineq == "young_commuting":
-            return verify.fuzz_young_commuting(dims, p, count, chunk_seed)
-        if ineq == "operator_cs":
-            return verify.fuzz_operator_cs(dims, count, chunk_seed)
-        return verify.fuzz_matrix_entropy_young(dims, size, count, chunk_seed)
-
-    counts = [trials // jobs + (1 if i < trials % jobs else 0) for i in range(jobs)]
-    tasks = [(c, seed + 7919 * i) for i, c in enumerate(counts) if c > 0]
-    if len(tasks) == 1:
-        return one(*tasks[0])
-    # the chunks run one after another: a batched sweep keeps its core busy,
-    # so threads would only contend for it
-    return verify.merge_fuzz_reports([one(*t) for t in tasks])
+    return functools.partial(getattr(verify, f"fuzz_{ineq}"), dims, *args)
 
 
 @cli.command()
@@ -435,8 +417,14 @@ def fuzz(config_path, **flags):
     jobs = _get(cfg, "jobs", int, 1)
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
-    dims = _parse_ints(cfg.get("d") or "1:6")
-    report = _run_fuzz(name, dims, cfg, trials, seed, jobs)
+    one = _fuzz_suite(name, _parse_ints(cfg.get("d") or "1:6"), cfg)
+    _reject_unread(cfg, f"fuzz suite {name!r}")
+    counts = [trials // jobs + (1 if i < trials % jobs else 0) for i in range(jobs)]
+    tasks = [(c, seed + 7919 * i) for i, c in enumerate(counts) if c > 0]
+    # the chunks run one after another: a batched sweep keeps its core busy,
+    # so threads would only contend for it
+    report = (one(*tasks[0]) if len(tasks) == 1
+              else verify.merge_fuzz_reports([one(*t) for t in tasks]))
     _emit_json(report.to_json(), cfg.get("out"))
     if not report.passed:
         raise VerificationFailure(f"fuzz {name} min_slack {report.min_slack}")
@@ -455,13 +443,10 @@ def conjecture(config_path, **flags):
     cfg = _merge_config(_load_config(config_path), flags)
     trials = _get(cfg, "trials", int, 0)
     seed = _require_seed(cfg)
-    report = verify.explore_conjecture(
-        _parse_ints(cfg.get("d") or "1:6"),
-        _parse_ints(cfg.get("q") or "1:3"),
-        _parse_floats(cfg.get("s") or "1"),
-        trials,
-        seed,
-    )
+    grids = (_parse_ints(cfg.get("d") or "1:6"), _parse_ints(cfg.get("q") or "1:3"),
+             _parse_floats(cfg.get("s") or "1"))
+    _reject_unread(cfg, "conjecture")
+    report = verify.explore_conjecture(*grids, trials, seed)
     _emit_json(report.to_json(), cfg.get("out"))
 
 
@@ -488,6 +473,7 @@ def couple(config_path, **flags):
     if max_steps < 1 or pw_runs < 1:
         raise ParameterError(f"max_steps and pathwise_runs must be >= 1, "
                              f"got {max_steps} and {pw_runs}")
+    _reject_unread(cfg, "couple")
     times = stein.sample_coupling_times(n, runs, seed, max_steps=max_steps)
     if np.any(times < 0):
         raise VerificationFailure("some runs exhausted max_steps before coupling")
@@ -553,15 +539,12 @@ def tail(config_path, **flags):
     curve = _build_curve(cfg) if cfg.get("name") else None
     samples = _get(cfg, "samples", int, 0)
     seed = _require_seed(cfg)
-    comparison = verify.empirical_tail(
-        mdl,
-        samples,
-        _parse_grid(cfg.get("t") or "0:8:0.25"),
-        seed,
-        curve=curve,
-        alpha=_get(cfg, "alpha", float, 0.01),
-        statistic=cfg.get("statistic") or "lmax",
-    )
+    grid = _parse_grid(cfg.get("t") or "0:8:0.25")
+    alpha = _get(cfg, "alpha", float, 0.01)
+    statistic = cfg.get("statistic") or "lmax"
+    _reject_unread(cfg, f"tail on model {mdl.name!r} with bound {cfg.get('name')!r}")
+    comparison = verify.empirical_tail(mdl, samples, grid, seed, curve=curve, alpha=alpha,
+                                       statistic=statistic)
     report = comparison.to_json()
     report["model"] = mdl.name
     _emit_json(report, cfg.get("out"))
@@ -580,6 +563,7 @@ def replay(config_path, **flags):
     path = cfg.get("case")
     if path is None:
         raise ParameterError("--case is required")
+    _reject_unread(cfg, "replay")
     with open(path) as fh:
         payload = json.load(fh)
     case = payload.get("worst_case", payload)
@@ -606,36 +590,31 @@ _CONFIG_ERRORS = (
 )
 
 
+def _fail(code: int, kind: str, message: str, **extra) -> int:
+    """Write the error to stderr as one JSON line, and return the exit code."""
+    sys.stderr.write(json.dumps({"error": {"type": kind, "message": message, **extra}},
+                                sort_keys=True) + "\n")
+    return code
+
+
 def main(argv=None) -> int:
     try:
         cli.main(args=argv, standalone_mode=False)
     except VerificationFailure as exc:
-        sys.stderr.write(json.dumps(
-            {"error": {"type": "verification", "message": str(exc)}},
-            sort_keys=True) + "\n")
-        return 2
+        return _fail(2, "verification", str(exc))
     except click.UsageError as exc:
-        sys.stderr.write(json.dumps(
-            {"error": {"type": "config", "message": exc.format_message()}},
-            sort_keys=True) + "\n")
-        return 3
+        return _fail(3, "config", exc.format_message())
     except click.exceptions.Exit as exc:
         return int(exc.exit_code)
     except click.Abort:
         return 130
     except _CONFIG_ERRORS as exc:
-        sys.stderr.write(json.dumps(
-            {"error": {"type": "config", "message": str(exc)}},
-            sort_keys=True) + "\n")
-        return 3
+        return _fail(3, "config", str(exc))
     except Exception as exc:
         import traceback  # only on this path: it is not loaded otherwise
 
-        sys.stderr.write(json.dumps(
-            {"error": {"type": "internal", "message": f"{type(exc).__name__}: {exc}",
-                       "traceback": traceback.format_exc()}},
-            sort_keys=True) + "\n")
-        return 1
+        return _fail(1, "internal", f"{type(exc).__name__}: {exc}",
+                     traceback=traceback.format_exc())
     return 0
 
 

@@ -56,6 +56,15 @@ def _complex_array(entries) -> np.ndarray:
         raise ParameterError(f"matrix entries must be numbers: {exc}") from None
 
 
+def _integer(value) -> int:
+    """int(value), where a bool or a float with a fractional part is a
+    ParameterError rather than truncated."""
+    if isinstance(value, (bool, np.bool_)) or (
+            isinstance(value, (float, np.floating)) and not value.is_integer()):
+        raise ParameterError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _finite(a: np.ndarray) -> np.ndarray:
     if not np.isfinite(a).all():
         raise DomainError("matrix entries must be finite")

@@ -186,6 +186,14 @@ class ProductDistribution:
         idx = [c.sample_index(rng, count) for c in self.coords]
         return np.ravel_multi_index(idx, self.shape)
 
+    def _outcome_rows(self) -> np.ndarray:
+        """Every outcome as a row of an (S, n) float array, in outcomes() order:
+        coordinate j's values broadcast along axis j of the support grid."""
+        grid = np.empty(self.shape + (self.n,))
+        for j, c in enumerate(self.coords):
+            grid[..., j] = c.values.reshape((-1,) + (1,) * (self.n - 1 - j))
+        return grid.reshape(-1, self.n)
+
     def outcomes(self):
         """Iterate (z, probability) over the whole product space."""
         if not self.finite:
@@ -276,12 +284,12 @@ class MatrixModel:
     def H_tensor(self) -> np.ndarray:
         """The outcome tensor: H over the support, shape (|V_1|, ..., |V_n|, d, d).
 
-        Built through ``H_rows`` over outcomes() on first use, and kept.
+        Built through ``H_rows`` over every outcome on first use, and kept.
         """
         if self._tensor is None and not self.exact:
             raise PreconditionError("outcome tensors need a finite model under the cutoff")
         return _kept(self, "_tensor", lambda: self.H_rows(
-            [z for z, _ in self.dist.outcomes()]).reshape(self.dist.shape + (self.d, self.d)))
+            self.dist._outcome_rows()).reshape(self.dist.shape + (self.d, self.d)))
 
     def X_tensor(self) -> np.ndarray:
         """X = H - E H over the support, as an outcome tensor: built on first
@@ -339,7 +347,7 @@ class MatrixModel:
     def to_json(self) -> dict:
         if not self.dist.finite:
             raise PreconditionError("only finite models serialize")
-        zs = [z for z, _ in self.dist.outcomes()]
+        zs = self.dist._outcome_rows()
         table = {_zkey(z): {"real": h.real.ravel().tolist(), "imag": h.imag.ravel().tolist()}
                  for z, h in zip(zs, self.H_rows(zs))}
         return {
@@ -355,10 +363,10 @@ class MatrixModel:
         d = int(obj["d"])
         table = obj["H"]
         # a table smaller than the support fails before the support is enumerated
-        if len(table) < dist.cardinality or any(_zkey(z) not in table
-                                                for z, _ in dist.outcomes()):
+        keys = len(table) >= dist.cardinality and [_zkey(z) for z in dist._outcome_rows()]
+        if not keys or any(key not in table for key in keys):
             raise ParameterError("the H table does not cover every outcome of dist")
-        parts = [[table[_zkey(z)][k] for k in ("real", "imag")] for z, _ in dist.outcomes()]
+        parts = [[table[key][k] for k in ("real", "imag")] for key in keys]
         return _table_model(dist, np.array(parts, dtype=float), d, obj.get("name", "model"))
 
 
@@ -396,7 +404,7 @@ class RectangularModel:
         if self._mean is None:
             if not self.exact:
                 raise PreconditionError("rectangular models are enumerated exactly only")
-            hs = self.H_rows([z for z, _ in self.dist.outcomes()])
+            hs = self.H_rows(self.dist._outcome_rows())
             # the sum along axis 0 adds the outcomes one after another
             self._mean = (self.dist.probabilities().reshape(-1, 1, 1) * hs).sum(axis=0)
         return self._mean
@@ -934,7 +942,8 @@ def exchangeable_pairs_identity(model: MatrixModel, kernel, F: Callable) -> floa
     fx = F(X)
     if np.shape(fx) not in (X.shape, X.shape[-2:]):
         raise ShapeError(f"F returned shape {np.shape(fx)}, expected {X.shape} or {X.shape[-2:]}")
-    fx = np.broadcast_to(fx, X.shape)
+    if np.shape(fx) != X.shape:
+        return _opnorm(model.expect(X @ fx))  # F(X) - F(X') is exactly 0: no pair walk
     n = model.dist.n
     # E[K(Z,Z')(F(X) - F(X')) | Z = z], each pair's product formed once: it is
     # symmetric in the pair, as (-A)(-B) = AB bit for bit

@@ -24,6 +24,7 @@ from .matcore import (
     SuperOperator,
     _as_array,
     _as_herm_array,
+    _integer,
     hermitian_json,
     rect_json,
     spectral_apply,
@@ -54,7 +55,7 @@ def _grid(values, kind, what: str, positive: bool = False) -> list:
 
 
 def _positive_ints(values, what: str) -> list:
-    return _grid(values, int, what, positive=True)
+    return _grid(values, _integer, what, positive=True)
 
 
 def _norm_slacks(lhs, rhs):
@@ -868,7 +869,7 @@ def _statistics(model, samples: int, seed: int, statistic: str) -> tuple:
     if statistic not in ("lmax", "opnorm"):
         raise ParameterError(f"unknown statistic {statistic!r}")
     if isinstance(model, stein.RectangularModel):
-        xs = model.H_rows([z for z, _ in model.dist.outcomes()]) - model.mean()
+        xs = model.H_rows(model.dist._outcome_rows()) - model.mean()
         values = np.linalg.svd(xs, compute_uv=False)[:, 0]
         return values, model.dist.sample_outcomes(_rng(seed), samples)
     sampled = not model.exact

@@ -7,6 +7,7 @@ import importlib.util
 import json
 import math
 import re
+import shlex
 import threading
 from pathlib import Path
 
@@ -501,6 +502,167 @@ class TestConfigPlumbing:
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"], capsys)[0] == 0
+
+
+HC2 = ["--model", "hypercube_sum", "--n", "2"]
+POLY = ["verify", "--check", "poly_efron_stein"]
+TAIL = ["tail", "--samples", "100", "--seed", "1"]
+
+
+class TestKeyRule:
+    """A set key is accepted only if the verb reads it for the chosen model,
+    curve, check or fuzz suite; otherwise nothing is computed or written."""
+
+    def refused(self, capsys, tmp_path, argv, config=None):
+        argv = [str(tmp_path / "model.json") if a == "MODEL" else a for a in argv]
+        (tmp_path / "model.json").write_text(json.dumps(stein.hypercube_sum(2).to_json()))
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        target = tmp_path / "report.out"
+        code, out, err = run(argv + ["--out", str(target)], capsys)
+        assert code == 3 and out == "" and not target.exists(), err
+        error = json.loads(err)["error"]
+        assert error["type"] == "config"
+        return error["message"]
+
+    @pytest.mark.parametrize("argv, config, unread", [
+        # model keys
+        (POLY + HC2 + ["--rows", "0", "--model-seed", "5"], None, ["rows", "model_seed"]),
+        (POLY + HC2 + ["--model-seed", "5"], None, ["model_seed"]),
+        (POLY + ["--model", "compound_covariance", "--n", "2", "--d", "7"], None, ["d"]),
+        (POLY + ["--model", "rect_demo", "--n", "2", "--d", "7"], None, ["d"]),
+        (POLY + ["--model", "bounded_diff", "--n", "2", "--rows", "3"], None, ["rows"]),
+        (TAIL + ["--model", "rect_demo", "--n", "3", "--d", "9"], None, ["d"]),
+        (TAIL + HC2 + ["--rows", "2"], None, ["rows"]),
+        (POLY + ["--model-file", "MODEL", "--n", "3"], None, ["n"]),
+        (POLY + ["--model-file", "MODEL", "--model", "hypercube_sum"], None, ["model"]),
+        (TAIL + ["--model-file", "MODEL", "--d", "2"], None, ["d"]),
+        # curve keys
+        (["bound", "--name", "bounded_diff", "--d", "2", "--sigma2", "4", "--v", "3"], None,
+         ["v"]),
+        (["bound", "--name", "gaussexp", "--d", "2", "--v", "1", "--c", "0"], {"B": "I"},
+         ["B"]),
+        (["bound", "--name", "compound_cov", "--d", "2"], {"p": 2, "n": 3}, ["d"]),
+        (TAIL + HC2 + ["--sigma2", "4"], None, ["sigma2"]),
+        (TAIL + HC2 + ["--bound", "gaussexp", "--d", "2", "--v", "1", "--c", "0",
+                       "--sigma2", "4"], None, ["sigma2"]),
+        (TAIL + HC2, {"L": 1.0}, ["L"]),
+        # check keys
+        (["verify", "--check", "kernel_identities"] + HC2 + ["--p", "2"], None, ["p"]),
+        (POLY + HC2 + ["--kernel", "exact"], None, ["kernel"]),
+        (["verify", "--check", "kernel_poly_moments"] + HC2 + ["--seed", "1"], None, ["seed"]),
+    ])
+    def test_unread_key_is_config_error(self, capsys, tmp_path, argv, config, unread):
+        assert str(unread) in self.refused(capsys, tmp_path, argv, config)
+
+    @pytest.mark.parametrize("argv, config", [
+        (["verify"], {"check": "poly_efron_stein", "model": "hypercube_sum", "n": 3.7,
+                      "p": [1.9]}),
+        (POLY + HC2, {"p": [1.9]}),
+        (POLY + HC2, {"p": 2.5}),
+        (POLY + ["--model", "hypercube_sum"], {"n": True}),
+        (POLY + ["--model", "random_finite", "--n", "2"], {"model_seed": 0.5}),
+        (["fuzz", "--ineq", "pmvti", "--seed", "1"], {"trials": 2.5}),
+        (["fuzz", "--ineq", "pmvti", "--trials", "5", "--seed", "1"], {"d": [1.5]}),
+        (["fuzz", "--ineq", "matrix_entropy_young", "--trials", "5", "--seed", "1"],
+         {"ensemble_size": 2.5}),
+        (["couple", "--n", "2", "--seed", "1"], {"runs": 10.5}),
+        (["bound", "--name", "bounded_diff", "--sigma2", "1"], {"d": 2.5}),
+        (TAIL[:3] + HC2, {"seed": 1.5}),
+        (["tail", "--seed", "1"] + HC2, {"samples": False}),
+    ])
+    def test_non_integral_number_is_config_error(self, capsys, tmp_path, argv, config):
+        assert "as int" in self.refused(capsys, tmp_path, argv, config)
+
+    def test_integral_float_reads_as_the_int(self, capsys, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps({"n": 3.0, "p": [1.0, 2.0]}))
+        argv = POLY + ["--model", "hypercube_sum"]
+        code, out, _ = run(argv + ["--config", str(tmp_path / "cfg.json")], capsys)
+        assert code == 0
+        assert run(argv + ["--n", "3", "--p", "1,2"], capsys) == (0, out, "")
+
+    @pytest.mark.parametrize("config, model", [
+        ({"model": "hypercube_sum", "n": 2, "d": 1}, "hypercube_sum(n=2,d=1)"),
+        ({"model": "bounded_diff", "n": 2, "d": 1}, "bounded_diff_demo(n=2,d=1)"),
+        ({"model": "compound_covariance", "rows": 3, "n": 2},
+         "compound_covariance(p=3,n=2,pm1)"),
+        ({"model": "rect_demo", "n": 2}, "dilated(rect_demo(n=2))"),
+        ({"model": "random_finite", "n": 2, "d": 2, "model_seed": 3},
+         "random_finite(n=2,d=2,seed=3)"),
+        ({"model_file": "MODEL"}, "hypercube_sum(n=2,d=2)"),
+    ])
+    def test_each_model_reads_all_its_keys(self, capsys, tmp_path, config, model):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(stein.hypercube_sum(2).to_json()))
+        config = {k: str(path) if v == "MODEL" else v for k, v in config.items()}
+        (tmp_path / "cfg.json").write_text(json.dumps(dict(config, p="1")))
+        code, out, err = run(POLY + ["--config", str(tmp_path / "cfg.json")], capsys)
+        assert code == 0, err
+        assert json.loads(out)["model"] == model
+
+    @pytest.mark.parametrize("config", [
+        {"name": "gaussexp", "d": 2, "v": 1.0, "c": 0.5},
+        {"name": "self_bounded", "d": 2, "v": 1.0, "c": 0.5},
+        {"name": "bounded_diff", "d": 2, "sigma2": 1.0},
+        {"name": "dobrushin", "d": 2, "sigma2": 1.0, "D": [[0.0, 0.1], [0.2, 0.0]]},
+        {"name": "compound_cov", "p": 2, "n": 2, "sigma2": 0.5, "L": 1.5,
+         "B": [[1.0, 0.0], [0.0, 2.0]]},
+        {"name": "haar", "R": 1.0, "S": 1.0, "tv_seq": [0.25, 0.125], "d": 2},
+    ])
+    def test_each_curve_reads_all_its_keys(self, capsys, tmp_path, config):
+        (tmp_path / "cfg.json").write_text(json.dumps(dict(config, t="1,2")))
+        code, out, err = run(["bound", "--config", str(tmp_path / "cfg.json")], capsys)
+        assert code == 0, err
+        assert out.startswith(f"# bound={config['name']}")
+
+    def test_tail_shares_d_and_n_between_model_and_curve(self, capsys, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps({"name": "compound_cov", "p": 2}))
+        code, out, err = run(["tail", "--model", "hypercube_sum", "--n", "2", "--d", "2",
+                              "--samples", "100", "--seed", "1", "--t", "1",
+                              "--config", str(tmp_path / "cfg.json")], capsys)
+        assert code in (0, 2), err
+        assert json.loads(out)["bound"] == "compound_cov"
+
+    def test_unread_keys_are_named_in_flag_order(self, capsys, tmp_path):
+        message = self.refused(capsys, tmp_path, TAIL + HC2 + ["--sigma2", "4", "--rows", "2"],
+                               {"D": [[0.0]], "c": 1.0})
+        assert "['rows', 'c', 'sigma2', 'D']" in message
+
+
+def readme_commands() -> list:
+    """The matconc lines of README's "Command line" block, as argv lists."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("matconc ")]
+
+
+class _Reached(Exception):
+    """Raised by a stub in place of a verb's heavy work."""
+
+
+def test_readme_commands_pass_the_key_rule(capsys, monkeypatch, tmp_path):
+    # each documented command parses, passes the key rule and reaches the work
+    # of its verb, which a stub stands in for
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    for owner, name in [(verify, "verify_poly_efron_stein"), (verify, "verify_exp_efron_stein"),
+                        (verify, "verify_kernel_poly_moments"), (stein, "EstimatedKernel"),
+                        (cli, "_kernel_identities_report"), (verify, "fuzz_pmvti"),
+                        (verify, "fuzz_emvti"), (verify, "explore_conjecture"),
+                        (stein, "sample_coupling_times"),
+                        (verify, "empirical_tail"), (verify, "replay_case")]:
+        monkeypatch.setattr(owner, name, reached)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "report.json").write_text(json.dumps({"worst_case": {"ineq": "emvti"}}))
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == set(CONFIG_KEYS)
+    for argv in commands:
+        code, _, err = run(argv, capsys)
+        assert code != 3, (argv, err)
+        assert code == 0 or "_Reached" in json.loads(err)["error"]["message"], (argv, err)
 
 
 class TestConjectureVerb:

@@ -417,6 +417,17 @@ def mixed_support_model(seed, d=2, complex_table=True):
 
 
 class TestDistributions:
+    @pytest.mark.parametrize("build", [
+        lambda: mixed_support_model(3).dist, lambda: unsorted_three_valued_model().dist,
+        lambda: three_valued_model().dist, lambda: ProductDistribution.uniform_pm1(6),
+    ])
+    def test_outcome_rows_are_the_product_of_the_supports(self, build):
+        dist = build()
+        want = np.array(list(itertools.product(*(c.values for c in dist.coords))))
+        got = dist._outcome_rows()
+        assert got.dtype == np.float64 and got.shape == (dist.cardinality, dist.n)
+        assert got.tobytes() == want.tobytes()
+
     def test_finite_coord_rejects_bad_probs(self):
         with pytest.raises(ParameterError):
             FiniteCoord([(1.0, 0.6), (-1.0, 0.5)])
@@ -1396,6 +1407,27 @@ class TestExchangeablePairsIdentity:
             got = exchangeable_pairs_identity(m, k, F)
             assert got == oracle_pairs_identity(m, k, F)
             assert 0.0 < got <= EXACT
+
+    @pytest.mark.parametrize("build", [
+        lambda: hypercube_sum(5), lambda: stein.bounded_diff_demo(3),
+        lambda: random_finite_model(4, 3, seed=0), lambda: random_finite_model(5, 2, seed=7),
+        lambda: stein.compound_covariance(2, 3), lambda: mixed_support_model(3),
+    ])
+    def test_constant_F_skips_the_walk_bit_for_bit(self, build, monkeypatch):
+        # one d x d matrix has F(X) - F(X') = 0 exactly; the same matrix at
+        # every outcome takes the pair walk, and the two forms agree exactly
+        m = build()
+        k = ExactKernel(m)
+        walks = []
+        pairs = stein._pairs
+        monkeypatch.setattr(stein, "_pairs", lambda *a: walks.append(1) or pairs(*a))
+        c = _rng(11).standard_normal((m.d, m.d))
+        for C in (np.eye(m.d), c + c.T):
+            walked = exchangeable_pairs_identity(m, k, lambda x: np.broadcast_to(C, x.shape))
+            assert len(walks) == 1
+            assert exchangeable_pairs_identity(m, k, lambda x: C) == walked
+            assert len(walks) == 1
+            walks.clear()
 
     def test_value_of_another_shape_is_a_shape_error(self):
         m = hypercube_sum(3)

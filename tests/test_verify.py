@@ -895,6 +895,13 @@ class TestFuzzSuites:
             fuzz_matrix_entropy_young([1], ensemble_size=0, trials=5, seed=0)
         with pytest.raises(ParameterError):
             fuzz_pmvti([], [2], [1.0], trials=5, seed=0)
+        # a dimension or q is never truncated from a bool or a fraction
+        with pytest.raises(ParameterError, match="not an integer"):
+            fuzz_pmvti([1.5], [2], [1.0], trials=5, seed=0)
+        with pytest.raises(ParameterError, match="not an integer"):
+            fuzz_pmvti([1], [2.5], [1.0], trials=5, seed=0)
+        with pytest.raises(ParameterError, match="not an integer"):
+            explore_conjecture(True, [2], [1.0], trials=5, seed=0)
 
 
 class TestConjectureSweep:
@@ -1052,6 +1059,18 @@ class TestPolyEfronStein:
         monkeypatch.setattr(stein, "ENUM_CUTOFF", 2)
         with pytest.raises(ParameterError):
             verify_poly_efron_stein(hypercube_sum(3), [1])
+
+    @pytest.mark.parametrize("p", [[1.9], [2.5, 3], 1.5, [True], True, [np.float64(1.5)],
+                                   [math.nan]])
+    def test_non_integral_p_is_rejected_not_truncated(self, p):
+        # int() would check p = 1 for p = 1.9, and p = 1 for True
+        with pytest.raises(ParameterError, match="not an integer"):
+            verify_poly_efron_stein(hypercube_sum(2), p)
+
+    def test_integral_values_of_other_types_are_read(self):
+        want = verify_poly_efron_stein(hypercube_sum(2), [1, 2])
+        for p in ([1.0, 2.0], [np.int64(1), np.float64(2.0)], ["1", "2"]):
+            assert verify_poly_efron_stein(hypercube_sum(2), p) == want
 
 
 def random_additive_model(seed, d=2):
