@@ -19,6 +19,7 @@ from .matcore import (
     ShapeError,
     induced_norm,
     _as_herm_array,
+    _integer,
     _opnorm,
 )
 
@@ -95,6 +96,8 @@ class CompoundCovSpec:
     B: HermitianMatrix
 
     def __post_init__(self):
+        object.__setattr__(self, "p", _integer(self.p))
+        object.__setattr__(self, "n", _integer(self.n))
         if self.p < 1 or self.n < 1:
             raise ParameterError(f"p and n must be positive, got p={self.p} n={self.n}")
         if not (math.isfinite(self.L) and self.L > 0):
@@ -469,17 +472,17 @@ def make_curve(name: str, **params) -> BoundCurve:
         if missing:
             raise ParameterError(f"{name} curve needs parameters {missing}")
     if name == "gaussexp":
-        gp = GaussExpParams(int(params["d"]), float(params["v"]), float(params["c"]))
+        gp = GaussExpParams(_integer(params["d"]), float(params["v"]), float(params["c"]))
         return BoundCurve(name, dict(params), lambda t: gaussexp_bounds(gp, t)["tail_raw"])
     if name == "self_bounded":
-        d, v, c = int(params["d"]), float(params["v"]), float(params["c"])
+        d, v, c = _integer(params["d"]), float(params["v"]), float(params["c"])
         return BoundCurve(name, dict(params), lambda t: self_bounded_bounds(d, v, c, t)["tail_raw"])
     if name == "bounded_diff":
-        d, s2 = int(params["d"]), float(params["sigma2"])
+        d, s2 = _integer(params["d"]), float(params["sigma2"])
         return BoundCurve(name, dict(params), lambda t: bounded_diff_bounds(d, s2, t)["tail_raw"])
     if name == "dobrushin":
         spec = DobrushinSpec(params["D"], float(params["sigma2"]))
-        d = int(params["d"])
+        d = _integer(params["d"])
         return BoundCurve(name, {"d": d, "sigma2": spec.sigma2, "b": spec.b},
                           lambda t: dobrushin_bounds(spec, d, t)["tail_raw"])
     if name == "compound_cov":
@@ -489,7 +492,8 @@ def make_curve(name: str, **params) -> BoundCurve:
         prov = {"p": spec.p, "n": spec.n, "sigma2": spec.sigma2, "L": spec.L}
         return BoundCurve(name, prov, lambda t: compound_cov_bounds(spec, t)["tail_raw"])
     if name == "haar":
-        spec = HaarSpec(float(params["R"]), float(params["S"]), params["tv_seq"], int(params["d"]))
+        spec = HaarSpec(float(params["R"]), float(params["S"]), params["tv_seq"],
+                        _integer(params["d"]))
         return BoundCurve(name, {"d": spec.d, "sigma2": spec.sigma2},
                           lambda t: haar_bounds(spec, t)["tail_raw"])
     raise ParameterError(f"unknown bound name {name!r}")

@@ -25,6 +25,7 @@ from .matcore import (
     PreconditionError,
     ShapeError,
     _dilations,
+    _integer,
     _opnorm,
     _opnorms,
 )
@@ -425,6 +426,7 @@ def dilate_model(model: RectangularModel) -> MatrixModel:
 
 def hypercube_sum(n: int, d: int = 2) -> MatrixModel:
     """H(z) = (sum_j z_j) E_11 on uniform {+-1}^n; E H = 0."""
+    n, d = _integer(n), _integer(d)
     if n < 1 or d < 1:
         raise ParameterError(f"need n >= 1 and d >= 1, got n={n} d={d}")
 
@@ -439,6 +441,7 @@ def hypercube_sum(n: int, d: int = 2) -> MatrixModel:
 
 def bounded_diff_demo(n: int = 3, d: int = 2) -> MatrixModel:
     """H(z) = sum_j z_j M_j with fixed Hermitian M_j and z uniform on {+-1}^n."""
+    n, d = _integer(n), _integer(d)
     # coordinate by coordinate, the real then the imaginary part of a d x d draw
     parts = _rng(20_240_501).standard_normal((n, 2, d, d))
     g = parts[:, 0] + 1j * parts[:, 1]
@@ -453,6 +456,7 @@ def compound_covariance(p: int, n: int, B=None, entry_dist: str = "pm1",
     """H(z) = Z B Z* with Z the p x n matrix of the iid coordinates, uniform on
     {-L, L} for entry_dist "pm1" (sigma2 = L^2) or on [-L, L] for "uniform"
     (sigma2 = L^2/3, and the model falls back to Monte Carlo means)."""
+    p, n = _integer(p), _integer(n)
     if not (np.isfinite(L) and L > 0):
         raise ParameterError(f"need a finite L > 0, got {L}")
     if B is None:
@@ -481,6 +485,7 @@ def compound_covariance(p: int, n: int, B=None, entry_dist: str = "pm1",
 
 def rect_demo(n: int = 3) -> RectangularModel:
     """A small rectangular-valued model on {+-1}^n with 2 x 3 values."""
+    n = _integer(n)
 
     def H(zs):
         z0, z1, z2 = np.hstack([zs, np.ones((len(zs), 2))])[:, :3].T  # missing ones read 1
@@ -492,6 +497,7 @@ def rect_demo(n: int = 3) -> RectangularModel:
 
 def random_finite_model(n: int, d: int, seed: int) -> MatrixModel:
     """Binary-coordinate model with an independent random Hermitian per outcome."""
+    n, d, seed = _integer(n), _integer(d), _integer(seed)
     if n < 1 or d < 1:
         raise ParameterError(f"need n >= 1 and d >= 1, got n={n} d={d}")
     dist = ProductDistribution.uniform_pm1(n)

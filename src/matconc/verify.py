@@ -898,6 +898,7 @@ def empirical_tail(model, samples: int, t_grid, seed: int, curve=None,
     When a BoundCurve is supplied, flags every grid point where the raw bound
     plus the band half-width fails to dominate the empirical survival.
     """
+    samples = _integer(samples)
     if samples < 100:
         raise ParameterError(f"need at least 100 samples, got {samples}")
     t_grid = np.asarray(t_grid, dtype=float)

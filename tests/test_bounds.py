@@ -225,6 +225,25 @@ def test_make_curve_rejects_bad_params():
         make_curve("gaussexp", d=2, v=1.0)  # missing c
 
 
+@pytest.mark.parametrize("name, params", [
+    ("gaussexp", dict(d=2.5, v=1.0, c=0.5)),
+    ("self_bounded", dict(d=2.5, v=1.0, c=0.5)),
+    ("bounded_diff", dict(d=2.5, sigma2=1.0)),
+    ("bounded_diff", dict(d=True, sigma2=1.0)),
+    ("dobrushin", dict(d=2.5, sigma2=1.0, D=np.zeros((2, 2)))),
+    ("haar", dict(R=1.0, S=1.0, tv_seq=[0.5], d=2.5)),
+])
+def test_make_curve_refuses_a_fractional_d(name, params):
+    with pytest.raises(ParameterError, match="not an integer"):
+        make_curve(name, **params)
+
+
+@pytest.mark.parametrize("p, n", [(1.5, 2), (2, 2.5), (True, 2)])
+def test_compound_spec_refuses_a_fractional_p_or_n(p, n):
+    with pytest.raises(ParameterError, match="not an integer"):
+        CompoundCovSpec(p=p, n=n, sigma2=1.0, L=1.0, B=np.eye(2))
+
+
 def test_formula_regression_grid():
     # each family's raw curve equals its closed form at 1e-12 relative
     t_grid = np.linspace(0.0, 8.0, 33)

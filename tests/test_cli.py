@@ -6,6 +6,7 @@ can be asserted without spawning interpreters.
 import importlib.util
 import json
 import math
+import os
 import re
 import shlex
 import threading
@@ -123,6 +124,15 @@ class TestBoundVerb:
         error = json.loads(err)["error"]
         assert error["type"] == "config"
         assert "need a finite " + entry.split('"')[1] in error["message"]
+
+    @pytest.mark.parametrize("key", ["sigma2", "L"])
+    def test_compound_cov_null_is_unset(self, capsys, tmp_path, key):
+        config = {"name": "compound_cov", "p": 2, "n": 3, "t": "0:2:1"}
+        (tmp_path / "unset.json").write_text(json.dumps(config))
+        (tmp_path / "null.json").write_text(json.dumps(dict(config, **{key: None})))
+        want = run(["bound", "--config", str(tmp_path / "unset.json")], capsys)
+        assert want[0] == 0, want[2]
+        assert run(["bound", "--config", str(tmp_path / "null.json")], capsys) == want
 
 
 # non-finite values in either grid form, a range whose point count overflows,
@@ -582,6 +592,17 @@ class TestKeyRule:
         assert code == 0
         assert run(argv + ["--n", "3", "--p", "1,2"], capsys) == (0, out, "")
 
+    @pytest.mark.parametrize("argv, config", [
+        (["bound"], {"name": "bounded_diff", "d": 2, "sigma2": True}),
+        (["bound"], {"name": "gaussexp", "d": 2, "v": 1, "c": False}),
+        (["verify", "--check", "exp_efron_stein"] + HC2, {"theta": [True]}),
+        (["fuzz", "--ineq", "young_commuting", "--trials", "5", "--seed", "1"], {"p": True}),
+        (TAIL + HC2, {"alpha": True}),
+    ])
+    def test_bool_is_not_a_float(self, capsys, tmp_path, argv, config):
+        assert re.search(r"cannot read (True|False) as float",
+                         self.refused(capsys, tmp_path, argv, config))
+
     @pytest.mark.parametrize("config, model", [
         ({"model": "hypercube_sum", "n": 2, "d": 1}, "hypercube_sum(n=2,d=1)"),
         ({"model": "bounded_diff", "n": 2, "d": 1}, "bounded_diff_demo(n=2,d=1)"),
@@ -779,6 +800,62 @@ class TestReplayVerb:
         path = tmp_path / "empty.json"
         path.write_text("{}")
         assert run(["replay", "--case", str(path)], capsys)[0] == 3
+
+
+# the verbs and arguments of test_10 in test_acceptance.py
+OUT_CASES = {
+    "bound": ["bound", "--name", "gaussexp", "--d", "2", "--v", "1", "--c", "0.5",
+              "--t", "0:4:0.5"],
+    "verify": ["verify", "--check", "poly_efron_stein", "--model", "hypercube_sum", "--n", "3"],
+    "fuzz": ["fuzz", "--ineq", "pmvti", "--trials", "60", "--seed", "17", "--d", "1:3",
+             "--q", "1:4", "--s", "0.5,2", "--jobs", "2"],
+    "conjecture": ["conjecture", "--trials", "80", "--seed", "17", "--d", "1:3"],
+    "couple": ["couple", "--n", "3", "--runs", "400", "--seed", "17", "--pathwise-runs", "20"],
+    "tail": ["tail", "--model", "hypercube_sum", "--n", "3", "--d", "2", "--bound",
+             "bounded_diff", "--sigma2", "9", "--samples", "500", "--seed", "17",
+             "--t", "0:4:1"],
+}
+
+
+class TestOutFile:
+    """--out is rewritten in place and trimmed, so whatever the file held
+    before, it ends up holding exactly the bytes stdout would carry."""
+
+    @pytest.mark.parametrize("verb", [*OUT_CASES, "replay"])
+    def test_report_over_an_old_file_is_the_fresh_report(self, capsys, tmp_path, verb):
+        argv = OUT_CASES.get(verb)
+        if argv is None:
+            case = tmp_path / "case.json"
+            assert cli.main(OUT_CASES["fuzz"] + ["--out", str(case)]) == 0
+            argv = ["replay", "--case", str(case)]
+        fresh = tmp_path / "fresh.out"
+        code, stdout, _ = run(argv, capsys)
+        assert code == 0
+        assert run(argv + ["--out", str(fresh)], capsys) == (0, "", "")
+        want = fresh.read_bytes()
+        assert want == stdout.encode()
+        for old in (b"\xff" * (len(want) + 1000), b"\xff" * (len(want) // 2)):
+            target = tmp_path / "old.out"
+            target.write_bytes(old)
+            assert run(argv + ["--out", str(target)], capsys) == (0, "", "")
+            assert target.read_bytes() == want
+
+    def test_dev_null_is_written_and_not_trimmed(self, capsys):
+        assert run(OUT_CASES["bound"] + ["--out", os.devnull], capsys) == (0, "", "")
+
+    def test_the_writer_never_opens_with_truncation(self, capsys, tmp_path, monkeypatch):
+        target = str(tmp_path / "curve.csv")
+        flags = []
+        real_open = os.open
+
+        def spy(path, flag, *args, **kwargs):
+            if path == target:
+                flags.append(flag)
+            return real_open(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        assert run(OUT_CASES["bound"] + ["--out", target], capsys) == (0, "", "")
+        assert len(flags) == 1 and not flags[0] & os.O_TRUNC
 
 
 def perfbench_module(name: str):

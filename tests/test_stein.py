@@ -624,6 +624,25 @@ class TestModels:
         # H is linear in z, so the unit rows read off M_1, ..., M_n
         assert np.array_equal(stein.bounded_diff_demo(n, d).H_rows(np.eye(n)), np.stack(want))
 
+    @pytest.mark.parametrize("build", [
+        lambda: hypercube_sum(2, 1.5),
+        lambda: hypercube_sum(2.5),
+        lambda: stein.bounded_diff_demo(2, 1.5),
+        lambda: compound_covariance(1.5, 2),
+        lambda: compound_covariance(2, True),
+        lambda: rect_demo(2.5),
+        lambda: random_finite_model(2, 2, 1.5),
+        lambda: random_finite_model(2.5, 2, 0),
+    ], ids=["hypercube_d", "hypercube_n", "bounded_diff_d", "compound_p", "compound_n",
+            "rect_n", "random_finite_seed", "random_finite_n"])
+    def test_builder_refuses_a_fractional_or_bool_integer(self, build):
+        with pytest.raises(ParameterError, match="not an integer"):
+            build()
+
+    def test_builder_reads_an_integral_float_as_the_int(self):
+        assert hypercube_sum(2.0, 3.0).name == hypercube_sum(2, 3).name == "hypercube_sum(n=2,d=3)"
+        assert random_finite_model(2.0, 2, 5.0).name == "random_finite(n=2,d=2,seed=5)"
+
     def test_rectangular_mean_is_the_outcome_sum(self):
         rm = rect_demo(4)
         acc = np.zeros((2, 3), dtype=complex)

@@ -1448,6 +1448,11 @@ class TestEmpiricalTail:
         with pytest.raises(ParameterError):
             empirical_tail(hypercube_sum(2, d=1), samples=99, t_grid=[0.0], seed=0)
 
+    @pytest.mark.parametrize("samples", [100.5, True])
+    def test_fractional_sample_count_is_refused(self, samples):
+        with pytest.raises(ParameterError, match="not an integer"):
+            empirical_tail(hypercube_sum(2, d=1), samples, t_grid=[0.0], seed=0)
+
     def test_unknown_statistic(self):
         with pytest.raises(ParameterError):
             sample_statistics(hypercube_sum(2, d=1), 10, 0, "trace")
