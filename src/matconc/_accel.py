@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .matcore import ShapeError, _rng
+
 
 def backend() -> str:
     """Name of the implementation of the inner loops; numpy is the only one."""
@@ -14,10 +16,10 @@ def coverage_times(n: int, needed: np.ndarray, runs: int, seed: int,
     """First time a uniform draw stream covers every coordinate in ``needed``.
 
     Simulates ``runs`` independent streams of uniform draws on {0..n-1}
-    (counter-based generator keyed by ``seed``) and returns, per run, the
+    (matcore's Philox stream keyed by ``seed``) and returns, per run, the
     first step at which every index with needed[j] True has been drawn,
     or -1 if that does not happen within ``max_steps``.  An empty needed
-    set gives 0.
+    set gives 0; a mask of another shape than (n,) is a ShapeError.
 
     Stream version 2: each block of up to ``chunk`` steps draws (step, open
     runs) int32 values for the runs not yet covered only (version 1 drew
@@ -33,7 +35,8 @@ def coverage_times(n: int, needed: np.ndarray, runs: int, seed: int,
     """
     needed = np.asarray(needed, dtype=np.bool_)
     if needed.shape != (n,):
-        raise ValueError(f"needed must have shape ({n},)")
+        raise ShapeError(f"the mask must have shape ({n},), got {needed.shape}")
+    rng = _rng(seed)
     times = np.full(runs, -1, dtype=np.int64)
     if not needed.any():
         times[:] = 0
@@ -46,7 +49,6 @@ def coverage_times(n: int, needed: np.ndarray, runs: int, seed: int,
     need = np.bitwise_or.reduce(flags.reshape(words, width) << np.arange(width, dtype=word),
                                 axis=1)
     live = np.flatnonzero(need)
-    rng = np.random.Generator(np.random.Philox(seed))
     seen = np.zeros((live.size, runs), dtype=word)
     active = np.arange(runs)
     offset = 0

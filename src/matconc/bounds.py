@@ -19,7 +19,7 @@ from .matcore import (
     ShapeError,
     induced_norm,
     _as_herm_array,
-    _integer,
+    _count,
     _opnorm,
 )
 
@@ -43,8 +43,7 @@ class GaussExpParams:
     c: float
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ParameterError(f"d must be a positive integer, got {self.d}")
+        object.__setattr__(self, "d", _count(self.d, "d"))
         if self.v < 0 or self.c < 0:
             raise ParameterError(f"v and c must be nonnegative, got v={self.v} c={self.c}")
 
@@ -96,10 +95,8 @@ class CompoundCovSpec:
     B: HermitianMatrix
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _integer(self.p))
-        object.__setattr__(self, "n", _integer(self.n))
-        if self.p < 1 or self.n < 1:
-            raise ParameterError(f"p and n must be positive, got p={self.p} n={self.n}")
+        object.__setattr__(self, "p", _count(self.p, "p"))
+        object.__setattr__(self, "n", _count(self.n, "n"))
         if not (math.isfinite(self.L) and self.L > 0):
             raise ParameterError(f"need a finite L > 0, got L={self.L}")
         if not math.isfinite(self.sigma2):
@@ -128,8 +125,7 @@ class HaarSpec:
             raise ParameterError(f"R must be nonnegative, got {self.R}")
         if self.S <= 0:
             raise ParameterError(f"S must be positive, got {self.S}")
-        if self.d < 1:
-            raise ParameterError(f"d must be a positive integer, got {self.d}")
+        object.__setattr__(self, "d", _count(self.d, "d"))
         tv = tuple(float(x) for x in self.tv_seq)
         for x in tv:
             if not 0 <= x <= 1:
@@ -244,8 +240,7 @@ def laplace_bounds(log_mgf: Callable[[float], float], d: int, t: float, theta_gr
     neg = grid[grid < 0]
     if pos.size == 0 and neg.size == 0:
         raise ParameterError("theta_grid contains only theta=0")
-    if d < 1:
-        raise ParameterError(f"d must be a positive integer, got {d}")
+    d = _count(d, "d")
 
     logd = math.log(d)
     out = {}
@@ -297,8 +292,7 @@ def gaussexp_bounds(params: GaussExpParams, t: float) -> dict:
 
 def efron_stein_poly_rhs(p: int, v_moment: float) -> float:
     """sqrt(2(2p-1)) * (E||V||_p^p)^(1/2p), bounding (E||X||_2p^2p)^(1/2p)."""
-    if int(p) != p or p < 1:
-        raise ParameterError(f"p must be an integer >= 1, got {p}")
+    p = _count(p, "p")
     if v_moment < 0:
         raise ParameterError(f"moment must be nonnegative, got {v_moment}")
     return math.sqrt(2.0 * (2 * p - 1)) * v_moment ** (1.0 / (2 * p))
@@ -326,8 +320,7 @@ def efron_stein_exp_rhs(theta: float, psi: float, log_mgf_v: float) -> float:
 
 def self_bounded_bounds(d: int, v: float, c: float, t: float) -> dict:
     """Bounds under V <= vI + cX: tail d*exp(-t^2/(4v+6ct)), mean sqrt(4v log d)+3c log d."""
-    if d < 1:
-        raise ParameterError(f"d must be a positive integer, got {d}")
+    d = _count(d, "d")
     if v < 0 or c < 0:
         raise ParameterError(f"v and c must be nonnegative, got v={v} c={c}")
     raw = _exp_tail(d, t, 4 * v + 6 * c * t)
@@ -355,8 +348,7 @@ def bounded_diff_sigma(difference_bounds) -> float:
 
 def bounded_diff_bounds(d: int, sigma2: float, t: float) -> dict:
     """Bounded-differences bounds: tail d*exp(-t^2/(2 sigma^2)), mean sigma*sqrt(2 log d)."""
-    if d < 1:
-        raise ParameterError(f"d must be a positive integer, got {d}")
+    d = _count(d, "d")
     if sigma2 < 0:
         raise ParameterError(f"sigma2 must be nonnegative, got {sigma2}")
     raw = _exp_tail(d, t, 2 * sigma2)
@@ -369,8 +361,7 @@ def bounded_diff_bounds(d: int, sigma2: float, t: float) -> dict:
 
 def dobrushin_bounds(spec: DobrushinSpec, d: int, t: float) -> dict:
     """Weakly dependent bounded differences: tail d*exp(-t^2/(b sigma^2))."""
-    if d < 1:
-        raise ParameterError(f"d must be a positive integer, got {d}")
+    d = _count(d, "d")
     b = spec.b
     raw = _exp_tail(d, t, b * spec.sigma2)
     return {
@@ -407,8 +398,7 @@ def compound_psd_mgf(A, p: int, sigma2: float, theta: float) -> float:
     for 0 <= theta < 1/(24 p ||A||).
     """
     a = A if isinstance(A, HermitianMatrix) else HermitianMatrix(A)
-    if p < 1:
-        raise ParameterError(f"p must be a positive integer, got {p}")
+    p = _count(p, "p")
     if sigma2 < 0:
         raise ParameterError(f"sigma2 must be nonnegative, got {sigma2}")
     lam = a.eigvals()
@@ -472,17 +462,17 @@ def make_curve(name: str, **params) -> BoundCurve:
         if missing:
             raise ParameterError(f"{name} curve needs parameters {missing}")
     if name == "gaussexp":
-        gp = GaussExpParams(_integer(params["d"]), float(params["v"]), float(params["c"]))
+        gp = GaussExpParams(params["d"], float(params["v"]), float(params["c"]))
         return BoundCurve(name, dict(params), lambda t: gaussexp_bounds(gp, t)["tail_raw"])
     if name == "self_bounded":
-        d, v, c = _integer(params["d"]), float(params["v"]), float(params["c"])
+        d, v, c = _count(params["d"], "d"), float(params["v"]), float(params["c"])
         return BoundCurve(name, dict(params), lambda t: self_bounded_bounds(d, v, c, t)["tail_raw"])
     if name == "bounded_diff":
-        d, s2 = _integer(params["d"]), float(params["sigma2"])
+        d, s2 = _count(params["d"], "d"), float(params["sigma2"])
         return BoundCurve(name, dict(params), lambda t: bounded_diff_bounds(d, s2, t)["tail_raw"])
     if name == "dobrushin":
         spec = DobrushinSpec(params["D"], float(params["sigma2"]))
-        d = _integer(params["d"])
+        d = _count(params["d"], "d")
         return BoundCurve(name, {"d": d, "sigma2": spec.sigma2, "b": spec.b},
                           lambda t: dobrushin_bounds(spec, d, t)["tail_raw"])
     if name == "compound_cov":
@@ -492,8 +482,7 @@ def make_curve(name: str, **params) -> BoundCurve:
         prov = {"p": spec.p, "n": spec.n, "sigma2": spec.sigma2, "L": spec.L}
         return BoundCurve(name, prov, lambda t: compound_cov_bounds(spec, t)["tail_raw"])
     if name == "haar":
-        spec = HaarSpec(float(params["R"]), float(params["S"]), params["tv_seq"],
-                        _integer(params["d"]))
+        spec = HaarSpec(float(params["R"]), float(params["S"]), params["tv_seq"], params["d"])
         return BoundCurve(name, {"d": spec.d, "sigma2": spec.sigma2},
                           lambda t: haar_bounds(spec, t)["tail_raw"])
     raise ParameterError(f"unknown bound name {name!r}")

@@ -23,6 +23,7 @@ from .matcore import (
     ParameterError,
     PreconditionError,
     ShapeError,
+    _count,
     _integer,
 )
 
@@ -427,13 +428,9 @@ def fuzz(config_path, **flags):
     name = cfg.get("ineq")
     if name is None:
         raise ParameterError("--ineq is required")
-    trials = _get(cfg, "trials", int, 0)
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
+    trials = _count(_get(cfg, "trials", int, 0), "trials")
     seed = _require_seed(cfg)
-    jobs = _get(cfg, "jobs", int, 1)
-    if jobs < 1:
-        raise ParameterError(f"jobs must be >= 1, got {jobs}")
+    jobs = _count(_get(cfg, "jobs", int, 1), "jobs")
     one = _fuzz_suite(name, _parse_ints(cfg.get("d") or "1:6"), cfg)
     _reject_unread(cfg, f"fuzz suite {name!r}")
     counts = [trials // jobs + (1 if i < trials % jobs else 0) for i in range(jobs)]
@@ -479,17 +476,10 @@ def couple(config_path, **flags):
     """Coupling-time statistics for antipodal starts on the hypercube."""
     cfg = _merge_config(_load_config(config_path), flags)
     n = _get(cfg, "n", int, 0)
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    runs = _get(cfg, "runs", int, 0)
-    if runs < 2:
-        raise ParameterError(f"runs must be >= 2, got {runs}")
+    runs = _count(_get(cfg, "runs", int, 0), "runs", 2)
     seed = _require_seed(cfg)
-    max_steps = _get(cfg, "max_steps", int, 1_000_000)
-    pw_runs = _get(cfg, "pathwise_runs", int, 100)
-    if max_steps < 1 or pw_runs < 1:
-        raise ParameterError(f"max_steps and pathwise_runs must be >= 1, "
-                             f"got {max_steps} and {pw_runs}")
+    max_steps = _count(_get(cfg, "max_steps", int, 1_000_000), "max_steps")
+    pw_runs = _count(_get(cfg, "pathwise_runs", int, 100), "pathwise_runs")
     _reject_unread(cfg, "couple")
     times = stein.sample_coupling_times(n, runs, seed, max_steps=max_steps)
     if np.any(times < 0):

@@ -65,6 +65,20 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _count(value, what: str, least: int = 1) -> int:
+    """A seed, dimension or count: _integer(value), and a ParameterError naming
+    ``what`` where it is below ``least``."""
+    out = _integer(value)
+    if out < least:
+        raise ParameterError(f"{what} must be an integer >= {least}, got {out}")
+    return out
+
+
+def _rng(seed) -> np.random.Generator:
+    """The package's one random stream: Philox keyed by the seed, an integer >= 0."""
+    return np.random.Generator(np.random.Philox(_count(seed, "seed", 0)))
+
+
 def _finite(a: np.ndarray) -> np.ndarray:
     if not np.isfinite(a).all():
         raise DomainError("matrix entries must be finite")
@@ -143,7 +157,7 @@ class HermitianMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "HermitianMatrix":
-        d = int(obj["dim"])
+        d = _count(obj["dim"], "dim")
         m = np.array(obj["real"], dtype=float).reshape(d, d) + 1j * np.array(
             obj["imag"], dtype=float
         ).reshape(d, d)
@@ -179,7 +193,7 @@ class RectMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RectMatrix":
-        r, c = int(obj["rows"]), int(obj["cols"])
+        r, c = _count(obj["rows"], "rows", 0), _count(obj["cols"], "cols", 0)
         m = np.array(obj["real"], dtype=float).reshape(r, c) + 1j * np.array(
             obj["imag"], dtype=float
         ).reshape(r, c)
@@ -277,12 +291,6 @@ def matrix_function(A, f: Callable) -> HermitianMatrix:
         raise DomainError(f"f is not real-valued and finite at eigenvalue {lam!r}")
     out = spectral_apply(v, fw.real)
     return HermitianMatrix((out + out.conj().T) / 2)
-
-
-def ntrace(M) -> float:
-    """Normalized trace tr(M)/d."""
-    a = _as_array(M)
-    return float(np.trace(a).real) / a.shape[0]
 
 
 def schatten_norm(B, p) -> float:

@@ -24,10 +24,11 @@ from .matcore import (
     ParameterError,
     PreconditionError,
     ShapeError,
+    _count,
     _dilations,
-    _integer,
     _opnorm,
     _opnorms,
+    _rng,
 )
 
 # Above this product-space cardinality, enumeration gives way to Monte Carlo.
@@ -38,10 +39,6 @@ _MEAN_MC_SAMPLES = 20_000
 _MEAN_SEED = 0
 
 _COMPARE_MAX = 64  # above this many values, a coordinate's array of draws is binary-searched
-
-
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(int(seed)))
 
 
 def _kept(owner, attr: str, build: Callable) -> np.ndarray:
@@ -252,7 +249,7 @@ class MatrixModel:
     def __init__(self, dist: ProductDistribution, H: Callable, d: int, name: str = ""):
         self.dist = dist
         self._H = H
-        self.d = int(d)
+        self.d = _count(d, "d")
         self.name = name or "model"
         self._mean = None
         self.mean_provenance = None
@@ -336,7 +333,7 @@ class MatrixModel:
 
     def sample_X(self, count: int, seed: int) -> np.ndarray:
         """Draw ``count`` centered samples X = H(Z) - E H(Z), shape (count, d, d)."""
-        return self.H_rows(self.dist.sample_many(_rng(seed), count)) - self.mean()
+        return self.H_rows(self.dist.sample_many(_rng(seed), _count(count, "count"))) - self.mean()
 
     # -- coordinate surgery
 
@@ -361,7 +358,7 @@ class MatrixModel:
     @classmethod
     def from_json(cls, obj: dict) -> "MatrixModel":
         dist = ProductDistribution.from_json(obj["dist"])
-        d = int(obj["d"])
+        d = _count(obj["d"], "d")
         table = obj["H"]
         # a table smaller than the support fails before the support is enumerated
         keys = len(table) >= dist.cardinality and [_zkey(z) for z in dist._outcome_rows()]
@@ -388,8 +385,7 @@ class RectangularModel:
                  name: str = ""):
         self.dist = dist
         self._H = H
-        self.rows = int(rows)
-        self.cols = int(cols)
+        self.rows, self.cols = _count(rows, "rows"), _count(cols, "cols")
         self.name = name or "rect_model"
         self._mean = None
 
@@ -426,9 +422,7 @@ def dilate_model(model: RectangularModel) -> MatrixModel:
 
 def hypercube_sum(n: int, d: int = 2) -> MatrixModel:
     """H(z) = (sum_j z_j) E_11 on uniform {+-1}^n; E H = 0."""
-    n, d = _integer(n), _integer(d)
-    if n < 1 or d < 1:
-        raise ParameterError(f"need n >= 1 and d >= 1, got n={n} d={d}")
+    n, d = _count(n, "n"), _count(d, "d")
 
     def H(zs):
         out = np.zeros((zs.shape[0], d, d))
@@ -441,7 +435,7 @@ def hypercube_sum(n: int, d: int = 2) -> MatrixModel:
 
 def bounded_diff_demo(n: int = 3, d: int = 2) -> MatrixModel:
     """H(z) = sum_j z_j M_j with fixed Hermitian M_j and z uniform on {+-1}^n."""
-    n, d = _integer(n), _integer(d)
+    n, d = _count(n, "n"), _count(d, "d")
     # coordinate by coordinate, the real then the imaginary part of a d x d draw
     parts = _rng(20_240_501).standard_normal((n, 2, d, d))
     g = parts[:, 0] + 1j * parts[:, 1]
@@ -456,7 +450,7 @@ def compound_covariance(p: int, n: int, B=None, entry_dist: str = "pm1",
     """H(z) = Z B Z* with Z the p x n matrix of the iid coordinates, uniform on
     {-L, L} for entry_dist "pm1" (sigma2 = L^2) or on [-L, L] for "uniform"
     (sigma2 = L^2/3, and the model falls back to Monte Carlo means)."""
-    p, n = _integer(p), _integer(n)
+    p, n = _count(p, "p"), _count(n, "n")
     if not (np.isfinite(L) and L > 0):
         raise ParameterError(f"need a finite L > 0, got {L}")
     if B is None:
@@ -485,7 +479,7 @@ def compound_covariance(p: int, n: int, B=None, entry_dist: str = "pm1",
 
 def rect_demo(n: int = 3) -> RectangularModel:
     """A small rectangular-valued model on {+-1}^n with 2 x 3 values."""
-    n = _integer(n)
+    n = _count(n, "n")
 
     def H(zs):
         z0, z1, z2 = np.hstack([zs, np.ones((len(zs), 2))])[:, :3].T  # missing ones read 1
@@ -497,9 +491,7 @@ def rect_demo(n: int = 3) -> RectangularModel:
 
 def random_finite_model(n: int, d: int, seed: int) -> MatrixModel:
     """Binary-coordinate model with an independent random Hermitian per outcome."""
-    n, d, seed = _integer(n), _integer(d), _integer(seed)
-    if n < 1 or d < 1:
-        raise ParameterError(f"need n >= 1 and d >= 1, got n={n} d={d}")
+    n, d, seed = _count(n, "n"), _count(d, "d"), _count(seed, "seed", 0)
     dist = ProductDistribution.uniform_pm1(n)
     # outcome by outcome, the real then the imaginary part of a d x d draw
     return _table_model(dist, _rng(seed).standard_normal((dist.cardinality, 2, d, d)), d,
@@ -516,8 +508,8 @@ class ExchangeablePair:
 
     def __init__(self, model: MatrixModel, seed: int):
         self.model = model
-        self.seed = int(seed)
-        self._gen = _rng(seed)
+        self.seed = _count(seed, "seed", 0)
+        self._gen = _rng(self.seed)
 
     def sample(self) -> tuple:
         model = self.model
@@ -651,6 +643,7 @@ def variance_proxy(model: MatrixModel, z, samples: int | None = None,
         return _entry(model, variance_proxy_map(model), z)
     if samples is None or seed is None:
         raise ParameterError("models that cannot be enumerated need samples and seed")
+    samples = _count(samples, "samples")
     z = tuple(float(v) for v in z)
     hz = model.H(z)
     acc = np.zeros_like(hz)
@@ -798,16 +791,12 @@ def _chain_sums(model: MatrixModel, starts: np.ndarray, horizon: int, samples: i
     for each chain, shape (samples in the block, len(starts), d, d); a
     sample stops adding once all its chains agree.
     """
-    if horizon < 1:
-        raise ParameterError(f"horizon must be >= 1, got {horizon}")
-    if samples < 1:
-        raise ParameterError(f"samples must be >= 1, got {samples}")
     dist = model.dist
     hs = outcome_stack(model.H_tensor())
     size = np.array(dist.shape)
     stride = np.array([math.prod(dist.shape[j + 1:]) for j in range(dist.n)])
     per = max(starts.size, 2 * _KERNEL_BLOCK) // starts.size
-    bitgen = np.random.Philox(int(seed))
+    bitgen = _rng(seed).bit_generator
     for k, lo in enumerate(range(0, samples, per)):
         rng = np.random.Generator(bitgen.jumped(k))
         m = min(per, samples - lo)
@@ -836,6 +825,8 @@ def estimate_kernel(model: MatrixModel, z, zp, horizon: int, samples: int,
     (z, z') negates the estimate bitwise.  The draws are those of stream
     version 2, so its estimates differ from version 2's by rounding only.
     """
+    horizon, samples = _count(horizon, "horizon"), _count(samples, "samples")
+    seed = _count(seed, "seed", 0)
     z = tuple(float(v) for v in z)
     zp = tuple(float(v) for v in zp)
     # index() rejects a state off the support, of any length
@@ -848,7 +839,7 @@ def estimate_kernel(model: MatrixModel, z, zp, horizon: int, samples: int,
         acc = acc + diff.sum(axis=0)
         acc_sq += float(np.vdot(diff, diff).real)
     est = acc * (1.0 / samples)
-    return KernelEstimate(z, zp, horizon, samples, int(seed), HermitianMatrix(est),
+    return KernelEstimate(z, zp, horizon, samples, seed, HermitianMatrix(est),
                           _truncation_bound(model, horizon),
                           float(_standard_error(acc_sq, est, samples)))
 
@@ -865,8 +856,8 @@ class EstimatedKernel(_OutcomeKernel):
     """
 
     def __init__(self, model: MatrixModel, horizon: int, samples: int, seed: int):
-        if samples < 2:  # one sample has no standard error, so no error radius
-            raise ParameterError(f"samples must be >= 2 for an estimated kernel, got {samples}")
+        # one sample has no standard error, so no error radius
+        horizon, samples = _count(horizon, "horizon"), _count(samples, "samples", 2)
         self.model = model
         dist = model.dist
         total = 0.0
@@ -1060,6 +1051,7 @@ def simulate_kernel_coupling(model: MatrixModel, z, zp, max_steps: int,
     z = tuple(float(v) for v in z)
     zp = tuple(float(v) for v in zp)
     n = model.dist.n
+    seed, max_steps = _count(seed, "seed", 0), _count(max_steps, "max_steps", 0)
     rng = _rng(seed)
     a, b = z, zp
     traj = [(a, b)]
@@ -1083,7 +1075,7 @@ def simulate_kernel_coupling(model: MatrixModel, z, zp, max_steps: int,
             coupling_time = step
         if coupling_time >= 0 and first_all >= 0:
             break
-    return CouplingRun(traj, draws, coupling_time, first_all, int(seed),
+    return CouplingRun(traj, draws, coupling_time, first_all, seed,
                        _opnorms(np.stack(diffs)).tolist())
 
 
@@ -1095,10 +1087,11 @@ def sample_coupling_times(n: int, runs: int, seed: int,
     initially-differing coordinate, so the bulk simulation reduces to
     coverage scans over shared draw arrays (see _accel.coverage_times).
     """
+    n = _count(n, "n")
     if diff_mask is None:
         diff_mask = np.ones(n, dtype=bool)
-    return _accel.coverage_times(n, np.asarray(diff_mask, dtype=bool), runs,
-                                 seed, max_steps=max_steps)
+    return _accel.coverage_times(n, diff_mask, _count(runs, "runs", 0), seed,
+                                 max_steps=_count(max_steps, "max_steps", 0))
 
 
 def coupling_premise_bound(model: MatrixModel) -> dict:

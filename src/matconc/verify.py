@@ -24,7 +24,9 @@ from .matcore import (
     SuperOperator,
     _as_array,
     _as_herm_array,
+    _count,
     _integer,
+    _rng,
     hermitian_json,
     rect_json,
     spectral_apply,
@@ -36,10 +38,6 @@ SCHEMA_VERSION = 1
 
 # geometric grid for inf-over-s bounds; any grid gives a valid weaker check
 DEFAULT_S_GRID = tuple(float(2.0 ** k) for k in np.linspace(-10.0, 10.0, 41))
-
-
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(int(seed)))
 
 
 def _grid(values, kind, what: str, positive: bool = False) -> list:
@@ -308,9 +306,8 @@ def _int_power(w: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _powers(w: np.ndarray, u: np.ndarray, q: np.ndarray) -> tuple:
-    """M^q and |M|^{q-1} from the eigenpairs of M, for one integer q >= 1 per M."""
-    if np.any(q < 1):
-        raise ParameterError("q must be a positive integer")
+    """M^q and |M|^{q-1} from the eigenpairs of M, for one integer q >= 1 per M
+    (the q grids and eval_* read q as counts)."""
     return (spectral_apply(u, _int_power(w, q)),
             spectral_apply(u, _int_power(np.abs(w), q - 1)))
 
@@ -463,7 +460,8 @@ def _first(*outs) -> tuple:
 
 def eval_pmvti(A, B, C, q: int, s: float) -> tuple:
     """|tr[C (A^q - B^q)]| vs (q/4) tr[(s(A-B)^2 + C^2/s)(|A|^{q-1} + |B|^{q-1})]."""
-    return _first(*_pmvti_stack(_one(A), _one(B), _one(C), np.array([int(q)]), _s_array([s])))
+    return _first(*_pmvti_stack(_one(A), _one(B), _one(C), np.array([_count(q, "q")]),
+                                _s_array([s])))
 
 
 def eval_emvti(A, B, C, s: float) -> tuple:
@@ -506,7 +504,7 @@ def eval_matrix_entropy_young(Us, Ws) -> tuple:
 def eval_conjecture(A, B, C, q: int, s: float) -> dict:
     """Signed one-sided forms: exponential and degree-q polynomial slacks."""
     lhs_e, rhs_e, lhs_p, rhs_p = _first(*_conjecture_stack(
-        _one(A), _one(B), _one(C), np.array([int(q)]), _s_array([s])))
+        _one(A), _one(B), _one(C), np.array([_count(q, "q")]), _s_array([s])))
     return {"exp": (lhs_e, rhs_e), "poly": (lhs_p, rhs_p)}
 
 
@@ -521,8 +519,7 @@ def _fuzz(trials: int, dims: list, draw, evaluate, *forms, keep: int = 5) -> lis
     row per trial and one column per grid point; ``case(trial, j)``
     serializes the trial at grid point j.
     """
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
+    trials = _count(trials, "trials")
     worst = [_Worst(keep) for _ in forms]
 
     def take(trial, block_dims, outs):
@@ -585,11 +582,8 @@ def fuzz_matrix_entropy_young(d_range, ensemble_size: int, trials: int,
                               seed: int) -> FuzzReport:
     """Duality bound for matrix entropy on finite equally-weighted ensembles."""
     dims = _positive_ints(d_range, "d")
-    if ensemble_size < 1:
-        raise ParameterError(f"ensemble_size must be >= 1, got {ensemble_size}")
-    return _fuzz(trials, dims, _block_draws(
-                     _rng(seed), dims, functools.partial(_ensemble_group, ensemble_size)),
-                 _entropy_young_stack,
+    group = functools.partial(_ensemble_group, _count(ensemble_size, "ensemble_size"))
+    return _fuzz(trials, dims, _block_draws(_rng(seed), dims, group), _entropy_young_stack,
                  ("matrix_entropy_young", _slack_matrix, lambda t, _: {
                      "ineq": "matrix_entropy_young",
                      "U": [hermitian_json(u) for u in t[1][0]],
@@ -659,7 +653,7 @@ def replay_case(case: dict) -> dict:
         return [HermitianMatrix.from_json(case[k]) for k in keys]
 
     if ineq == "pmvti":
-        lhs, rhs = eval_pmvti(*herms("ABC"), int(case["q"]), float(case["s"]))
+        lhs, rhs = eval_pmvti(*herms("ABC"), case["q"], float(case["s"]))
     elif ineq == "emvti":
         lhs, rhs = eval_emvti(*herms("ABC"), float(case["s"]))
     elif ineq == "young_commuting":
@@ -672,7 +666,7 @@ def replay_case(case: dict) -> dict:
         lhs, rhs = eval_matrix_entropy_young(
             *([HermitianMatrix.from_json(m) for m in case[k]] for k in "UW"))
     elif ineq in ("conjecture_exp", "conjecture_poly"):
-        both = eval_conjecture(*herms("ABC"), int(case["q"]), float(case["s"]))
+        both = eval_conjecture(*herms("ABC"), case["q"], float(case["s"]))
         lhs, rhs = both[ineq[len("conjecture_"):]]
     else:
         raise ParameterError(f"unknown inequality {ineq!r}")
@@ -818,8 +812,7 @@ def variance_domination(model: stein.MatrixModel, kernel, tol: float = 1e-9) -> 
 
 def dkw_radius(samples: int, alpha: float) -> float:
     """Two-sided uniform band half-width sqrt(log(2/alpha) / (2N))."""
-    if samples < 1:
-        raise ParameterError(f"samples must be >= 1, got {samples}")
+    samples = _count(samples, "samples")
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
     return math.sqrt(math.log(2.0 / alpha) / (2.0 * samples))
@@ -886,7 +879,7 @@ def sample_statistics(model, samples: int, seed: int, statistic: str) -> np.ndar
     statistic of each outcome once and gathers it by the samples' outcome
     indices; LAPACK runs per matrix, so each value is the per-sample one.
     """
-    values, draws = _statistics(model, samples, seed, statistic)
+    values, draws = _statistics(model, _count(samples, "samples"), seed, statistic)
     return values if draws is None else values[draws]
 
 
@@ -898,9 +891,7 @@ def empirical_tail(model, samples: int, t_grid, seed: int, curve=None,
     When a BoundCurve is supplied, flags every grid point where the raw bound
     plus the band half-width fails to dominate the empirical survival.
     """
-    samples = _integer(samples)
-    if samples < 100:
-        raise ParameterError(f"need at least 100 samples, got {samples}")
+    samples, seed = _count(samples, "samples", 100), _count(seed, "seed", 0)
     t_grid = np.asarray(t_grid, dtype=float)
     values, draws = _statistics(model, samples, seed, statistic)
     if draws is None:
@@ -911,7 +902,7 @@ def empirical_tail(model, samples: int, t_grid, seed: int, curve=None,
         below = np.concatenate([[0], np.cumsum(counts)])[np.searchsorted(values[order], t_grid)]
     surv = (samples - below) / samples
     radius = dkw_radius(samples, alpha)
-    out = TailComparison(statistic, t_grid, surv, radius, alpha, samples, int(seed))
+    out = TailComparison(statistic, t_grid, surv, radius, alpha, samples, seed)
     if curve is not None:
         bound_vals = np.array([curve.raw(float(t)) for t in t_grid])
         out.bound_name = curve.name

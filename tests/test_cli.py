@@ -3,6 +3,7 @@
 Each verb runs in-process through cli.main so exit codes and emitted bytes
 can be asserted without spawning interpreters.
 """
+import ast
 import importlib.util
 import json
 import math
@@ -505,6 +506,27 @@ class TestConfigPlumbing:
         error = json.loads(err)["error"]
         assert error["type"] == "config" and re.search(rf"\b{key}\b.* must ", error["message"])
 
+    @pytest.mark.parametrize("argv", [
+        ["fuzz", "--ineq", "pmvti", "--trials", "3", "--seed", "-1"],
+        ["conjecture", "--trials", "3", "--seed", "-1"],
+        ["couple", "--n", "2", "--runs", "4", "--seed", "-1"],
+        ["tail", "--model", "hypercube_sum", "--n", "2", "--samples", "100", "--seed", "-1"],
+        ["verify", "--check", "kernel_poly_moments", "--model", "hypercube_sum", "--n", "2",
+         "--kernel", "estimated", "--seed", "-1"],
+        ["verify", "--check", "poly_efron_stein", "--model", "random_finite",
+         "--model-seed", "-1"],
+        ["verify", "--check", "poly_efron_stein", "--model", "bounded_diff", "--d", "0"],
+        ["tail", "--model", "bounded_diff", "--d", "0", "--samples", "100", "--seed", "1"],
+    ])
+    def test_negative_seed_or_zero_dimension_is_config_error(self, capsys, tmp_path, argv):
+        # a seed is an integer >= 0 and a dimension an integer >= 1, in every verb
+        target = tmp_path / "report.out"
+        code, out, err = run(argv + ["--out", str(target)], capsys)
+        assert code == 3 and out == "" and not target.exists(), err
+        error = json.loads(err)["error"]
+        assert error["type"] == "config"
+        assert re.search(r"\b(seed|d) must be an integer >= [01], got -?[01]\b", error["message"])
+
     def test_unknown_flag(self, capsys):
         code, _, err = run(["fuzz", "--ineq", "pmvti", "--trails", "5"], capsys)
         assert code == 3
@@ -917,6 +939,100 @@ def test_readme_names_resolve():
         return True
 
     assert sorted(m + p for m, p in cited if not resolves(m, p)) == []
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "matconc"
+PERFBENCH_ONLY = "perfbench binds it; leaves with a benchmark change"
+ITEM_3 = "ROADMAP item 3 wires it into a check or deletes it"
+# definitions that no verb and no acceptance test reaches; this list only shrinks
+UNREACHED_ALLOWED = {
+    "_accel.backend": PERFBENCH_ONLY,
+    "bounds.rectangularize": PERFBENCH_ONLY,
+    "matcore.SuperOperator.apply": PERFBENCH_ONLY,
+    "matcore.SuperOperator.compose": PERFBENCH_ONLY,
+    "matcore.compose": PERFBENCH_ONLY,
+    "matcore.left_mult_op": PERFBENCH_ONLY,
+    "matcore.right_mult_op": PERFBENCH_ONLY,
+    "matcore.superop_function": PERFBENCH_ONLY,
+    "matcore.superop_abs": PERFBENCH_ONLY,
+    "matcore.matrix_function": PERFBENCH_ONLY,
+    "matcore.schatten_norm": PERFBENCH_ONLY,
+    "matcore.psd_leq": PERFBENCH_ONLY,
+    "stein.ExchangeablePair": PERFBENCH_ONLY,
+    "stein.ExchangeablePair.joint_pmf": PERFBENCH_ONLY,
+    "stein.ProductDistribution.outcomes": PERFBENCH_ONLY,
+    "stein.KernelEstimate": PERFBENCH_ONLY,
+    "stein.estimate_kernel": PERFBENCH_ONLY,
+    "stein.variance_proxy": PERFBENCH_ONLY,
+    "stein.conditional_variances": PERFBENCH_ONLY,
+    "stein._entry": PERFBENCH_ONLY,
+    "verify.variance_domination": PERFBENCH_ONLY,
+    "stein.r_psi": ITEM_3,
+    "stein.coupling_premise_bound": ITEM_3,
+}
+
+
+def unreached_definitions() -> set:
+    """Every function, class and method of src/ that no root reaches by name.
+
+    The roots are cli.main, the click verbs, the five fuzz_<ineq> suites that
+    cli picks by getattr, module-level code, and every name
+    tests/test_acceptance.py calls.  A reached definition reaches every
+    definition of each name its code mentions, and a class its own dunder
+    methods.  Names, not types, are followed, so the walk can only
+    under-count what is unreached.
+    """
+    defs = {}  # "module.qualified.name" -> (its simple name, the names it mentions)
+    roots = {"main"} | {f"fuzz_{ineq}" for ineq in (
+        "pmvti", "emvti", "young_commuting", "operator_cs", "matrix_entropy_young")}
+
+    def names(nodes) -> set:
+        return {n.id if isinstance(n, ast.Name) else n.attr for node in nodes
+                for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            qual = f"{path.stem}.{getattr(node, 'name', '')}"
+            if isinstance(node, ast.ClassDef):
+                methods = [m for m in node.body if isinstance(m, ast.FunctionDef)]
+                rest = [m for m in node.body if not isinstance(m, ast.FunctionDef)]
+                defs[qual] = (node.name, names(rest + node.bases + node.decorator_list)
+                              | {m.name for m in methods if m.name.startswith("__")})
+                defs.update({f"{qual}.{m.name}": (m.name, names([m])) for m in methods})
+            elif isinstance(node, ast.FunctionDef):
+                defs[qual] = (node.name, names([node]))
+                if path.stem == "cli" and any(
+                        "command" in ast.unparse(d) or "group" in ast.unparse(d)
+                        for d in node.decorator_list):
+                    roots.add(node.name)
+            else:
+                roots |= names([node])  # runs at import
+    acceptance = ast.parse((SRC.parents[1] / "tests" / "test_acceptance.py").read_text())
+    roots |= {n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+              for n in ast.walk(acceptance)
+              if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute))}
+    by_name = {}
+    for qual, (name, _) in defs.items():
+        by_name.setdefault(name, []).append(qual)
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo += [ref for qual in by_name.get(name, ()) for ref in defs[qual][1]]
+    return {qual for qual, (name, _) in defs.items() if name not in seen}
+
+
+def test_every_definition_is_reached_or_allowed():
+    # a dead helper fails here; an allowed name that a root now reaches, or
+    # that is gone, fails too, so the allowlist cannot go stale
+    assert sorted(unreached_definitions()) == sorted(UNREACHED_ALLOWED)
+
+
+def test_source_parses_as_python_3_10():
+    # the package declares requires-python >= 3.10
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
 def test_perfbench_traced_pass_keeps_every_output():

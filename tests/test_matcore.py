@@ -17,7 +17,6 @@ from matconc.matcore import (
     induced_norm,
     left_mult_op,
     matrix_function,
-    ntrace,
     psd_leq,
     right_mult_op,
     schatten_norm,
@@ -132,10 +131,6 @@ class TestMatrixFunctions:
         assert np.linalg.eigvalsh(n)[0] >= -1e-12
         # the two parts live on orthogonal eigenspaces
         np.testing.assert_allclose(p @ n, 0.0, atol=1e-10)
-
-    def test_ntrace_identity(self):
-        assert ntrace(np.eye(7)) == 1.0
-        assert ntrace(HermitianMatrix(np.diag([2.0, 0.0]))) == 1.0
 
 
 class TestNorms:

@@ -1644,6 +1644,10 @@ class TestCoupling:
         # a single differing coordinate couples at a geometric(1/3) time, mean 3
         assert abs(times.mean() - 3.0) <= 5 * times.std(ddof=1) / math.sqrt(2000)
 
+    def test_mask_of_another_length_is_a_shape_error(self):
+        with pytest.raises(stein.ShapeError, match=r"mask must have shape \(3,\)"):
+            sample_coupling_times(3, 10, 1, diff_mask=[True, False])
+
     @pytest.mark.parametrize("n,mask,runs,chunk,max_steps", [
         (1, "all", 1, 64, 1_000_000),
         (1, "empty", 5, 64, 10),

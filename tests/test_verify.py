@@ -19,11 +19,11 @@ from matconc.matcore import (
     ParameterError,
     RectMatrix,
     SuperOperator,
+    _as_array,
     _opnorms,
     hermitian_json,
     left_mult_op,
     matrix_function,
-    ntrace,
     rect_json,
     right_mult_op,
     superop_abs,
@@ -164,6 +164,17 @@ class TestConjectureEvaluator:
 # oracles: each inequality evaluated one matrix function at a time through
 # matcore's matrix_function and superoperators, independent of the stacked
 # spectral evaluators in verify
+
+
+def ntrace(M) -> float:
+    """Normalized trace tr(M)/d."""
+    a = _as_array(M)
+    return float(np.trace(a).real) / a.shape[0]
+
+
+def test_ntrace_identity():
+    assert ntrace(np.eye(7)) == 1.0
+    assert ntrace(HermitianMatrix(np.diag([2.0, 0.0]))) == 1.0
 
 
 def oracle_pmvti(A, B, C, q, s):
@@ -1592,3 +1603,74 @@ class TestKeptSpectra:
             with pytest.raises(ValueError, match="read-only"):
                 lam[...] = 0.0
         assert reports == [check(make()) for check in self.CHECKS]  # each on a fresh model
+
+
+# ---------------------------------------------------------------------------
+# the integer rule: every seeded entry point reads its seed and its counts
+# through matcore._count
+
+Z3, ZP3 = (1.0, 1.0, -1.0), (-1.0, 1.0, 1.0)
+
+
+def _fuzz_json(report):
+    return json.dumps(report.to_json(), sort_keys=True)
+
+
+def _pair_draws(seed, d):
+    pair = stein.ExchangeablePair(random_finite_model(3, d, 1), seed)
+    return pair.seed, [pair.sample() for _ in range(4)]
+
+
+def _kernel_estimate(seed, horizon):
+    est = stein.estimate_kernel(random_finite_model(3, 2, 1), Z3, ZP3, horizon, 20, seed)
+    return est.seed, est.horizon, est.estimate.a.tobytes()
+
+
+def _random_model(seed, d):
+    model = random_finite_model(3, d, seed)
+    return model.name, model.H_tensor().tobytes()
+
+
+# name -> (run(seed, size), the size that run takes by default); ``size`` is
+# the horizon, samples, trials, ensemble_size, d or another count of the call
+SEEDED = {
+    "sample_coupling_times": (lambda seed, k: stein.sample_coupling_times(3, k, seed).tolist(), 20),
+    "simulate_kernel_coupling": (lambda seed, k: vars(stein.simulate_kernel_coupling(
+        hypercube_sum(3), Z3, ZP3, k, seed)), 50),
+    "ExchangeablePair": (_pair_draws, 2),
+    "estimate_kernel": (_kernel_estimate, 6),
+    "EstimatedKernel": (lambda seed, k: EstimatedKernel(
+        random_finite_model(3, 2, 1), 6, k, seed).g.tobytes(), 20),
+    "MatrixModel.sample_X": (lambda seed, k: random_finite_model(3, 2, 1).sample_X(
+        k, seed).tobytes(), 20),
+    "random_finite_model": (_random_model, 2),
+    "fuzz_pmvti": (lambda seed, k: _fuzz_json(fuzz_pmvti([1, 2], [1, 2], [1.0], k, seed)), 8),
+    "fuzz_emvti": (lambda seed, k: _fuzz_json(fuzz_emvti([1, 2], [1.0], k, seed)), 8),
+    "fuzz_young_commuting": (lambda seed, k: _fuzz_json(
+        fuzz_young_commuting([1, 2], 2.0, k, seed)), 8),
+    "fuzz_operator_cs": (lambda seed, k: _fuzz_json(fuzz_operator_cs([1, 2], k, seed)), 8),
+    "fuzz_matrix_entropy_young": (lambda seed, k: _fuzz_json(
+        fuzz_matrix_entropy_young([1, 2], k, 8, seed)), 3),
+    "explore_conjecture": (lambda seed, k: _fuzz_json(
+        explore_conjecture([1, 2], [1, 2], [1.0], k, seed)), 8),
+    "empirical_tail": (lambda seed, k: json.dumps(empirical_tail(
+        hypercube_sum(3), k, [0.0, 1.0], seed).to_json()), 100),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED))
+class TestIntegerRule:
+    @pytest.mark.parametrize("seed", [1.5, True, -1])
+    def test_seed_that_is_not_an_integer_at_least_0_is_refused(self, name, seed):
+        run, size = SEEDED[name]
+        with pytest.raises(ParameterError, match="not an integer|seed must be an integer >= 0"):
+            run(seed, size)
+
+    def test_numpy_integer_seed_is_the_integer(self, name):
+        run, size = SEEDED[name]
+        assert run(np.int64(3), size) == run(3, size)
+
+    def test_fractional_count_is_refused(self, name):
+        run, size = SEEDED[name]
+        with pytest.raises(ParameterError, match="not an integer"):
+            run(3, size + 0.5)
