@@ -18,9 +18,12 @@ from .matcore import (
     PreconditionError,
     ShapeError,
     induced_norm,
+    _array,
     _as_herm_array,
     _count,
+    _finite,
     _opnorm,
+    _real,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -44,8 +47,8 @@ class GaussExpParams:
 
     def __post_init__(self):
         object.__setattr__(self, "d", _count(self.d, "d"))
-        if self.v < 0 or self.c < 0:
-            raise ParameterError(f"v and c must be nonnegative, got v={self.v} c={self.c}")
+        object.__setattr__(self, "v", _real(self.v, "v", 0))
+        object.__setattr__(self, "c", _real(self.c, "c", 0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,15 +62,14 @@ class DobrushinSpec:
     sigma2: float
 
     def __post_init__(self):
-        d = np.array(self.D, dtype=float)
+        d = _finite(_array(self.D, float))
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ShapeError(f"D must be square, got {d.shape}")
         if np.any(d < 0):
             raise ParameterError("D must be entrywise nonnegative")
         if np.any(np.abs(np.diag(d)) > 0):
             raise ParameterError("D must have zero diagonal")
-        if self.sigma2 < 0:
-            raise ParameterError(f"sigma2 must be nonnegative, got {self.sigma2}")
+        object.__setattr__(self, "sigma2", _real(self.sigma2, "sigma2", 0))
         n1 = induced_norm(d, 1)
         ninf = induced_norm(d, math.inf)
         if n1 >= 1:
@@ -97,14 +99,10 @@ class CompoundCovSpec:
     def __post_init__(self):
         object.__setattr__(self, "p", _count(self.p, "p"))
         object.__setattr__(self, "n", _count(self.n, "n"))
-        if not (math.isfinite(self.L) and self.L > 0):
-            raise ParameterError(f"need a finite L > 0, got L={self.L}")
-        if not math.isfinite(self.sigma2):
-            raise ParameterError(f"need a finite sigma2, got sigma2={self.sigma2}")
-        if not 0 <= self.sigma2 <= self.L**2 * (1 + 1e-12):
-            raise ParameterError(
-                f"need 0 <= sigma2 <= L^2, got sigma2={self.sigma2} L={self.L}"
-            )
+        object.__setattr__(self, "L", _real(self.L, "L", 0, strict=True))
+        object.__setattr__(self, "sigma2", _real(self.sigma2, "sigma2", 0))
+        if self.sigma2 > self.L**2 * (1 + 1e-12):
+            raise ParameterError(f"need sigma2 <= L^2, got sigma2={self.sigma2} L={self.L}")
         b = self.B if isinstance(self.B, HermitianMatrix) else HermitianMatrix(self.B)
         if b.dim != self.n:
             raise ShapeError(f"B must be {self.n}x{self.n}, got dim {b.dim}")
@@ -121,15 +119,12 @@ class HaarSpec:
     d: int
 
     def __post_init__(self):
-        if self.R < 0:
-            raise ParameterError(f"R must be nonnegative, got {self.R}")
-        if self.S <= 0:
-            raise ParameterError(f"S must be positive, got {self.S}")
+        object.__setattr__(self, "R", _real(self.R, "R", 0))
+        object.__setattr__(self, "S", _real(self.S, "S", 0, strict=True))
         object.__setattr__(self, "d", _count(self.d, "d"))
-        tv = tuple(float(x) for x in self.tv_seq)
-        for x in tv:
-            if not 0 <= x <= 1:
-                raise ParameterError(f"tv values must lie in [0,1], got {x}")
+        tv = tuple(_real(x, "tv value", 0) for x in np.ravel(np.array(self.tv_seq, dtype=object)))
+        if any(x > 1 for x in tv):
+            raise ParameterError(f"tv values must lie in [0,1], got {max(tv)}")
         object.__setattr__(self, "tv_seq", tv)
 
     @property
@@ -176,13 +171,8 @@ def chebyshev_tail(moments, t: float) -> dict:
     moments = list(moments)
     if not moments:
         raise ParameterError("need at least one (p, moment) pair")
-    if not t > 0:
-        raise ParameterError(f"t must be positive, got {t}")
-    for p, m in moments:
-        if p < 1:
-            raise ParameterError(f"moment order must be >= 1, got {p}")
-        if m < 0:
-            raise ParameterError(f"moments must be nonnegative, got {m}")
+    t = _real(t, "t", 0, strict=True)
+    moments = [(_real(p, "moment order", 1), _real(m, "moment", 0)) for p, m in moments]
     tail_raw = min(m / t**p for p, m in moments)
     mean = min(m ** (1.0 / p) for p, m in moments)
     return {"tail_raw": tail_raw, "tail": _clamp01(tail_raw), "mean_bound": mean}
@@ -233,7 +223,7 @@ def laplace_bounds(log_mgf: Callable[[float], float], d: int, t: float, theta_gr
     bounds.  A side with no grid points of the right sign comes back vacuous
     (inf for upper quantities, -inf for lower_mean).
     """
-    grid = np.asarray(sorted(float(x) for x in theta_grid))
+    t, grid = _real(t, "t"), np.asarray(sorted(_real(x, "theta") for x in theta_grid))
     if grid.size == 0:
         raise ParameterError("theta_grid is empty")
     pos = grid[grid > 0]
@@ -269,10 +259,11 @@ def laplace_bounds(log_mgf: Callable[[float], float], d: int, t: float, theta_gr
 # exponential-form tail bounds
 
 
-def _exp_tail(d_factor: float, t: float, denom: float) -> float:
-    # denom = 0 means a deterministic matrix: zero tail off the origin
-    if t < 0:
-        raise ParameterError(f"t must be nonnegative, got {t}")
+def _exp_tail(d_factor: float, t: float, a: float, b: float = 0.0) -> float:
+    """d_factor * exp(-t^2 / (a + b t)) at t >= 0, the one reader of every
+    bound's t; a + b t = 0 means a deterministic matrix: zero tail off the origin."""
+    t = _real(t, "t", 0)
+    denom = a + b * t
     if denom <= 0:
         return float(d_factor) if t == 0 else 0.0
     return d_factor * math.exp(-(t**2) / denom)
@@ -281,7 +272,7 @@ def _exp_tail(d_factor: float, t: float, denom: float) -> float:
 def gaussexp_bounds(params: GaussExpParams, t: float) -> dict:
     """Tail d*exp(-t^2/(2v + 2ct)) and mean bound sqrt(2v log d) + c log d."""
     d, v, c = params.d, params.v, params.c
-    raw = _exp_tail(d, t, 2 * v + 2 * c * t)
+    raw = _exp_tail(d, t, 2 * v, 2 * c)
     logd = math.log(d)
     return {
         "tail_raw": raw,
@@ -292,9 +283,7 @@ def gaussexp_bounds(params: GaussExpParams, t: float) -> dict:
 
 def efron_stein_poly_rhs(p: int, v_moment: float) -> float:
     """sqrt(2(2p-1)) * (E||V||_p^p)^(1/2p), bounding (E||X||_2p^2p)^(1/2p)."""
-    p = _count(p, "p")
-    if v_moment < 0:
-        raise ParameterError(f"moment must be nonnegative, got {v_moment}")
+    p, v_moment = _count(p, "p"), _real(v_moment, "moment", 0)
     return math.sqrt(2.0 * (2 * p - 1)) * v_moment ** (1.0 / (2 * p))
 
 
@@ -303,14 +292,12 @@ def efron_stein_exp_rhs(theta: float, psi: float, log_mgf_v: float) -> float:
 
     Valid for |theta| <= sqrt(psi/2); the boundary gives an infinite bound.
     """
-    if psi <= 0:
-        raise ParameterError(f"psi must be positive, got {psi}")
+    theta, psi = _real(theta, "theta"), _real(psi, "psi", 0, strict=True)
+    log_mgf_v = _real(log_mgf_v, "log mgf of a PSD proxy", 0)
     if abs(theta) > math.sqrt(psi / 2):
         raise PreconditionError(
             f"|theta|={abs(theta)} exceeds sqrt(psi/2)={math.sqrt(psi / 2)}"
         )
-    if log_mgf_v < 0:
-        raise ParameterError(f"log mgf of a PSD proxy is nonnegative, got {log_mgf_v}")
     ratio = theta**2 / psi
     denom = 1.0 - 2.0 * ratio
     if denom <= 0:
@@ -320,10 +307,8 @@ def efron_stein_exp_rhs(theta: float, psi: float, log_mgf_v: float) -> float:
 
 def self_bounded_bounds(d: int, v: float, c: float, t: float) -> dict:
     """Bounds under V <= vI + cX: tail d*exp(-t^2/(4v+6ct)), mean sqrt(4v log d)+3c log d."""
-    d = _count(d, "d")
-    if v < 0 or c < 0:
-        raise ParameterError(f"v and c must be nonnegative, got v={v} c={c}")
-    raw = _exp_tail(d, t, 4 * v + 6 * c * t)
+    d, v, c = _count(d, "d"), _real(v, "v", 0), _real(c, "c", 0)
+    raw = _exp_tail(d, t, 4 * v, 6 * c)
     logd = math.log(d)
     return {
         "tail_raw": raw,
@@ -348,9 +333,7 @@ def bounded_diff_sigma(difference_bounds) -> float:
 
 def bounded_diff_bounds(d: int, sigma2: float, t: float) -> dict:
     """Bounded-differences bounds: tail d*exp(-t^2/(2 sigma^2)), mean sigma*sqrt(2 log d)."""
-    d = _count(d, "d")
-    if sigma2 < 0:
-        raise ParameterError(f"sigma2 must be nonnegative, got {sigma2}")
+    d, sigma2 = _count(d, "d"), _real(sigma2, "sigma2", 0)
     raw = _exp_tail(d, t, 2 * sigma2)
     return {
         "tail_raw": raw,
@@ -379,13 +362,10 @@ def compound_cov_bounds(spec: CompoundCovSpec, t: float) -> dict:
     The stated formula covers general L directly; it agrees with the L=1 case
     under the homogeneity substitution (sigma2 -> sigma2/L^2, B -> L B).
     """
-    if t < 0:
-        raise ParameterError(f"t must be nonnegative, got {t}")
     p, s2, L = spec.p, spec.sigma2, spec.L
     fro2 = float(np.sum(np.abs(spec.B.a) ** 2))
     op = spec.B.norm()
-    denom = 44.0 * (p * s2 + L**2) * fro2 + 32.0 * SQRT3 * L * p * op * t
-    raw = _exp_tail(2.0 * p, t, denom)
+    raw = _exp_tail(2.0 * p, t, 44.0 * (p * s2 + L**2) * fro2, 32.0 * SQRT3 * L * p * op)
     logp = math.log(p)
     mean = 2.0 * math.sqrt(44.0 * (p * s2 + L**2) * logp * fro2) + 32.0 * SQRT3 * L * p * logp * op
     return {"tail_raw": raw, "tail": _clamp01(raw), "mean_bound": mean}
@@ -398,9 +378,7 @@ def compound_psd_mgf(A, p: int, sigma2: float, theta: float) -> float:
     for 0 <= theta < 1/(24 p ||A||).
     """
     a = A if isinstance(A, HermitianMatrix) else HermitianMatrix(A)
-    p = _count(p, "p")
-    if sigma2 < 0:
-        raise ParameterError(f"sigma2 must be nonnegative, got {sigma2}")
+    p, sigma2, theta = _count(p, "p"), _real(sigma2, "sigma2", 0), _real(theta, "theta")
     lam = a.eigvals()
     if lam[0] < -1e-10 * max(1.0, abs(lam[-1])):
         raise PreconditionError(f"A must be PSD; lambda_min = {lam[0]}")
@@ -461,17 +439,18 @@ def make_curve(name: str, **params) -> BoundCurve:
         missing = [k for k in required if k not in params]
         if missing:
             raise ParameterError(f"{name} curve needs parameters {missing}")
-    if name == "gaussexp":
-        gp = GaussExpParams(params["d"], float(params["v"]), float(params["c"]))
-        return BoundCurve(name, dict(params), lambda t: gaussexp_bounds(gp, t)["tail_raw"])
-    if name == "self_bounded":
-        d, v, c = _count(params["d"], "d"), float(params["v"]), float(params["c"])
-        return BoundCurve(name, dict(params), lambda t: self_bounded_bounds(d, v, c, t)["tail_raw"])
+    if name in ("gaussexp", "self_bounded"):
+        gp = GaussExpParams(params["d"], params["v"], params["c"])
+        tail = gaussexp_bounds if name == "gaussexp" else (
+            lambda gp, t: self_bounded_bounds(gp.d, gp.v, gp.c, t))
+        return BoundCurve(name, {"d": gp.d, "v": gp.v, "c": gp.c},
+                          lambda t: tail(gp, t)["tail_raw"])
     if name == "bounded_diff":
-        d, s2 = _count(params["d"], "d"), float(params["sigma2"])
-        return BoundCurve(name, dict(params), lambda t: bounded_diff_bounds(d, s2, t)["tail_raw"])
+        d, s2 = _count(params["d"], "d"), _real(params["sigma2"], "sigma2", 0)
+        return BoundCurve(name, {"d": d, "sigma2": s2},
+                          lambda t: bounded_diff_bounds(d, s2, t)["tail_raw"])
     if name == "dobrushin":
-        spec = DobrushinSpec(params["D"], float(params["sigma2"]))
+        spec = DobrushinSpec(params["D"], params["sigma2"])
         d = _count(params["d"], "d")
         return BoundCurve(name, {"d": d, "sigma2": spec.sigma2, "b": spec.b},
                           lambda t: dobrushin_bounds(spec, d, t)["tail_raw"])
@@ -482,7 +461,7 @@ def make_curve(name: str, **params) -> BoundCurve:
         prov = {"p": spec.p, "n": spec.n, "sigma2": spec.sigma2, "L": spec.L}
         return BoundCurve(name, prov, lambda t: compound_cov_bounds(spec, t)["tail_raw"])
     if name == "haar":
-        spec = HaarSpec(float(params["R"]), float(params["S"]), params["tv_seq"], params["d"])
+        spec = HaarSpec(params["R"], params["S"], params["tv_seq"], params["d"])
         return BoundCurve(name, {"d": spec.d, "sigma2": spec.sigma2},
                           lambda t: haar_bounds(spec, t)["tail_raw"])
     raise ParameterError(f"unknown bound name {name!r}")

@@ -25,6 +25,7 @@ from .matcore import (
     ShapeError,
     _count,
     _integer,
+    _real,
 )
 
 SCHEMA_VERSION = verify.SCHEMA_VERSION
@@ -38,18 +39,6 @@ class VerificationFailure(Exception):
 # parsing and plumbing
 
 
-def _as(kind, value, what: str | None = None):
-    """kind(value) for a value read from the config; failure is a config error,
-    an int is never truncated from a bool or a fractional number, and a bool is
-    never read as a float."""
-    try:
-        if kind is float and isinstance(value, bool):
-            raise TypeError(f"{value!r} is a bool")
-        return (_integer if kind is int else kind)(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParameterError(f"cannot read {value!r} as {what or kind.__name__}") from exc
-
-
 _GRID_POINTS_MAX = 1_000_000  # the most points a start:stop:step t-grid may have
 
 
@@ -60,8 +49,8 @@ def _parse_grid(text: str) -> list:
         parts = text.split(":")
         if len(parts) != 3:
             raise ParameterError(f"grid must be start:stop:step, got {text!r}")
-        start, stop, step = (_as(float, p) for p in parts)
-        if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
+        start, stop, step = (_real(p, "t") for p in parts)
+        if step <= 0 or stop < start:
             raise ParameterError(f"bad grid {text!r}")
         steps = (stop - start) / step
         if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
@@ -70,32 +59,28 @@ def _parse_grid(text: str) -> list:
         if count > _GRID_POINTS_MAX:
             raise ParameterError(f"grid {text!r} has {count} points, more than {_GRID_POINTS_MAX}")
         return [float(v) for v in np.linspace(start, stop, count)]
-    values = [_as(float, p) for p in text.split(",") if p.strip()]
-    if not all(map(math.isfinite, values)):
-        raise ParameterError(f"grid values must be finite, got {text!r}")
-    return values
+    return [_real(p, "t") for p in text.split(",") if p.strip()]
 
 
 def _parse_ints(text) -> list:
     """Integer list: '1:6' (inclusive range), '3', or '1,2,5'."""
     if isinstance(text, (list, tuple)):
-        return [_as(int, v) for v in text]
+        return [_integer(v) for v in text]
     if not isinstance(text, str):
-        return [_as(int, text)]
+        return [_integer(text)]
     if ":" in text:
-        lo, hi = (_as(int, p) for p in text.split(":", 1))
+        lo, hi = (_integer(p) for p in text.split(":", 1))
         if hi < lo:
             raise ParameterError(f"empty range {text!r}")
         return list(range(lo, hi + 1))
-    return [_as(int, p) for p in text.split(",") if p.strip()]
+    return [_integer(p) for p in text.split(",") if p.strip()]
 
 
-def _parse_floats(text) -> list:
-    if isinstance(text, (int, float)):
-        return [_as(float, text)]
-    if isinstance(text, (list, tuple)):
-        return [_as(float, v) for v in text]
-    return [_as(float, p) for p in str(text).split(",") if p.strip()]
+def _parse_floats(text, what: str) -> list:
+    """Reals ``what``: a list, one value, or comma-separated text."""
+    if isinstance(text, str):
+        text = [p for p in text.split(",") if p.strip()]
+    return [_real(v, what) for v in (text if isinstance(text, (list, tuple)) else [text])]
 
 
 def _json_default(obj):
@@ -167,9 +152,12 @@ def _merge_config(cfg: dict, flags: dict, extra: frozenset = frozenset()) -> _Co
 
 
 def _get(cfg: dict, key: str, kind, default):
-    """cfg[key] read as kind, or ``default`` where the key is unset: an explicit 0 stays 0."""
+    """cfg[key] read as kind (an int by matcore._integer, a real by matcore._real),
+    or ``default`` where the key is unset: an explicit 0 stays 0."""
     value = cfg.get(key)
-    return default if value is None else _as(kind, value)
+    if value is None:
+        return default
+    return _real(value, key) if kind is float else _integer(value)
 
 
 def _reject_unread(cfg: _Config, what: str) -> None:
@@ -188,7 +176,7 @@ def _require_seed(cfg: dict) -> int:
     seed = cfg.get("seed")
     if seed is None:
         raise ParameterError("seed is required for stochastic verbs")
-    return _as(int, seed)
+    return _integer(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -230,41 +218,21 @@ _CURVE_KEYS = frozenset({"D", "B", "L", "R", "S", "p", "n", "tv_seq"})
 
 
 def _build_curve(cfg: dict) -> bounds.BoundCurve:
+    """The curve ``name`` from the parameters bounds lists for it, or compound_cov
+    from its spec: sigma2 and L default to 1, and B to the identity."""
     name = cfg.get("name")
     if name is None:
         raise ParameterError("a bound name is required")
-
-    def need(*keys):
-        missing = [k for k in keys if cfg.get(k) is None]
-        if missing:
-            raise ParameterError(f"bound {name!r} needs {missing}")
-        return [cfg[k] for k in keys]
-
-    if name in ("gaussexp", "self_bounded"):
-        d, v, c = need("d", "v", "c")
-        return bounds.make_curve(name, d=_as(int, d), v=_as(float, v), c=_as(float, c))
-    if name == "bounded_diff":
-        d, s2 = need("d", "sigma2")
-        return bounds.make_curve(name, d=_as(int, d), sigma2=_as(float, s2))
-    if name == "dobrushin":
-        d, s2, D = need("d", "sigma2", "D")
-        return bounds.make_curve(name, d=_as(int, d), sigma2=_as(float, s2),
-                                 D=_as(lambda v: np.array(v, dtype=float), D, "a real matrix"))
-    if name == "compound_cov":
-        p, n = need("p", "n")
-        p, n = _as(int, p), _as(int, n)
-        sigma2 = _get(cfg, "sigma2", float, 1.0)
-        L = _get(cfg, "L", float, 1.0)
-        B = cfg.get("B")
-        Bm = (np.eye(n) if B in (None, "I")
-              else _as(lambda v: np.array(v, dtype=complex), B, "a complex matrix"))
-        spec = bounds.CompoundCovSpec(p, n, sigma2, L, bounds.HermitianMatrix(Bm))
-        return bounds.make_curve(name, spec=spec)
-    if name == "haar":
-        R, S, tv, d = need("R", "S", "tv_seq", "d")
-        return bounds.make_curve(name, R=_as(float, R), S=_as(float, S),
-                                 tv_seq=_parse_floats(tv), d=_as(int, d))
-    raise ParameterError(f"unknown bound name {name!r}")
+    if name != "compound_cov":
+        params = {k: cfg.get(k) for k in bounds._CURVE_PARAMS.get(name, ())}
+        return bounds.make_curve(name, **{k: v for k, v in params.items() if v is not None})
+    missing = [k for k in ("p", "n") if cfg.get(k) is None]
+    if missing:
+        raise ParameterError(f"{name} curve needs parameters {missing}")
+    p, n, B = _get(cfg, "p", int, None), _get(cfg, "n", int, None), cfg.get("B")
+    spec = bounds.CompoundCovSpec(p, n, _get(cfg, "sigma2", float, 1.0),
+                                  _get(cfg, "L", float, 1.0), np.eye(n) if B in (None, "I") else B)
+    return bounds.make_curve(name, spec=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +341,13 @@ def verify_cmd(config_path, **flags):
         ps = _parse_ints(cfg.get("p") or "1,2,3")
         run = lambda mdl: verify.verify_poly_efron_stein(mdl, ps)
     elif check == "exp_efron_stein":
-        thetas = _parse_floats(cfg.get("theta") or "-0.3,-0.1,0.1,0.3")
-        psis = _parse_floats(cfg.get("psi") or "1,4")
+        thetas = _parse_floats(cfg.get("theta") or "-0.3,-0.1,0.1,0.3", "theta")
+        psis = _parse_floats(cfg.get("psi") or "1,4", "psi")
         run = lambda mdl: verify.verify_exp_efron_stein(mdl, thetas, psis)
     elif check == "kernel_poly_moments":
         kernel = _kernel(cfg)
         ps = _parse_ints(cfg.get("p") or "1,2")
-        ss = _parse_floats(cfg.get("s") or verify.DEFAULT_S_GRID)
+        ss = _parse_floats(cfg.get("s") or verify.DEFAULT_S_GRID, "s")
         run = lambda mdl: verify.verify_kernel_poly_moments(mdl, kernel(mdl), ps, ss)
     elif check == "kernel_identities":
         run = _kernel_identities_report
@@ -396,9 +364,9 @@ def verify_cmd(config_path, **flags):
 def _fuzz_suite(ineq: str, dims, cfg: dict):
     """verify.fuzz_<ineq> as (trials, seed) -> report, with the grids the suite reads."""
     if ineq == "pmvti":
-        args = (_parse_ints(cfg.get("q") or "1:7"), _parse_floats(cfg.get("s") or "0.25,1,4"))
+        args = (_parse_ints(cfg.get("q") or "1:7"), _parse_floats(cfg.get("s") or "0.25,1,4", "s"))
     elif ineq == "emvti":
-        args = (_parse_floats(cfg.get("s") or "0.25,1,4"),)
+        args = (_parse_floats(cfg.get("s") or "0.25,1,4", "s"),)
     elif ineq == "young_commuting":
         args = (_get(cfg, "p", float, 2.0),)
     elif ineq == "operator_cs":
@@ -458,7 +426,7 @@ def conjecture(config_path, **flags):
     trials = _get(cfg, "trials", int, 0)
     seed = _require_seed(cfg)
     grids = (_parse_ints(cfg.get("d") or "1:6"), _parse_ints(cfg.get("q") or "1:3"),
-             _parse_floats(cfg.get("s") or "1"))
+             _parse_floats(cfg.get("s") or "1", "s"))
     _reject_unread(cfg, "conjecture")
     report = verify.explore_conjecture(*grids, trials, seed)
     _emit_json(report.to_json(), cfg.get("out"))

@@ -48,21 +48,38 @@ def _opnorms(a: np.ndarray) -> np.ndarray:
     return np.linalg.norm(a, 2, axis=(-2, -1))
 
 
-def _complex_array(entries) -> np.ndarray:
-    """A fresh complex array of ``entries``, which must be numbers (ParameterError)."""
+def _array(entries, dtype=np.complex128) -> np.ndarray:
+    """A fresh array of ``entries``, which must be numbers (ParameterError)."""
     try:
-        return np.array(entries, dtype=np.complex128)
+        return np.array(entries, dtype=dtype)
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"matrix entries must be numbers: {exc}") from None
 
 
 def _integer(value) -> int:
-    """int(value), where a bool or a float with a fractional part is a
-    ParameterError rather than truncated."""
-    if isinstance(value, (bool, np.bool_)) or (
-            isinstance(value, (float, np.floating)) and not value.is_integer()):
-        raise ParameterError(f"{value!r} is not an integer")
-    return int(value)
+    """int(value), where a bool, a float with a fractional part or a value
+    int() refuses is a ParameterError rather than truncated or let through."""
+    fractional = isinstance(value, (float, np.floating)) and not value.is_integer()
+    if not (isinstance(value, (bool, np.bool_)) or fractional):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ParameterError(f"{value!r} is not an integer")
+
+
+def _real(value, what: str, least: float | None = None, strict: bool = False) -> float:
+    """A real parameter: float(value), where a bool, a non-number, NaN, +-inf
+    or a value below ``least`` (or at it, with ``strict``) is a ParameterError
+    naming ``what``."""
+    try:
+        out = math.nan if isinstance(value, (bool, np.bool_)) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        out = math.nan
+    if math.isfinite(out) and (least is None or out > least or out == least and not strict):
+        return out
+    rule = "" if least is None else f" {'>' if strict else '>='} {least:g}"
+    raise ParameterError(f"need a finite {what}{rule}, got {value!r}")
 
 
 def _count(value, what: str, least: int = 1) -> int:
@@ -79,9 +96,9 @@ def _rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_count(seed, "seed", 0)))
 
 
-def _finite(a: np.ndarray) -> np.ndarray:
+def _finite(a: np.ndarray, what: str = "matrix entries") -> np.ndarray:
     if not np.isfinite(a).all():
-        raise DomainError("matrix entries must be finite")
+        raise DomainError(f"{what} must be finite")
     return a
 
 
@@ -111,7 +128,7 @@ class HermitianMatrix:
     __slots__ = ("a", "_eig")
 
     def __init__(self, entries):
-        m = _complex_array(entries)
+        m = _array(entries)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ShapeError(f"expected a square matrix, got shape {m.shape}")
         if m.shape[0] == 0:
@@ -173,7 +190,7 @@ class RectMatrix:
     __slots__ = ("a",)
 
     def __init__(self, entries):
-        m = _complex_array(entries)
+        m = _array(entries)
         if m.ndim != 2:
             raise ShapeError(f"expected a 2-d array, got ndim {m.ndim}")
         _finite(m)

@@ -26,8 +26,10 @@ from .matcore import (
     ShapeError,
     _count,
     _dilations,
+    _finite,
     _opnorm,
     _opnorms,
+    _real,
     _rng,
 )
 
@@ -67,7 +69,7 @@ class FiniteCoord:
         p = np.array(probs, dtype=float)
         if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-12):  # NaN fails both
             raise ParameterError(f"probabilities must be nonnegative and sum to 1, got {probs}")
-        self.values = np.array(vals, dtype=float)
+        self.values = _finite(np.array(vals), "coordinate values")
         self.probs = p
         self._cuts = np.cumsum(p)[:-1]  # the thresholds; the last sum, near 1, is none
         self._cut_list = self._cuts.tolist()
@@ -228,13 +230,13 @@ def _zkey(z) -> str:
 
 
 def _rows(H: Callable, zs, shape: tuple) -> np.ndarray:
-    """H at the outcome rows ``zs``: a float64 stack of ``shape``, complex128 if H is."""
+    """H at the outcome rows ``zs``: a finite float64 stack of ``shape``, complex128 if H is."""
     zs = np.asarray(zs, dtype=float)
     hs = np.asarray(H(zs))
     hs = hs.astype(np.complex128 if np.iscomplexobj(hs) else np.float64, copy=False)
     if hs.shape != (len(zs),) + shape:
         raise ShapeError(f"H returned shape {hs.shape}, expected {(len(zs),) + shape}")
-    return hs
+    return _finite(hs)
 
 
 class MatrixModel:
@@ -450,9 +452,7 @@ def compound_covariance(p: int, n: int, B=None, entry_dist: str = "pm1",
     """H(z) = Z B Z* with Z the p x n matrix of the iid coordinates, uniform on
     {-L, L} for entry_dist "pm1" (sigma2 = L^2) or on [-L, L] for "uniform"
     (sigma2 = L^2/3, and the model falls back to Monte Carlo means)."""
-    p, n = _count(p, "p"), _count(n, "n")
-    if not (np.isfinite(L) and L > 0):
-        raise ParameterError(f"need a finite L > 0, got {L}")
+    p, n, L = _count(p, "p"), _count(n, "n"), _real(L, "L", 0, strict=True)
     if B is None:
         B = np.eye(n)
     Bh = B if isinstance(B, HermitianMatrix) else HermitianMatrix(B)
@@ -1003,11 +1003,10 @@ def r_psi(model: MatrixModel, kernel, psi: float, s_grid) -> dict:
     Expectation is exact on finite models.  s values whose exponent would
     overflow are skipped and reported.
     """
-    if psi <= 0:
-        raise ParameterError(f"psi must be positive, got {psi}")
-    s_grid = [float(s) for s in s_grid]
-    if not s_grid or not all(math.isfinite(s) and s > 0 for s in s_grid):
-        raise ParameterError(f"s_grid must be nonempty, finite and positive, got {s_grid}")
+    psi = _real(psi, "psi", 0, strict=True)
+    s_grid = [_real(s, "s", 0, strict=True) for s in s_grid]
+    if not s_grid:
+        raise ParameterError("empty s grid")
     vx, vk = conditional_variance_map(model, kernel)
     pr = model.dist.probabilities().ravel()
     best = math.inf

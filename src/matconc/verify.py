@@ -25,7 +25,7 @@ from .matcore import (
     _as_array,
     _as_herm_array,
     _count,
-    _integer,
+    _real,
     _rng,
     hermitian_json,
     rect_json,
@@ -40,20 +40,14 @@ SCHEMA_VERSION = 1
 DEFAULT_S_GRID = tuple(float(2.0 ** k) for k in np.linspace(-10.0, 10.0, 41))
 
 
-def _grid(values, kind, what: str, positive: bool = False) -> list:
-    """A scalar or an iterable of values, each read as kind; an empty grid checks
-    nothing.  Every value must be finite, which NaN is not, and with
-    ``positive`` exceed 0."""
-    out = [kind(values)] if isinstance(values, numbers.Real) else [kind(v) for v in values]
+def _grid(values, what: str, read=_real, **rule) -> list:
+    """A scalar or an iterable of values, each read as ``read(v, what, **rule)``:
+    matcore's _real for reals, _count for counts.  An empty grid checks nothing."""
+    values = [values] if isinstance(values, numbers.Real) else values
+    out = [read(v, what, **rule) for v in values]
     if not out:
         raise ParameterError(f"empty {what} grid")
-    if not all(math.isfinite(v) and (v > 0 or not positive) for v in out):
-        raise ParameterError(f"{what} must be finite{' and > 0' if positive else ''}, got {out}")
     return out
-
-
-def _positive_ints(values, what: str) -> list:
-    return _grid(values, _integer, what, positive=True)
 
 
 def _norm_slacks(lhs, rhs):
@@ -342,8 +336,7 @@ def _young_stack(A, B, p: float) -> tuple:
     |L_A|^p = I (x) |A|^p and |R_B|^q = (|B|^q)^T (x) I come from the d x d
     spectra; only the operator-order check itself is a d^2 x d^2 eigvalsh.
     """
-    if not 1.0 < p < math.inf:
-        raise ParameterError(f"p must lie in (1, inf), got {p}")
+    p = _real(p, "p", 1, strict=True)
     q = p / (p - 1.0)
     d = A.shape[-1]
     (wA, uA), (wB, uB) = np.linalg.eigh(A), np.linalg.eigh(B)
@@ -450,7 +443,7 @@ def _one(x) -> np.ndarray:
 
 
 def _s_array(s_values) -> np.ndarray:
-    return np.array(_grid(s_values, float, "s", positive=True))
+    return np.array(_grid(s_values, "s", least=0, strict=True))
 
 
 def _first(*outs) -> tuple:
@@ -544,7 +537,7 @@ def _triple_case(ineq: str, trial, keys: str = "ABC", **params) -> dict:
 
 def fuzz_pmvti(d_range, q_range, s_values, trials: int, seed: int) -> FuzzReport:
     """Degree-q polynomial mean value trace inequality over random triples."""
-    dims, qs, ss = _positive_ints(d_range, "d"), _positive_ints(q_range, "q"), _s_array(s_values)
+    dims, qs, ss = _grid(d_range, "d", _count), _grid(q_range, "q", _count), _s_array(s_values)
     return _fuzz(trials, dims, _block_draws(_rng(seed), dims, _triple_group, qs, kinds=True),
                  lambda A, B, C, q: _pmvti_stack(A, B, C, q, ss),
                  ("pmvti", _slack_matrix, lambda t, j: _triple_case(
@@ -553,7 +546,7 @@ def fuzz_pmvti(d_range, q_range, s_values, trials: int, seed: int) -> FuzzReport
 
 def fuzz_emvti(d_range, s_values, trials: int, seed: int) -> FuzzReport:
     """Exponential mean value trace inequality over random triples."""
-    dims, ss = _positive_ints(d_range, "d"), _s_array(s_values)
+    dims, ss = _grid(d_range, "d", _count), _s_array(s_values)
     return _fuzz(trials, dims, _block_draws(_rng(seed), dims, _triple_group, kinds=True),
                  lambda A, B, C: _emvti_stack(A, B, C, ss),
                  ("emvti", _slack_matrix, lambda t, j: _triple_case(
@@ -562,7 +555,7 @@ def fuzz_emvti(d_range, s_values, trials: int, seed: int) -> FuzzReport:
 
 def fuzz_young_commuting(d_range, p: float, trials: int, seed: int) -> FuzzReport:
     """Operator Young inequality for commuting left/right multiplications."""
-    dims = _positive_ints(d_range, "d")
+    dims = _grid(d_range, "d", _count)
     return _fuzz(trials, dims, _block_draws(_rng(seed), dims, _triple_group, kinds=True),
                  lambda A, B, C: _young_stack(A, B, p),
                  (f"young_commuting(p={p})", lambda gap, scale: (gap / scale)[:, None],
@@ -571,7 +564,7 @@ def fuzz_young_commuting(d_range, p: float, trials: int, seed: int) -> FuzzRepor
 
 def fuzz_operator_cs(d_range, trials: int, seed: int) -> FuzzReport:
     """Cauchy-Schwarz for a self-adjoint operator on matrices."""
-    dims = _positive_ints(d_range, "d")
+    dims = _grid(d_range, "d", _count)
     return _fuzz(trials, dims, _block_draws(_rng(seed), dims, _operator_cs_group),
                  _operator_cs_stack,
                  ("operator_cs", _slack_matrix, lambda t, _: {
@@ -581,7 +574,7 @@ def fuzz_operator_cs(d_range, trials: int, seed: int) -> FuzzReport:
 def fuzz_matrix_entropy_young(d_range, ensemble_size: int, trials: int,
                               seed: int) -> FuzzReport:
     """Duality bound for matrix entropy on finite equally-weighted ensembles."""
-    dims = _positive_ints(d_range, "d")
+    dims = _grid(d_range, "d", _count)
     group = functools.partial(_ensemble_group, _count(ensemble_size, "ensemble_size"))
     return _fuzz(trials, dims, _block_draws(_rng(seed), dims, group), _entropy_young_stack,
                  ("matrix_entropy_young", _slack_matrix, lambda t, _: {
@@ -602,7 +595,7 @@ def explore_conjecture(d_range, q_range, s_values, trials: int, seed: int) -> Fu
     per-form section next to the pooled summary, and the pooled pass flag
     is advisory only.
     """
-    dims, qs, ss = _positive_ints(d_range, "d"), _positive_ints(q_range, "q"), _s_array(s_values)
+    dims, qs, ss = _grid(d_range, "d", _count), _grid(q_range, "q", _count), _s_array(s_values)
 
     def form(k, ineq):  # outputs 2k and 2k + 1 of _conjecture_stack are its lhs and rhs
         return (ineq, lambda *outs: _slack_matrix(*outs[2 * k:2 * k + 2]),
@@ -687,7 +680,7 @@ def _moments(probs: np.ndarray, lam: np.ndarray, q: float) -> list:
 
 
 def _finite_moment(moment: float, q: float) -> float:
-    if not math.isfinite(moment):
+    if not moment < math.inf:  # a sum of nonnegative terms: NaN only from 0 * inf
         raise DomainError(f"Schatten moment overflows at order {q!r}")
     return moment
 
@@ -701,7 +694,7 @@ def _log_trace_mgf(probs: np.ndarray, lam: np.ndarray, scale: float) -> float:
     """log E tr-bar e^{scale M} for Hermitian M(z) with eigenvalue rows lam."""
     with np.errstate(over="ignore"):
         mgf = float(probs @ np.mean(np.exp(scale * lam), axis=1))
-    if not math.isfinite(mgf):
+    if not mgf < math.inf:
         raise DomainError(f"trace mgf overflows at scale {scale!r}")
     return math.log(mgf)
 
@@ -714,7 +707,7 @@ def _exact_report(check: str, model: stein.MatrixModel, **fields) -> dict:
 
 def verify_poly_efron_stein(model: stein.MatrixModel, p_list) -> dict:
     """(E ||X||_{2p}^{2p})^{1/2p} vs sqrt(2(2p-1)) (E ||V||_p^p)^{1/2p}, exactly."""
-    p_list = _positive_ints(p_list, "p")
+    p_list = _grid(p_list, "p", _count)
     if not model.exact:
         raise ParameterError("model is too large to enumerate")
     probs = model.dist.probabilities().ravel()
@@ -731,8 +724,8 @@ def verify_poly_efron_stein(model: stein.MatrixModel, p_list) -> dict:
 
 def verify_exp_efron_stein(model: stein.MatrixModel, theta_grid, psi_grid) -> dict:
     """Exponential moment domination on the admissible (theta, psi) pairs."""
-    theta_grid = _grid(theta_grid, float, "theta")
-    psi_grid = _grid(psi_grid, float, "psi", positive=True)
+    theta_grid = _grid(theta_grid, "theta")
+    psi_grid = _grid(psi_grid, "psi", least=0, strict=True)
     if min(map(abs, theta_grid)) > math.sqrt(max(psi_grid) / 2.0):
         raise ParameterError("no admissible (theta, psi) pair: one needs |theta| <= sqrt(psi/2)")
     if not model.exact:
@@ -766,8 +759,8 @@ def verify_kernel_poly_moments(model: stein.MatrixModel, kernel, p_list, s_grid)
     kernel's ``inflation`` times the identity, which weakens the bound but
     keeps it valid.  An exact kernel's inflation is 0.
     """
-    p_list = _positive_ints(p_list, "p")
-    s_grid = _grid(s_grid, float, "s", positive=True)
+    p_list = _grid(p_list, "p", _count)
+    s_grid = _grid(s_grid, "s", least=0, strict=True)
     if not model.exact:
         raise ParameterError("model is too large to enumerate")
     vx, vk = stein.conditional_variance_map(model, kernel)
@@ -812,8 +805,8 @@ def variance_domination(model: stein.MatrixModel, kernel, tol: float = 1e-9) -> 
 
 def dkw_radius(samples: int, alpha: float) -> float:
     """Two-sided uniform band half-width sqrt(log(2/alpha) / (2N))."""
-    samples = _count(samples, "samples")
-    if not 0.0 < alpha < 1.0:
+    samples, alpha = _count(samples, "samples"), _real(alpha, "alpha", 0, strict=True)
+    if alpha >= 1:
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
     return math.sqrt(math.log(2.0 / alpha) / (2.0 * samples))
 
@@ -892,7 +885,7 @@ def empirical_tail(model, samples: int, t_grid, seed: int, curve=None,
     plus the band half-width fails to dominate the empirical survival.
     """
     samples, seed = _count(samples, "samples", 100), _count(seed, "seed", 0)
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = np.array(_grid(t_grid, "t"))
     values, draws = _statistics(model, samples, seed, statistic)
     if draws is None:
         below = np.searchsorted(np.sort(values), t_grid)

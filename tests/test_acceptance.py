@@ -242,6 +242,10 @@ def test_09_conjecture_explorer_sweep():
     assert lhs > rhs  # the polynomial form genuinely fails for scalars
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"report holds {name}, which is not JSON")
+
+
 def test_10_reports_are_byte_identical(tmp_path, capsys):
     cases = {
         "bound": ["bound", "--name", "gaussexp", "--d", "2", "--v", "1",
@@ -264,6 +268,8 @@ def test_10_reports_are_byte_identical(tmp_path, capsys):
         assert cli.main(argv + ["--out", str(a)]) == 0, verb
         assert cli.main(argv + ["--out", str(b)]) == 0, verb
         assert a.read_bytes() == b.read_bytes(), verb
+        if verb != "bound":  # a JSON report holds no NaN or Infinity, which JSON lacks
+            json.loads(a.read_text(), parse_constant=_refuse_constant)
     capsys.readouterr()
 
     # replay closes the loop: re-running the stored worst case is bit-exact
@@ -275,4 +281,5 @@ def test_10_reports_are_byte_identical(tmp_path, capsys):
     assert cli.main(["replay", "--case", str(tmp_path / "fuzz_b.out"),
                      "--out", str(rb)]) == 0
     assert ra.read_bytes() == rb.read_bytes()
+    json.loads(ra.read_text(), parse_constant=_refuse_constant)
     assert json.loads(ra.read_text())["slack"] == art["worst_case"]["slack"]

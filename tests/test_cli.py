@@ -153,6 +153,71 @@ def test_non_finite_t_grid_is_config_error(capsys, argv, grid):
     assert json.loads(err)["error"]["type"] == "config"
 
 
+# a valid config per curve; each real key in turn is set to a non-finite value
+CURVE_CONFIGS = {
+    "gaussexp": {"d": 2, "v": 1.0, "c": 0.5},
+    "self_bounded": {"d": 2, "v": 1.0, "c": 0.5},
+    "bounded_diff": {"d": 2, "sigma2": 1.0},
+    "dobrushin": {"d": 2, "sigma2": 1.0, "D": [[0.0, 0.1], [0.2, 0.0]]},
+    "compound_cov": {"p": 2, "n": 2, "sigma2": 0.5, "L": 1.5},
+    "haar": {"R": 1.0, "S": 1.0, "tv_seq": [0.25, 0.125], "d": 2},
+}
+
+
+def _with(name: str, key: str, bad: float) -> dict:
+    """CURVE_CONFIGS[name] with ``bad`` as key's value, or as one entry of it."""
+    config = dict(CURVE_CONFIGS[name], name=name, t="0:2:1")
+    value = config[key]
+    config[key] = ([[0.0, bad], [0.2, 0.0]] if key == "D" else [value[0], bad]
+                   if key == "tv_seq" else bad)
+    return config
+
+
+NON_FINITE_REALS = [
+    (["bound"], _with(name, key, bad))
+    for name, config in CURVE_CONFIGS.items() for key in config if key not in ("d", "p", "n")
+    for bad in (math.nan, math.inf, -math.inf)
+] + [(["tail", "--model", "hypercube_sum", "--n", "3", "--d", "2", "--bound", "bounded_diff",
+       "--sigma2", "nan", "--samples", "200", "--seed", "1"], None)]
+
+
+@pytest.mark.parametrize("argv, config", NON_FINITE_REALS, ids=lambda v: json.dumps(v))
+def test_non_finite_real_is_config_error(capsys, tmp_path, argv, config):
+    out_file = tmp_path / "out"
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))  # NaN, Infinity, -Infinity
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    code, out, err = run(argv + ["--out", str(out_file)], capsys)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["type"] == "config"
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("check", ["kernel_identities", "poly_efron_stein"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_model_file_with_a_non_finite_H_entry_is_config_error(capsys, tmp_path, check, bad):
+    obj = stein.hypercube_sum(2).to_json()
+    next(iter(obj["H"].values()))["real"][0] = bad
+    (tmp_path / "model.json").write_text(json.dumps(obj))  # NaN or Infinity
+    out_file = tmp_path / "out"
+    code, out, err = run(["verify", "--check", check, "--model-file", str(tmp_path / "model.json"),
+                          "--out", str(out_file)], capsys)
+    assert code == 3 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "config" and error["message"] == "matrix entries must be finite"
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["fuzz", "--ineq", "pmvti", "--trials", "3", "--seed", "1", "--d", "0"], "d"),
+    (["couple", "--n", "0", "--runs", "4", "--seed", "1"], "n"),
+])
+def test_a_zero_count_has_one_wording(capsys, argv, key):
+    code, out, err = run(argv, capsys)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["message"] == f"{key} must be an integer >= 1, got 0"
+
+
 class TestVerifyVerb:
     def test_poly_efron_stein_passes(self, capsys):
         code, out, _ = run(["verify", "--check", "poly_efron_stein",
@@ -254,7 +319,7 @@ class TestVerifyVerb:
         assert code == 3 and out == ""
         error = json.loads(err)["error"]
         assert error["type"] == "config"
-        assert "theta must be finite" in error["message"]
+        assert "need a finite theta" in error["message"]
         assert "overflow" not in error["message"]
 
     @pytest.mark.parametrize("check", ["poly_efron_stein", "kernel_poly_moments"])
@@ -504,7 +569,8 @@ class TestConfigPlumbing:
         code, out, err = run(argv + ["--seed", "1"] + extra, capsys)
         assert code == 3 and out == ""
         error = json.loads(err)["error"]
-        assert error["type"] == "config" and re.search(rf"\b{key}\b.* must ", error["message"])
+        assert error["type"] == "config" and re.search(rf"\b{key}\b.* must |^need a finite {key} ",
+                                                       error["message"])
 
     @pytest.mark.parametrize("argv", [
         ["fuzz", "--ineq", "pmvti", "--trials", "3", "--seed", "-1"],
@@ -605,7 +671,7 @@ class TestKeyRule:
         (["tail", "--seed", "1"] + HC2, {"samples": False}),
     ])
     def test_non_integral_number_is_config_error(self, capsys, tmp_path, argv, config):
-        assert "as int" in self.refused(capsys, tmp_path, argv, config)
+        assert "is not an integer" in self.refused(capsys, tmp_path, argv, config)
 
     def test_integral_float_reads_as_the_int(self, capsys, tmp_path):
         (tmp_path / "cfg.json").write_text(json.dumps({"n": 3.0, "p": [1.0, 2.0]}))
@@ -622,7 +688,7 @@ class TestKeyRule:
         (TAIL + HC2, {"alpha": True}),
     ])
     def test_bool_is_not_a_float(self, capsys, tmp_path, argv, config):
-        assert re.search(r"cannot read (True|False) as float",
+        assert re.search(r"need a finite \w+.*, got (True|False)$",
                          self.refused(capsys, tmp_path, argv, config))
 
     @pytest.mark.parametrize("config, model", [

@@ -12,6 +12,8 @@ from matconc.matcore import (
     ShapeError,
     SuperOperator,
     _dilations,
+    _integer,
+    _real,
     dilation,
     eigh_canonical,
     induced_norm,
@@ -235,3 +237,32 @@ class TestSuperOperators:
         raw = _rng(16).standard_normal((4, 4))
         with pytest.raises(PreconditionError):
             superop_function(SuperOperator(raw + np.triu(np.ones((4, 4)))), np.abs)
+
+
+class TestRealRule:
+    @pytest.mark.parametrize("value, least, strict, want", [
+        (2, None, False, 2.0), (np.float64(-1.5), None, False, -1.5), ("0.25", 0, True, 0.25),
+        (0, 0, False, 0.0), (np.int64(3), 1, True, 3.0),
+    ])
+    def test_accepts_a_finite_number_in_range(self, value, least, strict, want):
+        got = _real(value, "x", least, strict)
+        assert type(got) is float and got == want
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, "nan", "-inf", 10**400,
+                                       True, np.bool_(False), None, "x", [1.0], 1j])
+    def test_refuses_what_is_not_a_finite_real(self, value):
+        with pytest.raises(ParameterError, match="^need a finite psi, got "):
+            _real(value, "psi")
+
+    @pytest.mark.parametrize("value, least, strict, rule", [
+        (-1e-300, 0, False, ">= 0"), (0.0, 0, True, "> 0"), (1, 1, True, "> 1"),
+    ])
+    def test_refuses_a_value_below_its_least(self, value, least, strict, rule):
+        with pytest.raises(ParameterError, match=f"^need a finite s {rule}, got "):
+            _real(value, "s", least, strict)
+
+
+@pytest.mark.parametrize("value", [None, "x", "2.5", [2], 2.5, True])
+def test_integer_refuses_what_int_refuses(value):
+    with pytest.raises(ParameterError, match="is not an integer"):
+        _integer(value)

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from matconc import stein, verify
 from matconc.matcore import (
+    DomainError,
     HermitianMatrix,
     ParameterError,
     PreconditionError,
@@ -436,6 +437,11 @@ class TestDistributions:
         with pytest.raises(ParameterError):  # a NaN sum is not within 1e-12 of 1
             FiniteCoord([(1.0, math.nan), (-1.0, 1.0)])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_finite_coord_refuses_a_value_that_is_not_finite(self, bad):
+        with pytest.raises(DomainError, match="coordinate values must be finite"):
+            FiniteCoord([(1.0, 0.5), (bad, 0.5)])
+
     @pytest.mark.parametrize("probs", SAMPLE_INDEX_PROBS, ids=lambda p: f"k{len(p)}")
     @pytest.mark.parametrize("seed", [0, 5])
     def test_sample_index_is_the_cdf_search(self, probs, seed):
@@ -503,14 +509,15 @@ class TestDistributions:
         assert np.array_equal(dist.locate(zs), [position[tuple(z)] for z in zs.tolist()])
 
     def test_locate_on_a_large_support(self):
-        # one coordinate of 10^4 values, shuffled, with an infinity among them
+        # one coordinate of 10^4 values, shuffled, with the largest float among them
         values = _rng(8).permutation(10_000).astype(float)
-        values[17] = np.inf
+        values[17] = np.finfo(float).max
         dist = ProductDistribution([FiniteCoord([(v, 1e-4) for v in values])])
         order = _rng(9).permutation(10_000)
         assert np.array_equal(dist.locate(values[order, None]), order)
-        with pytest.raises(ParameterError):
-            dist.locate([[0.5]])
+        for off in (0.5, np.inf, np.nan):
+            with pytest.raises(ParameterError):
+                dist.locate([[off]])
 
     @pytest.mark.parametrize("rows", [
         [(-1.0, 0.0, 1.0), (5.0, 0.0, 1.0)],  # the second row is off the support
@@ -627,14 +634,16 @@ class TestModels:
     @pytest.mark.parametrize("build", [
         lambda: hypercube_sum(2, 1.5),
         lambda: hypercube_sum(2.5),
+        lambda: hypercube_sum(None),
+        lambda: hypercube_sum("x"),
         lambda: stein.bounded_diff_demo(2, 1.5),
         lambda: compound_covariance(1.5, 2),
         lambda: compound_covariance(2, True),
         lambda: rect_demo(2.5),
         lambda: random_finite_model(2, 2, 1.5),
         lambda: random_finite_model(2.5, 2, 0),
-    ], ids=["hypercube_d", "hypercube_n", "bounded_diff_d", "compound_p", "compound_n",
-            "rect_n", "random_finite_seed", "random_finite_n"])
+    ], ids=["hypercube_d", "hypercube_n", "hypercube_none", "hypercube_str", "bounded_diff_d",
+            "compound_p", "compound_n", "rect_n", "random_finite_seed", "random_finite_n"])
     def test_builder_refuses_a_fractional_or_bool_integer(self, build):
         with pytest.raises(ParameterError, match="not an integer"):
             build()
@@ -642,6 +651,19 @@ class TestModels:
     def test_builder_reads_an_integral_float_as_the_int(self):
         assert hypercube_sum(2.0, 3.0).name == hypercube_sum(2, 3).name == "hypercube_sum(n=2,d=3)"
         assert random_finite_model(2.0, 2, 5.0).name == "random_finite(n=2,d=2,seed=5)"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_H_that_is_not_finite_is_refused(self, bad):
+        def H(zs):  # bad at the outcome whose first coordinate is +1
+            return np.where(zs[:, :1, None] > 0, bad, 1.0) * np.ones((len(zs), 2, 2))
+
+        dist = ProductDistribution.uniform_pm1(2)
+        for model in (MatrixModel(dist, H, 2), stein.RectangularModel(dist, H, 2, 2)):
+            assert np.array_equal(model.H_rows([(-1.0, 1.0)]), np.ones((1, 2, 2)))
+            with pytest.raises(DomainError, match="matrix entries must be finite"):
+                model.H_rows([(-1.0, 1.0), (1.0, 1.0)])
+            with pytest.raises(DomainError):
+                model.mean()
 
     def test_rectangular_mean_is_the_outcome_sum(self):
         rm = rect_demo(4)

@@ -1548,8 +1548,8 @@ class TestEmpiricalTail:
         # lambda_max is 2 at six of eight outcomes, rounded a last bit either side
         (lambda: stein.dilate_model(rect_demo(3)), np.arange(0.0, 6.5, 0.5), lambda: None),
         (lambda: random_finite_model(5, 3, 2), np.arange(-4.0, 4.25, 0.25), lambda: None),
-        # the ends and NaN count as one sort counts them
-        (lambda: random_finite_model(3, 2, 9), [-np.inf, np.nan, 0.0, np.inf], lambda: None),
+        # the far ends count as one sort counts them
+        (lambda: random_finite_model(3, 2, 9), [-1e308, -0.0, 0.0, 1e308], lambda: None),
     ])
     @pytest.mark.parametrize("statistic", ["lmax", "opnorm"])
     @pytest.mark.parametrize("seed", [1, 7, 2026])
@@ -1674,3 +1674,115 @@ class TestIntegerRule:
         run, size = SEEDED[name]
         with pytest.raises(ParameterError, match="not an integer"):
             run(3, size + 0.5)
+
+    @pytest.mark.parametrize("value", [None, "x"])
+    def test_what_int_refuses_is_not_an_integer(self, name, value):
+        run, size = SEEDED[name]
+        with pytest.raises(ParameterError, match="not an integer"):
+            run(value, size)
+        with pytest.raises(ParameterError, match="not an integer"):
+            run(3, value)
+
+
+D2 = [[0.0, 0.1], [0.2, 0.0]]
+
+
+def _kernel_moments(s):
+    model = hypercube_sum(2)
+    return verify_kernel_poly_moments(model, ExactKernel(model), [1], [s])
+
+
+def _r_psi(psi, s):
+    model = hypercube_sum(2)
+    return stein.r_psi(model, ExactKernel(model), psi, [s])
+
+
+# entry point -> (run(x), a valid x): x is the one real parameter the call reads
+REAL_ENTRIES = {
+    "GaussExpParams.v": (lambda x: bounds.gaussexp_bounds(bounds.GaussExpParams(2, x, 0.5), 1.0),
+                         1.0),
+    "GaussExpParams.c": (lambda x: bounds.gaussexp_bounds(bounds.GaussExpParams(2, 1.0, x), 1.0),
+                         0.5),
+    "gaussexp_bounds.t": (lambda x: bounds.gaussexp_bounds(
+        bounds.GaussExpParams(2, 1.0, 0.5), x), 1.0),
+    "DobrushinSpec.sigma2": (lambda x: bounds.dobrushin_bounds(
+        bounds.DobrushinSpec(D2, x), 2, 1.0), 1.0),
+    "CompoundCovSpec.sigma2": (lambda x: bounds.compound_cov_bounds(
+        bounds.CompoundCovSpec(2, 2, x, 1.0, np.eye(2)), 1.0), 0.5),
+    "CompoundCovSpec.L": (lambda x: bounds.compound_cov_bounds(
+        bounds.CompoundCovSpec(2, 2, 0.5, x, np.eye(2)), 1.0), 1.5),
+    "compound_cov_bounds.t": (lambda x: bounds.compound_cov_bounds(
+        bounds.CompoundCovSpec(2, 2, 0.5, 1.0, np.eye(2)), x), 1.0),
+    "HaarSpec.R": (lambda x: bounds.haar_bounds(bounds.HaarSpec(x, 1.0, [0.25], 2), 1.0), 1.0),
+    "HaarSpec.S": (lambda x: bounds.haar_bounds(bounds.HaarSpec(1.0, x, [0.25], 2), 1.0), 2.0),
+    "HaarSpec.tv": (lambda x: bounds.haar_bounds(bounds.HaarSpec(1.0, 1.0, [x], 2), 1.0), 0.25),
+    "chebyshev_tail.t": (lambda x: bounds.chebyshev_tail([(2, 4.0)], x), 2.0),
+    "chebyshev_tail.p": (lambda x: bounds.chebyshev_tail([(x, 4.0)], 2.0), 2.0),
+    "chebyshev_tail.moment": (lambda x: bounds.chebyshev_tail([(2, x)], 2.0), 4.0),
+    "laplace_bounds.t": (lambda x: bounds.laplace_bounds(
+        lambda th: th * th / 2, 2, x, [-1.0, 1.0]), 1.0),
+    "laplace_bounds.theta": (lambda x: bounds.laplace_bounds(
+        lambda th: th * th / 2, 2, 1.0, [x]), 1.0),
+    "efron_stein_poly_rhs.moment": (lambda x: bounds.efron_stein_poly_rhs(2, x), 1.0),
+    "efron_stein_exp_rhs.theta": (lambda x: bounds.efron_stein_exp_rhs(x, 4.0, 1.0), 1.0),
+    "efron_stein_exp_rhs.psi": (lambda x: bounds.efron_stein_exp_rhs(1.0, x, 1.0), 4.0),
+    "efron_stein_exp_rhs.log_mgf": (lambda x: bounds.efron_stein_exp_rhs(1.0, 4.0, x), 1.0),
+    "self_bounded_bounds.v": (lambda x: bounds.self_bounded_bounds(2, x, 0.5, 1.0), 1.0),
+    "self_bounded_bounds.c": (lambda x: bounds.self_bounded_bounds(2, 1.0, x, 1.0), 0.5),
+    "self_bounded_bounds.t": (lambda x: bounds.self_bounded_bounds(2, 1.0, 0.5, x), 1.0),
+    "bounded_diff_bounds.sigma2": (lambda x: bounds.bounded_diff_bounds(2, x, 1.0), 1.0),
+    "bounded_diff_bounds.t": (lambda x: bounds.bounded_diff_bounds(2, 1.0, x), 1.0),
+    "compound_psd_mgf.sigma2": (lambda x: bounds.compound_psd_mgf(np.eye(2), 2, x, 0.01), 1.0),
+    "compound_psd_mgf.theta": (lambda x: bounds.compound_psd_mgf(np.eye(2), 2, 1.0, x), 0.01),
+    "make_curve.gaussexp.v": (lambda x: bounds.make_curve(
+        "gaussexp", d=2, v=x, c=0.5).sample([1.0]), 1.0),
+    "make_curve.self_bounded.c": (lambda x: bounds.make_curve(
+        "self_bounded", d=2, v=1.0, c=x).sample([1.0]), 0.5),
+    "make_curve.bounded_diff.sigma2": (lambda x: bounds.make_curve(
+        "bounded_diff", d=2, sigma2=x).sample([1.0]), 1.0),
+    "make_curve.dobrushin.sigma2": (lambda x: bounds.make_curve(
+        "dobrushin", d=2, sigma2=x, D=D2).sample([1.0]), 1.0),
+    "make_curve.haar.S": (lambda x: bounds.make_curve(
+        "haar", R=1.0, S=x, tv_seq=[0.25], d=2).sample([1.0]), 2.0),
+    "compound_covariance.L": (lambda x: stein.compound_covariance(
+        2, 2, L=x).mean().tolist(), 1.5),
+    "r_psi.psi": (lambda x: _r_psi(x, 1.0), 1.0),
+    "r_psi.s": (lambda x: _r_psi(1.0, x), 2.0),
+    "verify_exp_efron_stein.theta": (lambda x: verify_exp_efron_stein(
+        hypercube_sum(2), [x], [4.0]), 0.5),
+    "verify_exp_efron_stein.psi": (lambda x: verify_exp_efron_stein(
+        hypercube_sum(2), [0.5], [x]), 4.0),
+    "verify_kernel_poly_moments.s": (_kernel_moments, 2.0),
+    "fuzz_pmvti.s": (lambda x: fuzz_pmvti([1], [1], [x], 2, 1).to_json(), 1.0),
+    "eval_emvti.s": (lambda x: eval_emvti(np.eye(2), -np.eye(2), np.eye(2), x), 1.0),
+    "eval_young_commuting.p": (lambda x: eval_young_commuting(np.eye(2), np.eye(2), x), 2.0),
+    "empirical_tail.t": (lambda x: empirical_tail(hypercube_sum(2), 100, [x], 1).to_json(), 1.0),
+    "dkw_radius.alpha": (lambda x: dkw_radius(100, x), 0.05),
+}
+
+# entry point -> (run(x), a valid x): x is one entry of a matrix the call reads
+MATRIX_ENTRIES = {
+    "DobrushinSpec.D": (lambda x: bounds.DobrushinSpec([[0.0, x], [0.2, 0.0]], 1.0).b, 0.1),
+    "compound_psd_mgf.A": (lambda x: bounds.compound_psd_mgf(
+        [[1.0, 0.0], [0.0, x]], 2, 1.0, 0.01), 2.0),
+}
+
+
+class TestRealRule:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, "x"])
+    @pytest.mark.parametrize("entry", sorted(REAL_ENTRIES))
+    def test_a_value_that_is_not_a_finite_real_is_refused(self, entry, bad):
+        with pytest.raises(ParameterError, match="need a finite"):
+            REAL_ENTRIES[entry][0](bad)
+
+    @pytest.mark.parametrize("bad, error", [(math.nan, DomainError), (math.inf, DomainError),
+                                            (-math.inf, DomainError), ("x", ParameterError)])
+    @pytest.mark.parametrize("entry", sorted(MATRIX_ENTRIES))
+    def test_a_matrix_entry_that_is_not_a_finite_real_is_refused(self, entry, bad, error):
+        with pytest.raises(error):
+            MATRIX_ENTRIES[entry][0](bad)
+
+    @pytest.mark.parametrize("entry", sorted(REAL_ENTRIES) + sorted(MATRIX_ENTRIES))
+    def test_numpy_float_gives_the_result_of_the_float(self, entry):
+        run, x = {**REAL_ENTRIES, **MATRIX_ENTRIES}[entry]
+        assert repr(run(np.float64(x))) == repr(run(x))
