@@ -7,7 +7,7 @@ harness use raw values so the formula semantics stay exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -16,12 +16,10 @@ from .matcore import (
     HermitianMatrix,
     ParameterError,
     PreconditionError,
-    ShapeError,
     induced_norm,
     _array,
-    _as_herm_array,
     _count,
-    _finite,
+    _hermitians,
     _opnorm,
     _real,
 )
@@ -60,13 +58,13 @@ class DobrushinSpec:
 
     D: np.ndarray
     sigma2: float
+    b: float = field(init=False)
 
     def __post_init__(self):
-        d = _finite(_array(self.D, float))
-        if d.ndim != 2 or d.shape[0] != d.shape[1]:
-            raise ShapeError(f"D must be square, got {d.shape}")
-        if np.any(d < 0):
-            raise ParameterError("D must be entrywise nonnegative")
+        d = _array(self.D, "D", square=True)
+        if np.any(d.real < 0) or d.imag.any():
+            raise ParameterError("D must be real and entrywise nonnegative")
+        d = d.real
         if np.any(np.abs(np.diag(d)) > 0):
             raise ParameterError("D must have zero diagonal")
         object.__setattr__(self, "sigma2", _real(self.sigma2, "sigma2", 0))
@@ -78,12 +76,7 @@ class DobrushinSpec:
             raise PreconditionError(f"||D||_inf->inf = {ninf} must be < 1")
         d.setflags(write=False)
         object.__setattr__(self, "D", d)
-
-    @property
-    def b(self) -> float:
-        n1 = induced_norm(self.D, 1)
-        ninf = induced_norm(self.D, math.inf)
-        return 1.0 / (1.0 - 0.5 * (n1 + ninf))
+        object.__setattr__(self, "b", 1.0 / (1.0 - 0.5 * (n1 + ninf)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,10 +96,7 @@ class CompoundCovSpec:
         object.__setattr__(self, "sigma2", _real(self.sigma2, "sigma2", 0))
         if self.sigma2 > self.L**2 * (1 + 1e-12):
             raise ParameterError(f"need sigma2 <= L^2, got sigma2={self.sigma2} L={self.L}")
-        b = self.B if isinstance(self.B, HermitianMatrix) else HermitianMatrix(self.B)
-        if b.dim != self.n:
-            raise ShapeError(f"B must be {self.n}x{self.n}, got dim {b.dim}")
-        object.__setattr__(self, "B", b)
+        object.__setattr__(self, "B", HermitianMatrix(self.B, "B", self.n))
 
 
 @dataclass(frozen=True)
@@ -173,7 +163,8 @@ def chebyshev_tail(moments, t: float) -> dict:
         raise ParameterError("need at least one (p, moment) pair")
     t = _real(t, "t", 0, strict=True)
     moments = [(_real(p, "moment order", 1), _real(m, "moment", 0)) for p, m in moments]
-    tail_raw = min(m / t**p for p, m in moments)
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):  # t**p's limit, inf or 0
+        tail_raw = min(float(m / np.float64(t) ** p) if m else m for p, m in moments)
     mean = min(m ** (1.0 / p) for p, m in moments)
     return {"tail_raw": tail_raw, "tail": _clamp01(tail_raw), "mean_bound": mean}
 
@@ -266,7 +257,9 @@ def _exp_tail(d_factor: float, t: float, a: float, b: float = 0.0) -> float:
     denom = a + b * t
     if denom <= 0:
         return float(d_factor) if t == 0 else 0.0
-    return d_factor * math.exp(-(t**2) / denom)
+    # where t^2 overflows, t / (a/t + b): inf, and so a zero tail, if a/t + b is 0
+    rate = t**2 / denom if t < 1e154 else t / max(a / t + b, math.ulp(0.0))
+    return d_factor * math.exp(-rate)
 
 
 def gaussexp_bounds(params: GaussExpParams, t: float) -> dict:
@@ -319,14 +312,11 @@ def self_bounded_bounds(d: int, v: float, c: float, t: float) -> dict:
 
 def bounded_diff_sigma(difference_bounds) -> float:
     """Boundedness parameter sigma^2 = ||sum_j A_j^2|| for Hermitian A_j."""
-    mats = [_as_herm_array(a) for a in difference_bounds]
+    mats = _hermitians(("difference bound", a) for a in difference_bounds)
     if not mats:
         raise ParameterError("need at least one difference bound")
-    d = mats[0].shape[0]
-    acc = np.zeros((d, d), dtype=np.complex128)
+    acc = np.zeros_like(mats[0])
     for a in mats:
-        if a.shape[0] != d:
-            raise ShapeError(f"dimension mismatch: {a.shape[0]} vs {d}")
         acc += a @ a
     return _opnorm(acc)
 
@@ -377,7 +367,7 @@ def compound_psd_mgf(A, p: int, sigma2: float, theta: float) -> float:
     Returns 8 theta^2 tr(A) (p sigma^2 ||A|| + max_j a_jj) / (1 - 24 p ||A|| theta)
     for 0 <= theta < 1/(24 p ||A||).
     """
-    a = A if isinstance(A, HermitianMatrix) else HermitianMatrix(A)
+    a = HermitianMatrix(A, "A")
     p, sigma2, theta = _count(p, "p"), _real(sigma2, "sigma2", 0), _real(theta, "theta")
     lam = a.eigvals()
     if lam[0] < -1e-10 * max(1.0, abs(lam[-1])):

@@ -38,8 +38,6 @@ class PreconditionError(ValueError):
 
 
 def _opnorm(a: np.ndarray) -> float:
-    if a.size == 0:
-        return 0.0
     return float(np.linalg.norm(a, 2))
 
 
@@ -48,12 +46,61 @@ def _opnorms(a: np.ndarray) -> np.ndarray:
     return np.linalg.norm(a, 2, axis=(-2, -1))
 
 
-def _array(entries, dtype=np.complex128) -> np.ndarray:
-    """A fresh array of ``entries``, which must be numbers (ParameterError)."""
+def _array(value, what: str = "matrix", shape: tuple = (None, None), square: bool = False,
+           finite: bool = True) -> np.ndarray:
+    """The one reader of a caller's matrix or stack: a wrapper's checked array as
+    it is, or any array or nested numbers as a fresh complex array, nonempty, of
+    ``shape`` (or, if it holds Nones, of that many axes; the last two equal if
+    ``square``).  A bool, non-number or ragged value is a ParameterError, a wrong
+    shape a ShapeError and, if ``finite``, NaN or +-inf a DomainError, naming ``what``."""
+    checked = isinstance(value, (HermitianMatrix, RectMatrix, SuperOperator))
+    if checked:
+        value = value.mat if isinstance(value, SuperOperator) else value.a
+    elif not (isinstance(value, np.ndarray) and value.dtype.kind in "iufc"):
+        # the type of every entry, so that a bool mixed into numbers is seen
+        value = np.array(value, dtype=object)
+        for t in set(map(type, value.ravel().tolist())):
+            if t not in (float, int, complex) and not issubclass(t, np.number):
+                raise ParameterError(f"{what} entries must be numbers, not {t.__name__}")
     try:
-        return np.array(entries, dtype=dtype)
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"matrix entries must be numbers: {exc}") from None
+        a = value if checked else np.array(value, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterError(f"{what} entries must be numbers") from None
+    if (a.ndim != len(shape) or not a.size or square and a.shape[-1] != a.shape[-2]
+            or None not in shape and a.shape != shape):
+        want = "x".join(map(str, shape)) if None not in shape else f"{len(shape)}-d"
+        raise ShapeError(f"{what} must be a nonempty {'square ' * square}{want} array, "
+                         f"got shape {a.shape}")
+    return a if checked or not finite else _finite(a, what)
+
+
+def _hermitians(named) -> list:
+    """HermitianMatrix(m, name).a for each (name, m) of ``named``, all of one dimension."""
+    named = list(named)
+    out = [HermitianMatrix(m, name).a for name, m in named]
+    if len({len(a) for a in out}) > 1:
+        names = ", ".join(dict.fromkeys(name for name, _ in named))
+        raise ShapeError(f"{names} must share one dimension, got {[len(a) for a in out]}")
+    return out
+
+
+def _field(obj, key: str, what: str, kind: type = object):
+    """obj[key] of the JSON object ``what``: a ParameterError names a missing key,
+    or one that does not hold a ``kind``."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ParameterError(f"{what} needs the key {key!r}")
+    if not isinstance(obj[key], kind):
+        raise ParameterError(f"{key!r} of {what} must be a {kind.__name__}")
+    return obj[key]
+
+
+def _json_parts(obj, what: str, *shape) -> np.ndarray:
+    """The real and imaginary parts, shape (2, *shape) and complex, of a matrix in
+    the JSON layout of hermitian_json and rect_json."""
+    parts, size = [_field(obj, k, what, list) for k in ("real", "imag")], math.prod(shape)
+    if [len(p) for p in parts] != [size, size]:
+        raise ParameterError(f"{what} real and imag must each list {size} numbers")
+    return _array(parts, what, (2, size), finite=False).reshape(2, *shape)
 
 
 def _integer(value) -> int:
@@ -96,9 +143,9 @@ def _rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_count(seed, "seed", 0)))
 
 
-def _finite(a: np.ndarray, what: str = "matrix entries") -> np.ndarray:
+def _finite(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     if not np.isfinite(a).all():
-        raise DomainError(f"{what} must be finite")
+        raise DomainError(f"{what} entries must be finite")
     return a
 
 
@@ -120,20 +167,18 @@ def rect_json(a: np.ndarray) -> dict:
 class HermitianMatrix:
     """A dense Hermitian matrix.
 
-    The constructor symmetrizes its input via (M + M*)/2 and rejects input
-    whose anti-Hermitian part exceeds ``HERMITIAN_REJECT_RTOL * ||M||``.
-    The stored array is read-only; instances are immutable values.
+    The constructor symmetrizes its input (d x d if ``dim`` is d) via (M + M*)/2
+    and rejects input whose anti-Hermitian part exceeds ``HERMITIAN_REJECT_RTOL * ||M||``.
+    Instances are immutable values: one built from another shares its read-only array.
     """
 
     __slots__ = ("a", "_eig")
 
-    def __init__(self, entries):
-        m = _array(entries)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ShapeError(f"expected a square matrix, got shape {m.shape}")
-        if m.shape[0] == 0:
-            raise ShapeError("empty matrix")
-        _finite(m)
+    def __init__(self, entries, what: str = "matrix", dim: int | None = None):
+        if isinstance(entries, HermitianMatrix) and dim in (None, entries.dim):
+            self.a, self._eig = entries.a, entries._eig
+            return
+        m = _array(entries, what, (dim, dim), square=True)
         anti = (m - m.conj().T) / 2
         # an exactly Hermitian input has residual 0 and needs no norms
         if anti.any():
@@ -166,19 +211,16 @@ class HermitianMatrix:
 
     def norm(self) -> float:
         """Operator norm (largest singular value)."""
-        w = self.eigvals()
-        return float(np.max(np.abs(w))) if w.size else 0.0
+        return float(np.max(np.abs(self.eigvals())))
 
     def to_json(self) -> dict:
         return hermitian_json(self.a)
 
     @classmethod
-    def from_json(cls, obj: dict) -> "HermitianMatrix":
-        d = _count(obj["dim"], "dim")
-        m = np.array(obj["real"], dtype=float).reshape(d, d) + 1j * np.array(
-            obj["imag"], dtype=float
-        ).reshape(d, d)
-        return cls(m)
+    def from_json(cls, obj: dict, what: str = "matrix") -> "HermitianMatrix":
+        d = _count(_field(obj, "dim", what), "dim")
+        parts = _json_parts(obj, what, d, d)
+        return cls(parts[0] + 1j * parts[1], what)
 
     def __repr__(self) -> str:
         return f"HermitianMatrix(dim={self.dim})"
@@ -189,11 +231,8 @@ class RectMatrix:
 
     __slots__ = ("a",)
 
-    def __init__(self, entries):
-        m = _array(entries)
-        if m.ndim != 2:
-            raise ShapeError(f"expected a 2-d array, got ndim {m.ndim}")
-        _finite(m)
+    def __init__(self, entries, what: str = "matrix"):
+        m = _array(entries, what)
         m.setflags(write=False)
         self.a = m
 
@@ -209,27 +248,13 @@ class RectMatrix:
         return rect_json(self.a)
 
     @classmethod
-    def from_json(cls, obj: dict) -> "RectMatrix":
-        r, c = _count(obj["rows"], "rows", 0), _count(obj["cols"], "cols", 0)
-        m = np.array(obj["real"], dtype=float).reshape(r, c) + 1j * np.array(
-            obj["imag"], dtype=float
-        ).reshape(r, c)
-        return cls(m)
+    def from_json(cls, obj: dict, what: str = "matrix") -> "RectMatrix":
+        rows, cols = (_count(_field(obj, k, what), k) for k in ("rows", "cols"))
+        parts = _json_parts(obj, what, rows, cols)
+        return cls(parts[0] + 1j * parts[1], what)
 
     def __repr__(self) -> str:
         return f"RectMatrix({self.rows}x{self.cols})"
-
-
-def _as_herm_array(x) -> np.ndarray:
-    if isinstance(x, HermitianMatrix):
-        return x.a
-    return HermitianMatrix(x).a
-
-
-def _as_array(x) -> np.ndarray:
-    if isinstance(x, (HermitianMatrix, RectMatrix)):
-        return x.a
-    return np.asarray(x, dtype=np.complex128)
 
 
 def eigh_canonical(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -290,11 +315,7 @@ def matrix_function(A, f: Callable) -> HermitianMatrix:
     Returns sum_k f(lambda_k) u_k u_k* as a HermitianMatrix.  If f is not
     finite on some eigenvalue, raises DomainError naming it.
     """
-    a = _as_herm_array(A)
-    if isinstance(A, HermitianMatrix):
-        w, v = A.eig()
-    else:
-        w, v = eigh_canonical(a)
+    w, v = (A if isinstance(A, HermitianMatrix) else HermitianMatrix(A, "A")).eig()
     with np.errstate(all="ignore"):
         try:
             fw = np.asarray(f(w), dtype=np.complex128)
@@ -318,9 +339,7 @@ def schatten_norm(B, p) -> float:
     p = float(p)
     if not p >= 1:
         raise ParameterError(f"Schatten norm needs p >= 1, got {p}")
-    s = np.linalg.svd(_as_array(B), compute_uv=False)
-    if s.size == 0:
-        return 0.0
+    s = np.linalg.svd(_array(B, "B"), compute_uv=False)
     if math.isinf(p):
         return float(s[0])
     return float(np.sum(s**p) ** (1.0 / p))
@@ -329,7 +348,7 @@ def schatten_norm(B, p) -> float:
 def induced_norm(B, p) -> float:
     """Induced 1-norm (max column abs sum) or inf-norm (max row abs sum)."""
     p = float(p)
-    a = _as_array(B)
+    a = _array(B, "B")
     if p == 1:
         return float(np.max(np.sum(np.abs(a), axis=0)))
     if math.isinf(p):
@@ -339,7 +358,7 @@ def induced_norm(B, p) -> float:
 
 def dilation(B) -> HermitianMatrix:
     """Hermitian dilation [[0, B], [B*, 0]]; spectrum is +-singular values."""
-    return HermitianMatrix(_dilations(_as_array(B)))
+    return HermitianMatrix(_dilations(_array(B, "B")))
 
 
 def _dilations(b: np.ndarray) -> np.ndarray:
@@ -356,10 +375,7 @@ def psd_leq(A, B, tol: float = PSD_TOL) -> bool:
 
     The tolerance is relative: scale = 1 + ||A|| + ||B||.
     """
-    a = _as_herm_array(A)
-    b = _as_herm_array(B)
-    if a.shape != b.shape:
-        raise ShapeError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    a, b = _hermitians([("A", A), ("B", B)])
     scale = 1.0 + _opnorm(a) + _opnorm(b)
     lam_min = float(np.linalg.eigvalsh(b - a)[0])
     return lam_min >= -tol * scale
@@ -375,9 +391,7 @@ class SuperOperator:
     __slots__ = ("mat", "dim", "self_adjoint")
 
     def __init__(self, mat):
-        m = np.array(mat, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ShapeError(f"expected square, got {m.shape}")
+        m = _array(mat, "superoperator", square=True)
         d = math.isqrt(m.shape[0])
         if d * d != m.shape[0]:
             raise ShapeError(f"side {m.shape[0]} is not a perfect square")
@@ -390,9 +404,7 @@ class SuperOperator:
 
     def apply(self, M) -> np.ndarray:
         """Evaluate the map on a d x d matrix."""
-        m = _as_array(M)
-        if m.shape != (self.dim, self.dim):
-            raise ShapeError(f"expected {self.dim}x{self.dim}, got {m.shape}")
+        m = _array(M, "M", (self.dim, self.dim))
         # column-stacking vectorization, and back
         return (self.mat @ m.reshape(-1, order="F")).reshape(m.shape, order="F")
 
@@ -407,13 +419,13 @@ class SuperOperator:
 
 def left_mult_op(A) -> SuperOperator:
     """The map M -> A M in vectorized form, kron(I, A)."""
-    a = _as_array(A)
+    a = _array(A, "A", square=True)
     return SuperOperator(np.kron(np.eye(a.shape[0]), a))
 
 
 def right_mult_op(B) -> SuperOperator:
     """The map M -> M B in vectorized form, kron(B^T, I)."""
-    b = _as_array(B)
+    b = _array(B, "B", square=True)
     return SuperOperator(np.kron(b.T, np.eye(b.shape[0])))
 
 

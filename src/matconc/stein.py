@@ -26,7 +26,9 @@ from .matcore import (
     ShapeError,
     _count,
     _dilations,
+    _field,
     _finite,
+    _json_parts,
     _opnorm,
     _opnorms,
     _real,
@@ -64,14 +66,12 @@ class FiniteCoord:
     def __init__(self, pairs):
         vals, probs = [], []
         for v, p in pairs:
-            vals.append(float(v))
-            probs.append(float(p))
-        p = np.array(probs, dtype=float)
-        if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-12):  # NaN fails both
-            raise ParameterError(f"probabilities must be nonnegative and sum to 1, got {probs}")
-        self.values = _finite(np.array(vals), "coordinate values")
-        self.probs = p
-        self._cuts = np.cumsum(p)[:-1]  # the thresholds; the last sum, near 1, is none
+            vals.append(_real(v, "coordinate value"))
+            probs.append(_real(p, "probability", 0))
+        self.values, self.probs = np.array(vals), np.array(probs)
+        if not abs(self.probs.sum() - 1.0) <= 1e-12:
+            raise ParameterError(f"probabilities must sum to 1, got {probs}")
+        self._cuts = np.cumsum(self.probs)[:-1]  # the thresholds; the last sum, near 1, is none
         self._cut_list = self._cuts.tolist()
 
     def sample_index(self, rng: np.random.Generator, size=None):
@@ -218,7 +218,7 @@ class ProductDistribution:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ProductDistribution":
-        return cls([FiniteCoord(pairs) for pairs in obj["coords"]])
+        return cls([FiniteCoord(pairs) for pairs in _field(obj, "coords", "dist")])
 
 
 # ---------------------------------------------------------------------------
@@ -359,15 +359,15 @@ class MatrixModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MatrixModel":
-        dist = ProductDistribution.from_json(obj["dist"])
-        d = _count(obj["d"], "d")
-        table = obj["H"]
+        dist = ProductDistribution.from_json(_field(obj, "dist", "model"))
+        d = _count(_field(obj, "d", "model"), "d")
+        table = _field(obj, "H", "model")
         # a table smaller than the support fails before the support is enumerated
         keys = len(table) >= dist.cardinality and [_zkey(z) for z in dist._outcome_rows()]
         if not keys or any(key not in table for key in keys):
             raise ParameterError("the H table does not cover every outcome of dist")
-        parts = [[table[key][k] for k in ("real", "imag")] for key in keys]
-        return _table_model(dist, np.array(parts, dtype=float), d, obj.get("name", "model"))
+        parts = np.stack([_json_parts(table[key], "H", d, d).real for key in keys])
+        return _table_model(dist, parts, d, obj.get("name", "model"))
 
 
 def _table_model(dist: ProductDistribution, parts: np.ndarray, d: int,
@@ -453,11 +453,7 @@ def compound_covariance(p: int, n: int, B=None, entry_dist: str = "pm1",
     {-L, L} for entry_dist "pm1" (sigma2 = L^2) or on [-L, L] for "uniform"
     (sigma2 = L^2/3, and the model falls back to Monte Carlo means)."""
     p, n, L = _count(p, "p"), _count(n, "n"), _real(L, "L", 0, strict=True)
-    if B is None:
-        B = np.eye(n)
-    Bh = B if isinstance(B, HermitianMatrix) else HermitianMatrix(B)
-    if Bh.dim != n:
-        raise ShapeError(f"B must be {n}x{n}, got {Bh.dim}")
+    Bh = HermitianMatrix(np.eye(n) if B is None else B, "B", n)
     if entry_dist == "pm1":
         coords = [FiniteCoord([(-L, 0.5), (L, 0.5)]) for _ in range(p * n)]
     elif entry_dist == "uniform":

@@ -20,11 +20,11 @@ from .matcore import (
     HermitianMatrix,
     ParameterError,
     RectMatrix,
-    ShapeError,
     SuperOperator,
-    _as_array,
-    _as_herm_array,
+    _array,
     _count,
+    _field,
+    _hermitians,
     _real,
     _rng,
     hermitian_json,
@@ -437,9 +437,9 @@ def _sweep(trials: int, draw, evaluate, take) -> None:
 # single-case evaluators (replay runs these): the stacked ones on stacks of one
 
 
-def _one(x) -> np.ndarray:
-    """A Hermitian argument as a stack of one."""
-    return _as_herm_array(x)[None]
+def _ones(*mats) -> list:
+    """The Hermitian arguments A, B, ... of one dimension, each as a stack of one."""
+    return [a[None] for a in _hermitians(zip("ABC", mats))]
 
 
 def _s_array(s_values) -> np.ndarray:
@@ -453,13 +453,12 @@ def _first(*outs) -> tuple:
 
 def eval_pmvti(A, B, C, q: int, s: float) -> tuple:
     """|tr[C (A^q - B^q)]| vs (q/4) tr[(s(A-B)^2 + C^2/s)(|A|^{q-1} + |B|^{q-1})]."""
-    return _first(*_pmvti_stack(_one(A), _one(B), _one(C), np.array([_count(q, "q")]),
-                                _s_array([s])))
+    return _first(*_pmvti_stack(*_ones(A, B, C), np.array([_count(q, "q")]), _s_array([s])))
 
 
 def eval_emvti(A, B, C, s: float) -> tuple:
     """|tr-bar[C (e^A - e^B)]| vs (1/4) tr-bar[(s(A-B)^2 + C^2/s)(e^A + e^B)]."""
-    return _first(*_emvti_stack(_one(A), _one(B), _one(C), _s_array([s])))
+    return _first(*_emvti_stack(*_ones(A, B, C), _s_array([s])))
 
 
 def eval_young_commuting(A, B, p: float) -> tuple:
@@ -469,18 +468,16 @@ def eval_young_commuting(A, B, p: float) -> tuple:
     matrices, handled as d^2 x d^2 Hermitian matrices.  Returns the gap and
     the scale it is divided by.
     """
-    return _first(*_young_stack(_one(A), _one(B), p))
+    return _first(*_young_stack(*_ones(A, B), p))
 
 
 def eval_operator_cs(S, M, N) -> tuple:
     """|<M, S(N)>| vs sqrt(<M,|S|M> <N,|S|N>) for self-adjoint S."""
-    op = S if isinstance(S, SuperOperator) else SuperOperator(S)
+    op = SuperOperator(S)
     if not op.self_adjoint:
         raise ParameterError("operator must be self-adjoint")
-    m, n = _as_array(M), _as_array(N)
-    if m.shape != (op.dim, op.dim) or n.shape != (op.dim, op.dim):
-        raise ShapeError(f"expected {op.dim}x{op.dim}, got {m.shape} and {n.shape}")
-    return _first(*_operator_cs_stack(op.mat[None], m[None], n[None]))
+    m, n = (_array(x, name, (op.dim, op.dim))[None] for name, x in (("M", M), ("N", N)))
+    return _first(*_operator_cs_stack(op.mat[None], m, n))
 
 
 def eval_matrix_entropy_young(Us, Ws) -> tuple:
@@ -488,16 +485,16 @@ def eval_matrix_entropy_young(Us, Ws) -> tuple:
 
     The (U, W) atoms are equally weighted; W must be PSD with E tr-bar W = 1.
     """
-    if len(Us) != len(Ws) or not Us:
+    if len(Us) != len(Ws) or not len(Us):
         raise ParameterError("need equally many U and W atoms")
-    return _first(*_entropy_young_stack(np.stack([_as_herm_array(u) for u in Us])[None],
-                                        np.stack([_as_herm_array(w) for w in Ws])[None]))
+    atoms = np.stack(_hermitians([*(("U", u) for u in Us), *(("W", w) for w in Ws)]))
+    return _first(*_entropy_young_stack(atoms[None, :len(Us)], atoms[None, len(Us):]))
 
 
 def eval_conjecture(A, B, C, q: int, s: float) -> dict:
     """Signed one-sided forms: exponential and degree-q polynomial slacks."""
     lhs_e, rhs_e, lhs_p, rhs_p = _first(*_conjecture_stack(
-        _one(A), _one(B), _one(C), np.array([_count(q, "q")]), _s_array([s])))
+        *_ones(A, B, C), np.array([_count(q, "q")]), _s_array([s])))
     return {"exp": (lhs_e, rhs_e), "poly": (lhs_p, rhs_p)}
 
 
@@ -639,27 +636,31 @@ def merge_fuzz_reports(reports) -> FuzzReport:
 
 
 def replay_case(case: dict) -> dict:
-    """Re-evaluate one serialized worst case; returns lhs/rhs/slack."""
+    """Re-evaluate one serialized worst case; returns lhs/rhs/slack.  A key that
+    is missing, or that its evaluator's reader refuses, is a typed error naming it."""
     ineq = case.get("ineq")
 
+    def get(key, kind=object):
+        return _field(case, key, f"{ineq} case", kind)
+
     def herms(keys):
-        return [HermitianMatrix.from_json(case[k]) for k in keys]
+        return [HermitianMatrix.from_json(get(k), k) for k in keys]
 
     if ineq == "pmvti":
-        lhs, rhs = eval_pmvti(*herms("ABC"), case["q"], float(case["s"]))
+        lhs, rhs = eval_pmvti(*herms("ABC"), get("q"), get("s"))
     elif ineq == "emvti":
-        lhs, rhs = eval_emvti(*herms("ABC"), float(case["s"]))
+        lhs, rhs = eval_emvti(*herms("ABC"), get("s"))
     elif ineq == "young_commuting":
-        lhs, rhs = eval_young_commuting(*herms("AB"), float(case["p"]))
+        lhs, rhs = eval_young_commuting(*herms("AB"), get("p"))
         return {"ineq": ineq, "lambda_min_gap": lhs, "scale": rhs,
                 "slack": lhs / rhs}
     elif ineq == "operator_cs":
-        lhs, rhs = eval_operator_cs(*(RectMatrix.from_json(case[k]).a for k in "SMN"))
+        lhs, rhs = eval_operator_cs(*(RectMatrix.from_json(get(k), k) for k in "SMN"))
     elif ineq == "matrix_entropy_young":
         lhs, rhs = eval_matrix_entropy_young(
-            *([HermitianMatrix.from_json(m) for m in case[k]] for k in "UW"))
+            *([HermitianMatrix.from_json(m, k) for m in get(k, list)] for k in "UW"))
     elif ineq in ("conjecture_exp", "conjecture_poly"):
-        both = eval_conjecture(*herms("ABC"), case["q"], float(case["s"]))
+        both = eval_conjecture(*herms("ABC"), get("q"), get("s"))
         lhs, rhs = both[ineq[len("conjecture_"):]]
     else:
         raise ParameterError(f"unknown inequality {ineq!r}")

@@ -260,6 +260,38 @@ def test_formula_regression_grid():
             assert close(curve.prob(float(t)), min(1.0, formula(float(t))))
 
 
+# every make_curve curve, and its leading factor: the raw tail at t -> 0
+EXTREME_CURVES = {
+    "gaussexp": (dict(d=2, v=1.0, c=0.5), 2.0),
+    "gaussexp_c0": ({"name": "gaussexp", "d": 2, "v": 1.0, "c": 0.0}, 2.0),
+    "gaussexp_large_c": ({"name": "gaussexp", "d": 2, "v": 1.0, "c": 1e10}, 2.0),
+    "self_bounded": (dict(d=3, v=1.0, c=0.5), 3.0),
+    "bounded_diff": (dict(d=2, sigma2=1.0), 2.0),
+    "dobrushin": (dict(d=2, sigma2=1.0, D=[[0.0, 0.1], [0.2, 0.0]]), 2.0),
+    "compound_cov": (dict(spec=CompoundCovSpec(2, 3, 1.0, 1.0, np.eye(3))), 4.0),
+    "haar": (dict(R=1.0, S=1.0, tv_seq=[0.5], d=2), 2.0),
+}
+
+
+@pytest.mark.parametrize("t", [1e200, 1e300, 1e-200])
+@pytest.mark.parametrize("key", sorted(EXTREME_CURVES))
+def test_a_curve_at_an_extreme_t_is_its_limit(key, t):
+    # t**2 overflows at 1e200 and 1e300 (and a + b t too, for c = 1e10 at 1e300)
+    params, lead = EXTREME_CURVES[key]
+    params = dict(params)
+    curve = make_curve(params.pop("name", key), **params)
+    assert curve.raw(t) == (0.0 if t > 1 else lead)
+
+
+@pytest.mark.parametrize("t, moment, tail", [(1e200, 1.0, 0.0), (1e300, 1.0, 0.0),
+                                             (1e-200, 1.0, math.inf), (1e-200, 0.0, 0.0),
+                                             (1e200, 0.0, 0.0)])
+def test_chebyshev_at_an_extreme_t_is_its_limit(t, moment, tail):
+    # t**2 overflows, or underflows to 0, outside about [1e-162, 1e154]
+    out = chebyshev_tail([(2, moment)], t)
+    assert out["tail_raw"] == tail and out["tail"] == min(1.0, tail)
+
+
 def test_gaussexp_zero_denominator_edge():
     out = gaussexp_bounds(GaussExpParams(d=2, v=0.0, c=0.0), 1.0)
     assert out["tail_raw"] == 0.0

@@ -72,6 +72,13 @@ class TestBoundVerb:
         assert lines[1] == "t,raw,clamped"
         assert lines[2] == "2.0,0.2706705664732254,0.2706705664732254"
 
+    @pytest.mark.parametrize("c, t", [("0", "1e200"), ("1e10", "1e300")])
+    def test_a_huge_t_is_a_zero_tail(self, capsys, c, t):
+        code, out, _ = run(["bound", "--name", "gaussexp", "--d", "2",
+                            "--v", "1", "--c", c, "--t", t], capsys)
+        assert code == 0
+        assert out.strip().splitlines()[2] == f"{float(t)!r},0.0,0.0"
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "curve.csv"
         code, out, _ = run(["bound", "--name", "bounded_diff", "--d", "1",
@@ -529,6 +536,17 @@ class TestConfigPlumbing:
             assert code == 3
             assert json.loads(err)["error"]["type"] == "config"
 
+    def test_model_file_with_a_boolean_coordinate_value_is_config_error(self, capsys, tmp_path):
+        obj = stein.hypercube_sum(2).to_json()
+        assert obj["dist"]["coords"][0][0][0] == -1.0
+        obj["dist"]["coords"][0][0][0] = True  # read as 1.0, it would be another model
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(obj))
+        code, out, err = run(["verify", "--check", "poly_efron_stein",
+                              "--model-file", str(model)], capsys)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["type"] == "config"
+
     def test_model_file_must_cover_its_support(self, capsys, tmp_path):
         model = tmp_path / "model.json"
         one = {"real": [1.0], "imag": [0.0]}
@@ -856,6 +874,23 @@ class TestTailVerb:
                     "--samples", "10", "--seed", "1"], capsys)[0] == 3
 
 
+def _layout(m):
+    return HermitianMatrix(np.array(m, dtype=float)).to_json()
+
+
+_A = _layout([[1.0, 0.5], [0.5, 2.0]])
+_PMVTI = {"ineq": "pmvti", "q": 2, "s": 1.0, "A": _A, "B": _A, "C": _A}
+# a case file that each read of replay_case refuses
+MALFORMED_CASES = {
+    "real_of_the_wrong_length": {**_PMVTI, "A": {**_A, "real": _A["real"][:-1]}},
+    "string_entry": {**_PMVTI, "B": {**_A, "real": ["x", *_A["real"][1:]]}},
+    "missing_imag": {**_PMVTI, "C": {k: v for k, v in _A.items() if k != "imag"}},
+    "missing_q": {k: v for k, v in _PMVTI.items() if k != "q"},
+    "U_W_not_lists": {"ineq": "matrix_entropy_young", "U": _A, "W": _A},
+    "A_B_of_different_dimensions": {**_PMVTI, "B": _layout(np.eye(3))},
+}
+
+
 class TestReplayVerb:
     def test_replays_fuzz_artifact(self, capsys, tmp_path):
         art = tmp_path / "fuzz.json"
@@ -888,6 +923,16 @@ class TestReplayVerb:
         path = tmp_path / "empty.json"
         path.write_text("{}")
         assert run(["replay", "--case", str(path)], capsys)[0] == 3
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_CASES))
+    def test_malformed_case_is_config_error(self, capsys, tmp_path, name):
+        path, out_file = tmp_path / "case.json", tmp_path / "old.out"
+        path.write_text(json.dumps(MALFORMED_CASES[name]))
+        out_file.write_bytes(b"old report")
+        code, out, err = run(["replay", "--case", str(path), "--out", str(out_file)], capsys)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["type"] == "config"
+        assert out_file.read_bytes() == b"old report"
 
 
 # the verbs and arguments of test_10 in test_acceptance.py

@@ -439,7 +439,7 @@ class TestDistributions:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_finite_coord_refuses_a_value_that_is_not_finite(self, bad):
-        with pytest.raises(DomainError, match="coordinate values must be finite"):
+        with pytest.raises(ParameterError, match="need a finite coordinate value"):
             FiniteCoord([(1.0, 0.5), (bad, 0.5)])
 
     @pytest.mark.parametrize("probs", SAMPLE_INDEX_PROBS, ids=lambda p: f"k{len(p)}")

@@ -12,14 +12,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from matconc import bounds, cli, stein, verify
+from matconc import bounds, cli, matcore, stein, verify
 from matconc.matcore import (
     DomainError,
     HermitianMatrix,
     ParameterError,
     RectMatrix,
+    ShapeError,
     SuperOperator,
-    _as_array,
+    _array,
     _opnorms,
     hermitian_json,
     left_mult_op,
@@ -168,7 +169,7 @@ class TestConjectureEvaluator:
 
 def ntrace(M) -> float:
     """Normalized trace tr(M)/d."""
-    a = _as_array(M)
+    a = _array(M)
     return float(np.trace(a).real) / a.shape[0]
 
 
@@ -814,9 +815,9 @@ class TestCaseWriter:
     def test_sweeps_build_no_wrapper(self, monkeypatch, capsys):
         built = []
         for cls in (HermitianMatrix, RectMatrix):
-            def counted(self, entries, init=cls.__init__):
+            def counted(self, *args, init=cls.__init__):
                 built.append(type(self).__name__)
-                init(self, entries)
+                init(self, *args)
             monkeypatch.setattr(cls, "__init__", counted)
         for new, _, args in ORACLE_SUITES.values():
             report = new(*args, 300, 5)
@@ -1758,14 +1759,89 @@ REAL_ENTRIES = {
     "eval_young_commuting.p": (lambda x: eval_young_commuting(np.eye(2), np.eye(2), x), 2.0),
     "empirical_tail.t": (lambda x: empirical_tail(hypercube_sum(2), 100, [x], 1).to_json(), 1.0),
     "dkw_radius.alpha": (lambda x: dkw_radius(100, x), 0.05),
+    "FiniteCoord.value": (lambda x: stein.FiniteCoord([(x, 0.5), (1.0, 0.5)]).values.tolist(),
+                          -1.0),
+    "FiniteCoord.probability": (lambda x: stein.FiniteCoord(
+        [(-1.0, x), (1.0, 0.75)]).probs.tolist(), 0.25),
 }
 
-# entry point -> (run(x), a valid x): x is one entry of a matrix the call reads
+SYM = [[2.0, 0.5], [0.5, 1.0]]
+PSD = [[1.0, 0.5], [0.5, 1.0]]  # ||PSD|| = 1.5 and mean tr-bar 1
+S4 = np.diag([1.0, 2.0, 3.0, 4.0])
+
+
+def _list(x):
+    """Lists and floats as they are; any array or wrapper as its entries."""
+    return x.tolist() if hasattr(x, "tolist") else x
+
+
+# entry point -> (run(m), a valid m): m is one matrix the call reads
 MATRIX_ENTRIES = {
-    "DobrushinSpec.D": (lambda x: bounds.DobrushinSpec([[0.0, x], [0.2, 0.0]], 1.0).b, 0.1),
-    "compound_psd_mgf.A": (lambda x: bounds.compound_psd_mgf(
-        [[1.0, 0.0], [0.0, x]], 2, 1.0, 0.01), 2.0),
+    "HermitianMatrix": (lambda m: HermitianMatrix(m).a.tolist(), SYM),
+    "RectMatrix": (lambda m: RectMatrix(m).a.tolist(), [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+    "matrix_function": (lambda m: matrix_function(m, np.exp).a.tolist(), SYM),
+    "schatten_norm": (lambda m: matcore.schatten_norm(m, 3), SYM),
+    "induced_norm": (lambda m: matcore.induced_norm(m, 1), SYM),
+    "dilation": (lambda m: matcore.dilation(m).a.tolist(), [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+    "psd_leq.A": (lambda m: matcore.psd_leq(m, 4 * np.eye(2)), SYM),
+    "psd_leq.B": (lambda m: matcore.psd_leq(np.eye(2), m), SYM),
+    "SuperOperator": (lambda m: SuperOperator(m).mat.tolist(), S4.tolist()),
+    "SuperOperator.apply": (lambda m: SuperOperator(S4).apply(m).tolist(), SYM),
+    "left_mult_op": (lambda m: left_mult_op(m).mat.tolist(), SYM),
+    "right_mult_op": (lambda m: right_mult_op(m).mat.tolist(), SYM),
+    "DobrushinSpec.D": (lambda m: bounds.DobrushinSpec(m, 1.0).b, D2),
+    "make_curve.dobrushin.D": (lambda m: bounds.make_curve(
+        "dobrushin", d=2, sigma2=1.0, D=m).sample([1.0]), D2),
+    "CompoundCovSpec.B": (lambda m: bounds.compound_cov_bounds(
+        bounds.CompoundCovSpec(2, 2, 0.5, 1.0, m), 1.0), SYM),
+    "bounded_diff_sigma": (lambda m: bounds.bounded_diff_sigma([np.eye(2), m]), SYM),
+    "compound_psd_mgf.A": (lambda m: bounds.compound_psd_mgf(m, 2, 1.0, 0.01), PSD),
+    "compound_covariance.B": (lambda m: stein.compound_covariance(2, 2, m).mean().tolist(), SYM),
+    **{f"eval_pmvti.{k}": (lambda m, k=k: eval_pmvti(
+        **{"A": SYM, "B": PSD, "C": np.eye(2), k: m}, q=2, s=1.0), SYM) for k in "ABC"},
+    "eval_emvti.A": (lambda m: eval_emvti(m, PSD, np.eye(2), 1.0), SYM),
+    "eval_young_commuting.B": (lambda m: eval_young_commuting(PSD, m, 2.0), SYM),
+    "eval_conjecture.C": (lambda m: eval_conjecture(SYM, PSD, m, 2, 1.0), SYM),
+    "eval_operator_cs.S": (lambda m: eval_operator_cs(m, SYM, PSD), S4.tolist()),
+    "eval_operator_cs.M": (lambda m: eval_operator_cs(S4, m, PSD), SYM),
+    "eval_matrix_entropy_young.U": (lambda m: eval_matrix_entropy_young([m], [PSD]), SYM),
+    "eval_matrix_entropy_young.W": (lambda m: eval_matrix_entropy_young([SYM], [m]), PSD),
 }
+
+
+def _with_entry(m, x):
+    """m with its first row's last entry set to x."""
+    return [[*m[0][:-1], x], *m[1:]]
+
+
+# name -> (the bad value made from a valid matrix m, the error it must raise)
+BAD_MATRICES = {
+    "nan": (lambda m: _with_entry(m, math.nan), DomainError),
+    "inf": (lambda m: _with_entry(m, math.inf), DomainError),
+    "-inf": (lambda m: _with_entry(m, -math.inf), DomainError),
+    "str_entry": (lambda m: _with_entry(m, "x"), ParameterError),
+    "bool_entry": (lambda m: _with_entry(m, True), ParameterError),
+    "str": (lambda m: "x", ParameterError),
+    "bool": (lambda m: True, ParameterError),
+    "bool_array": (lambda m: np.ones(np.shape(m), dtype=bool), ParameterError),
+    "ragged": (lambda m: [*m[:-1], m[-1][:-1]], ParameterError),
+    "1-d": (lambda m: m[0], ShapeError),
+    "3-d": (lambda m: [m], ShapeError),
+}
+
+
+def _layouts(m) -> dict:
+    """m in other memory layouts and dtypes, each with its float64 C-contiguous copy."""
+    base = np.array(m)
+    wide = np.zeros((2 * base.shape[0], 2 * base.shape[1]))
+    wide[::2, ::2] = base
+    frozen = base.copy()
+    frozen.setflags(write=False)
+    variants = {"fortran": np.asfortranarray(base), "strided": wide[::2, ::2],
+                "read_only": frozen, "int": base.astype(np.int64),
+                "float32": base.astype(np.float32),
+                "numpy_scalars": [[np.float64(x) for x in row] for row in m]}
+    return {k: (v, np.array(v, dtype=np.float64, order="C")) for k, v in variants.items()}
 
 
 class TestRealRule:
@@ -1775,14 +1851,45 @@ class TestRealRule:
         with pytest.raises(ParameterError, match="need a finite"):
             REAL_ENTRIES[entry][0](bad)
 
-    @pytest.mark.parametrize("bad, error", [(math.nan, DomainError), (math.inf, DomainError),
-                                            (-math.inf, DomainError), ("x", ParameterError)])
-    @pytest.mark.parametrize("entry", sorted(MATRIX_ENTRIES))
-    def test_a_matrix_entry_that_is_not_a_finite_real_is_refused(self, entry, bad, error):
-        with pytest.raises(error):
-            MATRIX_ENTRIES[entry][0](bad)
-
-    @pytest.mark.parametrize("entry", sorted(REAL_ENTRIES) + sorted(MATRIX_ENTRIES))
+    @pytest.mark.parametrize("entry", sorted(REAL_ENTRIES))
     def test_numpy_float_gives_the_result_of_the_float(self, entry):
-        run, x = {**REAL_ENTRIES, **MATRIX_ENTRIES}[entry]
+        run, x = REAL_ENTRIES[entry]
         assert repr(run(np.float64(x))) == repr(run(x))
+
+
+class TestMatrixRule:
+    @pytest.mark.parametrize("bad", sorted(BAD_MATRICES))
+    @pytest.mark.parametrize("entry", sorted(MATRIX_ENTRIES))
+    def test_a_malformed_matrix_is_refused(self, entry, bad):
+        run, m = MATRIX_ENTRIES[entry]
+        make, error = BAD_MATRICES[bad]
+        with pytest.raises(error):
+            run(make(m))
+
+    @pytest.mark.parametrize("run", [
+        lambda: eval_pmvti(SYM, np.eye(3), SYM, 2, 1.0),
+        lambda: eval_young_commuting(np.eye(3), SYM, 2.0),
+        lambda: eval_matrix_entropy_young([SYM], [np.eye(3)]),
+        lambda: matcore.psd_leq(SYM, np.eye(3)),
+        lambda: bounds.bounded_diff_sigma([SYM, np.eye(3)]),
+        lambda: bounds.CompoundCovSpec(2, 3, 0.5, 1.0, SYM),
+        lambda: stein.compound_covariance(2, 3, SYM),
+    ], ids=["eval_pmvti", "eval_young_commuting", "eval_matrix_entropy_young", "psd_leq",
+            "bounded_diff_sigma", "CompoundCovSpec", "compound_covariance"])
+    def test_matrices_of_different_dimensions_are_a_shape_error(self, run):
+        with pytest.raises(ShapeError):
+            run()
+
+    def test_entropy_young_takes_arrays_of_atoms(self):
+        stacked = eval_matrix_entropy_young(np.array([SYM, PSD]), np.array([PSD, PSD]))
+        assert stacked == eval_matrix_entropy_young([SYM, PSD], [PSD, PSD])
+
+    @pytest.mark.parametrize("entry", sorted(MATRIX_ENTRIES))
+    def test_any_layout_or_dtype_gives_the_result_of_the_float64_copy(self, entry):
+        run, m = MATRIX_ENTRIES[entry]
+        want = repr(_list(run(m)))
+        for name, (value, copy) in _layouts(m).items():
+            got = repr(_list(run(value)))
+            assert got == repr(_list(run(copy))), name
+            if name not in ("int", "float32"):
+                assert got == want, name
