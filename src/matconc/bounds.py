@@ -205,6 +205,14 @@ def _grid_min(f: Callable[[float], float], pts: np.ndarray) -> float:
     return best
 
 
+def _d_exp(d: int, g: float) -> float:
+    """d * e^g, or its limit inf where e^g leaves the floats."""
+    try:
+        return d * math.exp(g)
+    except OverflowError:
+        return math.inf
+
+
 def laplace_bounds(log_mgf: Callable[[float], float], d: int, t: float, theta_grid) -> dict:
     """Tail and mean bounds from the trace mgf via the Laplace transform method.
 
@@ -227,7 +235,7 @@ def laplace_bounds(log_mgf: Callable[[float], float], d: int, t: float, theta_gr
     out = {}
     if pos.size:
         g = _grid_min(lambda th: -th * t + log_mgf(th), pos)
-        out["upper_tail_raw"] = d * math.exp(g)
+        out["upper_tail_raw"] = _d_exp(d, g)
         out["upper_mean"] = _grid_min(lambda th: (logd + log_mgf(th)) / th, pos)
     else:
         out["upper_tail_raw"] = math.inf
@@ -235,7 +243,7 @@ def laplace_bounds(log_mgf: Callable[[float], float], d: int, t: float, theta_gr
     if neg.size:
         # lower tail comes from the upper bound applied to -X: theta flips sign
         g = _grid_min(lambda th: th * t + log_mgf(th), neg)
-        out["lower_tail_raw"] = d * math.exp(g)
+        out["lower_tail_raw"] = _d_exp(d, g)
         # sup of (log d + log m(theta))/theta over theta < 0
         out["lower_mean"] = -_grid_min(lambda th: -(logd + log_mgf(th)) / th, neg)
     else:

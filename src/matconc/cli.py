@@ -14,7 +14,6 @@ import math
 import os
 import sys
 
-import click
 import numpy as np
 
 from . import bounds, stein, verify
@@ -139,18 +138,6 @@ class _Config(dict):
         return super().get(key, default)
 
 
-def _merge_config(cfg: dict, flags: dict, extra: frozenset = frozenset()) -> _Config:
-    """Config-file values overridden by explicitly passed flags.
-
-    A config key is a flag's parameter name (the flag with ``-`` as ``_``);
-    ``extra`` names the keys a verb reads from the config only.
-    """
-    unknown = set(cfg) - set(flags) - extra
-    if unknown:
-        raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-    return _Config({**cfg, **{k: v for k, v in flags.items() if v is not None}})
-
-
 def _get(cfg: dict, key: str, kind, default):
     """cfg[key] read as kind (an int by matcore._integer, a real by matcore._real),
     or ``default`` where the key is unset: an explicit 0 stays 0."""
@@ -163,11 +150,9 @@ def _get(cfg: dict, key: str, kind, default):
 def _reject_unread(cfg: _Config, what: str) -> None:
     """The one key rule of every verb, called once its inputs are parsed and
     before any kernel, sample, sweep or report: a set key it did not read is a
-    config error.  The keys are named in the verb's flag order, config-only
-    keys last."""
-    flags = [p.name for p in click.get_current_context().command.params]
-    unread = [k for k in dict.fromkeys([*flags, *cfg])
-              if k in cfg and k not in cfg.read and cfg[k] is not None]
+    config error.  The keys are named in the config's order, which run makes
+    the verb's flag order, config-only keys last."""
+    unread = [k for k, v in cfg.items() if v is not None and k not in cfg.read]
     if unread:
         raise ParameterError(f"{what} does not read {unread}")
 
@@ -239,23 +224,8 @@ def _build_curve(cfg: dict) -> bounds.BoundCurve:
 # verbs
 
 
-@click.group()
-def cli():
-    """Matrix concentration toolkit."""
-
-
-@cli.command()
-@click.option("--config", "config_path", default=None, type=str)
-@click.option("--name", default=None, type=str)
-@click.option("--d", default=None, type=int)
-@click.option("--v", default=None, type=float)
-@click.option("--c", default=None, type=float)
-@click.option("--sigma2", default=None, type=float)
-@click.option("--t", default=None, type=str)
-@click.option("--out", default=None, type=str)
-def bound(config_path, **flags):
+def bound(cfg: _Config) -> None:
     """Evaluate a closed-form tail bound over a t-grid, as CSV."""
-    cfg = _merge_config(_load_config(config_path), flags, _CURVE_KEYS)
     curve = _build_curve(cfg)
     grid = _parse_grid(cfg.get("t") or "0:4:0.1")
     _reject_unread(cfg, f"bound {curve.name!r}")
@@ -313,27 +283,8 @@ def _kernel(cfg: dict):
     return estimated
 
 
-@cli.command("verify")
-@click.option("--config", "config_path", default=None, type=str)
-@click.option("--check", default=None, type=str)
-@click.option("--model", default=None, type=str)
-@click.option("--model-file", default=None, type=str)
-@click.option("--n", default=None, type=int)
-@click.option("--d", default=None, type=int)
-@click.option("--rows", default=None, type=int)
-@click.option("--model-seed", default=None, type=int)
-@click.option("--p", default=None, type=str)
-@click.option("--theta", default=None, type=str)
-@click.option("--psi", default=None, type=str)
-@click.option("--s", default=None, type=str)
-@click.option("--kernel", default=None, type=str)
-@click.option("--horizon", default=None, type=int)
-@click.option("--samples", default=None, type=int)
-@click.option("--seed", default=None, type=int)
-@click.option("--out", default=None, type=str)
-def verify_cmd(config_path, **flags):
+def verify_cmd(cfg: _Config) -> None:
     """Run an exact verification check; exit 0 iff it passes."""
-    cfg = _merge_config(_load_config(config_path), flags)
     check = cfg.get("check")
     if check is None:
         raise ParameterError("--check is required")
@@ -378,21 +329,8 @@ def _fuzz_suite(ineq: str, dims, cfg: dict):
     return functools.partial(getattr(verify, f"fuzz_{ineq}"), dims, *args)
 
 
-@cli.command()
-@click.option("--config", "config_path", default=None, type=str)
-@click.option("--ineq", default=None, type=str)
-@click.option("--trials", default=None, type=int)
-@click.option("--seed", default=None, type=int)
-@click.option("--d", default=None, type=str)
-@click.option("--q", default=None, type=str)
-@click.option("--s", default=None, type=str)
-@click.option("--p", default=None, type=float)
-@click.option("--ensemble-size", default=None, type=int)
-@click.option("--jobs", default=None, type=int)
-@click.option("--out", default=None, type=str)
-def fuzz(config_path, **flags):
+def fuzz(cfg: _Config) -> None:
     """Fuzz one trace inequality; exit 0 iff min slack clears the threshold."""
-    cfg = _merge_config(_load_config(config_path), flags)
     name = cfg.get("ineq")
     if name is None:
         raise ParameterError("--ineq is required")
@@ -412,17 +350,8 @@ def fuzz(config_path, **flags):
         raise VerificationFailure(f"fuzz {name} min_slack {report.min_slack}")
 
 
-@cli.command()
-@click.option("--config", "config_path", default=None, type=str)
-@click.option("--trials", default=None, type=int)
-@click.option("--seed", default=None, type=int)
-@click.option("--d", default=None, type=str)
-@click.option("--q", default=None, type=str)
-@click.option("--s", default=None, type=str)
-@click.option("--out", default=None, type=str)
-def conjecture(config_path, **flags):
+def conjecture(cfg: _Config) -> None:
     """Sweep the signed trace-inequality forms; always exits 0 on completion."""
-    cfg = _merge_config(_load_config(config_path), flags)
     trials = _get(cfg, "trials", int, 0)
     seed = _require_seed(cfg)
     grids = (_parse_ints(cfg.get("d") or "1:6"), _parse_ints(cfg.get("q") or "1:3"),
@@ -432,17 +361,8 @@ def conjecture(config_path, **flags):
     _emit_json(report.to_json(), cfg.get("out"))
 
 
-@cli.command()
-@click.option("--config", "config_path", default=None, type=str)
-@click.option("--n", default=None, type=int)
-@click.option("--runs", default=None, type=int)
-@click.option("--seed", default=None, type=int)
-@click.option("--max-steps", default=None, type=int)
-@click.option("--pathwise-runs", default=None, type=int)
-@click.option("--out", default=None, type=str)
-def couple(config_path, **flags):
+def couple(cfg: _Config) -> None:
     """Coupling-time statistics for antipodal starts on the hypercube."""
-    cfg = _merge_config(_load_config(config_path), flags)
     n = _get(cfg, "n", int, 0)
     runs = _count(_get(cfg, "runs", int, 0), "runs", 2)
     seed = _require_seed(cfg)
@@ -489,27 +409,8 @@ def couple(config_path, **flags):
         raise VerificationFailure(f"coupling statistics off by {dev:.2f} sigma")
 
 
-@cli.command()
-@click.option("--config", "config_path", default=None, type=str)
-@click.option("--model", default=None, type=str)
-@click.option("--model-file", default=None, type=str)
-@click.option("--n", default=None, type=int)
-@click.option("--d", default=None, type=int)
-@click.option("--rows", default=None, type=int)
-@click.option("--model-seed", default=None, type=int)
-@click.option("--bound", "name", default=None, type=str)
-@click.option("--v", default=None, type=float)
-@click.option("--c", default=None, type=float)
-@click.option("--sigma2", default=None, type=float)
-@click.option("--samples", default=None, type=int)
-@click.option("--seed", default=None, type=int)
-@click.option("--t", default=None, type=str)
-@click.option("--alpha", default=None, type=float)
-@click.option("--statistic", default=None, type=str)
-@click.option("--out", default=None, type=str)
-def tail(config_path, **flags):
+def tail(cfg: _Config) -> None:
     """Empirical survival vs a bound curve; exit 0 iff dominated everywhere."""
-    cfg = _merge_config(_load_config(config_path), flags, _CURVE_KEYS)
     mdl = _build_model(cfg)
     curve = _build_curve(cfg) if cfg.get("name") else None
     samples = _get(cfg, "samples", int, 0)
@@ -528,13 +429,8 @@ def tail(config_path, **flags):
             f"bound violated at t = {comparison.violations}")
 
 
-@cli.command()
-@click.option("--config", "config_path", default=None, type=str)
-@click.option("--case", default=None, type=str)
-@click.option("--out", default=None, type=str)
-def replay(config_path, **flags):
+def replay(cfg: _Config) -> None:
     """Re-evaluate a serialized fuzz worst case bit-exactly."""
-    cfg = _merge_config(_load_config(config_path), flags)
     path = cfg.get("case")
     if path is None:
         raise ParameterError("--case is required")
@@ -553,16 +449,110 @@ def replay(config_path, **flags):
 
 
 # ---------------------------------------------------------------------------
+# the flag table and its parser
+
+# the flags that name verify's and tail's model
+_MODEL_FLAGS = {"model": str, "model_file": str, "n": int, "d": int, "rows": int,
+                "model_seed": int}
+
+# verb -> (its function, its flags in order as config key: type, its
+# config-only keys).  A key's flag is the key with "_" as "-", except that
+# tail's --bound sets name, the key bound's --name sets; every verb also takes
+# --config, the path of a JSON config file.
+_VERBS = {
+    "bound": (bound, {"name": str, "d": int, "v": float, "c": float, "sigma2": float,
+                      "t": str, "out": str}, _CURVE_KEYS),
+    "verify": (verify_cmd, {"check": str, **_MODEL_FLAGS, "p": str, "theta": str,
+                            "psi": str, "s": str, "kernel": str, "horizon": int,
+                            "samples": int, "seed": int, "out": str}, frozenset()),
+    "fuzz": (fuzz, {"ineq": str, "trials": int, "seed": int, "d": str, "q": str, "s": str,
+                    "p": float, "ensemble_size": int, "jobs": int, "out": str}, frozenset()),
+    "conjecture": (conjecture, {"trials": int, "seed": int, "d": str, "q": str, "s": str,
+                                "out": str}, frozenset()),
+    "couple": (couple, {"n": int, "runs": int, "seed": int, "max_steps": int,
+                        "pathwise_runs": int, "out": str}, frozenset()),
+    "tail": (tail, {**_MODEL_FLAGS, "name": str, "v": float, "c": float, "sigma2": float,
+                    "samples": int, "seed": int, "t": str, "alpha": float, "statistic": str,
+                    "out": str}, _CURVE_KEYS),
+    "replay": (replay, {"case": str, "out": str}, frozenset()),
+}
+
+# verb -> {flag: (its config key, its type)}, where --config is (None, str)
+_FLAGS = {verb: {"--config": (None, str), **{
+    "--bound" if (verb, key) == ("tail", "name") else "--" + key.replace("_", "-"): (key, kind)
+    for key, kind in flags.items()}} for verb, (_, flags, _) in _VERBS.items()}
+
+
+def _help(verb: str | None) -> str:
+    """The usage of ``verb``, or of the program where it is None."""
+    if verb is None:
+        rows = [f"  {name:<12}{fn.__doc__}" for name, (fn, _, _) in _VERBS.items()]
+        return "\n".join(["usage: matconc VERB [--FLAG VALUE ...]", "", "verbs:", *rows, "",
+                          "matconc VERB --help lists the flags of VERB.", ""])
+    rows = [f"  {flag} {kind.__name__.upper()}" for flag, (_, kind) in _FLAGS[verb].items()]
+    return "\n".join([f"usage: matconc {verb} [--FLAG VALUE ...]", "", _VERBS[verb][0].__doc__,
+                      "", "flags:", *rows, ""])
+
+
+def _split(args: list, flags: dict) -> tuple:
+    """({config key: value}, positional args, whether --help is given) of ``args``:
+    a flag of ``flags`` reads the next arg, whatever it is, or the text after
+    its "=", the last of a repeated flag wins, and every arg after "--" is positional."""
+    values, free, asked = {}, [], False
+    rest = iter(args)
+    for arg in rest:
+        if arg == "--":
+            free += rest
+        elif arg[:1] != "-" or arg == "-":
+            free.append(arg)
+        elif arg == "--help":
+            asked = True
+        else:
+            flag, eq, text = arg.partition("=")
+            if flag not in flags:
+                raise ParameterError(f"no such option {flag!r}")
+            text = text if eq else next(rest, None)
+            if text is None:
+                raise ParameterError(f"option {flag!r} needs a value")
+            key, kind = flags[flag]
+            try:
+                values[key] = kind(text)
+            except ValueError:
+                raise ParameterError(f"{flag} takes {kind.__name__} values, got {text!r}") from None
+    return values, free, asked
+
+
+def run(argv) -> None:
+    """Run the verb ``argv`` names on its flags merged over its --config file.
+    Every error reaches the caller; main maps it to an exit code."""
+    args = list(argv)
+    if args[:1] == ["--"]:  # the end of the program's options, before the verb
+        del args[0]
+    elif args[:1] == ["--help"]:
+        sys.stdout.write(_help(None))
+        return
+    if not args or args[0] not in _VERBS:
+        raise ParameterError(f"need a verb: {', '.join(_VERBS)}, got {args[:1]}; see --help")
+    fn, keys, extra = _VERBS[args[0]]
+    values, free, asked = _split(args[1:], _FLAGS[args[0]])
+    if asked:
+        sys.stdout.write(_help(args[0]))
+        return
+    if free:
+        raise ParameterError(f"{args[0]} takes no positional arguments, got {free}")
+    cfg = _load_config(values.pop(None, None))
+    unknown = set(cfg) - set(keys) - extra
+    if unknown:
+        raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+    # the flags in table order, then the config-only keys; a given flag wins
+    fn(_Config({**dict.fromkeys(keys), **cfg, **values}))
+
+
+# ---------------------------------------------------------------------------
 # entry point
 
-_CONFIG_ERRORS = (
-    ParameterError,
-    PreconditionError,
-    ShapeError,
-    DomainError,
-    OSError,
-    json.JSONDecodeError,
-)
+_CONFIG_ERRORS = (ParameterError, PreconditionError, ShapeError, DomainError, OSError,
+                  json.JSONDecodeError)
 
 
 def _fail(code: int, kind: str, message: str, **extra) -> int:
@@ -574,15 +564,18 @@ def _fail(code: int, kind: str, message: str, **extra) -> int:
 
 def main(argv=None) -> int:
     try:
-        cli.main(args=argv, standalone_mode=False)
+        run(sys.argv[1:] if argv is None else argv)
     except VerificationFailure as exc:
         return _fail(2, "verification", str(exc))
-    except click.UsageError as exc:
-        return _fail(3, "config", exc.format_message())
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
-    except click.Abort:
+    except KeyboardInterrupt:
         return 130
+    except BrokenPipeError:
+        # the reader of stdout has gone: what stdout still buffers goes to
+        # /dev/null, so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except _CONFIG_ERRORS as exc:
         return _fail(3, "config", str(exc))
     except Exception as exc:

@@ -115,18 +115,20 @@ def _integer(value) -> int:
     raise ParameterError(f"{value!r} is not an integer")
 
 
-def _real(value, what: str, least: float | None = None, strict: bool = False) -> float:
+def _real(value, what: str, least: float | None = None, strict: bool = False,
+          inf: bool = False) -> float:
     """A real parameter: float(value), where a bool, a non-number, NaN, +-inf
-    or a value below ``least`` (or at it, with ``strict``) is a ParameterError
-    naming ``what``."""
+    (+inf is read where ``inf``) or a value below ``least`` (or at it, with
+    ``strict``) is a ParameterError naming ``what``."""
     try:
         out = math.nan if isinstance(value, (bool, np.bool_)) else float(value)
     except (TypeError, ValueError, OverflowError):
         out = math.nan
-    if math.isfinite(out) and (least is None or out > least or out == least and not strict):
+    if ((math.isfinite(out) or inf and out == math.inf)
+            and (least is None or out > least or out == least and not strict)):
         return out
     rule = "" if least is None else f" {'>' if strict else '>='} {least:g}"
-    raise ParameterError(f"need a finite {what}{rule}, got {value!r}")
+    raise ParameterError(f"need a finite {what}{rule}{', or inf' if inf else ''}, got {value!r}")
 
 
 def _count(value, what: str, least: int = 1) -> int:
@@ -336,9 +338,7 @@ def schatten_norm(B, p) -> float:
 
     p may be any real >= 1 or inf (operator norm).
     """
-    p = float(p)
-    if not p >= 1:
-        raise ParameterError(f"Schatten norm needs p >= 1, got {p}")
+    p = _real(p, "p", 1, inf=True)
     s = np.linalg.svd(_array(B, "B"), compute_uv=False)
     if math.isinf(p):
         return float(s[0])
@@ -347,7 +347,7 @@ def schatten_norm(B, p) -> float:
 
 def induced_norm(B, p) -> float:
     """Induced 1-norm (max column abs sum) or inf-norm (max row abs sum)."""
-    p = float(p)
+    p = _real(p, "p", inf=True)
     a = _array(B, "B")
     if p == 1:
         return float(np.max(np.sum(np.abs(a), axis=0)))

@@ -64,6 +64,12 @@ class FiniteCoord:
     __slots__ = ("values", "probs", "_cuts", "_cut_list")
 
     def __init__(self, pairs):
+        try:
+            pairs = [tuple(pair) for pair in pairs]
+        except TypeError:
+            pairs = None
+        if pairs is None or any(len(pair) != 2 for pair in pairs):
+            raise ParameterError("a coordinate must list (value, probability) pairs")
         vals, probs = [], []
         for v, p in pairs:
             vals.append(_real(v, "coordinate value"))
@@ -218,7 +224,7 @@ class ProductDistribution:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ProductDistribution":
-        return cls([FiniteCoord(pairs) for pairs in _field(obj, "coords", "dist")])
+        return cls([FiniteCoord(pairs) for pairs in _field(obj, "coords", "dist", list)])
 
 
 # ---------------------------------------------------------------------------

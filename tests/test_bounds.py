@@ -81,6 +81,15 @@ def test_laplace_one_sided_grid_is_vacuous():
     assert out["lower_mean"] == -math.inf
 
 
+@pytest.mark.parametrize("t", [1e200, -1e200, 1e300, -1e300])
+def test_laplace_at_an_extreme_t_is_its_limit(t):
+    # -theta t leaves the floats: a tail bound is 0 for t -> +inf, vacuous for t -> -inf
+    out = laplace_bounds(lambda th: th * th / 2.0, 2, t, [-1.0, 1.0])
+    limit = 0.0 if t > 0 else math.inf
+    assert out["upper_tail_raw"] == out["lower_tail_raw"] == limit
+    assert out["upper_tail"] == out["lower_tail"] == min(limit, 1.0)
+
+
 def test_laplace_rejects_zero_grid():
     with pytest.raises(ParameterError):
         laplace_bounds(lambda th: th * th, 2, 1.0, [0.0])

@@ -10,6 +10,8 @@ import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -35,30 +37,25 @@ CONFIG_KEYS = {
 }
 
 
+# the environment of a subprocess that imports matconc from this checkout
+SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+
+
 def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
 
-class _Merged(Exception):
-    pass
-
-
 def merged_config(monkeypatch, argv):
-    """The config a verb merges from its --config file and flags; the verb
-    stops right after the merge."""
+    """The config a verb receives, merged from its --config file and flags;
+    the verb itself does not run."""
     seen = {}
-    merge = cli._merge_config
-
-    def spy(*args):
-        seen.update(merge(*args))
-        raise _Merged
-
-    monkeypatch.setattr(cli, "_merge_config", spy)
-    with pytest.raises(_Merged):
-        cli.cli.main(args=argv, standalone_mode=False)
-    monkeypatch.setattr(cli, "_merge_config", merge)
+    _, flags, extra = cli._VERBS[argv[0]]
+    with monkeypatch.context() as patch:
+        patch.setitem(cli._VERBS, argv[0], (seen.update, flags, extra))
+        cli.run(argv)
     return seen
 
 
@@ -482,18 +479,18 @@ class TestConfigPlumbing:
     def test_config_keys_are_the_flag_names(self, monkeypatch, tmp_path):
         cfg = tmp_path / "cfg.json"
         for verb, keys in CONFIG_KEYS.items():
-            params = cli.cli.commands[verb].params
-            assert {p.name for p in params} == set(keys) | {"config_path"}, verb
+            flag = {key: "--bound" if (verb, key) == ("tail", "name") else (
+                "--" + key.replace("_", "-")) for key in keys}
+            assert list(cli._VERBS[verb][1]) == keys, verb
+            assert set(cli._FLAGS[verb]) == {"--config", *flag.values()}, verb
             config_only = cli._CURVE_KEYS if verb in ("bound", "tail") else ()
             for key in (*keys, *config_only):
                 cfg.write_text(json.dumps({key: "from-config"}))
                 argv = [verb, "--config", str(cfg)]
                 assert merged_config(monkeypatch, argv)[key] == "from-config"
                 if key in keys:
-                    flag = "--bound" if (verb, key) == ("tail", "name") else (
-                        "--" + key.replace("_", "-"))
                     # int, float and str flags read "7" as 7, 7.0 and "7"
-                    got = merged_config(monkeypatch, argv + [flag, "7"])[key]
+                    got = merged_config(monkeypatch, argv + [flag[key], "7"])[key]
                     assert got in (7, "7"), (verb, key, got)
 
     def test_verify_has_no_tolerance_key(self, capsys, tmp_path):
@@ -529,6 +526,9 @@ class TestConfigPlumbing:
             {"name": "m", "d": 1, "dist": {"n": 1, "coords": [[[-1.0, 0.5], [1.0, 0.5]]]},
              "H": {k: {"real": [1.0, 2.0, 2.0, 3.0], "imag": [0.0] * 4}
                    for k in ("[-1.0]", "[1.0]")}},
+            # a coordinate pair of one number, and coords that are not a list
+            {"name": "m", "d": 1, "dist": {"n": 1, "coords": [[[1.0]]]}, "H": {}},
+            {"name": "m", "d": 1, "dist": {"n": 1, "coords": 5}, "H": {}},
         ):
             model.write_text(json.dumps(obj))
             code, _, err = run(["verify", "--check", "poly_efron_stein",
@@ -618,6 +618,57 @@ class TestConfigPlumbing:
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"], capsys)[0] == 0
+
+    GAUSSEXP = ["bound", "--name", "gaussexp", "--d", "2", "--v", "1", "--c", "0"]
+
+    @pytest.mark.parametrize("argv, code, shown", [
+        ([], 3, None),
+        (["--help"], 0, ["usage", "verify", "replay"]),
+        (["verify", "--help"], 0, ["usage", "verify", "--check", "--model-seed"]),
+        (["nosuch"], 3, None),
+        (["--ch"], 3, None),
+        (["verify", "--ch"], 3, None),
+        (["verify", "--n"], 3, None),
+        (["verify", "--n", "x"], 3, None),
+        (["verify", "--check", "poly_efron_stein", "extra"], 3, None),
+        # each of these would run to exit 0 without the error it pins
+        (GAUSSEXP + ["--t", "2", "--ch", "1"], 3, None),
+        (GAUSSEXP + ["--t"], 3, None),
+        (GAUSSEXP + ["--t", "2", "extra"], 3, None),
+        (GAUSSEXP + ["--t", "2", "--", "--d", "3"], 3, None),
+        (GAUSSEXP + ["--t", "2", "--"], 0, ["\n2.0,"]),
+        (GAUSSEXP + ["--t=0:1:0.5"], 0, ["\n0.0,", "\n0.5,", "\n1.0,"]),
+        (GAUSSEXP + ["--t", "0:1:0.5", "--t", "2"], 0, ["\n2.0,0.2706705664732254,"]),
+    ], ids=["nothing", "help", "verb_help", "unknown_verb", "unknown_option", "unknown_flag",
+            "flag_without_value", "bad_int", "positional", "bound_unknown_flag",
+            "bound_flag_without_value", "bound_positional", "flag_after_double_dash",
+            "trailing_double_dash", "flag_equals_value", "last_flag_wins"])
+    def test_command_line_surface(self, capsys, argv, code, shown):
+        got, out, err = run(argv, capsys)
+        assert got == code, err
+        if code == 3:
+            assert out == "" and json.loads(err)["error"]["type"] == "config"
+        else:
+            assert err == "" and all(text in out.lower() for text in shown), out
+            if argv[:1] == ["bound"]:  # a comment, a header and one row per point
+                assert out.count("\n") == 2 + len(shown)
+
+    def test_a_closed_stdout_exits_one_quietly(self):
+        # the reader of a long report goes away before it is written
+        argv = self.GAUSSEXP + ["--t", "0:100:0.01"]
+        script = f"import sys; from matconc import cli; sys.exit(cli.main({argv!r}))"
+        with subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=SRC_ENV) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 1 and err == b""
+
+
+def test_the_package_imports_no_click():
+    script = "import sys, matconc.cli; print(sorted(m for m in sys.modules if 'click' in m))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=SRC_ENV, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 HC2 = ["--model", "hypercube_sum", "--n", "2"]
@@ -1086,8 +1137,8 @@ UNREACHED_ALLOWED = {
 def unreached_definitions() -> set:
     """Every function, class and method of src/ that no root reaches by name.
 
-    The roots are cli.main, the click verbs, the five fuzz_<ineq> suites that
-    cli picks by getattr, module-level code, and every name
+    The roots are cli.main, the five fuzz_<ineq> suites that cli picks by
+    getattr, module-level code (which names every verb), and every name
     tests/test_acceptance.py calls.  A reached definition reaches every
     definition of each name its code mentions, and a class its own dunder
     methods.  Names, not types, are followed, so the walk can only
@@ -1112,12 +1163,8 @@ def unreached_definitions() -> set:
                 defs.update({f"{qual}.{m.name}": (m.name, names([m])) for m in methods})
             elif isinstance(node, ast.FunctionDef):
                 defs[qual] = (node.name, names([node]))
-                if path.stem == "cli" and any(
-                        "command" in ast.unparse(d) or "group" in ast.unparse(d)
-                        for d in node.decorator_list):
-                    roots.add(node.name)
             else:
-                roots |= names([node])  # runs at import
+                roots |= names([node])  # runs at import, such as cli's table of verbs
     acceptance = ast.parse((SRC.parents[1] / "tests" / "test_acceptance.py").read_text())
     roots |= {n.func.id if isinstance(n.func, ast.Name) else n.func.attr
               for n in ast.walk(acceptance)

@@ -437,6 +437,20 @@ class TestDistributions:
         with pytest.raises(ParameterError):  # a NaN sum is not within 1e-12 of 1
             FiniteCoord([(1.0, math.nan), (-1.0, 1.0)])
 
+    @pytest.mark.parametrize("build", [
+        lambda: FiniteCoord([(1.0,)]),
+        lambda: FiniteCoord([(1.0, 0.5, 0.5)]),
+        lambda: FiniteCoord(5),
+        lambda: FiniteCoord([5]),
+        lambda: ProductDistribution.from_json({"coords": 5}),
+        lambda: ProductDistribution.from_json({"coords": [5]}),
+        lambda: ProductDistribution.from_json({"coords": [[[1.0]]]}),
+    ], ids=["short_pair", "long_pair", "number", "number_pair", "coords_number",
+            "coord_number", "json_short_pair"])
+    def test_a_malformed_coordinate_is_a_parameter_error(self, build):
+        with pytest.raises(ParameterError):
+            build()
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_finite_coord_refuses_a_value_that_is_not_finite(self, bad):
         with pytest.raises(ParameterError, match="need a finite coordinate value"):

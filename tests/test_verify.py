@@ -1763,7 +1763,11 @@ REAL_ENTRIES = {
                           -1.0),
     "FiniteCoord.probability": (lambda x: stein.FiniteCoord(
         [(-1.0, x), (1.0, 0.75)]).probs.tolist(), 0.25),
+    "schatten_norm.p": (lambda x: matcore.schatten_norm(np.diag([3.0, -4.0]), x), 3.0),
+    "induced_norm.p": (lambda x: matcore.induced_norm(np.diag([3.0, -4.0]), x), 1.0),
 }
+# entries whose p = inf is valid: the operator norm and the max row sum, 4 for diag(3, -4)
+NORM_P = ("schatten_norm.p", "induced_norm.p")
 
 SYM = [[2.0, 0.5], [0.5, 1.0]]
 PSD = [[1.0, 0.5], [0.5, 1.0]]  # ||PSD|| = 1.5 and mean tr-bar 1
@@ -1848,8 +1852,11 @@ class TestRealRule:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, "x"])
     @pytest.mark.parametrize("entry", sorted(REAL_ENTRIES))
     def test_a_value_that_is_not_a_finite_real_is_refused(self, entry, bad):
-        with pytest.raises(ParameterError, match="need a finite"):
-            REAL_ENTRIES[entry][0](bad)
+        if bad == math.inf and entry in NORM_P:
+            assert REAL_ENTRIES[entry][0](bad) == 4.0
+        else:
+            with pytest.raises(ParameterError, match="need a finite"):
+                REAL_ENTRIES[entry][0](bad)
 
     @pytest.mark.parametrize("entry", sorted(REAL_ENTRIES))
     def test_numpy_float_gives_the_result_of_the_float(self, entry):
