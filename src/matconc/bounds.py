@@ -19,6 +19,7 @@ from .matcore import (
     induced_norm,
     _array,
     _count,
+    _grid,
     _hermitians,
     _opnorm,
     _real,
@@ -222,9 +223,7 @@ def laplace_bounds(log_mgf: Callable[[float], float], d: int, t: float, theta_gr
     bounds.  A side with no grid points of the right sign comes back vacuous
     (inf for upper quantities, -inf for lower_mean).
     """
-    t, grid = _real(t, "t"), np.asarray(sorted(_real(x, "theta") for x in theta_grid))
-    if grid.size == 0:
-        raise ParameterError("theta_grid is empty")
+    t, grid = _real(t, "t"), np.asarray(sorted(_grid(theta_grid, "theta")))
     pos = grid[grid > 0]
     neg = grid[grid < 0]
     if pos.size == 0 and neg.size == 0:

@@ -23,6 +23,7 @@ from .matcore import (
     PreconditionError,
     ShapeError,
     _count,
+    _grid,
     _integer,
     _real,
 )
@@ -35,51 +36,76 @@ class VerificationFailure(Exception):
 
 
 # ---------------------------------------------------------------------------
-# parsing and plumbing
+# the readers of config keys: each is (value, key) -> the value read, whether the
+# value is a flag's text or a config file's JSON value; its label in --help is
+# the last word of its name
 
 
-_GRID_POINTS_MAX = 1_000_000  # the most points a start:stop:step t-grid may have
+def _int(value, key: str) -> int:
+    return _integer(value)
 
 
-def _parse_grid(text: str) -> list:
-    """A t-grid of finite values: either 'start:stop:step' (inclusive) or comma-separated."""
-    text = str(text)
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ParameterError(f"grid must be start:stop:step, got {text!r}")
-        start, stop, step = (_real(p, "t") for p in parts)
-        if step <= 0 or stop < start:
-            raise ParameterError(f"bad grid {text!r}")
-        steps = (stop - start) / step
-        if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
-            raise ParameterError(f"grid step {step!r} does not divide [{start!r}, {stop!r}]")
-        count = int(round(steps)) + 1
-        if count > _GRID_POINTS_MAX:
-            raise ParameterError(f"grid {text!r} has {count} points, more than {_GRID_POINTS_MAX}")
-        return [float(v) for v in np.linspace(start, stop, count)]
-    return [_real(p, "t") for p in text.split(",") if p.strip()]
+def _text(value, key: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ParameterError(f"{key} must be nonempty text, got {value!r}")
+    return value
 
 
-def _parse_ints(text) -> list:
-    """Integer list: '1:6' (inclusive range), '3', or '1,2,5'."""
-    if isinstance(text, (list, tuple)):
-        return [_integer(v) for v in text]
-    if not isinstance(text, str):
-        return [_integer(text)]
-    if ":" in text:
-        lo, hi = (_integer(p) for p in text.split(":", 1))
-        if hi < lo:
-            raise ParameterError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [_integer(p) for p in text.split(",") if p.strip()]
+def _as_given(value, key: str):
+    """D, B and tv_seq: bounds reads them with matcore._array and _real."""
+    return value
 
 
-def _parse_floats(text, what: str) -> list:
-    """Reals ``what``: a list, one value, or comma-separated text."""
-    if isinstance(text, str):
-        text = [p for p in text.split(",") if p.strip()]
-    return [_real(v, what) for v in (text if isinstance(text, (list, tuple)) else [text])]
+def _json_file(value, key: str):
+    """The JSON value the file at path ``value`` holds."""
+    path = _text(value, key)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8, not JSON
+        raise ParameterError(f"cannot read {key} {path!r}: {exc}") from None
+
+
+_GRID_POINTS_MAX = 1_000_000  # the most points a start:stop:step grid may have
+
+
+def _grid_values(value, key: str, read):
+    """A grid as matcore._grid reads it: a JSON list or one number as it is, and
+    text as comma-separated values or a range, lo:hi (inclusive) of integers
+    or start:stop:step (inclusive) of reals."""
+    if not isinstance(value, str):
+        return value
+    if ":" not in value:
+        return [p for p in value.split(",") if p.strip()]
+    if read is _int:
+        lo, hi = (_integer(p) for p in value.split(":", 1))
+        return range(lo, hi + 1)
+    parts = value.split(":")
+    if len(parts) != 3:
+        raise ParameterError(f"{key} grid must be start:stop:step, got {value!r}")
+    start, stop, step = (_real(p, key) for p in parts)
+    if step <= 0 or stop < start:
+        raise ParameterError(f"bad {key} grid {value!r}")
+    steps = (stop - start) / step
+    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+        raise ParameterError(f"{key} grid step {step!r} does not divide [{start!r}, {stop!r}]")
+    count = int(round(steps)) + 1
+    if count > _GRID_POINTS_MAX:
+        raise ParameterError(f"{key} grid {value!r} has {count} points, "
+                             f"more than {_GRID_POINTS_MAX}")
+    return np.linspace(start, stop, count).tolist()
+
+
+def _int_grid(value, key: str) -> list:
+    return _grid(_grid_values(value, key, _int), key, _int)
+
+
+def _real_grid(value, key: str) -> list:
+    return _grid(_grid_values(value, key, _real), key)
+
+
+# ---------------------------------------------------------------------------
+# plumbing
 
 
 def _json_default(obj):
@@ -116,52 +142,41 @@ def _emit(text: str, out: str | None) -> None:
             os.ftruncate(fh.fileno(), len(data))
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    with open(path) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ParameterError("config file must hold a JSON object")
-    return cfg
+_REQUIRED = object()  # the default of a key that must be set
 
 
 class _Config(dict):
-    """A verb's merged config, which records each key read through get."""
+    """A verb's merged config, which reads each key by the verb's reader for it
+    and records each key read."""
 
-    def __init__(self, items):
+    def __init__(self, items, readers: dict):
         super().__init__(items)
-        self.read = {"out"}
+        self.readers, self.read = readers, set()
 
-    def get(self, key, default=None):
+    def get(self, key, default=_REQUIRED):
+        """The value of ``key``, or else ``default``, read by the key's reader;
+        only an absent key or null is unset, and an unset key with no default
+        is a config error that names it.  A default of None is returned as it is."""
         self.read.add(key)
-        return super().get(key, default)
+        value = super().get(key)
+        if value is None:
+            if default is _REQUIRED:
+                raise ParameterError(f"{key} is required")
+            value = default
+        return None if value is None else self.readers[key](value, key)
 
 
-def _get(cfg: dict, key: str, kind, default):
-    """cfg[key] read as kind (an int by matcore._integer, a real by matcore._real),
-    or ``default`` where the key is unset: an explicit 0 stays 0."""
-    value = cfg.get(key)
-    if value is None:
-        return default
-    return _real(value, key) if kind is float else _integer(value)
-
-
-def _reject_unread(cfg: _Config, what: str) -> None:
+def _reject_unread(cfg: _Config, what: str) -> str | None:
     """The one key rule of every verb, called once its inputs are parsed and
     before any kernel, sample, sweep or report: a set key it did not read is a
     config error.  The keys are named in the config's order, which run makes
-    the verb's flag order, config-only keys last."""
+    the verb's flag order, config-only keys last.  Returns out, the report's
+    path, which every verb reads last."""
+    out = cfg.get("out", None)
     unread = [k for k, v in cfg.items() if v is not None and k not in cfg.read]
     if unread:
         raise ParameterError(f"{what} does not read {unread}")
-
-
-def _require_seed(cfg: dict) -> int:
-    seed = cfg.get("seed")
-    if seed is None:
-        raise ParameterError("seed is required for stochastic verbs")
-    return _integer(seed)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -170,28 +185,24 @@ def _require_seed(cfg: dict) -> int:
 
 def _build_model(cfg: dict):
     """The model a model file holds, or the named builtin, from the keys it reads."""
-    path = cfg.get("model_file")
-    if path:
-        with open(path) as fh:
-            obj = json.load(fh)
+    obj = cfg.get("model_file", None)
+    if obj is not None:
         try:
             return stein.MatrixModel.from_json(obj)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParameterError(f"malformed model file: {exc!r}") from exc
     name = cfg.get("model")
-    if name is None:
-        raise ParameterError("a model name or a model file is required")
     if name == "hypercube_sum":
-        return stein.hypercube_sum(_get(cfg, "n", int, 3), _get(cfg, "d", int, 2))
+        return stein.hypercube_sum(cfg.get("n", 3), cfg.get("d", 2))
     if name == "bounded_diff":
-        return stein.bounded_diff_demo(_get(cfg, "n", int, 3), _get(cfg, "d", int, 2))
+        return stein.bounded_diff_demo(cfg.get("n", 3), cfg.get("d", 2))
     if name == "compound_covariance":
-        return stein.compound_covariance(_get(cfg, "rows", int, 2), _get(cfg, "n", int, 3))
+        return stein.compound_covariance(cfg.get("rows", 2), cfg.get("n", 3))
     if name == "rect_demo":
-        return stein.dilate_model(stein.rect_demo(_get(cfg, "n", int, 3)))
+        return stein.dilate_model(stein.rect_demo(cfg.get("n", 3)))
     if name == "random_finite":
-        return stein.random_finite_model(_get(cfg, "n", int, 3), _get(cfg, "d", int, 2),
-                                         _get(cfg, "model_seed", int, 0))
+        return stein.random_finite_model(cfg.get("n", 3), cfg.get("d", 2),
+                                         cfg.get("model_seed", 0))
     raise ParameterError(f"unknown model {name!r}")
 
 
@@ -199,24 +210,20 @@ def _build_model(cfg: dict):
 # bound curves from config
 
 # curve parameters that no flag sets: bound and tail read them from the config
-_CURVE_KEYS = frozenset({"D", "B", "L", "R", "S", "p", "n", "tv_seq"})
+_CURVE_KEYS = {"D": _as_given, "B": _as_given, "L": _real, "R": _real, "S": _real,
+               "p": _int, "n": _int, "tv_seq": _as_given}
 
 
 def _build_curve(cfg: dict) -> bounds.BoundCurve:
     """The curve ``name`` from the parameters bounds lists for it, or compound_cov
     from its spec: sigma2 and L default to 1, and B to the identity."""
     name = cfg.get("name")
-    if name is None:
-        raise ParameterError("a bound name is required")
     if name != "compound_cov":
-        params = {k: cfg.get(k) for k in bounds._CURVE_PARAMS.get(name, ())}
-        return bounds.make_curve(name, **{k: v for k, v in params.items() if v is not None})
-    missing = [k for k in ("p", "n") if cfg.get(k) is None]
-    if missing:
-        raise ParameterError(f"{name} curve needs parameters {missing}")
-    p, n, B = _get(cfg, "p", int, None), _get(cfg, "n", int, None), cfg.get("B")
-    spec = bounds.CompoundCovSpec(p, n, _get(cfg, "sigma2", float, 1.0),
-                                  _get(cfg, "L", float, 1.0), np.eye(n) if B in (None, "I") else B)
+        keys = bounds._CURVE_PARAMS.get(name, ())
+        return bounds.make_curve(name, **{k: cfg.get(k) for k in keys})
+    p, n, B = cfg.get("p"), cfg.get("n"), cfg.get("B", None)
+    spec = bounds.CompoundCovSpec(p, n, cfg.get("sigma2", 1.0), cfg.get("L", 1.0),
+                                  np.eye(n) if B in (None, "I") else B)
     return bounds.make_curve(name, spec=spec)
 
 
@@ -227,12 +234,12 @@ def _build_curve(cfg: dict) -> bounds.BoundCurve:
 def bound(cfg: _Config) -> None:
     """Evaluate a closed-form tail bound over a t-grid, as CSV."""
     curve = _build_curve(cfg)
-    grid = _parse_grid(cfg.get("t") or "0:4:0.1")
-    _reject_unread(cfg, f"bound {curve.name!r}")
+    grid = cfg.get("t", "0:4:0.1")
+    out = _reject_unread(cfg, f"bound {curve.name!r}")
     # a point that fails leaves no partial report behind, nor an emptied --out
     text = io.StringIO()
     curve.write_csv(text, grid)
-    _emit(text.getvalue(), cfg.get("out"))
+    _emit(text.getvalue(), out)
 
 
 def _kernel_identities_report(model) -> dict:
@@ -267,14 +274,12 @@ def _kernel_identities_report(model) -> dict:
 
 def _kernel(cfg: dict):
     """The kernel maker --kernel names: model -> ExactKernel or EstimatedKernel."""
-    kind = cfg.get("kernel") or "exact"
+    kind = cfg.get("kernel", "exact")
     if kind == "exact":
         return stein.ExactKernel
     if kind != "estimated":
         raise ParameterError(f"unknown kernel kind {kind!r}")
-    horizon = _get(cfg, "horizon", int, None)
-    samples = _get(cfg, "samples", int, 200)
-    seed = _require_seed(cfg)
+    horizon, samples, seed = cfg.get("horizon", None), cfg.get("samples", 200), cfg.get("seed")
 
     def estimated(mdl):
         h = stein.default_horizon(mdl.dist.n, mdl.max_h_norm()) if horizon is None else horizon
@@ -286,28 +291,24 @@ def _kernel(cfg: dict):
 def verify_cmd(cfg: _Config) -> None:
     """Run an exact verification check; exit 0 iff it passes."""
     check = cfg.get("check")
-    if check is None:
-        raise ParameterError("--check is required")
     if check == "poly_efron_stein":
-        ps = _parse_ints(cfg.get("p") or "1,2,3")
+        ps = cfg.get("p", [1, 2, 3])
         run = lambda mdl: verify.verify_poly_efron_stein(mdl, ps)
     elif check == "exp_efron_stein":
-        thetas = _parse_floats(cfg.get("theta") or "-0.3,-0.1,0.1,0.3", "theta")
-        psis = _parse_floats(cfg.get("psi") or "1,4", "psi")
+        thetas, psis = cfg.get("theta", [-0.3, -0.1, 0.1, 0.3]), cfg.get("psi", [1, 4])
         run = lambda mdl: verify.verify_exp_efron_stein(mdl, thetas, psis)
     elif check == "kernel_poly_moments":
         kernel = _kernel(cfg)
-        ps = _parse_ints(cfg.get("p") or "1,2")
-        ss = _parse_floats(cfg.get("s") or verify.DEFAULT_S_GRID, "s")
+        ps, ss = cfg.get("p", [1, 2]), cfg.get("s", verify.DEFAULT_S_GRID)
         run = lambda mdl: verify.verify_kernel_poly_moments(mdl, kernel(mdl), ps, ss)
     elif check == "kernel_identities":
         run = _kernel_identities_report
     else:
         raise ParameterError(f"unknown check {check!r}")
     mdl = _build_model(cfg)
-    _reject_unread(cfg, f"check {check!r} on model {mdl.name!r}")
+    out = _reject_unread(cfg, f"check {check!r} on model {mdl.name!r}")
     report = run(mdl)
-    _emit_json(report, cfg.get("out"))
+    _emit_json(report, out)
     if not report["pass"]:
         raise VerificationFailure(f"{check} failed")
 
@@ -315,15 +316,15 @@ def verify_cmd(cfg: _Config) -> None:
 def _fuzz_suite(ineq: str, dims, cfg: dict):
     """verify.fuzz_<ineq> as (trials, seed) -> report, with the grids the suite reads."""
     if ineq == "pmvti":
-        args = (_parse_ints(cfg.get("q") or "1:7"), _parse_floats(cfg.get("s") or "0.25,1,4", "s"))
+        args = (cfg.get("q", "1:7"), cfg.get("s", [0.25, 1, 4]))
     elif ineq == "emvti":
-        args = (_parse_floats(cfg.get("s") or "0.25,1,4", "s"),)
+        args = (cfg.get("s", [0.25, 1, 4]),)
     elif ineq == "young_commuting":
-        args = (_get(cfg, "p", float, 2.0),)
+        args = (cfg.get("p", 2.0),)
     elif ineq == "operator_cs":
         args = ()
     elif ineq == "matrix_entropy_young":
-        args = (_get(cfg, "ensemble_size", int, 8),)
+        args = (cfg.get("ensemble_size", 8),)
     else:
         raise ParameterError(f"unknown inequality {ineq!r}")
     return functools.partial(getattr(verify, f"fuzz_{ineq}"), dims, *args)
@@ -332,43 +333,36 @@ def _fuzz_suite(ineq: str, dims, cfg: dict):
 def fuzz(cfg: _Config) -> None:
     """Fuzz one trace inequality; exit 0 iff min slack clears the threshold."""
     name = cfg.get("ineq")
-    if name is None:
-        raise ParameterError("--ineq is required")
-    trials = _count(_get(cfg, "trials", int, 0), "trials")
-    seed = _require_seed(cfg)
-    jobs = _count(_get(cfg, "jobs", int, 1), "jobs")
-    one = _fuzz_suite(name, _parse_ints(cfg.get("d") or "1:6"), cfg)
-    _reject_unread(cfg, f"fuzz suite {name!r}")
+    trials, seed = _count(cfg.get("trials"), "trials"), cfg.get("seed")
+    jobs = _count(cfg.get("jobs", 1), "jobs")
+    one = _fuzz_suite(name, cfg.get("d", "1:6"), cfg)
+    out = _reject_unread(cfg, f"fuzz suite {name!r}")
     counts = [trials // jobs + (1 if i < trials % jobs else 0) for i in range(jobs)]
     tasks = [(c, seed + 7919 * i) for i, c in enumerate(counts) if c > 0]
     # the chunks run one after another: a batched sweep keeps its core busy,
     # so threads would only contend for it
     report = (one(*tasks[0]) if len(tasks) == 1
               else verify.merge_fuzz_reports([one(*t) for t in tasks]))
-    _emit_json(report.to_json(), cfg.get("out"))
+    _emit_json(report.to_json(), out)
     if not report.passed:
         raise VerificationFailure(f"fuzz {name} min_slack {report.min_slack}")
 
 
 def conjecture(cfg: _Config) -> None:
     """Sweep the signed trace-inequality forms; always exits 0 on completion."""
-    trials = _get(cfg, "trials", int, 0)
-    seed = _require_seed(cfg)
-    grids = (_parse_ints(cfg.get("d") or "1:6"), _parse_ints(cfg.get("q") or "1:3"),
-             _parse_floats(cfg.get("s") or "1", "s"))
-    _reject_unread(cfg, "conjecture")
+    trials, seed = cfg.get("trials"), cfg.get("seed")
+    grids = cfg.get("d", "1:6"), cfg.get("q", "1:3"), cfg.get("s", 1)
+    out = _reject_unread(cfg, "conjecture")
     report = verify.explore_conjecture(*grids, trials, seed)
-    _emit_json(report.to_json(), cfg.get("out"))
+    _emit_json(report.to_json(), out)
 
 
 def couple(cfg: _Config) -> None:
     """Coupling-time statistics for antipodal starts on the hypercube."""
-    n = _get(cfg, "n", int, 0)
-    runs = _count(_get(cfg, "runs", int, 0), "runs", 2)
-    seed = _require_seed(cfg)
-    max_steps = _count(_get(cfg, "max_steps", int, 1_000_000), "max_steps")
-    pw_runs = _count(_get(cfg, "pathwise_runs", int, 100), "pathwise_runs")
-    _reject_unread(cfg, "couple")
+    n, runs, seed = cfg.get("n"), _count(cfg.get("runs"), "runs", 2), cfg.get("seed")
+    max_steps = _count(cfg.get("max_steps", 1_000_000), "max_steps")
+    pw_runs = _count(cfg.get("pathwise_runs", 100), "pathwise_runs")
+    out = _reject_unread(cfg, "couple")
     times = stein.sample_coupling_times(n, runs, seed, max_steps=max_steps)
     if np.any(times < 0):
         raise VerificationFailure("some runs exhausted max_steps before coupling")
@@ -404,7 +398,7 @@ def couple(cfg: _Config) -> None:
         "pathwise_ok": pathwise_ok,
         "pass": bool(dev <= 3.0 and pathwise_ok),
     }
-    _emit_json(report, cfg.get("out"))
+    _emit_json(report, out)
     if not report["pass"]:
         raise VerificationFailure(f"coupling statistics off by {dev:.2f} sigma")
 
@@ -412,18 +406,16 @@ def couple(cfg: _Config) -> None:
 def tail(cfg: _Config) -> None:
     """Empirical survival vs a bound curve; exit 0 iff dominated everywhere."""
     mdl = _build_model(cfg)
-    curve = _build_curve(cfg) if cfg.get("name") else None
-    samples = _get(cfg, "samples", int, 0)
-    seed = _require_seed(cfg)
-    grid = _parse_grid(cfg.get("t") or "0:8:0.25")
-    alpha = _get(cfg, "alpha", float, 0.01)
-    statistic = cfg.get("statistic") or "lmax"
-    _reject_unread(cfg, f"tail on model {mdl.name!r} with bound {cfg.get('name')!r}")
+    name = cfg.get("name", None)
+    curve = None if name is None else _build_curve(cfg)
+    samples, seed, grid = cfg.get("samples"), cfg.get("seed"), cfg.get("t", "0:8:0.25")
+    alpha, statistic = cfg.get("alpha", 0.01), cfg.get("statistic", "lmax")
+    out = _reject_unread(cfg, f"tail on model {mdl.name!r} with bound {name!r}")
     comparison = verify.empirical_tail(mdl, samples, grid, seed, curve=curve, alpha=alpha,
                                        statistic=statistic)
     report = comparison.to_json()
     report["model"] = mdl.name
-    _emit_json(report, cfg.get("out"))
+    _emit_json(report, out)
     if not comparison.dominated:
         raise VerificationFailure(
             f"bound violated at t = {comparison.violations}")
@@ -431,19 +423,13 @@ def tail(cfg: _Config) -> None:
 
 def replay(cfg: _Config) -> None:
     """Re-evaluate a serialized fuzz worst case bit-exactly."""
-    path = cfg.get("case")
-    if path is None:
-        raise ParameterError("--case is required")
-    _reject_unread(cfg, "replay")
-    with open(path) as fh:
-        payload = json.load(fh)
-    case = payload.get("worst_case", payload)
-    if not isinstance(case, dict) or "ineq" not in case:
-        raise ParameterError("no replayable case in file")
+    payload = cfg.get("case")
+    out = _reject_unread(cfg, "replay")
+    case = payload.get("worst_case", payload) if isinstance(payload, dict) else payload
     result = verify.replay_case(case)
     result["schema_version"] = SCHEMA_VERSION
-    _emit_json(result, cfg.get("out"))
-    advisory = str(case["ineq"]).startswith("conjecture")
+    _emit_json(result, out)
+    advisory = result["ineq"].startswith("conjecture")
     if not advisory and result["slack"] < -verify.FUZZ_TOL:
         raise VerificationFailure(f"replayed slack {result['slack']}")
 
@@ -452,35 +438,37 @@ def replay(cfg: _Config) -> None:
 # the flag table and its parser
 
 # the flags that name verify's and tail's model
-_MODEL_FLAGS = {"model": str, "model_file": str, "n": int, "d": int, "rows": int,
-                "model_seed": int}
+_MODEL_FLAGS = {"model": _text, "model_file": _json_file, "n": _int, "d": _int, "rows": _int,
+                "model_seed": _int}
 
-# verb -> (its function, its flags in order as config key: type, its
-# config-only keys).  A key's flag is the key with "_" as "-", except that
-# tail's --bound sets name, the key bound's --name sets; every verb also takes
-# --config, the path of a JSON config file.
+# verb -> (its function, its flags in order as config key: reader, its
+# config-only keys as key: reader).  A key's flag is the key with "_" as "-",
+# except that tail's --bound sets name, the key bound's --name sets; every verb
+# also takes --config, the path of a JSON config file.
 _VERBS = {
-    "bound": (bound, {"name": str, "d": int, "v": float, "c": float, "sigma2": float,
-                      "t": str, "out": str}, _CURVE_KEYS),
-    "verify": (verify_cmd, {"check": str, **_MODEL_FLAGS, "p": str, "theta": str,
-                            "psi": str, "s": str, "kernel": str, "horizon": int,
-                            "samples": int, "seed": int, "out": str}, frozenset()),
-    "fuzz": (fuzz, {"ineq": str, "trials": int, "seed": int, "d": str, "q": str, "s": str,
-                    "p": float, "ensemble_size": int, "jobs": int, "out": str}, frozenset()),
-    "conjecture": (conjecture, {"trials": int, "seed": int, "d": str, "q": str, "s": str,
-                                "out": str}, frozenset()),
-    "couple": (couple, {"n": int, "runs": int, "seed": int, "max_steps": int,
-                        "pathwise_runs": int, "out": str}, frozenset()),
-    "tail": (tail, {**_MODEL_FLAGS, "name": str, "v": float, "c": float, "sigma2": float,
-                    "samples": int, "seed": int, "t": str, "alpha": float, "statistic": str,
-                    "out": str}, _CURVE_KEYS),
-    "replay": (replay, {"case": str, "out": str}, frozenset()),
+    "bound": (bound, {"name": _text, "d": _int, "v": _real, "c": _real, "sigma2": _real,
+                      "t": _real_grid, "out": _text}, _CURVE_KEYS),
+    "verify": (verify_cmd, {"check": _text, **_MODEL_FLAGS, "p": _int_grid,
+                            "theta": _real_grid, "psi": _real_grid, "s": _real_grid,
+                            "kernel": _text, "horizon": _int, "samples": _int, "seed": _int,
+                            "out": _text}, {}),
+    "fuzz": (fuzz, {"ineq": _text, "trials": _int, "seed": _int, "d": _int_grid,
+                    "q": _int_grid, "s": _real_grid, "p": _real, "ensemble_size": _int,
+                    "jobs": _int, "out": _text}, {}),
+    "conjecture": (conjecture, {"trials": _int, "seed": _int, "d": _int_grid, "q": _int_grid,
+                                "s": _real_grid, "out": _text}, {}),
+    "couple": (couple, {"n": _int, "runs": _int, "seed": _int, "max_steps": _int,
+                        "pathwise_runs": _int, "out": _text}, {}),
+    "tail": (tail, {**_MODEL_FLAGS, "name": _text, "v": _real, "c": _real, "sigma2": _real,
+                    "samples": _int, "seed": _int, "t": _real_grid, "alpha": _real,
+                    "statistic": _text, "out": _text}, _CURVE_KEYS),
+    "replay": (replay, {"case": _json_file, "out": _text}, {}),
 }
 
-# verb -> {flag: (its config key, its type)}, where --config is (None, str)
-_FLAGS = {verb: {"--config": (None, str), **{
-    "--bound" if (verb, key) == ("tail", "name") else "--" + key.replace("_", "-"): (key, kind)
-    for key, kind in flags.items()}} for verb, (_, flags, _) in _VERBS.items()}
+# verb -> {flag: (its config key, its reader)}, where --config is (None, _json_file)
+_FLAGS = {verb: {"--config": (None, _json_file), **{
+    "--bound" if (verb, key) == ("tail", "name") else "--" + key.replace("_", "-"): (key, read)
+    for key, read in flags.items()}} for verb, (_, flags, _) in _VERBS.items()}
 
 
 def _help(verb: str | None) -> str:
@@ -489,14 +477,15 @@ def _help(verb: str | None) -> str:
         rows = [f"  {name:<12}{fn.__doc__}" for name, (fn, _, _) in _VERBS.items()]
         return "\n".join(["usage: matconc VERB [--FLAG VALUE ...]", "", "verbs:", *rows, "",
                           "matconc VERB --help lists the flags of VERB.", ""])
-    rows = [f"  {flag} {kind.__name__.upper()}" for flag, (_, kind) in _FLAGS[verb].items()]
+    rows = [f"  {flag} {read.__name__.rsplit('_', 1)[1].upper()}"
+            for flag, (_, read) in _FLAGS[verb].items()]
     return "\n".join([f"usage: matconc {verb} [--FLAG VALUE ...]", "", _VERBS[verb][0].__doc__,
                       "", "flags:", *rows, ""])
 
 
 def _split(args: list, flags: dict) -> tuple:
-    """({config key: value}, positional args, whether --help is given) of ``args``:
-    a flag of ``flags`` reads the next arg, whatever it is, or the text after
+    """({config key: text}, positional args, whether --help is given) of ``args``:
+    a flag of ``flags`` takes the next arg, whatever it is, or the text after
     its "=", the last of a repeated flag wins, and every arg after "--" is positional."""
     values, free, asked = {}, [], False
     rest = iter(args)
@@ -514,11 +503,7 @@ def _split(args: list, flags: dict) -> tuple:
             text = text if eq else next(rest, None)
             if text is None:
                 raise ParameterError(f"option {flag!r} needs a value")
-            key, kind = flags[flag]
-            try:
-                values[key] = kind(text)
-            except ValueError:
-                raise ParameterError(f"{flag} takes {kind.__name__} values, got {text!r}") from None
+            values[flags[flag][0]] = text
     return values, free, asked
 
 
@@ -540,19 +525,20 @@ def run(argv) -> None:
         return
     if free:
         raise ParameterError(f"{args[0]} takes no positional arguments, got {free}")
-    cfg = _load_config(values.pop(None, None))
-    unknown = set(cfg) - set(keys) - extra
+    cfg = _json_file(values.pop(None), "config") if None in values else {}
+    if not isinstance(cfg, dict):
+        raise ParameterError("config file must hold a JSON object")
+    unknown = set(cfg) - set(keys) - set(extra)
     if unknown:
         raise ParameterError(f"unknown config keys: {sorted(unknown)}")
     # the flags in table order, then the config-only keys; a given flag wins
-    fn(_Config({**dict.fromkeys(keys), **cfg, **values}))
+    fn(_Config({**dict.fromkeys(keys), **cfg, **values}, {**keys, **extra}))
 
 
 # ---------------------------------------------------------------------------
 # entry point
 
-_CONFIG_ERRORS = (ParameterError, PreconditionError, ShapeError, DomainError, OSError,
-                  json.JSONDecodeError)
+_CONFIG_ERRORS = (ParameterError, PreconditionError, ShapeError, DomainError, OSError)
 
 
 def _fail(code: int, kind: str, message: str, **extra) -> int:

@@ -7,6 +7,7 @@ the semidefinite order, the Hermitian dilation, and superoperator
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable
 
 import numpy as np
@@ -137,6 +138,21 @@ def _count(value, what: str, least: int = 1) -> int:
     out = _integer(value)
     if out < least:
         raise ParameterError(f"{what} must be an integer >= {least}, got {out}")
+    return out
+
+
+def _grid(values, what: str, read=_real, **rule) -> list:
+    """A number or an iterable of values, each read as ``read(v, what, **rule)``:
+    _real for reals, _count for counts.  Text, a mapping, or a grid with no
+    values (which would check nothing) is a ParameterError naming ``what``."""
+    if isinstance(values, numbers.Real):
+        values = [values]
+    elif isinstance(values, (str, bytes, dict)):
+        raise ParameterError(f"a {what} grid is a number or a list of numbers, "
+                             f"not {type(values).__name__}")
+    out = [read(v, what, **rule) for v in values]
+    if not out:
+        raise ParameterError(f"empty {what} grid")
     return out
 
 

@@ -28,6 +28,7 @@ from .matcore import (
     _dilations,
     _field,
     _finite,
+    _grid,
     _json_parts,
     _opnorm,
     _opnorms,
@@ -1006,9 +1007,7 @@ def r_psi(model: MatrixModel, kernel, psi: float, s_grid) -> dict:
     overflow are skipped and reported.
     """
     psi = _real(psi, "psi", 0, strict=True)
-    s_grid = [_real(s, "s", 0, strict=True) for s in s_grid]
-    if not s_grid:
-        raise ParameterError("empty s grid")
+    s_grid = _grid(s_grid, "s", least=0, strict=True)
     vx, vk = conditional_variance_map(model, kernel)
     pr = model.dist.probabilities().ravel()
     best = math.inf

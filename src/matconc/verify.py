@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +23,7 @@ from .matcore import (
     _array,
     _count,
     _field,
+    _grid,
     _hermitians,
     _real,
     _rng,
@@ -38,16 +38,6 @@ SCHEMA_VERSION = 1
 
 # geometric grid for inf-over-s bounds; any grid gives a valid weaker check
 DEFAULT_S_GRID = tuple(float(2.0 ** k) for k in np.linspace(-10.0, 10.0, 41))
-
-
-def _grid(values, what: str, read=_real, **rule) -> list:
-    """A scalar or an iterable of values, each read as ``read(v, what, **rule)``:
-    matcore's _real for reals, _count for counts.  An empty grid checks nothing."""
-    values = [values] if isinstance(values, numbers.Real) else values
-    out = [read(v, what, **rule) for v in values]
-    if not out:
-        raise ParameterError(f"empty {what} grid")
-    return out
 
 
 def _norm_slacks(lhs, rhs):
@@ -637,7 +627,10 @@ def merge_fuzz_reports(reports) -> FuzzReport:
 
 def replay_case(case: dict) -> dict:
     """Re-evaluate one serialized worst case; returns lhs/rhs/slack.  A key that
-    is missing, or that its evaluator's reader refuses, is a typed error naming it."""
+    is missing, or that its evaluator's reader refuses, is a typed error naming it;
+    so is a case that is not a JSON object."""
+    if not isinstance(case, dict):
+        raise ParameterError(f"a replay case is a JSON object, not {type(case).__name__}")
     ineq = case.get("ineq")
 
     def get(key, kind=object):

@@ -95,6 +95,28 @@ def test_laplace_rejects_zero_grid():
         laplace_bounds(lambda th: th * th, 2, 1.0, [0.0])
 
 
+# theta grids laplace_bounds refuses, and the message that names the rule
+BAD_THETA_GRIDS = {
+    "text": ("12", "theta grid is a number or a list of numbers, not str"),
+    "bytes": (b"12", "theta grid is a number or a list of numbers, not bytes"),
+    "mapping": ({1.0: 2.0}, "theta grid is a number or a list of numbers, not dict"),
+    "empty": ([], "empty theta grid"),
+    "non_finite": ([1.0, math.nan], "need a finite theta"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_THETA_GRIDS))
+def test_laplace_refuses_a_grid_that_is_not_numbers(name):
+    grid, message = BAD_THETA_GRIDS[name]
+    with pytest.raises(ParameterError, match=message):
+        laplace_bounds(lambda th: th * th / 2.0, 2, 1.0, grid)
+
+
+def test_laplace_reads_one_theta_as_a_grid_of_one():
+    assert laplace_bounds(lambda th: th * th / 2.0, 2, 1.0, 1.0) == \
+        laplace_bounds(lambda th: th * th / 2.0, 2, 1.0, [1.0])
+
+
 def test_gaussexp_golden():
     out = gaussexp_bounds(GaussExpParams(d=2, v=1.0, c=0.0), 2.0)
     assert close(out["tail_raw"], 2 * EXP_MINUS_2)

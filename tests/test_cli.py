@@ -49,8 +49,9 @@ def run(argv, capsys):
 
 
 def merged_config(monkeypatch, argv):
-    """The config a verb receives, merged from its --config file and flags;
-    the verb itself does not run."""
+    """The config a verb receives, merged from its --config file and flags, each
+    value as given (a flag's text, a config file's JSON value) and read only
+    when the verb gets it; the verb itself does not run."""
     seen = {}
     _, flags, extra = cli._VERBS[argv[0]]
     with monkeypatch.context() as patch:
@@ -489,9 +490,9 @@ class TestConfigPlumbing:
                 argv = [verb, "--config", str(cfg)]
                 assert merged_config(monkeypatch, argv)[key] == "from-config"
                 if key in keys:
-                    # int, float and str flags read "7" as 7, 7.0 and "7"
+                    # the merged value is the flag's text
                     got = merged_config(monkeypatch, argv + [flag[key], "7"])[key]
-                    assert got in (7, "7"), (verb, key, got)
+                    assert got == "7", (verb, key, got)
 
     def test_verify_has_no_tolerance_key(self, capsys, tmp_path):
         # the exact tolerance is fixed; a config that sets it must not run
@@ -619,6 +620,21 @@ class TestConfigPlumbing:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"], capsys)[0] == 0
 
+    @pytest.mark.parametrize("verb", sorted(CONFIG_KEYS))
+    def test_verb_help_prints_a_reader_for_every_flag(self, capsys, verb):
+        code, out, err = run([verb, "--help"], capsys)
+        assert (code, err) == (0, "")
+        rows = [row.split() for row in out.split("flags:\n", 1)[1].splitlines()]
+        assert [flag for flag, _ in rows] == list(cli._FLAGS[verb])
+        assert {label for _, label in rows} <= {"INT", "REAL", "TEXT", "GRID", "FILE"}
+        if verb == "verify":
+            assert dict(rows) == {
+                "--config": "FILE", "--check": "TEXT", "--model": "TEXT",
+                "--model-file": "FILE", "--n": "INT", "--d": "INT", "--rows": "INT",
+                "--model-seed": "INT", "--p": "GRID", "--theta": "GRID", "--psi": "GRID",
+                "--s": "GRID", "--kernel": "TEXT", "--horizon": "INT", "--samples": "INT",
+                "--seed": "INT", "--out": "TEXT"}
+
     GAUSSEXP = ["bound", "--name", "gaussexp", "--d", "2", "--v", "1", "--c", "0"]
 
     @pytest.mark.parametrize("argv, code, shown", [
@@ -630,6 +646,8 @@ class TestConfigPlumbing:
         (["verify", "--ch"], 3, None),
         (["verify", "--n"], 3, None),
         (["verify", "--n", "x"], 3, None),
+        (["verify", "--check", "poly_efron_stein", "--model", "hypercube_sum", "--n", "x"], 3,
+         None),
         (["verify", "--check", "poly_efron_stein", "extra"], 3, None),
         # each of these would run to exit 0 without the error it pins
         (GAUSSEXP + ["--t", "2", "--ch", "1"], 3, None),
@@ -640,7 +658,7 @@ class TestConfigPlumbing:
         (GAUSSEXP + ["--t=0:1:0.5"], 0, ["\n0.0,", "\n0.5,", "\n1.0,"]),
         (GAUSSEXP + ["--t", "0:1:0.5", "--t", "2"], 0, ["\n2.0,0.2706705664732254,"]),
     ], ids=["nothing", "help", "verb_help", "unknown_verb", "unknown_option", "unknown_flag",
-            "flag_without_value", "bad_int", "positional", "bound_unknown_flag",
+            "flag_without_value", "bad_int", "bad_int_read", "positional", "bound_unknown_flag",
             "bound_flag_without_value", "bound_positional", "flag_after_double_dash",
             "trailing_double_dash", "flag_equals_value", "last_flag_wins"])
     def test_command_line_surface(self, capsys, argv, code, shown):
@@ -806,6 +824,116 @@ class TestKeyRule:
         message = self.refused(capsys, tmp_path, TAIL + HC2 + ["--sigma2", "4", "--rows", "2"],
                                {"D": [[0.0]], "c": 1.0})
         assert "['rows', 'c', 'sigma2', 'D']" in message
+
+
+# verb -> (its flags, the same keys in a config file): one value per reader,
+# where MODEL and CASE stand for a model file and a replay case
+ALIKE = {
+    "bound": (["bound", "--name", "gaussexp", "--d", "2", "--v", "1", "--c", "0.5", "--t",
+               "0:1:0.5"], {"name": "gaussexp", "d": 2, "v": 1, "c": 0.5, "t": [0, 0.5, 1]}),
+    "verify_kernel": (["verify", "--check", "kernel_poly_moments", "--model", "hypercube_sum",
+                       "--n", "2", "--p", "1:2", "--s", "0.5,2"],
+                      {"check": "kernel_poly_moments", "model": "hypercube_sum", "n": 2,
+                       "p": [1, 2], "s": [0.5, 2]}),
+    "verify_exp": (["verify", "--check", "exp_efron_stein", "--model-file", "MODEL",
+                    "--theta", "-0.25,0.25", "--psi", "1:4:3"],
+                   {"check": "exp_efron_stein", "model_file": "MODEL", "theta": [-0.25, 0.25],
+                    "psi": [1, 4]}),
+    "fuzz": (["fuzz", "--ineq", "pmvti", "--trials", "20", "--seed", "3", "--d", "1:3",
+              "--q", "2", "--s", "0.5,2", "--jobs", "2"],
+             {"ineq": "pmvti", "trials": 20, "seed": 3, "d": [1, 2, 3], "q": 2,
+              "s": [0.5, 2], "jobs": 2}),
+    "fuzz_young": (["fuzz", "--ineq", "young_commuting", "--trials", "20", "--seed", "3",
+                    "--d", "2", "--p", "3"],
+                   {"ineq": "young_commuting", "trials": 20, "seed": 3, "d": 2, "p": 3}),
+    "conjecture": (["conjecture", "--trials", "20", "--seed", "3", "--d", "1:2", "--q", "1,2",
+                    "--s", "0.5:1:0.5"],
+                   {"trials": 20, "seed": 3, "d": [1, 2], "q": [1, 2], "s": [0.5, 1]}),
+    "couple": (["couple", "--n", "2", "--runs", "50", "--seed", "3", "--max-steps", "1000",
+                "--pathwise-runs", "5"],
+               {"n": 2, "runs": 50, "seed": 3, "max_steps": 1000, "pathwise_runs": 5}),
+    "tail": (["tail", "--model", "hypercube_sum", "--n", "2", "--d", "1", "--bound",
+              "bounded_diff", "--sigma2", "4", "--samples", "200", "--seed", "1", "--t",
+              "0:2:0.5", "--alpha", "0.05", "--statistic", "lmax"],
+             {"model": "hypercube_sum", "n": 2, "d": 1, "name": "bounded_diff", "sigma2": 4,
+              "samples": 200, "seed": 1, "t": [0, 0.5, 1, 1.5, 2], "alpha": 0.05,
+              "statistic": "lmax"}),
+    "replay": (["replay", "--case", "CASE"], {"case": "CASE"}),
+}
+
+# defects of reading a key two ways: argv, a config file's keys (or None), and
+# what the message must name; LATIN1 and DEEP stand for files that are not
+# UTF-8 and that nest too deep
+GAUSSEXP = TestConfigPlumbing.GAUSSEXP
+MISREAD = {
+    "comma_t": (GAUSSEXP + ["--t", ","], None, "t grid"),
+    "empty_t": (GAUSSEXP + ["--t", ""], None, "t grid"),
+    "empty_p": (POLY + HC2 + ["--p", ""], None, "p grid"),
+    "empty_s": (["fuzz", "--ineq", "emvti", "--trials", "3", "--seed", "1", "--s", ""], None,
+                "s grid"),
+    "empty_kernel": (["verify", "--check", "kernel_poly_moments", "--kernel", ""] + HC2, None,
+                     "kernel"),
+    "empty_statistic": (TAIL + HC2 + ["--statistic", ""], None, "statistic"),
+    "empty_out": (GAUSSEXP + ["--t", "1", "--out", ""], None, "out"),
+    "empty_config": (GAUSSEXP + ["--t", "1", "--config", ""], None, "config"),
+    "number_out": (GAUSSEXP + ["--t", "1"], {"out": 5}, "out"),
+    "list_name": (["bound"], {"name": ["gaussexp"], "d": 2, "v": 1, "c": 0}, "name"),
+    "number_model_file": (POLY, {"model_file": 2}, "model_file"),
+    "number_case": (["replay"], {"case": 0}, "case"),
+    "unset_n": (["couple", "--runs", "10", "--seed", "1"], None, "n is required"),
+    "unset_runs": (["couple", "--n", "2", "--seed", "1"], None, "runs is required"),
+    "unset_fuzz_trials": (["fuzz", "--ineq", "pmvti", "--seed", "1"], None,
+                          "trials is required"),
+    "unset_conjecture_trials": (["conjecture", "--seed", "1"], None, "trials is required"),
+    "unset_samples": (["tail", "--seed", "1"] + HC2, None, "samples is required"),
+    "latin1_config": (["bound", "--config", "LATIN1"], None, "LATIN1"),
+    "latin1_model_file": (POLY + ["--model-file", "LATIN1"], None, "LATIN1"),
+    "latin1_case": (["replay", "--case", "LATIN1"], None, "LATIN1"),
+    "deep_config": (["bound", "--config", "DEEP"], None, "DEEP"),
+}
+
+
+class TestOneReaderPerKey:
+    """A flag's text and a config file's value are read by the one reader the
+    verb's table gives the key."""
+
+    @staticmethod
+    def files(tmp_path) -> dict:
+        """The stand-in names of ALIKE and MISREAD, as paths of files they name."""
+        paths = {name: str(tmp_path / f"{name.lower()}.json")
+                 for name in ("MODEL", "CASE", "LATIN1", "DEEP")}
+        Path(paths["MODEL"]).write_text(json.dumps(stein.hypercube_sum(2).to_json()))
+        Path(paths["CASE"]).write_text(json.dumps(_PMVTI))
+        Path(paths["LATIN1"]).write_bytes(b'{"t": "caf\xe9"}')
+        Path(paths["DEEP"]).write_text("[" * 100_000 + "]" * 100_000)
+        return paths
+
+    @pytest.mark.parametrize("case", sorted(ALIKE))
+    def test_a_flag_and_a_config_key_are_read_alike(self, capsys, tmp_path, case):
+        paths = self.files(tmp_path)
+        argv, config = ALIKE[case]
+        argv = [paths.get(a, a) for a in argv]
+        config = {k: paths.get(v, v) if isinstance(v, str) else v for k, v in config.items()}
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        from_flags = run(argv, capsys)
+        assert from_flags[0] == 0 and from_flags[1], from_flags[2]
+        assert run([argv[0], "--config", str(tmp_path / "cfg.json")], capsys) == from_flags
+
+    @pytest.mark.parametrize("case", sorted(MISREAD))
+    def test_a_key_read_two_ways_is_one_config_error(self, tmp_path, case):
+        # a subprocess, so that a closed stderr or a read of stdin shows
+        paths = self.files(tmp_path)
+        argv, config, named = MISREAD[case]
+        argv = [paths.get(a, a) for a in argv]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        proc = subprocess.run([sys.executable, "-m", "matconc.cli", *argv], cwd=tmp_path,
+                              input=json.dumps(_PMVTI), capture_output=True, text=True,
+                              env=SRC_ENV, timeout=120)
+        assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
+        error = json.loads(proc.stderr)["error"]
+        assert error["type"] == "config" and paths.get(named, named) in error["message"]
 
 
 def readme_commands() -> list:
@@ -974,6 +1102,15 @@ class TestReplayVerb:
         path = tmp_path / "empty.json"
         path.write_text("{}")
         assert run(["replay", "--case", str(path)], capsys)[0] == 3
+
+    @pytest.mark.parametrize("payload", [[1, 2], "x", {"worst_case": [1, 2]}])
+    def test_a_case_that_is_not_an_object_is_config_error(self, capsys, tmp_path, payload):
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(["replay", "--case", str(path)], capsys)
+        assert code == 3 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "config" and "JSON object" in error["message"]
 
     @pytest.mark.parametrize("name", sorted(MALFORMED_CASES))
     def test_malformed_case_is_config_error(self, capsys, tmp_path, name):

@@ -1048,6 +1048,11 @@ class TestReplay:
         with pytest.raises(ParameterError):
             replay_case({"ineq": "frobnicate"})
 
+    @pytest.mark.parametrize("case", [[1, 2], "x", None, 3.0])
+    def test_replay_refuses_a_case_that_is_not_an_object(self, case):
+        with pytest.raises(ParameterError, match="a replay case is a JSON object"):
+            replay_case(case)
+
 
 class TestPolyEfronStein:
     def test_hypercube_closed_forms(self):
@@ -1766,6 +1771,38 @@ REAL_ENTRIES = {
     "schatten_norm.p": (lambda x: matcore.schatten_norm(np.diag([3.0, -4.0]), x), 3.0),
     "induced_norm.p": (lambda x: matcore.induced_norm(np.diag([3.0, -4.0]), x), 1.0),
 }
+# entry point -> run(g): g is one grid the call reads
+GRID_ENTRIES = {
+    "fuzz_pmvti.d": lambda g: fuzz_pmvti(g, [1], [1.0], 2, 1).to_json(),
+    "fuzz_pmvti.q": lambda g: fuzz_pmvti([1], g, [1.0], 2, 1).to_json(),
+    "fuzz_pmvti.s": lambda g: fuzz_pmvti([1], [1], g, 2, 1).to_json(),
+    "fuzz_emvti.d": lambda g: fuzz_emvti(g, [1.0], 2, 1).to_json(),
+    "fuzz_young_commuting.d": lambda g: fuzz_young_commuting(g, 2.0, 2, 1).to_json(),
+    "fuzz_operator_cs.d": lambda g: fuzz_operator_cs(g, 2, 1).to_json(),
+    "fuzz_matrix_entropy_young.d": lambda g: fuzz_matrix_entropy_young(g, 2, 2, 1).to_json(),
+    "explore_conjecture.s": lambda g: explore_conjecture([1], [1], g, 2, 1).to_json(),
+    "verify_poly_efron_stein.p": lambda g: verify_poly_efron_stein(hypercube_sum(2), g),
+    "verify_exp_efron_stein.theta": lambda g: verify_exp_efron_stein(hypercube_sum(2), g,
+                                                                     [4.0]),
+    "verify_exp_efron_stein.psi": lambda g: verify_exp_efron_stein(hypercube_sum(2), [0.5], g),
+    "verify_kernel_poly_moments.p": lambda g: _kernel_moments_grids(g, [1.0]),
+    "verify_kernel_poly_moments.s": lambda g: _kernel_moments_grids([1], g),
+    "empirical_tail.t": lambda g: empirical_tail(hypercube_sum(2), 100, g, 1).to_json(),
+    "laplace_bounds.theta": lambda g: bounds.laplace_bounds(lambda th: th * th / 2, 2, 1.0, g),
+    "r_psi.s": lambda g: _with_kernel(stein.r_psi, 1.0, g),
+}
+
+
+def _with_kernel(run, *args):
+    """run(model, its exact kernel, *args) on hypercube_sum(2)."""
+    model = hypercube_sum(2)
+    return run(model, ExactKernel(model), *args)
+
+
+def _kernel_moments_grids(p_list, s_grid):
+    return _with_kernel(verify_kernel_poly_moments, p_list, s_grid)
+
+
 # entries whose p = inf is valid: the operator norm and the max row sum, 4 for diag(3, -4)
 NORM_P = ("schatten_norm.p", "induced_norm.p")
 
@@ -1862,6 +1899,26 @@ class TestRealRule:
     def test_numpy_float_gives_the_result_of_the_float(self, entry):
         run, x = REAL_ENTRIES[entry]
         assert repr(run(np.float64(x))) == repr(run(x))
+
+
+class TestGridRule:
+    @pytest.mark.parametrize("text", ["12", b"12"])
+    @pytest.mark.parametrize("entry", sorted(GRID_ENTRIES))
+    def test_a_grid_given_as_text_is_refused(self, entry, text):
+        # read one character at a time, "12" would be the grid [1, 2]
+        with pytest.raises(ParameterError, match="grid is a number or a list of numbers"):
+            GRID_ENTRIES[entry](text)
+
+    @pytest.mark.parametrize("entry", sorted(GRID_ENTRIES))
+    def test_an_empty_grid_is_refused_by_name(self, entry):
+        with pytest.raises(ParameterError, match=rf"^empty {entry.split('.')[1]} grid$"):
+            GRID_ENTRIES[entry]([])
+
+    @pytest.mark.parametrize("entry", sorted(GRID_ENTRIES))
+    def test_a_tuple_or_array_grid_is_the_list(self, entry):
+        want = repr(GRID_ENTRIES[entry]([1, 2]))
+        assert repr(GRID_ENTRIES[entry]((1, 2))) == want
+        assert repr(GRID_ENTRIES[entry](np.array([1, 2]))) == want
 
 
 class TestMatrixRule:
