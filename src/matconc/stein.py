@@ -986,34 +986,29 @@ def pair_asymmetries(model: MatrixModel, kernel: ExactKernel) -> tuple:
     return anti, asym
 
 
-_S_BLOCK = 8192  # matrices per stack of s_grid_spectra; a block holds at least one s
-
-
-def s_grid_spectra(vx, vk, s_grid: list, scale: float):
-    """Each block of s_grid, as an array, with the (block, S, d) eigenvalues of
-    scale * (s * vx + vk * (1.0 / s)) by one eigvalsh, the per-s form bit for bit."""
-    vx, vk = outcome_stack(vx), outcome_stack(vk)
-    per = max(1, _S_BLOCK // len(vx))
-    for lo in range(0, len(s_grid), per):
-        s = np.array(s_grid[lo:lo + per], dtype=float)
-        sa = s.reshape(-1, 1, 1, 1)
-        yield s, np.linalg.eigvalsh(scale * (sa * vx + vk * (1.0 / sa)))
+_S_BLOCK = 8192  # matrices per eigvalsh stack of r_psi; a block holds at least one s
 
 
 def r_psi(model: MatrixModel, kernel, psi: float, s_grid) -> dict:
     """r(psi) = (1/psi) min over s of log E tr-bar exp((psi/2)(s V_X + V^K / s)).
 
     Expectation is exact on finite models.  s values whose exponent would
-    overflow are skipped and reported.
+    overflow are skipped and reported.  The grid goes in blocks of s values,
+    each broadcast through s V_X + V^K (1/s) and decomposed by one eigvalsh
+    of the (block, S, d, d) stack: the per-s form bit for bit.
     """
     psi = _real(psi, "psi", 0, strict=True)
     s_grid = _grid(s_grid, "s", least=0, strict=True)
-    vx, vk = conditional_variance_map(model, kernel)
+    vx, vk = (outcome_stack(t) for t in conditional_variance_map(model, kernel))
     pr = model.dist.probabilities().ravel()
     best = math.inf
     best_s = None
     skipped = []
-    for s, w in s_grid_spectra(vx, vk, s_grid, psi / 2.0):
+    per = max(1, _S_BLOCK // len(vx))
+    for lo in range(0, len(s_grid), per):
+        s = np.array(s_grid[lo:lo + per], dtype=float)
+        sa = s.reshape(-1, 1, 1, 1)
+        w = np.linalg.eigvalsh((psi / 2.0) * (sa * vx + vk * (1.0 / sa)))
         skip = np.max(w[:, :, -1], axis=1) > 700.0
         skipped += s[skip].tolist()
         for s_kept, row in zip(s[~skip].tolist(), np.mean(np.exp(w[~skip]), axis=-1)):

@@ -745,8 +745,63 @@ def verify_exp_efron_stein(model: stein.MatrixModel, theta_grid, psi_grid) -> di
     return _exact_report("exp_efron_stein", model, results=results, skipped=skipped)
 
 
+# p above this is refused: the kernel bound's p + 1 coefficients in s take
+# O(p^2) stacked products over the outcomes
+KERNEL_P_MAX = 16
+
+
+def _trace_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """tr(a b) for Hermitian stacks a and b, as the sum of re a re b + im a im b."""
+    out = np.sum(a.real * b.real, axis=(-2, -1))
+    if np.iscomplexobj(a) and np.iscomplexobj(b):
+        out += np.sum(a.imag * b.imag, axis=(-2, -1))
+    return out
+
+
+def _laurent(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """sum_j c_j s^(2j - p) at each s; a zero c_j adds nothing (no 0 * inf)."""
+    k = 2 * np.arange(len(c)) - (len(c) - 1)
+    return np.sum(c[c > 0] * s[:, None] ** k[c > 0], axis=1)
+
+
+def _laurent_argmin(c: np.ndarray):
+    """The s > 0 that minimises sum_j c_j s^(2j - p), c_j >= 0, or None when
+    every c_j > 0 lies on one side of j = p/2 (no s does: the infimum is at 0
+    or at inf).  In x = log s the sum is convex; the point where its two
+    outermost terms balance is the minimiser at p <= 2, where no other term
+    moves with s, and Newton's method starts there for p > 2, bisecting
+    whenever a step leaves the bracket."""
+    k = (2 * np.arange(len(c)) - (len(c) - 1))[c > 0]
+    if not k.size or k[0] >= 0 or k[-1] <= 0:
+        return None
+    logc = np.log(c[c > 0])
+    x = (logc[0] - logc[-1]) / (k[-1] - k[0])
+    lo, hi = -math.inf, math.inf
+    for _ in range(100 if len(c) > 3 else 0):
+        e = logc + k * x
+        w = np.exp(e - np.max(e))  # the terms over the largest: no overflow
+        slope = float(w @ k)
+        step = slope / float(w @ (k * k))  # at most 1 in size, as k^2 >= |k|
+        if abs(step) <= 1e-15 * max(1.0, abs(x)):
+            break
+        lo, hi = (x, hi) if slope < 0 else (lo, x)
+        x = x - step if lo < x - step < hi else (lo + hi) / 2.0
+    return math.exp(x)
+
+
 def verify_kernel_poly_moments(model: stein.MatrixModel, kernel, p_list, s_grid) -> dict:
-    """Moment bound through the kernel conditional variances, for each (p, s).
+    """Moment bound through the kernel conditional variances, for each (p, s),
+    and at the s* that minimises it.
+
+    For PSD V_X and V^K the bound's moment E tr ((1/2)(s V_X + V^K/s))^p is
+    sum_j c_j s^(2j - p), where c_j is the expected trace of the words with j
+    factors V_X/2 and p - j factors V^K/2 (nonnegative: Stahl's theorem, the
+    Lieb-Seiringer form of the BMV conjecture).  The coefficient stacks of
+    the half power h = p // 2 follow from C_j <- V^K C_j + V_X C_{j-1}, and
+    c is their convolution under tr(a b), one probability dot per j; no
+    eigendecomposition of s V_X + V^K/s is taken.  ``best_s``, ``best_rhs``
+    and ``pass`` are over the user's grid; ``s_star`` and ``rhs_at_s_star``
+    are the exact minimiser and its bound (null when V_X or V^K is 0).
 
     With an estimated kernel the true V^K is only known up to the per-pair
     standard-error plus truncation budget; the check inflates V^K by the
@@ -761,24 +816,47 @@ def verify_kernel_poly_moments(model: stein.MatrixModel, kernel, p_list, s_grid)
     vk = vk + kernel.inflation * np.eye(model.d)
     probs = model.dist.probabilities().ravel()
     lam_x = model.X_spectra()
-    # every p's moment at every s, off the grid's spectra; an overflow raises
-    # below, so the first one in the order of the report's rows names its order
-    moments = {p: [] for p in p_list}
-    for _, lam in stein.s_grid_spectra(vx, vk, s_grid, 0.5):
-        for p, acc in moments.items():
-            acc += _moments(probs, lam, p)
+    a, b = 0.5 * stein.outcome_stack(vx), 0.5 * stein.outcome_stack(vk)
+    halves = {h for p in p_list if p <= KERNEL_P_MAX for h in (p // 2, p - p // 2)}
+    powers = {1: [b, a]}  # C_0..C_k of (s a + b/s)^k for the last k and each k in halves
+
+    def coefficients(p: int) -> np.ndarray:
+        """c_j = E tr of the words with j factors a: tr of the half powers' products."""
+        h = p // 2
+        while max(powers) < p - h:
+            k = max(powers)
+            last = powers[k] if k in halves else powers.pop(k)
+            powers[k + 1] = ([b @ last[0]] + [b @ last[j] + a @ last[j - 1]
+                                              for j in range(1, k + 1)] + [a @ last[-1]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            if h == 0:
+                traces = [np.trace(cj.real, axis1=-2, axis2=-1) for cj in powers[1]]
+            else:
+                traces = [sum(_trace_products(powers[h][i], powers[p - h][j - i])
+                              for i in range(max(0, j - p + h), min(h, j) + 1))
+                          for j in range(p + 1)]
+            return np.maximum([float(probs @ t) for t in traces], 0.0)  # roundoff of 0 below 0
+
+    s_arr = np.array(s_grid)
     results = []
-    for p in p_list:
+    for p in p_list:  # an error names the first row in report order that raises
         lhs = _moment(probs, lam_x, 2 * p) ** (1.0 / (2 * p))
-        per_s = []
-        for s, moment in zip(s_grid, moments[p]):
-            rhs = math.sqrt(2 * p - 1) * _finite_moment(moment, p) ** (1.0 / (2 * p))
-            per_s.append({"s": s, "rhs": rhs, "slack": rhs - lhs,
-                          "pass": bool(rhs - lhs >= -EXACT_TOL)})
+        if p > KERNEL_P_MAX:
+            raise ParameterError(f"kernel_poly_moments takes p up to {KERNEL_P_MAX}, got {p}")
+        c = coefficients(p)
+        _finite_moment(float(np.max(c)), p)  # NaN from inf - inf as well
+        s_star = _laurent_argmin(c)
+        with np.errstate(over="ignore"):
+            moments = _laurent(c, s_arr if s_star is None else np.append(s_arr, s_star))
+        _finite_moment(float(np.max(moments)), p)
+        rhs = (math.sqrt(2 * p - 1) * moments ** (1.0 / (2 * p))).tolist()
+        rhs_star = None if s_star is None else rhs.pop()
+        per_s = [{"s": s, "rhs": r, "slack": r - lhs, "pass": r - lhs >= -EXACT_TOL}
+                 for s, r in zip(s_grid, rhs)]
         best = min(per_s, key=lambda r: r["rhs"])
         results.append({"p": p, "lhs": lhs, "best_rhs": best["rhs"],
-                        "best_s": best["s"], "grid": per_s,
-                        "pass": all(r["pass"] for r in per_s)})
+                        "best_s": best["s"], "s_star": s_star, "rhs_at_s_star": rhs_star,
+                        "grid": per_s, "pass": all(r["pass"] for r in per_s)})
     return _exact_report("kernel_poly_moments", model, kernel_inflation=kernel.inflation,
                          results=results)
 

@@ -13,6 +13,7 @@ from matconc.matcore import (
     SuperOperator,
     _dilations,
     _integer,
+    _opnorms,
     _real,
     dilation,
     eigh_canonical,
@@ -153,6 +154,20 @@ class TestNorms:
         assert induced_norm(b, np.inf) == 4.0   # max row abs sum
         with pytest.raises(ParameterError):
             induced_norm(b, 2)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 6])
+    def test_opnorms_of_a_hermitian_stack_are_the_svd_norms(self, d):
+        # the largest |eigenvalue| off eigvalsh (+0.0 for a zero matrix), real and
+        # complex, each sign of extreme leading, PSD, NSD and zero members among them
+        rng = _rng(d)
+        herms = np.stack([_herm(rng, d) for _ in range(12)])
+        stack = np.concatenate([herms, herms.real, -herms, herms @ herms, -(herms @ herms),
+                                np.zeros((1, d, d))])
+        for a in (stack, stack.real):
+            want = np.linalg.norm(a, 2, axis=(-2, -1))
+            got = _opnorms(a)
+            assert got.shape == want.shape and not np.signbit(got).any() and got[-1] == 0.0
+            assert np.all(np.abs(got - want) <= 1e-14 * want)
 
 
 class TestDilation:

@@ -364,6 +364,16 @@ def oracle_replacement_pairs_identity(model, kernel, F):
     return _opnorm(model.expect(X @ fx) - rhs)
 
 
+# matcore._opnorms reads each norm off eigvalsh: the SVD's to this relative roundoff
+OPNORM_RTOL = 1e-14
+
+
+def svd_opnorms(a):
+    """The operator norm of each matrix of a stack by SVD: the oracles' norm,
+    independent of matcore._opnorms, which reads it off eigvalsh."""
+    return np.linalg.norm(a, 2, axis=(-2, -1))
+
+
 def oracle_estimated_radii(model, horizon, samples, seed):
     """EstimatedKernel's g and the error radius of every replacement pair, as an
     outcome tensor per (j, v), with the squared norms of G - neighbour(G, j, v)
@@ -388,18 +398,20 @@ def oracle_estimated_radii(model, horizon, samples, seed):
     return g, radius
 
 
-def oracle_error_budget(model, horizon, samples, seed):
-    """EstimatedKernel's (stein_radius, inflation) from oracle_estimated_radii,
-    each per-pair tensor added over the whole outcome tensor by replacement_sum."""
+def oracle_error_budget(model, horizon, samples, seed, norms=(svd_opnorms,)):
+    """EstimatedKernel's stein_radius, then its inflation with each operator norm
+    of ``norms``, from oracle_estimated_radii: each per-pair tensor added over
+    the whole outcome tensor by replacement_sum."""
     g, radius = oracle_estimated_radii(model, horizon, samples, seed)
 
-    def inflation_term(j, v):  # E[(2 ||K|| r + r^2)/2 | Z=z], r the pair's error radius
+    def inflation_term(j, v, opnorms):  # E[(2 ||K|| r + r^2)/2 | Z=z], r the pair's error radius
         r = radius[j, v]
-        knorm = _opnorms(g - neighbour(g, j, v))
+        knorm = opnorms(g - neighbour(g, j, v))
         return (2.0 * knorm * r + r * r) / 2.0
 
-    budget = (replacement_sum(model.dist, lambda j, v: radius[j, v], pair_law=True),
-              replacement_sum(model.dist, inflation_term, pair_law=True))
+    budget = [replacement_sum(model.dist, lambda j, v: radius[j, v], pair_law=True)]
+    budget += [replacement_sum(model.dist, lambda j, v, norm=norm: inflation_term(j, v, norm),
+                               pair_law=True) for norm in norms]
     return tuple(float(np.max(b)) for b in budget)
 
 
@@ -1544,8 +1556,10 @@ class TestReplacementPairs:
         for k in (ExactKernel(m), EstimatedKernel(m, horizon=8, samples=40, seed=1)):
             want = replacement_sum(m.dist, lambda j, v: on_neighbours(k, j, v), pair_law=True)
             assert stein._drift(m.dist, k.g).tobytes() == want.tobytes()
-            residual = float(np.max(_opnorms(want - m.X_tensor())))
-            assert check_stein_identity(m, k).residual == residual
+            got = check_stein_identity(m, k).residual
+            assert got == float(np.max(_opnorms(want - m.X_tensor())))
+            svd = float(np.max(svd_opnorms(want - m.X_tensor())))
+            assert abs(got - svd) <= OPNORM_RTOL * svd
 
     @pytest.mark.parametrize("build", PAIR_MODELS)
     def test_pairs_identity_is_the_per_replacement_form(self, build):
@@ -1587,9 +1601,11 @@ class TestReplacementPairs:
         monkeypatch.setattr(stein, "_KERNEL_BLOCK", block)  # sums over several blocks
         m = build()
         k = EstimatedKernel(m, horizon=8, samples=samples, seed=seed)
-        want = oracle_error_budget(m, 8, samples, seed)
-        assert (k.stein_radius, k.inflation) == want
-        assert min(want) > 0.0
+        # the sum form bit for bit with matcore's norms, which are the SVD's to roundoff
+        radius, inflation, svd = oracle_error_budget(m, 8, samples, seed, (_opnorms, svd_opnorms))
+        assert (k.stein_radius, k.inflation) == (radius, inflation)
+        assert abs(k.inflation - svd) <= OPNORM_RTOL * svd
+        assert min(radius, inflation) > 0.0
         assert check_stein_identity(m, k).radius == k.stein_radius
 
 
@@ -1611,6 +1627,39 @@ def oracle_r_psi(model, kernel, psi, s_grid):
 
 
 class TestRPsi:
+    def test_the_grid_takes_one_eigvalsh(self, monkeypatch):
+        # the 41 s values of hypercube_sum(3) go as one (41, 8, 2, 2) stack, not one call per s
+        m = hypercube_sum(3)
+        k = ExactKernel(m)
+        stein.conditional_variance_map(m, k)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        r_psi(m, k, 1.0, verify.DEFAULT_S_GRID)
+        assert calls == [(41, 8, 2, 2)]
+
+    @pytest.mark.parametrize("blocked", [True, False])
+    def test_memory_at_S_16384(self, blocked, monkeypatch):
+        # one s per block at S = 16 384 peaks at 1.9 MiB; one stack of all 41, at 41.5 MiB
+        if not blocked:
+            monkeypatch.setattr(stein, "_S_BLOCK", 10**9)
+        m = hypercube_sum(14)
+        k = ExactKernel(m)
+        stein.conditional_variance_map(m, k)
+        tracemalloc.start()
+        try:
+            out = r_psi(m, k, 1.0, verify.DEFAULT_S_GRID)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out["argmin_s"] is not None
+        assert peak < 16 * 2**20 if blocked else peak > 32 * 2**20
+
     def test_finite_and_grid_argmin(self):
         m = hypercube_sum(2)
         k = ExactKernel(m)

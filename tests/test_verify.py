@@ -21,7 +21,6 @@ from matconc.matcore import (
     ShapeError,
     SuperOperator,
     _array,
-    _opnorms,
     hermitian_json,
     left_mult_op,
     matrix_function,
@@ -62,7 +61,8 @@ from matconc.verify import (
     verify_kernel_poly_moments,
     verify_poly_efron_stein,
 )
-from test_stein import on_neighbours, oracle_estimated_radii, replacement_sum
+from test_stein import (OPNORM_RTOL, on_neighbours, oracle_estimated_radii, replacement_sum,
+                        svd_opnorms)
 
 E_MINUS_2 = 0.1353352832366127
 COSH1 = 1.5430806348152437
@@ -1112,6 +1112,10 @@ ADDITIVE_MODELS = [lambda: hypercube_sum(5), lambda: stein.bounded_diff_demo(3),
                    lambda: random_additive_model(8)]
 
 
+# lhs = rhs(s*) at p = 1 on an additive model, relative
+KERNEL_EQUALITY_RTOL = 1e-12
+
+
 class TestEqualityCases:
     """On an additive model H = sum_j f_j(z_j), E X^2 = E V exactly, and the
     Poisson solution is g = n X, so V^K = n^2 V_X: a V or a V^K off by a
@@ -1129,6 +1133,36 @@ class TestEqualityCases:
         vx, vk = stein.conditional_variance_map(m, ExactKernel(m))
         assert np.max(np.abs(vk)) > 0.0
         assert np.max(np.abs(vk - n * n * vx)) <= 1e-12 * np.max(np.abs(vk))
+
+    @staticmethod
+    def kernel_bound_at_p1(m) -> dict:
+        return verify_kernel_poly_moments(m, ExactKernel(m), [1], verify.DEFAULT_S_GRID)
+
+    @pytest.mark.parametrize("build", ADDITIVE_MODELS)
+    def test_kernel_bound_at_p1_is_an_equality_at_s_star(self, build):
+        # E tr (s V_X + V^K/s)/2 = E tr V (s/n + n/s)/2 is E tr X^2 at s* = n, the
+        # one s where the kernel bound at p = 1 is the left side; off the grid here
+        m = build()
+        row = self.kernel_bound_at_p1(m)["results"][0]
+        assert abs(row["rhs_at_s_star"] - row["lhs"]) <= KERNEL_EQUALITY_RTOL * row["lhs"]
+        assert row["s_star"] == pytest.approx(m.dist.n, rel=1e-14)
+        assert row["best_rhs"] > row["lhs"] * (1.0 + 1e-4)
+
+    @pytest.mark.parametrize("factor", [0.993, 2.0])
+    def test_both_maps_scaled_fail_the_equality_gate(self, factor, monkeypatch):
+        # V_X and V^K scaled alike keep s* = n and scale rhs(s*) by sqrt(factor);
+        # every grid row still passes, the nearest grid s being 4 and 5.66
+        maps = stein.conditional_variance_map
+        monkeypatch.setattr(stein, "conditional_variance_map",
+                            lambda m, k: tuple(factor * t for t in maps(m, k)))
+        m = hypercube_sum(5)
+        rep = self.kernel_bound_at_p1(m)
+        row = rep["results"][0]
+        assert rep["pass"] is True
+        assert abs(row["rhs_at_s_star"] / row["lhs"] - math.sqrt(factor)) <= 1e-14
+        assert abs(row["rhs_at_s_star"] - row["lhs"]) > KERNEL_EQUALITY_RTOL * row["lhs"]
+        # at 0.993 the bound fails at s*: the s* row, not any grid row, sees it
+        assert (row["rhs_at_s_star"] < row["lhs"] - verify.EXACT_TOL) == (factor < 1.0)
 
 
 class TestExpEfronStein:
@@ -1240,7 +1274,7 @@ def oracle_kernel_poly_moments(model, kernel, p_list, s_grid, estimate=None):
 
     def inflation_term(j, v):
         r = radii[j, v]
-        knorm = _opnorms(on_neighbours(kernel, j, v))
+        knorm = svd_opnorms(on_neighbours(kernel, j, v))
         return (2.0 * knorm * r + r * r) / 2.0
 
     def moment(lam, q):
@@ -1279,58 +1313,145 @@ def oracle_kernel_poly_moments(model, kernel, p_list, s_grid, estimate=None):
             "pass": all(r["pass"] for r in results)}
 
 
+# the kernel bound read off its polynomial in s against the oracle's eigvalsh, relative
+KERNEL_RHS_RTOL = 1e-13
+
+
+def assert_kernel_report_matches(got, want):
+    """got's right-hand sides within KERNEL_RHS_RTOL of the oracle's (each grid
+    slack within that share of its rhs), its inflation within OPNORM_RTOL (the
+    oracle's norms are the SVD's), and every other field equal; s_star and
+    rhs_at_s_star, which the oracle does not report, are checked by the caller."""
+    def near(x, y, scale, rtol=KERNEL_RHS_RTOL):
+        return abs(x - y) <= rtol * scale
+
+    assert near(got["kernel_inflation"], want["kernel_inflation"], want["kernel_inflation"],
+                OPNORM_RTOL)
+    rest = json.loads(json.dumps(got))
+    rest["kernel_inflation"] = want["kernel_inflation"]
+    for g, w in zip(rest["results"], want["results"], strict=True):
+        assert near(g["best_rhs"], w["best_rhs"], w["best_rhs"])
+        g["best_rhs"] = w["best_rhs"]
+        del g["s_star"], g["rhs_at_s_star"]
+        for a, b in zip(g["grid"], w["grid"], strict=True):
+            assert near(a["rhs"], b["rhs"], b["rhs"]) and near(a["slack"], b["slack"], b["rhs"])
+            a["rhs"], a["slack"] = b["rhs"], b["slack"]
+    assert json.dumps(rest, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def eig_calls(monkeypatch) -> list:
+    """The shape of every stack handed to an eigendecomposition or SVD from now on."""
+    calls = []
+    for name in ("eigvalsh", "eigh", "eigvals", "eig", "svd"):
+        def counted(a, *args, _f=getattr(np.linalg, name), **kwargs):
+            calls.append(np.shape(a))
+            return _f(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 class TestKernelMomentGrid:
-    """The s-grid of kernel_poly_moments is decomposed in blocks of s values,
-    one batched eigvalsh each, with the per-s report bit for bit."""
+    """kernel_poly_moments reads every s of the grid, and the minimiser s*, off
+    the bound's polynomial in s: no s-grid eigendecomposition, each rhs the
+    per-s eigvalsh oracle's to roundoff."""
 
     @pytest.mark.parametrize("build", [
         lambda: hypercube_sum(3), lambda: stein.compound_covariance(2, 3),
         lambda: random_finite_model(3, 2, seed=5), lambda: stein.bounded_diff_demo(3),
+        lambda: hypercube_sum(4, d=4), lambda: stein.dilate_model(rect_demo(3)),
+        *ADDITIVE_MODELS,
     ])
     @pytest.mark.parametrize("estimated", [False, True])
     @pytest.mark.parametrize("s_grid", [verify.DEFAULT_S_GRID, (0.25, 1.0, 3.0)])
-    @pytest.mark.parametrize("per_block", [None, 2])
-    def test_report_equals_the_per_s_oracle(self, build, estimated, s_grid, per_block,
-                                            monkeypatch):
+    def test_report_matches_the_per_s_oracle(self, build, estimated, s_grid):
         m = build()
-        if per_block is not None:  # several blocks, the last one shorter
-            monkeypatch.setattr(stein, "_S_BLOCK", per_block * m.dist.cardinality)
         estimate = (8, 100, 3) if estimated else None
         k = EstimatedKernel(m, *estimate) if estimated else ExactKernel(m)
-        got = verify_kernel_poly_moments(m, k, [1, 2, 3], s_grid)
-        want = oracle_kernel_poly_moments(m, k, [1, 2, 3], s_grid, estimate)
-        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+        got = verify_kernel_poly_moments(m, k, [1, 2, 3, 4], s_grid)
+        assert_kernel_report_matches(got, oracle_kernel_poly_moments(m, k, [1, 2, 3, 4],
+                                                                     s_grid, estimate))
         assert (got["kernel_inflation"] > 0.0) == estimated
+        for row in got["results"]:
+            # s* is the oracle's minimiser: its rhs, no grid point's above it, and
+            # the rhs a step either side of it no lower
+            s_star, rhs_star = row["s_star"], row["rhs_at_s_star"]
+            at = oracle_kernel_poly_moments(m, k, [row["p"]], [s_star, s_star * 0.99,
+                                                                s_star / 0.99], estimate)
+            near = [r["rhs"] for r in at["results"][0]["grid"]]
+            assert abs(rhs_star - near[0]) <= KERNEL_RHS_RTOL * near[0]
+            assert rhs_star <= min(near[1:]) and rhs_star <= row["best_rhs"] * (1 + 1e-15)
 
-    def test_the_grid_takes_one_eigvalsh(self, monkeypatch):
-        # one for X and one for the 41 s values; one per s was 42 in all
+    @pytest.mark.parametrize("p_list", [[4], [6, 1], [5, 2], [3, 6, 3]])
+    def test_a_row_does_not_depend_on_the_other_p(self, p_list):
+        # the half powers a p needs are kept, the others dropped as the recursion climbs
+        m = random_finite_model(3, 2, seed=5)
+        k = ExactKernel(m)
+        rows = {r["p"]: r for r in verify_kernel_poly_moments(m, k, range(1, 7), [0.5, 2.0])[
+            "results"]}
+        got = verify_kernel_poly_moments(m, k, p_list, [0.5, 2.0])["results"]
+        assert json.dumps(got) == json.dumps([rows[p] for p in p_list])
+
+    def test_no_eigendecomposition_of_the_s_grid(self, monkeypatch):
+        # no decomposition of any s V_X + V^K/s, nor of anything else, once X's spectra are kept
         m = hypercube_sum(3)
         k = ExactKernel(m)
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
+        m.X_spectra()  # the left side's, kept on the model
+        calls = eig_calls(monkeypatch)
+        verify_kernel_poly_moments(m, k, [1, 2, 3], verify.DEFAULT_S_GRID)
+        assert calls == []
+        est = EstimatedKernel(m, 8, 100, 3)
+        calls.clear()  # the estimate's error budget takes its own eigvalsh
+        verify_kernel_poly_moments(m, est, [1, 2, 3], verify.DEFAULT_S_GRID)
+        assert calls == []
 
-        def counted(a, *args, **kwargs):
-            calls.append(np.shape(a))
-            return eigvalsh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        verify_kernel_poly_moments(m, k, [1, 2], verify.DEFAULT_S_GRID)
-        assert len(calls) <= 2
-
-    def test_memory_at_S_16384(self):
-        # one stack of every s at once took the peak to 42.3 MB; the per-s
-        # spectra kept for the whole grid, to 12.3 MB
-        m = hypercube_sum(14)
+    def test_p_above_the_cap_is_a_parameter_error(self):
+        m = hypercube_sum(2)
         k = ExactKernel(m)
-        stein.conditional_variance_map(m, k)
-        tracemalloc.start()
-        try:
-            rep = verify_kernel_poly_moments(m, k, [1, 2], verify.DEFAULT_S_GRID)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        verify_kernel_poly_moments(m, k, [verify.KERNEL_P_MAX], [1.0])
+        with pytest.raises(ParameterError, match="p up to 16, got 17"):
+            verify_kernel_poly_moments(m, k, [1, verify.KERNEL_P_MAX + 1], [1.0])
+
+    @pytest.mark.parametrize("estimated", [False, True])
+    def test_a_zero_map_reports_no_s_star(self, estimated):
+        # H constant: V_X = 0, and V^K = 0 or (estimated) its inflation times I, so
+        # no s minimises the bound; the zero V_X^p coefficient adds nothing at
+        # s = 1e300, where 0 * s^p would be NaN
+        dist = stein.ProductDistribution.uniform_pm1(2)
+        m = MatrixModel(dist, lambda zs: np.tile(np.eye(2), (len(zs), 1, 1)), 2, name="constant")
+        estimate = (8, 100, 3) if estimated else None
+        k = EstimatedKernel(m, *estimate) if estimated else ExactKernel(m)
+        assert (k.inflation > 0.0) == estimated
+        rep = verify_kernel_poly_moments(m, k, [1, 2, 3], [1.0, 1e300])
+        json.dumps(rep, allow_nan=False)
         assert rep["pass"] is True
-        assert peak < 16 * 2**20
+        assert_kernel_report_matches(rep, oracle_kernel_poly_moments(m, k, [1, 2, 3],
+                                                                     [1.0, 1e300], estimate))
+        for row in rep["results"]:
+            assert row["s_star"] is None and row["rhs_at_s_star"] is None
+            assert (row["grid"][0]["rhs"] > 0.0) == estimated
+
+    def test_laurent_leaves_zero_coefficients_out(self):
+        c = np.array([2.0, 0.0, 0.0])  # 2 s^-2: 0 * inf from the s^2 term would be NaN
+        assert verify._laurent(c, np.array([1e300, 1.0])).tolist() == [0.0, 2.0]
+        assert verify._laurent_argmin(c) is None
+        assert verify._laurent_argmin(np.array([0.0, 0.0, 3.0])) is None
+        assert verify._laurent_argmin(np.zeros(4)) is None
+        assert verify._laurent_argmin(np.array([0.0, 5.0, 0.0])) is None
+        # closed forms: sqrt(c0 / c1) at p = 1 and (c0 / c2)^(1/4) at p = 2
+        assert verify._laurent_argmin(np.array([9.0, 1.0])) == pytest.approx(3.0, rel=1e-15)
+        assert verify._laurent_argmin(np.array([16.0, 7.0, 1.0])) == pytest.approx(2.0, rel=1e-15)
+
+    @pytest.mark.parametrize("c", [[1e-200, 1.0, 1e3, 1e200], [1.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+                                   [5.0, 4.0, 3.0, 2.0, 1.0, 0.5, 0.25, 0.1],
+                                   [0.0, 1.0, 1e-12, 0.0, 7.0]])
+    def test_laurent_argmin_is_a_stationary_point(self, c):
+        # Newton in log s from the outer terms' balance, with a bracket: at s* the
+        # slope sum_j (2j - p) c_j s^(2j - p) vanishes to roundoff of its terms
+        c = np.array(c)
+        s = verify._laurent_argmin(c)
+        k = 2 * np.arange(len(c)) - (len(c) - 1)
+        terms = k * c * s ** k.astype(float)
+        assert abs(terms.sum()) <= 1e-13 * np.abs(terms).sum()
 
     def test_right_hand_side_overflow_is_a_domain_error(self):
         m = hypercube_sum(2)
