@@ -7,7 +7,6 @@ error.
 """
 from __future__ import annotations
 
-import functools
 import io
 import json
 import math
@@ -27,13 +26,6 @@ from .matcore import (
     _integer,
     _real,
 )
-
-SCHEMA_VERSION = verify.SCHEMA_VERSION
-
-
-class VerificationFailure(Exception):
-    """A check ran to completion and did not pass."""
-
 
 # ---------------------------------------------------------------------------
 # the readers of config keys: each is (value, key) -> the value read, whether the
@@ -142,9 +134,6 @@ def _emit(text: str, out: str | None) -> None:
             os.ftruncate(fh.fileno(), len(data))
 
 
-_REQUIRED = object()  # the default of a key that must be set
-
-
 class _Config(dict):
     """A verb's merged config, which reads each key by the verb's reader for it
     and records each key read."""
@@ -153,14 +142,14 @@ class _Config(dict):
         super().__init__(items)
         self.readers, self.read = readers, set()
 
-    def get(self, key, default=_REQUIRED):
+    def get(self, key, default=verify.REQUIRED):
         """The value of ``key``, or else ``default``, read by the key's reader;
         only an absent key or null is unset, and an unset key with no default
         is a config error that names it.  A default of None is returned as it is."""
         self.read.add(key)
         value = super().get(key)
         if value is None:
-            if default is _REQUIRED:
+            if default is verify.REQUIRED:
                 raise ParameterError(f"{key} is required")
             value = default
         return None if value is None else self.readers[key](value, key)
@@ -242,92 +231,30 @@ def bound(cfg: _Config) -> None:
     _emit(text.getvalue(), out)
 
 
-def _kernel_identities_report(model) -> dict:
-    kern = stein.ExactKernel(model)
-    ident = stein.check_stein_identity(model, kern)
-    anti, asym = stein.pair_asymmetries(model, kern)
-    forms = {
-        "I": lambda x: np.eye(model.d),
-        "X": lambda x: x,
-        "X3": lambda x: x @ x @ x,
-    }
-    pairs = {k: stein.exchangeable_pairs_identity(model, kern, f) for k, f in forms.items()}
-    centering = stein.kernel_mean_norm(model, kern)
-    tol = verify.EXACT_TOL
-    ok = (ident.residual <= tol and centering <= tol and anti == 0.0
-          and asym == 0.0 and all(r <= tol for r in pairs.values()))
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "check": "kernel_identities",
-        "model": model.name,
-        "stein_residual": ident.residual,
-        "stein_radius": ident.radius,
-        "pairs_identity": pairs,
-        "antisymmetry_max": anti,
-        "centering_norm": centering,
-        "pmf_asymmetry": asym,
-        "kernel_iterations": kern.iterations,
-        "tolerance": tol,
-        "pass": bool(ok),
-    }
+def _row(table: dict, what: str, name: str, cfg: _Config) -> tuple:
+    """call, and the values it reads, of the row ``name`` of a table of verify:
+    a key given is read by its reader, an unset key is its default as it is."""
+    if name not in table:
+        raise ParameterError(f"unknown {what} {name!r}")
+    keys, call, *reads = table[name]
 
+    def get(key):
+        value = cfg.get(key, keys[key] if keys[key] is verify.REQUIRED else None)
+        return keys[key] if value is None else value
 
-def _kernel(cfg: dict):
-    """The kernel maker --kernel names: model -> ExactKernel or EstimatedKernel."""
-    kind = cfg.get("kernel", "exact")
-    if kind == "exact":
-        return stein.ExactKernel
-    if kind != "estimated":
-        raise ParameterError(f"unknown kernel kind {kind!r}")
-    horizon, samples, seed = cfg.get("horizon", None), cfg.get("samples", 200), cfg.get("seed")
-
-    def estimated(mdl):
-        h = stein.default_horizon(mdl.dist.n, mdl.max_h_norm()) if horizon is None else horizon
-        return stein.EstimatedKernel(mdl, horizon=h, samples=samples, seed=seed)
-
-    return estimated
+    return call, reads[0](get) if reads else [get(k) for k in keys]
 
 
 def verify_cmd(cfg: _Config) -> None:
     """Run an exact verification check; exit 0 iff it passes."""
     check = cfg.get("check")
-    if check == "poly_efron_stein":
-        ps = cfg.get("p", [1, 2, 3])
-        run = lambda mdl: verify.verify_poly_efron_stein(mdl, ps)
-    elif check == "exp_efron_stein":
-        thetas, psis = cfg.get("theta", [-0.3, -0.1, 0.1, 0.3]), cfg.get("psi", [1, 4])
-        run = lambda mdl: verify.verify_exp_efron_stein(mdl, thetas, psis)
-    elif check == "kernel_poly_moments":
-        kernel = _kernel(cfg)
-        ps, ss = cfg.get("p", [1, 2]), cfg.get("s", verify.DEFAULT_S_GRID)
-        run = lambda mdl: verify.verify_kernel_poly_moments(mdl, kernel(mdl), ps, ss)
-    elif check == "kernel_identities":
-        run = _kernel_identities_report
-    else:
-        raise ParameterError(f"unknown check {check!r}")
+    call, values = _row(verify.CHECKS, "check", check, cfg)
     mdl = _build_model(cfg)
     out = _reject_unread(cfg, f"check {check!r} on model {mdl.name!r}")
-    report = run(mdl)
+    report = call(mdl, *values)
     _emit_json(report, out)
     if not report["pass"]:
-        raise VerificationFailure(f"{check} failed")
-
-
-def _fuzz_suite(ineq: str, dims, cfg: dict):
-    """verify.fuzz_<ineq> as (trials, seed) -> report, with the grids the suite reads."""
-    if ineq == "pmvti":
-        args = (cfg.get("q", "1:7"), cfg.get("s", [0.25, 1, 4]))
-    elif ineq == "emvti":
-        args = (cfg.get("s", [0.25, 1, 4]),)
-    elif ineq == "young_commuting":
-        args = (cfg.get("p", 2.0),)
-    elif ineq == "operator_cs":
-        args = ()
-    elif ineq == "matrix_entropy_young":
-        args = (cfg.get("ensemble_size", 8),)
-    else:
-        raise ParameterError(f"unknown inequality {ineq!r}")
-    return functools.partial(getattr(verify, f"fuzz_{ineq}"), dims, *args)
+        raise verify.VerificationFailure(f"{check} failed")
 
 
 def fuzz(cfg: _Config) -> None:
@@ -335,17 +262,16 @@ def fuzz(cfg: _Config) -> None:
     name = cfg.get("ineq")
     trials, seed = _count(cfg.get("trials"), "trials"), cfg.get("seed")
     jobs = _count(cfg.get("jobs", 1), "jobs")
-    one = _fuzz_suite(name, cfg.get("d", "1:6"), cfg)
+    call, values = _row(verify.FUZZ_SUITES, "inequality", name, cfg)
     out = _reject_unread(cfg, f"fuzz suite {name!r}")
     counts = [trials // jobs + (1 if i < trials % jobs else 0) for i in range(jobs)]
-    tasks = [(c, seed + 7919 * i) for i, c in enumerate(counts) if c > 0]
     # the chunks run one after another: a batched sweep keeps its core busy,
     # so threads would only contend for it
-    report = (one(*tasks[0]) if len(tasks) == 1
-              else verify.merge_fuzz_reports([one(*t) for t in tasks]))
+    reports = [call(*values, c, seed + 7919 * i) for i, c in enumerate(counts) if c > 0]
+    report = reports[0] if len(reports) == 1 else verify.merge_fuzz_reports(reports)
     _emit_json(report.to_json(), out)
     if not report.passed:
-        raise VerificationFailure(f"fuzz {name} min_slack {report.min_slack}")
+        raise verify.VerificationFailure(f"fuzz {name} min_slack {report.min_slack}")
 
 
 def conjecture(cfg: _Config) -> None:
@@ -359,48 +285,14 @@ def conjecture(cfg: _Config) -> None:
 
 def couple(cfg: _Config) -> None:
     """Coupling-time statistics for antipodal starts on the hypercube."""
-    n, runs, seed = cfg.get("n"), _count(cfg.get("runs"), "runs", 2), cfg.get("seed")
-    max_steps = _count(cfg.get("max_steps", 1_000_000), "max_steps")
-    pw_runs = _count(cfg.get("pathwise_runs", 100), "pathwise_runs")
+    args = (cfg.get("n"), cfg.get("runs"), cfg.get("seed"), cfg.get("max_steps", 1_000_000),
+            cfg.get("pathwise_runs", 100))
     out = _reject_unread(cfg, "couple")
-    times = stein.sample_coupling_times(n, runs, seed, max_steps=max_steps)
-    if np.any(times < 0):
-        raise VerificationFailure("some runs exhausted max_steps before coupling")
-    mean = float(times.mean())
-    se = float(times.std(ddof=1)) / math.sqrt(runs)
-    expected = n * sum(1.0 / k for k in range(1, n + 1))
-    # se = 0 when every run couples at the same step (n = 1)
-    dev = abs(mean - expected) / se if se > 0 else (0.0 if mean == expected else math.inf)
-
-    model = stein.hypercube_sum(n)
-    z = tuple(1.0 for _ in range(n))
-    zp = tuple(-1.0 for _ in range(n))
-    pathwise_ok = True
-    for i in range(pw_runs):
-        run = stein.simulate_kernel_coupling(model, z, zp, max_steps, seed + 1 + i)
-        if run.coupling_time < 0 or run.first_all_drawn < 0:
-            raise VerificationFailure("pathwise run exhausted max_steps")
-        if run.coupling_time > run.first_all_drawn:
-            pathwise_ok = False
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "verb": "couple",
-        "n": n,
-        "runs": runs,
-        "seed": seed,
-        "mean": mean,
-        "std_error": se,
-        "expected": expected,
-        "deviation_sigmas": dev,
-        "max_time": int(times.max()),
-        "min_time": int(times.min()),
-        "pathwise_runs": pw_runs,
-        "pathwise_ok": pathwise_ok,
-        "pass": bool(dev <= 3.0 and pathwise_ok),
-    }
+    report = verify.coupling_statistics(*args)
     _emit_json(report, out)
     if not report["pass"]:
-        raise VerificationFailure(f"coupling statistics off by {dev:.2f} sigma")
+        raise verify.VerificationFailure(
+            f"coupling statistics off by {report['deviation_sigmas']:.2f} sigma")
 
 
 def tail(cfg: _Config) -> None:
@@ -417,8 +309,7 @@ def tail(cfg: _Config) -> None:
     report["model"] = mdl.name
     _emit_json(report, out)
     if not comparison.dominated:
-        raise VerificationFailure(
-            f"bound violated at t = {comparison.violations}")
+        raise verify.VerificationFailure(f"bound violated at t = {comparison.violations}")
 
 
 def replay(cfg: _Config) -> None:
@@ -427,11 +318,11 @@ def replay(cfg: _Config) -> None:
     out = _reject_unread(cfg, "replay")
     case = payload.get("worst_case", payload) if isinstance(payload, dict) else payload
     result = verify.replay_case(case)
-    result["schema_version"] = SCHEMA_VERSION
+    result["schema_version"] = verify.SCHEMA_VERSION
     _emit_json(result, out)
     advisory = result["ineq"].startswith("conjecture")
     if not advisory and result["slack"] < -verify.FUZZ_TOL:
-        raise VerificationFailure(f"replayed slack {result['slack']}")
+        raise verify.VerificationFailure(f"replayed slack {result['slack']}")
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +442,7 @@ def _fail(code: int, kind: str, message: str, **extra) -> int:
 def main(argv=None) -> int:
     try:
         run(sys.argv[1:] if argv is None else argv)
-    except VerificationFailure as exc:
+    except verify.VerificationFailure as exc:
         return _fail(2, "verification", str(exc))
     except KeyboardInterrupt:
         return 130

@@ -40,6 +40,10 @@ SCHEMA_VERSION = 1
 DEFAULT_S_GRID = tuple(float(2.0 ** k) for k in np.linspace(-10.0, 10.0, 41))
 
 
+class VerificationFailure(Exception):
+    """A check ran to completion and did not pass."""
+
+
 def _norm_slacks(lhs, rhs):
     """(rhs - lhs) / max(1, |rhs| + |lhs|), entrywise."""
     return (rhs - lhs) / np.maximum(1.0, np.abs(rhs) + np.abs(lhs))
@@ -693,10 +697,11 @@ def _log_trace_mgf(probs: np.ndarray, lam: np.ndarray, scale: float) -> float:
     return math.log(mgf)
 
 
-def _exact_report(check: str, model: stein.MatrixModel, **fields) -> dict:
+def _exact_report(check: str, model: stein.MatrixModel, passed=None, **fields) -> dict:
+    """An exact check's report: it passes as ``passed`` says, else where all its results do."""
+    passed = all(r["pass"] for r in fields["results"]) if passed is None else passed
     return {"schema_version": SCHEMA_VERSION, "check": check, "model": model.name,
-            "tolerance": EXACT_TOL, **fields,
-            "pass": all(r["pass"] for r in fields["results"])}
+            "tolerance": EXACT_TOL, **fields, "pass": bool(passed)}
 
 
 def verify_poly_efron_stein(model: stein.MatrixModel, p_list) -> dict:
@@ -871,6 +876,89 @@ def variance_domination(model: stein.MatrixModel, kernel, tol: float = 1e-9) -> 
     return {"lambda_min_gap": gap, "pass": bool(gap >= -tol)}
 
 
+def verify_kernel_identities(model: stein.MatrixModel) -> dict:
+    """The exact kernel's identities: the Stein identity, the exchangeable-pairs
+    identity for F = I, X and X^3 and the kernel's centering, each within
+    EXACT_TOL, and the antisymmetry of K and of the pair's pmf, exactly."""
+    kern = stein.ExactKernel(model)
+    ident = stein.check_stein_identity(model, kern)
+    anti, asym = stein.pair_asymmetries(model, kern)
+    forms = {
+        "I": lambda x: np.eye(model.d),
+        "X": lambda x: x,
+        "X3": lambda x: x @ x @ x,
+    }
+    pairs = {k: stein.exchangeable_pairs_identity(model, kern, f) for k, f in forms.items()}
+    centering = stein.kernel_mean_norm(model, kern)
+    ok = (ident.residual <= EXACT_TOL and centering <= EXACT_TOL and anti == 0.0
+          and asym == 0.0 and all(r <= EXACT_TOL for r in pairs.values()))
+    return _exact_report("kernel_identities", model, ok, stein_residual=ident.residual,
+                         stein_radius=ident.radius, pairs_identity=pairs,
+                         antisymmetry_max=anti, centering_norm=centering,
+                         pmf_asymmetry=asym, kernel_iterations=kern.iterations)
+
+
+def kernel_maker(get):
+    """model -> kernel, from the keys kernel_poly_moments reads by ``get(key)``;
+    horizon, samples and seed are read for the estimated kernel only."""
+    kind = get("kernel")
+    if kind == "exact":
+        return stein.ExactKernel
+    if kind != "estimated":
+        raise ParameterError(f"unknown kernel kind {kind!r}")
+    horizon, samples, seed = get("horizon"), get("samples"), get("seed")
+
+    def estimated(model):
+        h = stein.default_horizon(model.dist.n, model.max_h_norm()) if horizon is None else horizon
+        return stein.EstimatedKernel(model, horizon=h, samples=samples, seed=seed)
+
+    return estimated
+
+
+def coupling_statistics(n: int, runs: int, seed: int, max_steps: int, pathwise_runs: int) -> dict:
+    """Coupling times of antipodal starts on the n-cube against the
+    coupon-collector mean n H_n, within 3 standard errors, and the pathwise
+    premise on ``pathwise_runs`` kernel couplings: the chains meet no later
+    than the step by which every coordinate has been drawn.  A run that
+    exhausts ``max_steps`` is a VerificationFailure."""
+    runs, max_steps = _count(runs, "runs", 2), _count(max_steps, "max_steps")
+    pathwise_runs = _count(pathwise_runs, "pathwise_runs")
+    times = stein.sample_coupling_times(n, runs, seed, max_steps=max_steps)
+    if np.any(times < 0):
+        raise VerificationFailure("some runs exhausted max_steps before coupling")
+    mean = float(times.mean())
+    se = float(times.std(ddof=1)) / math.sqrt(runs)
+    expected = n * sum(1.0 / k for k in range(1, n + 1))
+    # se = 0 when every run couples at the same step (n = 1)
+    dev = abs(mean - expected) / se if se > 0 else (0.0 if mean == expected else math.inf)
+
+    model = stein.hypercube_sum(n)
+    z, zp = (1.0,) * n, (-1.0,) * n
+    pathwise_ok = True
+    for i in range(pathwise_runs):
+        run = stein.simulate_kernel_coupling(model, z, zp, max_steps, seed + 1 + i)
+        if run.coupling_time < 0 or run.first_all_drawn < 0:
+            raise VerificationFailure("pathwise run exhausted max_steps")
+        if run.coupling_time > run.first_all_drawn:
+            pathwise_ok = False
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "verb": "couple",
+        "n": n,
+        "runs": runs,
+        "seed": seed,
+        "mean": mean,
+        "std_error": se,
+        "expected": expected,
+        "deviation_sigmas": dev,
+        "max_time": int(times.max()),
+        "min_time": int(times.min()),
+        "pathwise_runs": pathwise_runs,
+        "pathwise_ok": pathwise_ok,
+        "pass": bool(dev <= 3.0 and pathwise_ok),
+    }
+
+
 # ---------------------------------------------------------------------------
 # empirical tails
 
@@ -975,3 +1063,38 @@ def empirical_tail(model, samples: int, t_grid, seed: int, curve=None,
         out.violations = [float(t) for t, b, s in zip(t_grid, bound_vals, surv)
                           if b + radius < s]
     return out
+
+
+# ---------------------------------------------------------------------------
+# the tables of checks.  A row calls through this module's names at call time,
+# so a caller that rebinds verify.<name> (a tracer, a test's stub) reaches it.
+
+REQUIRED = object()  # the default of a key that must be set
+
+# check -> (each key it reads with its default, in the order it reads them,
+# and run(model, *values), its report on model); a check that reads some keys
+# only in some cases adds reads(get), its values, where get(key) reads a key
+CHECKS = {
+    "poly_efron_stein": ({"p": (1, 2, 3)}, lambda *a: verify_poly_efron_stein(*a)),
+    "exp_efron_stein": ({"theta": (-0.3, -0.1, 0.1, 0.3), "psi": (1, 4)},
+                        lambda *a: verify_exp_efron_stein(*a)),
+    "kernel_poly_moments": (
+        {"kernel": "exact", "horizon": None, "samples": 200, "seed": REQUIRED,
+         "p": (1, 2), "s": DEFAULT_S_GRID},
+        lambda model, kernel, p, s: verify_kernel_poly_moments(model, kernel(model), p, s),
+        lambda get: (kernel_maker(get), get("p"), get("s"))),
+    "kernel_identities": ({}, lambda *a: verify_kernel_identities(*a)),
+}
+
+_DIMS = (1, 2, 3, 4, 5, 6)  # the dimensions a fuzz suite draws by default
+
+# fuzz suite -> (its keys and defaults, and run(*values, trials, seed), its FuzzReport)
+FUZZ_SUITES = {
+    "pmvti": ({"d": _DIMS, "q": (1, 2, 3, 4, 5, 6, 7), "s": (0.25, 1, 4)},
+              lambda *a: fuzz_pmvti(*a)),
+    "emvti": ({"d": _DIMS, "s": (0.25, 1, 4)}, lambda *a: fuzz_emvti(*a)),
+    "young_commuting": ({"d": _DIMS, "p": 2.0}, lambda *a: fuzz_young_commuting(*a)),
+    "operator_cs": ({"d": _DIMS}, lambda *a: fuzz_operator_cs(*a)),
+    "matrix_entropy_young": ({"d": _DIMS, "ensemble_size": 8},
+                             lambda *a: fuzz_matrix_entropy_young(*a)),
+}

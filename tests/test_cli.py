@@ -956,7 +956,7 @@ def test_readme_commands_pass_the_key_rule(capsys, monkeypatch, tmp_path):
 
     for owner, name in [(verify, "verify_poly_efron_stein"), (verify, "verify_exp_efron_stein"),
                         (verify, "verify_kernel_poly_moments"), (stein, "EstimatedKernel"),
-                        (cli, "_kernel_identities_report"), (verify, "fuzz_pmvti"),
+                        (verify, "verify_kernel_identities"), (verify, "fuzz_pmvti"),
                         (verify, "fuzz_emvti"), (verify, "explore_conjecture"),
                         (stein, "sample_coupling_times"),
                         (verify, "empirical_tail"), (verify, "replay_case")]:
@@ -1020,6 +1020,82 @@ class TestCoupleVerb:
         assert run(argv + ["--out", str(a)], capsys)[0] == 0
         assert run(argv + ["--out", str(b)], capsys)[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_library_statistics_at_one_coordinate(self):
+        # n = 1 from the library: the standard error is 0 and the deviation 0
+        report = verify.coupling_statistics(1, 50, 3, 1_000_000, 5)
+        assert (report["mean"], report["expected"], report["std_error"]) == (1.0, 1.0, 0.0)
+        assert report["deviation_sigmas"] == 0.0 and report["pass"] is True
+
+    def test_an_exhausted_pathwise_run_writes_no_report(self, capsys, tmp_path):
+        # every sampled run couples within 3 steps, but a pathwise run does not
+        assert np.all(stein.sample_coupling_times(2, 2, 5, max_steps=3) >= 0)
+        with pytest.raises(verify.VerificationFailure,
+                           match="^pathwise run exhausted max_steps$"):
+            verify.coupling_statistics(2, 2, 5, 3, 20)
+        out = tmp_path / "report.json"
+        code, stdout, err = run(["couple", "--n", "2", "--runs", "2", "--seed", "5",
+                                 "--max-steps", "3", "--pathwise-runs", "20", "--out",
+                                 str(out)], capsys)
+        assert (code, stdout, json.loads(err)) == (2, "", {"error": {
+            "type": "verification", "message": "pathwise run exhausted max_steps"}})
+        assert not out.exists()
+
+
+BUILTIN_MODELS = {  # each built-in model at n = 3, with the CLI's defaults
+    "hypercube_sum": lambda: stein.hypercube_sum(3, 2),
+    "bounded_diff": lambda: stein.bounded_diff_demo(3, 2),
+    "compound_covariance": lambda: stein.compound_covariance(2, 3),
+    "rect_demo": lambda: stein.dilate_model(stein.rect_demo(3)),
+    "random_finite": lambda: stein.random_finite_model(3, 2, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
+def test_library_kernel_identities_are_the_verbs_bytes(capsys, tmp_path, name):
+    verb, library = tmp_path / "verb.json", tmp_path / "library.json"
+    code, _, err = run(["verify", "--check", "kernel_identities", "--model", name, "--n", "3",
+                        "--out", str(verb)], capsys)
+    assert code == 0, err
+    cli._emit_json(verify.verify_kernel_identities(BUILTIN_MODELS[name]()), str(library))
+    assert library.read_bytes() == verb.read_bytes()
+
+
+class TestCheckTables:
+    """verify.CHECKS and verify.FUZZ_SUITES name every check the verify and
+    fuzz verbs run, with the keys each reads."""
+
+    MODEL_KEYS = {"model", "model_file", "n", "d", "rows", "model_seed"}
+
+    def test_the_tables_name_every_check_and_suite(self):
+        assert sorted(verify.CHECKS) == ["exp_efron_stein", "kernel_identities",
+                                         "kernel_poly_moments", "poly_efron_stein"]
+        assert sorted(verify.FUZZ_SUITES) == ["emvti", "matrix_entropy_young", "operator_cs",
+                                              "pmvti", "young_commuting"]
+
+    @staticmethod
+    def flags(verb: str) -> set:
+        """The config keys of the flags of ``verb``."""
+        return set(cli._VERBS[verb][1])
+
+    def test_every_key_a_row_reads_is_a_flag_of_its_verb(self):
+        for keys, *_ in verify.CHECKS.values():
+            assert set(keys) <= self.flags("verify")
+        for keys, *_ in verify.FUZZ_SUITES.values():
+            assert set(keys) <= self.flags("fuzz")
+
+    def test_every_flag_of_a_check_or_suite_is_read_by_a_row(self):
+        read = {key for keys, *_ in verify.CHECKS.values() for key in keys}
+        assert self.flags("verify") - {"check", "out"} - self.MODEL_KEYS == read
+        read = {key for keys, *_ in verify.FUZZ_SUITES.values() for key in keys}
+        assert self.flags("fuzz") - {"ineq", "trials", "seed", "jobs", "out"} == read
+
+    @pytest.mark.parametrize("check", sorted(verify.CHECKS))
+    def test_every_check_passes_on_the_cube(self, capsys, check):
+        code, out, err = run(["verify", "--check", check, "--model", "hypercube_sum",
+                              "--n", "3"], capsys)
+        assert code == 0, err
+        assert json.loads(out)["check"] == check
 
 
 class TestTailVerb:
@@ -1274,16 +1350,15 @@ UNREACHED_ALLOWED = {
 def unreached_definitions() -> set:
     """Every function, class and method of src/ that no root reaches by name.
 
-    The roots are cli.main, the five fuzz_<ineq> suites that cli picks by
-    getattr, module-level code (which names every verb), and every name
+    The roots are cli.main, module-level code (which names every verb, and
+    in verify's tables every check and fuzz suite), and every name
     tests/test_acceptance.py calls.  A reached definition reaches every
     definition of each name its code mentions, and a class its own dunder
     methods.  Names, not types, are followed, so the walk can only
     under-count what is unreached.
     """
     defs = {}  # "module.qualified.name" -> (its simple name, the names it mentions)
-    roots = {"main"} | {f"fuzz_{ineq}" for ineq in (
-        "pmvti", "emvti", "young_commuting", "operator_cs", "matrix_entropy_young")}
+    roots = {"main"}
 
     def names(nodes) -> set:
         return {n.id if isinstance(n, ast.Name) else n.attr for node in nodes

@@ -1487,7 +1487,7 @@ def exact_reports(m) -> list:
             verify_exp_efron_stein(m, [-0.3, -0.1, 0.1, 0.3], [1.0, 4.0]),
             verify_kernel_poly_moments(m, k, [1, 2], verify.DEFAULT_S_GRID),
             verify_kernel_poly_moments(m, est, [1, 2], verify.DEFAULT_S_GRID),
-            cli._kernel_identities_report(m)]
+            verify.verify_kernel_identities(m)]
 
 
 def relative_deviations(a, b) -> list:
