@@ -320,8 +320,7 @@ def replay(cfg: _Config) -> None:
     result = verify.replay_case(case)
     result["schema_version"] = verify.SCHEMA_VERSION
     _emit_json(result, out)
-    advisory = result["ineq"].startswith("conjecture")
-    if not advisory and result["slack"] < -verify.FUZZ_TOL:
+    if not verify.replay_passed(result):
         raise verify.VerificationFailure(f"replayed slack {result['slack']}")
 
 

@@ -185,13 +185,21 @@ class ProductDistribution:
         return tuple(float(c.sample(rng)) for c in self.coords)
 
     def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        cols = [np.asarray(c.sample(rng, count), dtype=float) for c in self.coords]
-        return np.column_stack(cols)
+        """``count`` outcome rows: each coordinate's ``count`` draws in turn,
+        written as floats into its column of one (count, n) array."""
+        zs = np.empty((count, self.n))
+        for j, c in enumerate(self.coords):
+            zs[:, j] = c.sample(rng, count)
+        return zs
 
     def sample_outcomes(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """The draws of sample_many as positions in outcomes() order."""
-        idx = [c.sample_index(rng, count) for c in self.coords]
-        return np.ravel_multi_index(idx, self.shape)
+        """The draws of sample_many as positions in outcomes() order, built one
+        coordinate at a time; exact integers, so np.ravel_multi_index's."""
+        flat = np.zeros(count, dtype=np.intp)
+        for c, size in zip(self.coords, self.shape):
+            flat *= size
+            flat += c.sample_index(rng, count)
+        return flat
 
     def _outcome_rows(self) -> np.ndarray:
         """Every outcome as a row of an (S, n) float array, in outcomes() order:
@@ -236,14 +244,30 @@ def _zkey(z) -> str:
     return json.dumps([float(v) for v in z])
 
 
-def _rows(H: Callable, zs, shape: tuple) -> np.ndarray:
-    """H at the outcome rows ``zs``: a finite float64 stack of ``shape``, complex128 if H is."""
+def _rows(H: Callable, zs, shape: tuple, finish: Callable = lambda hs: hs) -> np.ndarray:
+    """H at the outcome rows ``zs``: a finite float64 stack of ``shape``, complex128 if H is.
+
+    H runs on _ROW_BLOCK rows at a time; each block is checked, finished, and
+    written into one stack, upcast once if a later block is complex.  H maps
+    rows row by row, so the blocks give the bits of one call on all rows; at
+    most one block, the stack is the finished H's own.
+    """
     zs = np.asarray(zs, dtype=float)
-    hs = np.asarray(H(zs))
-    hs = hs.astype(np.complex128 if np.iscomplexobj(hs) else np.float64, copy=False)
-    if hs.shape != (len(zs),) + shape:
-        raise ShapeError(f"H returned shape {hs.shape}, expected {(len(zs),) + shape}")
-    return _finite(hs)
+    out = None
+    for lo in range(0, max(len(zs), 1), _ROW_BLOCK):
+        block = zs[lo:lo + _ROW_BLOCK]
+        hs = np.asarray(H(block))
+        hs = hs.astype(np.complex128 if np.iscomplexobj(hs) else np.float64, copy=False)
+        if hs.shape != (len(block),) + shape:
+            raise ShapeError(f"H returned shape {hs.shape}, expected {(len(block),) + shape}")
+        hs = finish(_finite(hs))
+        if len(block) == len(zs):
+            return hs
+        if out is None:
+            out = np.empty((len(zs),) + shape, hs.dtype)
+        out = out.astype(np.result_type(out, hs), copy=False)
+        out[lo:lo + _ROW_BLOCK] = hs
+    return out
 
 
 class MatrixModel:
@@ -280,9 +304,9 @@ class MatrixModel:
 
     def H_rows(self, zs) -> np.ndarray:
         """H at each row of ``zs`` (an array, or outcome tuples), shape
-        (len(zs), d, d): one call of H, symmetrised."""
-        hs = _rows(self._H, zs, (self.d, self.d))
-        return (hs + hs.conj().swapaxes(-1, -2)) / 2
+        (len(zs), d, d): _rows's blocks of H, each symmetrised as it is written."""
+        return _rows(self._H, zs, (self.d, self.d),
+                     lambda hs: (hs + hs.conj().swapaxes(-1, -2)) / 2)
 
     @property
     def exact(self) -> bool:
@@ -341,8 +365,13 @@ class MatrixModel:
         return float(np.max(_opnorms(self.H_tensor())))
 
     def sample_X(self, count: int, seed: int) -> np.ndarray:
-        """Draw ``count`` centered samples X = H(Z) - E H(Z), shape (count, d, d)."""
-        return self.H_rows(self.dist.sample_many(_rng(seed), _count(count, "count"))) - self.mean()
+        """Draw ``count`` centered samples X = H(Z) - E H(Z), shape (count, d, d),
+        subtracting the mean in place."""
+        xs = self.H_rows(self.dist.sample_many(_rng(seed), _count(count, "count")))
+        mean = self.mean()
+        xs = xs.astype(np.result_type(xs, mean), copy=False)  # real rows, complex mean
+        xs -= mean
+        return xs
 
     # -- coordinate surgery
 
@@ -778,6 +807,10 @@ def _standard_error(sq_sum, est, samples: int):
 # holds at most max(len(starts), 2 * _KERNEL_BLOCK) chains, so its memory does
 # not grow with ``samples``.
 _KERNEL_BLOCK = 4096
+
+# Rows per call of H in _rows, so that evaluating H holds one output stack and
+# one block's intermediates, however many rows it is given.
+_ROW_BLOCK = 4096
 
 
 def _chain_sums(model: MatrixModel, starts: np.ndarray, horizon: int, samples: int,

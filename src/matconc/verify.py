@@ -664,6 +664,12 @@ def replay_case(case: dict) -> dict:
     return {"ineq": ineq, "lhs": lhs, "rhs": rhs, "slack": float(_norm_slacks(lhs, rhs))}
 
 
+def replay_passed(result: dict) -> bool:
+    """The verdict on a replay_case result: a ``conjecture_*`` case is advisory
+    and always passes; any other fails when its slack is below -FUZZ_TOL."""
+    return result["ineq"].startswith("conjecture") or not result["slack"] < -FUZZ_TOL
+
+
 # ---------------------------------------------------------------------------
 # exact theorem checks on finite models: every Schatten moment and trace mgf is
 # read off the kept spectra of X and V, or of each block of the kernel's s-grid

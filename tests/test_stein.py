@@ -744,6 +744,145 @@ class TestModels:
         np.testing.assert_allclose(h[:rm.rows, rm.rows:], rm.H(z), atol=1e-14)
 
 
+def _model_file(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(compound_covariance(2, 2).to_json()))
+    return MatrixModel.from_json(json.loads(path.read_text()))
+
+
+# builders of one model each, given a directory to write a model file in
+BLOCK_MODELS = {
+    "hypercube_sum": lambda tmp: hypercube_sum(5, d=3),
+    "bounded_diff_demo": lambda tmp: stein.bounded_diff_demo(4, d=3),
+    "compound_pm1": lambda tmp: compound_covariance(2, 3),
+    "compound_uniform": lambda tmp: compound_covariance(2, 3, entry_dist="uniform"),
+    "compound_complex_B": lambda tmp: compound_covariance(
+        2, 2, B=np.array([[2.0, 0.5j], [-0.5j, 1.0]]), entry_dist="uniform"),
+    "random_finite_model": lambda tmp: random_finite_model(6, 3, 0),
+    "model_file": _model_file,
+    "dilated_rect_demo": lambda tmp: dilate_model(rect_demo(3)),
+}
+ROW_COUNTS = [stein._ROW_BLOCK - 1, stein._ROW_BLOCK, stein._ROW_BLOCK + 1,
+              3 * stein._ROW_BLOCK + 5]
+
+
+class TestRowBlocks:
+    """H over blocks of _ROW_BLOCK rows, and draws written in place, are bit
+    for bit one call of H on every row and the stacked per-coordinate draws."""
+
+    @staticmethod
+    def one_call(m, zs, monkeypatch):
+        """The raw H on all of ``zs`` at once, then symmetrised; unblocked
+        throughout, since the dilation's H calls the rectangular H_rows."""
+        with monkeypatch.context() as mp:
+            mp.setattr(stein, "_ROW_BLOCK", 2**62)
+            h = np.asarray(m._H(np.asarray(zs, dtype=float)))
+        return (h + h.conj().swapaxes(-1, -2)) / 2
+
+    @staticmethod
+    def column_draws(dist, seed, count):
+        rng = _rng(seed)
+        return np.column_stack([np.asarray(c.sample(rng, count), dtype=float)
+                                for c in dist.coords])
+
+    @pytest.mark.parametrize("count", ROW_COUNTS)
+    @pytest.mark.parametrize("name", sorted(BLOCK_MODELS))
+    def test_H_rows_is_one_call_of_H(self, name, count, tmp_path, monkeypatch):
+        m = BLOCK_MODELS[name](tmp_path)
+        zs = m.dist.sample_many(_rng(count), count)
+        got, want = m.H_rows(zs), self.one_call(m, zs, monkeypatch)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_MODELS))
+    def test_sampling_above_one_block_is_the_column_draws(self, name, tmp_path, monkeypatch):
+        m, count = BLOCK_MODELS[name](tmp_path), ROW_COUNTS[-1]
+        zs = self.column_draws(m.dist, 4, count)
+        assert np.array_equal(m.dist.sample_many(_rng(4), count), zs)
+        xs, want = m.sample_X(count, seed=4), self.one_call(m, zs, monkeypatch) - m.mean()
+        assert xs.dtype == want.dtype and np.array_equal(xs, want)
+        if m.dist.finite:
+            rng = _rng(5)
+            idx = [c.sample_index(rng, count) for c in m.dist.coords]
+            assert np.array_equal(m.dist.sample_outcomes(_rng(5), count),
+                                  np.ravel_multi_index(idx, m.dist.shape))
+
+    @staticmethod
+    def later_block_model(change):
+        """A d = 2 model with H(z) = z_1 I, but change(H, z_2) on a block
+        holding a row with z_2 = 1, and 3 * _ROW_BLOCK + 3 rows of which only
+        those of the second block have z_2 = 1."""
+        def H(zs):
+            hs = zs[:, :1, None] * np.eye(2)
+            return change(hs, zs[:, 1, None, None]) if (zs[:, 1] == 1).any() else hs
+
+        B = stein._ROW_BLOCK
+        zs = np.zeros((3 * B + 3, 2))
+        zs[:, 0], zs[B:2 * B, 1] = np.arange(3 * B + 3) % 3 - 1.0, 1.0
+        # z_2 = 1 is an outcome, of probability 0: in the tensor and the mean, never drawn
+        coords = [FiniteCoord([(-1.0, 0.5), (1.0, 0.5)]), FiniteCoord([(0.0, 1.0), (1.0, 0.0)])]
+        return MatrixModel(ProductDistribution(coords), H, 2), zs
+
+    def test_a_later_complex_block_upcasts_the_stack(self, monkeypatch):
+        # row by row, z_1 I + i z_2 (E_12 - E_21): complex on a call with z_2 = 1
+        m, zs = self.later_block_model(
+            lambda hs, z2: hs + 1j * z2 * np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        assert m.H_rows(zs[:stein._ROW_BLOCK]).dtype == np.float64
+        got, want = m.H_rows(zs), self.one_call(m, zs, monkeypatch)
+        assert got.dtype == want.dtype == np.complex128 and np.array_equal(got, want)
+        for lo in range(0, len(zs), stein._ROW_BLOCK):  # a real block after it: no imag lost
+            rows = zs[lo:lo + stein._ROW_BLOCK]
+            assert np.array_equal(got[lo:lo + stein._ROW_BLOCK], m.H_rows(rows))
+        assert got[stein._ROW_BLOCK:2 * stein._ROW_BLOCK].imag.any()
+        # real draws less a complex mean, as a complex stack
+        assert m.mean().dtype == np.complex128
+        xs = m.sample_X(10, seed=1)
+        want = m.H_rows(m.dist.sample_many(_rng(1), 10)) - m.mean()
+        assert xs.dtype == want.dtype == np.complex128 and np.array_equal(xs, want)
+
+    @pytest.mark.parametrize("change, error, match", [
+        (lambda hs, z2: np.zeros((len(hs), 3, 3)), stein.ShapeError, "expected"),
+        (lambda hs, z2: hs * math.nan, DomainError, "finite"),
+    ], ids=["shape", "nan"])
+    def test_a_later_bad_block_is_refused(self, change, error, match):
+        m, zs = self.later_block_model(change)
+        m.H_rows(zs[:stein._ROW_BLOCK])
+        with pytest.raises(error, match=match):
+            m.H_rows(zs)
+
+    @staticmethod
+    def traced_peak(call) -> tuple:
+        tracemalloc.start()
+        try:
+            out = call()
+            return tracemalloc.get_traced_memory()[1], out.nbytes
+        finally:
+            tracemalloc.stop()
+
+    # (the call, the bound on its traced peak as a multiple of its output):
+    # each peaked at more than its bound when H ran in one call on every row
+    # and the draws were stacked, at 2.5, 6.3, 2.0 and 7.2 times the output
+    def test_H_rows_memory_is_one_output_stack(self):
+        m = compound_covariance(2, 3, entry_dist="uniform")
+        zs = m.dist.sample_many(_rng(1), 2**16)
+        peak, size = self.traced_peak(lambda: m.H_rows(zs))
+        assert peak < 1.5 * size
+
+    def test_H_tensor_memory_is_bounded_by_the_tensor(self):
+        m = random_finite_model(16, 3, 0)
+        peak, size = self.traced_peak(m.H_tensor)
+        assert peak < 3 * size
+
+    def test_sample_many_memory_is_one_array_of_draws(self):
+        dist = compound_covariance(2, 3, entry_dist="uniform").dist
+        peak, size = self.traced_peak(lambda: dist.sample_many(_rng(2), 10**5))
+        assert peak < 1.5 * size
+
+    def test_sample_outcomes_memory_is_bounded_by_the_indices(self):
+        dist = compound_covariance(2, 3).dist
+        peak, size = self.traced_peak(lambda: dist.sample_outcomes(_rng(2), 10**5))
+        assert peak < 4 * size
+
+
 class TestModelDtype:
     """Stacks keep the dtype of H, from H_rows to the kernels."""
 

@@ -55,6 +55,7 @@ from matconc.verify import (
     fuzz_young_commuting,
     merge_fuzz_reports,
     replay_case,
+    replay_passed,
     sample_statistics,
     variance_domination,
     verify_exp_efron_stein,
@@ -1019,6 +1020,27 @@ class TestReplay:
         assert out["rhs"] == pytest.approx(2.0, rel=1e-13)
         assert out["lhs"] > out["rhs"]
         assert out["slack"] == pytest.approx(-1.0 / 3.0, rel=1e-13)
+
+    def test_conjecture_replay_is_advisory(self):
+        # the counterexample above: slack -1/3, yet a conjecture_* case passes
+        case = {"ineq": "conjecture_poly", "q": 2, "s": 1.0,
+                **{k: HermitianMatrix(scalar(v)).to_json() for k, v in zip("ABC", (0, -2, -1))}}
+        out = replay_case(case)
+        assert out["slack"] < -verify.FUZZ_TOL and replay_passed(out)
+        assert replay_passed({"ineq": "conjecture_exp", "slack": -math.inf})
+
+    @pytest.mark.parametrize("slack, passed", [
+        (0.5, True), (0.0, True), (-verify.FUZZ_TOL, True), (-2 * verify.FUZZ_TOL, False),
+        (-1.0, False), (math.nan, True)])
+    def test_theorem_replay_fails_below_the_fuzz_tolerance(self, slack, passed):
+        # a NaN slack is not below the tolerance, so it passes, as it always has
+        for ineq in ("pmvti", "emvti", "young_commuting", "operator_cs",
+                     "matrix_entropy_young"):
+            assert replay_passed({"ineq": ineq, "slack": slack}) is passed
+
+    def test_fuzz_worst_case_replay_passes(self):
+        r = fuzz_pmvti([1, 2], [2, 4], [0.5, 1.0], trials=30, seed=2)
+        assert replay_passed(replay_case(r.worst_case))
 
     @pytest.mark.parametrize("seed", range(1, 9))
     def test_every_stored_case_replays_bit_exact(self, seed):
