@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import bounds, stein, verify
+from . import _lazy, verify
 from .matcore import (
     DomainError,
     ParameterError,
@@ -26,6 +26,9 @@ from .matcore import (
     _integer,
     _real,
 )
+
+# run on first use: the fuzz verbs read neither
+bounds, stein = _lazy("bounds"), _lazy("stein")
 
 # ---------------------------------------------------------------------------
 # the readers of config keys: each is (value, key) -> the value read, whether the

@@ -164,12 +164,7 @@ class ProductDistribution:
     def locate(self, zs) -> np.ndarray:
         """Positions in outcomes() order of the rows of ``zs``, an (m, n) array."""
         shape = self.shape
-        try:
-            zs = np.array(zs, dtype=float, ndmin=2)
-        except (TypeError, ValueError):
-            zs = None
-        if zs is None or zs.shape[1:] != (self.n,):
-            raise ParameterError(f"outcome rows must be rows of {self.n} numbers")
+        zs = _row_array(zs, self.n)
         q = _coord_keys(np.arange(self.n), zs)
         pos = np.minimum(np.searchsorted(self._keys, q), len(self._keys) - 1)
         found = (self._keys[pos] == q).all(axis=1)
@@ -244,15 +239,28 @@ def _zkey(z) -> str:
     return json.dumps([float(v) for v in z])
 
 
-def _rows(H: Callable, zs, shape: tuple, finish: Callable = lambda hs: hs) -> np.ndarray:
-    """H at the outcome rows ``zs``: a finite float64 stack of ``shape``, complex128 if H is.
+def _row_array(zs, n: int) -> np.ndarray:
+    """``zs`` as an (m, n) float array, or the ParameterError of a row of another width."""
+    try:
+        zs = np.asarray(zs, dtype=float)
+    except (TypeError, ValueError):
+        zs = None
+    if zs is None or zs.ndim != 2 or zs.shape[1] != n:
+        raise ParameterError(f"outcome rows must be rows of {n} numbers")
+    return zs
+
+
+def _rows(H: Callable, zs, n: int, shape: tuple,
+          finish: Callable = lambda hs: hs) -> np.ndarray:
+    """H at the outcome rows ``zs`` of n numbers each: a finite float64 stack
+    of ``shape``, complex128 if H is.
 
     H runs on _ROW_BLOCK rows at a time; each block is checked, finished, and
     written into one stack, upcast once if a later block is complex.  H maps
     rows row by row, so the blocks give the bits of one call on all rows; at
     most one block, the stack is the finished H's own.
     """
-    zs = np.asarray(zs, dtype=float)
+    zs = _row_array(zs, n)
     out = None
     for lo in range(0, max(len(zs), 1), _ROW_BLOCK):
         block = zs[lo:lo + _ROW_BLOCK]
@@ -305,7 +313,7 @@ class MatrixModel:
     def H_rows(self, zs) -> np.ndarray:
         """H at each row of ``zs`` (an array, or outcome tuples), shape
         (len(zs), d, d): _rows's blocks of H, each symmetrised as it is written."""
-        return _rows(self._H, zs, (self.d, self.d),
+        return _rows(self._H, zs, self.dist.n, (self.d, self.d),
                      lambda hs: (hs + hs.conj().swapaxes(-1, -2)) / 2)
 
     @property
@@ -428,7 +436,7 @@ class RectangularModel:
         self._mean = None
 
     def H_rows(self, zs) -> np.ndarray:
-        return _rows(self._H, zs, (self.rows, self.cols))
+        return _rows(self._H, zs, self.dist.n, (self.rows, self.cols))
 
     def H(self, z) -> np.ndarray:
         return self.H_rows([tuple(z)])[0]

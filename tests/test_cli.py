@@ -689,6 +689,64 @@ def test_the_package_imports_no_click():
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
+# the layers each step has run, read in a fresh interpreter: a layer that is not
+# yet run is absent from sys.modules or still of LazyLoader's module type
+LAYERS_SCRIPT = """
+import json, sys, types
+
+def ran():
+    return sorted(name[len("matconc."):] for name, module in sys.modules.items()
+                  if name.startswith("matconc.") and type(module) is types.ModuleType)
+
+tmp, seen, codes = sys.argv[1], {}, []
+import matconc
+seen["import matconc"] = ran()
+import matconc.cli as cli
+seen["import matconc.cli"] = ran()
+for argv in (["fuzz", "--ineq", "pmvti", "--trials", "20", "--seed", "1"],
+             ["conjecture", "--trials", "20", "--seed", "1"],
+             ["replay", "--case", tmp + "/fuzz.json"]):
+    codes.append(cli.main(argv + ["--out", f"{tmp}/{argv[0]}.json"]))
+seen["fuzz, conjecture, replay"] = ran()
+codes.append(cli.main(["bound", "--name", "gaussexp", "--d", "2", "--v", "1", "--c", "0",
+                       "--t", "0:1:0.5", "--out", tmp + "/bound.csv"]))
+seen["bound"] = ran()
+codes.append(cli.main(["verify", "--check", "poly_efron_stein", "--model", "hypercube_sum",
+                       "--n", "3", "--out", tmp + "/verify.json"]))
+seen["verify"] = ran()
+print(json.dumps({"codes": codes, "ran": seen}))
+"""
+
+
+def test_each_layer_runs_on_first_use(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", LAYERS_SCRIPT, str(tmp_path)],
+                          capture_output=True, text=True, env=SRC_ENV, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["codes"] == [0] * 5
+    fuzz_only = ["cli", "matcore", "verify"]
+    assert got["ran"] == {
+        "import matconc": [],
+        "import matconc.cli": fuzz_only,
+        "fuzz, conjecture, replay": fuzz_only,
+        "bound": ["bounds", *fuzz_only],
+        "verify": ["_accel", "bounds", "cli", "matcore", "stein", "verify"],
+    }
+
+
+def test_layers_read_and_import_as_before():
+    script = ("import matconc, types; lazy = matconc.stein; "
+              "m = matconc.stein.hypercube_sum(3); "
+              "from matconc import stein; import matconc.stein as again; "
+              "from matconc.stein import hypercube_sum; "
+              "assert stein is lazy is again and type(stein) is types.ModuleType; "
+              "assert hypercube_sum is stein.hypercube_sum; "
+              "print(m.H((1.0, 1.0, -1.0))[0, 0], matconc.verify.stein is stein)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=SRC_ENV, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "1.0 True\n"), proc.stderr
+
+
 HC2 = ["--model", "hypercube_sum", "--n", "2"]
 POLY = ["verify", "--check", "poly_efron_stein"]
 TAIL = ["tail", "--samples", "100", "--seed", "1"]

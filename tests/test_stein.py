@@ -701,6 +701,35 @@ class TestModels:
         with pytest.raises(stein.ShapeError):
             bad.mean()
 
+    @pytest.mark.parametrize("build", [
+        lambda: hypercube_sum(3),
+        lambda: stein.bounded_diff_demo(3),
+        lambda: compound_covariance(2, 3),
+        lambda: compound_covariance(2, 3, entry_dist="uniform"),
+        lambda: rect_demo(3),
+        lambda: dilate_model(rect_demo(3)),
+        lambda: random_finite_model(3, 2, seed=0),
+    ], ids=["hypercube_sum", "bounded_diff_demo", "compound_pm1", "compound_uniform",
+            "rect_demo", "dilated_rect_demo", "random_finite_model"])
+    def test_rows_of_another_width_are_refused(self, build):
+        # each of these once gave a matrix, numpy's ValueError or an IndexError
+        m = build()
+        n = m.dist.n
+        match = f"outcome rows must be rows of {n} numbers"
+        for rows in ([(1.0,) * (n - 1)], [(1.0,) * (n + 1)], [(1.0,) * n, (1.0,) * (n - 1)],
+                     [("a",) * n], (1.0,) * n, np.ones((2, n, 1))):
+            with pytest.raises(ParameterError, match=match):
+                m.H_rows(rows)
+        with pytest.raises(ParameterError, match=match):
+            m.H((1.0,) * (n - 1))
+        assert m.H_rows(np.ones((2, n))).shape[0] == 2
+
+    def test_a_coupling_start_of_another_width_is_refused(self):
+        m = hypercube_sum(3)
+        for z, zp in (((1.0, 1.0), (-1.0, -1.0)), ((1.0,) * 3, (-1.0,) * 4)):
+            with pytest.raises(ParameterError, match="rows of 3 numbers"):
+                simulate_kernel_coupling(m, z, zp, 10, 1)
+
     def test_non_numeric_B_is_a_parameter_error(self):
         # B taken positionally: a typed error, not numpy's bare ValueError
         with pytest.raises(ParameterError, match="must be numbers"):
