@@ -264,7 +264,8 @@ def fuzz(cfg: _Config) -> None:
     """Fuzz one trace inequality; exit 0 iff min slack clears the threshold."""
     name = cfg.get("ineq")
     trials, seed = _count(cfg.get("trials"), "trials"), cfg.get("seed")
-    jobs = _count(cfg.get("jobs", 1), "jobs")
+    # a chunk past the last trial would run none: at most one chunk per trial
+    jobs = min(_count(cfg.get("jobs", 1), "jobs"), trials)
     call, values = _row(verify.FUZZ_SUITES, "inequality", name, cfg)
     out = _reject_unread(cfg, f"fuzz suite {name!r}")
     counts = [trials // jobs + (1 if i < trials % jobs else 0) for i in range(jobs)]

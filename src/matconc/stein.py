@@ -127,7 +127,7 @@ class ProductDistribution:
             raise ParameterError("need at least one coordinate")
         self.coords = tuple(coords)
         self.finite = all(isinstance(c, FiniteCoord) for c in self.coords)
-        # read on every H cache miss, through MatrixModel.exact
+        # read on every locate and every MatrixModel.exact test
         self._shape = tuple(len(c) for c in self.coords) if self.finite else None
         self._probs = None  # kept by probabilities()
         if self.finite:
@@ -294,21 +294,14 @@ class MatrixModel:
         self.name = name or "model"
         self._mean = None
         self.mean_provenance = None
-        self._h_cache: dict = {}
+        self._h_cache: dict = {}  # never written; perfbench's H hook reads it
         self._tensor = self._x_tensor = self._v_map = self._x_spectra = self._v_spectra = None
 
     # -- evaluation
 
     def H(self, z) -> np.ndarray:
-        """H at one outcome, one row of ``H_rows``; memoised on exact models only,
-        since sampled outcomes of a continuous model do not repeat."""
-        key = tuple(z)
-        got = self._h_cache.get(key)
-        if got is None:
-            got = self.H_rows([key])[0]
-            if self.exact and len(self._h_cache) < 4 * ENUM_CUTOFF:
-                self._h_cache[key] = got
-        return got
+        """H at one outcome: one row of ``H_rows``."""
+        return self.H_rows([z])[0]
 
     def H_rows(self, zs) -> np.ndarray:
         """H at each row of ``zs`` (an array, or outcome tuples), shape
@@ -438,10 +431,7 @@ class RectangularModel:
     def H_rows(self, zs) -> np.ndarray:
         return _rows(self._H, zs, self.dist.n, (self.rows, self.cols))
 
-    def H(self, z) -> np.ndarray:
-        return self.H_rows([tuple(z)])[0]
-
-    exact = MatrixModel.exact
+    H, X, exact = MatrixModel.H, MatrixModel.X, MatrixModel.exact
 
     def mean(self) -> np.ndarray:
         if self._mean is None:
@@ -451,9 +441,6 @@ class RectangularModel:
             # the sum along axis 0 adds the outcomes one after another
             self._mean = (self.dist.probabilities().reshape(-1, 1, 1) * hs).sum(axis=0)
         return self._mean
-
-    def X(self, z) -> np.ndarray:
-        return self.H(z) - self.mean()
 
 
 def dilate_model(model: RectangularModel) -> MatrixModel:
@@ -651,11 +638,6 @@ def _require_kernel(model: MatrixModel, kernel) -> None:
 # variance proxy
 
 
-def _entry(model: MatrixModel, T: np.ndarray, z) -> HermitianMatrix:
-    """The outcome tensor T at the outcome z."""
-    return HermitianMatrix(outcome_stack(T)[model.dist.index(z)])
-
-
 def variance_proxy_map(model: MatrixModel) -> np.ndarray:
     """V = (1/2) sum_j E_v (H - H_{j<-v})^2 at every outcome, as an outcome
     tensor: built on first use, and kept read-only on the model."""
@@ -680,7 +662,7 @@ def variance_proxy(model: MatrixModel, z, samples: int | None = None,
     order.
     """
     if model.exact:
-        return _entry(model, variance_proxy_map(model), z)
+        return HermitianMatrix(outcome_stack(variance_proxy_map(model))[model.dist.index(z)])
     if samples is None or seed is None:
         raise ParameterError("models that cannot be enumerated need samples and seed")
     samples = _count(samples, "samples")
@@ -747,8 +729,9 @@ class _OutcomeKernel:
         return g[:, None] - g[None, :]
 
     def at(self, z, zp) -> np.ndarray:
+        i, ip = self.model.dist.locate([z, zp])
         g = outcome_stack(self.g)
-        return g[self.model.dist.index(z)] - g[self.model.dist.index(zp)]
+        return g[i] - g[ip]
 
 
 class ExactKernel(_OutcomeKernel):
@@ -873,8 +856,8 @@ def estimate_kernel(model: MatrixModel, z, zp, horizon: int, samples: int,
     seed = _count(seed, "seed", 0)
     z = tuple(float(v) for v in z)
     zp = tuple(float(v) for v in zp)
-    # index() rejects a state off the support, of any length
-    starts = np.array([model.dist.index(z), model.dist.index(zp)])
+    # locate() rejects a state off the support, of any length
+    starts = model.dist.locate([z, zp])
     acc = 0.0
     acc_sq = 0.0
     for sums in _chain_sums(model, starts, horizon, samples, seed):
@@ -951,9 +934,10 @@ def conditional_variance_map(model: MatrixModel, kernel) -> tuple:
 
 def conditional_variances(model: MatrixModel, kernel, z) -> tuple:
     """(V_X(z), V^K(z)) as HermitianMatrix, the entries of conditional_variance_map at z."""
-    vk = _vk_map(model, kernel)
-    v = outcome_stack(variance_proxy_map(model))[model.dist.index(z)]
-    return HermitianMatrix(v * (1.0 / model.dist.n)), _entry(model, vk, z)
+    vk = outcome_stack(_vk_map(model, kernel))
+    i = model.dist.index(z)
+    v = outcome_stack(variance_proxy_map(model))[i]
+    return HermitianMatrix(v * (1.0 / model.dist.n)), HermitianMatrix(vk[i])
 
 
 @dataclass(frozen=True)
@@ -1082,17 +1066,18 @@ def simulate_kernel_coupling(model: MatrixModel, z, zp, max_steps: int,
 
     Refreshed coordinates agree from then on, so the chains meet exactly when
     every initially-differing coordinate has been drawn; coupling_time is the
-    first such step (0 if the starts agree, -1 if max_steps runs out).
+    first such step (0 if the starts agree, -1 if max_steps runs out).  H runs
+    once, on every state of the trajectory stacked.
     """
     z = tuple(float(v) for v in z)
     zp = tuple(float(v) for v in zp)
     n = model.dist.n
+    _row_array([z, zp], n)  # starts of another width fail before the first step
     seed, max_steps = _count(seed, "seed", 0), _count(max_steps, "max_steps", 0)
     rng = _rng(seed)
     a, b = z, zp
     traj = [(a, b)]
     draws = []
-    diffs = [model.H(a) - model.H(b)]
     coupling_time = 0 if a == b else -1
     drawn = set()
     first_all = -1
@@ -1103,7 +1088,6 @@ def simulate_kernel_coupling(model: MatrixModel, z, zp, max_steps: int,
         b = model.replace(b, j, v)
         draws.append((j, v))
         traj.append((a, b))
-        diffs.append(model.H(a) - model.H(b))
         drawn.add(j)
         if first_all < 0 and len(drawn) == n:
             first_all = step
@@ -1111,8 +1095,9 @@ def simulate_kernel_coupling(model: MatrixModel, z, zp, max_steps: int,
             coupling_time = step
         if coupling_time >= 0 and first_all >= 0:
             break
+    hs = model.H_rows(np.array(traj).reshape(-1, n)).reshape(len(traj), 2, model.d, model.d)
     return CouplingRun(traj, draws, coupling_time, first_all, seed,
-                       _opnorms(np.stack(diffs)).tolist())
+                       _opnorms(hs[:, 0] - hs[:, 1]).tolist())
 
 
 def sample_coupling_times(n: int, runs: int, seed: int,

@@ -675,15 +675,7 @@ def replay_passed(result: dict) -> bool:
 
 # ---------------------------------------------------------------------------
 # exact theorem checks on finite models: every Schatten moment and trace mgf is
-# read off the kept spectra of X and V, or of each block of the kernel's s-grid
-
-
-def _moments(probs: np.ndarray, lam: np.ndarray, q: float) -> list:
-    """E ||M||_q^q for each stack (..., S, d) of eigenvalue rows lam of
-    Hermitian M(z), one dot per stack; inf where it overflows."""
-    with np.errstate(over="ignore"):
-        sums = np.sum(np.abs(lam) ** q, axis=-1)
-        return [float(probs @ row) for row in sums.reshape(-1, probs.size)]
+# read off the kept spectra of X and V
 
 
 def _finite_moment(moment: float, q: float) -> float:
@@ -694,7 +686,9 @@ def _finite_moment(moment: float, q: float) -> float:
 
 def _moment(probs: np.ndarray, lam: np.ndarray, q: float) -> float:
     """E ||M||_q^q for Hermitian M(z) with eigenvalue rows lam."""
-    return _finite_moment(_moments(probs, lam, q)[0], q)
+    with np.errstate(over="ignore"):
+        moment = float(probs @ np.sum(np.abs(lam) ** q, axis=-1))
+    return _finite_moment(moment, q)
 
 
 def _log_trace_mgf(probs: np.ndarray, lam: np.ndarray, scale: float) -> float:
@@ -1024,7 +1018,8 @@ def _statistics(model, samples: int, seed: int, statistic: str) -> tuple:
     if statistic not in ("lmax", "opnorm"):
         raise ParameterError(f"unknown statistic {statistic!r}")
     if isinstance(model, stein.RectangularModel):
-        xs = model.H_rows(model.dist._outcome_rows()) - model.mean()
+        mean = model.mean()  # a model above the cutoff is refused before H runs
+        xs = model.H_rows(model.dist._outcome_rows()) - mean
         values = np.linalg.svd(xs, compute_uv=False)[:, 0]
         return values, model.dist.sample_outcomes(_rng(seed), samples)
     sampled = not model.exact

@@ -630,7 +630,6 @@ class TestModels:
         m = random_finite_model(3, 2, seed=4)
         z = (1.0, -1.0, 1.0)
         assert np.array_equal(m.H(z), stein.outcome_stack(m.H_tensor())[m.dist.index(z)])
-        assert m.H(z) is m.H(z)
         with pytest.raises(ParameterError):
             m.H((0.5, -1.0, 1.0))
 
@@ -742,14 +741,23 @@ class TestModels:
         assert not X.flags.writeable
         assert np.array_equal(X, m.H_tensor() - m.mean())
 
-    def test_only_exact_models_cache_H(self):
-        exact = hypercube_sum(3)
-        exact.H((1.0, -1.0, 1.0))
-        assert len(exact._h_cache) == 1
-        m = stein.compound_covariance(2, 3, entry_dist="uniform")
-        m.mean()
+    @pytest.mark.parametrize("build", [
+        lambda: hypercube_sum(3), lambda: random_finite_model(3, 2, seed=1),
+        lambda: dilate_model(rect_demo(3)),
+        lambda: stein.compound_covariance(2, 3, entry_dist="uniform"),
+    ], ids=["hypercube_sum", "random_finite_model", "dilated_rect_demo", "compound_uniform"])
+    def test_no_model_keeps_H_per_outcome(self, build):
+        m = build()
+        z = tuple(m.dist.sample_many(_rng(3), 1)[0])
+        h = m.H(z)
+        want = h.copy()
+        h += 100  # a caller's write reaches no later read
+        assert np.array_equal(m.H(z), want)
+        assert np.array_equal(m.X(z), want - m.mean())
         m.sample_X(50, seed=1)
-        variance_proxy(m, TestMonteCarloBranches.Z, samples=200, seed=2)
+        simulate_kernel_coupling(m, z, tuple(-v for v in z), 200, 2)
+        if not m.exact:
+            variance_proxy(m, z, samples=20, seed=2)
         assert m._h_cache == {}
 
     def test_model_json_roundtrip(self):
@@ -821,6 +829,19 @@ class TestRowBlocks:
         zs = m.dist.sample_many(_rng(count), count)
         got, want = m.H_rows(zs), self.one_call(m, zs, monkeypatch)
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_MODELS) + ["rect_demo"])
+    def test_H_at_a_point_is_its_row(self, name, tmp_path):
+        # bit for bit the row of H_rows and, on an exact model, the tensor's entry
+        m = rect_demo(4) if name == "rect_demo" else BLOCK_MODELS[name](tmp_path)
+        zs = m.dist.sample_many(_rng(6), 40)
+        tensor = isinstance(m, MatrixModel) and m.exact and stein.outcome_stack(m.H_tensor())
+        for z, row in zip(zs, m.H_rows(zs)):
+            for point in (z, tuple(z.tolist())):
+                h = m.H(point)
+                assert h.dtype == row.dtype and h.tobytes() == row.tobytes()
+            if tensor is not False:
+                assert h.tobytes() == tensor[m.dist.index(z)].tobytes()
 
     @pytest.mark.parametrize("name", sorted(BLOCK_MODELS))
     def test_sampling_above_one_block_is_the_column_draws(self, name, tmp_path, monkeypatch):
@@ -1409,7 +1430,7 @@ class TestEstimatedKernel:
             finally:
                 tracemalloc.stop()
 
-        peak(10)  # builds the outcome tensor and H's memo outside the measurement
+        peak(10)  # builds the outcome tensor outside the measurement
         assert peak(40 * 256) <= 1.5 * peak(256)
 
     def test_estimated_kernel_memory_is_one_block(self, monkeypatch):
@@ -1989,6 +2010,35 @@ class TestCoupling:
             run = simulate_kernel_coupling(m, z, zp, 1000, seed)
             assert run.difference_norms == [_opnorm(m.H(a) - m.H(b))
                                             for a, b in run.trajectory]
+
+    @staticmethod
+    def per_step_norms(m, trajectory):
+        """The norm of H(a) - H(b) at each step, each state its own H_rows call."""
+        return [float(_opnorms(m.H_rows([a])[0] - m.H_rows([b])[0])) for a, b in trajectory]
+
+    @pytest.mark.parametrize("build", [
+        lambda: hypercube_sum(7, 3), lambda: stein.bounded_diff_demo(4, 3),
+        lambda: compound_covariance(2, 3),
+        lambda: compound_covariance(2, 3, B=_cc_B("herm", 3, 1)),
+        lambda: compound_covariance(2, 3, entry_dist="uniform"),
+        lambda: random_finite_model(5, 3, 2), lambda: dilate_model(rect_demo(3)),
+        lambda: hypercube_sum(20),
+    ], ids=["hypercube_sum", "bounded_diff_demo", "compound_pm1", "compound_complex_B",
+            "compound_uniform", "random_finite_model", "dilated_rect_demo", "hypercube_20"])
+    def test_one_call_of_H_gives_the_per_step_norms(self, build):
+        m = build()
+        n = m.dist.n
+        draws = m.dist.sample_many(_rng(7), 8)
+        starts = [(draws[0], draws[0]), (np.ones(n), -np.ones(n))] + list(zip(draws[1::2],
+                                                                               draws[2::2]))
+        for seed in range(5):
+            for z, zp in starts:
+                run = simulate_kernel_coupling(m, z, zp, 10_000, seed)
+                assert run.coupling_time >= 0
+                assert run.difference_norms == self.per_step_norms(m, run.trajectory)
+        run = simulate_kernel_coupling(m, np.ones(n), -np.ones(n), 3, 0)  # runs out
+        assert run.coupling_time == -1 and len(run.difference_norms) == 4
+        assert run.difference_norms == self.per_step_norms(m, run.trajectory)
 
     def test_sample_coupling_times_matches_oracle(self):
         for n in (2, 3, 5, 8):

@@ -17,6 +17,7 @@ from matconc.matcore import (
     DomainError,
     HermitianMatrix,
     ParameterError,
+    PreconditionError,
     RectMatrix,
     ShapeError,
     SuperOperator,
@@ -1664,6 +1665,18 @@ class TestEmpiricalTail:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_rectangular_model_above_the_cutoff_is_refused_before_H(self, monkeypatch):
+        # H once ran on every outcome before the mean refused the model
+        model = rect_demo(4)
+        monkeypatch.setattr(stein, "ENUM_CUTOFF", 8)
+
+        def refuse(zs):
+            raise AssertionError("H ran on a model above the cutoff")
+
+        monkeypatch.setattr(model, "_H", refuse)
+        with pytest.raises(PreconditionError, match="enumerated exactly only"):
+            empirical_tail(model, 1000, [0.5, 1.0], 1)
 
     def test_rectangular_model_uses_singular_values(self):
         vals = sample_statistics(rect_demo(3), 120, 4, "lmax")
