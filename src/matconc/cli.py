@@ -61,34 +61,36 @@ def _json_file(value, key: str):
         raise ParameterError(f"cannot read {key} {path!r}: {exc}") from None
 
 
-_GRID_POINTS_MAX = 1_000_000  # the most points a start:stop:step grid may have
+_GRID_POINTS_MAX = 1_000_000  # the most points a lo:hi or start:stop:step grid may have
 
 
 def _grid_values(value, key: str, read):
     """A grid as matcore._grid reads it: a JSON list or one number as it is, and
     text as comma-separated values or a range, lo:hi (inclusive) of integers
-    or start:stop:step (inclusive) of reals."""
+    or start:stop:step (inclusive) of reals, of at most _GRID_POINTS_MAX points."""
     if not isinstance(value, str):
         return value
     if ":" not in value:
         return [p for p in value.split(",") if p.strip()]
     if read is _int:
         lo, hi = (_integer(p) for p in value.split(":", 1))
-        return range(lo, hi + 1)
-    parts = value.split(":")
-    if len(parts) != 3:
-        raise ParameterError(f"{key} grid must be start:stop:step, got {value!r}")
-    start, stop, step = (_real(p, key) for p in parts)
-    if step <= 0 or stop < start:
-        raise ParameterError(f"bad {key} grid {value!r}")
-    steps = (stop - start) / step
-    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
-        raise ParameterError(f"{key} grid step {step!r} does not divide [{start!r}, {stop!r}]")
-    count = int(round(steps)) + 1
+        count = hi - lo + 1
+    else:
+        parts = value.split(":")
+        if len(parts) != 3:
+            raise ParameterError(f"{key} grid must be start:stop:step, got {value!r}")
+        start, stop, step = (_real(p, key) for p in parts)
+        if step <= 0 or stop < start:
+            raise ParameterError(f"bad {key} grid {value!r}")
+        steps = (stop - start) / step
+        if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+            raise ParameterError(
+                f"{key} grid step {step!r} does not divide [{start!r}, {stop!r}]")
+        count = int(round(steps)) + 1
     if count > _GRID_POINTS_MAX:
         raise ParameterError(f"{key} grid {value!r} has {count} points, "
                              f"more than {_GRID_POINTS_MAX}")
-    return np.linspace(start, stop, count).tolist()
+    return range(lo, hi + 1) if read is _int else np.linspace(start, stop, count).tolist()
 
 
 def _int_grid(value, key: str) -> list:

@@ -44,6 +44,7 @@ _MEAN_MC_SAMPLES = 20_000
 _MEAN_SEED = 0
 
 _COMPARE_MAX = 64  # above this many values, a coordinate's array of draws is binary-searched
+_HORIZON_TOL = 1e-10  # the truncation error default_horizon aims below
 
 
 def _kept(owner, attr: str, build: Callable) -> np.ndarray:
@@ -171,10 +172,6 @@ class ProductDistribution:
         if not found.all():
             raise ParameterError(f"{tuple(zs[np.argmin(found)].tolist())!r} is not an outcome")
         return np.ravel_multi_index(self._digits[pos].T, shape)
-
-    def index(self, z) -> int:
-        """Position of the outcome z in outcomes() order."""
-        return int(self.locate([z])[0])
 
     def sample(self, rng: np.random.Generator) -> tuple:
         return tuple(float(c.sample(rng)) for c in self.coords)
@@ -546,28 +543,20 @@ class ExchangeablePair:
         return z, model.replace(z, j, v)
 
     def joint_pmf(self) -> dict:
-        """Exact joint pmf of (Z, Z') as a dict keyed by the pair of tuples.
-
-        Each cell is assembled as base * (p_a * p_b) / n with the replaced
-        coordinate's two probabilities multiplied first, so the table is
-        symmetric under swap bitwise, not just up to rounding.
-        """
+        """Exact joint pmf of (Z, Z') as a dict keyed by the pair of tuples:
+        the cells of _pair_cells, outcome by outcome and coordinate by
+        coordinate, so the table is symmetric under swap bitwise."""
         model = self.model
         if not model.exact:
             raise PreconditionError("joint pmf needs a finite model")
-        coords = model.dist.coords
-        n = len(coords)
+        values = [c.values.tolist() for c in model.dist.coords]
+        cells = list(_pair_cells(model.dist))
         pmf: dict = {}
-        for idx in itertools.product(*(range(len(c)) for c in coords)):
-            z = tuple(float(c.values[i]) for c, i in zip(coords, idx))
-            for j, coord in enumerate(coords):
-                base = 1.0
-                for k, (c, i) in enumerate(zip(coords, idx)):
-                    if k != j:
-                        base *= c.probs[i]
-                for b, pb in zip(coord.values, coord.probs):
-                    key = (z, z[:j] + (float(b),) + z[j + 1:])
-                    pmf[key] = pmf.get(key, 0.0) + base * (coord.probs[idx[j]] * pb) / n
+        for idx, z in zip(np.ndindex(model.dist.shape), itertools.product(*values)):
+            for j, cell in enumerate(cells):
+                for b, p in zip(values[j], cell[idx]):
+                    key = (z, z[:j] + (b,) + z[j + 1:])
+                    pmf[key] = pmf.get(key, 0.0) + p
         return pmf
 
 
@@ -586,16 +575,8 @@ def _square(a: np.ndarray) -> np.ndarray:
 
 def _pairs(dist: ProductDistribution, *Ts):
     """Each pair of values u < v of each coordinate j, j first, as (p_u, p_v,
-    the slices z_j = u of the outcome tensors Ts, their slices z_j = v).
-
-    The pairs are the transitions z -> z_{j<-v} of the exchangeable pair and
-    their reverses.  A consumer forms its term once per pair and adds it into
-    slice u with weight p_v and into slice v with weight p_u, so each slice
-    takes its terms v by v with the exact zero at z_j = v skipped: bit for
-    bit the per-replacement sum, as an accumulator started at +0.0 never
-    holds -0.0.  A term odd in the pair, such as g_u - g_v, is subtracted at
-    v, since IEEE subtraction and scaling are exactly odd.
-    """
+    the slices z_j = u of the outcome tensors Ts, their slices z_j = v): the
+    transitions z -> z_{j<-v} of the exchangeable pair and their reverses."""
     for j, c in enumerate(dist.coords):
         before = (slice(None),) * j
         for u, v in itertools.combinations(range(len(c)), 2):
@@ -603,27 +584,50 @@ def _pairs(dist: ProductDistribution, *Ts):
                    [T[before + (v,)] for T in Ts])
 
 
+def _pair_sum(dist: ProductDistribution, acc: np.ndarray, term: Callable, *Ts,
+              n: int = 1, odd: bool = False) -> np.ndarray:
+    """The sum over every transition z -> z_{j<-v} of p_{j,v}/n times
+    term(T(z) - T(z_{j<-v}) for T in Ts), added into the outcome tensor acc.
+
+    Each pair's term is formed once, from the differences of its slices u and
+    v, and added into slice u with weight p_v/n and into slice v with weight
+    p_u/n, so each slice takes its terms v by v with the exact zero at
+    z_j = v skipped: bit for bit the per-replacement sum, as an accumulator
+    started at +0.0 never holds -0.0.  An odd term, such as the difference
+    itself, is subtracted at v, since IEEE subtraction and scaling are
+    exactly odd.
+    """
+    at_v = np.subtract if odd else np.add
+    for p_u, p_v, (a_u, *t_u), (a_v, *t_v) in _pairs(dist, acc, *Ts):
+        k = term(*map(np.subtract, t_u, t_v))
+        a_u += (p_v / n) * k
+        at_v(a_v, (p_u / n) * k, out=a_v)
+    return acc
+
+
+def _pair_cells(dist: ProductDistribution):
+    """For each coordinate j, the tensor cell[z, b] = P(z, z_{j<-b}) of the
+    pair's joint pmf, shape ``shape`` + (|V_j|,), each cell formed as
+    base * (p_a * p_b) / n with the replaced coordinate's two probabilities
+    multiplied first, so that a cell and its swap are equal bitwise."""
+    for j, coord in enumerate(dist.coords):
+        base = np.ones(())
+        for k, c in enumerate(dist.coords):
+            base = base[..., None] * (np.ones(len(c)) if k == j else c.probs)
+        pa = coord.probs.reshape((-1,) + (1,) * (dist.n - j))
+        yield base[..., None] * (pa * coord.probs) / dist.n
+
+
 def _replacement_squares(dist: ProductDistribution, T: np.ndarray) -> np.ndarray:
     """The sum over every replacement z -> z_{j<-v} of p_{j,v} (T - T_{j<-v})^2,
-    an outcome tensor: each pair's square formed once, as _pairs adds."""
-    acc = np.zeros_like(T)
-    for p_u, p_v, (t_u, a_u), (t_v, a_v) in _pairs(dist, T, acc):
-        sq = _square(t_u - t_v)
-        a_u += p_v * sq
-        a_v += p_u * sq
-    return acc
+    an outcome tensor."""
+    return _pair_sum(dist, np.zeros_like(T), _square, T)
 
 
 def _drift(dist: ProductDistribution, g: np.ndarray) -> np.ndarray:
     """E[K(Z, Z') | Z = z] = E[g(z) - g(Z') | Z = z] at every outcome, K the
     kernel of the outcome tensor g, under the pair law p_{j,v}/n."""
-    n = dist.n
-    acc = np.zeros_like(g)
-    for p_u, p_v, (g_u, a_u), (g_v, a_v) in _pairs(dist, g, acc):
-        k = g_u - g_v
-        a_u += (p_v / n) * k
-        a_v -= (p_u / n) * k
-    return acc
+    return _pair_sum(dist, np.zeros_like(g), lambda k: k, g, n=dist.n, odd=True)
 
 
 def _require_kernel(model: MatrixModel, kernel) -> None:
@@ -662,7 +666,7 @@ def variance_proxy(model: MatrixModel, z, samples: int | None = None,
     order.
     """
     if model.exact:
-        return HermitianMatrix(outcome_stack(variance_proxy_map(model))[model.dist.index(z)])
+        return HermitianMatrix(outcome_stack(variance_proxy_map(model))[model.dist.locate([z])[0]])
     if samples is None or seed is None:
         raise ParameterError("models that cannot be enumerated need samples and seed")
     samples = _count(samples, "samples")
@@ -767,16 +771,16 @@ class KernelEstimate:
     se_norm: float
 
 
-def default_horizon(n: int, h_max: float, tol: float = 1e-10) -> int:
-    """Smallest I with n (1 - 1/n)^(I/2) * 2 h_max < tol."""
+def default_horizon(n: int, h_max: float) -> int:
+    """Smallest I with n (1 - 1/n)^(I/2) * 2 h_max < _HORIZON_TOL."""
     if n == 1:
         return 1
     ratio = 1.0 - 1.0 / n
     lead = 2.0 * n * h_max
-    if lead < tol:
+    if lead < _HORIZON_TOL:
         return 1
-    # solve lead * ratio^(I/2) < tol
-    need = 2.0 * math.log(tol / lead) / math.log(ratio)
+    # solve lead * ratio^(I/2) < _HORIZON_TOL
+    need = 2.0 * math.log(_HORIZON_TOL / lead) / math.log(ratio)
     return max(1, int(math.ceil(need)))
 
 
@@ -879,7 +883,7 @@ class EstimatedKernel(_OutcomeKernel):
     standard error, from the per-sample second moments of G(z) - G(z_{j<-v}),
     plus the truncation bound (0 where z_j = v).  Each unordered pair's
     radius and operator norm are formed once and added into the error budget
-    as _pairs adds.  Stream version 3: every pair shares the seed's one stream.
+    by one _pair_sum.  Stream version 3: every pair shares the seed's one stream.
     """
 
     def __init__(self, model: MatrixModel, horizon: int, samples: int, seed: int):
@@ -897,20 +901,14 @@ class EstimatedKernel(_OutcomeKernel):
                   for s, (_, _, (a,), (b,)) in zip(sq, _pairs(dist, np.moveaxis(G, 0, dist.n)))]
         self.g = total * (1.0 / samples)  # as numpy divides a complex total
         trunc = _truncation_bound(model, horizon)
-        n = dist.n
-        radius, inflation = np.zeros(dist.shape), np.zeros(dist.shape)
-        pairs = _pairs(dist, self.g, radius, inflation)
-        for (p_u, p_v, (g_u, r_u, i_u), (g_v, r_v, i_v)), s in zip(pairs, sq):
-            k = g_u - g_v
-            r = _standard_error(s, k, samples) + trunc
-            # the pair's terms of E[r | Z=z] and E[(2 ||K|| r + r^2)/2 | Z=z]
-            term = (2.0 * _opnorms(k) * r + r * r) / 2.0
-            r_u += (p_v / n) * r
-            r_v += (p_u / n) * r
-            i_u += (p_v / n) * term
-            i_v += (p_u / n) * term
-        self.stein_radius = float(np.max(radius))
-        self.inflation = float(np.max(inflation))
+        sqs = iter(sq)  # _pair_sum walks the pairs in _pairs's order
+
+        def budget(k):  # the pair's terms of E[r | Z=z] and E[(2 ||K|| r + r^2)/2 | Z=z]
+            r = _standard_error(next(sqs), k, samples) + trunc
+            return np.stack([r, (2.0 * _opnorms(k) * r + r * r) / 2.0], axis=-1)
+
+        both = _pair_sum(dist, np.zeros(dist.shape + (2,)), budget, self.g, n=dist.n)
+        self.stein_radius, self.inflation = map(float, np.max(both.reshape(-1, 2), axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -935,7 +933,7 @@ def conditional_variance_map(model: MatrixModel, kernel) -> tuple:
 def conditional_variances(model: MatrixModel, kernel, z) -> tuple:
     """(V_X(z), V^K(z)) as HermitianMatrix, the entries of conditional_variance_map at z."""
     vk = outcome_stack(_vk_map(model, kernel))
-    i = model.dist.index(z)
+    i = model.dist.locate([z])[0]
     v = outcome_stack(variance_proxy_map(model))[i]
     return HermitianMatrix(v * (1.0 / model.dist.n)), HermitianMatrix(vk[i])
 
@@ -969,14 +967,10 @@ def exchangeable_pairs_identity(model: MatrixModel, kernel, F: Callable) -> floa
         raise ShapeError(f"F returned shape {np.shape(fx)}, expected {X.shape} or {X.shape[-2:]}")
     if np.shape(fx) != X.shape:
         return _opnorm(model.expect(X @ fx))  # F(X) - F(X') is exactly 0: no pair walk
-    n = model.dist.n
-    # E[K(Z,Z')(F(X) - F(X')) | Z = z], each pair's product formed once: it is
-    # symmetric in the pair, as (-A)(-B) = AB bit for bit
-    acc = np.zeros(X.shape, np.result_type(kernel.g, fx))
-    for p_u, p_v, (g_u, f_u, a_u), (g_v, f_v, a_v) in _pairs(model.dist, kernel.g, fx, acc):
-        kf = (g_u - g_v) @ (f_u - f_v)
-        a_u += (p_v / n) * kf
-        a_v += (p_u / n) * kf
+    # E[K(Z,Z')(F(X) - F(X')) | Z = z]: the product is even in the pair, as
+    # (-A)(-B) = AB bit for bit
+    acc = _pair_sum(model.dist, np.zeros(X.shape, np.result_type(kernel.g, fx)), np.matmul,
+                    kernel.g, fx, n=model.dist.n)
     return _opnorm(model.expect(X @ fx) - 0.5 * model.expect(acc))
 
 
@@ -991,23 +985,16 @@ def pair_asymmetries(model: MatrixModel, kernel: ExactKernel) -> tuple:
     """max |K(z, z') + K(z', z)| and max |P(z, z') - P(z', z)| over the
     replacement pairs z' = z_{j<-v}, the support of the exchangeable pair.
 
-    Both sweep outcome tensors, never the S x S table.  P(z, z_{j<-b}) is
-    formed as ExchangeablePair.joint_pmf forms it, base * (p_a * p_b) / n,
+    Both sweep outcome tensors, never the S x S table.  P is read off the
+    cells of _pair_cells, which ExchangeablePair.joint_pmf reads too: in
+    cell[z, b] = P(z, z_{j<-b}), axes j and b swapped give P(z_{j<-b}, z),
     so on a correct model both maxima are 0 bitwise.
     """
     _require_kernel(model, kernel)
-    n = model.dist.n
     anti = max([0.0] + [float(np.max(np.abs((a - b) + (b - a))))
                         for _, _, (a,), (b,) in _pairs(model.dist, kernel.g)])
-    asym = 0.0
-    for j, coord in enumerate(model.dist.coords):
-        base = np.ones(())
-        for k, c in enumerate(model.dist.coords):
-            base = base[..., None] * (np.ones(len(c)) if k == j else c.probs)
-        # cell[z, b] = P(z, z_{j<-b}); axes j and b swapped give P(z_{j<-b}, z)
-        pa = coord.probs.reshape((-1,) + (1,) * (n - j))
-        cell = base[..., None] * (pa * coord.probs) / n
-        asym = max(asym, float(np.max(np.abs(cell - cell.swapaxes(j, -1)))))
+    asym = max(float(np.max(np.abs(cell - cell.swapaxes(j, -1))))
+               for j, cell in enumerate(_pair_cells(model.dist)))
     return anti, asym
 
 

@@ -37,6 +37,7 @@ bounds, stein = _lazy("bounds"), _lazy("stein")
 
 FUZZ_TOL = 1e-9
 EXACT_TOL = 1e-10
+_DOMINATION_TOL = 1e-9  # the most negative eigenvalue variance_domination passes
 SCHEMA_VERSION = 1
 
 # geometric grid for inf-over-s bounds; any grid gives a valid weaker check
@@ -504,16 +505,24 @@ def _fuzz(trials: int, dims: list, draw, evaluate, *forms, keep: int = 5) -> lis
 
     ``slacks(*outs)`` turns the outputs of a block into its slack matrix, one
     row per trial and one column per grid point; ``case(trial, j)``
-    serializes the trial at grid point j.
+    serializes the trial at grid point j.  A NaN slack, where a side
+    overflowed, is a DomainError naming the first such trial's parameters.
     """
     trials = _count(trials, "trials")
     worst = [_Worst(keep) for _ in forms]
 
     def take(trial, block_dims, outs):
-        for w, (_, slacks, case) in zip(worst, forms):
-            w.add(slacks(*outs), lambda i, j: case(trial(i), j), block_dims)
+        for w, (name, slacks, case) in zip(worst, forms):
+            block = slacks(*outs)
+            if np.isnan(block).any():
+                i, j = np.argwhere(np.isnan(block))[0]  # the first, in row-major order
+                at = [f"d={block_dims[i]}"] + [
+                    f"{k}={v!r}" for k, v in case(trial(i), j).items() if type(v) in (int, float)]
+                raise DomainError(f"{name} slack is NaN at {', '.join(at)}: a side overflows")
+            w.add(block, lambda i, j: case(trial(i), j), block_dims)
 
-    _sweep(trials, draw, evaluate, take)
+    with np.errstate(over="ignore", invalid="ignore"):  # take refuses what these make NaN
+        _sweep(trials, draw, evaluate, take)
     return [w.report(name, trials, dims) for w, (name, _, _) in zip(worst, forms)]
 
 
@@ -578,7 +587,7 @@ def fuzz_matrix_entropy_young(d_range, ensemble_size: int, trials: int,
 
 
 def explore_conjecture(d_range, q_range, s_values, trials: int, seed: int) -> FuzzReport:
-    """Sweep the signed trace-inequality forms; reports, never raises.
+    """Sweep the signed trace-inequality forms; reports, never raises on a violated form.
 
     Both one-sided forms are evaluated on every triple and tracked
     separately, because they behave differently already in the scalar case:
@@ -869,14 +878,14 @@ def verify_kernel_poly_moments(model: stein.MatrixModel, kernel, p_list, s_grid)
                          results=results)
 
 
-def variance_domination(model: stein.MatrixModel, kernel, tol: float = 1e-9) -> dict:
+def variance_domination(model: stein.MatrixModel, kernel) -> dict:
     """Var[X] vs (1/2) E[V_X + V^K] in the semidefinite order."""
     if not model.exact:
         raise ParameterError("model is too large to enumerate")
     vx, vk = stein.conditional_variance_map(model, kernel)
     X = model.X_tensor()
     gap = float(np.linalg.eigvalsh(model.expect(0.5 * (vx + vk)) - model.expect(X @ X))[0])
-    return {"lambda_min_gap": gap, "pass": bool(gap >= -tol)}
+    return {"lambda_min_gap": gap, "pass": bool(gap >= -_DOMINATION_TOL)}
 
 
 def verify_kernel_identities(model: stein.MatrixModel) -> dict:

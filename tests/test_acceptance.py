@@ -269,7 +269,9 @@ def test_10_reports_are_byte_identical(tmp_path, capsys):
         assert cli.main(argv + ["--out", str(b)]) == 0, verb
         assert a.read_bytes() == b.read_bytes(), verb
         if verb != "bound":  # a JSON report holds no NaN or Infinity, which JSON lacks
-            json.loads(a.read_text(), parse_constant=_refuse_constant)
+            report = json.loads(a.read_text(), parse_constant=_refuse_constant)
+        if verb in ("fuzz", "conjecture"):  # no dimension's minimum is lost
+            assert [int(d) for d in report["min_slack_by_dim"]] == report["dims"], verb
     capsys.readouterr()
 
     # replay closes the loop: re-running the stored worst case is bit-exact

@@ -456,6 +456,46 @@ class TestFuzzVerb:
         error = json.loads(err)["error"]
         assert error["type"] == "config" and str(unread) in error["message"]
 
+    @pytest.mark.parametrize("argv, suite", [
+        (["fuzz", "--ineq", "emvti", "--d", "1:3", "--s", "1,1e308"], "emvti"),
+        (["fuzz", "--ineq", "emvti", "--d", "1:3", "--s", "1,1e308", "--jobs", "2"], "emvti"),
+        (["fuzz", "--ineq", "pmvti", "--d", "2", "--q", "1,3000"], "pmvti"),
+        (["fuzz", "--ineq", "pmvti", "--d", "2", "--q", "1,3000", "--jobs", "2"], "pmvti"),
+        (["conjecture", "--d", "2", "--q", "1,3000"], "conjecture_poly"),
+    ])
+    def test_nan_slack_is_config_error(self, capsys, argv, suite):
+        # a side that overflows makes the slack inf/inf = NaN: the sweep stops
+        # and names the trial, where it would drop the trial's dimension and pass
+        code, out, err = run(argv + ["--trials", "40", "--seed", "1"], capsys)
+        assert code == 3 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "config"
+        assert error["message"].startswith(f"{suite} slack is NaN at d=")
+
+    @pytest.mark.parametrize("argv", [
+        ["fuzz", "--ineq", "pmvti", "--trials", "1", "--seed", "1", "--q"],
+        ["fuzz", "--ineq", "pmvti", "--trials", "1", "--seed", "1", "--d"],
+        ["conjecture", "--trials", "1", "--seed", "1", "--q"],
+        ["verify", "--check", "poly_efron_stein", "--model", "hypercube_sum", "--n", "2", "--p"],
+    ])
+    def test_integer_range_of_too_many_points_is_config_error(self, capsys, argv):
+        tracemalloc.start()
+        try:
+            code, out, err = run(argv + ["1:1000001"], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and out == "" and peak < 2**20  # refused before a point is made
+        error = json.loads(err)["error"]
+        assert error["type"] == "config" and "has 1000001 points" in error["message"]
+
+    def test_integer_and_real_ranges_share_the_point_cap(self, monkeypatch):
+        monkeypatch.setattr(cli, "_GRID_POINTS_MAX", 5)
+        assert len(cli._int_grid("1:5", "q")) == len(cli._real_grid("0:4:1", "s")) == 5
+        for read, text in ((cli._int_grid, "1:6"), (cli._real_grid, "0:5:1")):
+            with pytest.raises(matcore.ParameterError, match="has 6 points, more than 5"):
+                read(text, "q")
+
     def test_unknown_inequality(self, capsys):
         code, _, _ = run(["fuzz", "--ineq", "bogus", "--trials", "5",
                           "--seed", "1"], capsys)
@@ -1410,9 +1450,6 @@ UNREACHED_ALLOWED = {
     "stein.ExchangeablePair": PERFBENCH_ONLY,
     "stein.ExchangeablePair.joint_pmf": PERFBENCH_ONLY,
     "stein.ProductDistribution.outcomes": PERFBENCH_ONLY,
-    # only variance_proxy and conditional_variances call it; the kernel's point
-    # reads find both states in one locate
-    "stein.ProductDistribution.index": PERFBENCH_ONLY,
     "stein.KernelEstimate": PERFBENCH_ONLY,
     "stein.estimate_kernel": PERFBENCH_ONLY,
     "stein.variance_proxy": PERFBENCH_ONLY,

@@ -127,7 +127,7 @@ def oracle_kernel_estimate(model, z, zp, horizon, samples, seed):
     dist = model.dist
     n, d = dist.n, model.d
     hs = stein.outcome_stack(model.H_tensor())
-    starts = [np.unravel_index(dist.index(s), dist.shape) for s in (z, zp)]
+    starts = [np.unravel_index(dist.locate([s])[0], dist.shape) for s in (z, zp)]
 
     def at(rows):
         return hs[np.ravel_multi_index(tuple(rows.T), dist.shape)]
@@ -523,9 +523,9 @@ class TestDistributions:
         outs = list(dist.outcomes())
         assert dist.shape == (3, 2, 3) and dist.cardinality == len(outs)
         assert np.array_equal(dist.probabilities().ravel(), [p for _, p in outs])
-        assert [dist.index(z) for z, _ in outs] == list(range(len(outs)))
+        assert dist.locate([z for z, _ in outs]).tolist() == list(range(len(outs)))
         with pytest.raises(ParameterError):
-            dist.index((5.0, 0.0, 1.0))
+            dist.locate([(5.0, 0.0, 1.0)])
 
     @pytest.mark.parametrize("build", [three_valued_model, unsorted_three_valued_model])
     def test_locate_is_the_outcome_position(self, build):
@@ -552,12 +552,12 @@ class TestDistributions:
         [(-1.0, 0.0, 1.0), (-1.0, 0.0)],      # ragged
         [("a", 0.0, 1.0)],                    # not a number
     ])
-    def test_locate_and_index_reject_non_outcome_rows(self, rows):
+    def test_locate_rejects_non_outcome_rows(self, rows):
         dist = three_valued_model().dist
         with pytest.raises(ParameterError):
             dist.locate(rows)
         with pytest.raises(ParameterError):
-            dist.index(rows[-1])
+            dist.locate([rows[-1]])
 
     def test_roundtrip_json(self):
         dist = ProductDistribution.uniform_pm1(2)
@@ -629,7 +629,7 @@ class TestModels:
     def test_table_H_rejects_a_non_outcome(self):
         m = random_finite_model(3, 2, seed=4)
         z = (1.0, -1.0, 1.0)
-        assert np.array_equal(m.H(z), stein.outcome_stack(m.H_tensor())[m.dist.index(z)])
+        assert np.array_equal(m.H(z), stein.outcome_stack(m.H_tensor())[m.dist.locate([z])[0]])
         with pytest.raises(ParameterError):
             m.H((0.5, -1.0, 1.0))
 
@@ -841,7 +841,7 @@ class TestRowBlocks:
                 h = m.H(point)
                 assert h.dtype == row.dtype and h.tobytes() == row.tobytes()
             if tensor is not False:
-                assert h.tobytes() == tensor[m.dist.index(z)].tobytes()
+                assert h.tobytes() == tensor[m.dist.locate([z])[0]].tobytes()
 
     @pytest.mark.parametrize("name", sorted(BLOCK_MODELS))
     def test_sampling_above_one_block_is_the_column_draws(self, name, tmp_path, monkeypatch):
@@ -1237,7 +1237,47 @@ class TestCompoundCovariance:
             compound_covariance(2, 3, entry_dist=entry_dist, L=L)
 
 
+def oracle_joint_pmf(model):
+    """The pair's joint pmf outcome by outcome: each cell base * (p_a * p_b) / n,
+    base the product of the other coordinates' probabilities in coordinate
+    order, added into its key's entry in the order the loops meet it."""
+    coords = model.dist.coords
+    n = len(coords)
+    pmf: dict = {}
+    for idx in itertools.product(*(range(len(c)) for c in coords)):
+        z = tuple(float(c.values[i]) for c, i in zip(coords, idx))
+        for j, coord in enumerate(coords):
+            base = 1.0
+            for k, (c, i) in enumerate(zip(coords, idx)):
+                if k != j:
+                    base *= c.probs[i]
+            for b, pb in zip(coord.values, coord.probs):
+                key = (z, z[:j] + (float(b),) + z[j + 1:])
+                pmf[key] = pmf.get(key, 0.0) + base * (coord.probs[idx[j]] * pb) / n
+    return pmf
+
+
+def repeated_value_model():
+    """Unequal probabilities, and a coordinate whose two values are equal, so
+    that distinct replacements share a key of the joint pmf."""
+    dist = ProductDistribution([FiniteCoord([(1.0, 0.3), (1.0, 0.7)]),
+                                FiniteCoord([(-1.0, 0.2), (0.5, 0.5), (2.0, 0.3)])])
+    return MatrixModel(dist, lambda zs: zs[:, :, None] * zs[:, None, :], 2)
+
+
 class TestExchangeablePair:
+    @pytest.mark.parametrize("build", [
+        lambda: mixed_support_model(3), lambda: random_finite_model(3, 2, seed=4),
+        three_valued_model, unsorted_three_valued_model, lambda: hypercube_sum(3),
+        repeated_value_model,
+    ])
+    def test_joint_pmf_is_the_per_outcome_loop_bitwise(self, build):
+        m = build()
+        got, want = ExchangeablePair(m, seed=1).joint_pmf(), oracle_joint_pmf(m)
+        assert list(got) == list(want)  # the keys, in order
+        assert all(type(p) is np.float64 for p in got.values())
+        assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
+
     def test_joint_pmf_total_and_swap_symmetry(self):
         m = random_finite_model(2, 2, seed=7)
         pair = ExchangeablePair(m, seed=1)
@@ -1642,6 +1682,31 @@ class TestKeptMaps:
         want = vx.tobytes()
         vx[...] = 0.0
         assert stein.conditional_variance_map(m, k)[0].tobytes() == want
+
+
+class TestPairSum:
+    """Every sum over the pair's transitions is one walk of _pair_sum."""
+
+    @pytest.mark.parametrize("build", [lambda: hypercube_sum(3), lambda: mixed_support_model(3)])
+    def test_each_sum_is_one_call(self, build, monkeypatch):
+        calls = []
+        pair_sum = stein._pair_sum
+        monkeypatch.setattr(stein, "_pair_sum",
+                            lambda *a, **kw: calls.append(1) or pair_sum(*a, **kw))
+
+        def count(run) -> int:
+            calls.clear()
+            run()
+            return len(calls)
+
+        m = build()
+        k = ExactKernel(m)
+        assert count(lambda: variance_proxy_map(m)) == 1  # V
+        assert count(lambda: stein.conditional_variance_map(m, k)) == 1  # V^K; V_X is V's
+        assert count(lambda: check_stein_identity(m, k)) == 1  # the drift
+        assert count(lambda: kernel_mean_norm(m, k)) == 1  # the drift again
+        assert count(lambda: exchangeable_pairs_identity(m, k, lambda x: x)) == 1
+        assert count(lambda: EstimatedKernel(m, horizon=4, samples=8, seed=2)) == 1
 
 
 class TestExchangeablePairsIdentity:
