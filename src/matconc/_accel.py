@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import ShapeError, _rng
+from .matcore import _rng
 
 
 def backend() -> str:
@@ -11,61 +11,49 @@ def backend() -> str:
     return "numpy"
 
 
-def coverage_times(n: int, needed: np.ndarray, runs: int, seed: int,
-                   max_steps: int = 1_000_000, chunk: int = 16) -> np.ndarray:
-    """First time a uniform draw stream covers every coordinate in ``needed``.
+def coverage_times(n: int, runs: int, seed: int, max_steps: int = 1_000_000) -> np.ndarray:
+    """First time a uniform draw stream covers every coordinate of {0..n-1}.
 
     Simulates ``runs`` independent streams of uniform draws on {0..n-1}
     (matcore's Philox stream keyed by ``seed``) and returns, per run, the
-    first step at which every index with needed[j] True has been drawn,
-    or -1 if that does not happen within ``max_steps``.  An empty needed
-    set gives 0; a mask of another shape than (n,) is a ShapeError.
+    first step at which every index has been drawn, or -1 if that does not
+    happen within ``max_steps``: a function of (n, runs, seed, max_steps).
 
-    Stream version 2: each block of up to ``chunk`` steps draws (step, open
-    runs) int32 values for the runs not yet covered only (version 1 drew
-    (runs, 64) blocks for every run; all times differ).  For n <= 2**31 numpy
-    draws int32 and int64 alike (a larger n is rejected by the draw).
-    Coordinates are bits of the narrowest unsigned word that holds min(n,
-    64) of them (uint8 up to n = 8, then uint16, uint32, and uint64 words,
-    64 coordinates a word, above n = 32), masked to the needed bits; the
-    prefix OR along the steps is one vectorised OR per step over all open
-    runs.  Coverage only grows within a block, so a run covered by the
-    block's last step was covered at step offset + 1 + (the number of its
-    steps that were not yet covered).
+    Stream version 2: each block of up to 16 steps draws (step, open runs)
+    int32 values for the runs not yet covered only (version 1 drew (runs,
+    64) blocks for every run; all times differ).  For n <= 2**31 numpy draws
+    int32 and int64 alike (a larger n is rejected by the draw).  Coordinates
+    are bits of the narrowest unsigned word that holds min(n, 64) of them
+    (uint8 up to n = 8, then uint16, uint32, and uint64 words, 64
+    coordinates a word, above n = 32); the prefix OR along the steps is one
+    vectorised OR per step over all open runs.  Coverage only grows within a
+    block, so a run covered by the block's last step was covered at step
+    offset + 1 + (the number of its steps that were not yet covered).
     """
-    needed = np.asarray(needed, dtype=np.bool_)
-    if needed.shape != (n,):
-        raise ShapeError(f"the mask must have shape ({n},), got {needed.shape}")
     rng = _rng(seed)
     times = np.full(runs, -1, dtype=np.int64)
-    if not needed.any():
-        times[:] = 0
-        return times
     width = next(w for w in (8, 16, 32, 64) if w >= min(n, 64))
     word = np.dtype(f"uint{width}")
     words = -(-n // width)
-    flags = np.zeros(width * words, dtype=word)
-    flags[:n] = needed
+    flags = (np.arange(width * words) < n).astype(word)
     need = np.bitwise_or.reduce(flags.reshape(words, width) << np.arange(width, dtype=word),
                                 axis=1)
-    live = np.flatnonzero(need)
-    seen = np.zeros((live.size, runs), dtype=word)
+    seen = np.zeros((words, runs), dtype=word)
     active = np.arange(runs)
     offset = 0
     while offset < max_steps and active.size:
-        step = min(chunk, max_steps - offset)
+        step = min(16, max_steps - offset)
         draws = rng.integers(0, n, size=(step, active.size), dtype=np.int32)
         short = None
-        for i, w in enumerate(live):
+        for w in range(words):
             # more than one word only for n > 64, in uint64 words, where a
             # shift outside 0..63 (a draw in another word) gives 0
-            bits = np.left_shift(word.type(1), draws - width * int(w) if w else draws,
+            bits = np.left_shift(word.type(1), draws - width * w if w else draws,
                                  dtype=word, casting="unsafe")
-            bits &= need[w]
-            bits[0] |= seen[i]
+            bits[0] |= seen[w]
             for c in range(1, step):
                 np.bitwise_or(bits[c], bits[c - 1], out=bits[c])
-            seen[i] = bits[-1]
+            seen[w] = bits[-1]
             gap = bits != need[w]
             short = gap if short is None else short | gap
         hit = ~short[-1]

@@ -270,10 +270,10 @@ def fuzz(cfg: _Config) -> None:
     jobs = min(_count(cfg.get("jobs", 1), "jobs"), trials)
     call, values = _row(verify.FUZZ_SUITES, "inequality", name, cfg)
     out = _reject_unread(cfg, f"fuzz suite {name!r}")
-    counts = [trials // jobs + (1 if i < trials % jobs else 0) for i in range(jobs)]
+    counts = verify._shares(trials, jobs)
     # the chunks run one after another: a batched sweep keeps its core busy,
     # so threads would only contend for it
-    reports = [call(*values, c, seed + 7919 * i) for i, c in enumerate(counts) if c > 0]
+    reports = [call(*values, c, seed + 7919 * i) for i, c in enumerate(counts)]
     report = reports[0] if len(reports) == 1 else verify.merge_fuzz_reports(reports)
     _emit_json(report.to_json(), out)
     if not report.passed:

@@ -1088,17 +1088,15 @@ def simulate_kernel_coupling(model: MatrixModel, z, zp, max_steps: int,
 
 
 def sample_coupling_times(n: int, runs: int, seed: int,
-                          diff_mask=None, max_steps: int = 1_000_000) -> np.ndarray:
-    """Coupling times for ``runs`` antipodal (or masked) starts, in bulk.
+                          max_steps: int = 1_000_000) -> np.ndarray:
+    """Coupling times for ``runs`` antipodal starts, in bulk.
 
     The chains meet exactly when the uniform draw stream has covered every
-    initially-differing coordinate, so the bulk simulation reduces to
-    coverage scans over shared draw arrays (see _accel.coverage_times).
+    coordinate, all of which differ at the start, so the bulk simulation
+    reduces to coverage scans over shared draw arrays (see
+    _accel.coverage_times).
     """
-    n = _count(n, "n")
-    if diff_mask is None:
-        diff_mask = np.ones(n, dtype=bool)
-    return _accel.coverage_times(n, diff_mask, _count(runs, "runs", 0), seed,
+    return _accel.coverage_times(_count(n, "n"), _count(runs, "runs", 0), seed,
                                  max_steps=_count(max_steps, "max_steps", 0))
 
 

@@ -119,38 +119,25 @@ def _ensemble_group(size: int, rng, _, n: int, d: int) -> tuple:
     return _herm(U), raw / (np.sum(_re_trace(raw), axis=-1) / (d * size))[:, None, None, None]
 
 
-def _block_draws(rng, dims: list, group, qs: list | None = None, kinds: bool = False):
-    """``draw(m)`` for _sweep, in fuzz stream version 2.
+def _block_draws(rng, group, qs: list | None = None, kinds: bool = False):
+    """``draw(d, m)`` for _fuzz, in fuzz stream version 3.
 
-    A block draws its trials' dimensions, q (if ``qs`` is given) and kinds
-    (if ``kinds``, by _SPLIT) as length-m arrays.  Then, by ascending
-    dimension and kind, ``group(rng, kind, n, d)`` draws the inputs of the n
-    trials of each (dimension, kind) group at once.
+    A block of m trials of dimension d draws their q values (if ``qs`` is
+    given) and kind uniforms (if ``kinds``, by _SPLIT) as length-m arrays.
+    Then, by ascending kind, ``group(rng, kind, n, d)`` draws the inputs of
+    the n trials of each kind at once; the block's trials are in that order.
+    Returns the block's stacks, q last, and its kind names or None.
     """
-    dims, cuts = np.array(dims), np.cumsum(_SPLIT)[:-1]
+    cuts = np.cumsum(_SPLIT)[:-1]
 
-    def draw(m):
-        d_of = dims[rng.integers(0, len(dims), m)]
-        q_of = None if qs is None else np.array(qs)[rng.integers(0, len(qs), m)]
-        k_of = np.searchsorted(cuts, rng.random(m) if kinds else np.zeros(m), side="right")
-        groups = []
-        for d in sorted(set(d_of.tolist())):
-            rows = np.flatnonzero(d_of == d)
-            parts = [(k_of[rows] == k, group(rng, k, int(np.sum(k_of[rows] == k)), d))
-                     for k in sorted(set(k_of[rows].tolist()))]
-            stacks = parts[0][1] if len(parts) == 1 else _scatter(rows.size, parts)
-            groups.append((rows, tuple(stacks) + (() if q_of is None else (q_of[rows],))))
-        return d_of, groups, [_KINDS[k] for k in k_of.tolist()] if kinds else None
+    def draw(d, m):
+        q = () if qs is None else (np.array(qs)[rng.integers(0, len(qs), m)],)
+        k_of = np.sort(np.searchsorted(cuts, rng.random(m), side="right")) if kinds else \
+            np.zeros(m, int)
+        parts = [group(rng, k, n, d) for k, n in enumerate(np.bincount(k_of).tolist()) if n]
+        stacks = tuple(np.concatenate(a) for a in zip(*parts)) + q
+        return stacks, [_KINDS[k] for k in k_of.tolist()] if kinds else None
     return draw
-
-
-def _scatter(m: int, parts: list) -> list:
-    """Arrays of m rows from parts ``(rows, arrays)``, each part at its rows."""
-    outs = [np.empty((m,) + a.shape[1:], a.dtype) for a in parts[0][1]]
-    for rows, arrays in parts:
-        for out, a in zip(outs, arrays):
-            out[rows] = a
-    return outs
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +187,8 @@ class _Worst:
         self.cases: list = []
         self.by_dim: dict = {}
 
-    def add(self, slacks: np.ndarray, case, dims=None) -> None:
-        """Offer slacks[m, j] in row-major order; row m is of dimension dims[m].
+    def add(self, slacks: np.ndarray, case, d: int | None = None) -> None:
+        """Offer slacks[m, j] in row-major order; every row is of dimension d.
 
         ``case(m, j)`` serializes one offer, and runs only for the block's
         ``keep`` smallest slacks that make it into the kept cases.
@@ -212,11 +199,9 @@ class _Worst:
         kept = sorted(self.cases + top, key=lambda t: t[0])[:self.keep]
         self.cases = [(s, c if isinstance(c, dict) else {**case(*c), "slack": s})
                       for s, c in kept]
-        if dims is not None:
-            for d in dict.fromkeys(dims.tolist()):
-                rows = slacks[dims == d]
-                # argmin keeps the earlier of -0.0 and 0.0, as one offer at a time does
-                self.low(d, float(rows.flat[np.argmin(rows)]))
+        if d is not None:
+            # argmin keeps the earlier of -0.0 and 0.0, as one offer at a time does
+            self.low(d, float(flat[np.argmin(flat)]))
 
     def take(self, cases: list, by_dim: dict) -> None:
         """Offer stored cases in list order, skipping empty ones, and stored
@@ -231,7 +216,7 @@ class _Worst:
             self.by_dim[d] = slack
 
     def report(self, inequality: str, trials: int, dims: list,
-               tolerance: float = FUZZ_TOL, sections: dict | None = None) -> FuzzReport:
+               sections: dict | None = None) -> FuzzReport:
         min_slack = self.cases[0][0] if self.cases else math.inf
         return FuzzReport(
             inequality=inequality,
@@ -239,8 +224,7 @@ class _Worst:
             dims=dims,
             min_slack=min_slack,
             worst_case=self.cases[0][1] if self.cases else {},
-            passed=bool(min_slack >= -tolerance),
-            tolerance=tolerance,
+            passed=bool(min_slack >= -FUZZ_TOL),
             min_slack_by_dim=dict(sorted(self.by_dim.items())),
             near_misses=[c for _, c in self.cases[1:]],
             sections=sections or {},
@@ -408,29 +392,6 @@ def _conjecture_stack(A, B, C, q, s) -> tuple:
             _re_trace(C @ (Aq - Bq)), rhs(q / 2.0, absA, absB))
 
 
-def _sweep(trials: int, draw, evaluate, take) -> None:
-    """Draw and evaluate trials in blocks by dimension, take each block whole.
-
-    ``draw(m)`` returns m trials as ``(dims, groups, kinds)``: their dimensions
-    as an array, one ``(rows, stacks)`` per dimension (trial indices, and the
-    inputs of those trials stacked along axis 0), and their kind names or None.
-    ``evaluate(*stacks)`` returns arrays with one entry per stacked trial.
-    ``take(trial, dims, outs)`` gets ``trial(i)``, trial i as ``(d, inputs,
-    kind)``, the dimensions, and every output scattered into trial order.
-    Blocks of BLOCK_TRIALS keep the stacks, and so the peak memory, small.
-    """
-    for start in range(0, trials, BLOCK_TRIALS):
-        m = min(BLOCK_TRIALS, trials - start)
-        dims, groups, kinds = draw(m)
-        outs = _scatter(m, [(rows, evaluate(*stacks)) for rows, stacks in groups])
-
-        def trial(i):  # called by take only, before the next block is drawn
-            rows, stacks = next(g for g in groups if i in g[0])
-            p = int(np.searchsorted(rows, i))
-            return int(dims[i]), tuple(s[p] for s in stacks), kinds and kinds[i]
-        take(trial, dims, outs)
-
-
 # ---------------------------------------------------------------------------
 # single-case evaluators (replay runs these): the stacked ones on stacks of one
 
@@ -500,29 +461,48 @@ def eval_conjecture(A, B, C, q: int, s: float) -> dict:
 # fuzz suites
 
 
+def _shares(total: int, parts: int) -> list:
+    """``total`` in ``parts`` counts: total // parts, plus one for the first total % parts."""
+    return [total // parts + (1 if i < total % parts else 0) for i in range(parts)]
+
+
 def _fuzz(trials: int, dims: list, draw, evaluate, *forms, keep: int = 5) -> list:
     """One FuzzReport per form ``(inequality, slacks, case)`` over ``trials`` draws.
 
-    ``slacks(*outs)`` turns the outputs of a block into its slack matrix, one
-    row per trial and one column per grid point; ``case(trial, j)``
-    serializes the trial at grid point j.  A NaN slack, where a side
-    overflowed, is a DomainError naming the first such trial's parameters.
+    The K entries of the d grid ``dims`` get _shares(trials, K) trials and
+    run in grid order, each in blocks of at most BLOCK_TRIALS (which keep the
+    stacks, and so the peak memory, small).  ``draw(d, m)`` returns a block's
+    stacks, each along axis 0, and its kind names or None;
+    ``evaluate(*stacks)`` returns arrays with one entry per trial.
+    ``slacks(*outs)`` turns these into the block's slack matrix, one row per
+    trial and one column per grid point; ``case(trial, j)`` serializes trial
+    ``(d, inputs, kind)`` at grid point j.  Fewer trials than grid entries is
+    a ParameterError, as some dimension would go untried; a NaN slack, where
+    a side overflowed, is a DomainError naming the first such trial's
+    parameters.
     """
     trials = _count(trials, "trials")
+    if trials < len(dims):
+        raise ParameterError(f"{trials} trials cannot try each of the {len(dims)} "
+                             "entries of the d grid: give at least one trial per entry")
     worst = [_Worst(keep) for _ in forms]
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN slack is refused below
+        for d, share in zip(dims, _shares(trials, len(dims))):
+            for start in range(0, share, BLOCK_TRIALS):
+                stacks, kinds = draw(d, min(BLOCK_TRIALS, share - start))
+                outs = evaluate(*stacks)
 
-    def take(trial, block_dims, outs):
-        for w, (name, slacks, case) in zip(worst, forms):
-            block = slacks(*outs)
-            if np.isnan(block).any():
-                i, j = np.argwhere(np.isnan(block))[0]  # the first, in row-major order
-                at = [f"d={block_dims[i]}"] + [
-                    f"{k}={v!r}" for k, v in case(trial(i), j).items() if type(v) in (int, float)]
-                raise DomainError(f"{name} slack is NaN at {', '.join(at)}: a side overflows")
-            w.add(block, lambda i, j: case(trial(i), j), block_dims)
-
-    with np.errstate(over="ignore", invalid="ignore"):  # take refuses what these make NaN
-        _sweep(trials, draw, evaluate, take)
+                def trial(i):
+                    return d, tuple(s[i] for s in stacks), kinds and kinds[i]
+                for w, (name, slacks, case) in zip(worst, forms):
+                    block = slacks(*outs)
+                    if np.isnan(block).any():
+                        i, j = np.argwhere(np.isnan(block))[0]  # the first, in row-major order
+                        at = [f"d={d}"] + [f"{k}={v!r}" for k, v in case(trial(i), j).items()
+                                           if type(v) in (int, float)]
+                        raise DomainError(
+                            f"{name} slack is NaN at {', '.join(at)}: a side overflows")
+                    w.add(block, lambda i, j: case(trial(i), j), d)
     return [w.report(name, trials, dims) for w, (name, _, _) in zip(worst, forms)]
 
 
@@ -541,7 +521,7 @@ def _triple_case(ineq: str, trial, keys: str = "ABC", **params) -> dict:
 def fuzz_pmvti(d_range, q_range, s_values, trials: int, seed: int) -> FuzzReport:
     """Degree-q polynomial mean value trace inequality over random triples."""
     dims, qs, ss = _grid(d_range, "d", _count), _grid(q_range, "q", _count), _s_array(s_values)
-    return _fuzz(trials, dims, _block_draws(_rng(seed), dims, _triple_group, qs, kinds=True),
+    return _fuzz(trials, dims, _block_draws(_rng(seed), _triple_group, qs, kinds=True),
                  lambda A, B, C, q: _pmvti_stack(A, B, C, q, ss),
                  ("pmvti", _slack_matrix, lambda t, j: _triple_case(
                      "pmvti", t, q=int(t[1][3]), s=float(ss[j]))))[0]
@@ -550,7 +530,7 @@ def fuzz_pmvti(d_range, q_range, s_values, trials: int, seed: int) -> FuzzReport
 def fuzz_emvti(d_range, s_values, trials: int, seed: int) -> FuzzReport:
     """Exponential mean value trace inequality over random triples."""
     dims, ss = _grid(d_range, "d", _count), _s_array(s_values)
-    return _fuzz(trials, dims, _block_draws(_rng(seed), dims, _triple_group, kinds=True),
+    return _fuzz(trials, dims, _block_draws(_rng(seed), _triple_group, kinds=True),
                  lambda A, B, C: _emvti_stack(A, B, C, ss),
                  ("emvti", _slack_matrix, lambda t, j: _triple_case(
                      "emvti", t, s=float(ss[j]))))[0]
@@ -559,7 +539,8 @@ def fuzz_emvti(d_range, s_values, trials: int, seed: int) -> FuzzReport:
 def fuzz_young_commuting(d_range, p: float, trials: int, seed: int) -> FuzzReport:
     """Operator Young inequality for commuting left/right multiplications."""
     dims = _grid(d_range, "d", _count)
-    return _fuzz(trials, dims, _block_draws(_rng(seed), dims, _triple_group, kinds=True),
+    _real(p, "p", 1, strict=True)  # read before _fuzz checks the trials
+    return _fuzz(trials, dims, _block_draws(_rng(seed), _triple_group, kinds=True),
                  lambda A, B, C: _young_stack(A, B, p),
                  (f"young_commuting(p={p})", lambda gap, scale: (gap / scale)[:, None],
                   lambda t, _: _triple_case("young_commuting", t, "AB", p=float(p))))[0]
@@ -568,7 +549,7 @@ def fuzz_young_commuting(d_range, p: float, trials: int, seed: int) -> FuzzRepor
 def fuzz_operator_cs(d_range, trials: int, seed: int) -> FuzzReport:
     """Cauchy-Schwarz for a self-adjoint operator on matrices."""
     dims = _grid(d_range, "d", _count)
-    return _fuzz(trials, dims, _block_draws(_rng(seed), dims, _operator_cs_group),
+    return _fuzz(trials, dims, _block_draws(_rng(seed), _operator_cs_group),
                  _operator_cs_stack,
                  ("operator_cs", _slack_matrix, lambda t, _: {
                      "ineq": "operator_cs", **dict(zip("SMN", map(rect_json, t[1])))}))[0]
@@ -579,7 +560,7 @@ def fuzz_matrix_entropy_young(d_range, ensemble_size: int, trials: int,
     """Duality bound for matrix entropy on finite equally-weighted ensembles."""
     dims = _grid(d_range, "d", _count)
     group = functools.partial(_ensemble_group, _count(ensemble_size, "ensemble_size"))
-    return _fuzz(trials, dims, _block_draws(_rng(seed), dims, group), _entropy_young_stack,
+    return _fuzz(trials, dims, _block_draws(_rng(seed), group), _entropy_young_stack,
                  ("matrix_entropy_young", _slack_matrix, lambda t, _: {
                      "ineq": "matrix_entropy_young",
                      "U": [hermitian_json(u) for u in t[1][0]],
@@ -604,7 +585,7 @@ def explore_conjecture(d_range, q_range, s_values, trials: int, seed: int) -> Fu
         return (ineq, lambda *outs: _slack_matrix(*outs[2 * k:2 * k + 2]),
                 lambda t, j: _triple_case(ineq, t, q=int(t[1][3]), s=float(ss[j])))
 
-    per_form = _fuzz(trials, dims, _block_draws(_rng(seed), dims, _triple_group, qs, kinds=True),
+    per_form = _fuzz(trials, dims, _block_draws(_rng(seed), _triple_group, qs, kinds=True),
                      lambda A, B, C, q: _conjecture_stack(A, B, C, q, ss),
                      form(0, "conjecture_exp"), form(1, "conjecture_poly"), keep=4)
     sections = {"exp": _section(per_form[0]), "poly": _section(per_form[1])}
@@ -612,13 +593,13 @@ def explore_conjecture(d_range, q_range, s_values, trials: int, seed: int) -> Fu
 
 
 def _pool(reports, keep: int, inequality: str, trials: int, dims: list,
-          sections: dict, tolerance: float = FUZZ_TOL) -> FuzzReport:
+          sections: dict) -> FuzzReport:
     """One report from the stored cases of ``reports``, in list order, through
     the selector, with the minimum per dimension."""
     worst = _Worst(keep)
     for r in reports:
         worst.take([r.worst_case, *r.near_misses], r.min_slack_by_dim)
-    return worst.report(inequality, trials, dims, tolerance, sections)
+    return worst.report(inequality, trials, dims, sections)
 
 
 def merge_fuzz_reports(reports) -> FuzzReport:
@@ -627,8 +608,7 @@ def merge_fuzz_reports(reports) -> FuzzReport:
     if not reports:
         raise ParameterError("nothing to merge")
     name = reports[0].inequality
-    tol = reports[0].tolerance
-    if any(r.inequality != name or r.tolerance != tol for r in reports):
+    if any(r.inequality != name for r in reports):
         raise ParameterError("cannot merge reports of different suites")
     trials = sum(r.trials for r in reports)
     dims = sorted({int(d) for r in reports for d in r.dims})
@@ -637,8 +617,8 @@ def merge_fuzz_reports(reports) -> FuzzReport:
         for form, sec in r.sections.items():
             forms.setdefault(form, _Worst(keep=1)).take([sec["worst_case"]],
                                                          sec["min_slack_by_dim"])
-    sections = {form: _section(w.report(form, trials, dims, tol)) for form, w in forms.items()}
-    return _pool(reports, 5, name, trials, dims, sections, tol)
+    sections = {form: _section(w.report(form, trials, dims)) for form, w in forms.items()}
+    return _pool(reports, 5, name, trials, dims, sections)
 
 
 def replay_case(case: dict) -> dict:

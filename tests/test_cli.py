@@ -371,7 +371,7 @@ class TestFuzzVerb:
 
     def test_jobs_past_the_trials_run_one_chunk_per_trial(self, capsys, tmp_path):
         # a chunk past the last trial runs none, so no list of 10**12 chunks is built
-        argv = ["fuzz", "--ineq", "emvti", "--trials", "10", "--seed", "1", "--d", "1:2"]
+        argv = ["fuzz", "--ineq", "emvti", "--trials", "10", "--seed", "1", "--d", "2"]
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert run(argv + ["--jobs", "10", "--out", str(a)], capsys)[0] == 0
         assert run(argv + ["--jobs", str(10**12), "--out", str(b)], capsys)[0] == 0
@@ -383,6 +383,24 @@ class TestFuzzVerb:
         finally:
             tracemalloc.stop()
         assert peak < 2**20 and a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["fuzz", "--ineq", "emvti", "--trials", "5", "--jobs", "1"],
+        ["fuzz", "--ineq", "emvti", "--trials", "10", "--d", "1:6", "--jobs", "2"],
+        ["conjecture", "--trials", "5"],
+    ])
+    def test_fewer_trials_than_d_entries_are_a_config_error(self, capsys, argv):
+        # each sweep, and under --jobs each chunk, needs one trial per d entry
+        code, out, err = run(argv + ["--seed", "3"], capsys)
+        assert code == 3 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "config"
+        assert "5 trials" in error["message"] and "6 entries" in error["message"]
+
+    def test_young_p_is_read_before_the_trials_rule(self, capsys):
+        code, _, err = run(["fuzz", "--ineq", "young_commuting", "--trials", "1",
+                            "--seed", "1", "--p", "0"], capsys)
+        assert code == 3 and "p > 1, got 0" in json.loads(err)["error"]["message"]
 
     def test_jobs_merge_in_process_chunks(self, capsys, tmp_path, monkeypatch):
         # --jobs 2 is the merge of the two chunk sweeps, byte for byte, and

@@ -156,28 +156,25 @@ def oracle_kernel_estimate(model, z, zp, horizon, samples, seed):
     return est, math.sqrt(var / (samples - 1))
 
 
-def oracle_coverage_times(n, needed, runs, seed, max_steps=1_000_000, chunk=16):
+def oracle_coverage_times(n, runs, seed, max_steps=1_000_000):
     """The coverage scan one draw column at a time, over the same Philox stream.
 
-    Stream version 2: each block draws (step, open runs) for the runs open at
-    its start, in int64, so the scan's int32 draws are checked as well.
+    Stream version 2: each block of 16 steps draws (step, open runs) for the
+    runs open at its start, in int64, so the scan's int32 draws are checked
+    as well.
     """
-    needed = np.asarray(needed, dtype=np.bool_)
     times = np.full(runs, -1, dtype=np.int64)
-    if not needed.any():
-        times[:] = 0
-        return times
     rng = _rng(seed)
     seen = np.zeros((runs, n), dtype=np.bool_)
-    remaining = np.full(runs, int(needed.sum()), dtype=np.int64)
+    remaining = np.full(runs, n, dtype=np.int64)
     offset = 0
     while offset < max_steps and np.any(times < 0):
-        step = min(chunk, max_steps - offset)
+        step = min(16, max_steps - offset)
         rows = np.flatnonzero(times < 0)
         draws = rng.integers(0, n, size=(step, rows.size), dtype=np.int64)
         for c in range(step):
             j = draws[c]
-            hit = (times[rows] < 0) & needed[j] & ~seen[rows, j]
+            hit = (times[rows] < 0) & ~seen[rows, j]
             seen[rows[hit], j[hit]] = True
             remaining[rows[hit]] -= 1
             times[rows[hit & (remaining[rows] == 0)]] = offset + c + 1
@@ -1977,65 +1974,36 @@ class TestCoupling:
         mean, se = times.mean(), times.std(ddof=1) / math.sqrt(len(times))
         assert abs(mean - 3.0) <= 5 * se
 
-    def test_masked_start_reduces_time(self):
-        mask = np.array([True, False, False])
-        times = sample_coupling_times(3, 2000, seed=22, diff_mask=mask)
-        # a single differing coordinate couples at a geometric(1/3) time, mean 3
-        assert abs(times.mean() - 3.0) <= 5 * times.std(ddof=1) / math.sqrt(2000)
-
-    def test_mask_of_another_length_is_a_shape_error(self):
-        with pytest.raises(stein.ShapeError, match=r"mask must have shape \(3,\)"):
-            sample_coupling_times(3, 10, 1, diff_mask=[True, False])
-
-    @pytest.mark.parametrize("n,mask,runs,chunk,max_steps", [
-        (1, "all", 1, 64, 1_000_000),
-        (1, "empty", 5, 64, 10),
-        (2, "all", 2000, 64, 1_000_000),
-        (5, "single", 300, 7, 1_000_000),
-        (8, "all", 2000, 3, 20),
-        (63, "random", 500, 33, 1_000_000),
-        (64, "all", 200, 64, 150),
-        (65, "single", 100, 64, 1_000),
-        (65, "all", 300, 17, 1_000_000),
-        (128, "random", 1000, 129, 1_000_000),
-        (130, "all", 50, 31, 700),
-        (130, "empty", 3, 64, 5),
-        # each side of the 8-, 16- and 32-bit word limits, whole chunks only
-        (8, "all", 500, 16, 48),
-        (8, "random", 500, 64, 1024),
-        (9, "all", 400, 32, 1024),
-        (9, "random", 400, 5, 20),
-        (16, "all", 300, 64, 1024),
-        (16, "random", 300, 8, 40),
-        (17, "all", 300, 64, 128),
-        (17, "random", 300, 17, 1020),
-        (32, "all", 200, 64, 1024),
-        (32, "random", 200, 10, 100),
-        (33, "all", 200, 33, 99),
-        (33, "random", 200, 64, 1024),
+    @pytest.mark.parametrize("n,runs,max_steps", [
+        (1, 1, 1_000_000),
+        (2, 2000, 1_000_000),
+        (8, 2000, 20),
+        (64, 200, 150),
+        (65, 300, 1_000_000),
+        (130, 50, 700),
+        # each side of the 8-, 16- and 32-bit word limits, whole blocks and not
+        (8, 500, 48),
+        (9, 400, 1024),
+        (9, 400, 20),
+        (16, 300, 1024),
+        (17, 300, 128),
+        (32, 200, 1024),
+        (33, 200, 99),
     ])
-    def test_coverage_scan_matches_column_oracle(self, n, mask, runs, chunk, max_steps):
-        needed = {"all": np.ones(n, bool), "empty": np.zeros(n, bool),
-                  "single": np.arange(n) == n - 1,
-                  "random": _rng(n).random(n) < 0.4}[mask]
-        got = stein._accel.coverage_times(n, needed, runs, 17, max_steps=max_steps,
-                                          chunk=chunk)
-        assert np.array_equal(got, oracle_coverage_times(n, needed, runs, 17,
-                                                         max_steps, chunk))
+    def test_coverage_scan_matches_column_oracle(self, n, runs, max_steps):
+        got = stein._accel.coverage_times(n, runs, 17, max_steps=max_steps)
+        assert np.array_equal(got, oracle_coverage_times(n, runs, 17, max_steps))
         if max_steps < 1_000:
-            assert np.any(got == -1) or mask == "empty"
+            assert np.any(got == -1)
 
     def test_coverage_scan_random_cases(self):
         r = np.random.default_rng(3)
         for case in range(40):
             n = int(r.integers(1, 131))
-            needed = r.random(n) < r.random()
             runs = int(r.integers(1, 400))
-            chunk = 2 * int(r.integers(0, 50)) + 1
             max_steps = int(r.integers(1, 600))
-            assert np.array_equal(
-                stein._accel.coverage_times(n, needed, runs, case, max_steps, chunk),
-                oracle_coverage_times(n, needed, runs, case, max_steps, chunk)), case
+            assert np.array_equal(stein._accel.coverage_times(n, runs, case, max_steps),
+                                  oracle_coverage_times(n, runs, case, max_steps)), case
 
     @pytest.mark.parametrize("n,total,longest", [
         (2, 75_009, 17), (3, 138_313, 27), (5, 284_315, 57), (8, 543_366, 94)])
@@ -2043,16 +2011,14 @@ class TestCoupling:
         times = sample_coupling_times(n, 25_000, seed=n)
         assert (int(times.sum()), int(times.max())) == (total, longest)
 
-    @pytest.mark.parametrize("n,needed", [
-        (2, None), (5, None), (8, None), (3, [True, False, True]), (70, None)])
-    def test_coverage_times_follow_the_exact_law(self, n, needed):
+    @pytest.mark.parametrize("n", [2, 5, 8, 70])
+    def test_coverage_times_follow_the_exact_law(self, n):
         # holds for any stream version; the DKW band is exceeded with
         # probability at most 1e-6
         runs = 100_000
-        needed = np.ones(n, bool) if needed is None else np.array(needed)
-        times = stein._accel.coverage_times(n, needed, runs, seed=n)
+        times = stein._accel.coverage_times(n, runs, seed=n)
         assert times.min() >= 0
-        cdf = coverage_cdf(n, int(needed.sum()), int(times.max()))
+        cdf = coverage_cdf(n, n, int(times.max()))
         empirical = np.cumsum(np.bincount(times)) / runs
         assert np.max(np.abs(empirical - cdf)) <= math.sqrt(math.log(2 / 1e-6) / (2 * runs))
 
@@ -2060,7 +2026,7 @@ class TestCoupling:
         # a (runs, 64) int32 block for every run, as stream version 1 drew
         tracemalloc.start()
         try:
-            stein._accel.coverage_times(8, np.ones(8, bool), 200_000, seed=1)
+            stein._accel.coverage_times(8, 200_000, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -2108,7 +2074,7 @@ class TestCoupling:
     def test_sample_coupling_times_matches_oracle(self):
         for n in (2, 3, 5, 8):
             assert np.array_equal(sample_coupling_times(n, 2000, seed=n),
-                                  oracle_coverage_times(n, np.ones(n, bool), 2000, n))
+                                  oracle_coverage_times(n, 2000, n))
 
     def test_premise_constant(self):
         m = hypercube_sum(3)

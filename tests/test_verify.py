@@ -252,33 +252,44 @@ def oracle_conjecture(A, B, C, q, s):
 SS = (0.25, 1.0, 4.0)
 
 
-def draw_triples(rng, dims=tuple(range(1, 7)), qs=tuple(range(1, 8))):
-    return verify._block_draws(rng, list(dims), verify._triple_group, qs and list(qs),
-                               kinds=True)
+def draw_triples(rng, qs=tuple(range(1, 8))):
+    return verify._block_draws(rng, verify._triple_group, qs and list(qs), kinds=True)
 
 
-def draw_operator_cs(rng, dims=tuple(range(1, 7))):
-    return verify._block_draws(rng, list(dims), verify._operator_cs_group)
+def draw_operator_cs(rng):
+    return verify._block_draws(rng, verify._operator_cs_group)
 
 
-def draw_ensembles(rng, dims=tuple(range(1, 7)), size=4):
-    return verify._block_draws(rng, list(dims), functools.partial(verify._ensemble_group, size))
+def draw_ensembles(rng, size=4):
+    return verify._block_draws(rng, functools.partial(verify._ensemble_group, size))
 
 
-def block_trials(draw, m):
-    """One block of m trials of a suite's draw, as (d, inputs, kind) in trial order."""
-    dims, groups, kinds = draw(m)
-    out = [None] * m
-    for rows, stacks in groups:
-        for p, i in enumerate(rows.tolist()):
-            inputs = tuple(x[p] if x.ndim > 1 else x[p].item() for x in stacks)
-            out[i] = (int(dims[i]), inputs, None if kinds is None else kinds[i])
-    return out
+def schedule(trials, dims):
+    """The (d, m) blocks of a sweep of ``trials`` over the d grid ``dims``, in order:
+    entry i's share is trials // K, one more if i < trials % K, in blocks of at
+    most BLOCK_TRIALS."""
+    for i, d in enumerate(dims):
+        share = trials // len(dims) + (1 if i < trials % len(dims) else 0)
+        for start in range(0, share, verify.BLOCK_TRIALS):
+            yield d, min(verify.BLOCK_TRIALS, share - start)
+
+
+def block_trials(draw, d, m):
+    """One block of m trials of dimension d of a suite's draw, as (d, inputs,
+    kind) in trial order."""
+    stacks, kinds = draw(d, m)
+    return [(d, tuple(x[i] if x.ndim > 1 else x[i].item() for x in stacks),
+             None if kinds is None else kinds[i]) for i in range(m)]
+
+
+def sweep_trials(draw, trials, dims=tuple(range(1, 7))):
+    """The trials of a sweep of a suite's draw, in trial order."""
+    return [t for d, m in schedule(trials, dims) for t in block_trials(draw, d, m)]
 
 
 def cases(draw, count=240):
     """count draws, covering d = 1..6 and, for triples, every draw kind."""
-    out = block_trials(draw, count)
+    out = sweep_trials(draw, count)
     assert {c[0] for c in out} == set(range(1, 7))
     assert {c[2] for c in out} in ({None}, set(verify._KINDS))
     return out
@@ -334,8 +345,8 @@ class TestEvaluatorsAgainstOracles:
 
 @functools.lru_cache(maxsize=None)
 def triple_block():
-    """2000 triple trials over d = 1..6, from one block draw."""
-    return block_trials(draw_triples(verify._rng(3)), 2000)
+    """2000 triple trials over d = 1..6, from one sweep's blocks."""
+    return sweep_trials(draw_triples(verify._rng(3)), 2000)
 
 
 def of_kind(kind, min_d=1):
@@ -353,13 +364,12 @@ def commutator_bound(A, d):
 
 
 class TestBlockDrawLaw:
-    # each draw family of fuzz stream version 2 has its defining property
+    # each draw family of fuzz stream version 3 has its defining property
 
     def test_kind_frequencies(self):
         # 1e5 d = 1 trials: every count within 4 binomial sigma of _SPLIT
         m = 100_000
-        _, _, kinds = verify._block_draws(verify._rng(1), [1], verify._triple_group,
-                                          kinds=True)(m)
+        _, kinds = verify._block_draws(verify._rng(1), verify._triple_group, kinds=True)(1, m)
         for name, w in zip(verify._KINDS, verify._SPLIT):
             assert abs(kinds.count(name) - m * w) <= 4 * math.sqrt(m * w * (1 - w)), name
 
@@ -396,7 +406,7 @@ class TestBlockDrawLaw:
     @pytest.mark.parametrize("size", [1, 4, 8])
     def test_entropy_ensembles(self, size):
         # every W is PSD, and the ensemble mean of tr-bar W is 1
-        trials = block_trials(draw_ensembles(verify._rng(4), size=size), 600)
+        trials = sweep_trials(draw_ensembles(verify._rng(4), size=size), 600)
         assert {d for d, _, _ in trials} == set(range(1, 7))
         for d, (Us, Ws), _ in trials:
             assert Us.shape == Ws.shape == (size, d, d)
@@ -406,7 +416,7 @@ class TestBlockDrawLaw:
 
     def test_operator_cs_picks_rank1_arguments_at_rate_one_tenth(self):
         m = 20_000
-        trials = block_trials(draw_operator_cs(verify._rng(6), dims=[2, 3]), m)
+        trials = sweep_trials(draw_operator_cs(verify._rng(6)), m, [2, 3])
         rank1 = []
         for d, (S, M, N), _ in trials:
             assert S.shape == (d * d, d * d) and np.array_equal(S, S.conj().T)
@@ -418,18 +428,16 @@ class TestBlockDrawLaw:
 
 
 class TestBlockPositionInvariance:
-    # every trial of a full block, evaluated among trials of its dimension,
+    # every trial of a sweep's blocks, evaluated among trials of its dimension,
     # gives the very floats of its stack-of-one evaluation, which replay uses
 
     def block(self, draw, evaluate):
         rows = []
-
-        def take(trial, dims, outs):
-            block = [trial(i) for i in range(len(dims))]
-            assert dims.tolist() == [d for d, _, _ in block]
-            rows.extend((trial[1], [out[i] for out in outs]) for i, trial in enumerate(block))
-
-        verify._sweep(verify.BLOCK_TRIALS, draw, evaluate, take)
+        for d, m in schedule(verify.BLOCK_TRIALS, range(1, 7)):
+            stacks, _ = draw(d, m)
+            outs = evaluate(*stacks)
+            rows.extend((tuple(x[i] for x in stacks), [out[i] for out in outs])
+                        for i in range(m))
         assert len(rows) == verify.BLOCK_TRIALS
         return rows
 
@@ -520,20 +528,13 @@ def norm_slack(lhs: float, rhs: float) -> float:
     return (rhs - lhs) / max(1.0, abs(rhs) + abs(lhs))
 
 
-def sweep_one_by_one(trials, draw, evaluate, offer):
-    """Evaluate blocks by dimension, then offer every trial with its row, in order."""
-    for start in range(0, trials, verify.BLOCK_TRIALS):
-        block = block_trials(draw, min(verify.BLOCK_TRIALS, trials - start))
-        groups: dict = {}
-        for i, (d, _, _) in enumerate(block):
-            groups.setdefault(d, []).append(i)
-        rows = [None] * len(block)
-        for idx in groups.values():
-            outs = evaluate(*(np.stack(col) for col in zip(*(block[i][1] for i in idx))))
-            for j, i in enumerate(idx):
-                rows[i] = [out[j] for out in outs]
-        for trial, row in zip(block, rows):
-            offer(trial, row)
+def sweep_one_by_one(trials, dims, draw, evaluate, offer):
+    """Evaluate the schedule's blocks, then offer every trial with its row, in order."""
+    for d, m in schedule(trials, dims):
+        block = block_trials(draw, d, m)
+        outs = evaluate(*(np.stack(col) for col in zip(*(t[1] for t in block))))
+        for i, trial in enumerate(block):
+            offer(trial, [out[i] for out in outs])
 
 
 def oracle_triple_case(ineq, kind, mats, **params):
@@ -552,7 +553,7 @@ def oracle_fuzz_pmvti(dims, qs, s_values, trials, seed):
             tracker.offer(norm_slack(float(row[0]), float(rhs)), d, lambda: oracle_triple_case(
                 "pmvti", kind, (A, B, C), q=q, s=float(s)))
 
-    sweep_one_by_one(trials, draw_triples(verify._rng(seed), dims, qs),
+    sweep_one_by_one(trials, dims, draw_triples(verify._rng(seed), qs),
                      lambda A, B, C, q: verify._pmvti_stack(A, B, C, q, ss), offer)
     return tracker.report("pmvti", trials, dims)
 
@@ -567,7 +568,7 @@ def oracle_fuzz_emvti(dims, s_values, trials, seed):
             tracker.offer(norm_slack(float(row[0]), float(rhs)), d, lambda: oracle_triple_case(
                 "emvti", kind, (A, B, C), s=float(s)))
 
-    sweep_one_by_one(trials, draw_triples(verify._rng(seed), dims, None),
+    sweep_one_by_one(trials, dims, draw_triples(verify._rng(seed), None),
                      lambda A, B, C: verify._emvti_stack(A, B, C, ss), offer)
     return tracker.report("emvti", trials, dims)
 
@@ -580,7 +581,7 @@ def oracle_fuzz_young(dims, p, trials, seed):
         tracker.offer(float(row[0]) / float(row[1]), d, lambda: oracle_triple_case(
             "young_commuting", kind, (A, B), p=float(p)))
 
-    sweep_one_by_one(trials, draw_triples(verify._rng(seed), dims, None),
+    sweep_one_by_one(trials, dims, draw_triples(verify._rng(seed), None),
                      lambda A, B, C: verify._young_stack(A, B, p), offer)
     return tracker.report(f"young_commuting(p={p})", trials, dims)
 
@@ -596,7 +597,7 @@ def oracle_fuzz_operator_cs(dims, trials, seed):
             "N": RectMatrix(N).to_json(),
         })
 
-    sweep_one_by_one(trials, draw_operator_cs(verify._rng(seed), dims),
+    sweep_one_by_one(trials, dims, draw_operator_cs(verify._rng(seed)),
                      verify._operator_cs_stack, offer)
     return tracker.report("operator_cs", trials, dims)
 
@@ -612,7 +613,7 @@ def oracle_fuzz_entropy_young(dims, ensemble_size, trials, seed):
             "W": [HermitianMatrix(w).to_json() for w in Ws],
         })
 
-    sweep_one_by_one(trials, draw_ensembles(verify._rng(seed), dims, ensemble_size),
+    sweep_one_by_one(trials, dims, draw_ensembles(verify._rng(seed), ensemble_size),
                      verify._entropy_young_stack, offer)
     return tracker.report("matrix_entropy_young", trials, dims)
 
@@ -651,7 +652,7 @@ def oracle_explore_conjecture(dims, qs, s_values, trials, seed):
                                      lambda: oracle_triple_case(
                                          f"conjecture_{form}", kind, (A, B, C), q=q, s=float(s)))
 
-    sweep_one_by_one(trials, draw_triples(verify._rng(seed), dims, qs),
+    sweep_one_by_one(trials, dims, draw_triples(verify._rng(seed), qs),
                      lambda A, B, C, q: verify._conjecture_stack(A, B, C, q, ss), offer)
     per_form = {form: trackers[form].report(f"conjecture_{form}", trials, dims)
                 for form in sorted(trackers)}
@@ -707,7 +708,7 @@ class TestSelectorAgainstOracle:
     # minima of the one-at-a-time tracker, byte for byte
 
     @pytest.mark.parametrize("seed", [1, 2])
-    @pytest.mark.parametrize("trials", [1, 255, 256, 257, 700])
+    @pytest.mark.parametrize("trials", [3, 255, 256, 257, 700])
     @pytest.mark.parametrize("suite", sorted(ORACLE_SUITES))
     def test_sweep(self, suite, trials, seed):
         new, oracle, args = ORACLE_SUITES[suite]
@@ -729,26 +730,24 @@ class TestSelectorAgainstOracle:
         trials = verify.BLOCK_TRIALS + 300
         starts = iter(range(0, trials, verify.BLOCK_TRIALS))
 
-        def draw(m):
-            i = next(starts) + np.arange(m)
-            dims = 1 + i % 2
-            return dims, [(np.flatnonzero(dims == d), (i[dims == d],)) for d in (1, 2)], ["t"] * m
+        def draw(d, m):
+            return (next(starts) + np.arange(m),), ["t"] * m
 
         def slacks(x):
             i, j = x[:, None], np.arange(2)[None, :]
             return np.where((i >= 250) & ((7 * i + j) % 5 == 0), 0.0, 1.0 + (3 * i + j) % 4)
 
-        (report,) = verify._fuzz(trials, [1, 2], draw, lambda x: (x,),
+        (report,) = verify._fuzz(trials, [1], draw, lambda x: (x,),
                                  ("tie", slacks, lambda t, j: {"trial": int(t[1][0]), "j": j}))
         kept = [(c["trial"], c["j"]) for c in [report.worst_case] + report.near_misses]
         assert kept == [(250, 0), (252, 1), (255, 0), (257, 1), (260, 0)]
-        assert report.min_slack_by_dim == {1: 0.0, 2: 0.0}
+        assert report.min_slack_by_dim == {1: 0.0}
         tracker = WorstTracker()
         for i in range(trials):
             row = slacks(np.array([i]))[0]
             for j in range(2):
-                tracker.offer(float(row[j]), 1 + i % 2, lambda i=i, j=j: {"trial": i, "j": j})
-        assert report_bytes(report) == report_bytes(tracker.report("tie", trials, [1, 2]))
+                tracker.offer(float(row[j]), 1, lambda i=i, j=j: {"trial": i, "j": j})
+        assert report_bytes(report) == report_bytes(tracker.report("tie", trials, [1]))
 
 
 def assert_exactly_hermitian(stack):
@@ -916,6 +915,61 @@ class TestFuzzSuites:
             fuzz_pmvti([1], [2.5], [1.0], trials=5, seed=0)
         with pytest.raises(ParameterError, match="not an integer"):
             explore_conjecture(True, [2], [1.0], trials=5, seed=0)
+
+
+def sweep_at_defaults(suite, trials, seed):
+    """A suite at its FUZZ_SUITES defaults (d = 1..6), or the conjecture sweep
+    over d = 1..6; with the per-dimension minima of the report and its sections."""
+    if suite == "conjecture":
+        r = explore_conjecture(range(1, 7), [1, 2, 3], [1.0], trials, seed)
+        return r, [r.min_slack_by_dim] + [{int(d): v for d, v in sec["min_slack_by_dim"].items()}
+                                          for sec in r.sections.values()]
+    keys, call = verify.FUZZ_SUITES[suite]
+    r = call(*keys.values(), trials, seed)
+    return r, [r.min_slack_by_dim]
+
+
+class TestSchedule:
+    # each entry of the d grid gets a fixed share of the trials, so a sweep
+    # tries every dimension it reports, and refuses to run when it cannot
+
+    @pytest.mark.parametrize("trials", [6, 20])
+    @pytest.mark.parametrize("suite", sorted(verify.FUZZ_SUITES) + ["conjecture"])
+    def test_every_dimension_is_tried(self, suite, trials):
+        # one draw per trial left emvti at 6 trials and seed 3 with d = 1, 2, 4 only
+        for seed in (1, 2, 3):
+            r, by_dims = sweep_at_defaults(suite, trials, seed)
+            assert r.dims == [1, 2, 3, 4, 5, 6] and r.trials == trials
+            for by_dim in by_dims:
+                assert list(by_dim) == [1, 2, 3, 4, 5, 6], (suite, seed, by_dim)
+
+    @pytest.mark.parametrize("trials,dims,blocks", [
+        (7, [1, 2, 3], [(1, 3), (2, 2), (3, 2)]),
+        (3, [2, 2, 1], [(2, 1), (2, 1), (1, 1)]),
+        (2 * verify.BLOCK_TRIALS + 3, [1, 2],
+         [(1, verify.BLOCK_TRIALS), (1, 2), (2, verify.BLOCK_TRIALS), (2, 1)]),
+    ])
+    def test_shares_in_grid_order(self, monkeypatch, trials, dims, blocks):
+        # entry i of K gets trials // K, one more if i < trials % K, in blocks
+        # of at most BLOCK_TRIALS, each of one dimension
+        seen, stack = [], verify._emvti_stack
+
+        def counted(A, B, C, s):
+            seen.append((A.shape[-1], len(A)))
+            return stack(A, B, C, s)
+
+        monkeypatch.setattr(verify, "_emvti_stack", counted)
+        assert fuzz_emvti(dims, [1.0], trials, seed=1).trials == trials
+        assert seen == blocks == list(schedule(trials, dims))
+
+    @pytest.mark.parametrize("suite", sorted(verify.FUZZ_SUITES) + ["conjecture"])
+    def test_fewer_trials_than_grid_entries_are_refused(self, suite):
+        with pytest.raises(ParameterError, match=r"5 trials .* 6 entries of the d grid"):
+            sweep_at_defaults(suite, 5, 1)
+
+    def test_young_reads_p_before_the_trials_rule(self):
+        with pytest.raises(ParameterError, match="p > 1, got 0"):
+            fuzz_young_commuting(range(1, 7), 0, 1, 1)
 
 
 class TestConjectureSweep:
