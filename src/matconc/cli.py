@@ -266,15 +266,19 @@ def fuzz(cfg: _Config) -> None:
     """Fuzz one trace inequality; exit 0 iff min slack clears the threshold."""
     name = cfg.get("ineq")
     trials, seed = _count(cfg.get("trials"), "trials"), cfg.get("seed")
-    # a chunk past the last trial would run none: at most one chunk per trial
-    jobs = min(_count(cfg.get("jobs", 1), "jobs"), trials)
+    jobs = _count(cfg.get("jobs", 1), "jobs")
     call, values = _row(verify.FUZZ_SUITES, "inequality", name, cfg)
     out = _reject_unread(cfg, f"fuzz suite {name!r}")
-    counts = verify._shares(trials, jobs)
+    # a chunk past the last trial would run none: at most one chunk per trial
+    counts = verify._shares(trials, min(jobs, trials))
+    if len(counts) > 1 and counts[-1] < len(values[0]):  # every suite reads its d grid first
+        raise ParameterError(f"--jobs {jobs} leaves a chunk of {counts[-1]} trials for the "
+                             f"{len(values[0])} entries of the d grid: each chunk needs one "
+                             "trial per entry")
     # the chunks run one after another: a batched sweep keeps its core busy,
     # so threads would only contend for it
-    reports = [call(*values, c, seed + 7919 * i) for i, c in enumerate(counts)]
-    report = reports[0] if len(reports) == 1 else verify.merge_fuzz_reports(reports)
+    report = verify.merge_fuzz_reports(
+        [call(*values, c, seed + 7919 * i) for i, c in enumerate(counts)])
     _emit_json(report.to_json(), out)
     if not report.passed:
         raise verify.VerificationFailure(f"fuzz {name} min_slack {report.min_slack}")

@@ -38,6 +38,14 @@ class PreconditionError(ValueError):
     """A documented precondition does not hold for the given inputs."""
 
 
+def _herm(a: np.ndarray) -> np.ndarray:
+    """(a + a*)/2 on the last two axes in two buffers; exactly Hermitian, so replays are exact."""
+    h = np.conj(np.swapaxes(a, -1, -2), order="C")
+    h += a
+    h /= 2
+    return h
+
+
 def _opnorm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
@@ -207,7 +215,7 @@ class HermitianMatrix:
                     f"input is not Hermitian: anti-Hermitian residual {resid:.3e} "
                     f"exceeds {HERMITIAN_REJECT_RTOL:.1e} * ||M||"
                 )
-        h = (m + m.conj().T) / 2
+        h = _herm(m)
         h.setflags(write=False)
         self.a = h
         self._eig = None
@@ -346,8 +354,7 @@ def matrix_function(A, f: Callable) -> HermitianMatrix:
     if np.any(bad):
         lam = w[np.argmax(bad)]
         raise DomainError(f"f is not real-valued and finite at eigenvalue {lam!r}")
-    out = spectral_apply(v, fw.real)
-    return HermitianMatrix((out + out.conj().T) / 2)
+    return HermitianMatrix(_herm(spectral_apply(v, fw.real)))
 
 
 def schatten_norm(B, p) -> float:

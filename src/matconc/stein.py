@@ -29,6 +29,7 @@ from .matcore import (
     _field,
     _finite,
     _grid,
+    _herm,
     _json_parts,
     _opnorm,
     _opnorms,
@@ -303,8 +304,7 @@ class MatrixModel:
     def H_rows(self, zs) -> np.ndarray:
         """H at each row of ``zs`` (an array, or outcome tuples), shape
         (len(zs), d, d): _rows's blocks of H, each symmetrised as it is written."""
-        return _rows(self._H, zs, self.dist.n, (self.d, self.d),
-                     lambda hs: (hs + hs.conj().swapaxes(-1, -2)) / 2)
+        return _rows(self._H, zs, self.dist.n, (self.d, self.d), _herm)
 
     @property
     def exact(self) -> bool:
@@ -468,8 +468,7 @@ def bounded_diff_demo(n: int = 3, d: int = 2) -> MatrixModel:
     n, d = _count(n, "n"), _count(d, "d")
     # coordinate by coordinate, the real then the imaginary part of a d x d draw
     parts = _rng(20_240_501).standard_normal((n, 2, d, d))
-    g = parts[:, 0] + 1j * parts[:, 1]
-    stack = (g + g.conj().swapaxes(-1, -2)) / 2
+    stack = _herm(parts[:, 0] + 1j * parts[:, 1])
     return MatrixModel(ProductDistribution.uniform_pm1(n),
                        lambda zs: np.einsum("kj,jab->kab", zs, stack), d,
                        name=f"bounded_diff_demo(n={n},d={d})")

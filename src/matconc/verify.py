@@ -24,6 +24,7 @@ from .matcore import (
     _count,
     _field,
     _grid,
+    _herm,
     _hermitians,
     _real,
     _rng,
@@ -60,14 +61,6 @@ def _norm_slacks(lhs, rhs):
 # inequality, so a fixed share of trials comes from adversarial families.
 _KINDS = ("gaussian", "near_commuting", "rank1", "gapped")
 _SPLIT = (0.7, 0.1, 0.1, 0.1)
-
-
-def _herm(a):
-    """(a + a*)/2 on the last two axes in two buffers; exactly Hermitian, so replays are exact."""
-    h = np.conj(_transpose(a), order="C")
-    h += a
-    h /= 2
-    return h
 
 
 def _gauss(rng, *shape):
@@ -146,7 +139,7 @@ def _block_draws(rng, group, qs: list | None = None, kinds: bool = False):
 
 @dataclass(eq=False)
 class FuzzReport:
-    """Outcome of one fuzz sweep; pass means min_slack >= -tolerance."""
+    """Outcome of one fuzz sweep; pass means min_slack >= -FUZZ_TOL."""
 
     inequality: str
     trials: int
@@ -154,7 +147,6 @@ class FuzzReport:
     min_slack: float
     worst_case: dict
     passed: bool
-    tolerance: float = FUZZ_TOL
     min_slack_by_dim: dict = field(default_factory=dict)
     near_misses: list = field(default_factory=list)
     sections: dict = field(default_factory=dict)
@@ -170,16 +162,33 @@ class FuzzReport:
             "worst_case": self.worst_case,
             "near_misses": self.near_misses,
             "pass": self.passed,
-            "tolerance": self.tolerance,
+            "tolerance": FUZZ_TOL,
         }
         if self.sections:
             out["sections"] = self.sections
         return out
 
 
+def _report(inequality: str, trials: int, dims, cases: list, by_dim: dict,
+            sections: dict | None = None) -> FuzzReport:
+    """The report on the kept ``cases``, nonempty and by ascending slack, with the smallest
+    slack per dimension ``by_dim``; its dims are the d grid's distinct entries, ascending."""
+    return FuzzReport(
+        inequality=inequality,
+        trials=trials,
+        dims=sorted(set(dims)),
+        min_slack=cases[0]["slack"],
+        worst_case=cases[0],
+        passed=bool(cases[0]["slack"] >= -FUZZ_TOL),
+        min_slack_by_dim=dict(sorted(by_dim.items())),
+        near_misses=cases[1:],
+        sections=sections or {},
+    )
+
+
 class _Worst:
-    """The ``keep`` smallest slacks offered, with their serialized cases, and
-    the smallest slack per dimension.  Of equal slacks the earlier offer ranks
+    """The serialized cases of the ``keep`` smallest slacks of a sweep's blocks,
+    and the smallest slack per dimension.  Of equal slacks the earlier offer ranks
     first, so a sweep keeps the cases that a one-trial-at-a-time loop keeps."""
 
     def __init__(self, keep: int):
@@ -187,7 +196,7 @@ class _Worst:
         self.cases: list = []
         self.by_dim: dict = {}
 
-    def add(self, slacks: np.ndarray, case, d: int | None = None) -> None:
+    def add(self, slacks: np.ndarray, case, d: int) -> None:
         """Offer slacks[m, j] in row-major order; every row is of dimension d.
 
         ``case(m, j)`` serializes one offer, and runs only for the block's
@@ -196,39 +205,12 @@ class _Worst:
         flat = slacks.ravel()
         top = [(float(flat[k]), divmod(int(k), slacks.shape[1]))
                for k in np.argsort(flat, kind="stable")[:self.keep]]
-        kept = sorted(self.cases + top, key=lambda t: t[0])[:self.keep]
-        self.cases = [(s, c if isinstance(c, dict) else {**case(*c), "slack": s})
-                      for s, c in kept]
-        if d is not None:
-            # argmin keeps the earlier of -0.0 and 0.0, as one offer at a time does
-            self.low(d, float(flat[np.argmin(flat)]))
-
-    def take(self, cases: list, by_dim: dict) -> None:
-        """Offer stored cases in list order, skipping empty ones, and stored
-        minima per dimension."""
-        cases = [c for c in cases if c]
-        self.add(np.array([[c["slack"] for c in cases]], dtype=float), lambda _, j: cases[j])
-        for d, s in by_dim.items():
-            self.low(int(d), s)
-
-    def low(self, d: int, slack: float) -> None:
-        if slack < self.by_dim.get(d, math.inf):
-            self.by_dim[d] = slack
-
-    def report(self, inequality: str, trials: int, dims: list,
-               sections: dict | None = None) -> FuzzReport:
-        min_slack = self.cases[0][0] if self.cases else math.inf
-        return FuzzReport(
-            inequality=inequality,
-            trials=trials,
-            dims=dims,
-            min_slack=min_slack,
-            worst_case=self.cases[0][1] if self.cases else {},
-            passed=bool(min_slack >= -FUZZ_TOL),
-            min_slack_by_dim=dict(sorted(self.by_dim.items())),
-            near_misses=[c for _, c in self.cases[1:]],
-            sections=sections or {},
-        )
+        kept = sorted([(c["slack"], c) for c in self.cases] + top, key=lambda t: t[0])
+        self.cases = [c if isinstance(c, dict) else {**case(*c), "slack": s}
+                      for s, c in kept[:self.keep]]
+        # argmin and min keep the earlier of -0.0 and 0.0, as one offer at a time does
+        low = float(flat[np.argmin(flat)])
+        self.by_dim[d] = min(self.by_dim.get(d, low), low)
 
 
 def _section(report: FuzzReport) -> dict:
@@ -503,7 +485,7 @@ def _fuzz(trials: int, dims: list, draw, evaluate, *forms, keep: int = 5) -> lis
                         raise DomainError(
                             f"{name} slack is NaN at {', '.join(at)}: a side overflows")
                     w.add(block, lambda i, j: case(trial(i), j), d)
-    return [w.report(name, trials, dims) for w, (name, _, _) in zip(worst, forms)]
+    return [_report(name, trials, dims, w.cases, w.by_dim) for w, (name, *_) in zip(worst, forms)]
 
 
 def _slack_matrix(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -593,32 +575,31 @@ def explore_conjecture(d_range, q_range, s_values, trials: int, seed: int) -> Fu
 
 
 def _pool(reports, keep: int, inequality: str, trials: int, dims: list,
-          sections: dict) -> FuzzReport:
-    """One report from the stored cases of ``reports``, in list order, through
-    the selector, with the minimum per dimension."""
-    worst = _Worst(keep)
+          sections: dict | None = None) -> FuzzReport:
+    """One report from the kept cases of ``reports``, by one stable sort in list
+    order cut at ``keep``, and the first smallest slack per dimension."""
+    cases = sorted((c for r in reports for c in [r.worst_case, *r.near_misses]),
+                   key=lambda c: c["slack"])[:keep]
+    by_dim: dict = {}
     for r in reports:
-        worst.take([r.worst_case, *r.near_misses], r.min_slack_by_dim)
-    return worst.report(inequality, trials, dims, sections)
+        for d, s in r.min_slack_by_dim.items():
+            by_dim[d] = min(by_dim.get(d, s), s)
+    return _report(inequality, trials, dims, cases, by_dim, sections)
 
 
 def merge_fuzz_reports(reports) -> FuzzReport:
-    """Combine chunked sweeps of the same inequality, in list order."""
+    """Combine chunked sweeps of the same inequality, in list order; a merge
+    of one report is that report.  Reports with sections do not merge."""
     reports = list(reports)
     if not reports:
         raise ParameterError("nothing to merge")
     name = reports[0].inequality
     if any(r.inequality != name for r in reports):
         raise ParameterError("cannot merge reports of different suites")
-    trials = sum(r.trials for r in reports)
-    dims = sorted({int(d) for r in reports for d in r.dims})
-    forms: dict = {}
-    for r in reports:
-        for form, sec in r.sections.items():
-            forms.setdefault(form, _Worst(keep=1)).take([sec["worst_case"]],
-                                                         sec["min_slack_by_dim"])
-    sections = {form: _section(w.report(form, trials, dims)) for form, w in forms.items()}
-    return _pool(reports, 5, name, trials, dims, sections)
+    if any(r.sections for r in reports):
+        raise ParameterError("cannot merge reports with sections")
+    return _pool(reports, 5, name, sum(r.trials for r in reports),
+                 [d for r in reports for d in r.dims])
 
 
 def replay_case(case: dict) -> dict:

@@ -397,6 +397,31 @@ class TestFuzzVerb:
         assert error["type"] == "config"
         assert "5 trials" in error["message"] and "6 entries" in error["message"]
 
+    @pytest.mark.parametrize("grid, dims", [("3,1,2", [1, 2, 3]), ("2,2", [2])])
+    def test_dims_are_the_distinct_grid_entries_at_any_jobs(self, capsys, tmp_path, grid, dims):
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}.json"
+            assert run(["fuzz", "--ineq", "emvti", "--trials", "12", "--seed", "1", "--d", grid,
+                        "--jobs", jobs, "--out", str(out)], capsys)[0] == 0
+            assert json.loads(out.read_text())["dims"] == dims
+
+    @pytest.mark.parametrize("jobs", ["2", "3"])
+    def test_a_short_chunk_is_refused_by_name(self, capsys, monkeypatch, jobs):
+        # 3 trials try d = 1..3 in one sweep; --jobs leaves a chunk of 1 trial,
+        # and is refused before any chunk runs
+        argv = ["fuzz", "--ineq", "emvti", "--trials", "3", "--seed", "1", "--d", "1:3"]
+        assert run(argv + ["--jobs", "1"], capsys)[0] == 0
+
+        def refuse(*args):
+            raise AssertionError("a chunk ran")
+
+        monkeypatch.setattr(verify, "fuzz_emvti", refuse)
+        code, out, err = run(argv + ["--jobs", jobs], capsys)
+        assert code == 3 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "config" and error["message"].startswith(f"--jobs {jobs} ")
+        assert "chunk of 1 trials" in error["message"] and "3 entries" in error["message"]
+
     def test_young_p_is_read_before_the_trials_rule(self, capsys):
         code, _, err = run(["fuzz", "--ineq", "young_commuting", "--trials", "1",
                             "--seed", "1", "--p", "0"], capsys)

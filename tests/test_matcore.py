@@ -12,6 +12,7 @@ from matconc.matcore import (
     ShapeError,
     SuperOperator,
     _dilations,
+    _herm as hermitian_part,
     _integer,
     _opnorms,
     _real,
@@ -41,6 +42,29 @@ def _rng(seed=0):
 def _herm(rng, d):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return (g + g.conj().T) / 2
+
+
+class TestHermitianPart:
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 2, 5, 5)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_is_the_sum_form_bit_for_bit(self, shape, dtype):
+        # (a* + a)/2 in two buffers is (a + a*)/2, as IEEE addition commutes;
+        # a third of the parts, and entries (0, 1) and (1, 0), are signed zeros,
+        # so -0 + -0, -0 + 0 and the conjugate of a zero imaginary part all occur
+        rng = _rng(21)
+        parts = rng.standard_normal((2,) + shape)
+        zeros = rng.random(parts.shape) < 0.35
+        parts[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, -0.0, 0.0)
+        parts[..., 0, 1] = parts[..., 1, 0] = -0.0
+        a = np.empty(shape, dtype)
+        a.real = parts[0]
+        if dtype is np.complex128:
+            a.imag = parts[1]
+        given = a.copy()
+        ref = (a + a.conj().swapaxes(-1, -2)) / 2
+        got = hermitian_part(a)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes() and a.tobytes() == given.tobytes()
 
 
 class TestWrappers:
