@@ -1186,12 +1186,12 @@ class TestCoupleVerb:
 
     def test_an_exhausted_pathwise_run_writes_no_report(self, capsys, tmp_path):
         # every sampled run couples within 3 steps, but a pathwise run does not
-        assert np.all(stein.sample_coupling_times(2, 2, 5, max_steps=3) >= 0)
+        assert np.all(stein.sample_coupling_times(2, 2, 4, max_steps=3) >= 0)
         with pytest.raises(verify.VerificationFailure,
                            match="^pathwise run exhausted max_steps$"):
-            verify.coupling_statistics(2, 2, 5, 3, 20)
+            verify.coupling_statistics(2, 2, 4, 3, 20)
         out = tmp_path / "report.json"
-        code, stdout, err = run(["couple", "--n", "2", "--runs", "2", "--seed", "5",
+        code, stdout, err = run(["couple", "--n", "2", "--runs", "2", "--seed", "4",
                                  "--max-steps", "3", "--pathwise-runs", "20", "--out",
                                  str(out)], capsys)
         assert (code, stdout, json.loads(err)) == (2, "", {"error": {

@@ -159,19 +159,20 @@ def oracle_kernel_estimate(model, z, zp, horizon, samples, seed):
 def oracle_coverage_times(n, runs, seed, max_steps=1_000_000):
     """The coverage scan one draw column at a time, over the same Philox stream.
 
-    Stream version 2: each block of 16 steps draws (step, open runs) for the
-    runs open at its start, in int64, so the scan's int32 draws are checked
-    as well.
+    Stream version 3: each block of 16 steps draws (step, open runs) for the
+    runs open at its start, in uint8 for n <= 256, uint16 for n <= 65 536
+    and uint32 above, and the draws are widened to int64 before use.
     """
     times = np.full(runs, -1, dtype=np.int64)
     rng = _rng(seed)
+    draw = np.uint8 if n <= 256 else np.uint16 if n <= 65_536 else np.uint32
     seen = np.zeros((runs, n), dtype=np.bool_)
     remaining = np.full(runs, n, dtype=np.int64)
     offset = 0
     while offset < max_steps and np.any(times < 0):
         step = min(16, max_steps - offset)
         rows = np.flatnonzero(times < 0)
-        draws = rng.integers(0, n, size=(step, rows.size), dtype=np.int64)
+        draws = rng.integers(0, n, size=(step, rows.size), dtype=draw).astype(np.int64)
         for c in range(step):
             j = draws[c]
             hit = (times[rows] < 0) & ~seen[rows, j]
@@ -185,16 +186,20 @@ def oracle_coverage_times(n, runs, seed, max_steps=1_000_000):
 def coverage_cdf(n, m, tmax):
     """P(T <= t) for t = 0..tmax, T the first time m given coordinates of n are drawn.
 
-    Inclusion-exclusion, sum_k (-1)^k C(m, k) (1 - k/n)^t, summed in exact
-    integers and divided once, so no cancellation.
+    The number of the m coordinates drawn so far is a Markov chain that moves
+    from k to k + 1 with probability (m - k)/n; its law is carried forward one
+    step at a time, every term nonnegative, so no cancellation.
     """
-    powers = [1] * (m + 1)  # (n - k)^t
-    cdf = []
+    p = np.zeros(m + 1)
+    p[0] = 1.0
+    up = (m - np.arange(m + 1)) / n
+    cdf = np.empty(tmax + 1)
     for t in range(tmax + 1):
-        total = sum((-1) ** k * math.comb(m, k) * p for k, p in enumerate(powers))
-        cdf.append(total / n ** t)
-        powers = [p * (n - k) for k, p in enumerate(powers)]
-    return np.array(cdf)
+        cdf[t] = p[m]
+        moved = p * up
+        p -= moved
+        p[1:] += moved[:-1]
+    return cdf
 
 
 def table_H(table):
@@ -1989,6 +1994,11 @@ class TestCoupling:
         (17, 300, 128),
         (32, 200, 1024),
         (33, 200, 99),
+        # each side of the uint8 and uint16 draw limits, in several words
+        (256, 200, 1601),
+        (257, 200, 1577),
+        (65_536, 3, 32),
+        (65_537, 3, 20),
     ])
     def test_coverage_scan_matches_column_oracle(self, n, runs, max_steps):
         got = stein._accel.coverage_times(n, runs, 17, max_steps=max_steps)
@@ -2006,16 +2016,16 @@ class TestCoupling:
                                   oracle_coverage_times(n, runs, case, max_steps)), case
 
     @pytest.mark.parametrize("n,total,longest", [
-        (2, 75_009, 17), (3, 138_313, 27), (5, 284_315, 57), (8, 543_366, 94)])
+        (2, 74_859, 16), (3, 137_756, 29), (5, 285_228, 55), (8, 544_243, 90)])
     def test_coupling_stream_is_pinned(self, n, total, longest):
         times = sample_coupling_times(n, 25_000, seed=n)
         assert (int(times.sum()), int(times.max())) == (total, longest)
 
-    @pytest.mark.parametrize("n", [2, 5, 8, 70])
+    @pytest.mark.parametrize("n", [2, 5, 8, 70, 257])
     def test_coverage_times_follow_the_exact_law(self, n):
         # holds for any stream version; the DKW band is exceeded with
-        # probability at most 1e-6
-        runs = 100_000
+        # probability at most 1e-6.  n = 257 draws uint16 into 5 words.
+        runs = 100_000 if n <= 256 else 20_000
         times = stein._accel.coverage_times(n, runs, seed=n)
         assert times.min() >= 0
         cdf = coverage_cdf(n, n, int(times.max()))
@@ -2023,14 +2033,16 @@ class TestCoupling:
         assert np.max(np.abs(empirical - cdf)) <= math.sqrt(math.log(2 / 1e-6) / (2 * runs))
 
     def test_coverage_memory_is_below_a_full_block(self):
-        # a (runs, 64) int32 block for every run, as stream version 1 drew
+        # about 16 MB: (16, runs) uint8 draws, bits and gaps, and a few int64
+        # arrays per run.  Stream version 2's int32 draws peaked at 32 MB,
+        # version 1's (runs, 64) int32 blocks at 131 MB.
         tracemalloc.start()
         try:
             stein._accel.coverage_times(8, 200_000, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 200_000 * 64 * 4
+        assert peak < 20_000_000
 
     @pytest.mark.parametrize("build,z,zp", [
         (lambda: hypercube_sum(5), (1.0,) * 5, (-1.0,) * 5),
